@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod ablation;
-pub mod bench;
 pub mod chaos;
 pub mod extensions;
 pub mod fig1;

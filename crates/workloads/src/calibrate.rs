@@ -46,7 +46,9 @@ impl SoloStats {
 ///
 /// # Panics
 ///
-/// Panics if `bench` is not a built-in benchmark.
+/// Panics if `bench` is not a built-in benchmark, if `k` leaves no valid
+/// cache geometry (see [`SystemConfig::try_paper_scaled`]), or if `ways`
+/// exceeds the scaled L2's associativity.
 #[must_use]
 pub fn solo_run(bench: &str, ways: Ways, work: Instructions, k: u64, seed: u64) -> SoloStats {
     let mut node = CmpNode::new(SystemConfig::paper_scaled(k));

@@ -5,13 +5,13 @@
 //! cmpqos solo --bench bzip2 --ways 7 [--scale 8] [--work 800000]
 //! cmpqos run --workload gobmk|mix1|mix2 --config all-strict|hybrid1|hybrid2|autodown|equalpart
 //!            [--scale 8] [--work 800000] [--seed 1] [--json out.json]
-//! cmpqos bench [--jobs N] [--scale 8] [--work 800000] [--seed 1] [--out BENCH.json]
 //! ```
 //!
 //! A thin, dependency-free argument parser over the library API — also the
 //! fifth example application of the public interface.
 
 use cmpqos::experiments::json::write_json;
+use cmpqos::system::SystemConfig;
 use cmpqos::trace::spec;
 use cmpqos::types::{Instructions, Percent, Ways};
 use cmpqos::workloads::metrics::{
@@ -23,30 +23,19 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
 
+type Flags = HashMap<String, String>;
+
+/// A subcommand: the flags it reads and the handler that reads them.
+type Command = (&'static [&'static str], fn(&Flags) -> Result<(), String>);
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(command) = args.first() else {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let flags = match parse_flags(&args[1..]) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match command.as_str() {
-        "list" => cmd_list(),
-        "solo" => cmd_solo(&flags),
-        "run" => cmd_run(&flags),
-        "bench" => cmd_bench(&flags),
-        "recover" => cmd_recover(&flags),
-        "conform" => cmd_conform(&flags),
-        "explore" => cmd_explore(&flags),
-        "traffic" => cmd_traffic(&flags),
-        other => Err(format!("unknown command `{other}`")),
-    };
+    let result = command_named(command)
+        .and_then(|(known, handler)| handler(&parse_flags(&args[1..], known)?));
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -56,15 +45,34 @@ fn main() -> ExitCode {
     }
 }
 
+fn command_named(name: &str) -> Result<Command, String> {
+    let command: Command = match name {
+        "list" => (&[], cmd_list),
+        "solo" => (&["bench", "ways", "scale", "work", "seed"], cmd_solo),
+        "run" => (
+            &[
+                "workload", "config", "scale", "work", "seed", "json", "events",
+            ],
+            cmd_run,
+        ),
+        "recover" => (&["journal", "kind", "compact-every"], cmd_recover),
+        "conform" => (
+            &["scale", "work", "seed", "jobs", "only", "inject"],
+            cmd_conform,
+        ),
+        "explore" => (&["scenarios", "seed", "kind"], cmd_explore),
+        "traffic" => (&["spec", "emit-toml", "seed", "jobs"], cmd_traffic),
+        other => return Err(format!("unknown command `{other}`")),
+    };
+    Ok(command)
+}
+
 const USAGE: &str = "\
 usage:
   cmpqos list
   cmpqos solo  --bench <name> [--ways N] [--scale N] [--work N] [--seed N]
   cmpqos run   --workload <bench|mix1|mix2> --config <all-strict|hybrid1|hybrid2|autodown|equalpart>
                [--scale N] [--work N] [--seed N] [--json <path>] [--events <path>]
-  cmpqos bench [--jobs N] [--scale N] [--work N] [--seed N] [--out <path>]
-               (times figure/table cells serial vs parallel plus component
-                micro-benchmarks; writes a schema-versioned BENCH_<git-sha>.json)
   cmpqos recover --journal <path> [--kind gac|lac] [--compact-every N]
                (rebuilds admission state from a write-ahead reservation
                 journal, tolerating a torn or corrupted tail)
@@ -83,13 +91,18 @@ usage:
                 --spec runs the standard four-scenario grid; --emit-toml
                 prints the canonical TOML instead of running)";
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parses `--flag [value]` pairs, rejecting any flag not in `known` so a
+/// typo such as `--way` fails instead of silently running the default.
+fn parse_flags(args: &[String], known: &[&str]) -> Result<Flags, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter().peekable();
     while let Some(key) = it.next() {
         let Some(name) = key.strip_prefix("--") else {
             return Err(format!("expected a --flag, got `{key}`"));
         };
+        if !known.contains(&name) {
+            return Err(format!("unknown flag `{key}`"));
+        }
         // A flag followed by another flag (or nothing) is a bare boolean
         // switch, e.g. `--emit-toml`; its presence is its value.
         let value = match it.peek() {
@@ -101,7 +114,7 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
     Ok(flags)
 }
 
-fn get_num(flags: &HashMap<String, String>, name: &str, default: u64) -> Result<u64, String> {
+fn get_num(flags: &Flags, name: &str, default: u64) -> Result<u64, String> {
     match flags.get(name) {
         None => Ok(default),
         Some(v) => v
@@ -110,7 +123,16 @@ fn get_num(flags: &HashMap<String, String>, name: &str, default: u64) -> Result<
     }
 }
 
-fn cmd_list() -> Result<(), String> {
+/// `--scale` (at least 1), checked to leave the paper node a valid
+/// cache geometry.
+fn get_scale(flags: &Flags, default: u64) -> Result<u64, String> {
+    let scale = get_num(flags, "scale", default)?.max(1);
+    SystemConfig::try_paper_scaled(scale)
+        .map(|_| scale)
+        .map_err(|e| format!("--scale {scale}: {e}"))
+}
+
+fn cmd_list(_: &Flags) -> Result<(), String> {
     println!(
         "{:<12} {:<28} base CPI  mem/instr",
         "benchmark", "sensitivity"
@@ -127,13 +149,18 @@ fn cmd_list() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_solo(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_solo(flags: &Flags) -> Result<(), String> {
     let bench = flags.get("bench").ok_or("--bench is required")?;
     if spec::benchmark(bench).is_none() {
         return Err(format!("unknown benchmark `{bench}` (try `cmpqos list`)"));
     }
-    let ways = get_num(flags, "ways", 7)? as u16;
-    let scale = get_num(flags, "scale", 8)?.max(1);
+    let scale = get_scale(flags, 8)?;
+    let assoc = SystemConfig::paper_scaled(scale).l2.associativity();
+    let ways = get_num(flags, "ways", 7)?;
+    let ways = u16::try_from(ways)
+        .ok()
+        .filter(|&w| w <= assoc)
+        .ok_or_else(|| format!("--ways {ways} exceeds the L2's {assoc} ways"))?;
     let work = get_num(flags, "work", 800_000)?.max(1_000);
     let seed = get_num(flags, "seed", 1)?;
     let s = cmpqos::workloads::calibrate::solo_run(
@@ -155,7 +182,7 @@ fn cmd_solo(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_run(flags: &Flags) -> Result<(), String> {
     let workload = match flags.get("workload").map(String::as_str) {
         Some("mix1") => WorkloadSpec::mix1(),
         Some("mix2") => WorkloadSpec::mix2(),
@@ -177,7 +204,7 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     let cfg = RunConfig {
         workload,
         configuration,
-        scale: get_num(flags, "scale", 8)?.max(1),
+        scale: get_scale(flags, 8)?,
         work: Instructions::new(get_num(flags, "work", 800_000)?.max(1_000)),
         seed: get_num(flags, "seed", 1)?,
         stealing_enabled: true,
@@ -216,63 +243,9 @@ fn cmd_run(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench(flags: &HashMap<String, String>) -> Result<(), String> {
-    let params = experiment_params(flags)?;
-    eprintln!(
-        "benchmarking at scale 1/{}, {} instructions/job, seed {}, {} worker(s)...",
-        params.scale,
-        params.work.get(),
-        params.seed,
-        params.jobs
-    );
-    let report = cmpqos::experiments::bench::run(&params);
-
-    println!(
-        "{:<28} {:>6} {:>12} {:>12} {:>10} {:>9}",
-        "experiment", "cells", "serial (ms)", "wall (ms)", "cells/s", "speedup"
-    );
-    for f in &report.figures {
-        if let Some(e) = &f.error {
-            println!("{:<28} FAILED: {e}", f.name);
-        } else {
-            println!(
-                "{:<28} {:>6} {:>12.1} {:>12.1} {:>10.2} {:>8.2}x",
-                f.name, f.cells, f.serial_ms, f.wall_ms, f.cells_per_sec, f.speedup
-            );
-        }
-    }
-    println!();
-    println!(
-        "{:<36} {:>6} {:>12} {:>14}",
-        "component", "iters", "wall (ms)", "ns/iter"
-    );
-    for c in &report.components {
-        println!(
-            "{:<36} {:>6} {:>12.1} {:>14.0}",
-            c.name, c.iters, c.wall_ms, c.ns_per_iter
-        );
-    }
-    println!(
-        "\noverall speedup at --jobs {}: {:.2}x (git {}, schema v{})",
-        report.jobs,
-        report.overall_speedup(),
-        report.git_sha,
-        report.schema_version
-    );
-
-    let out = flags
-        .get("out")
-        .map_or_else(|| report.default_filename(), std::path::PathBuf::from);
-    write_json(&out, &report).map_err(|e| e.to_string())?;
-    println!("report written to {}", out.display());
-    Ok(())
-}
-
-fn experiment_params(
-    flags: &HashMap<String, String>,
-) -> Result<cmpqos::experiments::ExperimentParams, String> {
+fn experiment_params(flags: &Flags) -> Result<cmpqos::experiments::ExperimentParams, String> {
     let mut params = cmpqos::experiments::ExperimentParams::from_env();
-    params.scale = get_num(flags, "scale", params.scale)?.max(1);
+    params.scale = get_scale(flags, params.scale)?;
     params.work = Instructions::new(get_num(flags, "work", params.work.get())?.max(1_000));
     params.seed = get_num(flags, "seed", params.seed)?;
     if let Some(v) = flags.get("jobs") {
@@ -288,7 +261,7 @@ fn experiment_params(
     Ok(params)
 }
 
-fn cmd_conform(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_conform(flags: &Flags) -> Result<(), String> {
     use cmpqos::testkit::conform::{self, Inject};
 
     let params = experiment_params(flags)?;
@@ -325,7 +298,7 @@ fn cmd_conform(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 }
 
-fn cmd_explore(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_explore(flags: &Flags) -> Result<(), String> {
     use cmpqos::testkit::scenario::{explore, ScenarioKind};
 
     let scenarios = get_num(flags, "scenarios", 50)?.max(1) as usize;
@@ -359,7 +332,7 @@ fn cmd_explore(flags: &HashMap<String, String>) -> Result<(), String> {
     }
 }
 
-fn cmd_traffic(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_traffic(flags: &Flags) -> Result<(), String> {
     use cmpqos::experiments::traffic;
     use cmpqos::scenario::{emit_toml, parse_toml, run as run_scenario};
 
@@ -393,7 +366,7 @@ fn cmd_traffic(flags: &HashMap<String, String>) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_recover(flags: &HashMap<String, String>) -> Result<(), String> {
+fn cmd_recover(flags: &Flags) -> Result<(), String> {
     use cmpqos::recovery::{JournaledGac, JournaledLac, RecoveryReport};
 
     let path = flags.get("journal").ok_or("--journal is required")?;
