@@ -217,4 +217,34 @@ proptest! {
             last = Some(b);
         }
     }
+
+    /// Address slicing by mask and shift equals the division-based
+    /// definition — `set = block % sets`, `tag = block / sets`, and back —
+    /// at every power-of-two set count from 1 to 2^20.
+    #[test]
+    fn geometry_slicing_matches_division(
+        addrs in proptest::collection::vec(any::<u64>(), 1..48),
+        block_log in 3u32..9,
+        ways in 1u16..17,
+    ) {
+        let block = 1u64 << block_log;
+        for set_log in 0..=20u32 {
+            let sets = 1u64 << set_log;
+            let geometry = CacheConfig::new(
+                ByteSize::from_bytes(sets * u64::from(ways) * block),
+                ways,
+                ByteSize::from_bytes(block),
+                Cycles::new(1),
+            )
+            .expect("power-of-two geometry")
+            .geometry();
+            prop_assert_eq!(u64::from(geometry.sets()), sets);
+            for &addr in &addrs {
+                let blk = addr / block;
+                let (tag, set) = geometry.slice(addr);
+                prop_assert_eq!((tag, u64::from(set)), (blk / sets, blk % sets));
+                prop_assert_eq!(geometry.unslice(tag, set), (tag * sets + u64::from(set)) * block);
+            }
+        }
+    }
 }
