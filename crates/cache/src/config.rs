@@ -31,11 +31,16 @@ pub struct CacheConfig {
 }
 
 /// Derived geometry of a cache: the set count and address-slicing shifts.
+///
+/// Block size and set count are validated powers of two, so slicing an
+/// address is a mask and two shifts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheGeometry {
     sets: u32,
     associativity: u16,
     block_shift: u32,
+    /// `log2(sets)`.
+    set_shift: u32,
 }
 
 /// Error constructing a [`CacheConfig`] or a structure derived from one.
@@ -114,6 +119,7 @@ impl CacheConfig {
                 sets: sets as u32,
                 associativity,
                 block_shift: bs.trailing_zeros(),
+                set_shift: sets.trailing_zeros(),
             },
         })
     }
@@ -196,15 +202,15 @@ impl CacheGeometry {
     #[must_use]
     pub fn slice(&self, addr: u64) -> (u64, u32) {
         let block = addr >> self.block_shift;
-        let set = (block % u64::from(self.sets)) as u32;
-        let tag = block / u64::from(self.sets);
+        let set = (block & (u64::from(self.sets) - 1)) as u32;
+        let tag = block >> self.set_shift;
         (tag, set)
     }
 
     /// Reconstructs the block byte address from `(tag, set)`.
     #[must_use]
     pub fn unslice(&self, tag: u64, set: u32) -> u64 {
-        (tag * u64::from(self.sets) + u64::from(set)) << self.block_shift
+        ((tag << self.set_shift) | u64::from(set)) << self.block_shift
     }
 
     /// Total number of cache lines.

@@ -22,7 +22,7 @@ use cmpqos_obs::{Event, FaultKind, Knob, NullRecorder, Recorder};
 use cmpqos_system::{CmpNode, Placement, SystemConfig, TaskSpec};
 use cmpqos_trace::TraceSource;
 use cmpqos_types::{CoreId, Cycles, Instructions, JobId, NodeId, Percent, Ways};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A job submission: QoS target plus workload size.
@@ -364,6 +364,15 @@ enum JobState {
     Rejected,
 }
 
+/// Whether the event pump still has to visit `m` at or after `now`: the
+/// job is waiting or running, or its switch-back time lies ahead. A job
+/// that completes before its fallback slot keeps that slot as an event
+/// boundary until the time passes.
+fn needs_pump(m: &Managed, now: Cycles) -> bool {
+    !matches!(m.state, JobState::Completed(_) | JobState::Rejected)
+        || m.switch_back_at.is_some_and(|t| t > now)
+}
+
 struct Managed {
     job: QosJob,
     arrival: Cycles,
@@ -400,6 +409,10 @@ pub struct QosScheduler {
     lac: Lac,
     config: SchedulerConfig,
     jobs: BTreeMap<JobId, Managed>,
+    /// Ids of the jobs the event pump visits, in id order: every job for
+    /// which [`needs_pump`] held at the last pump. Rejected jobs never
+    /// enter, so the pump's scans skip the bulk of a busy run's jobs.
+    active: BTreeSet<JobId>,
     recorder: Box<dyn Recorder>,
     epoch: Option<EpochHook>,
 }
@@ -457,6 +470,7 @@ impl QosScheduler {
             lac: Lac::new(config.lac),
             config,
             jobs: BTreeMap::new(),
+            active: BTreeSet::new(),
             recorder,
             epoch: None,
         }
@@ -527,9 +541,8 @@ impl QosScheduler {
     /// Whether any job is still waiting or running.
     #[must_use]
     pub fn is_idle(&self) -> bool {
-        self.jobs
-            .values()
-            .all(|m| matches!(m.state, JobState::Completed(_) | JobState::Rejected))
+        self.active_jobs()
+            .all(|(_, m)| matches!(m.state, JobState::Completed(_) | JobState::Rejected))
     }
 
     /// Submits a job at the current simulation time with its workload
@@ -584,7 +597,8 @@ impl QosScheduler {
             arrival: now,
             decision,
             state: JobState::Rejected,
-            source: Some(source),
+            // A rejected job never runs: its trace source is dropped here.
+            source: decision.is_accepted().then_some(source),
             stealing: None,
             switch_back_at: None,
             started: None,
@@ -621,6 +635,9 @@ impl QosScheduler {
 
         let state = managed.state;
         self.jobs.insert(id, managed);
+        if state != JobState::Rejected {
+            self.active.insert(id);
+        }
         match state {
             JobState::RunningOpportunistic => self.spawn_floating(id),
             JobState::WaitingStart(start) if start <= now => self.try_start_reserved(),
@@ -686,6 +703,11 @@ impl QosScheduler {
 
     // ----- event pump -----------------------------------------------------
 
+    /// The jobs in the pump's index, in id order.
+    fn active_jobs(&self) -> impl Iterator<Item = (JobId, &Managed)> + '_ {
+        self.active.iter().map(|&id| (id, &self.jobs[&id]))
+    }
+
     fn next_event_after(&self, now: Cycles) -> Option<Cycles> {
         let mut next: Option<Cycles> = None;
         let mut consider = |t: Cycles| {
@@ -693,7 +715,7 @@ impl QosScheduler {
                 next = Some(next.map_or(t, |n| n.min(t)));
             }
         };
-        for m in self.jobs.values() {
+        for (_, m) in self.active_jobs() {
             if let JobState::WaitingStart(start) = m.state {
                 consider(start);
             }
@@ -715,6 +737,8 @@ impl QosScheduler {
         self.try_start_reserved();
         self.drive_stealing();
         self.drive_epoch();
+        let jobs = &self.jobs;
+        self.active.retain(|id| needs_pump(&jobs[id], now));
     }
 
     fn process_completions(&mut self) {
@@ -771,13 +795,12 @@ impl QosScheduler {
     fn process_switch_backs(&mut self) {
         let now = self.node.now();
         let due: Vec<JobId> = self
-            .jobs
-            .iter()
+            .active_jobs()
             .filter(|(_, m)| {
                 m.state == JobState::RunningOpportunistic
                     && m.switch_back_at.is_some_and(|t| t <= now)
             })
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id)
             .collect();
         for id in due {
             let Some(core) = self.free_core() else {
@@ -804,14 +827,13 @@ impl QosScheduler {
         let now = self.node.now();
         loop {
             let due: Option<JobId> = self
-                .jobs
-                .iter()
+                .active_jobs()
                 .filter(|(_, m)| matches!(m.state, JobState::WaitingStart(s) if s <= now))
                 .min_by_key(|(_, m)| match m.state {
                     JobState::WaitingStart(s) => s,
                     _ => Cycles::ZERO,
                 })
-                .map(|(&id, _)| id);
+                .map(|(id, _)| id);
             let Some(id) = due else { return };
             let Some(core) = self.free_core() else {
                 return; // no free core yet (a predecessor overran); retry later
@@ -903,10 +925,9 @@ impl QosScheduler {
             return;
         }
         let ids: Vec<JobId> = self
-            .jobs
-            .iter()
+            .active_jobs()
             .filter(|(_, m)| m.stealing.is_some() && m.state == JobState::RunningReserved)
-            .map(|(&id, _)| id)
+            .map(|(id, _)| id)
             .collect();
         if ids.is_empty() {
             return;
@@ -973,7 +994,8 @@ impl QosScheduler {
         }
         // One window delta per live job, in job-id order (deterministic).
         let mut samples = Vec::new();
-        for (&id, m) in &self.jobs {
+        for &id in &self.active {
+            let m = &self.jobs[&id];
             if !matches!(
                 m.state,
                 JobState::RunningReserved | JobState::RunningOpportunistic
@@ -1133,6 +1155,7 @@ impl QosScheduler {
                         if matches!(m.state, JobState::WaitingStart(_)) {
                             m.state = JobState::Rejected;
                             m.decision = Decision::Rejected(reason);
+                            m.source = None;
                         }
                     }
                     self.recorder.record(
@@ -1324,6 +1347,29 @@ mod tests {
             source(2, "gobmk"),
         );
         assert!(!d.is_accepted());
+    }
+
+    #[test]
+    fn rejected_jobs_drop_their_source_and_leave_the_pump() {
+        let mut s = sched(false);
+        for i in 0..2 {
+            let d = s.submit(
+                job(i, ExecutionMode::Strict, WORK, TW, Some(10 * TW)),
+                source(i, "gobmk"),
+            );
+            assert!(d.is_accepted(), "job {i}");
+        }
+        let d = s.submit(
+            job(2, ExecutionMode::Strict, WORK, TW, Some(TW + TW / 100)),
+            source(2, "gobmk"),
+        );
+        assert!(!d.is_accepted());
+        assert!(s.jobs[&JobId::new(2)].source.is_none());
+        assert!(!s.active.contains(&JobId::new(2)));
+        assert_eq!(s.active.len(), 2);
+        s.run_to_idle(Cycles::new(1_000_000_000));
+        assert!(s.is_idle());
+        assert!(s.active.is_empty(), "completed jobs leave the pump's index");
     }
 
     #[test]

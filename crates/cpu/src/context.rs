@@ -104,11 +104,21 @@ impl ExecutionContext {
     /// Issues the next instruction: accumulates its base cost and returns
     /// `(base_cycles, access)`.
     pub fn issue(&mut self) -> (Cycles, Option<Access>) {
+        // The base CPI is read after the instruction: a phased source
+        // switches phase inside `next_instruction`.
         let event = self.source.next_instruction();
         self.frac += self.source.base_cpi();
-        let whole = self.frac.floor();
+        let (whole, cycles) = if (0.0..u64::MAX as f64).contains(&self.frac) {
+            // On this range truncation is floor and both casts are exact,
+            // without a libm call.
+            let cycles = self.frac as u64;
+            (cycles as f64, cycles)
+        } else {
+            let whole = self.frac.floor();
+            (whole, whole as u64)
+        };
         self.frac -= whole;
-        (Cycles::new(whole as u64), event.access)
+        (Cycles::new(cycles), event.access)
     }
 
     /// Completes a memory instruction issued with `base` cycles.

@@ -13,10 +13,17 @@ use std::collections::{BTreeMap, VecDeque};
 /// Bus-utilization monitoring window.
 const BUS_WINDOW: Cycles = Cycles::new(100_000);
 
+/// Index of a live task in [`TaskTable`]'s slot vector.
+type Slot = usize;
+
 #[derive(Debug)]
 struct CoreState {
-    pinned: Option<JobId>,
-    current: Option<JobId>,
+    /// Slot of the task pinned to this core.
+    pinned: Option<Slot>,
+    /// Slot of the task executing on this core.
+    current: Option<Slot>,
+    /// The task that ran here last. An id rather than a slot: a freed slot
+    /// is re-used by the next spawn, and running that task is a switch.
     last_task: Option<JobId>,
     next_free: Cycles,
     quantum_end: Cycles,
@@ -37,6 +44,221 @@ impl CoreState {
     }
 }
 
+/// Live tasks in a dense slot vector with a free list, the slab idiom of
+/// the LAC's `ReservationTable`. Cores and the floating queue refer to
+/// tasks by slot, so the per-instruction path never searches a map; the
+/// `JobId → slot` index serves the public API only.
+#[derive(Debug, Default)]
+struct TaskTable {
+    slots: Vec<Option<Task>>,
+    free: Vec<Slot>,
+    index: BTreeMap<JobId, Slot>,
+    /// Monitors of ids with no live task: attached before `spawn`, or kept
+    /// after completion until `detach_monitor`. A live task carries its
+    /// monitor itself.
+    parked: Vec<(JobId, DuplicateTagMonitor)>,
+}
+
+impl TaskTable {
+    fn insert(&mut self, task: Task) -> Slot {
+        let id = task.id;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some(task);
+                slot
+            }
+            None => {
+                self.slots.push(Some(task));
+                self.slots.len() - 1
+            }
+        };
+        self.index.insert(id, slot);
+        slot
+    }
+
+    fn remove(&mut self, slot: Slot) -> Task {
+        let task = self.slots[slot].take().expect("removing a live slot");
+        self.index.remove(&task.id);
+        self.free.push(slot);
+        task
+    }
+
+    fn at(&self, slot: Slot) -> &Task {
+        self.slots[slot].as_ref().expect("slot holds a live task")
+    }
+
+    fn at_mut(&mut self, slot: Slot) -> &mut Task {
+        self.slots[slot].as_mut().expect("slot holds a live task")
+    }
+
+    fn slot_of(&self, id: JobId) -> Option<Slot> {
+        self.index.get(&id).copied()
+    }
+
+    fn get(&self, id: JobId) -> Option<&Task> {
+        self.slot_of(id).map(|slot| self.at(slot))
+    }
+
+    fn get_mut(&mut self, id: JobId) -> Option<&mut Task> {
+        let slot = self.slot_of(id)?;
+        Some(self.at_mut(slot))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+
+    fn monitor(&self, id: JobId) -> Option<&DuplicateTagMonitor> {
+        match self.get(id) {
+            Some(task) => task.monitor.as_ref(),
+            None => self.parked.iter().find(|(j, _)| *j == id).map(|(_, m)| m),
+        }
+    }
+
+    fn monitor_mut(&mut self, id: JobId) -> Option<&mut DuplicateTagMonitor> {
+        match self.slot_of(id) {
+            Some(slot) => self.at_mut(slot).monitor.as_mut(),
+            None => self
+                .parked
+                .iter_mut()
+                .find(|(j, _)| *j == id)
+                .map(|(_, m)| m),
+        }
+    }
+
+    fn attach(&mut self, id: JobId, monitor: DuplicateTagMonitor) {
+        match self.get_mut(id) {
+            Some(task) => task.monitor = Some(monitor),
+            None => self.park(id, monitor),
+        }
+    }
+
+    fn detach(&mut self, id: JobId) -> Option<DuplicateTagMonitor> {
+        match self.get_mut(id) {
+            Some(task) => task.monitor.take(),
+            None => self.unpark(id),
+        }
+    }
+
+    fn park(&mut self, id: JobId, monitor: DuplicateTagMonitor) {
+        self.unpark(id);
+        self.parked.push((id, monitor));
+    }
+
+    fn unpark(&mut self, id: JobId) -> Option<DuplicateTagMonitor> {
+        let i = self.parked.iter().position(|(j, _)| *j == id)?;
+        Some(self.parked.swap_remove(i).1)
+    }
+}
+
+/// The node's memory side: private L1s, the shared L2, the memory channel
+/// and the bandwidth bookkeeping around it. Split from the cores and tasks
+/// so a batch can borrow its task and the hierarchy at once.
+#[derive(Debug)]
+struct MemorySystem {
+    l1s: Vec<L1Cache>,
+    l2: SharedL2,
+    mem: MemoryChannel,
+    bus: BusMonitor,
+    regulator: BandwidthRegulator,
+    /// L2 hit latency (`t2`).
+    l2_latency: Cycles,
+    /// Channel occupancy of one block transfer.
+    transfer: Cycles,
+    /// `log2` of the L2 block size: byte address to monitor block address.
+    block_shift: u32,
+}
+
+impl MemorySystem {
+    /// One demand access by the task running on `core`, issued at `when`.
+    /// Demand fills and dirty L1 victims feed that task's `monitor`.
+    fn access(
+        &mut self,
+        core: usize,
+        throttle: &mut Throttle,
+        mut monitor: Option<&mut DuplicateTagMonitor>,
+        access: Access,
+        when: Cycles,
+        priority: Priority,
+    ) -> MemOutcome {
+        let out = self.l1s[core].access(access.addr(), access.is_write());
+        if out.hit {
+            return MemOutcome::L1Hit;
+        }
+        let core_id = CoreId::new(core as u32);
+        // Dirty L1 victim written back into the L2.
+        if let Some(wb) = out.writeback {
+            self.l2_touch(core_id, monitor.as_deref_mut(), wb, true, when);
+        }
+        // Demand fill: a read from the L2's perspective (write-allocate; the
+        // dirty bit lives in the L1 until written back).
+        let t2 = self.l2_latency;
+        let l2_out = self.l2.access(core_id, access.addr(), false);
+        if let Some(monitor) = monitor {
+            monitor.observe(l2_out.set, access.addr() >> self.block_shift, l2_out.hit);
+        }
+        if l2_out.hit {
+            // The L2 hit stall sits in the core's clock domain, so it
+            // stretches under the DVFS throttle; the miss path below is
+            // paced by the (unthrottled) off-chip channel instead.
+            return MemOutcome::L2Hit {
+                stall: throttle.scale(t2),
+            };
+        }
+        if l2_out.eviction.is_some_and(|ev| ev.dirty) {
+            self.writeback(when);
+        }
+        // Bandwidth regulation throttles the *core* (its next request is
+        // delayed by the extended stall), keeping channel bookkeeping in
+        // global time order.
+        let delay = self.regulator.delay(core, when + t2, self.transfer);
+        let completion = self.mem.request(when + t2, priority);
+        self.bus.record_busy(when, self.transfer);
+        MemOutcome::L2Miss {
+            stall: completion - when + delay,
+        }
+    }
+
+    /// A state-only L2 access (L1 write-backs, flush traffic): updates cache
+    /// contents, the monitor and bandwidth, but nothing stalls on it.
+    fn l2_touch(
+        &mut self,
+        core: CoreId,
+        monitor: Option<&mut DuplicateTagMonitor>,
+        addr: u64,
+        is_write: bool,
+        when: Cycles,
+    ) {
+        let out = self.l2.access(core, addr, is_write);
+        if let Some(monitor) = monitor {
+            monitor.observe(out.set, addr >> self.block_shift, out.hit);
+        }
+        if out.eviction.is_some_and(|ev| ev.dirty) {
+            self.writeback(when);
+        }
+    }
+
+    fn writeback(&mut self, when: Cycles) {
+        self.mem.writeback(when);
+        self.bus.record_busy(when, self.transfer);
+    }
+
+    /// Writes `core`'s dirty L1 lines back into the L2, feeding the
+    /// outgoing task's `monitor`.
+    fn flush_l1(
+        &mut self,
+        core: usize,
+        mut monitor: Option<&mut DuplicateTagMonitor>,
+        when: Cycles,
+    ) {
+        let dirty = self.l1s[core].flush();
+        let core_id = CoreId::new(core as u32);
+        for addr in dirty {
+            self.l2_touch(core_id, monitor.as_deref_mut(), addr, true, when);
+        }
+    }
+}
+
 /// An event-driven CMP node: `N` cores, private L1s, a shared partitioned
 /// L2 and a memory channel, plus pin/timeshare scheduling.
 ///
@@ -47,16 +269,11 @@ pub struct CmpNode {
     cfg: SystemConfig,
     now: Cycles,
     cores: Vec<CoreState>,
-    tasks: BTreeMap<JobId, Task>,
+    tasks: TaskTable,
     finished: BTreeMap<JobId, (PerfCounters, TaskCompletion)>,
     /// Ready floating tasks not currently on a core, in round-robin order.
-    floating: VecDeque<JobId>,
-    l1s: Vec<L1Cache>,
-    l2: SharedL2,
-    mem: MemoryChannel,
-    bus: BusMonitor,
-    monitors: BTreeMap<JobId, DuplicateTagMonitor>,
-    regulator: BandwidthRegulator,
+    floating: VecDeque<Slot>,
+    memory: MemorySystem,
     completions: Vec<TaskCompletion>,
 }
 
@@ -83,20 +300,23 @@ impl CmpNode {
     /// Returns the first violated [`SystemConfigError`].
     pub fn try_new(cfg: SystemConfig) -> Result<Self, SystemConfigError> {
         cfg.validate()?;
-        let l1s = (0..cfg.num_cores).map(|_| L1Cache::new(cfg.l1)).collect();
-        let l2 = SharedL2::try_new(cfg.l2, cfg.num_cores, cfg.partition_policy)?;
-        let mem = MemoryChannel::new(cfg.memory);
+        let transfer = cfg.memory.transfer_cycles();
+        let memory = MemorySystem {
+            l1s: (0..cfg.num_cores).map(|_| L1Cache::new(cfg.l1)).collect(),
+            l2: SharedL2::try_new(cfg.l2, cfg.num_cores, cfg.partition_policy)?,
+            mem: MemoryChannel::new(cfg.memory),
+            bus: BusMonitor::new(BUS_WINDOW),
+            regulator: BandwidthRegulator::new(cfg.num_cores, transfer * 10),
+            l2_latency: cfg.l2.latency(),
+            transfer,
+            block_shift: cfg.l2.block_size().bytes().trailing_zeros(),
+        };
         Ok(Self {
             cores: (0..cfg.num_cores).map(|_| CoreState::new()).collect(),
-            tasks: BTreeMap::new(),
+            tasks: TaskTable::default(),
             finished: BTreeMap::new(),
             floating: VecDeque::new(),
-            l1s,
-            l2,
-            mem,
-            bus: BusMonitor::new(BUS_WINDOW),
-            monitors: BTreeMap::new(),
-            regulator: BandwidthRegulator::new(cfg.num_cores, cfg.memory.transfer_cycles() * 10),
+            memory,
             completions: Vec::new(),
             now: Cycles::ZERO,
             cfg,
@@ -116,7 +336,8 @@ impl CmpNode {
         self.now
     }
 
-    /// Spawns a task; it becomes ready at the current simulation time.
+    /// Spawns a task; it becomes ready at the current simulation time. A
+    /// monitor attached to its id beforehand starts observing it.
     ///
     /// Pinning a core that currently runs a floating task preempts the
     /// floating task back into the shared pool.
@@ -126,7 +347,7 @@ impl CmpNode {
     /// Returns [`SpawnError`] for duplicate ids, bad pin targets or empty
     /// budgets.
     pub fn spawn(&mut self, spec: TaskSpec) -> Result<(), SpawnError> {
-        if self.tasks.contains_key(&spec.id) {
+        if self.tasks.slot_of(spec.id).is_some() {
             return Err(SpawnError::DuplicateId(spec.id));
         }
         if spec.budget.get() == 0 {
@@ -140,49 +361,56 @@ impl CmpNode {
                 return Err(SpawnError::CoreAlreadyPinned(core));
             }
         }
-        let id = spec.id;
         let placement = spec.placement;
-        let task = Task::new(spec, self.now);
-        self.tasks.insert(id, task);
+        let monitor = self.tasks.unpark(spec.id);
+        let slot = self.tasks.insert(Task::new(spec, self.now, monitor));
         match placement {
             Placement::Pinned(core) => {
-                self.cores[core.as_usize()].pinned = Some(id);
+                self.cores[core.as_usize()].pinned = Some(slot);
                 self.refresh_core_class(core.as_usize());
             }
-            Placement::Floating => self.floating.push_back(id),
+            Placement::Floating => self.floating.push_back(slot),
         }
         Ok(())
     }
 
-    /// Re-pins a live floating task to `core` (the automatic-downgrade
-    /// switch-back path: an Opportunistic-running job reverting to Strict).
+    /// Re-pins a live task to `core` (the automatic-downgrade switch-back
+    /// path: an Opportunistic-running job reverting to Strict). A task
+    /// holds at most one pin: re-pinning a pinned task releases its old
+    /// core.
     ///
     /// # Errors
     ///
-    /// Returns [`SpawnError::NoSuchCore`] / [`SpawnError::CoreAlreadyPinned`]
-    /// for bad targets, or [`SpawnError::DuplicateId`] if the task is not
-    /// live (id reported back).
+    /// Returns [`SpawnError::NotLive`] if no live task has this id, or
+    /// [`SpawnError::NoSuchCore`] / [`SpawnError::CoreAlreadyPinned`] for
+    /// bad targets.
     pub fn repin(&mut self, id: JobId, core: CoreId) -> Result<(), SpawnError> {
-        if !self.tasks.contains_key(&id) {
-            return Err(SpawnError::DuplicateId(id));
-        }
+        let Some(slot) = self.tasks.slot_of(id) else {
+            return Err(SpawnError::NotLive(id));
+        };
         let Some(state) = self.cores.get(core.as_usize()) else {
             return Err(SpawnError::NoSuchCore(core));
         };
-        if state.pinned.is_some() && state.pinned != Some(id) {
+        if state.pinned.is_some() && state.pinned != Some(slot) {
             return Err(SpawnError::CoreAlreadyPinned(core));
         }
-        // Remove from the floating pool / its current core.
-        self.floating.retain(|&j| j != id);
-        for c in &mut self.cores {
-            if c.current == Some(id) {
+        // Remove from the floating pool / its current core / its old pin.
+        self.floating.retain(|&s| s != slot);
+        for i in 0..self.cores.len() {
+            let c = &mut self.cores[i];
+            if c.current == Some(slot) {
                 c.current = None;
             }
+            if c.pinned == Some(slot) && i != core.as_usize() {
+                c.pinned = None;
+                self.refresh_core_class(i);
+            }
         }
-        let task = self.tasks.get_mut(&id).expect("checked live above");
+        let now = self.now;
+        let task = self.tasks.at_mut(slot);
         task.placement = Placement::Pinned(core);
-        task.ready_at = task.ready_at.max(self.now);
-        self.cores[core.as_usize()].pinned = Some(id);
+        task.ready_at = task.ready_at.max(now);
+        self.cores[core.as_usize()].pinned = Some(slot);
         self.refresh_core_class(core.as_usize());
         Ok(())
     }
@@ -190,7 +418,7 @@ impl CmpNode {
     /// Sets a live task's memory priority (Reserved vs Opportunistic).
     /// Unknown ids are ignored.
     pub fn set_reserved(&mut self, id: JobId, reserved: bool) {
-        if let Some(task) = self.tasks.get_mut(&id) {
+        if let Some(task) = self.tasks.get_mut(id) {
             task.priority = if reserved {
                 Priority::Reserved
             } else {
@@ -208,7 +436,7 @@ impl CmpNode {
     ///
     /// Propagates [`PartitionError`] from the cache.
     pub fn set_l2_targets(&mut self, targets: &[Ways]) -> Result<(), PartitionError> {
-        self.l2.set_targets(targets)
+        self.memory.l2.set_targets(targets)
     }
 
     /// [`CmpNode::set_l2_targets`], additionally emitting
@@ -224,25 +452,25 @@ impl CmpNode {
         recorder: &mut dyn cmpqos_obs::Recorder,
     ) -> Result<(), PartitionError> {
         let now = self.now;
-        self.l2.set_targets_recorded(targets, now, recorder)
+        self.memory.l2.set_targets_recorded(targets, now, recorder)
     }
 
     /// Current L2 partition targets.
     #[must_use]
     pub fn l2_targets(&self) -> &[Ways] {
-        self.l2.targets()
+        self.memory.l2.targets()
     }
 
     /// Read-only view of the shared L2 (stats, occupancy).
     #[must_use]
     pub fn l2(&self) -> &SharedL2 {
-        &self.l2
+        &self.memory.l2
     }
 
     /// L2 ways still usable (associativity minus masked faulty ways).
     #[must_use]
     pub fn l2_usable_ways(&self) -> Ways {
-        Ways::new(self.l2.effective_associativity())
+        Ways::new(self.memory.l2.effective_associativity())
     }
 
     /// Masks a faulty L2 way (see [`SharedL2::mask_way`]): the way is
@@ -253,35 +481,36 @@ impl CmpNode {
     ///
     /// Propagates [`WayMaskError`] from the cache.
     pub fn mask_l2_way(&mut self, way: u16) -> Result<Vec<Eviction>, WayMaskError> {
-        self.l2.mask_way(way)
+        self.memory.l2.mask_way(way)
     }
 
-    /// Attaches a duplicate-tag monitor to a live task, modelling
-    /// `original_ways` (its allocation before stealing).
+    /// Attaches a duplicate-tag monitor to a task, modelling
+    /// `original_ways` (its allocation before stealing). The task need not
+    /// be live yet: a monitor attached before `spawn` observes the task
+    /// from its first access.
     pub fn attach_monitor(&mut self, id: JobId, original_ways: Ways) {
         let sets = self.cfg.l2.geometry().sets();
-        self.monitors.insert(
-            id,
-            DuplicateTagMonitor::new(original_ways, sets, self.cfg.shadow_sample_every),
-        );
+        let monitor = DuplicateTagMonitor::new(original_ways, sets, self.cfg.shadow_sample_every);
+        self.tasks.attach(id, monitor);
     }
 
-    /// Detaches and returns a task's monitor.
+    /// Detaches and returns a task's monitor. A monitor survives its
+    /// task's completion until detached.
     pub fn detach_monitor(&mut self, id: JobId) -> Option<DuplicateTagMonitor> {
-        self.monitors.remove(&id)
+        self.tasks.detach(id)
     }
 
     /// The task's monitor, if attached.
     #[must_use]
     pub fn monitor(&self, id: JobId) -> Option<&DuplicateTagMonitor> {
-        self.monitors.get(&id)
+        self.tasks.monitor(id)
     }
 
     /// Performance counters of a live or finished task.
     #[must_use]
     pub fn perf(&self, id: JobId) -> Option<&PerfCounters> {
         self.tasks
-            .get(&id)
+            .get(id)
             .map(|t| t.ctx.perf())
             .or_else(|| self.finished.get(&id).map(|(p, _)| p))
     }
@@ -289,25 +518,27 @@ impl CmpNode {
     /// Remaining instruction budget of a live task.
     #[must_use]
     pub fn remaining(&self, id: JobId) -> Option<u64> {
-        self.tasks.get(&id).map(|t| t.remaining)
+        self.tasks.get(id).map(|t| t.remaining)
     }
 
     /// Whether the task is still live (spawned and not completed).
     #[must_use]
     pub fn is_live(&self, id: JobId) -> bool {
-        self.tasks.contains_key(&id)
+        self.tasks.slot_of(id).is_some()
     }
 
     /// The task currently executing on `core`.
     #[must_use]
     pub fn running_on(&self, core: CoreId) -> Option<JobId> {
-        self.cores.get(core.as_usize()).and_then(|c| c.current)
+        let slot = self.cores.get(core.as_usize())?.current?;
+        Some(self.tasks.at(slot).id)
     }
 
     /// The task pinned to `core`.
     #[must_use]
     pub fn pinned_on(&self, core: CoreId) -> Option<JobId> {
-        self.cores.get(core.as_usize()).and_then(|c| c.pinned)
+        let slot = self.cores.get(core.as_usize())?.pinned?;
+        Some(self.tasks.at(slot).id)
     }
 
     /// Drains the completion records accumulated since the last call.
@@ -330,7 +561,7 @@ impl CmpNode {
     ///
     /// Panics if `core` is out of range.
     pub fn set_bandwidth_share(&mut self, core: CoreId, percent: u8) {
-        self.regulator.set_share(core.as_usize(), percent);
+        self.memory.regulator.set_share(core.as_usize(), percent);
     }
 
     /// The configured bandwidth share of `core`.
@@ -340,7 +571,7 @@ impl CmpNode {
     /// Panics if `core` is out of range.
     #[must_use]
     pub fn bandwidth_share(&self, core: CoreId) -> u8 {
-        self.regulator.share(core.as_usize())
+        self.memory.regulator.share(core.as_usize())
     }
 
     /// Sets `core`'s DVFS-style speed (percent of full frequency, clamped
@@ -370,19 +601,21 @@ impl CmpNode {
     #[must_use]
     pub fn bus_utilization(&mut self) -> f64 {
         let now = self.now;
-        self.bus.utilization(now)
+        self.memory.bus.utilization(now)
     }
 
     /// Runs the node until simulation time `deadline`: every instruction
     /// *starting* before `deadline` is executed.
+    ///
+    /// The busy core with the earliest `next_free` runs next (lowest index
+    /// on ties) and keeps running while its `next_free` is at most every
+    /// other busy core's and before `deadline`.
     pub fn run_until(&mut self, deadline: Cycles) {
-        loop {
-            self.dispatch();
-            let Some(c) = self.pick_core(deadline) else {
-                break;
-            };
-            let limit = self.batch_limit(c, deadline);
-            self.run_core(c, limit, deadline);
+        self.dispatch();
+        while let Some((core, bound)) = self.next_batch(deadline) {
+            if self.run_batch(core, bound, deadline) {
+                self.dispatch();
+            }
         }
         self.now = self.now.max(deadline);
     }
@@ -407,256 +640,177 @@ impl CmpNode {
     /// reserved resources.
     fn refresh_core_class(&mut self, core: usize) {
         let class = match self.cores[core].pinned {
-            Some(id)
-                if self
-                    .tasks
-                    .get(&id)
-                    .is_some_and(|t| t.priority == Priority::Reserved) =>
-            {
+            Some(slot) if self.tasks.at(slot).priority == Priority::Reserved => {
                 VictimClass::Reserved
             }
             _ => VictimClass::Opportunistic,
         };
-        self.l2.set_class(CoreId::new(core as u32), class);
+        self.memory.l2.set_class(CoreId::new(core as u32), class);
     }
 
+    /// Fills idle cores: a core's pinned task, else the next floating one.
+    /// Only a completion, a preemption or a call from outside (spawn,
+    /// repin) changes what this finds, so the run loop calls it after
+    /// those alone.
     fn dispatch(&mut self) {
         for i in 0..self.cores.len() {
+            let c = &self.cores[i];
             // Lazy preemption: a floating task on a newly pinned core yields.
-            if let (Some(cur), Some(pin)) = (self.cores[i].current, self.cores[i].pinned) {
-                if cur != pin {
-                    self.preempt(i);
-                }
+            if c.current.is_some() && c.pinned.is_some() && c.current != c.pinned {
+                self.preempt(i);
             }
             if self.cores[i].current.is_some() {
                 continue;
             }
+            // A pinned slot always holds a live task: completion clears
+            // the pin.
             let candidate = match self.cores[i].pinned {
-                Some(p) if self.tasks.contains_key(&p) => Some(p),
-                Some(_) | None => {
-                    if self.cores[i].pinned.is_some() {
-                        None // pinned task not live yet/anymore
-                    } else {
-                        self.floating.pop_front()
-                    }
-                }
+                Some(slot) => Some(slot),
+                None => self.floating.pop_front(),
             };
-            let Some(id) = candidate else { continue };
-            self.assign(i, id);
+            if let Some(slot) = candidate {
+                self.assign(i, slot);
+            }
         }
     }
 
-    fn assign(&mut self, core: usize, id: JobId) {
-        let task = self.tasks.get_mut(&id).expect("assigning a live task");
+    fn assign(&mut self, core: usize, slot: Slot) {
+        let task = self.tasks.at_mut(slot);
+        let id = task.id;
         let start = self.cores[core].next_free.max(task.ready_at);
         task.started_at.get_or_insert(start);
-        let switching = self.cores[core].last_task != Some(id);
         let mut begin = start;
-        if switching && self.cores[core].last_task.is_some() {
+        if let Some(outgoing) = self.cores[core].last_task.filter(|&last| last != id) {
             begin += self.cfg.context_switch_cost;
             if self.cfg.flush_l1_on_switch {
-                let outgoing = self.cores[core].last_task;
-                self.flush_l1(core, outgoing, begin);
+                // Flush traffic feeds the outgoing task's monitor, which
+                // outlives the task if it has completed.
+                let monitor = self.tasks.monitor_mut(outgoing);
+                self.memory.flush_l1(core, monitor, begin);
             }
         }
         let quantum = self.cfg.timeslice.max(Cycles::new(1));
         let c = &mut self.cores[core];
-        c.current = Some(id);
+        c.current = Some(slot);
         c.last_task = Some(id);
         c.next_free = begin;
         c.quantum_end = begin + quantum;
     }
 
     fn preempt(&mut self, core: usize) {
-        let Some(id) = self.cores[core].current.take() else {
+        let Some(slot) = self.cores[core].current.take() else {
             return;
         };
-        let when = self.cores[core].next_free;
-        if let Some(task) = self.tasks.get_mut(&id) {
-            task.ready_at = when;
-            if task.placement == Placement::Floating {
-                self.floating.push_back(id);
-            }
+        let task = self.tasks.at_mut(slot);
+        task.ready_at = self.cores[core].next_free;
+        if task.placement == Placement::Floating {
+            self.floating.push_back(slot);
         }
     }
 
-    fn pick_core(&self, deadline: Cycles) -> Option<usize> {
-        self.cores
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.current.is_some() && c.next_free < deadline)
-            .min_by_key(|(_, c)| c.next_free)
-            .map(|(i, _)| i)
-    }
-
-    /// How far core `c` may run without other active cores falling behind.
-    fn batch_limit(&self, c: usize, deadline: Cycles) -> Cycles {
-        self.cores
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| *i != c && s.current.is_some())
-            .map(|(_, s)| s.next_free)
-            .min()
-            .unwrap_or(deadline)
-            .min(deadline)
-    }
-
-    fn run_core(&mut self, core: usize, limit: Cycles, deadline: Cycles) {
-        loop {
-            let Some(id) = self.cores[core].current else {
-                return;
-            };
-            let next_free = self.cores[core].next_free;
-            if next_free > limit || next_free >= deadline {
-                return;
+    /// One pass over the cores: the busy core with the earliest `next_free`
+    /// (lowest index on ties), if that is before `deadline`, and its batch
+    /// bound — the earliest `next_free` of the other busy cores, capped at
+    /// `deadline`.
+    fn next_batch(&self, deadline: Cycles) -> Option<(usize, Cycles)> {
+        let mut first: Option<(usize, Cycles)> = None;
+        let mut bound = deadline;
+        for (i, c) in self.cores.iter().enumerate() {
+            if c.current.is_none() {
+                continue;
             }
-            // Quantum rotation for floating tasks.
-            if next_free >= self.cores[core].quantum_end {
-                if self.floating.is_empty() {
-                    self.cores[core].quantum_end =
-                        next_free + self.cfg.timeslice.max(Cycles::new(1));
-                } else {
-                    self.preempt(core);
-                    return;
+            match first {
+                Some((_, t)) if c.next_free >= t => bound = bound.min(c.next_free),
+                _ => {
+                    if let Some((_, t)) = first {
+                        bound = bound.min(t);
+                    }
+                    first = Some((i, c.next_free));
                 }
             }
-            self.execute_one(core, id);
         }
+        first
+            .filter(|&(_, t)| t < deadline)
+            .map(|(core, _)| (core, bound))
     }
 
-    fn execute_one(&mut self, core: usize, id: JobId) {
-        let when = self.cores[core].next_free;
-        let task = self.tasks.get_mut(&id).expect("current task is live");
-        let priority = task.priority;
-        let (raw_base, access) = task.ctx.issue();
-        // DVFS throttle: compute cycles stretch in the core's clock domain.
-        let base = self.cores[core].throttle.scale(raw_base);
-        let cost = match access {
-            Some(acc) => {
-                let outcome = self.hierarchy_access(core, id, acc, when + base, priority);
-                let task = self.tasks.get_mut(&id).expect("still live");
-                task.ctx.complete(base, outcome);
-                base + outcome.stall()
+    /// Runs `core` while its `next_free` is at most `bound` and before
+    /// `deadline`, borrowing its task once for the whole batch. Returns
+    /// whether the batch ended in a completion or a preemption.
+    fn run_batch(&mut self, core: usize, bound: Cycles, deadline: Cycles) -> bool {
+        let quantum = self.cfg.timeslice.max(Cycles::new(1));
+        let state = &mut self.cores[core];
+        let slot = state.current.expect("next_batch picks a busy core");
+        let task = self.tasks.at_mut(slot);
+        let finished = loop {
+            let when = state.next_free;
+            if when > bound || when >= deadline {
+                return false;
             }
-            None => {
-                task.ctx.complete_compute(base);
-                base
+            // Quantum rotation for floating tasks.
+            if when >= state.quantum_end {
+                if !self.floating.is_empty() {
+                    break None;
+                }
+                state.quantum_end = when + quantum;
+            }
+            let priority = task.priority;
+            let (raw_base, access) = task.ctx.issue();
+            // DVFS throttle: compute cycles stretch in the core's clock domain.
+            let base = state.throttle.scale(raw_base);
+            let cost = match access {
+                Some(acc) => {
+                    let outcome = self.memory.access(
+                        core,
+                        &mut state.throttle,
+                        task.monitor.as_mut(),
+                        acc,
+                        when + base,
+                        priority,
+                    );
+                    task.ctx.complete(base, outcome);
+                    base + outcome.stall()
+                }
+                None => {
+                    task.ctx.complete_compute(base);
+                    base
+                }
+            };
+            task.remaining -= 1;
+            state.next_free = when + cost;
+            if task.remaining == 0 {
+                break Some(when);
             }
         };
-        let task = self.tasks.get_mut(&id).expect("still live");
-        task.remaining -= 1;
-        let finish = when + cost;
-        self.cores[core].next_free = finish;
-        if task.remaining == 0 {
-            let started = task.started_at.unwrap_or(when);
-            let perf = *task.ctx.perf();
-            self.tasks.remove(&id);
-            let record = TaskCompletion {
-                id,
-                started_at: started,
-                finished_at: finish,
-            };
-            self.completions.push(record);
-            self.finished.insert(id, (perf, record));
-            let c = &mut self.cores[core];
-            c.current = None;
-            if c.pinned == Some(id) {
-                c.pinned = None;
-            }
-            self.refresh_core_class(core);
+        match finished {
+            Some(last_start) => self.complete(core, last_start),
+            None => self.preempt(core),
         }
+        true
     }
 
-    // ----- memory hierarchy ---------------------------------------------
-
-    fn hierarchy_access(
-        &mut self,
-        core: usize,
-        id: JobId,
-        access: Access,
-        when: Cycles,
-        priority: Priority,
-    ) -> MemOutcome {
-        let l1 = &mut self.l1s[core];
-        let out = l1.access(access.addr(), access.is_write());
-        if out.hit {
-            return MemOutcome::L1Hit;
+    /// Retires the task on `core`, whose last instruction started at
+    /// `last_start`.
+    fn complete(&mut self, core: usize, last_start: Cycles) {
+        let c = &mut self.cores[core];
+        let slot = c.current.take().expect("completing a running task");
+        let finished_at = c.next_free;
+        if c.pinned == Some(slot) {
+            c.pinned = None;
         }
-        let core_id = CoreId::new(core as u32);
-        // Dirty L1 victim written back into the L2.
-        if let Some(wb) = out.writeback {
-            self.l2_touch(core_id, Some(id), wb, true, when);
+        let mut task = self.tasks.remove(slot);
+        // The QoS layer detaches the monitor after it sees the completion.
+        if let Some(monitor) = task.monitor.take() {
+            self.tasks.park(task.id, monitor);
         }
-        // Demand fill: a read from the L2's perspective (write-allocate; the
-        // dirty bit lives in the L1 until written back).
-        let t2 = self.cfg.l2.latency();
-        let l2_out = self.l2.access(core_id, access.addr(), false);
-        self.feed_monitor(id, l2_out.set, access.addr(), l2_out.hit);
-        if l2_out.hit {
-            // The L2 hit stall sits in the core's clock domain, so it
-            // stretches under the DVFS throttle; the miss path below is
-            // paced by the (unthrottled) off-chip channel instead.
-            let stall = self.cores[core].throttle.scale(t2);
-            return MemOutcome::L2Hit { stall };
-        }
-        if let Some(ev) = l2_out.eviction {
-            if ev.dirty {
-                self.mem_writeback(when);
-            }
-        }
-        // Bandwidth regulation throttles the *core* (its next request is
-        // delayed by the extended stall), keeping channel bookkeeping in
-        // global time order.
-        let transfer = self.cfg.memory.transfer_cycles();
-        let throttle = self.regulator.delay(core, when + t2, transfer);
-        let issue = when + t2;
-        let completion = self.mem.request(issue, priority);
-        self.bus.record_busy(when, transfer);
-        MemOutcome::L2Miss {
-            stall: completion - when + throttle,
-        }
-    }
-
-    /// A state-only L2 access (L1 write-backs, flush traffic): updates cache
-    /// contents, monitors and bandwidth, but nothing stalls on it.
-    fn l2_touch(
-        &mut self,
-        core_id: CoreId,
-        task: Option<JobId>,
-        addr: u64,
-        is_write: bool,
-        when: Cycles,
-    ) {
-        let out = self.l2.access(core_id, addr, is_write);
-        if let Some(id) = task {
-            self.feed_monitor(id, out.set, addr, out.hit);
-        }
-        if let Some(ev) = out.eviction {
-            if ev.dirty {
-                self.mem_writeback(when);
-            }
-        }
-    }
-
-    fn feed_monitor(&mut self, id: JobId, set: u32, addr: u64, main_hit: bool) {
-        if let Some(mon) = self.monitors.get_mut(&id) {
-            let block = addr / self.cfg.l2.block_size().bytes();
-            mon.observe(set, block, main_hit);
-        }
-    }
-
-    fn mem_writeback(&mut self, when: Cycles) {
-        self.mem.writeback(when);
-        self.bus
-            .record_busy(when, self.cfg.memory.transfer_cycles());
-    }
-
-    fn flush_l1(&mut self, core: usize, outgoing: Option<JobId>, when: Cycles) {
-        let dirty = self.l1s[core].flush();
-        let core_id = CoreId::new(core as u32);
-        for addr in dirty {
-            self.l2_touch(core_id, outgoing, addr, true, when);
-        }
+        let record = TaskCompletion {
+            id: task.id,
+            started_at: task.started_at.unwrap_or(last_start),
+            finished_at,
+        };
+        self.completions.push(record);
+        self.finished.insert(task.id, (*task.ctx.perf(), record));
+        self.refresh_core_class(core);
     }
 }
 
@@ -851,6 +1005,37 @@ mod tests {
         node.run_until(Cycles::new(50_000));
         assert_eq!(node.running_on(CoreId::new(3)), Some(JobId::new(0)));
         assert_eq!(node.pinned_on(CoreId::new(3)), Some(JobId::new(0)));
+    }
+
+    #[test]
+    fn repin_of_a_task_that_is_not_live_reports_not_live() {
+        let mut node = paper_node();
+        let never = node.repin(JobId::new(9), CoreId::new(0));
+        assert_eq!(never.unwrap_err(), SpawnError::NotLive(JobId::new(9)));
+        node.spawn(spec_task(1, "namd", 1_000, Placement::Floating))
+            .unwrap();
+        node.run_to_completion(Cycles::new(10_000_000));
+        let done = node.repin(JobId::new(1), CoreId::new(0)).unwrap_err();
+        assert_eq!(done, SpawnError::NotLive(JobId::new(1)));
+        assert!(done.to_string().contains("not live"), "{done}");
+    }
+
+    #[test]
+    fn repinning_a_pinned_task_releases_its_old_core() {
+        let mut node = paper_node();
+        node.spawn(spec_task(
+            0,
+            "gobmk",
+            1_000_000,
+            Placement::Pinned(CoreId::new(1)),
+        ))
+        .unwrap();
+        node.run_until(Cycles::new(10_000));
+        node.repin(JobId::new(0), CoreId::new(2)).unwrap();
+        assert_eq!(node.pinned_on(CoreId::new(1)), None);
+        node.run_until(Cycles::new(50_000));
+        assert_eq!(node.running_on(CoreId::new(1)), None);
+        assert_eq!(node.running_on(CoreId::new(2)), Some(JobId::new(0)));
     }
 
     #[test]

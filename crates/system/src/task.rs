@@ -1,5 +1,6 @@
 //! Tasks: the schedulable unit the node executes.
 
+use cmpqos_cache::DuplicateTagMonitor;
 use cmpqos_cpu::ExecutionContext;
 use cmpqos_mem::Priority;
 use cmpqos_trace::TraceSource;
@@ -66,6 +67,8 @@ pub enum SpawnError {
     CoreAlreadyPinned(CoreId),
     /// The instruction budget was zero.
     EmptyBudget,
+    /// No live task has this id (never spawned, or already completed).
+    NotLive(JobId),
 }
 
 impl fmt::Display for SpawnError {
@@ -75,6 +78,7 @@ impl fmt::Display for SpawnError {
             SpawnError::NoSuchCore(c) => write!(f, "{c} does not exist"),
             SpawnError::CoreAlreadyPinned(c) => write!(f, "{c} already has a pinned task"),
             SpawnError::EmptyBudget => f.write_str("instruction budget must be positive"),
+            SpawnError::NotLive(id) => write!(f, "task id {id} is not live"),
         }
     }
 }
@@ -84,17 +88,21 @@ impl std::error::Error for SpawnError {}
 /// Internal live-task state.
 #[derive(Debug)]
 pub(crate) struct Task {
+    pub(crate) id: JobId,
     pub(crate) ctx: ExecutionContext,
     pub(crate) remaining: u64,
     pub(crate) placement: Placement,
     pub(crate) priority: Priority,
     pub(crate) ready_at: Cycles,
     pub(crate) started_at: Option<Cycles>,
+    /// The task's duplicate-tag monitor, fed by its L2 traffic.
+    pub(crate) monitor: Option<DuplicateTagMonitor>,
 }
 
 impl Task {
-    pub(crate) fn new(spec: TaskSpec, now: Cycles) -> Self {
+    pub(crate) fn new(spec: TaskSpec, now: Cycles, monitor: Option<DuplicateTagMonitor>) -> Self {
         Self {
+            id: spec.id,
             ctx: ExecutionContext::new(spec.source),
             remaining: spec.budget.get(),
             placement: spec.placement,
@@ -105,6 +113,7 @@ impl Task {
             },
             ready_at: now,
             started_at: None,
+            monitor,
         }
     }
 }
@@ -122,6 +131,8 @@ mod tests {
             .to_string()
             .contains("core1"));
         assert!(SpawnError::EmptyBudget.to_string().contains("positive"));
+        let not_live = SpawnError::NotLive(JobId::new(4)).to_string();
+        assert!(not_live.contains("job4") && not_live.contains("not live"));
     }
 
     #[test]
