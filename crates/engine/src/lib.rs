@@ -22,6 +22,9 @@
 //! coarse (milliseconds to minutes of simulation), so queue overhead is
 //! irrelevant next to determinism and robustness.
 //!
+//! The pool width is always the caller's argument (`cmpqos` passes
+//! `--jobs`/`CMPQOS_JOBS`); the engine reads no environment.
+//!
 //! # Example
 //!
 //! ```
@@ -41,23 +44,10 @@ mod pool;
 
 pub use pool::{CellFailure, Engine, PoolConfig};
 
-/// The `CMPQOS_JOBS` environment variable read by [`Engine::from_env`] and
-/// the experiment binaries' `--jobs` flag.
-pub const JOBS_ENV: &str = "CMPQOS_JOBS";
-
 /// The machine's available parallelism (1 when it cannot be queried).
 #[must_use]
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Parses [`JOBS_ENV`]; `Some(0)` (= "auto") resolves to
-/// [`default_jobs`]. Returns `None` when unset or unparseable.
-#[must_use]
-pub fn jobs_from_env() -> Option<usize> {
-    let raw = std::env::var(JOBS_ENV).ok()?;
-    let n: usize = raw.trim().parse().ok()?;
-    Some(if n == 0 { default_jobs() } else { n })
 }

@@ -46,14 +46,6 @@ impl PoolConfig {
     }
 }
 
-impl Default for PoolConfig {
-    /// `CMPQOS_JOBS` when set (0 = auto), otherwise the machine's
-    /// available parallelism; no cell budget.
-    fn default() -> Self {
-        Self::new(crate::jobs_from_env().unwrap_or_else(crate::default_jobs))
-    }
-}
-
 /// A cell that failed to produce a usable result.
 ///
 /// Failures are isolated per cell: one bad cell never tears down the rest
@@ -155,13 +147,6 @@ impl Engine {
     #[must_use]
     pub fn serial() -> Self {
         Self::new(1)
-    }
-
-    /// `CMPQOS_JOBS` when set (0 = auto), otherwise the machine's
-    /// available parallelism.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::with_config(PoolConfig::default())
     }
 
     /// The configured concurrency bound.
@@ -328,12 +313,6 @@ impl Engine {
             .into_iter()
             .map(|o| o.expect("failures checked above"))
             .collect()
-    }
-}
-
-impl Default for Engine {
-    fn default() -> Self {
-        Self::from_env()
     }
 }
 

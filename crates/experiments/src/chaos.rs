@@ -72,49 +72,7 @@ impl ChaosParams {
         }
     }
 
-    /// [`ChaosParams::standard`] with `CMPQOS_SEED`/`CMPQOS_EVENTS` env
-    /// overrides and `--events <path>`/`--seed <n>`/`--crash-at <cycle>`
-    /// flag overrides applied (flags win). Unknown arguments are ignored.
-    #[must_use]
-    pub fn from_env_and_args() -> Self {
-        let mut p = Self::standard();
-        if let Ok(v) = std::env::var("CMPQOS_SEED") {
-            if let Ok(v) = v.trim().parse() {
-                p.seed = v;
-            }
-        }
-        if let Ok(path) = std::env::var("CMPQOS_EVENTS") {
-            let path = path.trim();
-            if !path.is_empty() {
-                p.events = Some(PathBuf::from(path));
-            }
-        }
-        let mut args = std::env::args().skip(1);
-        while let Some(arg) = args.next() {
-            if arg == "--events" {
-                if let Some(path) = args.next() {
-                    p.events = Some(PathBuf::from(path));
-                }
-            } else if let Some(path) = arg.strip_prefix("--events=") {
-                p.events = Some(PathBuf::from(path));
-            } else if arg == "--seed" {
-                if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                    p.seed = v;
-                }
-            } else if let Some(v) = arg.strip_prefix("--seed=").and_then(|v| v.parse().ok()) {
-                p.seed = v;
-            } else if arg == "--crash-at" {
-                if let Some(v) = args.next().and_then(|v| v.parse().ok()) {
-                    p.crash_at = Some(Cycles::new(v));
-                }
-            } else if let Some(v) = arg.strip_prefix("--crash-at=").and_then(|v| v.parse().ok()) {
-                p.crash_at = Some(Cycles::new(v));
-            }
-        }
-        p
-    }
-
-    /// The schedule the binary runs by default: a seeded random plan
+    /// The schedule `cmpqos chaos` runs by default: a seeded random plan
     /// *plus* a guaranteed whole-node death halfway through (the paper's
     /// server always has survivors: node 0 is never killed).
     #[must_use]
@@ -375,6 +333,26 @@ pub fn run(params: &ChaosParams, mut schedule: FaultSchedule) -> ChaosOutcome {
     outcome
 }
 
+/// The run's self-check: it must be reconstructible from its event log
+/// alone, so its records go out as JSONL and come back as a [`Timeline`]
+/// equal to [`ChaosOutcome::timeline`].
+///
+/// # Errors
+///
+/// The log does not parse back, or parses into another timeline.
+pub fn verify_roundtrip(outcome: &ChaosOutcome) -> Result<(), String> {
+    let jsonl: String = outcome
+        .records
+        .iter()
+        .map(|r| serde_json::to_string(r).expect("events serialize") + "\n")
+        .collect();
+    match Timeline::from_jsonl(&jsonl) {
+        Ok(parsed) if parsed == outcome.timeline() => Ok(()),
+        Ok(_) => Err("the JSONL round-trip does not reproduce the timeline".into()),
+        Err(e) => Err(format!("the event log does not parse back: {e}")),
+    }
+}
+
 /// Replays the chaos cell across several seeds on the `cmpqos-engine`
 /// pool (`jobs` wide; `1` = serial). Each seed gets its own generated
 /// schedule via [`ChaosParams::schedule`]; the outcomes come back in seed
@@ -562,7 +540,7 @@ impl Recorder for NetRecorder {
 }
 
 /// Everything one net chaos run produced. Same seed, same outcome —
-/// byte-identical, which is what the CI partition-smoke job diffs.
+/// byte-identical, which is what CI's chaos-smoke job diffs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct NetChaosOutcome {
@@ -922,8 +900,8 @@ impl Default for ChurnParams {
 }
 
 /// Everything one churn run produced. Same seed, same outcome —
-/// byte-identical at any `--jobs` pool width, which is what the CI
-/// churn-smoke job diffs.
+/// byte-identical at any `--jobs` pool width, which is what CI's
+/// chaos-smoke job diffs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct ChurnOutcome {

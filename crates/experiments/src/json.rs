@@ -1,10 +1,11 @@
 //! Machine-readable experiment output.
 //!
-//! Every experiment binary accepts `CMPQOS_JSON=<path>`: in addition to
-//! the human tables, the raw outcome structures are serialized to that
-//! file (one JSON document) so results can be diffed, plotted or
-//! regression-tracked. `serde_json` is justified in `DESIGN.md`: `serde`
-//! alone supplies no wire format.
+//! `cmpqos fig5` and `cmpqos fig9`, run alone, honour
+//! `CMPQOS_JSON=<path>`: in addition to the human tables, their raw run
+//! outcomes are serialized to that file (one JSON document) so results
+//! can be diffed, plotted or regression-tracked. `cmpqos run --json`
+//! writes one run the same way. `serde_json` is justified in `DESIGN.md`:
+//! `serde` alone supplies no wire format.
 
 use serde::Serialize;
 use std::fs;

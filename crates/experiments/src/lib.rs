@@ -1,5 +1,5 @@
-//! Experiment harness: one module (and one binary) per table/figure of the
-//! paper's evaluation, regenerating the same rows/series.
+//! Experiment harness: one module per table/figure of the paper's
+//! evaluation, regenerating the same rows/series.
 //!
 //! Absolute numbers differ from the paper's (the substrate is our own
 //! simulator with synthetic SPEC2006 stand-ins; geometry and instruction
@@ -7,14 +7,15 @@
 //! paper's *shape*: who wins, by roughly what factor, and where crossovers
 //! fall. `EXPERIMENTS.md` records paper-versus-measured for every entry.
 //!
-//! Run any experiment with its binary, e.g.:
+//! The `cmpqos` binary runs each experiment as a subcommand, e.g.:
 //!
 //! ```text
-//! cargo run --release -p cmpqos-experiments --bin fig5
+//! cargo run --release --bin cmpqos -- fig5 --scale 16
 //! ```
 //!
-//! Scale/work/seed can be overridden via `CMPQOS_SCALE`, `CMPQOS_WORK` and
-//! `CMPQOS_SEED`.
+//! [`ExperimentParams`] holds the scale/work/seed/jobs/events knobs; the
+//! flags and their `CMPQOS_*` variables pass the same check
+//! ([`ExperimentParams::set`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,4 +41,4 @@ pub mod table1;
 pub mod traffic;
 pub mod variance;
 
-pub use params::ExperimentParams;
+pub use params::{EnvError, ExperimentParams};

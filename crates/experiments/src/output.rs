@@ -1,4 +1,4 @@
-//! Plain-text table/series rendering for experiment binaries.
+//! Plain-text table/series rendering for the experiments' printers.
 
 use std::fmt::Write as _;
 

@@ -1,23 +1,19 @@
 //! Shared experiment parameters.
 
+use cmpqos_system::SystemConfig;
 use cmpqos_types::Instructions;
+use std::fmt;
 use std::path::PathBuf;
 
 /// Global knobs for every experiment: the geometry scale factor, the
 /// per-job instruction budget, the master seed, the worker-pool width and
-/// an optional event log.
+/// an optional JSONL event log (see `cmpqos-obs`).
 ///
-/// Defaults reproduce the paper's shapes in seconds per experiment; the
-/// environment variables `CMPQOS_SCALE`, `CMPQOS_WORK` and `CMPQOS_SEED`
-/// override them for higher-fidelity (slower) runs — `CMPQOS_SCALE=1
-/// CMPQOS_WORK=200000000` is the paper's literal setup. `CMPQOS_EVENTS`
-/// (or the figure binaries' `--events <path>` flag) names a JSONL file
-/// that receives every QoS event of every run (see `cmpqos-obs`).
-///
-/// `CMPQOS_JOBS` (or `--jobs N`) bounds the `cmpqos-engine` worker pool
-/// that runs independent experiment cells in parallel: `1` is serial, `0`
-/// means "auto" (the machine's available parallelism, also the default).
-/// Results are bit-identical at every width — see `docs/performance.md`.
+/// Defaults reproduce the paper's shapes in seconds per experiment;
+/// `scale 1, work 200000000` is the paper's literal setup. Each knob is a
+/// `cmpqos` flag (`--scale`) and a variable (`CMPQOS_SCALE`), both checked
+/// by [`ExperimentParams::set`]. Results are bit-identical at every
+/// `jobs` width — see `docs/performance.md`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExperimentParams {
     /// Geometry scale factor `k` (see
@@ -34,6 +30,10 @@ pub struct ExperimentParams {
 }
 
 impl ExperimentParams {
+    /// The knobs [`ExperimentParams::set`] takes, by flag name. Knob
+    /// `name` is read from the environment as `CMPQOS_<NAME>`.
+    pub const FLAGS: [&'static str; 5] = ["scale", "work", "seed", "jobs", "events"];
+
     /// Default experiment fidelity: scale 8, 800k instructions/job, one
     /// engine worker per available core.
     #[must_use]
@@ -60,82 +60,89 @@ impl ExperimentParams {
         }
     }
 
-    /// [`ExperimentParams::standard`] with environment overrides applied.
-    #[must_use]
-    pub fn from_env() -> Self {
-        let mut p = Self::standard();
-        if let Some(v) = read_env("CMPQOS_SCALE") {
-            p.scale = v.max(1);
-        }
-        if let Some(v) = read_env("CMPQOS_WORK") {
-            p.work = Instructions::new(v.max(1_000));
-        }
-        if let Some(v) = read_env("CMPQOS_SEED") {
-            p.seed = v;
-        }
-        if let Some(jobs) = cmpqos_engine::jobs_from_env() {
-            p.jobs = jobs;
-        }
-        if let Ok(path) = std::env::var("CMPQOS_EVENTS") {
-            let path = path.trim();
-            if !path.is_empty() {
-                p.events = Some(PathBuf::from(path));
+    /// [`ExperimentParams::standard`] with every `CMPQOS_*` knob that is
+    /// set (and not blank) applied through [`ExperimentParams::set`], so
+    /// a variable passes exactly the check its flag does.
+    ///
+    /// # Errors
+    ///
+    /// The first variable whose value fails that check.
+    pub fn from_env() -> Result<Self, EnvError> {
+        let mut params = Self::standard();
+        for flag in Self::FLAGS {
+            let var = format!("CMPQOS_{}", flag.to_ascii_uppercase());
+            let raw = std::env::var(&var).unwrap_or_default();
+            let value = raw.trim();
+            if !value.is_empty() {
+                params.set(flag, value).map_err(|reason| EnvError {
+                    var,
+                    value: value.to_string(),
+                    reason,
+                })?;
             }
         }
-        p
+        Ok(params)
     }
 
-    /// [`ExperimentParams::from_env`] plus command-line overrides: every
-    /// figure binary accepts `--events <path>` and `--jobs <n>` (which win
-    /// over `CMPQOS_EVENTS`/`CMPQOS_JOBS`). Unknown arguments are ignored
-    /// so existing invocations keep working.
-    #[must_use]
-    pub fn from_env_and_args() -> Self {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_env().with_args(&args)
-    }
-
-    /// Applies `--events <path>` / `--events=<path>` and `--jobs <n>` /
-    /// `--jobs=<n>` overrides from an argument list (`--jobs 0` = auto).
-    #[must_use]
-    pub fn with_args(mut self, args: &[String]) -> Self {
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            if arg == "--events" {
-                if let Some(path) = it.next() {
-                    self.events = Some(PathBuf::from(path));
-                }
-            } else if let Some(path) = arg.strip_prefix("--events=") {
-                self.events = Some(PathBuf::from(path));
-            } else if arg == "--jobs" {
-                if let Some(n) = it.next().and_then(|v| v.trim().parse().ok()) {
-                    self.jobs = resolve_jobs(n);
-                }
-            } else if let Some(n) = arg.strip_prefix("--jobs=").and_then(|v| v.parse().ok()) {
-                self.jobs = resolve_jobs(n);
+    /// Sets the knob `flag` (one of [`ExperimentParams::FLAGS`]) from its
+    /// text. A `scale` of 0 reads as 1, `work` is at least 1,000
+    /// instructions, and `jobs` 0 means one worker per available core.
+    ///
+    /// # Errors
+    ///
+    /// Why the value is refused: not an unsigned integer, a scale that
+    /// leaves the paper node no valid cache geometry, an empty path, or a
+    /// name outside [`ExperimentParams::FLAGS`].
+    pub fn set(&mut self, flag: &str, value: &str) -> Result<(), String> {
+        let number = || {
+            value
+                .parse::<u64>()
+                .map_err(|_| "expected an unsigned integer".to_string())
+        };
+        match flag {
+            "scale" => {
+                let scale = number()?.max(1);
+                SystemConfig::try_paper_scaled(scale).map_err(|e| e.to_string())?;
+                self.scale = scale;
             }
+            "work" => self.work = Instructions::new(number()?.max(1_000)),
+            "seed" => self.seed = number()?,
+            "jobs" => match usize::try_from(number()?) {
+                Ok(0) => self.jobs = cmpqos_engine::default_jobs(),
+                Ok(n) => self.jobs = n,
+                Err(_) => return Err("too many workers".into()),
+            },
+            "events" if value.is_empty() => return Err("expected a path".into()),
+            "events" => self.events = Some(PathBuf::from(value)),
+            other => return Err(format!("no experiment knob named `{other}`")),
         }
-        self
+        Ok(())
     }
 }
 
-/// `0` means "auto": one worker per available core.
-fn resolve_jobs(n: usize) -> usize {
-    if n == 0 {
-        cmpqos_engine::default_jobs()
-    } else {
-        n
+/// A `CMPQOS_*` variable whose value fails the check of its flag.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EnvError {
+    /// The variable, e.g. `CMPQOS_SCALE`.
+    pub var: String,
+    /// Its (trimmed) value.
+    pub value: String,
+    /// Why the value is refused.
+    pub reason: String,
+}
+
+impl fmt::Display for EnvError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}={}: {}", self.var, self.value, self.reason)
     }
 }
+
+impl std::error::Error for EnvError {}
 
 impl Default for ExperimentParams {
     fn default() -> Self {
         Self::standard()
     }
-}
-
-fn read_env(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.trim().parse().ok()
 }
 
 #[cfg(test)]
@@ -154,22 +161,30 @@ mod tests {
     }
 
     #[test]
-    fn env_parsing_ignores_garbage() {
-        assert_eq!(read_env("CMPQOS_DOES_NOT_EXIST"), None);
-    }
-
-    #[test]
-    fn jobs_flag_parses_both_spellings_and_auto() {
-        let args = |v: &[&str]| v.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
-        let p = ExperimentParams::quick().with_args(&args(&["--jobs", "3"]));
-        assert_eq!(p.jobs, 3);
-        let p = ExperimentParams::quick().with_args(&args(&["--jobs=7", "--events=ev.jsonl"]));
-        assert_eq!(p.jobs, 7);
-        assert_eq!(p.events, Some(PathBuf::from("ev.jsonl")));
-        let p = ExperimentParams::quick().with_args(&args(&["--jobs", "0"]));
+    fn set_checks_every_knob() {
+        let mut p = ExperimentParams::quick();
+        for (flag, value) in [
+            ("jobs", "3"),
+            ("work", "5"),
+            ("scale", "0"),
+            ("events", "e"),
+        ] {
+            p.set(flag, value).expect("a valid value");
+        }
+        assert_eq!((p.jobs, p.work, p.scale), (3, Instructions::new(1_000), 1));
+        assert_eq!(p.events, Some(PathBuf::from("e")));
+        p.set("jobs", "0").expect("auto");
         assert_eq!(p.jobs, cmpqos_engine::default_jobs());
-        // Garbage and unknown flags are ignored.
-        let p = ExperimentParams::quick().with_args(&args(&["--jobs", "x", "--frobnicate"]));
-        assert_eq!(p.jobs, 1);
+        let before = p.clone();
+        for (flag, value) in [
+            ("jobs", "x"),
+            ("seed", "-1"),
+            ("scale", "3"),
+            ("events", ""),
+            ("frobnicate", "1"),
+        ] {
+            assert!(p.set(flag, value).is_err(), "{flag} {value}");
+        }
+        assert_eq!(p, before, "a refused value changes nothing");
     }
 }

@@ -130,8 +130,8 @@ pub enum Knob {
 
 /// One observable moment in the life of the QoS framework.
 ///
-/// Serialized (externally tagged) this is the JSONL schema the experiment
-/// binaries emit; see `docs/observability.md`.
+/// Serialized (externally tagged) this is the JSONL schema that
+/// `cmpqos … --events` writes; see `docs/observability.md`.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 #[non_exhaustive]
 pub enum Event {

@@ -13,7 +13,7 @@
 //!   no-op whose `enabled()` lets hot paths skip payload construction
 //!   entirely; [`RingBufferRecorder`] keeps a bounded in-memory log for
 //!   tests and timeline queries; [`JsonlRecorder`] streams records as JSON
-//!   Lines for the experiment binaries; [`ShardRecorder`] buffers one
+//!   Lines for `cmpqos … --events`; [`ShardRecorder`] buffers one
 //!   parallel experiment cell's stream so `cmpqos-engine` sweeps can merge
 //!   per-cell shards deterministically ([`merge_shards`]).
 //! * [`Timeline`] — reconstructs Figure-7-style job-lifetime bands (which

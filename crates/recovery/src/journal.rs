@@ -70,7 +70,8 @@ pub struct TailReport {
     /// Records that parsed, checksummed, and sequenced correctly.
     pub valid: u64,
     /// Trailing lines dropped at the first invalid record (torn write,
-    /// flipped bits, bad version, or out-of-order sequence).
+    /// flipped bits, bad version, out-of-order sequence, or a sequence
+    /// number with no successor).
     pub lost: u64,
 }
 
@@ -173,8 +174,9 @@ impl<O: Serialize> Journal<O> {
 impl<O: Serialize + Deserialize> Journal<O> {
     /// Loads a journal from JSONL, tolerating a torn or corrupted tail:
     /// parsing stops at the first line that fails to parse, carries a
-    /// future schema version, breaks sequence monotonicity, or whose
-    /// checksum does not match its op. Everything from that line on is
+    /// future schema version, breaks sequence monotonicity, has no
+    /// successor sequence number (`seq = u64::MAX`), or whose checksum
+    /// does not match its op. Everything from that line on is
     /// dropped and counted in the [`TailReport`] — never a panic, never an
     /// error.
     #[must_use]
@@ -192,16 +194,17 @@ impl<O: Serialize + Deserialize> Journal<O> {
                 report.lost = (lines.len() - i) as u64;
                 break;
             };
-            let in_order = last_seq.is_none_or(|prev| record.seq > prev);
-            if record.version > JOURNAL_VERSION
-                || !in_order
-                || Self::checksum_of(&record.op) != record.checksum
-            {
+            let valid = record.version <= JOURNAL_VERSION
+                && last_seq.is_none_or(|prev| record.seq > prev)
+                && Self::checksum_of(&record.op) == record.checksum;
+            // `seq = u64::MAX` leaves the next append no number, so it ends
+            // the valid prefix like any other bad record.
+            let Some(next_seq) = record.seq.checked_add(1).filter(|_| valid) else {
                 report.lost = (lines.len() - i) as u64;
                 break;
-            }
+            };
             last_seq = Some(record.seq);
-            journal.next_seq = record.seq + 1;
+            journal.next_seq = next_seq;
             journal.records.push(record);
             report.valid += 1;
         }

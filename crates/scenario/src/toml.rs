@@ -67,13 +67,25 @@ fn take_int(section: &mut Section, key: &str, default: u64) -> Result<u64, Strin
     }
 }
 
+/// [`take_int`] for a field narrower than `u64`: a value the field's type
+/// cannot hold is a line-numbered error, never a silent wrap.
+fn take_narrow<T: TryFrom<u64>>(section: &mut Section, key: &str, default: T) -> Result<T, String> {
+    match section.remove(key) {
+        Some((v, line)) => {
+            let v = v.int(key, line)?;
+            T::try_from(v).map_err(|_| format!("line {line}: `{key}` = {v} is out of range"))
+        }
+        None => Ok(default),
+    }
+}
+
 fn build_tier(mut section: Section, index: usize) -> Result<TierSpec, String> {
     let name = match section.remove("name") {
         Some((v, line)) => v.str("name", line)?.to_string(),
         None => return Err(format!("tier {index}: missing `name`")),
     };
     let mut tier = TierSpec::new(&name);
-    tier.sources = take_int(&mut section, "sources", u64::from(tier.sources))?.max(1) as u32;
+    tier.sources = take_narrow(&mut section, "sources", tier.sources)?.max(1);
     tier.mean_inter_arrival =
         take_int(&mut section, "mean_inter_arrival", tier.mean_inter_arrival)?.max(1);
     let shape_name = match section.remove("shape") {
@@ -84,12 +96,12 @@ fn build_tier(mut section: Section, index: usize) -> Result<TierSpec, String> {
         "steady" => ArrivalShape::Steady,
         "diurnal" => ArrivalShape::Diurnal {
             period: take_int(&mut section, "period", 50_000)?.max(2),
-            swing_pct: take_int(&mut section, "swing_pct", 50)?.min(99) as u32,
+            swing_pct: take_narrow::<u32>(&mut section, "swing_pct", 50)?.min(99),
         },
         "bursty" => ArrivalShape::Bursty {
             period: take_int(&mut section, "period", 50_000)?.max(1),
-            on_pct: take_int(&mut section, "on_pct", 20)?.min(100) as u32,
-            burst_div: take_int(&mut section, "burst_div", 8)?.max(1) as u32,
+            on_pct: take_narrow::<u32>(&mut section, "on_pct", 20)?.min(100),
+            burst_div: take_narrow::<u32>(&mut section, "burst_div", 8)?.max(1),
         },
         other => {
             return Err(format!(
@@ -98,40 +110,28 @@ fn build_tier(mut section: Section, index: usize) -> Result<TierSpec, String> {
         }
     };
     tier.size.base = take_int(&mut section, "size_base", tier.size.base)?.max(1);
-    tier.size.tail_pct =
-        take_int(&mut section, "size_tail_pct", u64::from(tier.size.tail_pct))? as u32;
-    tier.size.tail_cap =
-        take_int(&mut section, "size_tail_cap", u64::from(tier.size.tail_cap))? as u32;
-    tier.mix.strict_pct =
-        take_int(&mut section, "strict_pct", u64::from(tier.mix.strict_pct))?.min(100) as u32;
-    tier.mix.elastic_pct =
-        take_int(&mut section, "elastic_pct", u64::from(tier.mix.elastic_pct))?.min(100) as u32;
-    tier.mix.elastic_slack_pct = take_int(
+    tier.size.tail_pct = take_narrow(&mut section, "size_tail_pct", tier.size.tail_pct)?;
+    tier.size.tail_cap = take_narrow(&mut section, "size_tail_cap", tier.size.tail_cap)?;
+    tier.mix.strict_pct = take_narrow(&mut section, "strict_pct", tier.mix.strict_pct)?.min(100);
+    tier.mix.elastic_pct = take_narrow(&mut section, "elastic_pct", tier.mix.elastic_pct)?.min(100);
+    tier.mix.elastic_slack_pct = take_narrow(
         &mut section,
         "elastic_slack_pct",
-        u64::from(tier.mix.elastic_slack_pct),
-    )? as u32;
-    tier.deadline_slack_pct = take_int(
-        &mut section,
-        "deadline_slack_pct",
-        u64::from(tier.deadline_slack_pct),
-    )? as u32;
+        tier.mix.elastic_slack_pct,
+    )?;
+    tier.deadline_slack_pct =
+        take_narrow(&mut section, "deadline_slack_pct", tier.deadline_slack_pct)?;
     tier.drain_every = take_int(&mut section, "drain_every", tier.drain_every)?.max(1);
-    tier.queue_capacity =
-        take_int(&mut section, "queue_capacity", tier.queue_capacity as u64)?.max(1) as usize;
+    tier.queue_capacity = take_narrow(&mut section, "queue_capacity", tier.queue_capacity)?.max(1);
     tier.bucket_capacity = take_int(&mut section, "bucket_capacity", tier.bucket_capacity)?.max(1);
     tier.refill_interval = take_int(&mut section, "refill_interval", tier.refill_interval)?.max(1);
-    tier.breaker_window = take_int(
-        &mut section,
-        "breaker_window",
-        u64::from(tier.breaker_window),
-    )? as u32;
-    tier.breaker_threshold_pct = take_int(
+    tier.breaker_window = take_narrow(&mut section, "breaker_window", tier.breaker_window)?;
+    tier.breaker_threshold_pct = take_narrow(
         &mut section,
         "breaker_threshold_pct",
-        u64::from(tier.breaker_threshold_pct),
+        tier.breaker_threshold_pct,
     )?
-    .min(100) as u32;
+    .min(100);
     tier.breaker_cooldown = take_int(&mut section, "breaker_cooldown", tier.breaker_cooldown)?;
     if let Some((key, (_, line))) = section.iter().next() {
         return Err(format!("line {line}: unknown tier key `{key}`"));
@@ -183,9 +183,8 @@ pub fn parse_toml(text: &str) -> Result<ScenarioSpec, String> {
     let seed = take_int(&mut header, "seed", 0)?;
     let mut spec = ScenarioSpec::new(&name, seed);
     spec.horizon = take_int(&mut header, "horizon", spec.horizon)?.max(1);
-    spec.ways_min = take_int(&mut header, "ways_min", u64::from(spec.ways_min))?.max(1) as u16;
-    spec.ways_max = take_int(&mut header, "ways_max", u64::from(spec.ways_max))?
-        .max(u64::from(spec.ways_min)) as u16;
+    spec.ways_min = take_narrow(&mut header, "ways_min", spec.ways_min)?.max(1);
+    spec.ways_max = take_narrow(&mut header, "ways_max", spec.ways_max)?.max(spec.ways_min);
     if let Some((key, (_, line))) = header.iter().next() {
         return Err(format!("line {line}: unknown key `{key}`"));
     }
@@ -339,6 +338,56 @@ shape = \"steady\"  # Poisson arrivals
         assert!(err.contains("name"), "{err}");
         let err = parse_toml("name = \"x\"\n").expect_err("no tiers rejected");
         assert!(err.contains("tier"), "{err}");
+    }
+
+    #[test]
+    fn integers_past_a_fields_type_are_line_numbered_errors() {
+        // (key, one past its type's range, the tier shape it needs; no
+        // shape = a header key).
+        for (key, value, shape) in [
+            ("ways_min", "65536", None),
+            ("ways_max", "65536", None),
+            ("sources", "4294967296", Some("steady")),
+            ("swing_pct", "4294967296", Some("diurnal")),
+            ("on_pct", "4294967296", Some("bursty")),
+            ("burst_div", "4294967296", Some("bursty")),
+            ("size_tail_pct", "4294967296", Some("steady")),
+            ("size_tail_cap", "4294967296", Some("steady")),
+            ("strict_pct", "4294967296", Some("steady")),
+            ("elastic_pct", "4294967296", Some("steady")),
+            ("elastic_slack_pct", "4294967296", Some("steady")),
+            ("deadline_slack_pct", "4294967296", Some("steady")),
+            ("breaker_window", "4294967296", Some("steady")),
+            ("breaker_threshold_pct", "4294967296", Some("steady")),
+        ] {
+            let text = match shape {
+                None => format!("name = \"x\"\n{key} = {value}\n[[tier]]\nname = \"t\"\n"),
+                Some(shape) => format!(
+                    "name = \"x\"\n[[tier]]\nname = \"t\"\nshape = \"{shape}\"\n{key} = {value}\n"
+                ),
+            };
+            let line = if shape.is_none() { 2 } else { 5 };
+            let err = parse_toml(&text).expect_err(key);
+            assert_eq!(
+                err,
+                format!("line {line}: `{key}` = {value} is out of range"),
+                "{key}"
+            );
+            // One less fits.
+            let fits = text.replace(value, &(value.parse::<u64>().unwrap() - 1).to_string());
+            assert!(parse_toml(&fits).is_ok(), "{key}: {fits}");
+        }
+        // `queue_capacity` is a `usize`, which holds every `u64` on a
+        // 64-bit host.
+        let text = format!(
+            "name = \"x\"\n[[tier]]\nname = \"t\"\nqueue_capacity = {}\n",
+            u64::MAX
+        );
+        match (parse_toml(&text), usize::try_from(u64::MAX)) {
+            (Ok(spec), Ok(max)) => assert_eq!(spec.tiers[0].queue_capacity, max),
+            (Err(err), Err(_)) => assert!(err.starts_with("line 4: `queue_capacity`"), "{err}"),
+            (got, _) => panic!("queue_capacity = u64::MAX: {got:?}"),
+        }
     }
 
     #[test]

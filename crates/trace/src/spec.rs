@@ -13,8 +13,8 @@
 //!   sensitive: hurt at 1 way but not much at 4), Group 3 (insensitive).
 //!
 //! The exact component constants below were fitted empirically against the
-//! `cmpqos-cache` simulator (see the `calibration` tests and the `table1`
-//! experiment binary).
+//! `cmpqos-cache` simulator (see the `calibration` tests and
+//! `cmpqos table1`).
 
 use crate::mixture::Component;
 use crate::profile::BenchmarkProfile;

@@ -1,32 +1,75 @@
-//! `cmpqos` — the command-line front end to the framework.
-//!
-//! ```text
-//! cmpqos list
-//! cmpqos solo --bench bzip2 --ways 7 [--scale 8] [--work 800000]
-//! cmpqos run --workload gobmk|mix1|mix2 --config all-strict|hybrid1|hybrid2|autodown|equalpart
-//!            [--scale 8] [--work 800000] [--seed 1] [--json out.json]
-//! ```
+//! `cmpqos` — the command-line front end to the framework, and the
+//! workspace's one binary. Its subcommands: `list`, `solo`, `run`,
+//! `recover`, `conform`, `explore` and `traffic`; the experiments `fig1`,
+//! `fig3`, `fig4`, `fig5`, `fig6`, `fig7`, `fig8`, `fig9`, `table1`,
+//! `lac-overhead`, `overload`, `slo`, `ablations`, `extensions`,
+//! `variance` and `all`; and `chaos` with its `--net` and `--churn` cells.
+//! `USAGE` below gives each one's flags and `CMPQOS_*` variables.
 //!
 //! A thin, dependency-free argument parser over the library API — also the
-//! fifth example application of the public interface.
+//! fifth example application of the public interface. Every subcommand
+//! names the flags it reads, and an unknown flag or a malformed value (of
+//! a flag or a variable) is an `error:` line and exit status 1.
 
-use cmpqos::experiments::json::write_json;
+use cmpqos::experiments::json::{maybe_dump, write_json};
+use cmpqos::experiments::output::Table;
+use cmpqos::experiments::{
+    ablation, chaos, extensions, fig1, fig3, fig4, fig5, fig6, fig7, fig8, fig9, lac_overhead,
+    overload, slo, table1, traffic, variance, ExperimentParams,
+};
 use cmpqos::system::SystemConfig;
 use cmpqos::trace::spec;
-use cmpqos::types::{Instructions, Percent, Ways};
+use cmpqos::types::{Cycles, Percent, Ways};
 use cmpqos::workloads::metrics::{
     lac_occupancy, normalized_throughput, paper_hit_rate, wall_clock_by_mode,
 };
-use cmpqos::workloads::runner::{run, RunConfig};
+use cmpqos::workloads::runner::{run, RunConfig, RunOutcome};
 use cmpqos::workloads::{Configuration, WorkloadSpec};
 use std::collections::HashMap;
 use std::path::Path;
 use std::process::ExitCode;
+use std::time::Instant;
 
 type Flags = HashMap<String, String>;
 
 /// A subcommand: the flags it reads and the handler that reads them.
-type Command = (&'static [&'static str], fn(&Flags) -> Result<(), String>);
+type Command = (&'static [&'static str], Handler);
+type Handler = Box<dyn Fn(&Flags) -> Result<(), String>>;
+
+/// Prints one experiment's tables, adding to the vector the run outcomes
+/// that `CMPQOS_JSON` receives when the experiment runs alone (fig5, fig9).
+type Runner = fn(&ExperimentParams, &mut Vec<RunOutcome>);
+
+/// The paper's evaluation in the order `cmpqos all` runs it. Each entry
+/// is also its own subcommand, except `traffic`, whose subcommand
+/// (`cmd_traffic`) also takes `--spec`.
+const EXPERIMENTS: [(&str, Runner); 15] = [
+    ("fig1", |p, _| fig1::print(&fig1::run(p), p)),
+    ("fig3", |_, _| fig3::print(&fig3::run())),
+    ("fig4", |p, _| fig4::print(&fig4::run(p), p)),
+    ("table1", |p, _| table1::print(&table1::run(p), p)),
+    ("fig5", |p, raw| {
+        let rows = fig5::run(p);
+        fig5::print(&rows, p);
+        raw.extend(rows.into_iter().flat_map(|r| r.outcomes));
+    }),
+    ("fig6", |p, _| fig6::print(&fig6::run(p), p)),
+    ("fig7", |p, _| fig7::print(&fig7::run(p), p)),
+    ("fig8", |p, _| fig8::print(&fig8::run(p), p)),
+    ("fig9", |p, raw| {
+        let mixes = fig9::run(p);
+        fig9::print(&mixes, p);
+        raw.extend(mixes.into_iter().flat_map(|m| m.outcomes));
+    }),
+    ("lac-overhead", |p, _| {
+        lac_overhead::print(&lac_overhead::run(p), p)
+    }),
+    ("overload", |p, _| overload::print(&overload::run(p), p)),
+    ("slo", |p, _| slo::print(&slo::run(p), p)),
+    ("traffic", |p, _| traffic::print(&traffic::run(p), p)),
+    ("ablations", |p, _| ablation::print(p)),
+    ("extensions", |p, _| extensions::print(p)),
+];
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,7 +77,7 @@ fn main() -> ExitCode {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     };
-    let result = command_named(command)
+    let result = command_named(command, &args[1..])
         .and_then(|(known, handler)| handler(&parse_flags(&args[1..], known)?));
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -45,26 +88,53 @@ fn main() -> ExitCode {
     }
 }
 
-fn command_named(name: &str) -> Result<Command, String> {
+fn command_named(name: &str, args: &[String]) -> Result<Command, String> {
     let command: Command = match name {
-        "list" => (&[], cmd_list),
-        "solo" => (&["bench", "ways", "scale", "work", "seed"], cmd_solo),
+        "list" => (&[], Box::new(cmd_list)),
+        "solo" => (
+            &["bench", "ways", "scale", "work", "seed"],
+            Box::new(cmd_solo),
+        ),
         "run" => (
             &[
                 "workload", "config", "scale", "work", "seed", "json", "events",
             ],
-            cmd_run,
+            Box::new(cmd_run),
         ),
-        "recover" => (&["journal", "kind", "compact-every"], cmd_recover),
+        "recover" => (&["journal", "kind", "compact-every"], Box::new(cmd_recover)),
         "conform" => (
             &["scale", "work", "seed", "jobs", "only", "inject"],
-            cmd_conform,
+            Box::new(cmd_conform),
         ),
-        "explore" => (&["scenarios", "seed", "kind"], cmd_explore),
-        "traffic" => (&["spec", "emit-toml", "seed", "jobs"], cmd_traffic),
-        other => return Err(format!("unknown command `{other}`")),
+        "explore" => (&["scenarios", "seed", "kind"], Box::new(cmd_explore)),
+        "traffic" => (
+            &["spec", "emit-toml", "seed", "jobs"],
+            Box::new(cmd_traffic),
+        ),
+        "all" => (&ExperimentParams::FLAGS, Box::new(cmd_all)),
+        "variance" => alone(|p, _| variance::print(&variance::run(p), p)),
+        "chaos" => (chaos_flags(args), Box::new(cmd_chaos)),
+        other => match EXPERIMENTS.iter().find(|(name, _)| *name == other) {
+            Some(&(_, runner)) => alone(runner),
+            None => return Err(format!("unknown command `{other}`")),
+        },
     };
     Ok(command)
+}
+
+/// An experiment subcommand: `runner`, run alone, then `CMPQOS_JSON`.
+fn alone(runner: Runner) -> Command {
+    (
+        &ExperimentParams::FLAGS,
+        Box::new(move |flags: &Flags| {
+            let mut raw = Vec::new();
+            runner(&experiment_params(flags)?, &mut raw);
+            if !raw.is_empty() {
+                maybe_dump(&raw);
+            }
+            Ok(())
+        }),
+    )
 }
 
 const USAGE: &str = "\
@@ -89,7 +159,21 @@ usage:
                 per-tier exact p50/p95/p99/p999 admission latency,
                 deadline-hit rate, shed breakdown and goodput; without
                 --spec runs the standard four-scenario grid; --emit-toml
-                prints the canonical TOML instead of running)";
+                prints the canonical TOML instead of running)
+  cmpqos fig1|fig3|fig4|fig5|fig6|fig7|fig8|fig9|table1|lac-overhead|overload|slo
+         |ablations|extensions|variance|all
+               [--scale N] [--work N] [--seed N] [--jobs N] [--events <path>]
+               (one experiment of the paper's evaluation; all runs every one
+                but variance, timing them on stderr; CMPQOS_SCALE, _WORK,
+                _SEED, _JOBS and _EVENTS set the same knobs, the flag
+                winning; CMPQOS_JSON=<path> takes fig5's or fig9's raw runs)
+  cmpqos chaos [--seed N] [--seeds a,b,c] [--jobs N] [--crash-at CYCLE] [--events <path>]
+  cmpqos chaos --net [--seed N] [--nodes N] [--job-count N] [--horizon CYCLES]
+               [--partition a:b@CYCLE] [--heal @CYCLE] [--inject drop-reconcile]
+  cmpqos chaos --churn [--seed N] [--seeds a,b,c] [--jobs N] [--nodes N] [--job-count N]
+               [--horizon CYCLES] [--churn-events N] [--kills N] [--inject lease-freeze]
+               (the failover, partition-and-heal and elastic-membership
+                cells; --jobs is the pool width, --job-count the stream)";
 
 /// Parses `--flag [value]` pairs, rejecting any flag not in `known` so a
 /// typo such as `--way` fails instead of silently running the default.
@@ -114,22 +198,15 @@ fn parse_flags(args: &[String], known: &[&str]) -> Result<Flags, String> {
     Ok(flags)
 }
 
-fn get_num(flags: &Flags, name: &str, default: u64) -> Result<u64, String> {
+/// `--name` as a `T`, or `default` when absent.
+fn get_num<T: TryFrom<u64>>(flags: &Flags, name: &str, default: T) -> Result<T, String> {
     match flags.get(name) {
         None => Ok(default),
-        Some(v) => v
-            .parse()
-            .map_err(|_| format!("--{name} expects a number, got `{v}`")),
+        Some(v) => match v.parse::<u64>() {
+            Ok(n) => T::try_from(n).map_err(|_| format!("--{name} {v} is out of range")),
+            Err(_) => Err(format!("--{name} expects a number, got `{v}`")),
+        },
     }
-}
-
-/// `--scale` (at least 1), checked to leave the paper node a valid
-/// cache geometry.
-fn get_scale(flags: &Flags, default: u64) -> Result<u64, String> {
-    let scale = get_num(flags, "scale", default)?.max(1);
-    SystemConfig::try_paper_scaled(scale)
-        .map(|_| scale)
-        .map_err(|e| format!("--scale {scale}: {e}"))
 }
 
 fn cmd_list(_: &Flags) -> Result<(), String> {
@@ -154,25 +231,20 @@ fn cmd_solo(flags: &Flags) -> Result<(), String> {
     if spec::benchmark(bench).is_none() {
         return Err(format!("unknown benchmark `{bench}` (try `cmpqos list`)"));
     }
-    let scale = get_scale(flags, 8)?;
+    let ExperimentParams {
+        scale, work, seed, ..
+    } = with_flags(ExperimentParams::standard(), flags)?;
     let assoc = SystemConfig::paper_scaled(scale).l2.associativity();
-    let ways = get_num(flags, "ways", 7)?;
+    let ways = get_num::<u64>(flags, "ways", 7)?;
     let ways = u16::try_from(ways)
         .ok()
         .filter(|&w| w <= assoc)
         .ok_or_else(|| format!("--ways {ways} exceeds the L2's {assoc} ways"))?;
-    let work = get_num(flags, "work", 800_000)?.max(1_000);
-    let seed = get_num(flags, "seed", 1)?;
-    let s = cmpqos::workloads::calibrate::solo_run(
-        bench,
-        Ways::new(ways),
-        Instructions::new(work),
-        scale,
-        seed,
-    );
+    let s = cmpqos::workloads::calibrate::solo_run(bench, Ways::new(ways), work, scale, seed);
     println!(
-        "{bench} @ {ways} ways (scale 1/{scale}, {work} instr): \
+        "{bench} @ {ways} ways (scale 1/{scale}, {} instr): \
          IPC {:.3}, CPI {:.3}, L2 miss rate {:.1}%, MPI {:.4}, {} cycles",
+        work.get(),
         s.ipc(),
         s.cpi(),
         s.perf.l2_miss_ratio() * 100.0,
@@ -201,15 +273,16 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
         Some(other) => return Err(format!("unknown config `{other}`")),
         None => return Err("--config is required".into()),
     };
+    let params = with_flags(ExperimentParams::standard(), flags)?;
     let cfg = RunConfig {
         workload,
         configuration,
-        scale: get_scale(flags, 8)?,
-        work: Instructions::new(get_num(flags, "work", 800_000)?.max(1_000)),
-        seed: get_num(flags, "seed", 1)?,
+        scale: params.scale,
+        work: params.work,
+        seed: params.seed,
         stealing_enabled: true,
         steal_interval: None,
-        events: flags.get("events").map(std::path::PathBuf::from),
+        events: params.events,
     };
     let outcome = run(&cfg);
     println!("{}", outcome.label);
@@ -243,22 +316,176 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn experiment_params(flags: &Flags) -> Result<cmpqos::experiments::ExperimentParams, String> {
-    let mut params = cmpqos::experiments::ExperimentParams::from_env();
-    params.scale = get_scale(flags, params.scale)?;
-    params.work = Instructions::new(get_num(flags, "work", params.work.get())?.max(1_000));
-    params.seed = get_num(flags, "seed", params.seed)?;
-    if let Some(v) = flags.get("jobs") {
-        let n: usize = v
-            .parse()
-            .map_err(|_| format!("--jobs expects a number, got `{v}`"))?;
-        params.jobs = if n == 0 {
-            cmpqos::engine::default_jobs()
-        } else {
-            n
-        };
+/// `params` with whichever of [`ExperimentParams::FLAGS`] the subcommand
+/// was given applied through [`ExperimentParams::set`].
+fn with_flags(mut params: ExperimentParams, flags: &Flags) -> Result<ExperimentParams, String> {
+    for flag in ExperimentParams::FLAGS {
+        if let Some(value) = flags.get(flag) {
+            params.set(flag, value).map_err(|e| {
+                let given = format!("--{flag} {value}");
+                format!("{}: {e}", given.trim_end())
+            })?;
+        }
     }
     Ok(params)
+}
+
+/// The experiment knobs: the `CMPQOS_*` variables, then the flags.
+fn experiment_params(flags: &Flags) -> Result<ExperimentParams, String> {
+    let env = ExperimentParams::from_env().map_err(|e| e.to_string())?;
+    with_flags(env, flags)
+}
+
+/// Every experiment of [`EXPERIMENTS`] in order, then a wall-time summary
+/// on stderr: stdout carries only the experiments' results, so two
+/// same-seed runs diff byte-identically regardless of the pool width or
+/// machine speed.
+fn cmd_all(flags: &Flags) -> Result<(), String> {
+    let params = experiment_params(flags)?;
+    let times: Vec<(&str, f64)> = EXPERIMENTS
+        .iter()
+        .map(|&(name, runner)| {
+            let t0 = Instant::now();
+            runner(&params, &mut Vec::new());
+            (name, t0.elapsed().as_secs_f64())
+        })
+        .collect();
+    let total: f64 = times.iter().map(|(_, secs)| secs).sum();
+    let mut t = Table::new(&["experiment", "wall time (s)", "share"]);
+    for (name, secs) in times.into_iter().chain([("TOTAL", total)]) {
+        let share = 100.0 * secs / total.max(f64::MIN_POSITIVE);
+        t.row(&[name, &format!("{secs:.2}"), &format!("{share:.0}%")]);
+    }
+    eprintln!(
+        "== Wall-time summary ({} engine worker(s)) ==\n\n{}",
+        params.jobs,
+        t.render()
+    );
+    Ok(())
+}
+
+/// The flags of the chaos cell `args` select: the failover cell by
+/// default, the partition-and-heal cell with `--net`, the
+/// elastic-membership cell with `--churn`.
+fn chaos_flags(args: &[String]) -> &'static [&'static str] {
+    if args.iter().any(|a| a == "--churn") {
+        &[
+            "churn",
+            "seed",
+            "seeds",
+            "jobs",
+            "nodes",
+            "job-count",
+            "horizon",
+            "churn-events",
+            "kills",
+            "inject",
+        ]
+    } else if args.iter().any(|a| a == "--net") {
+        &[
+            "net",
+            "seed",
+            "nodes",
+            "job-count",
+            "horizon",
+            "partition",
+            "heal",
+            "inject",
+        ]
+    } else {
+        &["seed", "seeds", "jobs", "crash-at", "events"]
+    }
+}
+
+/// Whether `--inject` names the cell's one sabotage, `expected`.
+fn chaos_inject(flags: &Flags, expected: &str) -> Result<bool, String> {
+    match flags.get("inject") {
+        None => Ok(false),
+        Some(v) if v == expected => Ok(true),
+        Some(v) => Err(format!("unknown --inject `{v}` (expected {expected})")),
+    }
+}
+
+fn cmd_chaos(flags: &Flags) -> Result<(), String> {
+    let params = experiment_params(flags)?;
+    let seeds = match flags.get("seeds") {
+        None => vec![params.seed],
+        Some(list) => list
+            .split(',')
+            .map(|s| s.trim().parse().ok())
+            .collect::<Option<_>>()
+            .ok_or_else(|| format!("--seeds expects comma-separated numbers, got `{list}`"))?,
+    };
+    if flags.contains_key("churn") {
+        let mut p = chaos::ChurnParams::standard();
+        p.nodes = get_num(flags, "nodes", p.nodes)?;
+        p.jobs = get_num(flags, "job-count", p.jobs)?;
+        p.horizon = Cycles::new(get_num(flags, "horizon", p.horizon.get())?);
+        p.churn_events = get_num(flags, "churn-events", p.churn_events)?;
+        p.kills = get_num(flags, "kills", p.kills)?;
+        p.lease_freeze = chaos_inject(flags, "lease-freeze")?;
+        let outcomes = chaos::run_churn_many(&p, &seeds, params.jobs);
+        for (outcome, &seed) in outcomes.iter().zip(&seeds) {
+            p.seed = seed;
+            chaos::print_churn(outcome, &p);
+        }
+        return Ok(());
+    }
+    if flags.contains_key("net") {
+        let mut p = chaos::NetChaosParams::standard();
+        p.seed = params.seed;
+        p.nodes = get_num(flags, "nodes", p.nodes)?;
+        p.jobs = get_num(flags, "job-count", p.jobs)?;
+        p.horizon = Cycles::new(get_num(flags, "horizon", p.horizon.get())?);
+        if let Some(v) = flags.get("partition") {
+            // `a:b@cycle`: nodes `[a, b)` cut at `cycle`.
+            let cut = || {
+                let (range, at) = v.split_once('@')?;
+                let (a, b) = range.split_once(':')?;
+                Some((
+                    a.parse().ok()?,
+                    b.parse().ok()?,
+                    Cycles::new(at.parse().ok()?),
+                ))
+            };
+            let cut = cut().ok_or_else(|| format!("--partition expects a:b@cycle, got `{v}`"))?;
+            p.partition = Some(cut);
+        }
+        if let Some(v) = flags.get("heal") {
+            let at = v.strip_prefix('@').unwrap_or(v).parse();
+            let at = at.map_err(|_| format!("--heal expects @cycle, got `{v}`"))?;
+            p.heal_at = Some(Cycles::new(at));
+        }
+        p.drop_reconcile = chaos_inject(flags, "drop-reconcile")?;
+        chaos::print_net(&chaos::run_net(&p), &p);
+        return Ok(());
+    }
+    let mut p = chaos::ChaosParams::standard();
+    p.events = params.events;
+    if flags.contains_key("crash-at") {
+        p.crash_at = Some(Cycles::new(get_num(flags, "crash-at", 0)?));
+    }
+    let outcomes = chaos::run_many(&p, &seeds, params.jobs);
+    for (outcome, &seed) in outcomes.iter().zip(&seeds) {
+        p.seed = seed;
+        chaos::print(outcome, &p);
+        chaos::verify_roundtrip(outcome)?;
+        // stderr, not stdout: a crashed run's stdout must diff clean
+        // against an uncrashed same-seed run's, and the two event logs
+        // legitimately differ by the crash/recovery marker records.
+        eprintln!(
+            "event log: {} records, round-trips through Timeline intact",
+            outcome.records.len()
+        );
+    }
+    if flags.contains_key("seeds") {
+        println!(
+            "replayed {} seeds on {} worker(s); all runs accounted for every reservation",
+            seeds.len(),
+            params.jobs
+        );
+    }
+    Ok(())
 }
 
 fn cmd_conform(flags: &Flags) -> Result<(), String> {
@@ -301,7 +528,7 @@ fn cmd_conform(flags: &Flags) -> Result<(), String> {
 fn cmd_explore(flags: &Flags) -> Result<(), String> {
     use cmpqos::testkit::scenario::{explore, ScenarioKind};
 
-    let scenarios = get_num(flags, "scenarios", 50)?.max(1) as usize;
+    let scenarios = get_num::<usize>(flags, "scenarios", 50)?.max(1);
     let seed = get_num(flags, "seed", 1)?;
     let kinds: Vec<ScenarioKind> = match flags.get("kind").map(String::as_str) {
         None | Some("all") => ScenarioKind::ALL.to_vec(),
@@ -333,7 +560,6 @@ fn cmd_explore(flags: &Flags) -> Result<(), String> {
 }
 
 fn cmd_traffic(flags: &Flags) -> Result<(), String> {
-    use cmpqos::experiments::traffic;
     use cmpqos::scenario::{emit_toml, parse_toml, run as run_scenario};
 
     let params = experiment_params(flags)?;
@@ -348,8 +574,7 @@ fn cmd_traffic(flags: &Flags) -> Result<(), String> {
     if flags.contains_key("emit-toml") {
         // Canonical form: of the loaded spec, or of the grid's base
         // topology when no --spec was given.
-        let spec =
-            spec.unwrap_or_else(|| cmpqos::experiments::traffic::tiered_spec(params.seed, 200_000));
+        let spec = spec.unwrap_or_else(|| traffic::tiered_spec(params.seed, 200_000));
         print!("{}", emit_toml(&spec));
         return Ok(());
     }
@@ -358,10 +583,7 @@ fn cmd_traffic(flags: &Flags) -> Result<(), String> {
             let report = run_scenario(&spec);
             println!("{}", traffic::render_report(&report));
         }
-        None => {
-            let reports = traffic::run(&params);
-            traffic::print(&reports, &params);
-        }
+        None => traffic::print(&traffic::run(&params), &params),
     }
     Ok(())
 }
@@ -370,7 +592,7 @@ fn cmd_recover(flags: &Flags) -> Result<(), String> {
     use cmpqos::recovery::{JournaledGac, JournaledLac, RecoveryReport};
 
     let path = flags.get("journal").ok_or("--journal is required")?;
-    let compact_every = get_num(flags, "compact-every", 64)?.max(1);
+    let compact_every = get_num::<u64>(flags, "compact-every", 64)?.max(1);
     let jsonl = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
 
     let describe = |report: &RecoveryReport| {

@@ -1,14 +1,44 @@
-//! The `cmpqos` binary's flag handling: a malformed or unknown flag exits 1
-//! with an `error:` line and the usage text, never a panic (exit 101) or a
-//! silent default.
+//! The `cmpqos` binary's input handling: a malformed or unknown flag, or a
+//! malformed `CMPQOS_*` variable, exits 1 with an `error:` line and the
+//! usage text, never a panic (exit 101) or a silent default.
 
 use std::process::{Command, Output};
 
-fn cmpqos(args: &str) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_cmpqos"))
+/// Every `CMPQOS_*` knob the binary reads, cleared so the caller's
+/// environment cannot leak into a case.
+const KNOBS: [&str; 6] = [
+    "CMPQOS_SCALE",
+    "CMPQOS_WORK",
+    "CMPQOS_SEED",
+    "CMPQOS_JOBS",
+    "CMPQOS_EVENTS",
+    "CMPQOS_JSON",
+];
+
+fn cmpqos_with(env: &[(&str, &str)], args: &str) -> Output {
+    let mut command = Command::new(env!("CARGO_BIN_EXE_cmpqos"));
+    for var in KNOBS {
+        command.env_remove(var);
+    }
+    command
+        .envs(env.iter().copied())
         .args(args.split_whitespace())
         .output()
         .expect("the cmpqos binary runs")
+}
+
+fn cmpqos(args: &str) -> Output {
+    cmpqos_with(&[], args)
+}
+
+/// Exit 1, the expected `error:` line first on stderr, the usage text,
+/// and nothing on stdout: the input was refused before any work.
+fn assert_refused(out: &Output, what: &str, error: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{what}: {stderr}");
+    assert!(stderr.starts_with(error), "{what}: {stderr}");
+    assert!(stderr.contains("usage:"), "{what}: {stderr}");
+    assert!(out.stdout.is_empty(), "{what} ran anyway");
 }
 
 #[test]
@@ -36,27 +66,176 @@ fn bad_flags_exit_1_with_an_error_line() {
         ),
         ("solo --bench bzip2 --way 3", "error: unknown flag `--way`"),
         ("bench --jobs 4", "error: unknown command `bench`"),
+        (
+            "table1 --scale 3",
+            "error: --scale 3: invalid cache geometry",
+        ),
+        (
+            "fig5 --jobs x",
+            "error: --jobs x: expected an unsigned integer",
+        ),
+        ("fig7 --events", "error: --events: expected a path"),
+        ("chaos --sed 5", "error: unknown flag `--sed`"),
+        ("chaos --net --jobs 5", "error: unknown flag `--jobs`"),
+        (
+            "chaos --net --events f.jsonl",
+            "error: unknown flag `--events`",
+        ),
+        (
+            "chaos --churn --crash-at 9",
+            "error: unknown flag `--crash-at`",
+        ),
+        (
+            "chaos --churn --inject lease-freze",
+            "error: unknown --inject `lease-freze`",
+        ),
+        (
+            "chaos --net --inject lease-freeze",
+            "error: unknown --inject `lease-freeze`",
+        ),
+        (
+            "chaos --seeds 1,x",
+            "error: --seeds expects comma-separated numbers",
+        ),
+        (
+            "chaos --net --partition 10-40",
+            "error: --partition expects a:b@cycle",
+        ),
+        ("chaos --net --heal soon", "error: --heal expects @cycle"),
+        (
+            "chaos --churn --kills 4294967296",
+            "error: --kills 4294967296 is out of range",
+        ),
     ] {
-        let out = cmpqos(args);
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "cmpqos {args}: {stderr}");
-        assert!(stderr.starts_with(error), "cmpqos {args}: {stderr}");
-        assert!(stderr.contains("usage:"), "cmpqos {args}: {stderr}");
-        assert!(out.stdout.is_empty(), "cmpqos {args} ran anyway");
+        assert_refused(&cmpqos(args), &format!("cmpqos {args}"), error);
+    }
+    // Every experiment subcommand and chaos cell refuses a typo.
+    for command in [
+        "fig1",
+        "fig3",
+        "fig4",
+        "fig5",
+        "fig6",
+        "fig7",
+        "fig8",
+        "fig9",
+        "table1",
+        "lac-overhead",
+        "overload",
+        "slo",
+        "variance",
+        "ablations",
+        "extensions",
+        "all",
+        "chaos",
+        "chaos --net",
+        "chaos --churn",
+    ] {
+        let args = format!("{command} --sclae 3");
+        assert_refused(
+            &cmpqos(&args),
+            &format!("cmpqos {args}"),
+            "error: unknown flag `--sclae`",
+        );
     }
 }
 
 #[test]
-fn a_valid_solo_run_uses_the_requested_ways() {
-    let out = cmpqos("solo --bench bzip2 --ways 16 --scale 16 --work 20000");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+fn bad_env_values_exit_1_naming_the_variable() {
+    for (var, value, args, error) in [
+        (
+            "CMPQOS_SCALE",
+            "abc",
+            "table1",
+            "error: CMPQOS_SCALE=abc: expected an unsigned integer",
+        ),
+        (
+            "CMPQOS_SCALE",
+            "3",
+            "table1",
+            "error: CMPQOS_SCALE=3: invalid cache geometry",
+        ),
+        (
+            "CMPQOS_SCALE",
+            "3",
+            "conform --only fig3",
+            "error: CMPQOS_SCALE=3: invalid cache geometry",
+        ),
+        (
+            "CMPQOS_JOBS",
+            "x",
+            "fig5",
+            "error: CMPQOS_JOBS=x: expected an unsigned integer",
+        ),
+        (
+            "CMPQOS_JOBS",
+            "x",
+            "chaos --churn",
+            "error: CMPQOS_JOBS=x: expected an unsigned integer",
+        ),
+        (
+            "CMPQOS_WORK",
+            "1e6",
+            "all",
+            "error: CMPQOS_WORK=1e6: expected an unsigned integer",
+        ),
+        (
+            "CMPQOS_SEED",
+            "-1",
+            "chaos",
+            "error: CMPQOS_SEED=-1: expected an unsigned integer",
+        ),
+    ] {
+        assert_refused(
+            &cmpqos_with(&[(var, value)], args),
+            &format!("{var}={value} cmpqos {args}"),
+            error,
+        );
+    }
+}
+
+#[test]
+fn an_out_of_range_spec_value_exits_1_not_101() {
+    // `ways_max` is a u16: 65536 used to wrap to 0 and panic the run.
+    let path = std::env::temp_dir().join(format!("cmpqos-cli-{}-ways.toml", std::process::id()));
+    std::fs::write(
+        &path,
+        "name = \"wide\"\nways_max = 65536\n[[tier]]\nname = \"t\"\n",
+    )
+    .expect("the spec is written");
+    let path = path.display().to_string();
+    let out = cmpqos(&format!("traffic --spec {path}"));
+    let _ = std::fs::remove_file(&path);
+    assert_refused(
+        &out,
+        "cmpqos traffic --spec (ways_max = 65536)",
+        &format!("error: {path}: line 2: `ways_max` = 65536 is out of range"),
     );
-    assert!(
-        stdout.starts_with("bzip2 @ 16 ways (scale 1/16, 20000 instr): IPC "),
-        "{stdout}"
-    );
+}
+
+#[test]
+fn valid_runs_print_the_expected_first_line() {
+    for (args, first_line) in [
+        (
+            "solo --bench bzip2 --ways 16 --scale 16 --work 20000",
+            "bzip2 @ 16 ways (scale 1/16, 20000 instr): IPC ",
+        ),
+        (
+            "fig3",
+            "== Figure 3: manual mode downgrade (illustrative scenario) ==",
+        ),
+        ("chaos --seed 1", "== Chaos: 12 jobs on 3 nodes, seed 1 =="),
+    ] {
+        let out = cmpqos(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            out.status.success(),
+            "cmpqos {args}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            stdout.lines().next().unwrap_or("").starts_with(first_line),
+            "cmpqos {args}: {stdout}"
+        );
+    }
 }

@@ -6,7 +6,7 @@
 //! instead of panicking or replaying garbage.
 
 use cmpqos::qos::{AdmissionRequest, ExecutionMode, Lac, LacConfig, ProbePolicy, ResourceRequest};
-use cmpqos::recovery::{JournaledGac, JournaledLac};
+use cmpqos::recovery::{Journal, JournaledGac, JournaledLac, TailReport};
 use cmpqos::types::{Cycles, JobId, Percent, Ways};
 use proptest::prelude::*;
 
@@ -177,4 +177,25 @@ proptest! {
         prop_assert_eq!(recovered.gac(), live.gac());
         prop_assert_eq!(recovered.journal().next_seq(), live.journal().next_seq());
     }
+}
+
+/// A record edited to `seq = u64::MAX` still passes its checksum (which
+/// covers only the op), but leaves no sequence number for the next append:
+/// recovery must end the valid prefix there, not wrap back to seq 0.
+#[test]
+fn a_record_at_the_last_sequence_number_ends_the_valid_prefix() {
+    let mut journal: Journal<String> = Journal::new();
+    let _ = journal.append("alpha".into());
+    let _ = journal.append("beta".into());
+    let jsonl = journal.to_jsonl();
+    let (first, second) = jsonl.split_once('\n').expect("two records");
+    assert!(second.starts_with("{\"seq\":1,"), "{second}");
+    let edited = format!(
+        "{first}\n{}",
+        second.replacen("\"seq\":1,", &format!("\"seq\":{},", u64::MAX), 1)
+    );
+    let (mut recovered, report) = Journal::<String>::from_jsonl(&edited);
+    assert_eq!(report, TailReport { valid: 1, lost: 1 });
+    assert_eq!(recovered.len(), 1);
+    assert_eq!(recovered.append("gamma".into()), 1);
 }
