@@ -1,8 +1,11 @@
 //! The private L1 data cache: set-associative, write-back, true LRU.
 
 use crate::config::CacheConfig;
-use crate::line::CacheLine;
 use crate::stats::CoreCacheStats;
+
+/// The tag of an empty line. Blocks are at least 8 bytes, so every real tag
+/// is below 2^61 and never equals it.
+const EMPTY: u64 = u64::MAX;
 
 /// Outcome of an L1 access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,6 +22,11 @@ pub struct L1Outcome {
 /// by the system model, not here). Context switches may [`L1Cache::flush`]
 /// the cache to model cold-start effects for the incoming job.
 ///
+/// The lines are stored as three arrays indexed `set * ways + way`: tags,
+/// LRU ticks and dirty bits. An empty line has tag `u64::MAX` and tick 0,
+/// below every real tick, so one lowest-tick search finds the first empty
+/// way or else the least recently used one.
+///
 /// # Examples
 ///
 /// ```
@@ -31,7 +39,10 @@ pub struct L1Outcome {
 #[derive(Debug, Clone)]
 pub struct L1Cache {
     config: CacheConfig,
-    lines: Vec<CacheLine>,
+    tags: Vec<u64>,
+    ticks: Vec<u64>,
+    /// Never set on an empty line.
+    dirty: Vec<bool>,
     tick: u64,
     stats: CoreCacheStats,
 }
@@ -40,9 +51,12 @@ impl L1Cache {
     /// Creates an empty cache with the given configuration.
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
+        let lines = config.geometry().lines();
         Self {
             config,
-            lines: vec![CacheLine::INVALID; config.geometry().lines()],
+            tags: vec![EMPTY; lines],
+            ticks: vec![0; lines],
+            dirty: vec![false; lines],
             tick: 0,
             stats: CoreCacheStats::default(),
         }
@@ -61,54 +75,53 @@ impl L1Cache {
     }
 
     /// Performs one access at byte address `addr`; `is_write` marks stores.
+    #[inline]
     pub fn access(&mut self, addr: u64, is_write: bool) -> L1Outcome {
         let geom = self.config.geometry();
         let (tag, set) = geom.slice(addr);
-        let assoc = geom.associativity() as usize;
+        let assoc = usize::from(geom.associativity());
         let base = set as usize * assoc;
         self.tick += 1;
 
-        // Hit path.
-        for line in &mut self.lines[base..base + assoc] {
-            if line.valid && line.tag == tag {
-                line.last_used = self.tick;
-                line.dirty |= is_write;
-                self.stats.record_access(false);
-                return L1Outcome {
-                    hit: true,
-                    writeback: None,
-                };
-            }
+        // A set holds a tag at most once, so the matching way is the OR of
+        // every way masked by its comparison: no branch per way.
+        let mut hit = false;
+        let mut way = 0;
+        for (w, &t) in self.tags[base..base + assoc].iter().enumerate() {
+            let matched = t == tag;
+            hit |= matched;
+            way |= w & usize::from(matched).wrapping_neg();
+        }
+        if hit {
+            self.ticks[base + way] = self.tick;
+            self.dirty[base + way] |= is_write;
+            self.stats.record_access(false);
+            return L1Outcome {
+                hit: true,
+                writeback: None,
+            };
         }
 
-        // Miss: fill into an invalid line or evict the LRU line.
+        // Miss: the victim is the lowest tick, the first on ties — the
+        // first empty way if there is one, else the LRU way.
         self.stats.record_access(true);
-        let victim = {
-            let set_lines = &self.lines[base..base + assoc];
-            match set_lines.iter().position(|l| !l.valid) {
-                Some(idx) => idx,
-                None => set_lines
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, l)| l.last_used)
-                    .map(|(idx, _)| idx)
-                    .expect("associativity is at least 1"),
-            }
-        };
-        let line = &mut self.lines[base + victim];
-        let writeback = if line.valid && line.dirty {
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (w, &t) in self.ticks[base..base + assoc].iter().enumerate() {
+            let older = t < oldest;
+            oldest = if older { t } else { oldest };
+            victim = if older { w } else { victim };
+        }
+        let line = base + victim;
+        let writeback = if self.dirty[line] {
             self.stats.record_writeback();
-            Some(geom.unslice(line.tag, set))
+            Some(geom.unslice(self.tags[line], set))
         } else {
             None
         };
-        *line = CacheLine {
-            tag,
-            valid: true,
-            dirty: is_write,
-            owner: 0,
-            last_used: self.tick,
-        };
+        self.tags[line] = tag;
+        self.ticks[line] = self.tick;
+        self.dirty[line] = is_write;
         L1Outcome {
             hit: false,
             writeback,
@@ -116,29 +129,28 @@ impl L1Cache {
     }
 
     /// Invalidates the whole cache, returning the block addresses of dirty
-    /// lines that must be written back. Models a context switch where the
-    /// incoming job finds a cold L1.
+    /// lines that must be written back (by set, then by way). Models a
+    /// context switch where the incoming job finds a cold L1.
     pub fn flush(&mut self) -> Vec<u64> {
         let geom = self.config.geometry();
-        let assoc = geom.associativity() as usize;
+        let assoc = usize::from(geom.associativity());
         let mut writebacks = Vec::new();
-        for set in 0..geom.sets() {
-            let base = set as usize * assoc;
-            for line in &mut self.lines[base..base + assoc] {
-                if line.valid && line.dirty {
-                    writebacks.push(geom.unslice(line.tag, set));
-                    self.stats.record_writeback();
-                }
-                *line = CacheLine::INVALID;
+        for (line, (&tag, &dirty)) in self.tags.iter().zip(&self.dirty).enumerate() {
+            if dirty {
+                writebacks.push(geom.unslice(tag, (line / assoc) as u32));
+                self.stats.record_writeback();
             }
         }
+        self.tags.fill(EMPTY);
+        self.ticks.fill(0);
+        self.dirty.fill(false);
         writebacks
     }
 
     /// Number of currently valid lines (for tests and introspection).
     #[must_use]
     pub fn valid_lines(&self) -> usize {
-        self.lines.iter().filter(|l| l.valid).count()
+        self.tags.iter().filter(|&&t| t != EMPTY).count()
     }
 }
 

@@ -24,6 +24,7 @@ pub struct CoreCacheStats {
 
 impl CoreCacheStats {
     /// Records one access; `miss` marks it a miss.
+    #[inline]
     pub fn record_access(&mut self, miss: bool) {
         self.accesses += 1;
         if miss {
@@ -32,6 +33,7 @@ impl CoreCacheStats {
     }
 
     /// Records one dirty-line write-back.
+    #[inline]
     pub fn record_writeback(&mut self) {
         self.writebacks += 1;
     }

@@ -1,8 +1,9 @@
 //! Per-job execution contexts.
 
 use crate::perf::PerfCounters;
-use cmpqos_trace::{Access, TraceSource};
+use cmpqos_trace::{Access, InstrEvent, SyntheticTrace, TraceSource};
 use cmpqos_types::Cycles;
+use std::any::Any;
 
 /// Memory-hierarchy outcome of one access, reported back to the context by
 /// the system model.
@@ -61,17 +62,45 @@ impl MemOutcome {
 /// assert_eq!(ctx.perf().instructions().get(), 1);
 /// ```
 pub struct ExecutionContext {
-    source: Box<dyn TraceSource>,
+    source: Source,
     perf: PerfCounters,
     /// Fractional base-CPI accumulator (base CPIs like 1.5 are paid as an
     /// extra cycle every other instruction).
     frac: f64,
 }
 
+/// A context's instruction stream. The built-in generator is held inline
+/// and called statically, since the simulator calls it once per
+/// instruction; any other source stays boxed.
+enum Source {
+    Synthetic(SyntheticTrace),
+    Boxed(Box<dyn TraceSource>),
+}
+
+impl Source {
+    fn new(source: Box<dyn TraceSource>) -> Self {
+        if !(&*source as &dyn Any).is::<SyntheticTrace>() {
+            return Source::Boxed(source);
+        }
+        let source: Box<dyn Any> = source;
+        Source::Synthetic(*source.downcast().expect("the source is a SyntheticTrace"))
+    }
+
+    /// The next event, then the base CPI read after it: a phased source
+    /// switches phase inside `next_instruction`.
+    #[inline]
+    fn next(&mut self) -> (InstrEvent, f64) {
+        match self {
+            Source::Synthetic(s) => (s.next_instruction(), s.base_cpi()),
+            Source::Boxed(s) => (s.next_instruction(), s.base_cpi()),
+        }
+    }
+}
+
 impl std::fmt::Debug for ExecutionContext {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExecutionContext")
-            .field("source", &self.source.name())
+            .field("source", &self.name())
             .field("perf", &self.perf)
             .field("frac", &self.frac)
             .finish()
@@ -83,7 +112,7 @@ impl ExecutionContext {
     #[must_use]
     pub fn new(source: Box<dyn TraceSource>) -> Self {
         Self {
-            source,
+            source: Source::new(source),
             perf: PerfCounters::default(),
             frac: 0.0,
         }
@@ -92,7 +121,10 @@ impl ExecutionContext {
     /// The job's benchmark name.
     #[must_use]
     pub fn name(&self) -> &str {
-        self.source.name()
+        match &self.source {
+            Source::Synthetic(s) => s.name(),
+            Source::Boxed(s) => s.name(),
+        }
     }
 
     /// Performance counters.
@@ -103,11 +135,10 @@ impl ExecutionContext {
 
     /// Issues the next instruction: accumulates its base cost and returns
     /// `(base_cycles, access)`.
+    #[inline]
     pub fn issue(&mut self) -> (Cycles, Option<Access>) {
-        // The base CPI is read after the instruction: a phased source
-        // switches phase inside `next_instruction`.
-        let event = self.source.next_instruction();
-        self.frac += self.source.base_cpi();
+        let (event, base_cpi) = self.source.next();
+        self.frac += base_cpi;
         let (whole, cycles) = if (0.0..u64::MAX as f64).contains(&self.frac) {
             // On this range truncation is floor and both casts are exact,
             // without a libm call.
@@ -122,6 +153,7 @@ impl ExecutionContext {
     }
 
     /// Completes a memory instruction issued with `base` cycles.
+    #[inline]
     pub fn complete(&mut self, base: Cycles, outcome: MemOutcome) {
         self.perf.charge_base(base);
         self.perf.record_l1_access();
@@ -134,6 +166,7 @@ impl ExecutionContext {
     }
 
     /// Completes a compute-only instruction issued with `base` cycles.
+    #[inline]
     pub fn complete_compute(&mut self, base: Cycles) {
         self.perf.charge_base(base);
         self.perf.retire(base);
@@ -212,6 +245,20 @@ mod tests {
             .stall(),
             Cycles::new(10)
         );
+    }
+
+    #[test]
+    fn a_boxed_synthetic_trace_is_held_inline_and_replays_its_stream() {
+        let mut direct = cmpqos_trace::spec::benchmark("gobmk")
+            .expect("built-in benchmark")
+            .instantiate(7, 0);
+        let mut ctx = ExecutionContext::new(Box::new(direct.clone()));
+        assert!(matches!(ctx.source, Source::Synthetic(_)));
+        for _ in 0..1_000 {
+            assert_eq!(ctx.issue().1, direct.next_instruction().access);
+        }
+        let boxed = ExecutionContext::new(Box::new(Compute));
+        assert!(matches!(boxed.source, Source::Boxed(_)));
     }
 
     #[test]

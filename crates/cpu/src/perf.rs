@@ -33,29 +33,34 @@ pub struct PerfCounters {
 
 impl PerfCounters {
     /// Records one retired instruction costing `cycles` in total.
+    #[inline]
     pub fn retire(&mut self, cycles: Cycles) {
         self.instructions += Instructions::new(1);
         self.cycles += cycles;
     }
 
     /// Attributes `cycles` to the base (compute, `CPI_L1∞`) component.
+    #[inline]
     pub fn charge_base(&mut self, cycles: Cycles) {
         self.base_cycles += cycles;
     }
 
     /// Records an L1 data access.
+    #[inline]
     pub fn record_l1_access(&mut self) {
         self.l1_accesses += 1;
     }
 
     /// Records an L2 access (i.e. an L1 miss) and the stall it caused when
     /// it hit in the L2.
+    #[inline]
     pub fn record_l2_hit(&mut self, stall: Cycles) {
         self.l2_accesses += 1;
         self.l2_stall_cycles += stall;
     }
 
     /// Records an L2 miss and its memory stall.
+    #[inline]
     pub fn record_l2_miss(&mut self, stall: Cycles) {
         self.l2_accesses += 1;
         self.l2_misses += 1;

@@ -134,7 +134,10 @@ fn cycles_or_dash(v: Option<u64>) -> String {
 /// Renders one scenario's per-tier table.
 #[must_use]
 pub fn render_report(report: &TrafficReport) -> String {
-    let total_goodput: u64 = report.tiers.iter().map(|t| t.goodput).sum();
+    let total_goodput = report
+        .tiers
+        .iter()
+        .fold(0u64, |sum, t| sum.saturating_add(t.goodput));
     let mut t = Table::new(&[
         "tier",
         "offered",

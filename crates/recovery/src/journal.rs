@@ -5,7 +5,11 @@ use serde::{Deserialize, Serialize, Value};
 
 /// The journal record schema version. Bumped when the record layout
 /// changes; loading rejects records from a newer schema.
-pub const JOURNAL_VERSION: u32 = 1;
+///
+/// Version 2 checksums the record's `seq` and `version` with its op.
+/// Version 1 checksummed the op alone; such records still load, with that
+/// checksum.
+pub const JOURNAL_VERSION: u32 = 2;
 
 /// FNV-1a 64-bit over `bytes` — the record checksum. Chosen because it is
 /// dependency-free, deterministic across platforms, and plenty to detect
@@ -13,11 +17,15 @@ pub const JOURNAL_VERSION: u32 = 1;
 /// cryptographic integrity guarantee).
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a 64-bit `hash` over `bytes`.
+fn fnv1a64_extend(hash: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     bytes
         .iter()
-        .fold(OFFSET, |hash, &b| (hash ^ u64::from(b)).wrapping_mul(PRIME))
+        .fold(hash, |hash, &b| (hash ^ u64::from(b)).wrapping_mul(PRIME))
 }
 
 /// One journal record: a sequence-numbered, versioned, checksummed
@@ -29,7 +37,9 @@ pub struct JournalRecord<O> {
     pub seq: u64,
     /// Schema version the record was written with.
     pub version: u32,
-    /// [`fnv1a64`] over the serialized `op`, computed at append time.
+    /// [`fnv1a64`] over `seq` and `version` (little-endian) and the
+    /// serialized `op`, computed at append time. A version-1 record's
+    /// checksum covers only the serialized `op`.
     pub checksum: u64,
     /// The journaled operation.
     pub op: O,
@@ -134,7 +144,7 @@ impl<O: Serialize> Journal<O> {
     pub fn append(&mut self, op: O) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let checksum = Self::checksum_of(&op);
+        let checksum = Self::checksum_of(seq, JOURNAL_VERSION, &op);
         self.records.push(JournalRecord {
             seq,
             version: JOURNAL_VERSION,
@@ -162,21 +172,23 @@ impl<O: Serialize> Journal<O> {
         out
     }
 
-    fn checksum_of(op: &O) -> u64 {
-        fnv1a64(
-            serde_json::to_string(op)
-                .expect("journal ops serialize")
-                .as_bytes(),
-        )
+    /// The checksum of a record; a version-1 record's covers only its op.
+    fn checksum_of(seq: u64, version: u32, op: &O) -> u64 {
+        let op = serde_json::to_string(op).expect("journal ops serialize");
+        if version == 1 {
+            return fnv1a64(op.as_bytes());
+        }
+        let header = fnv1a64_extend(fnv1a64(&seq.to_le_bytes()), &version.to_le_bytes());
+        fnv1a64_extend(header, op.as_bytes())
     }
 }
 
 impl<O: Serialize + Deserialize> Journal<O> {
     /// Loads a journal from JSONL, tolerating a torn or corrupted tail:
     /// parsing stops at the first line that fails to parse, carries a
-    /// future schema version, breaks sequence monotonicity, has no
-    /// successor sequence number (`seq = u64::MAX`), or whose checksum
-    /// does not match its op. Everything from that line on is
+    /// schema version other than 1 or [`JOURNAL_VERSION`], breaks sequence
+    /// monotonicity, has no successor sequence number (`seq = u64::MAX`),
+    /// or whose checksum does not match. Everything from that line on is
     /// dropped and counted in the [`TailReport`] — never a panic, never an
     /// error.
     #[must_use]
@@ -194,9 +206,9 @@ impl<O: Serialize + Deserialize> Journal<O> {
                 report.lost = (lines.len() - i) as u64;
                 break;
             };
-            let valid = record.version <= JOURNAL_VERSION
+            let valid = matches!(record.version, 1 | JOURNAL_VERSION)
                 && last_seq.is_none_or(|prev| record.seq > prev)
-                && Self::checksum_of(&record.op) == record.checksum;
+                && Self::checksum_of(record.seq, record.version, &record.op) == record.checksum;
             // `seq = u64::MAX` leaves the next append no number, so it ends
             // the valid prefix like any other bad record.
             let Some(next_seq) = record.seq.checked_add(1).filter(|_| valid) else {
@@ -272,7 +284,8 @@ mod tests {
     fn future_schema_versions_are_not_replayed() {
         let mut j: Journal<u64> = Journal::new();
         let _ = j.append(1);
-        let text = j.to_jsonl().replace("\"version\":1", "\"version\":999");
+        let current = format!("\"version\":{JOURNAL_VERSION}");
+        let text = j.to_jsonl().replace(&current, "\"version\":999");
         let (back, report) = Journal::<u64>::from_jsonl(&text);
         assert!(back.is_empty());
         assert_eq!(report.lost, 1);

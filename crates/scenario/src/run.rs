@@ -81,8 +81,16 @@ pub fn timeline(spec: &ScenarioSpec) -> Vec<Arrival> {
                 };
                 let ways =
                     rng.gen_range(u32::from(spec.ways_min)..u32::from(spec.ways_max) + 1) as u16;
-                let deadline = (tier.deadline_slack_pct > 0 && mode.reserves_resources())
-                    .then(|| at + tw * u64::from(tier.deadline_slack_pct) / 100);
+                // `tw × pct / 100` in 128 bits, so no size or slack
+                // overflows, clamped at the admission horizon. Splitting
+                // `tw` at 100 keeps the division in 64 bits.
+                let deadline =
+                    (tier.deadline_slack_pct > 0 && mode.reserves_resources()).then(|| {
+                        let pct = u64::from(tier.deadline_slack_pct);
+                        let slack = u128::from(tw / 100) * u128::from(pct)
+                            + u128::from(tw % 100 * pct / 100);
+                        (u128::from(at) + slack).min(u128::from(Cycles::HORIZON.get())) as u64
+                    });
                 arrivals.push((
                     at,
                     t,
@@ -149,7 +157,8 @@ pub struct TierReport {
     /// only accepts timeslots that finish by the deadline, so admitted
     /// = met). Shed and rejected deadline jobs count as misses.
     pub deadline_hits: u64,
-    /// Admitted useful work: Σ `tw` of accepted jobs, in cycles.
+    /// Admitted useful work: Σ `tw` of accepted jobs, in cycles, saturating
+    /// at `u64::MAX`.
     pub goodput: u64,
     /// Exact admission-latency percentiles over drained jobs
     /// (cycles waited between offer and LAC decision).
@@ -293,7 +302,9 @@ pub fn replay(spec: &ScenarioSpec, arrivals: &[Arrival]) -> TrafficReport {
                     reporters[tier].record(d.waited.get());
                     if d.decision.is_accepted() {
                         let (tw, counts_deadline) = meta[d.id.as_usize()];
-                        goodput[tier] += tw;
+                        // Saturates: a spec's sizes are capped, not its
+                        // admitted total.
+                        goodput[tier] = goodput[tier].saturating_add(tw);
                         if counts_deadline {
                             deadline_hits[tier] += 1;
                         }
@@ -376,6 +387,30 @@ mod tests {
                     })
                     .drain_every(2_000),
             )
+    }
+
+    #[test]
+    fn deadlines_are_exact_and_clamped_at_the_horizon() {
+        // Sizes up to 2^40 << 3 and slacks up to u32::MAX: the product
+        // needs 128 bits, and the largest deadlines pass the horizon.
+        for slack in [100, 400, 12_345, u32::MAX] {
+            let spec = ScenarioSpec::new("wide", 9).horizon(200_000).tier(
+                TierSpec::new("t")
+                    .size(SizeDist {
+                        base: (1 << 40) - 7,
+                        tail_pct: 50,
+                        tail_cap: 3,
+                    })
+                    .deadline_slack_pct(slack),
+            );
+            let arrivals = timeline(&spec);
+            assert!(arrivals.iter().any(|a| a.deadline.is_some()));
+            for a in arrivals.iter().filter(|a| a.deadline.is_some()) {
+                let exact = u128::from(a.at) + u128::from(a.tw) * u128::from(slack) / 100;
+                let clamped = exact.min(u128::from(Cycles::HORIZON.get()));
+                assert_eq!(a.deadline.map(u128::from), Some(clamped), "{a:?}");
+            }
+        }
     }
 
     #[test]

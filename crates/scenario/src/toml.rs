@@ -60,9 +60,44 @@ fn parse_value(raw: &str, line: usize) -> Result<Value, String> {
 /// One section's key/value pairs with source-line numbers.
 type Section = BTreeMap<String, (Value, usize)>;
 
+/// The largest value of a key measured in cycles (`horizon`,
+/// `mean_inter_arrival`, `period`, `size_base`, `drain_every`,
+/// `refill_interval`, `breaker_cooldown`): 2^40, about nine minutes at
+/// 2 GHz. Clocks, gaps and tick sums built from these stay far below
+/// `u64::MAX`.
+const MAX_CYCLES: u64 = 1 << 40;
+
+/// The largest expected arrival count of a spec: Σ over tiers of
+/// `sources × ⌈burst_div × horizon / mean_inter_arrival⌉`, where
+/// `burst_div` counts only for bursty tiers. Each source counts at least
+/// once, for its stream. A run near the cap takes about a second and
+/// 180 MB.
+const MAX_ARRIVALS: u128 = 1 << 20;
+
+/// The largest drain-round count of a spec: Σ over tiers of
+/// `⌈horizon / drain_every⌉`. Each round is one scheduled event.
+const MAX_DRAIN_ROUNDS: u128 = 1 << 20;
+
 fn take_int(section: &mut Section, key: &str, default: u64) -> Result<u64, String> {
     match section.remove(key) {
         Some((v, line)) => v.int(key, line),
+        None => Ok(default),
+    }
+}
+
+/// [`take_int`] for a key in cycles: a value above [`MAX_CYCLES`] is a
+/// line-numbered error.
+fn take_cycles(section: &mut Section, key: &str, default: u64) -> Result<u64, String> {
+    match section.remove(key) {
+        Some((v, line)) => {
+            let v = v.int(key, line)?;
+            if v > MAX_CYCLES {
+                return Err(format!(
+                    "line {line}: `{key}` = {v} is above the cap of {MAX_CYCLES} cycles"
+                ));
+            }
+            Ok(v)
+        }
         None => Ok(default),
     }
 }
@@ -87,7 +122,7 @@ fn build_tier(mut section: Section, index: usize) -> Result<TierSpec, String> {
     let mut tier = TierSpec::new(&name);
     tier.sources = take_narrow(&mut section, "sources", tier.sources)?.max(1);
     tier.mean_inter_arrival =
-        take_int(&mut section, "mean_inter_arrival", tier.mean_inter_arrival)?.max(1);
+        take_cycles(&mut section, "mean_inter_arrival", tier.mean_inter_arrival)?.max(1);
     let shape_name = match section.remove("shape") {
         Some((v, line)) => v.str("shape", line)?.to_string(),
         None => "steady".to_string(),
@@ -95,11 +130,11 @@ fn build_tier(mut section: Section, index: usize) -> Result<TierSpec, String> {
     tier.shape = match shape_name.as_str() {
         "steady" => ArrivalShape::Steady,
         "diurnal" => ArrivalShape::Diurnal {
-            period: take_int(&mut section, "period", 50_000)?.max(2),
+            period: take_cycles(&mut section, "period", 50_000)?.max(2),
             swing_pct: take_narrow::<u32>(&mut section, "swing_pct", 50)?.min(99),
         },
         "bursty" => ArrivalShape::Bursty {
-            period: take_int(&mut section, "period", 50_000)?.max(1),
+            period: take_cycles(&mut section, "period", 50_000)?.max(1),
             on_pct: take_narrow::<u32>(&mut section, "on_pct", 20)?.min(100),
             burst_div: take_narrow::<u32>(&mut section, "burst_div", 8)?.max(1),
         },
@@ -109,7 +144,7 @@ fn build_tier(mut section: Section, index: usize) -> Result<TierSpec, String> {
             ))
         }
     };
-    tier.size.base = take_int(&mut section, "size_base", tier.size.base)?.max(1);
+    tier.size.base = take_cycles(&mut section, "size_base", tier.size.base)?.max(1);
     tier.size.tail_pct = take_narrow(&mut section, "size_tail_pct", tier.size.tail_pct)?;
     tier.size.tail_cap = take_narrow(&mut section, "size_tail_cap", tier.size.tail_cap)?;
     tier.mix.strict_pct = take_narrow(&mut section, "strict_pct", tier.mix.strict_pct)?.min(100);
@@ -121,10 +156,11 @@ fn build_tier(mut section: Section, index: usize) -> Result<TierSpec, String> {
     )?;
     tier.deadline_slack_pct =
         take_narrow(&mut section, "deadline_slack_pct", tier.deadline_slack_pct)?;
-    tier.drain_every = take_int(&mut section, "drain_every", tier.drain_every)?.max(1);
+    tier.drain_every = take_cycles(&mut section, "drain_every", tier.drain_every)?.max(1);
     tier.queue_capacity = take_narrow(&mut section, "queue_capacity", tier.queue_capacity)?.max(1);
     tier.bucket_capacity = take_int(&mut section, "bucket_capacity", tier.bucket_capacity)?.max(1);
-    tier.refill_interval = take_int(&mut section, "refill_interval", tier.refill_interval)?.max(1);
+    tier.refill_interval =
+        take_cycles(&mut section, "refill_interval", tier.refill_interval)?.max(1);
     tier.breaker_window = take_narrow(&mut section, "breaker_window", tier.breaker_window)?;
     tier.breaker_threshold_pct = take_narrow(
         &mut section,
@@ -132,7 +168,7 @@ fn build_tier(mut section: Section, index: usize) -> Result<TierSpec, String> {
         tier.breaker_threshold_pct,
     )?
     .min(100);
-    tier.breaker_cooldown = take_int(&mut section, "breaker_cooldown", tier.breaker_cooldown)?;
+    tier.breaker_cooldown = take_cycles(&mut section, "breaker_cooldown", tier.breaker_cooldown)?;
     if let Some((key, (_, line))) = section.iter().next() {
         return Err(format!("line {line}: unknown tier key `{key}`"));
     }
@@ -144,10 +180,13 @@ fn build_tier(mut section: Section, index: usize) -> Result<TierSpec, String> {
 /// # Errors
 ///
 /// Returns a line-numbered message on malformed syntax, unknown keys,
-/// missing `name`s, or a scenario with no tiers.
+/// missing `name`s, a value past its field's type or cap, a spec whose
+/// expected arrivals or drain rounds exceed their caps, or a scenario with
+/// no tiers. The caps are documented in `docs/workloads.md`.
 pub fn parse_toml(text: &str) -> Result<ScenarioSpec, String> {
     let mut header: Section = BTreeMap::new();
-    let mut tiers: Vec<Section> = Vec::new();
+    // Each tier's section and the line of its `[[tier]]` header.
+    let mut tiers: Vec<(Section, usize)> = Vec::new();
     for (i, raw_line) in text.lines().enumerate() {
         let line_no = i + 1;
         let line = raw_line.trim();
@@ -157,7 +196,7 @@ pub fn parse_toml(text: &str) -> Result<ScenarioSpec, String> {
         // Section headers carry no strings, so a trailing `#` comment is
         // unambiguous here.
         if line.split('#').next().unwrap_or("").trim() == "[[tier]]" {
-            tiers.push(BTreeMap::new());
+            tiers.push((BTreeMap::new(), line_no));
             continue;
         }
         if line.starts_with('[') {
@@ -170,7 +209,7 @@ pub fn parse_toml(text: &str) -> Result<ScenarioSpec, String> {
         };
         let key = key.trim().to_string();
         let value = parse_value(value, line_no)?;
-        let section = tiers.last_mut().unwrap_or(&mut header);
+        let section = tiers.last_mut().map_or(&mut header, |(tier, _)| tier);
         if section.insert(key.clone(), (value, line_no)).is_some() {
             return Err(format!("line {line_no}: duplicate key `{key}`"));
         }
@@ -182,14 +221,49 @@ pub fn parse_toml(text: &str) -> Result<ScenarioSpec, String> {
     };
     let seed = take_int(&mut header, "seed", 0)?;
     let mut spec = ScenarioSpec::new(&name, seed);
-    spec.horizon = take_int(&mut header, "horizon", spec.horizon)?.max(1);
+    let horizon_line = header.get("horizon").map(|&(_, line)| line);
+    spec.horizon = take_cycles(&mut header, "horizon", spec.horizon)?.max(1);
     spec.ways_min = take_narrow(&mut header, "ways_min", spec.ways_min)?.max(1);
     spec.ways_max = take_narrow(&mut header, "ways_max", spec.ways_max)?.max(spec.ways_min);
     if let Some((key, (_, line))) = header.iter().next() {
         return Err(format!("line {line}: unknown key `{key}`"));
     }
-    for (index, section) in tiers.into_iter().enumerate() {
-        spec.tiers.push(build_tier(section, index)?);
+    let horizon = u128::from(spec.horizon);
+    let mut arrivals = 0u128;
+    let mut drain_rounds = 0u128;
+    for (index, (section, header_line)) in tiers.into_iter().enumerate() {
+        let tier = build_tier(section, index)?;
+        let burst_div = match tier.shape {
+            ArrivalShape::Bursty { burst_div, .. } => burst_div,
+            _ => 1,
+        };
+        arrivals += u128::from(tier.sources)
+            * (u128::from(burst_div) * horizon).div_ceil(tier.mean_inter_arrival.into());
+        drain_rounds += horizon.div_ceil(tier.drain_every.into());
+        for (count, cap, what) in [
+            (
+                arrivals,
+                MAX_ARRIVALS,
+                "expected arrivals (Σ sources × burst_div × horizon / mean_inter_arrival)",
+            ),
+            (
+                drain_rounds,
+                MAX_DRAIN_ROUNDS,
+                "drain rounds (Σ horizon / drain_every)",
+            ),
+        ] {
+            if count > cap {
+                // A defaulted horizon has no line: point at the tier that
+                // crossed the cap.
+                let line = horizon_line.unwrap_or(header_line);
+                return Err(format!(
+                    "line {line}: `horizon` = {} gives {count} {what} by tier `{}`, above \
+                     the cap of {cap}",
+                    spec.horizon, tier.name
+                ));
+            }
+        }
+        spec.tiers.push(tier);
     }
     if spec.tiers.is_empty() {
         return Err("scenario has no [[tier]] sections".to_string());
@@ -373,9 +447,16 @@ shape = \"steady\"  # Poisson arrivals
                 format!("line {line}: `{key}` = {value} is out of range"),
                 "{key}"
             );
-            // One less fits.
+            // One less fits the type; as many tenants or as deep a burst
+            // then exceeds the arrivals cap instead.
             let fits = text.replace(value, &(value.parse::<u64>().unwrap() - 1).to_string());
-            assert!(parse_toml(&fits).is_ok(), "{key}: {fits}");
+            match parse_toml(&fits) {
+                Ok(_) => {}
+                Err(err) => assert!(
+                    matches!(key, "sources" | "burst_div") && err.contains("expected arrivals"),
+                    "{key}: {err}"
+                ),
+            }
         }
         // `queue_capacity` is a `usize`, which holds every `u64` on a
         // 64-bit host.
@@ -388,6 +469,79 @@ shape = \"steady\"  # Poisson arrivals
             (Err(err), Err(_)) => assert!(err.starts_with("line 4: `queue_capacity`"), "{err}"),
             (got, _) => panic!("queue_capacity = u64::MAX: {got:?}"),
         }
+    }
+
+    #[test]
+    fn cycle_keys_above_the_cap_are_line_numbered_errors() {
+        let cap = MAX_CYCLES;
+        for (key, shape) in [
+            ("horizon", None),
+            ("mean_inter_arrival", Some("steady")),
+            ("period", Some("diurnal")),
+            ("period", Some("bursty")),
+            ("size_base", Some("steady")),
+            ("drain_every", Some("steady")),
+            ("refill_interval", Some("steady")),
+            ("breaker_cooldown", Some("steady")),
+        ] {
+            let text = |value: u64| match shape {
+                None => format!("name = \"x\"\n{key} = {value}\n[[tier]]\nname = \"t\"\n"),
+                Some(shape) => format!(
+                    "name = \"x\"\nhorizon = 1\n[[tier]]\nname = \"t\"\nshape = \"{shape}\"\n\
+                     {key} = {value}\n"
+                ),
+            };
+            let line = if shape.is_none() { 2 } else { 6 };
+            for value in [cap + 1, u64::MAX] {
+                assert_eq!(
+                    parse_toml(&text(value)),
+                    Err(format!(
+                        "line {line}: `{key}` = {value} is above the cap of {cap} cycles"
+                    )),
+                    "{key} = {value}"
+                );
+            }
+            if key != "horizon" {
+                assert!(parse_toml(&text(cap)).is_ok(), "{key} = {cap}");
+            }
+        }
+    }
+
+    #[test]
+    fn expected_arrivals_and_drain_rounds_are_capped() {
+        // Two sources, one arrival per 2,000 cycles each, and a burst that
+        // quadruples the rate: 2 × 4 × horizon / 2,000 arrivals.
+        let spec = |horizon: u64, drain_every: u64| {
+            format!(
+                "name = \"x\"\nhorizon = {horizon}\n[[tier]]\nname = \"t\"\nsources = 2\n\
+                 mean_inter_arrival = 2000\nshape = \"bursty\"\nburst_div = 4\n\
+                 drain_every = {drain_every}\n"
+            )
+        };
+        let at_cap = 2_000 * (1 << 20) / 8;
+        assert!(parse_toml(&spec(at_cap, at_cap)).is_ok());
+        // Each source's share rounds up: 2 × ⌈524,288.002⌉.
+        let err = parse_toml(&spec(at_cap + 1, at_cap)).expect_err("arrivals past the cap");
+        assert!(
+            err.starts_with("line 2: `horizon` = 262144001 gives 1048578 expected arrivals"),
+            "{err}"
+        );
+        // 2^20 drain rounds of one cycle each fit; one more does not.
+        assert!(parse_toml(&spec(1 << 20, 1)).is_ok());
+        let err = parse_toml(&spec((1 << 20) + 1, 1)).expect_err("one drain round too many");
+        assert!(
+            err.starts_with("line 2: `horizon` = 1048577 gives 1048577 drain rounds"),
+            "{err}"
+        );
+        // Without a `horizon` key, the error points at the tier that
+        // crossed the cap.
+        let err = parse_toml(
+            "name = \"x\"\n[[tier]]\nname = \"a\"\n[[tier]]\nname = \"b\"\n\
+             sources = 200000\n",
+        )
+        .expect_err("200,002 sources × 100 arrivals");
+        assert!(err.starts_with("line 4: `horizon` = 200000 gives"), "{err}");
+        assert!(err.contains("tier `b`"), "{err}");
     }
 
     #[test]

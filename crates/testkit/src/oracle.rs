@@ -1,4 +1,4 @@
-//! Brute-force reference oracles for the admission layer.
+//! Brute-force reference oracles for the admission layer and the L1.
 //!
 //! [`OracleLac`] re-derives every [`Lac`] decision from the Section 5
 //! semantics alone: a reservation request is feasible at start `s` iff the
@@ -20,8 +20,17 @@
 //! [`cmpqos_adapt::pid_step`] law in exact `i128` arithmetic, so the
 //! production controller's saturating-`i64` implementation can be diffed
 //! state field by state field over seed-derived error streams.
+//!
+//! [`OracleL1`] keeps the simulator's original array-of-lines L1: one
+//! record per line with a valid bit, and an explicit empty-way search
+//! before the LRU scan. The structure-of-arrays
+//! [`L1Cache`](cmpqos_cache::L1Cache) must agree with it access by
+//! access, and its way positions fix the order in which `flush()` reports
+//! dirty blocks.
 
 use cmpqos_adapt::PidConfig;
+use cmpqos_cache::line::CacheLine;
+use cmpqos_cache::{CacheConfig, CoreCacheStats, L1Outcome};
 use cmpqos_core::intake::AdmissionRequest;
 use cmpqos_core::{
     Decision, ExecutionMode, Feasibility, Lac, Placement, RejectReason, Reservation,
@@ -719,6 +728,103 @@ impl OracleIntake {
             out.push((req.id, decision));
         }
         out
+    }
+}
+
+/// The reference L1: the array-of-lines layout
+/// [`L1Cache`](cmpqos_cache::L1Cache) had before it became
+/// structure-of-arrays. Write-back, write-allocate, true LRU; a
+/// miss fills the first invalid way, else evicts the least recently used.
+#[derive(Debug, Clone)]
+pub struct OracleL1 {
+    config: CacheConfig,
+    lines: Vec<CacheLine>,
+    tick: u64,
+    stats: CoreCacheStats,
+}
+
+impl OracleL1 {
+    /// An empty cache with the given configuration.
+    #[must_use]
+    pub fn new(config: CacheConfig) -> Self {
+        Self {
+            config,
+            lines: vec![CacheLine::INVALID; config.geometry().lines()],
+            tick: 0,
+            stats: CoreCacheStats::default(),
+        }
+    }
+
+    /// Accumulated statistics.
+    #[must_use]
+    pub fn stats(&self) -> &CoreCacheStats {
+        &self.stats
+    }
+
+    /// One access at byte address `addr`; `is_write` marks stores.
+    pub fn access(&mut self, addr: u64, is_write: bool) -> L1Outcome {
+        let geom = self.config.geometry();
+        let (tag, set) = geom.slice(addr);
+        let assoc = usize::from(geom.associativity());
+        let base = set as usize * assoc;
+        self.tick += 1;
+        let set_lines = &mut self.lines[base..base + assoc];
+        if let Some(line) = set_lines.iter_mut().find(|l| l.valid && l.tag == tag) {
+            line.last_used = self.tick;
+            line.dirty |= is_write;
+            self.stats.record_access(false);
+            return L1Outcome {
+                hit: true,
+                writeback: None,
+            };
+        }
+        self.stats.record_access(true);
+        let victim = match set_lines.iter().position(|l| !l.valid) {
+            Some(way) => way,
+            None => set_lines
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, l)| l.last_used)
+                .map_or(0, |(way, _)| way),
+        };
+        let line = &mut set_lines[victim];
+        let writeback = (line.valid && line.dirty).then(|| {
+            self.stats.record_writeback();
+            geom.unslice(line.tag, set)
+        });
+        *line = CacheLine {
+            tag,
+            valid: true,
+            dirty: is_write,
+            owner: 0,
+            last_used: self.tick,
+        };
+        L1Outcome {
+            hit: false,
+            writeback,
+        }
+    }
+
+    /// Invalidates every line, returning the dirty blocks by set, then by
+    /// way.
+    pub fn flush(&mut self) -> Vec<u64> {
+        let geom = self.config.geometry();
+        let assoc = usize::from(geom.associativity());
+        let mut writebacks = Vec::new();
+        for (i, line) in self.lines.iter_mut().enumerate() {
+            if line.valid && line.dirty {
+                writebacks.push(geom.unslice(line.tag, (i / assoc) as u32));
+                self.stats.record_writeback();
+            }
+            *line = CacheLine::INVALID;
+        }
+        writebacks
+    }
+
+    /// Number of valid lines.
+    #[must_use]
+    pub fn valid_lines(&self) -> usize {
+        self.lines.iter().filter(|l| l.valid).count()
     }
 }
 

@@ -210,6 +210,7 @@ impl AccessMixture {
 
     /// Samples one access. `base` is the job's address-space base, added to
     /// the mixture-relative address so concurrently running jobs never alias.
+    #[inline]
     pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R, base: u64) -> Access {
         let u: f64 = rng.gen();
         let idx = match self.cumulative.iter().position(|&c| u <= c) {

@@ -5,6 +5,7 @@
 //! the scheduler (which stops a job after its instruction budget retires).
 
 use crate::access::Access;
+use std::any::Any;
 
 /// What one instruction does, as far as the memory hierarchy is concerned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,8 +36,10 @@ impl InstrEvent {
 ///
 /// Implementors must be deterministic given their construction inputs (the
 /// simulator relies on seeded reproducibility for run-to-run variance
-/// studies, Section 4.1 of the paper).
-pub trait TraceSource {
+/// studies, Section 4.1 of the paper). The [`Any`] supertrait (so sources
+/// are `'static`) lets a consumer recover a boxed built-in source's
+/// concrete type and call it without dynamic dispatch.
+pub trait TraceSource: Any {
     /// Produces the next instruction's event. Infinite: never exhausts.
     fn next_instruction(&mut self) -> InstrEvent;
 

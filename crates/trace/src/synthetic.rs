@@ -68,6 +68,7 @@ impl SyntheticTrace {
 }
 
 impl TraceSource for SyntheticTrace {
+    #[inline]
     fn next_instruction(&mut self) -> InstrEvent {
         self.generated += 1;
         if self.rng.gen::<f64>() < self.mem_ratio {
@@ -77,6 +78,7 @@ impl TraceSource for SyntheticTrace {
         }
     }
 
+    #[inline]
     fn base_cpi(&self) -> f64 {
         self.base_cpi
     }

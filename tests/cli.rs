@@ -214,6 +214,48 @@ fn an_out_of_range_spec_value_exits_1_not_101() {
 }
 
 #[test]
+fn unbounded_spec_values_exit_1_within_a_second() {
+    // Each used to run unbounded: a `size_base` that overflowed the
+    // deadline product, a horizon that ran for tens of seconds, and a
+    // horizon inside the cycle cap whose arrivals are not.
+    for (name, spec, error) in [
+        (
+            "size",
+            "name = \"x\"\n[[tier]]\nname = \"t\"\nsize_base = 18446744073709551615\n",
+            "line 4: `size_base` = 18446744073709551615 is above the cap of 1099511627776 cycles",
+        ),
+        (
+            "horizon",
+            "name = \"x\"\nhorizon = 18446744073709551615\n[[tier]]\nname = \"t\"\n",
+            "line 2: `horizon` = 18446744073709551615 is above the cap of 1099511627776 cycles",
+        ),
+        (
+            "arrivals",
+            "name = \"x\"\nhorizon = 1099511627776\n[[tier]]\nname = \"t\"\n",
+            "line 2: `horizon` = 1099511627776 gives 1099511628 expected arrivals",
+        ),
+    ] {
+        let path =
+            std::env::temp_dir().join(format!("cmpqos-cli-{}-{name}.toml", std::process::id()));
+        std::fs::write(&path, spec).expect("the spec is written");
+        let path = path.display().to_string();
+        let start = std::time::Instant::now();
+        let out = cmpqos(&format!("traffic --spec {path}"));
+        let elapsed = start.elapsed();
+        let _ = std::fs::remove_file(&path);
+        assert_refused(
+            &out,
+            &format!("cmpqos traffic --spec ({name})"),
+            &format!("error: {path}: {error}"),
+        );
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "{name}: {elapsed:?}"
+        );
+    }
+}
+
+#[test]
 fn valid_runs_print_the_expected_first_line() {
     for (args, first_line) in [
         (

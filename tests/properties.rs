@@ -1,9 +1,11 @@
 //! Property-based tests (proptest) on the core data structures'
 //! invariants: cache partitioning accounting, LAC non-overbooking, shadow
-//! tags and statistics.
+//! tags and statistics, and the L1 against its array-of-lines oracle.
 
-use cmpqos::cache::{CacheConfig, DuplicateTagMonitor, PartitionPolicy, SharedL2};
+use cmpqos::cache::{CacheConfig, DuplicateTagMonitor, L1Cache, PartitionPolicy, SharedL2};
 use cmpqos::qos::{AdmissionRequest, ExecutionMode, Lac, LacConfig, ResourceRequest};
+use cmpqos::system::SystemConfig;
+use cmpqos::testkit::oracle::OracleL1;
 use cmpqos::types::{ByteSize, CoreId, Cycles, JobId, Percent, RunningStats, Ways};
 use proptest::prelude::*;
 
@@ -20,6 +22,70 @@ fn tiny_l2(policy: PartitionPolicy) -> SharedL2 {
         2,
         policy,
     )
+}
+
+/// An L1 of `sets` × `ways` 64-byte blocks.
+fn l1_config(sets: u64, ways: u16) -> CacheConfig {
+    CacheConfig::new(
+        ByteSize::from_bytes(sets * u64::from(ways) * 64),
+        ways,
+        ByteSize::from_bytes(64),
+        Cycles::new(2),
+    )
+    .expect("power-of-two geometry")
+}
+
+/// Drives the production L1 and [`OracleL1`] through the same ops and
+/// compares them after each one. An op `(raw, write, flush)` flushes when
+/// `flush == 0`, else accesses an address drawn by `raw` from a pool that
+/// crowds up to three sets with half again as many blocks as they have
+/// ways, as a store when `write < 3`.
+fn replay_against_oracle(config: CacheConfig, ops: &[(u64, u32, u32)]) {
+    let geometry = config.geometry();
+    let (sets, ways) = (
+        u64::from(geometry.sets()),
+        u64::from(geometry.associativity()),
+    );
+    let hot = sets.min(3);
+    let tags = ways + ways / 2 + 2;
+    let mut l1 = L1Cache::new(config);
+    let mut oracle = OracleL1::new(config);
+    for (i, &(raw, write, flush)) in ops.iter().enumerate() {
+        if flush == 0 {
+            assert_eq!(l1.flush(), oracle.flush(), "flush at op {i}");
+        } else {
+            let set = (raw % hot) * (sets / hot);
+            let tag = (raw / hot % tags) * 0x1_0001;
+            let addr = geometry.unslice(tag, set as u32) + raw % 8 * 8;
+            let is_write = write < 3;
+            assert_eq!(
+                l1.access(addr, is_write),
+                oracle.access(addr, is_write),
+                "access {addr:#x} (write: {is_write}) at op {i}"
+            );
+        }
+        assert_eq!(l1.stats(), oracle.stats(), "stats after op {i}");
+        assert_eq!(l1.valid_lines(), oracle.valid_lines(), "lines after op {i}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The structure-of-arrays L1 returns the same outcomes, stats, valid
+    /// lines and flush order as the array-of-lines oracle, on a 2 × 2
+    /// cache, the scale-8 L1 (16 sets × 4 ways), the paper L1 (128 × 4)
+    /// and a 128-way fully associative cache.
+    #[test]
+    fn l1_matches_the_array_of_lines_oracle(
+        ops in proptest::collection::vec((0u64..4_096, 0u32..10, 0u32..48), 1..600),
+    ) {
+        let scaled = SystemConfig::paper_scaled(8).l1;
+        prop_assert_eq!((scaled.geometry().sets(), scaled.associativity()), (16, 4));
+        for config in [l1_config(2, 2), scaled, CacheConfig::paper_l1(), l1_config(1, 128)] {
+            replay_against_oracle(config, &ops);
+        }
+    }
 }
 
 proptest! {

@@ -6,7 +6,7 @@
 //! instead of panicking or replaying garbage.
 
 use cmpqos::qos::{AdmissionRequest, ExecutionMode, Lac, LacConfig, ProbePolicy, ResourceRequest};
-use cmpqos::recovery::{Journal, JournaledGac, JournaledLac, TailReport};
+use cmpqos::recovery::{fnv1a64, Journal, JournaledGac, JournaledLac, TailReport, JOURNAL_VERSION};
 use cmpqos::types::{Cycles, JobId, Percent, Ways};
 use proptest::prelude::*;
 
@@ -179,23 +179,104 @@ proptest! {
     }
 }
 
-/// A record edited to `seq = u64::MAX` still passes its checksum (which
-/// covers only the op), but leaves no sequence number for the next append:
-/// recovery must end the valid prefix there, not wrap back to seq 0.
+/// A version-1 record of a `Journal<String>`: its checksum covers only the
+/// op, as that schema's did.
+fn v1_record(seq: u64, op: &str) -> String {
+    let op = format!("\"{op}\"");
+    let checksum = fnv1a64(op.as_bytes());
+    format!("{{\"seq\":{seq},\"version\":1,\"checksum\":{checksum},\"op\":{op}}}\n")
+}
+
+/// A version-1 record edited to `seq = u64::MAX` still passes its
+/// checksum, but leaves no sequence number for the next append: recovery
+/// must end the valid prefix there, not wrap back to seq 0.
 #[test]
 fn a_record_at_the_last_sequence_number_ends_the_valid_prefix() {
-    let mut journal: Journal<String> = Journal::new();
-    let _ = journal.append("alpha".into());
-    let _ = journal.append("beta".into());
-    let jsonl = journal.to_jsonl();
-    let (first, second) = jsonl.split_once('\n').expect("two records");
-    assert!(second.starts_with("{\"seq\":1,"), "{second}");
-    let edited = format!(
-        "{first}\n{}",
-        second.replacen("\"seq\":1,", &format!("\"seq\":{},", u64::MAX), 1)
-    );
+    let edited = v1_record(0, "alpha") + &v1_record(u64::MAX, "beta");
     let (mut recovered, report) = Journal::<String>::from_jsonl(&edited);
     assert_eq!(report, TailReport { valid: 1, lost: 1 });
     assert_eq!(recovered.len(), 1);
     assert_eq!(recovered.append("gamma".into()), 1);
+}
+
+/// The checksum covers `seq`: a record whose sequence number was edited
+/// from 2 to 7 ends the valid prefix, and the next append reuses seq 2.
+#[test]
+fn an_edited_sequence_number_fails_the_checksum() {
+    let mut journal: Journal<String> = Journal::new();
+    for op in ["alpha", "beta", "gamma"] {
+        let _ = journal.append(op.into());
+    }
+    let jsonl = journal.to_jsonl();
+    assert_eq!(jsonl.matches("\"seq\":2,").count(), 1, "{jsonl}");
+    let edited = jsonl.replacen("\"seq\":2,", "\"seq\":7,", 1);
+    let (mut recovered, report) = Journal::<String>::from_jsonl(&edited);
+    assert_eq!(report, TailReport { valid: 2, lost: 1 });
+    assert_eq!(recovered.append("delta".into()), 2);
+}
+
+/// The checksum covers `version`: a current record relabelled as version
+/// 1 fails the op-only checksum that version 1 implies.
+#[test]
+fn a_record_edited_to_version_1_is_rejected() {
+    let mut journal: Journal<String> = Journal::new();
+    let _ = journal.append("alpha".into());
+    let _ = journal.append("beta".into());
+    let jsonl = journal.to_jsonl();
+    let current = format!("\"version\":{JOURNAL_VERSION},");
+    let (first, second) = jsonl.split_once('\n').expect("two records");
+    let edited = format!(
+        "{first}\n{}",
+        second.replacen(&current, "\"version\":1,", 1)
+    );
+    assert_ne!(edited, jsonl);
+    let (recovered, report) = Journal::<String>::from_jsonl(&edited);
+    assert_eq!(report, TailReport { valid: 1, lost: 1 });
+    assert_eq!(recovered.len(), 1);
+}
+
+/// A LAC journal written with version-1 records (admit, advance, release
+/// after the initial snapshot) recovers every record unchanged, and keeps
+/// recovering after current-version records are appended to it.
+#[test]
+fn a_committed_version_1_journal_recovers_fully() {
+    const V1_JOURNAL: &str = concat!(
+        r#"{"seq":0,"version":1,"checksum":15323056167796886714,"op":{"Snapshot":{"config":{"capacity":{"cores":4,"cache_ways":16,"bandwidth_pct":100}},"now":0,"reservations":[],"admission_tests":0,"accepted":0,"rejected":0,"modeled_cost":0}}}"#,
+        "\n",
+        r#"{"seq":1,"version":1,"checksum":11819289718604910100,"op":{"Admit":{"id":0,"mode":"Strict","request":{"cores":1,"cache_ways":7,"bandwidth_pct":0},"tw":900,"deadline":6000}}}"#,
+        "\n",
+        r#"{"seq":2,"version":1,"checksum":4910272054766201001,"op":{"Advance":{"now":400}}}"#,
+        "\n",
+        r#"{"seq":3,"version":1,"checksum":3509757971170225530,"op":{"Release":{"id":0,"at":400}}}"#,
+        "\n",
+    );
+    let mut live = JournaledLac::new(Lac::new(LacConfig::default()), COMPACT_EVERY);
+    let job = AdmissionRequest::builder(
+        JobId::new(0),
+        ResourceRequest::paper_job(),
+        Cycles::new(900),
+    )
+    .mode(ExecutionMode::Strict)
+    .deadline(Cycles::new(6_000))
+    .build();
+    let _ = live.admit(&job);
+    live.advance(Cycles::new(400));
+    live.release(JobId::new(0), Cycles::new(400));
+
+    let (mut recovered, report) = JournaledLac::recover(V1_JOURNAL, COMPACT_EVERY);
+    assert!(report.is_lossless(), "{report:?}");
+    assert_eq!(recovered.lac(), live.lac());
+    assert_eq!(recovered.journal().next_seq(), 4);
+    assert_eq!(recovered.to_jsonl(), V1_JOURNAL);
+
+    let _ = recovered.admit(&job);
+    let mixed = recovered.to_jsonl();
+    assert!(
+        mixed.ends_with('\n') && mixed.lines().count() == 5,
+        "{mixed}"
+    );
+    let (again, report) = JournaledLac::recover(&mixed, COMPACT_EVERY);
+    assert!(report.is_lossless(), "{report:?}");
+    assert_eq!(again.lac(), recovered.lac());
+    assert_eq!(again.journal().next_seq(), 5);
 }
