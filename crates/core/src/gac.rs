@@ -1,5 +1,5 @@
-//! The Global Admission Controller (Section 3.1 of the paper), hardened
-//! against partial failure.
+//! The Global Admission Controller (Section 3.1 of the paper): the types
+//! both of its drivers share, and the in-process driver.
 //!
 //! A server consists of many CMP nodes; the GAC receives user submissions
 //! and probes each node's Local Admission Controller for one that can
@@ -7,25 +7,27 @@
 //! (in a full deployment the GAC would then renegotiate the target with the
 //! user — out of this paper's scope, as it is of ours).
 //!
-//! Beyond the paper's fault-free model, this GAC treats probes as
-//! *fallible*: a probe can be lost in transit ([`ProbeOutcome::Lost`]), in
-//! which case it is retried with deterministic exponential backoff
-//! ([`GacConfig::backoff_delay`]). Consecutive losses drive a node through
-//! the health state machine Healthy → Suspect → Dead ([`NodeHealth`]);
-//! dead nodes are excluded from probing and their reservations are
-//! evacuated to survivors ([`GlobalAdmissionController::inject`]). Every
-//! loss, retry, health transition, migration, and revocation is emitted as
-//! a typed [`cmpqos_obs::Event`], so a recorded run fully reconstructs the
+//! The controller's one state machine is [`NetGac`]
+//! ([`crate::protocol`]): probing, retries, the Healthy → Suspect → Dead
+//! failure detector, membership, leases, evacuation and reconciliation
+//! all live there. [`GlobalAdmissionController`] drives it synchronously:
+//! it owns the nodes' [`Lac`]s, carries the core's [`Wire`] frames over a
+//! zero-latency, lossless [`SimNet`], and runs the core until it is quiet
+//! before each call returns. A lost probe is a frame a `ProbeLoss` fault
+//! makes that network drop; the core retries it on its own retransmission
+//! timer. Every loss,
+//! retry, health transition, migration, and revocation is emitted as a
+//! typed [`cmpqos_obs::Event`], so a recorded run fully reconstructs the
 //! chaos.
 
 use crate::lac::{Decision, Lac, LacConfig, LacState, RejectReason, Reservation, RevocationAction};
-use crate::modes::ExecutionMode;
+use crate::protocol::{Cluster, LacBackend, LacEndpoint, NetGac, NetGacConfig, Wire};
 use crate::request::AdmissionRequest;
 use crate::target::ResourceRequest;
 use cmpqos_faults::{Fault, Injection};
+use cmpqos_net::{Addr, LinkConfig, SimNet, Transport};
 use cmpqos_obs::{Event, NullRecorder, Recorder};
 use cmpqos_types::{Cycles, JobId, NodeId, Ways};
-use std::fmt;
 
 /// Order in which nodes are probed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -34,36 +36,19 @@ pub enum ProbePolicy {
     /// Probe nodes in index order (first fit).
     #[default]
     FirstFit,
-    /// Probe the node with the fewest live reservations first (a simple
+    /// Probe the node with the fewest live placements first (a simple
     /// load-balancing heuristic).
     LeastLoaded,
 }
 
-/// Why a [`GlobalAdmissionController`] could not be constructed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GacError {
-    /// A server needs at least one node.
-    NoNodes,
-}
-
-impl fmt::Display for GacError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GacError::NoNodes => f.write_str("a server needs at least one node"),
-        }
-    }
-}
-
-impl std::error::Error for GacError {}
-
-/// A node's health as tracked by the GAC's probe loop.
+/// A node's health as tracked by the GAC's failure detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum NodeHealth {
-    /// Probes are answered; the node is probed first.
+    /// Probes are answered; the node takes placements.
     Healthy,
     /// Probes were lost recently ([`GacConfig::suspect_after`] consecutive
-    /// losses); the node is probed after all healthy nodes.
+    /// losses); the node takes no new placements until it answers again.
     Suspect,
     /// The node failed ([`GacConfig::dead_after`] consecutive losses *and*
     /// [`GacConfig::dead_timeout`] of silence, or an explicit node fault);
@@ -102,157 +87,36 @@ pub enum MemberState {
     Left,
 }
 
-/// One probe's outcome, as seen by the GAC's retry loop.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ProbeOutcome {
-    /// The LAC accepted; resources are reserved from `start`.
-    Accepted {
-        /// Reserved start cycle.
-        start: Cycles,
-    },
-    /// The probe was delivered but the LAC rejected the job.
-    Rejected(RejectReason),
-    /// Every retry was lost in transit; the node gave no answer.
-    Lost,
-    /// The node is (or became) dead; it cannot be probed.
-    NodeDead,
-}
-
-/// Retry, backoff, and health-tracking parameters.
-///
-/// Construct with [`GacConfig::default`] or [`GacConfig::builder`]; the
-/// struct is `#[non_exhaustive]`, so fields may be added without breaking
-/// downstream crates.
+/// Retry budget and failure-detector thresholds. Retransmission pacing
+/// and leases are part of the enclosing [`NetGacConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
-#[non_exhaustive]
 pub struct GacConfig {
-    /// Retries after a lost probe, per node per submission.
+    /// Retransmissions of one conversation before the GAC gives up on it.
     pub max_retries: u32,
-    /// Delay before the first retry; subsequent retries multiply it by
-    /// [`GacConfig::backoff_factor`].
-    pub backoff_base: Cycles,
-    /// Exponential backoff multiplier.
-    pub backoff_factor: u32,
     /// Consecutive losses that demote a node to [`NodeHealth::Suspect`].
     pub suspect_after: u32,
     /// Consecutive losses required (together with
     /// [`GacConfig::dead_timeout`]) to demote a node to
     /// [`NodeHealth::Dead`].
     pub dead_after: u32,
-    /// How long a node must have gone without answering a single probe
-    /// before loss-driven death is allowed. Losses alone — however many —
-    /// only demote to Suspect until this timeout expires: a partitioned
-    /// node is *unreachable, not dead*, and evacuating its (still honored)
-    /// reservations would double-book them. `Cycles::ZERO` restores the
-    /// legacy pure-loss-count behavior.
+    /// How long a node must have gone without answering before
+    /// loss-driven death is allowed. Losses alone — however many — only
+    /// demote to Suspect until this timeout expires: a partitioned node
+    /// is *unreachable, not dead*, and evacuating its (still honored)
+    /// reservations would double-book them. It is also the grace an
+    /// unrenewed lease gets past its expiry.
     pub dead_timeout: Cycles,
-    /// Lifetime of a placement lease. Each heartbeat
-    /// ([`GlobalAdmissionController::heartbeat_all`]) renews the node's
-    /// leases to `heartbeat time + lease_ttl`; a lease that then goes
-    /// unrenewed for `lease_ttl + dead_timeout` (the same
-    /// unreachable-vs-dead grace as the health machine) expires and its
-    /// reservation is revoked and re-placed like an evacuation.
-    /// `Cycles::ZERO` (the default) disables leasing entirely.
-    pub lease_ttl: Cycles,
 }
 
 impl Default for GacConfig {
     fn default() -> Self {
         Self {
             max_retries: 3,
-            backoff_base: Cycles::new(1_000),
-            backoff_factor: 2,
             suspect_after: 2,
             dead_after: 4,
             dead_timeout: Cycles::new(30_000),
-            lease_ttl: Cycles::ZERO,
         }
-    }
-}
-
-impl GacConfig {
-    /// A fluent builder starting from the defaults.
-    #[must_use]
-    pub fn builder() -> GacConfigBuilder {
-        GacConfigBuilder {
-            config: GacConfig::default(),
-        }
-    }
-
-    /// The deterministic backoff delay before retry number `attempt`
-    /// (0-based): `backoff_base · backoff_factor^attempt`, saturating.
-    ///
-    /// Computed in closed form (`saturating_pow`), so huge attempt counts
-    /// cap at `u64::MAX` in O(1) instead of iterating `attempt` times.
-    #[must_use]
-    pub fn backoff_delay(&self, attempt: u32) -> Cycles {
-        let factor = u64::from(self.backoff_factor).saturating_pow(attempt);
-        Cycles::new(self.backoff_base.get().saturating_mul(factor))
-    }
-}
-
-/// Fluent builder for [`GacConfig`].
-#[derive(Debug, Clone)]
-pub struct GacConfigBuilder {
-    config: GacConfig,
-}
-
-impl GacConfigBuilder {
-    /// Sets the per-node retry budget.
-    #[must_use]
-    pub fn max_retries(mut self, retries: u32) -> Self {
-        self.config.max_retries = retries;
-        self
-    }
-
-    /// Sets the first retry delay.
-    #[must_use]
-    pub fn backoff_base(mut self, base: Cycles) -> Self {
-        self.config.backoff_base = base;
-        self
-    }
-
-    /// Sets the exponential backoff multiplier.
-    #[must_use]
-    pub fn backoff_factor(mut self, factor: u32) -> Self {
-        self.config.backoff_factor = factor;
-        self
-    }
-
-    /// Sets the Suspect demotion threshold.
-    #[must_use]
-    pub fn suspect_after(mut self, losses: u32) -> Self {
-        self.config.suspect_after = losses;
-        self
-    }
-
-    /// Sets the Dead demotion threshold.
-    #[must_use]
-    pub fn dead_after(mut self, losses: u32) -> Self {
-        self.config.dead_after = losses;
-        self
-    }
-
-    /// Sets the unreachable-before-dead timeout (`Cycles::ZERO` restores
-    /// the legacy pure-loss-count behavior).
-    #[must_use]
-    pub fn dead_timeout(mut self, timeout: Cycles) -> Self {
-        self.config.dead_timeout = timeout;
-        self
-    }
-
-    /// Sets the placement-lease lifetime (`Cycles::ZERO` disables leasing).
-    #[must_use]
-    pub fn lease_ttl(mut self, ttl: Cycles) -> Self {
-        self.config.lease_ttl = ttl;
-        self
-    }
-
-    /// Finishes the configuration.
-    #[must_use]
-    pub fn build(self) -> GacConfig {
-        self.config
     }
 }
 
@@ -287,43 +151,105 @@ impl FaultReport {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct NodeState {
-    lac: Lac,
-    health: NodeHealth,
-    consecutive_losses: u32,
-    pending_losses: u32,
-    last_heard: Cycles,
-    partitioned: bool,
-    member: MemberState,
-    lease_frozen: bool,
+/// A node's LAC as the in-process driver holds it: it shares the
+/// controller's event log, so it reports each admission decision there.
+#[derive(Debug)]
+struct NodeLac(Lac);
+
+impl LacBackend for NodeLac {
+    fn now(&self) -> Cycles {
+        self.0.now()
+    }
+
+    fn advance(&mut self, now: Cycles) {
+        self.0.advance(now);
+    }
+
+    fn admit(&mut self, req: &AdmissionRequest) -> Decision {
+        self.0.admit(req)
+    }
+
+    fn admit_recorded(&mut self, req: &AdmissionRequest, recorder: &mut dyn Recorder) -> Decision {
+        self.0.admit_with(req, recorder)
+    }
+
+    fn readmit(&mut self, r: &Reservation) -> Decision {
+        self.0.readmit(r)
+    }
+
+    fn cancel(&mut self, id: JobId) {
+        self.0.cancel(id);
+    }
+
+    fn reservations(&self) -> Vec<Reservation> {
+        self.0.reservations()
+    }
 }
 
-/// A serializable snapshot of one node as the GAC sees it.
+/// The in-process network: every frame arrives the instant it is sent
+/// and none is lost, unless a fault cut its link or owes it a drop.
+fn network() -> SimNet<Wire> {
+    SimNet::new(0, LinkConfig::default().base_latency(Cycles::ZERO)).without_logs()
+}
+
+/// The caller's recorder as the driver sees it: every event is forwarded
+/// except `Completed` (the driver reports completions through
+/// [`GlobalAdmissionController::advance`], and its caller decides what a
+/// completion means), and the events the driver reports on are kept.
+struct Tap<'a> {
+    inner: &'a mut dyn Recorder,
+    report: FaultReport,
+    completed: Vec<JobId>,
+}
+
+impl<'a> Tap<'a> {
+    fn new(inner: &'a mut dyn Recorder) -> Self {
+        Self {
+            inner,
+            report: FaultReport::default(),
+            completed: Vec::new(),
+        }
+    }
+}
+
+impl Recorder for Tap<'_> {
+    fn record(&mut self, at: Cycles, event: Event) {
+        match event {
+            Event::Migrated { job, from, to } => self.report.migrated.push((job, from, to)),
+            Event::ReservationRevoked { job, .. } => self.report.revoked.push(job),
+            Event::Completed { job, .. } => {
+                self.completed.push(job);
+                return;
+            }
+            _ => {}
+        }
+        if self.inner.enabled() {
+            self.inner.record(at, event);
+        }
+    }
+}
+
+/// One node of a [`GacState`]: its LAC, where its endpoint's protocol
+/// stream stands, and its link.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NodeSnapshot {
     /// The node's LAC state.
     pub lac: LacState,
-    /// The node's health.
-    pub health: NodeHealth,
-    /// Consecutive lost probes driving the health state machine.
-    pub consecutive_losses: u32,
-    /// Injected probe losses not yet consumed.
-    pub pending_losses: u32,
-    /// When the node last answered a probe.
-    pub last_heard: Cycles,
-    /// Whether the GAC ↔ node link is currently severed.
-    pub partitioned: bool,
-    /// The node's membership lifecycle state (defaults to `Live` when
-    /// deserializing pre-membership journals).
-    pub member: MemberState,
-    /// Whether lease renewals to this node are suppressed (the
-    /// `LeaseFreeze` fault; heartbeats still count as proof of life).
-    pub lease_frozen: bool,
+    /// The endpoint's epoch.
+    pub epoch: u64,
+    /// The sequence number the endpoint expects next.
+    pub next_seq: u64,
+    /// Whether the GAC ↔ node link is severed.
+    pub cut: bool,
+    /// GAC→node frames the link still owes a drop (nothing in-process
+    /// drops a frame toward the GAC).
+    pub drops_to_node: u32,
 }
 
-/// A complete, serializable snapshot of a [`GlobalAdmissionController`].
+/// A complete, serializable snapshot of a [`GlobalAdmissionController`]:
+/// the core state machine, every node's LAC and link, and the driver's
+/// own clock and counters.
 ///
 /// Produced by [`GlobalAdmissionController::snapshot`] and consumed by
 /// [`GlobalAdmissionController::restore`]; `cmpqos-recovery` embeds one
@@ -332,144 +258,124 @@ pub struct NodeSnapshot {
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GacState {
-    /// Per-node LAC states and health, in node order.
+    /// The core: placements, leases, membership, health, queued and open
+    /// conversations, timers.
+    pub core: NetGac,
+    /// Per-node LAC, endpoint and link state, in node order.
     pub nodes: Vec<NodeSnapshot>,
-    /// The probe policy.
-    pub policy: ProbePolicy,
-    /// Retry/backoff/health configuration.
-    pub config: GacConfig,
-    /// Total submissions seen.
-    pub submissions: u64,
-    /// The placement table (admitted, not yet completed).
-    pub placements: Vec<(JobId, NodeId)>,
-    /// Per-job lease: the placement node and the expiry cycle (empty when
-    /// leasing is disabled; defaults to empty when deserializing
-    /// pre-membership journals).
-    pub leases: Vec<(JobId, NodeId, Cycles)>,
     /// The LAC configuration nodes were built with, so joined nodes get
-    /// identical capacity (defaults for pre-membership journals).
+    /// identical capacity.
     pub lac_config: LacConfig,
-    /// The GAC's clock.
+    /// Completions not yet reported by [`GlobalAdmissionController::advance`].
+    pub retired: Vec<(JobId, NodeId)>,
+    /// The driver's clock.
     pub now: Cycles,
+    /// The core's clock, which retransmission timers may have run ahead
+    /// of the driver's.
+    pub cluster_now: Cycles,
 }
 
-/// The server-level admission controller over a set of per-node LACs.
+/// The server-level admission controller over a set of per-node LACs,
+/// driven in-process.
 ///
 /// # Examples
 ///
 /// ```
 /// use cmpqos_core::gac::{GlobalAdmissionController, ProbePolicy};
-/// use cmpqos_core::{ExecutionMode, LacConfig, ResourceRequest};
+/// use cmpqos_core::{AdmissionRequest, ExecutionMode, LacConfig, ResourceRequest};
+/// use cmpqos_obs::NullRecorder;
 /// use cmpqos_types::{Cycles, JobId};
 ///
 /// let mut gac = GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit);
-/// let (node, decision) = gac.submit(
-///     JobId::new(0),
-///     ExecutionMode::Strict,
-///     ResourceRequest::paper_job(),
-///     Cycles::new(100),
-///     Some(Cycles::new(1_000)),
-/// );
+/// let req = AdmissionRequest::builder(JobId::new(0), ResourceRequest::paper_job(), Cycles::new(100))
+///     .mode(ExecutionMode::Strict)
+///     .deadline(Cycles::new(1_000))
+///     .build();
+/// let (node, decision) = gac.submit_request(&req, &mut NullRecorder);
 /// assert!(decision.is_accepted());
 /// assert_eq!(node, Some(cmpqos_types::NodeId::new(0)));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub struct GlobalAdmissionController {
-    nodes: Vec<NodeState>,
-    policy: ProbePolicy,
-    config: GacConfig,
-    submissions: u64,
-    placements: Vec<(JobId, NodeId)>,
-    leases: Vec<(JobId, NodeId, Cycles)>,
+    cluster: Cluster<NodeLac>,
+    /// Per node, whether its link is cut: the heartbeat sweep's dense
+    /// copy of the network's partitions.
+    cut: Vec<bool>,
     lac_config: LacConfig,
+    /// `(job, node)` of every live placement, sorted by job: the core's
+    /// placement table as of the end of the last call.
+    placed: Vec<(JobId, NodeId)>,
+    retired: Vec<(JobId, NodeId)>,
     now: Cycles,
 }
 
-impl GlobalAdmissionController {
-    /// Creates a GAC over `nodes` identical CMP nodes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GacError::NoNodes`] when `nodes` is zero.
-    pub fn try_new(nodes: usize, config: LacConfig, policy: ProbePolicy) -> Result<Self, GacError> {
-        if nodes == 0 {
-            return Err(GacError::NoNodes);
-        }
-        Ok(Self {
-            nodes: (0..nodes)
-                .map(|_| NodeState {
-                    lac: Lac::new(config),
-                    health: NodeHealth::Healthy,
-                    consecutive_losses: 0,
-                    pending_losses: 0,
-                    last_heard: Cycles::ZERO,
-                    partitioned: false,
-                    member: MemberState::Live,
-                    lease_frozen: false,
-                })
-                .collect(),
-            policy,
-            config: GacConfig::default(),
-            submissions: 0,
-            placements: Vec::new(),
-            leases: Vec::new(),
-            lac_config: config,
-            now: Cycles::ZERO,
-        })
+impl PartialEq for GlobalAdmissionController {
+    fn eq(&self, other: &Self) -> bool {
+        self.snapshot() == other.snapshot()
     }
+}
 
-    /// Creates a GAC over `nodes` identical CMP nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero; use [`GlobalAdmissionController::try_new`]
-    /// to handle that case.
+impl GlobalAdmissionController {
+    /// Creates a GAC over `nodes` identical CMP nodes, with the default
+    /// [`NetGacConfig`]. With no nodes every job is rejected.
     #[must_use]
     pub fn new(nodes: usize, config: LacConfig, policy: ProbePolicy) -> Self {
-        match Self::try_new(nodes, config, policy) {
-            Ok(gac) => gac,
-            Err(e) => panic!("{e}"),
+        Self::build(nodes, config, NetGacConfig::default(), policy)
+    }
+
+    fn build(
+        nodes: usize,
+        lac_config: LacConfig,
+        config: NetGacConfig,
+        policy: ProbePolicy,
+    ) -> Self {
+        let endpoints = (0..nodes)
+            .map(|_| LacEndpoint::new(NodeLac(Lac::new(lac_config))))
+            .collect();
+        let core = NetGac::new(nodes, config, policy);
+        Self {
+            cluster: Cluster::from_parts(core, endpoints, network(), Cycles::ZERO),
+            cut: vec![false; nodes],
+            lac_config,
+            placed: Vec::new(),
+            retired: Vec::new(),
+            now: Cycles::ZERO,
         }
     }
 
-    /// Replaces the retry/backoff/health configuration.
+    /// Rebuilds the server with `config`: the same nodes, LAC
+    /// configuration and probe policy, and nothing admitted yet. Call it
+    /// right after [`GlobalAdmissionController::new`].
     #[must_use]
-    pub fn with_gac_config(mut self, config: GacConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// The retry/backoff/health configuration.
-    #[must_use]
-    pub fn gac_config(&self) -> GacConfig {
-        self.config
+    pub fn with_config(self, config: NetGacConfig) -> Self {
+        let policy = self.cluster.gac().policy;
+        Self::build(self.nodes(), self.lac_config, config, policy)
     }
 
     /// Captures the controller's complete state for journaling.
     #[must_use]
     pub fn snapshot(&self) -> GacState {
+        let net = self.cluster.net();
+        let nodes = (0..self.nodes())
+            .map(|i| {
+                let node = NodeId::new(i as u32);
+                let endpoint = self.cluster.endpoint(node);
+                NodeSnapshot {
+                    lac: endpoint.backend.0.snapshot(),
+                    epoch: endpoint.epoch,
+                    next_seq: endpoint.next_seq,
+                    cut: self.cut[i],
+                    drops_to_node: net.owed_drops(Addr::Gac, Addr::Node(node)),
+                }
+            })
+            .collect();
         GacState {
-            nodes: self
-                .nodes
-                .iter()
-                .map(|n| NodeSnapshot {
-                    lac: n.lac.snapshot(),
-                    health: n.health,
-                    consecutive_losses: n.consecutive_losses,
-                    pending_losses: n.pending_losses,
-                    last_heard: n.last_heard,
-                    partitioned: n.partitioned,
-                    member: n.member,
-                    lease_frozen: n.lease_frozen,
-                })
-                .collect(),
-            policy: self.policy,
-            config: self.config,
-            submissions: self.submissions,
-            placements: self.placements.clone(),
-            leases: self.leases.clone(),
+            core: self.cluster.gac().clone(),
+            nodes,
             lac_config: self.lac_config,
+            retired: self.retired.clone(),
             now: self.now,
+            cluster_now: self.cluster.now(),
         }
     }
 
@@ -478,46 +384,50 @@ impl GlobalAdmissionController {
     /// taken of.
     #[must_use]
     pub fn restore(state: GacState) -> Self {
-        Self {
-            nodes: state
-                .nodes
-                .into_iter()
-                .map(|n| NodeState {
-                    lac: Lac::restore(n.lac),
-                    health: n.health,
-                    consecutive_losses: n.consecutive_losses,
-                    pending_losses: n.pending_losses,
-                    last_heard: n.last_heard,
-                    partitioned: n.partitioned,
-                    member: n.member,
-                    lease_frozen: n.lease_frozen,
-                })
-                .collect(),
-            policy: state.policy,
-            config: state.config,
-            submissions: state.submissions,
-            placements: state.placements,
-            leases: state.leases,
-            lac_config: state.lac_config,
-            now: state.now,
+        let mut net = network();
+        let mut cut = Vec::with_capacity(state.nodes.len());
+        let mut endpoints = Vec::with_capacity(state.nodes.len());
+        for (i, n) in state.nodes.into_iter().enumerate() {
+            let node = Addr::Node(NodeId::new(i as u32));
+            if n.cut {
+                net.partition(Addr::Gac, node);
+            }
+            net.force_drops(Addr::Gac, node, n.drops_to_node);
+            cut.push(n.cut);
+            let mut endpoint = LacEndpoint::new(NodeLac(Lac::restore(n.lac)));
+            endpoint.epoch = n.epoch;
+            endpoint.next_seq = n.next_seq;
+            endpoints.push(endpoint);
         }
+        let mut gac = Self {
+            cluster: Cluster::from_parts(state.core, endpoints, net, state.cluster_now),
+            cut,
+            lac_config: state.lac_config,
+            placed: Vec::new(),
+            retired: state.retired,
+            now: state.now,
+        };
+        gac.refresh_placements();
+        gac
     }
 
     /// Size of the membership table — every node ever admitted, in any
     /// state (the table is append-only, so this never shrinks).
     #[must_use]
     pub fn nodes(&self) -> usize {
-        self.nodes.len()
+        self.cluster.nodes()
     }
 
-    /// Number of nodes still probed: `Live` members that are not dead.
-    /// Draining and departed nodes no longer take placements, so they do
-    /// not count even while their link is healthy.
+    /// Number of `Live` members that are not dead. Draining and departed
+    /// nodes no longer take placements, so they do not count even while
+    /// their link is healthy.
     #[must_use]
     pub fn live_nodes(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| n.member == MemberState::Live && n.health != NodeHealth::Dead)
+        (0..self.nodes())
+            .map(|i| NodeId::new(i as u32))
+            .filter(|&n| {
+                self.member_state(n) == MemberState::Live && self.node_health(n) != NodeHealth::Dead
+            })
             .count()
     }
 
@@ -528,14 +438,15 @@ impl GlobalAdmissionController {
     /// Panics if `node` is out of range.
     #[must_use]
     pub fn member_state(&self, node: NodeId) -> MemberState {
-        self.nodes[node.as_usize()].member
+        self.cluster.gac().member_state(node)
     }
 
-    /// The lease table: each placed job's node and current expiry cycle.
-    /// Empty when leasing is disabled ([`GacConfig::lease_ttl`] of zero).
+    /// The lease table: each placed job's node and current expiry cycle,
+    /// in job order. Empty when leasing is disabled
+    /// ([`NetGacConfig::lease_ttl`] of zero).
     #[must_use]
-    pub fn leases(&self) -> &[(JobId, NodeId, Cycles)] {
-        &self.leases
+    pub fn leases(&self) -> Vec<(JobId, NodeId, Cycles)> {
+        self.cluster.gac().leases()
     }
 
     /// Access to one node's LAC.
@@ -545,7 +456,7 @@ impl GlobalAdmissionController {
     /// Panics if `node` is out of range.
     #[must_use]
     pub fn lac(&self, node: NodeId) -> &Lac {
-        &self.nodes[node.as_usize()].lac
+        &self.cluster.endpoint(node).backend().0
     }
 
     /// One node's health.
@@ -555,457 +466,96 @@ impl GlobalAdmissionController {
     /// Panics if `node` is out of range.
     #[must_use]
     pub fn node_health(&self, node: NodeId) -> NodeHealth {
-        self.nodes[node.as_usize()].health
+        self.cluster.gac().node_health(node)
     }
 
-    /// Advances every node's clock, purging expired reservations. Jobs
-    /// whose reservation window ended by `now` are treated as completed:
-    /// they are removed from [`GlobalAdmissionController::placements`] and
-    /// returned, so the placement table cannot grow without bound.
+    /// Advances every node's clock and runs the core up to `now`: retries
+    /// and pings whose timer fell due, lease expiries, and the retirement
+    /// of every placement whose reservation window closed. Returns each
+    /// job that completed since the previous call — whatever retired it —
+    /// and the node it ran on, so the placement table cannot grow without
+    /// bound. Emits nothing.
     pub fn advance(&mut self, now: Cycles) -> Vec<(JobId, NodeId)> {
-        self.advance_recorded(now, &mut NullRecorder)
-    }
-
-    /// [`GlobalAdmissionController::advance`], additionally emitting lease
-    /// expirations (and the migrations/revocations they trigger) to
-    /// `recorder`.
-    pub fn advance_recorded(
-        &mut self,
-        now: Cycles,
-        recorder: &mut dyn Recorder,
-    ) -> Vec<(JobId, NodeId)> {
         self.now = self.now.max(now);
-        let mut completed = Vec::new();
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            if node.member == MemberState::Left {
-                continue;
-            }
-            let id = NodeId::new(i as u32);
-            for r in node.lac.reservations() {
-                if r.end <= now {
-                    completed.push((r.id, id));
-                }
-            }
-            node.lac.advance(now);
-        }
-        // A probe backoff may have advanced a node's clock past `now`,
-        // letting its LAC purge a reservation before the sweep above saw
-        // it end. A placed job whose node no longer holds its reservation
-        // has therefore completed; without this sweep it would be
-        // stranded in the placement table forever.
-        for &(job, node) in &self.placements {
-            let held = self.nodes[node.as_usize()]
-                .lac
-                .reservations()
-                .iter()
-                .any(|r| r.id == job);
-            if !held && !completed.iter().any(|&(done, _)| done == job) {
-                completed.push((job, node));
+        for i in 0..self.nodes() {
+            let node = NodeId::new(i as u32);
+            if self.member_state(node) != MemberState::Left {
+                self.cluster.endpoints[node.as_usize()]
+                    .backend
+                    .0
+                    .advance(now);
             }
         }
-        self.placements
-            .retain(|(job, _)| !completed.iter().any(|(done, _)| done == job));
-        self.leases
-            .retain(|(job, _, _)| !completed.iter().any(|(done, _)| done == job));
-        self.expire_leases(recorder);
-        completed
+        let mut silent = NullRecorder;
+        let mut tap = Tap::new(&mut silent);
+        self.cluster.run_until(self.now, &mut tap);
+        self.cluster.run_to_quiet(&mut tap);
+        self.absorb(tap);
+        std::mem::take(&mut self.retired)
     }
 
-    /// Revokes and re-places every job whose lease has gone unrenewed past
-    /// the grace window: expiry at `lease + dead_timeout`, the same
-    /// hysteresis that separates *unreachable* from *dead* in the health
-    /// machine, so a short partition stalls renewals without losing the
-    /// placement.
-    fn expire_leases(&mut self, recorder: &mut dyn Recorder) {
-        if self.config.lease_ttl == Cycles::ZERO {
-            return;
-        }
-        let grace = self.config.dead_timeout;
-        let expired: Vec<JobId> = self
-            .leases
-            .iter()
-            .filter(|&&(_, _, until)| self.now > until + grace)
-            .map(|&(job, _, _)| job)
-            .collect();
-        for job in expired {
-            self.drop_lease(job);
-            let Some(node) = self.placement(job) else {
-                continue;
-            };
-            if recorder.enabled() {
-                recorder.record(self.now, Event::LeaseExpired { job, node });
-            }
-            let i = node.as_usize();
-            let held = self.nodes[i]
-                .lac
-                .reservations()
-                .iter()
-                .find(|r| r.id == job)
-                .cloned();
-            match held {
-                Some(r) => {
-                    // Revoke + re-place exactly like an evacuation. The
-                    // cancel is a control-plane order: if the node is truly
-                    // unreachable it re-learns the revocation on rejoin
-                    // (restart reconciliation); in-process it is immediate.
-                    self.nodes[i].lac.cancel(r.id);
-                    let mut report = FaultReport::default();
-                    self.relocate(r, node, recorder, &mut report);
-                }
-                None => {
-                    self.placements.retain(|&(j, _)| j != job);
-                }
-            }
-        }
-    }
-
-    /// Drains one heartbeat round over every reachable member, renewing
-    /// its placement leases to `at + lease_ttl` and counting as proof of
-    /// life for the health machine. Dead, partitioned, and departed nodes
-    /// miss the round; a lease-frozen node answers (health recovers) but
-    /// its renewals are dropped — the `LeaseFreeze` fault. A no-op while
-    /// leasing is disabled.
+    /// Drains one heartbeat round over every reachable member with no
+    /// per-node conversation: each counts as proof of life for the health
+    /// machine and, unless lease-frozen, renews its placement leases to
+    /// `at + lease_ttl` ([`NetGac::heartbeat_sweep`], the renewal a
+    /// heartbeat ack runs). Dead, partitioned, and departed nodes miss the
+    /// round. A no-op while leasing is disabled.
     pub fn heartbeat_all(&mut self, at: Cycles, recorder: &mut dyn Recorder) {
-        if self.config.lease_ttl == Cycles::ZERO {
-            return;
-        }
         self.now = self.now.max(at);
-        // Pass 1 — proof of life and renewal eligibility, O(nodes).
-        let mut renewing = vec![false; self.nodes.len()];
-        for (i, slot) in renewing.iter_mut().enumerate() {
-            let n = &self.nodes[i];
-            if !matches!(n.member, MemberState::Live | MemberState::Draining)
-                || n.health == NodeHealth::Dead
-                || n.partitioned
-            {
-                continue;
-            }
-            self.nodes[i].consecutive_losses = 0;
-            self.nodes[i].last_heard = self.nodes[i].last_heard.max(at);
-            if self.nodes[i].health == NodeHealth::Suspect {
-                self.set_health(i, NodeHealth::Healthy, recorder);
-            }
-            *slot = !self.nodes[i].lease_frozen;
-        }
-        // Pass 2 — renew in one sweep over the lease table, O(leases);
-        // each lease carries its placement node, so no per-node join with
-        // the placement table is needed.
-        let until = at + self.config.lease_ttl;
-        let mut renewed = vec![0u64; self.nodes.len()];
-        for lease in &mut self.leases {
-            let i = lease.1.as_usize();
-            if renewing[i] {
-                lease.2 = until;
-                renewed[i] += 1;
-            }
-        }
-        if recorder.enabled() {
-            for (i, &leases) in renewed.iter().enumerate() {
-                if leases > 0 {
-                    recorder.record(
-                        at,
-                        Event::LeaseRenewed {
-                            node: NodeId::new(i as u32),
-                            leases,
-                        },
-                    );
-                }
-            }
+        let cut = &self.cut;
+        let reachable = |i: usize| !cut[i];
+        self.cluster
+            .gac_mut()
+            .heartbeat_sweep(self.now, reachable, recorder);
+        if self.cluster.gac().busy() {
+            let mut tap = Tap::new(recorder);
+            self.cluster.run_to_quiet(&mut tap);
+            self.absorb(tap);
         }
     }
 
-    /// Grants (or renews) job `job`'s lease on `node`, ending at
-    /// `at + lease_ttl`.
-    fn grant_lease(&mut self, job: JobId, node: NodeId, at: Cycles) {
-        if self.config.lease_ttl == Cycles::ZERO {
-            return;
-        }
-        let until = at + self.config.lease_ttl;
-        match self.leases.iter_mut().find(|(j, _, _)| *j == job) {
-            Some(lease) => {
-                lease.1 = node;
-                lease.2 = until;
-            }
-            None => self.leases.push((job, node, until)),
-        }
-    }
-
-    fn drop_lease(&mut self, job: JobId) {
-        self.leases.retain(|&(j, _, _)| j != job);
-    }
-
-    /// Admits a brand-new node to the membership table with the same LAC
-    /// configuration as the founding nodes. The in-process handshake is
-    /// synchronous, so the node enters `Live` immediately and its id is
-    /// the next unused index (membership is append-only).
-    pub fn join_node(&mut self, at: Cycles, recorder: &mut dyn Recorder) -> NodeId {
-        self.now = self.now.max(at);
-        let node = NodeId::new(self.nodes.len() as u32);
+    /// A new node with the founding nodes' LAC configuration, its clock
+    /// at the driver's.
+    fn join(&mut self) -> NodeId {
         let mut lac = Lac::new(self.lac_config);
         lac.advance(self.now);
-        self.nodes.push(NodeState {
-            lac,
-            health: NodeHealth::Healthy,
-            consecutive_losses: 0,
-            pending_losses: 0,
-            last_heard: self.now,
-            partitioned: false,
-            member: MemberState::Live,
-            lease_frozen: false,
-        });
-        if recorder.enabled() {
-            recorder.record(self.now, Event::NodeJoined { node });
-        }
-        node
+        self.cut.push(false);
+        self.cluster.join_node(NodeLac(lac), self.now)
     }
 
-    /// Gracefully drains `node`: it stops taking new placements, every
-    /// reservation it still holds migrates to a survivor (or is revoked
-    /// with a reason when none fits), and only then does the node
-    /// transition `Left`. A second drain of the same node — or of one
-    /// mid-handshake — is a no-op, so rolling-restart scripts are
-    /// idempotent.
-    pub fn drain_node(
-        &mut self,
-        node: NodeId,
-        at: Cycles,
-        recorder: &mut dyn Recorder,
-    ) -> FaultReport {
-        let mut report = FaultReport::default();
-        let i = node.as_usize();
-        if i >= self.nodes.len() || self.nodes[i].member != MemberState::Live {
-            return report;
-        }
-        self.now = self.now.max(at);
-        // Draining first: probe_order skips the node from here on, so
-        // nothing lands on it while its reservations move off (and the
-        // relocation loop below cannot pick it as its own target).
-        self.nodes[i].member = MemberState::Draining;
-        self.evacuate(i, recorder, &mut report);
-        self.nodes[i].member = MemberState::Left;
-        if recorder.enabled() {
-            recorder.record(self.now, Event::NodeDrained { node });
-        }
-        report
-    }
-
-    /// Restarts `node`: its link state and health reset, and its
-    /// journal-recovered reservation table is reconciled against the GAC's
-    /// placement view *before* the node re-enters `Live` — orphaned
-    /// reservations (held by the node but placed elsewhere, or nowhere, by
-    /// the GAC) are cancelled; placements the node no longer holds are
-    /// revoked with a reason. Restarting a departed node is a no-op.
-    pub fn restart_node(
-        &mut self,
-        node: NodeId,
-        at: Cycles,
-        recorder: &mut dyn Recorder,
-    ) -> FaultReport {
-        let mut report = FaultReport::default();
-        let i = node.as_usize();
-        if i >= self.nodes.len() || self.nodes[i].member == MemberState::Left {
-            return report;
-        }
-        self.now = self.now.max(at);
-        self.nodes[i].member = MemberState::Joining;
-        self.nodes[i].health = NodeHealth::Healthy;
-        self.nodes[i].consecutive_losses = 0;
-        self.nodes[i].pending_losses = 0;
-        self.nodes[i].partitioned = false;
-        self.nodes[i].last_heard = self.now;
-        self.nodes[i].lease_frozen = false;
-        let held: Vec<JobId> = self.nodes[i]
-            .lac
-            .reservations()
-            .iter()
-            .map(|r| r.id)
-            .collect();
-        let mut orphans_revoked = 0u64;
-        for job in &held {
-            if self.placement(*job) != Some(node) {
-                self.nodes[i].lac.cancel(*job);
-                orphans_revoked += 1;
-            }
-        }
-        // A placement the restarted node no longer holds was lost with its
-        // pre-journal state; the reservation's window is gone too, so it
-        // cannot be readmitted — revoke it with a reason.
-        let lost: Vec<JobId> = self
-            .placements
-            .iter()
-            .filter(|&&(job, on)| on == node && !held.contains(&job))
-            .map(|&(job, _)| job)
-            .collect();
-        let placements_repaired = lost.len() as u64;
-        for job in lost {
-            self.placements.retain(|&(j, _)| j != job);
-            self.drop_lease(job);
-            report.revoked.push(job);
-            if recorder.enabled() {
-                recorder.record(
-                    self.now,
-                    Event::ReservationRevoked {
-                        job,
-                        node,
-                        cause: RejectReason::CapacityRevoked.into(),
-                    },
-                );
-            }
-        }
-        if recorder.enabled() {
-            recorder.record(
-                self.now,
-                Event::Reconciled {
-                    node,
-                    orphans_revoked,
-                    placements_repaired,
-                },
-            );
-        }
-        self.nodes[i].member = MemberState::Live;
-        if recorder.enabled() {
-            recorder.record(self.now, Event::NodeJoined { node });
-        }
-        // Surviving leases restart their clock: the node just proved it is
-        // alive, and punishing it for pre-restart silence would expire a
-        // reservation it verifiably still holds.
-        for job in held {
-            if self.placement(job) == Some(node) {
-                let granted = self.now;
-                self.grant_lease(job, node, granted);
-            }
-        }
-        report
-    }
-
-    /// Releases job `id`'s reservation (early completion) and drops its
-    /// placement entry.
+    /// Releases job `id`'s reservation from `at` on (early completion) and
+    /// drops its placement.
     pub fn complete(&mut self, id: JobId, at: Cycles) {
-        if let Some(pos) = self.placements.iter().position(|(job, _)| *job == id) {
-            let (_, node) = self.placements.remove(pos);
-            self.nodes[node.as_usize()].lac.release(id, at);
-            self.drop_lease(id);
+        if let Some(node) = self.cluster.gac_mut().release(id) {
+            self.cluster.endpoints[node.as_usize()]
+                .backend
+                .0
+                .release(id, at);
+            self.cluster.gac_mut().clear_finished();
+            self.refresh_placements();
         }
     }
 
-    /// Submits a job: probes LACs per the policy (healthy nodes first,
-    /// then suspect; dead nodes never) and returns the accepting node (if
-    /// any) and the final decision — the genuine last rejection when every
-    /// probed LAC rejected, or [`RejectReason::NoHealthyNodes`] when no LAC
-    /// answered at all.
-    #[must_use = "dropping the decision loses whether (and where) the job was placed"]
-    pub fn submit(
-        &mut self,
-        id: JobId,
-        mode: ExecutionMode,
-        request: ResourceRequest,
-        tw: Cycles,
-        deadline: Option<Cycles>,
-    ) -> (Option<NodeId>, Decision) {
-        let req = Self::build_request(id, mode, request, tw, deadline);
-        self.submit_request(&req, &mut NullRecorder)
-    }
-
-    /// [`GlobalAdmissionController::submit`], additionally emitting the
-    /// full probe history — `Submitted`, per-probe `Admitted`/`Rejected`,
-    /// `ProbeLost`/`ProbeBackoff`, health transitions, and the final
-    /// `Placed` — to `recorder`.
-    #[must_use = "dropping the decision loses whether (and where) the job was placed"]
-    pub fn submit_recorded(
-        &mut self,
-        id: JobId,
-        mode: ExecutionMode,
-        request: ResourceRequest,
-        tw: Cycles,
-        deadline: Option<Cycles>,
-        recorder: &mut dyn Recorder,
-    ) -> (Option<NodeId>, Decision) {
-        let req = Self::build_request(id, mode, request, tw, deadline);
-        self.submit_request(&req, recorder)
-    }
-
-    fn build_request(
-        id: JobId,
-        mode: ExecutionMode,
-        request: ResourceRequest,
-        tw: Cycles,
-        deadline: Option<Cycles>,
-    ) -> AdmissionRequest {
-        let mut b = AdmissionRequest::builder(id, request, tw).mode(mode);
-        if let Some(td) = deadline {
-            b = b.deadline(td);
-        }
-        b.build()
-    }
-
-    /// Submits a typed [`AdmissionRequest`], emitting the full probe
-    /// history to `recorder`. This is the primary entry point;
-    /// [`GlobalAdmissionController::submit`] and
-    /// [`GlobalAdmissionController::submit_recorded`] delegate here.
+    /// Submits a typed [`AdmissionRequest`] and returns the accepting node
+    /// (if any) with the final decision: the last genuine LAC rejection
+    /// when every probed LAC rejected, or
+    /// [`RejectReason::NoHealthyNodes`] when no healthy member answered.
+    /// Only `Live`, healthy members are probed, in the policy's order. The
+    /// full history — `Submitted`, each LAC's `Admitted`/`Rejected`,
+    /// `ProbeLost`, health transitions, and the final `Placed` or
+    /// `Rejected` — goes to `recorder`.
     #[must_use = "dropping the decision loses whether (and where) the job was placed"]
     pub fn submit_request(
         &mut self,
         req: &AdmissionRequest,
         recorder: &mut dyn Recorder,
     ) -> (Option<NodeId>, Decision) {
-        let id = req.id;
-        self.submissions += 1;
-        if recorder.enabled() {
-            recorder.record(
-                self.now,
-                Event::Submitted {
-                    job: id,
-                    mode: req.mode.into(),
-                },
-            );
-        }
-        let mut last: Option<Decision> = None;
-        for i in self.probe_order() {
-            match self.probe(i, req, recorder) {
-                ProbeOutcome::Accepted { start } => {
-                    let node = NodeId::new(i as u32);
-                    self.placements.push((id, node));
-                    let granted = self.stamp(i);
-                    self.grant_lease(id, node, granted);
-                    if recorder.enabled() {
-                        recorder.record(granted, Event::Placed { job: id, node });
-                    }
-                    return (Some(node), Decision::Accepted { start });
-                }
-                ProbeOutcome::Rejected(reason) => last = Some(Decision::Rejected(reason)),
-                ProbeOutcome::Lost | ProbeOutcome::NodeDead => {}
-            }
-        }
-        match last {
-            Some(decision) => (None, decision),
-            None => {
-                if recorder.enabled() {
-                    recorder.record(
-                        self.now,
-                        Event::Rejected {
-                            job: id,
-                            cause: RejectReason::NoHealthyNodes.into(),
-                        },
-                    );
-                }
-                (None, Decision::Rejected(RejectReason::NoHealthyNodes))
-            }
-        }
-    }
-
-    /// Submits a FCFS run of typed requests, returning one
-    /// placement/decision pair per request. Outcomes are bit-identical to
-    /// calling [`GlobalAdmissionController::submit_request`] once per
-    /// request, in order.
-    #[must_use = "dropping the decisions loses where the jobs were placed"]
-    pub fn submit_batch(
-        &mut self,
-        reqs: &[AdmissionRequest],
-        recorder: &mut dyn Recorder,
-    ) -> Vec<(Option<NodeId>, Decision)> {
-        reqs.iter()
-            .map(|req| self.submit_request(req, recorder))
-            .collect()
+        let mut tap = Tap::new(recorder);
+        self.cluster.gac_mut().submit(*req, self.now, &mut tap);
+        self.cluster.run_to_quiet(&mut tap);
+        let decision = self.cluster.gac().decisions().get(&req.id).copied();
+        self.absorb(tap);
+        decision.unwrap_or((None, Decision::Rejected(RejectReason::NoHealthyNodes)))
     }
 
     /// Applies one fault injection, emitting every consequence to
@@ -1015,389 +565,187 @@ impl GlobalAdmissionController {
     ///   reservations ([`Lac::revoke_capacity`]); evicted jobs are
     ///   re-placed on surviving nodes when possible.
     /// * Node faults mark the node [`NodeHealth::Dead`] and evacuate every
-    ///   reservation the same way.
-    /// * Probe losses queue up and consume future probes to that node.
-    /// * Churn faults delegate to [`GlobalAdmissionController::join_node`],
-    ///   [`GlobalAdmissionController::restart_node`], and
-    ///   [`GlobalAdmissionController::drain_node`]; `LeaseFreeze` stops
-    ///   renewing the node's leases until it restarts.
+    ///   placement the same way.
+    /// * Probe losses and message drops make the in-process link drop its
+    ///   next frames toward the node; partitions cut it until healed.
+    /// * `NodeJoin` admits a new node with the founding nodes' LAC
+    ///   configuration; its handshake completes before this returns, so it
+    ///   is `Live`. `NodeDrain` stops placements on a `Live` node, migrates
+    ///   (or revokes with a reason) everything it holds, then makes it
+    ///   `Left`. `NodeRestart` resets the node's endpoint and reconciles
+    ///   its recovered table against the placements before it re-enters
+    ///   `Live`: orphans are cancelled, lost placements re-placed.
+    ///   `LeaseFreeze` stops renewing the node's leases until it restarts.
     ///
     /// Injections naming a node outside the server are ignored — except
     /// `NodeJoin`, which is valid *only* for the next unused index.
     pub fn inject(&mut self, injection: Injection, recorder: &mut dyn Recorder) -> FaultReport {
-        let mut report = FaultReport::default();
         let at = injection.at;
-        self.now = self.now.max(at);
-        let i = injection.fault.node().as_usize();
+        let node = injection.fault.node();
         // Membership is append-only: a join is valid only when it names the
         // next unused index, so journal replay reconstructs the identical
         // table. Every other fault must name an existing node.
         let valid = if matches!(injection.fault, Fault::NodeJoin { .. }) {
-            i == self.nodes.len()
+            node.as_usize() == self.nodes()
         } else {
-            i < self.nodes.len()
+            node.as_usize() < self.nodes()
         };
         if !valid {
-            return report;
+            return FaultReport::default();
         }
-        if recorder.enabled() {
-            recorder.record(
-                at,
-                Event::FaultInjected {
-                    node: injection.fault.node(),
-                    fault: injection.fault.obs_kind(),
-                },
-            );
-        }
+        self.now = self.now.max(at);
+        let mut tap = Tap::new(recorder);
+        self.cluster.run_until(self.now, &mut tap);
+        let injected = Event::FaultInjected {
+            node,
+            fault: injection.fault.obs_kind(),
+        };
         match injection.fault {
             Fault::WayFault { .. } => {
-                let shrunk = self.nodes[i]
-                    .lac
-                    .capacity()
-                    .minus(&ResourceRequest::new(0, Ways::new(1)));
-                self.shrink(i, shrunk, at, recorder, &mut report);
+                tap.record(at, injected);
+                let lost = ResourceRequest::new(0, Ways::new(1));
+                self.shrink(node, lost, at, &mut tap);
             }
             Fault::CoreFault { .. } => {
-                let shrunk = self.nodes[i]
-                    .lac
-                    .capacity()
-                    .minus(&ResourceRequest::new(1, Ways::ZERO));
-                self.shrink(i, shrunk, at, recorder, &mut report);
-            }
-            Fault::NodeFault { .. } => {
-                self.set_health(i, NodeHealth::Dead, recorder);
-                self.evacuate(i, recorder, &mut report);
-            }
-            Fault::ProbeLoss { count, .. } => {
-                self.nodes[i].pending_losses += count;
-            }
-            Fault::ControllerCrash { .. } => {
-                // The crash destroys the controller process, not the node's
-                // resources or reservations: in-core state is simply gone.
-                // The GAC cannot "lose its own memory" from inside a method
-                // call, so the harness interprets this fault — it drops the
-                // controller and rebuilds it from the write-ahead journal
-                // (`cmpqos-recovery`). Only the FaultInjected event above is
-                // emitted here.
-            }
-            Fault::LinkPartition { node } => {
-                self.nodes[i].partitioned = true;
-                if recorder.enabled() {
-                    recorder.record(at, Event::LinkPartitioned { node });
-                }
-            }
-            Fault::LinkHeal { node } => {
-                self.nodes[i].partitioned = false;
-                if recorder.enabled() {
-                    recorder.record(at, Event::LinkHealed { node });
-                }
-            }
-            Fault::MessageDrop { count, .. } => {
-                // At the probe layer a transient message loss is
-                // indistinguishable from a lost probe.
-                self.nodes[i].pending_losses += count;
+                tap.record(at, injected);
+                let lost = ResourceRequest::new(1, Ways::ZERO);
+                self.shrink(node, lost, at, &mut tap);
             }
             Fault::NodeJoin { .. } => {
-                let _ = self.join_node(at, recorder);
+                tap.record(at, injected);
+                let _ = self.join();
             }
-            Fault::NodeRestart { node } => {
-                report.merge(self.restart_node(node, at, recorder));
-            }
-            Fault::NodeDrain { node } => {
-                report.merge(self.drain_node(node, at, recorder));
-            }
-            Fault::LeaseFreeze { .. } => {
-                self.nodes[i].lease_frozen = true;
+            // The crash destroys the controller process, not the nodes'
+            // reservations. The controller cannot "lose its own memory"
+            // from inside a method call, so the harness interprets this
+            // fault — it drops the controller and rebuilds it from the
+            // write-ahead journal (`cmpqos-recovery`).
+            Fault::ControllerCrash { .. } => tap.record(at, injected),
+            _ => {
+                self.cluster.apply(injection, &mut tap);
+                self.cut[node.as_usize()] = self
+                    .cluster
+                    .net()
+                    .is_partitioned(Addr::Gac, Addr::Node(node));
             }
         }
-        report
+        self.cluster.run_to_quiet(&mut tap);
+        self.absorb(tap)
     }
 
-    /// Applies every injection due by `now` from `schedule` (in cycle
-    /// order), merging the reports.
-    pub fn inject_due(
-        &mut self,
-        schedule: &mut cmpqos_faults::FaultSchedule,
-        now: Cycles,
-        recorder: &mut dyn Recorder,
-    ) -> FaultReport {
-        let mut report = FaultReport::default();
-        for injection in schedule.due(now) {
-            report.merge(self.inject(injection, recorder));
-        }
-        report
-    }
-
-    /// Where each admitted-and-not-yet-completed job is placed.
+    /// Where each admitted-and-not-yet-completed job is placed, sorted by
+    /// job.
     #[must_use]
     pub fn placements(&self) -> &[(JobId, NodeId)] {
-        &self.placements
+        &self.placed
     }
 
-    /// The node job `id` is currently placed on, if any.
-    #[must_use]
-    pub fn placement(&self, id: JobId) -> Option<NodeId> {
-        self.placements
-            .iter()
-            .find(|(job, _)| *job == id)
-            .map(|&(_, node)| node)
-    }
-
-    /// Total submissions seen.
-    #[must_use]
-    pub fn submissions(&self) -> u64 {
-        self.submissions
-    }
-
-    /// Probe order: live members only (Joining, Draining, and Left nodes
-    /// take no new placements), healthy before suspect, the policy's order
-    /// within each health class.
-    fn probe_order(&self) -> Vec<usize> {
-        let mut order: Vec<usize> = (0..self.nodes.len())
-            .filter(|&i| {
-                self.nodes[i].member == MemberState::Live
-                    && self.nodes[i].health != NodeHealth::Dead
-            })
-            .collect();
-        if self.policy == ProbePolicy::LeastLoaded {
-            order.sort_by_key(|&i| self.nodes[i].lac.reservation_count());
-        }
-        order.sort_by_key(|&i| match self.nodes[i].health {
-            NodeHealth::Healthy => 0u8,
-            NodeHealth::Suspect => 1,
-            NodeHealth::Dead => 2,
-        });
-        order
-    }
-
-    /// Event timestamp for node `i`: its LAC clock (which backoff may have
-    /// advanced past the GAC's).
-    fn stamp(&self, i: usize) -> Cycles {
-        self.nodes[i].lac.now().max(self.now)
-    }
-
-    /// One node's probe with bounded retry. Lost probes consume queued
-    /// losses, count toward the health state machine, and back off
-    /// deterministically (the delay advances only this node's LAC clock).
-    fn probe(
-        &mut self,
-        i: usize,
-        req: &AdmissionRequest,
-        recorder: &mut dyn Recorder,
-    ) -> ProbeOutcome {
-        let id = req.id;
-        let node = NodeId::new(i as u32);
-        for attempt in 0..=self.config.max_retries {
-            if self.nodes[i].health == NodeHealth::Dead {
-                return ProbeOutcome::NodeDead;
-            }
-            if self.nodes[i].partitioned || self.nodes[i].pending_losses > 0 {
-                // A severed link loses every probe without consuming the
-                // queued transient losses.
-                if !self.nodes[i].partitioned {
-                    self.nodes[i].pending_losses -= 1;
-                }
-                self.nodes[i].consecutive_losses += 1;
-                if recorder.enabled() {
-                    recorder.record(self.stamp(i), Event::ProbeLost { job: id, node });
-                }
-                self.update_health(i, recorder);
-                if self.nodes[i].health == NodeHealth::Dead {
-                    let mut report = FaultReport::default();
-                    self.evacuate(i, recorder, &mut report);
-                    return ProbeOutcome::NodeDead;
-                }
-                if attempt < self.config.max_retries {
-                    let delay = self.config.backoff_delay(attempt);
-                    let fire_at = self.stamp(i) + delay;
-                    self.nodes[i].lac.advance(fire_at);
-                    if recorder.enabled() {
-                        recorder.record(
-                            fire_at,
-                            Event::ProbeBackoff {
-                                job: id,
-                                node,
-                                delay,
-                            },
-                        );
-                    }
-                }
-                continue;
-            }
-            // Probe delivered: the node answered, so it is not losing
-            // messages anymore.
-            self.nodes[i].consecutive_losses = 0;
-            self.nodes[i].last_heard = self.stamp(i);
-            if self.nodes[i].health == NodeHealth::Suspect {
-                self.set_health(i, NodeHealth::Healthy, recorder);
-            }
-            let decision = self.nodes[i].lac.admit_with(req, recorder);
-            return match decision {
-                Decision::Accepted { start } => ProbeOutcome::Accepted { start },
-                Decision::Rejected(reason) => ProbeOutcome::Rejected(reason),
-            };
-        }
-        ProbeOutcome::Lost
-    }
-
-    /// Demotes node `i` per its consecutive-loss count (health only ever
-    /// worsens here; recovery happens when a probe is answered).
-    ///
-    /// Loss-driven death needs **both** [`GacConfig::dead_after`]
-    /// consecutive losses and [`GacConfig::dead_timeout`] of silence:
-    /// losing probes only proves the *link* is down, not the node. Without
-    /// the timeout a short partition burst would evacuate reservations a
-    /// healthy LAC is still honoring — double-booking them elsewhere.
-    fn update_health(&mut self, i: usize, recorder: &mut dyn Recorder) {
-        let losses = self.nodes[i].consecutive_losses;
-        let silent_for = self.stamp(i).saturating_sub(self.nodes[i].last_heard);
-        let target = if losses >= self.config.dead_after && silent_for >= self.config.dead_timeout {
-            NodeHealth::Dead
-        } else if losses >= self.config.suspect_after {
-            NodeHealth::Suspect
-        } else {
-            return;
-        };
-        if self.nodes[i].health != NodeHealth::Dead {
-            self.set_health(i, target, recorder);
-        }
-    }
-
-    fn set_health(&mut self, i: usize, to: NodeHealth, recorder: &mut dyn Recorder) {
-        let from = self.nodes[i].health;
-        if from == to {
-            return;
-        }
-        self.nodes[i].health = to;
-        if recorder.enabled() {
-            recorder.record(
-                self.stamp(i),
-                Event::NodeHealthChanged {
-                    node: NodeId::new(i as u32),
-                    from: from.into(),
-                    to: to.into(),
-                },
-            );
-        }
-    }
-
-    /// Shrinks node `i`'s capacity and handles every revocation: keeps are
-    /// silent, downgrades are reported, evictions are re-placed elsewhere
-    /// (or revoked with a reason when no survivor fits them).
-    fn shrink(
-        &mut self,
-        i: usize,
-        new_capacity: ResourceRequest,
-        at: Cycles,
-        recorder: &mut dyn Recorder,
-        report: &mut FaultReport,
-    ) {
-        let node = NodeId::new(i as u32);
-        let revocations = self.nodes[i].lac.revoke_capacity(new_capacity, at);
-        for rev in revocations {
+    /// Shrinks `node`'s capacity by `lost` and handles every revocation in
+    /// FCFS order: keeps are silent, downgrades are reported, evictions
+    /// are handed to the core to re-place elsewhere (or revoke with a
+    /// reason when no survivor fits them).
+    fn shrink(&mut self, node: NodeId, lost: ResourceRequest, at: Cycles, tap: &mut Tap<'_>) {
+        let lac = &mut self.cluster.endpoints[node.as_usize()].backend.0;
+        let capacity = lac.capacity().minus(&lost);
+        for rev in lac.revoke_capacity(capacity, at) {
             match rev.action {
                 RevocationAction::Kept => {}
                 RevocationAction::Downgraded { ways_cut } => {
-                    report.downgraded.push((rev.id, ways_cut));
-                    if recorder.enabled() {
-                        recorder.record(
-                            self.stamp(i),
-                            Event::DowngradedUnderFault {
-                                job: rev.id,
-                                node,
-                                ways_cut,
-                            },
-                        );
-                    }
-                }
-                RevocationAction::Evicted { reservation, .. } => {
-                    self.relocate(reservation, node, recorder, report);
-                }
-            }
-        }
-    }
-
-    /// Moves every reservation off (dead) node `i`.
-    fn evacuate(&mut self, i: usize, recorder: &mut dyn Recorder, report: &mut FaultReport) {
-        let from = NodeId::new(i as u32);
-        let stranded = self.nodes[i].lac.reservations().to_vec();
-        for r in &stranded {
-            self.nodes[i].lac.cancel(r.id);
-        }
-        for r in stranded {
-            self.relocate(r, from, recorder, report);
-        }
-    }
-
-    /// Re-places one stranded reservation on a surviving node, preserving
-    /// its duration, mode, and original deadline. Migration readmits are an
-    /// internal control-plane path: they bypass queued probe losses. When
-    /// no survivor fits, the reservation is revoked **with a reason** — it
-    /// is never silently lost.
-    fn relocate(
-        &mut self,
-        r: Reservation,
-        from: NodeId,
-        recorder: &mut dyn Recorder,
-        report: &mut FaultReport,
-    ) {
-        for i in self.probe_order() {
-            if i == from.as_usize() {
-                continue;
-            }
-            if let Decision::Accepted { .. } = self.nodes[i].lac.readmit(&r) {
-                let to = NodeId::new(i as u32);
-                for p in &mut self.placements {
-                    if p.0 == r.id {
-                        p.1 = to;
-                    }
-                }
-                let granted = self.stamp(i);
-                self.grant_lease(r.id, to, granted);
-                report.migrated.push((r.id, from, to));
-                if recorder.enabled() {
-                    recorder.record(
-                        self.stamp(i),
-                        Event::Migrated {
-                            job: r.id,
-                            from,
-                            to,
+                    tap.report.downgraded.push((rev.id, ways_cut));
+                    self.cluster.gac_mut().downgrade(rev.id, ways_cut);
+                    let stamp = self.lac(node).now().max(self.now);
+                    tap.record(
+                        stamp,
+                        Event::DowngradedUnderFault {
+                            job: rev.id,
+                            node,
+                            ways_cut,
                         },
                     );
                 }
-                return;
+                RevocationAction::Evicted { reservation, .. } => {
+                    self.cluster.gac_mut().readmit(reservation, node);
+                    self.cluster.run_to_quiet(tap);
+                }
             }
         }
-        report.revoked.push(r.id);
-        self.placements.retain(|(id, _)| *id != r.id);
-        self.drop_lease(r.id);
-        if recorder.enabled() {
-            recorder.record(
-                self.now,
-                Event::ReservationRevoked {
-                    job: r.id,
-                    node: from,
-                    cause: RejectReason::CapacityRevoked.into(),
-                },
-            );
+    }
+
+    /// Folds one call's tap into the driver: completions wait for the
+    /// next [`GlobalAdmissionController::advance`], the placement view is
+    /// refreshed, and the core forgets outcomes already reported.
+    fn absorb(&mut self, tap: Tap<'_>) -> FaultReport {
+        for job in tap.completed {
+            if let Ok(i) = self.placed.binary_search_by_key(&job, |&(j, _)| j) {
+                self.retired.push(self.placed[i]);
+            }
         }
+        self.refresh_placements();
+        self.cluster.gac_mut().clear_finished();
+        tap.report
+    }
+
+    fn refresh_placements(&mut self) {
+        self.placed.clear();
+        self.placed.extend(
+            self.cluster
+                .gac()
+                .placements()
+                .iter()
+                .map(|(&job, &(node, _))| (job, node)),
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::modes::ExecutionMode;
     use cmpqos_faults::FaultPlan;
     use cmpqos_obs::RingBufferRecorder;
     use cmpqos_types::Percent;
 
-    fn submit_strict(gac: &mut GlobalAdmissionController, id: u32) -> (Option<NodeId>, Decision) {
-        gac.submit(
+    fn request(id: u32, tw: u64, deadline: Option<u64>) -> AdmissionRequest {
+        let mut b = AdmissionRequest::builder(
             JobId::new(id),
-            ExecutionMode::Strict,
             ResourceRequest::paper_job(),
-            Cycles::new(100),
-            Some(Cycles::new(105)),
+            Cycles::new(tw),
+        )
+        .mode(ExecutionMode::Strict);
+        if let Some(td) = deadline {
+            b = b.deadline(Cycles::new(td));
+        }
+        b.build()
+    }
+
+    fn submit_strict(gac: &mut GlobalAdmissionController, id: u32) -> (Option<NodeId>, Decision) {
+        gac.submit_request(&request(id, 100, Some(105)), &mut NullRecorder)
+    }
+
+    fn one(plan: FaultPlan) -> Injection {
+        plan.build().injections()[0]
+    }
+
+    fn placement(gac: &GlobalAdmissionController, job: u32) -> Option<NodeId> {
+        let job = JobId::new(job);
+        gac.placements()
+            .iter()
+            .find(|&&(j, _)| j == job)
+            .map(|&(_, node)| node)
+    }
+
+    fn churn(
+        gac: &mut GlobalAdmissionController,
+        fault: Fault,
+        at: u64,
+        rec: &mut dyn Recorder,
+    ) -> FaultReport {
+        gac.inject(
+            Injection {
+                at: Cycles::new(at),
+                fault,
+            },
+            rec,
         )
     }
 
@@ -1434,76 +782,16 @@ mod tests {
         assert_eq!(submit_strict(&mut gac, 0).0, Some(NodeId::new(0)));
         assert_eq!(submit_strict(&mut gac, 1).0, Some(NodeId::new(1)));
         assert_eq!(gac.placements().len(), 2);
-        assert_eq!(gac.submissions(), 2);
     }
 
     #[test]
     fn advance_propagates_to_all_lacs() {
         let mut gac =
             GlobalAdmissionController::new(3, LacConfig::default(), ProbePolicy::FirstFit);
-        gac.advance(Cycles::new(42));
+        let _ = gac.advance(Cycles::new(42));
         for i in 0..3 {
             assert_eq!(gac.lac(NodeId::new(i)).now(), Cycles::new(42));
         }
-    }
-
-    #[test]
-    fn try_new_rejects_an_empty_server() {
-        assert_eq!(
-            GlobalAdmissionController::try_new(0, LacConfig::default(), ProbePolicy::FirstFit)
-                .err(),
-            Some(GacError::NoNodes)
-        );
-        assert_eq!(
-            GacError::NoNodes.to_string(),
-            "a server needs at least one node"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one node")]
-    fn new_panics_on_an_empty_server() {
-        let _ = GlobalAdmissionController::new(0, LacConfig::default(), ProbePolicy::FirstFit);
-    }
-
-    #[test]
-    fn backoff_sequence_is_deterministic() {
-        let cfg = GacConfig::builder()
-            .backoff_base(Cycles::new(100))
-            .backoff_factor(2)
-            .build();
-        let delays: Vec<u64> = (0..4).map(|a| cfg.backoff_delay(a).get()).collect();
-        assert_eq!(delays, vec![100, 200, 400, 800]);
-        // Saturates instead of overflowing.
-        assert_eq!(cfg.backoff_delay(u32::MAX).get(), u64::MAX);
-    }
-
-    #[test]
-    fn backoff_saturates_with_a_pinned_capped_sequence() {
-        // base 100 · 2^a overflows u64 at a = 58 (100 ≈ 2^6.6), so the
-        // sequence must walk up to the cap and then stay pinned there —
-        // in O(1) per call even for absurd attempt counts.
-        let cfg = GacConfig::builder()
-            .backoff_base(Cycles::new(100))
-            .backoff_factor(2)
-            .build();
-        assert_eq!(cfg.backoff_delay(57).get(), 100u64 << 57);
-        for attempt in [58, 64, 1_000, u32::MAX - 1, u32::MAX] {
-            assert_eq!(cfg.backoff_delay(attempt).get(), u64::MAX, "{attempt}");
-        }
-        // Degenerate factors stay exact: factor 1 never grows, factor 0
-        // collapses to zero after the first retry (0^0 == 1).
-        let flat = GacConfig::builder()
-            .backoff_base(Cycles::new(500))
-            .backoff_factor(1)
-            .build();
-        assert_eq!(flat.backoff_delay(u32::MAX).get(), 500);
-        let zero = GacConfig::builder()
-            .backoff_base(Cycles::new(500))
-            .backoff_factor(0)
-            .build();
-        assert_eq!(zero.backoff_delay(0).get(), 500);
-        assert_eq!(zero.backoff_delay(7).get(), 0);
     }
 
     #[test]
@@ -1518,89 +806,39 @@ mod tests {
     }
 
     #[test]
-    fn lost_probes_retry_with_backoff_then_place() {
+    fn lost_probes_are_retried_on_the_core_timer_then_place() {
         let mut gac =
             GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit)
-                .with_gac_config(
-                    GacConfig::builder()
-                        .max_retries(3)
-                        .backoff_base(Cycles::new(100))
-                        .suspect_after(10)
-                        .dead_after(20)
-                        .build(),
-                );
+                .with_config(NetGacConfig {
+                    gac: GacConfig {
+                        suspect_after: 10,
+                        dead_after: 20,
+                        ..GacConfig::default()
+                    },
+                    ..NetGacConfig::default()
+                });
         let mut rec = RingBufferRecorder::new(64);
         // Two probes vanish; the third is answered.
-        gac.inject(
-            FaultPlan::new()
-                .probe_loss(Cycles::ZERO, NodeId::new(0), 2)
-                .build()
-                .injections()[0],
+        let _ = gac.inject(
+            one(FaultPlan::new().probe_loss(Cycles::ZERO, NodeId::new(0), 2)),
             &mut rec,
         );
-        let (node, d) = gac.submit_recorded(
-            JobId::new(0),
-            ExecutionMode::Strict,
-            ResourceRequest::paper_job(),
-            Cycles::new(100),
-            None,
-            &mut rec,
-        );
+        let (node, d) = gac.submit_request(&request(0, 100, None), &mut rec);
         assert!(d.is_accepted());
         assert_eq!(node, Some(NodeId::new(0)));
         let c = rec.counters();
         assert_eq!(c.probes_lost, 2);
-        assert_eq!(c.probe_backoffs, 2);
         assert_eq!(c.placed, 1);
-        // Backoff advanced the node's clock: 100 then 200.
-        assert_eq!(gac.lac(NodeId::new(0)).now(), Cycles::new(300));
-    }
-
-    #[test]
-    fn reservation_purged_by_a_backoff_clock_still_completes() {
-        // A backoff stamp advances the probed node's LAC clock, which may
-        // purge an already-finished reservation before the GAC's own
-        // advance() sweep sees its end. The job must still be reported
-        // completed (and leave the placement table), never stranded.
-        let mut gac =
-            GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit);
-        let mut rec = RingBufferRecorder::new(64);
-        let (node, d) = gac.submit_recorded(
-            JobId::new(0),
-            ExecutionMode::Strict,
-            ResourceRequest::paper_job(),
-            Cycles::new(100),
-            None,
-            &mut rec,
+        // The LAC decided at the submission instant; the retries ran on
+        // the core's timer (rto 100, then 200), not the node's clock.
+        assert_eq!(
+            d,
+            Decision::Accepted {
+                start: Cycles::ZERO
+            }
         );
-        assert!(d.is_accepted());
-        assert_eq!(node, Some(NodeId::new(0)));
-        // Two lost probes: the retry backoffs (default base 1000) advance
-        // node 0's clock far past job 0's end at cycle 100.
-        gac.inject(
-            FaultPlan::new()
-                .probe_loss(Cycles::ZERO, NodeId::new(0), 2)
-                .build()
-                .injections()[0],
-            &mut rec,
-        );
-        let (_, d) = gac.submit_recorded(
-            JobId::new(1),
-            ExecutionMode::Strict,
-            ResourceRequest::paper_job(),
-            Cycles::new(100),
-            None,
-            &mut rec,
-        );
-        assert!(d.is_accepted());
-        assert!(gac.lac(NodeId::new(0)).now() > Cycles::new(100));
-        let done = gac.advance(Cycles::new(50));
-        assert!(
-            done.contains(&(JobId::new(0), NodeId::new(0))),
-            "purged job 0 reported completed: {done:?}"
-        );
-        assert!(gac.placement(JobId::new(0)).is_none());
-        assert!(gac.placement(JobId::new(1)).is_some());
+        assert_eq!(gac.lac(NodeId::new(0)).now(), Cycles::ZERO);
+        assert_eq!(gac.snapshot().cluster_now, Cycles::new(300));
     }
 
     #[test]
@@ -1608,111 +846,75 @@ mod tests {
         let mut gac =
             GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit);
         let mut rec = RingBufferRecorder::new(64);
-        gac.inject(
-            FaultPlan::new()
-                .probe_loss(Cycles::ZERO, NodeId::new(0), 10)
-                .build()
-                .injections()[0],
+        let _ = gac.inject(
+            one(FaultPlan::new().probe_loss(Cycles::ZERO, NodeId::new(0), 10)),
             &mut rec,
         );
         // Default config: suspect after 2 losses; the 4 losses of one
-        // submission satisfy dead_after, but only ~7k cycles of backoff
-        // have elapsed — far short of the 30k dead_timeout. The node must
-        // stay Suspect (losses prove the link is down, not the node).
-        let (node, d) = gac.submit_recorded(
-            JobId::new(0),
-            ExecutionMode::Strict,
-            ResourceRequest::paper_job(),
-            Cycles::new(100),
-            None,
-            &mut rec,
-        );
+        // conversation satisfy dead_after, but only 1,500 cycles of
+        // retransmission have elapsed — far short of the 30k dead_timeout.
+        // The node must stay Suspect (losses prove the link is down, not
+        // the node), and the job spills to the healthy node.
+        let (node, d) = gac.submit_request(&request(0, 100, None), &mut rec);
         assert!(d.is_accepted(), "spills to the healthy node");
         assert_eq!(node, Some(NodeId::new(1)));
         assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Suspect);
-        assert_eq!(gac.live_nodes(), 2, "suspect nodes are still probed");
+        assert_eq!(gac.live_nodes(), 2, "a suspect node is still a live member");
         assert_eq!(rec.counters().node_health_changes, 1);
+        // A suspect node takes no new placements: the next job goes
+        // straight to node 1 without probing node 0.
+        let lost = rec.counters().probes_lost;
+        let (node, _) = gac.submit_request(&request(1, 100, None), &mut rec);
+        assert_eq!(node, Some(NodeId::new(1)));
+        assert_eq!(rec.counters().probes_lost, lost);
     }
 
     #[test]
-    fn sustained_losses_past_the_timeout_demote_to_dead() {
+    fn a_partition_outlasting_the_timeout_is_declared_dead() {
         let mut gac =
             GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit);
         let mut rec = RingBufferRecorder::new(64);
-        gac.inject(
-            FaultPlan::new()
-                .probe_loss(Cycles::ZERO, NodeId::new(0), 10)
-                .build()
-                .injections()[0],
+        let _ = gac.inject(
+            one(FaultPlan::new().link_partition(Cycles::ZERO, NodeId::new(0))),
             &mut rec,
         );
-        let (_, d) = gac.submit_recorded(
-            JobId::new(0),
-            ExecutionMode::Strict,
-            ResourceRequest::paper_job(),
-            Cycles::new(100),
-            None,
-            &mut rec,
-        );
+        let (_, d) = gac.submit_request(&request(0, 100, None), &mut rec);
         assert_eq!(d, Decision::Rejected(RejectReason::NoHealthyNodes));
         assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Suspect);
-        // Past the 30k dead_timeout the node has been silent for too long:
-        // the next burst of losses is allowed to declare it dead.
+        // The core keeps pinging the suspect node; past the 30k
+        // dead_timeout of silence the next lost ping declares it dead.
         let _ = gac.advance(Cycles::new(40_000));
-        let (_, d) = gac.submit_recorded(
-            JobId::new(1),
-            ExecutionMode::Strict,
-            ResourceRequest::paper_job(),
-            Cycles::new(100),
-            None,
-            &mut rec,
-        );
-        assert_eq!(d, Decision::Rejected(RejectReason::NoHealthyNodes));
         assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Dead);
         assert_eq!(gac.live_nodes(), 0);
-        assert_eq!(rec.counters().node_health_changes, 2);
+        let (_, d) = gac.submit_request(&request(1, 100, None), &mut rec);
+        assert_eq!(d, Decision::Rejected(RejectReason::NoHealthyNodes));
     }
 
     #[test]
     fn partition_is_not_death_and_heal_restores() {
-        // THE regression this PR pins: a partitioned node is unreachable,
-        // not dead. Evacuating its reservations would double-book them —
-        // the LAC on the far side of the partition is still honoring them.
+        // A partitioned node is unreachable, not dead. Evacuating its
+        // reservations would double-book them — the LAC on the far side of
+        // the partition is still honoring them.
         let mut gac =
             GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit);
-        let mut rec = RingBufferRecorder::new(128);
-        let submit = |gac: &mut GlobalAdmissionController,
-                      id: u32,
-                      deadline: Option<Cycles>,
-                      rec: &mut RingBufferRecorder| {
-            gac.submit_recorded(
-                JobId::new(id),
-                ExecutionMode::Strict,
-                ResourceRequest::paper_job(),
-                Cycles::new(100),
-                deadline,
-                rec,
-            )
-        };
-        let (node, d) = submit(&mut gac, 0, None, &mut rec);
+        let mut rec = RingBufferRecorder::new(256);
+        let (node, d) = gac.submit_request(&request(0, 100_000, None), &mut rec);
         assert!(d.is_accepted());
         assert_eq!(node, Some(NodeId::new(0)));
-        gac.inject(
-            FaultPlan::new()
-                .link_partition(Cycles::ZERO, NodeId::new(0))
-                .build()
-                .injections()[0],
+        let _ = gac.inject(
+            one(FaultPlan::new().link_partition(Cycles::ZERO, NodeId::new(0))),
             &mut rec,
         );
-        // Every probe to node 0 is now lost; jobs spill to node 1. However
-        // many submissions hammer the dead link, node 0 must not be
-        // declared dead within the timeout — and job 0 must stay put.
+        // Every frame to node 0 is now lost; jobs spill to node 1, and
+        // node 0 is suspected, not declared dead, within the timeout.
         for i in 1..4u32 {
-            let _ = submit(&mut gac, i, None, &mut rec);
+            let (node, _) = gac.submit_request(&request(i, 100, None), &mut rec);
+            assert_eq!(node, Some(NodeId::new(1)));
         }
+        let _ = gac.advance(Cycles::new(10_000));
         assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Suspect);
         assert_eq!(
-            gac.placement(JobId::new(0)),
+            placement(&gac, 0),
             Some(NodeId::new(0)),
             "the partitioned node keeps its placement"
         );
@@ -1720,32 +922,18 @@ mod tests {
         assert_eq!(c.migrated, 0, "no evacuation of a merely-partitioned node");
         assert_eq!(c.reservations_revoked, 0);
         assert_eq!(c.links_partitioned, 1);
-        // Heal the link; the next answered probe restores the node.
-        gac.inject(
-            FaultPlan::new()
-                .link_heal(Cycles::ZERO, NodeId::new(0))
-                .build()
-                .injections()[0],
+        // Heal the link: the core's next ping is answered, health recovers,
+        // the node is reconciled, and it takes jobs again.
+        let _ = gac.inject(
+            one(FaultPlan::new().link_heal(Cycles::new(10_000), NodeId::new(0))),
             &mut rec,
         );
-        // Advance past every backoff-skewed clock so old reservations
-        // complete, then fill node 1 with two tight-deadline jobs. The
-        // third forces a probe of the still-Suspect node 0, which now
-        // answers: health recovers and the job lands there.
-        let _ = gac.advance(Cycles::new(10_000));
-        let deadline = Some(Cycles::new(10_105));
-        assert_eq!(
-            submit(&mut gac, 4, deadline, &mut rec).0,
-            Some(NodeId::new(1))
-        );
-        assert_eq!(
-            submit(&mut gac, 5, deadline, &mut rec).0,
-            Some(NodeId::new(1))
-        );
-        let (node, d) = submit(&mut gac, 6, deadline, &mut rec);
+        let _ = gac.advance(Cycles::new(12_000));
+        assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Healthy);
+        assert_eq!(placement(&gac, 0), Some(NodeId::new(0)));
+        let (node, d) = gac.submit_request(&request(4, 100, None), &mut rec);
         assert!(d.is_accepted(), "healed node takes jobs: {d:?}");
         assert_eq!(node, Some(NodeId::new(0)), "healed node takes jobs");
-        assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Healthy);
         assert_eq!(rec.counters().links_healed, 1);
     }
 
@@ -1754,11 +942,8 @@ mod tests {
         let mut gac =
             GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit);
         let mut rec = RingBufferRecorder::new(16);
-        gac.inject(
-            FaultPlan::new()
-                .node_fault(Cycles::ZERO, NodeId::new(0))
-                .build()
-                .injections()[0],
+        let _ = gac.inject(
+            one(FaultPlan::new().node_fault(Cycles::ZERO, NodeId::new(0))),
             &mut rec,
         );
         let (node, d) = submit_strict(&mut gac, 0);
@@ -1774,10 +959,7 @@ mod tests {
         let (node, _) = submit_strict(&mut gac, 0);
         assert_eq!(node, Some(NodeId::new(0)));
         let report = gac.inject(
-            FaultPlan::new()
-                .node_fault(Cycles::ZERO, NodeId::new(0))
-                .build()
-                .injections()[0],
+            one(FaultPlan::new().node_fault(Cycles::ZERO, NodeId::new(0))),
             &mut rec,
         );
         assert_eq!(
@@ -1785,8 +967,7 @@ mod tests {
             vec![(JobId::new(0), NodeId::new(0), NodeId::new(1))]
         );
         assert!(report.revoked.is_empty());
-        assert_eq!(gac.placement(JobId::new(0)), Some(NodeId::new(1)));
-        assert!(gac.lac(NodeId::new(0)).reservations().is_empty());
+        assert_eq!(placement(&gac, 0), Some(NodeId::new(1)));
         assert_eq!(gac.lac(NodeId::new(1)).reservations().len(), 1);
         // Migration honors the original deadline.
         assert_eq!(
@@ -1802,20 +983,18 @@ mod tests {
         let mut rec = RingBufferRecorder::new(64);
         // Two Elastic(50%) jobs of 8 ways each fill all 16 ways.
         for i in 0..2u32 {
-            let (_, d) = gac.submit(
+            let req = AdmissionRequest::builder(
                 JobId::new(i),
-                ExecutionMode::Elastic(Percent::new(50.0)),
                 ResourceRequest::new(1, Ways::new(8)),
                 Cycles::new(100),
-                None,
-            );
+            )
+            .mode(ExecutionMode::Elastic(Percent::new(50.0)))
+            .build();
+            let (_, d) = gac.submit_request(&req, &mut rec);
             assert!(d.is_accepted());
         }
         let report = gac.inject(
-            FaultPlan::new()
-                .way_fault(Cycles::ZERO, NodeId::new(0), 3)
-                .build()
-                .injections()[0],
+            one(FaultPlan::new().way_fault(Cycles::ZERO, NodeId::new(0), 3)),
             &mut rec,
         );
         // FCFS: job 0 keeps its 8 ways; job 1 absorbs the loss by giving
@@ -1833,13 +1012,50 @@ mod tests {
     }
 
     #[test]
+    fn an_evicted_reservation_is_readmitted_elsewhere() {
+        let mut gac =
+            GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit);
+        let mut rec = RingBufferRecorder::new(64);
+        // Two Strict jobs of 8 ways each fill node 0's 16 ways.
+        for i in 0..2u32 {
+            let req = AdmissionRequest::builder(
+                JobId::new(i),
+                ResourceRequest::new(1, Ways::new(8)),
+                Cycles::new(100),
+            )
+            .mode(ExecutionMode::Strict)
+            .build();
+            assert_eq!(gac.submit_request(&req, &mut rec).0, Some(NodeId::new(0)));
+        }
+        // A dead way leaves room for one; Strict cannot give up ways, so
+        // the later job is evicted and re-placed on node 1.
+        let report = gac.inject(
+            one(FaultPlan::new().way_fault(Cycles::ZERO, NodeId::new(0), 3)),
+            &mut rec,
+        );
+        assert_eq!(
+            report.migrated,
+            vec![(JobId::new(1), NodeId::new(0), NodeId::new(1))]
+        );
+        assert_eq!(placement(&gac, 1), Some(NodeId::new(1)));
+        assert_eq!(gac.lac(NodeId::new(1)).reservations().len(), 1);
+    }
+
+    #[test]
     fn joined_node_takes_placements_and_draining_stops_them() {
         let mut gac =
             GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit);
         let mut rec = RingBufferRecorder::new(64);
         assert_eq!(gac.nodes(), 1);
-        let joined = gac.join_node(Cycles::ZERO, &mut rec);
-        assert_eq!(joined, NodeId::new(1));
+        let _ = churn(
+            &mut gac,
+            Fault::NodeJoin {
+                node: NodeId::new(1),
+            },
+            0,
+            &mut rec,
+        );
+        let joined = NodeId::new(1);
         assert_eq!(gac.nodes(), 2);
         assert_eq!(gac.live_nodes(), 2);
         assert_eq!(gac.member_state(joined), MemberState::Live);
@@ -1849,7 +1065,10 @@ mod tests {
         // no admitted job is lost.
         let _ = submit_strict(&mut gac, 0);
         let _ = submit_strict(&mut gac, 1);
-        let report = gac.drain_node(NodeId::new(0), Cycles::ZERO, &mut rec);
+        let drain = Fault::NodeDrain {
+            node: NodeId::new(0),
+        };
+        let report = churn(&mut gac, drain, 0, &mut rec);
         assert_eq!(report.migrated.len(), 2);
         assert!(report.revoked.is_empty());
         assert_eq!(gac.member_state(NodeId::new(0)), MemberState::Left);
@@ -1859,9 +1078,7 @@ mod tests {
             assert_eq!(*node, joined, "{job:?} moved off the drained node");
         }
         // A departed node takes nothing, and a second drain is a no-op.
-        assert!(gac
-            .drain_node(NodeId::new(0), Cycles::ZERO, &mut rec)
-            .is_quiet());
+        assert!(churn(&mut gac, drain, 0, &mut rec).is_quiet());
         assert_eq!(rec.counters().nodes_drained, 1);
     }
 
@@ -1871,137 +1088,136 @@ mod tests {
             GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit);
         let mut rec = RingBufferRecorder::new(64);
         let _ = submit_strict(&mut gac, 0);
-        assert_eq!(gac.placement(JobId::new(0)), Some(NodeId::new(0)));
-        // A clean restart: the journal-recovered table matches the GAC's
-        // placement view, so nothing is revoked and the job survives.
-        let report = gac.restart_node(NodeId::new(0), Cycles::ZERO, &mut rec);
+        assert_eq!(placement(&gac, 0), Some(NodeId::new(0)));
+        // A clean restart: the recovered table matches the GAC's placement
+        // view, so nothing is revoked and the job survives.
+        let restart = Fault::NodeRestart {
+            node: NodeId::new(0),
+        };
+        let report = churn(&mut gac, restart, 0, &mut rec);
         assert!(report.is_quiet());
         assert_eq!(gac.member_state(NodeId::new(0)), MemberState::Live);
-        assert_eq!(gac.placement(JobId::new(0)), Some(NodeId::new(0)));
+        assert_eq!(placement(&gac, 0), Some(NodeId::new(0)));
         assert_eq!(rec.counters().reconciled, 1);
         assert_eq!(rec.counters().nodes_joined, 1);
         // Restarting a departed node is a no-op.
-        let _ = gac.drain_node(NodeId::new(0), Cycles::ZERO, &mut rec);
-        assert!(gac
-            .restart_node(NodeId::new(0), Cycles::ZERO, &mut rec)
-            .is_quiet());
+        let drain = Fault::NodeDrain {
+            node: NodeId::new(0),
+        };
+        let _ = churn(&mut gac, drain, 0, &mut rec);
+        assert!(churn(&mut gac, restart, 0, &mut rec).is_quiet());
         assert_eq!(gac.member_state(NodeId::new(0)), MemberState::Left);
+    }
+
+    fn leased(nodes: usize) -> GlobalAdmissionController {
+        GlobalAdmissionController::new(nodes, LacConfig::default(), ProbePolicy::FirstFit)
+            .with_config(NetGacConfig {
+                gac: GacConfig {
+                    dead_timeout: Cycles::new(2_000),
+                    ..GacConfig::default()
+                },
+                lease_ttl: Cycles::new(1_000),
+                ..NetGacConfig::default()
+            })
     }
 
     #[test]
     fn unrenewed_lease_expires_after_grace_and_the_job_migrates() {
-        let mut gac =
-            GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit)
-                .with_gac_config(
-                    GacConfig::builder()
-                        .lease_ttl(Cycles::new(1_000))
-                        .dead_timeout(Cycles::new(2_000))
-                        .build(),
-                );
+        let mut gac = leased(2);
         let mut rec = RingBufferRecorder::new(64);
-        let (node, d) = gac.submit_recorded(
-            JobId::new(0),
-            ExecutionMode::Strict,
-            ResourceRequest::paper_job(),
-            Cycles::new(100_000),
-            None,
-            &mut rec,
-        );
+        let (node, d) = gac.submit_request(&request(0, 100_000, None), &mut rec);
         assert!(d.is_accepted());
         assert_eq!(node, Some(NodeId::new(0)));
-        assert_eq!(gac.leases().len(), 1);
+        assert_eq!(
+            gac.leases(),
+            vec![(JobId::new(0), NodeId::new(0), Cycles::new(1_000))]
+        );
         // Heartbeats reach node 0 until its link is severed; renewals then
         // stop and the lease runs out ttl + grace later.
         gac.heartbeat_all(Cycles::new(500), &mut rec);
         assert_eq!(rec.counters().leases_renewed, 1);
-        gac.inject(
-            FaultPlan::new()
-                .link_partition(Cycles::new(600), NodeId::new(0))
-                .build()
-                .injections()[0],
+        assert_eq!(gac.leases()[0].2, Cycles::new(1_500));
+        let _ = gac.inject(
+            one(FaultPlan::new().link_partition(Cycles::new(600), NodeId::new(0))),
             &mut rec,
         );
         gac.heartbeat_all(Cycles::new(1_000), &mut rec);
         assert_eq!(rec.counters().leases_renewed, 1, "partitioned: no renewal");
         // Within ttl + grace the placement survives (unreachable ≠ dead) …
-        let _ = gac.advance_recorded(Cycles::new(3_000), &mut rec);
-        assert_eq!(gac.placement(JobId::new(0)), Some(NodeId::new(0)));
+        let _ = gac.advance(Cycles::new(3_000));
+        assert_eq!(placement(&gac, 0), Some(NodeId::new(0)));
         // … but past it the lease expires and the job re-places, exactly
-        // like an evacuation.
-        let _ = gac.advance_recorded(Cycles::new(4_000), &mut rec);
-        assert_eq!(rec.counters().leases_expired, 1);
-        assert_eq!(gac.placement(JobId::new(0)), Some(NodeId::new(1)));
-        assert_eq!(rec.counters().migrated, 1);
+        // like an evacuation, with a fresh lease.
+        let _ = gac.advance(Cycles::new(4_000));
+        assert_eq!(placement(&gac, 0), Some(NodeId::new(1)));
         assert_eq!(
             gac.leases().len(),
             1,
             "the migrated job holds a fresh lease"
         );
+        assert_eq!(gac.leases()[0].1, NodeId::new(1));
     }
 
     #[test]
     fn heartbeats_keep_leases_alive_and_freeze_forces_expiry() {
-        let mut gac =
-            GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit)
-                .with_gac_config(
-                    GacConfig::builder()
-                        .lease_ttl(Cycles::new(1_000))
-                        .dead_timeout(Cycles::new(2_000))
-                        .build(),
-                );
+        let mut gac = leased(1);
         let mut rec = RingBufferRecorder::new(128);
-        let (_, d) = gac.submit_recorded(
-            JobId::new(0),
-            ExecutionMode::Strict,
-            ResourceRequest::paper_job(),
-            Cycles::new(100_000),
-            None,
-            &mut rec,
-        );
+        let (_, d) = gac.submit_request(&request(0, 100_000, None), &mut rec);
         assert!(d.is_accepted());
         // Renewed every 500 cycles, the lease never nears expiry even far
         // past its original ttl.
         for t in (500..=10_000).step_by(500) {
             gac.heartbeat_all(Cycles::new(t), &mut rec);
-            let _ = gac.advance_recorded(Cycles::new(t), &mut rec);
+            let _ = gac.advance(Cycles::new(t));
         }
-        assert_eq!(rec.counters().leases_expired, 0);
-        assert_eq!(gac.placement(JobId::new(0)), Some(NodeId::new(0)));
+        assert_eq!(placement(&gac, 0), Some(NodeId::new(0)));
         // Freeze renewals: heartbeats still arrive (health stays Healthy)
         // but the lease dies ttl + grace later — on a one-node server the
         // job is revoked, never silently lost.
-        gac.inject(
-            FaultPlan::new()
-                .lease_freeze(Cycles::new(10_000), NodeId::new(0))
-                .build()
-                .injections()[0],
+        let _ = gac.inject(
+            one(FaultPlan::new().lease_freeze(Cycles::new(10_000), NodeId::new(0))),
             &mut rec,
         );
+        let renewed = rec.counters().leases_renewed;
         for t in (10_500..=14_000).step_by(500) {
             gac.heartbeat_all(Cycles::new(t), &mut rec);
-            let _ = gac.advance_recorded(Cycles::new(t), &mut rec);
+            let _ = gac.advance(Cycles::new(t));
         }
-        assert_eq!(rec.counters().leases_expired, 1);
+        assert_eq!(rec.counters().leases_renewed, renewed, "frozen: no renewal");
         assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Healthy);
-        assert_eq!(rec.counters().reservations_revoked, 1);
         assert!(gac.placements().is_empty());
+        assert!(gac.leases().is_empty());
     }
 
     #[test]
-    fn snapshot_round_trips_membership_and_leases() {
-        let mut gac =
-            GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit)
-                .with_gac_config(GacConfig::builder().lease_ttl(Cycles::new(5_000)).build());
+    fn snapshot_round_trips_membership_leases_and_links() {
+        let mut gac = leased(2);
         let mut rec = RingBufferRecorder::new(64);
-        let _ = submit_strict(&mut gac, 0);
-        let joined = gac.join_node(Cycles::new(10), &mut rec);
-        let _ = gac.drain_node(NodeId::new(0), Cycles::new(20), &mut rec);
+        let _ = gac.submit_request(&request(0, 100_000, None), &mut rec);
+        let joined = NodeId::new(2);
+        let _ = churn(&mut gac, Fault::NodeJoin { node: joined }, 10, &mut rec);
+        let drain = Fault::NodeDrain {
+            node: NodeId::new(0),
+        };
+        let _ = churn(&mut gac, drain, 20, &mut rec);
+        let _ = gac.inject(
+            one(FaultPlan::new().probe_loss(Cycles::new(30), joined, 3)),
+            &mut rec,
+        );
+        let _ = gac.inject(
+            one(FaultPlan::new().link_partition(Cycles::new(40), NodeId::new(1))),
+            &mut rec,
+        );
         let restored = GlobalAdmissionController::restore(gac.snapshot());
         assert_eq!(restored, gac);
         assert_eq!(restored.member_state(NodeId::new(0)), MemberState::Left);
         assert_eq!(restored.member_state(joined), MemberState::Live);
         assert_eq!(restored.leases(), gac.leases());
         assert!(!restored.leases().is_empty());
+        assert_eq!(restored.placements(), gac.placements());
+        let snapshot = restored.snapshot();
+        assert_eq!(snapshot.nodes[2].drops_to_node, 3);
+        assert!(snapshot.nodes[1].cut);
     }
 
     #[test]
@@ -2011,19 +1227,13 @@ mod tests {
         let mut rec = RingBufferRecorder::new(16);
         // Joining index 5 on a 1-node table is ignored (append-only).
         let _ = gac.inject(
-            FaultPlan::new()
-                .node_join(Cycles::ZERO, NodeId::new(5))
-                .build()
-                .injections()[0],
+            one(FaultPlan::new().node_join(Cycles::ZERO, NodeId::new(5))),
             &mut rec,
         );
         assert_eq!(gac.nodes(), 1);
         // Joining the next index works.
         let _ = gac.inject(
-            FaultPlan::new()
-                .node_join(Cycles::ZERO, NodeId::new(1))
-                .build()
-                .injections()[0],
+            one(FaultPlan::new().node_join(Cycles::ZERO, NodeId::new(1))),
             &mut rec,
         );
         assert_eq!(gac.nodes(), 2);
@@ -2038,10 +1248,7 @@ mod tests {
         let mut rec = RingBufferRecorder::new(32);
         let _ = submit_strict(&mut gac, 0);
         let report = gac.inject(
-            FaultPlan::new()
-                .node_fault(Cycles::ZERO, NodeId::new(0))
-                .build()
-                .injections()[0],
+            one(FaultPlan::new().node_fault(Cycles::ZERO, NodeId::new(0))),
             &mut rec,
         );
         assert_eq!(report.revoked, vec![JobId::new(0)]);

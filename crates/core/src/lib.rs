@@ -12,9 +12,11 @@
 //! * **Execution modes** ([`modes`]) — `Strict`, `Elastic(X)`,
 //!   `Opportunistic`, plus the manual and automatic mode-downgrade rules of
 //!   Sections 3.3–3.4.
-//! * **Admission control** ([`lac`], [`gac`]) — the per-node FCFS Local
-//!   Admission Controller with timeslot/resource reservation, and the
-//!   Global Admission Controller that probes nodes.
+//! * **Admission control** ([`lac`], [`protocol`], [`gac`]) — the
+//!   per-node FCFS Local Admission Controller with timeslot/resource
+//!   reservation, and the Global Admission Controller that probes nodes:
+//!   one state machine ([`NetGac`]) with a networked driver ([`Cluster`])
+//!   and an in-process one ([`GlobalAdmissionController`]).
 //! * **Resource stealing** ([`stealing`]) — the duplicate-tag-guarded
 //!   controller that removes one way per interval from an `Elastic(X)` job
 //!   and donates it to Opportunistic jobs, cancelling when the cumulative
@@ -67,8 +69,8 @@ pub mod target;
 
 pub use epoch::{EpochController, EpochSample, EpochView, KnobUpdate, SloSpec};
 pub use gac::{
-    FaultReport, GacConfig, GacConfigBuilder, GacError, GacState, GlobalAdmissionController,
-    MemberState, NodeHealth, NodeSnapshot, ProbeOutcome, ProbePolicy,
+    FaultReport, GacConfig, GacState, GlobalAdmissionController, MemberState, NodeHealth,
+    NodeSnapshot, ProbePolicy,
 };
 pub use intake::{
     AdmissionIntake, DrainedDecision, IntakeConfig, IntakeConfigBuilder, IntakeOutcome, IntakeStats,

@@ -1,11 +1,12 @@
-//! The GAC↔LAC control plane as a request/reply protocol over a
-//! message network.
+//! The GAC↔LAC control plane: the one global-admission state machine,
+//! [`NetGac`], and the request/reply protocol it speaks. `NetGac` never
+//! calls a LAC: it sends typed messages through a [`Transport`] and acts
+//! on the replies. [`Cluster`] drives it over a seeded
+//! [`cmpqos_net::SimNet`];
+//! [`GlobalAdmissionController`](crate::gac::GlobalAdmissionController)
+//! drives it in-process over a zero-latency one.
 //!
-//! The in-process [`GlobalAdmissionController`](crate::gac) calls its LACs
-//! as plain methods; this module re-expresses the same conversations as
-//! typed messages over a [`Transport`] (usually a seeded
-//! [`cmpqos_net::SimNet`]), so partitions, drops, duplicates, and reorder
-//! become first-class failure modes of admission control itself:
+//! The pieces:
 //!
 //! * [`NetRequest`]/[`NetReply`] — the wire protocol: probe, readmit,
 //!   revoke, occupancy summary, and reconciliation, each carrying a
@@ -36,18 +37,19 @@
 //!   sends its view of the node's placements; the endpoint revokes
 //!   orphans, reports what it still holds, and the GAC re-places
 //!   anything the node lost.
-//! * [`Cluster`] — the harness: GAC + endpoints + network, advanced
-//!   event-to-event so a run is a deterministic function of
-//!   `(seed, submissions, faults)`.
+//! * [`Cluster`] — GAC + endpoints + network, advanced event-to-event so
+//!   a run is a deterministic function of `(seed, submissions, faults)`.
 
 use crate::gac::{GacConfig, MemberState, NodeHealth, ProbePolicy};
 use crate::lac::{Decision, Lac, RejectReason, Reservation};
 use crate::request::AdmissionRequest;
+use crate::target::ResourceRequest;
 use cmpqos_faults::{Fault, Injection};
 use cmpqos_net::{Addr, LinkConfig, SimNet, Transport};
-use cmpqos_obs::{Event, Recorder};
-use cmpqos_types::{Cycles, JobId, NodeId};
+use cmpqos_obs::{Event, NullRecorder, Recorder};
+use cmpqos_types::{Cycles, JobId, NodeId, Ways};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
 
 /// The node-side admission state machine a [`LacEndpoint`] drives.
 ///
@@ -61,6 +63,14 @@ pub trait LacBackend {
     fn advance(&mut self, now: Cycles);
     /// FCFS admission test.
     fn admit(&mut self, req: &AdmissionRequest) -> Decision;
+    /// [`LacBackend::admit`], also reporting the decision to `recorder`.
+    /// The default reports nothing: a node across a network keeps its
+    /// own log. The in-process driver's nodes share the controller's log
+    /// and report each decision as the LAC does when called directly.
+    fn admit_recorded(&mut self, req: &AdmissionRequest, recorder: &mut dyn Recorder) -> Decision {
+        let _ = recorder;
+        self.admit(req)
+    }
     /// Re-admission of a migrated reservation.
     fn readmit(&mut self, r: &Reservation) -> Decision;
     /// Cancels a reservation (idempotent: unknown ids are a no-op).
@@ -97,6 +107,7 @@ impl LacBackend for Lac {
 
 /// What the GAC asks a node.
 #[derive(Debug, Clone, PartialEq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RequestBody {
     /// Admission probe for a new job.
     Probe(AdmissionRequest),
@@ -239,9 +250,9 @@ const REPLY_CACHE: usize = 512;
 /// requests to a [`LacBackend`] over an at-most-once lossy network.
 #[derive(Debug)]
 pub struct LacEndpoint<B> {
-    backend: B,
-    epoch: u64,
-    next_seq: u64,
+    pub(crate) backend: B,
+    pub(crate) epoch: u64,
+    pub(crate) next_seq: u64,
     pending: BTreeMap<u64, NetRequest>,
     replies: BTreeMap<u64, NetReply>,
     processed: u64,
@@ -317,7 +328,10 @@ impl<B: LacBackend> LacEndpoint<B> {
     ///   abandoning everything it sent before it.
     /// * A *lower* epoch is stale: answered from cache if possible,
     ///   otherwise dropped.
-    pub fn handle(&mut self, req: NetRequest) -> Vec<NetReply> {
+    ///
+    /// Each probe executed goes to the backend's
+    /// [`LacBackend::admit_recorded`] with `recorder`.
+    pub fn handle(&mut self, req: NetRequest, recorder: &mut dyn Recorder) -> Vec<NetReply> {
         let mut out = Vec::new();
         if req.epoch < self.epoch {
             match self.replies.get(&req.seq) {
@@ -350,7 +364,7 @@ impl<B: LacBackend> LacEndpoint<B> {
             self.duplicates += 1;
         }
         while let Some(next) = self.pending.remove(&self.next_seq) {
-            let reply = self.process(next);
+            let reply = self.process(next, recorder);
             self.replies.insert(reply.seq, reply.clone());
             while self.replies.len() > REPLY_CACHE {
                 let oldest = *self.replies.keys().next().expect("non-empty");
@@ -362,12 +376,14 @@ impl<B: LacBackend> LacEndpoint<B> {
         out
     }
 
-    fn process(&mut self, req: NetRequest) -> NetReply {
+    fn process(&mut self, req: NetRequest, recorder: &mut dyn Recorder) -> NetReply {
         self.processed += 1;
         let at = req.at.max(self.backend.now());
         self.backend.advance(at);
         let body = match req.body {
-            RequestBody::Probe(areq) => ReplyBody::Decision(self.backend.admit(&areq)),
+            RequestBody::Probe(areq) => {
+                ReplyBody::Decision(self.backend.admit_recorded(&areq, recorder))
+            }
             RequestBody::Readmit(r) => ReplyBody::Decision(self.backend.readmit(&r)),
             RequestBody::Revoke { job } => {
                 let held = self.backend.reservations().iter().any(|r| r.id == job);
@@ -425,12 +441,11 @@ impl<B: LacBackend> LacEndpoint<B> {
     }
 }
 
-/// Timing knobs of the message-layer GAC.
+/// The GAC's knobs, shared by both drivers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetGacConfig {
-    /// Retry/health thresholds (shared with the in-process GAC). The
-    /// backoff fields are unused here; retransmission pacing comes from
-    /// [`NetGacConfig::rto`].
+    /// Retry budget and failure-detector thresholds.
     pub gac: GacConfig,
     /// Initial retransmission timeout; doubles per attempt.
     pub rto: Cycles,
@@ -443,7 +458,8 @@ pub struct NetGacConfig {
     /// are unperturbed.
     pub heartbeat_every: Cycles,
     /// Lease lifetime granted on each placement and renewed by every
-    /// heartbeat ack; expiry (after a further
+    /// heartbeat ack (or in-process heartbeat sweep); expiry (after a
+    /// further
     /// [`GacConfig::dead_timeout`] grace) revokes and re-places the job
     /// like an evacuation. `Cycles::ZERO` (the default) disables leasing.
     pub lease_ttl: Cycles,
@@ -461,8 +477,10 @@ impl Default for NetGacConfig {
     }
 }
 
-/// Per-node failure-detector and conversation state.
-#[derive(Debug, Clone)]
+/// Per-node failure-detector and conversation state: the dense array a
+/// heartbeat sweep reads.
+#[derive(Debug, Clone, PartialEq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct NetNode {
     health: NodeHealth,
     member: MemberState,
@@ -478,6 +496,9 @@ struct NetNode {
     /// Readmits still in flight for a graceful drain; the node leaves
     /// only when this reaches zero.
     drain_pending: u32,
+    /// Where the node's last lease renewal ran its leases to: a lease on
+    /// this node expires at the later of its own grant and this.
+    leases_until: Cycles,
 }
 
 impl NetNode {
@@ -495,12 +516,14 @@ impl NetNode {
             heartbeat_queued: false,
             lease_frozen: false,
             drain_pending: 0,
+            leases_until: Cycles::ZERO,
         }
     }
 }
 
 /// One unit of control-plane work.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 enum Task {
     Place {
         req: AdmissionRequest,
@@ -541,7 +564,8 @@ enum Task {
 /// The in-flight conversation (at most one at a time: the control plane
 /// is strictly sequential, which keeps every run a deterministic function
 /// of its inputs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct Conversation {
     node: NodeId,
     seq: u64,
@@ -555,6 +579,7 @@ struct Conversation {
 
 /// Aggregate counters of a [`NetGac`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetGacStats {
     /// Conversations opened.
     pub conversations: u64,
@@ -568,16 +593,20 @@ pub struct NetGacStats {
     pub reconciles: u64,
 }
 
-/// The GAC re-expressed over a message network.
+/// The Global Admission Controller's state machine.
 ///
 /// Feed it work with [`NetGac::submit`] / [`NetGac::revoke`], then
 /// alternate [`NetGac::drive`] (open/retransmit/abandon conversations)
 /// with [`NetGac::on_reply`] (route delivered replies) — or let a
-/// [`Cluster`] do both.
-#[derive(Debug)]
+/// [`Cluster`] or the in-process
+/// [`GlobalAdmissionController`](crate::gac::GlobalAdmissionController)
+/// do both. A clone is a snapshot: serialized (with the `serde`
+/// feature), it is how the in-process driver's journal captures the core.
+#[derive(Debug, Clone, PartialEq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetGac {
-    config: NetGacConfig,
-    policy: ProbePolicy,
+    pub(crate) config: NetGacConfig,
+    pub(crate) policy: ProbePolicy,
     nodes: Vec<NetNode>,
     placements: BTreeMap<JobId, (NodeId, Reservation)>,
     decisions: BTreeMap<JobId, (Option<NodeId>, Decision)>,
@@ -587,7 +616,14 @@ pub struct NetGac {
     parked: Vec<(Cycles, u64, Task)>,
     park_counter: u64,
     current: Option<Conversation>,
-    leases: BTreeMap<JobId, Cycles>,
+    /// `(job, placement node, granted expiry)`, sorted by job. A renewal
+    /// moves its node's `leases_until`, not each lease, so a heartbeat
+    /// round costs one pass over the nodes ([`NetGac::lease_expiry`]).
+    leases: Vec<(JobId, NodeId, Cycles)>,
+    /// Scratch of [`NetGac::renew_leases`], one entry per node: whether
+    /// its caller is renewing the node's leases, and how many it renewed.
+    /// Holds nothing between calls.
+    renewing: Vec<(bool, u64)>,
     next_heartbeat: Cycles,
     stats: NetGacStats,
     now: Cycles,
@@ -609,7 +645,8 @@ impl NetGac {
             parked: Vec::new(),
             park_counter: 0,
             current: None,
-            leases: BTreeMap::new(),
+            leases: Vec::new(),
+            renewing: vec![(false, 0); nodes],
             next_heartbeat: config.heartbeat_every,
             stats: NetGacStats::default(),
             now: Cycles::ZERO,
@@ -654,11 +691,141 @@ impl NetGac {
         self.nodes[node.as_usize()].member
     }
 
-    /// The lease table: each placed job's current expiry cycle (empty
-    /// while leasing is disabled).
+    /// The lease table: each placed job's node and current expiry cycle,
+    /// in job order (empty while leasing is disabled).
     #[must_use]
-    pub fn leases(&self) -> &BTreeMap<JobId, Cycles> {
-        &self.leases
+    pub fn leases(&self) -> Vec<(JobId, NodeId, Cycles)> {
+        self.leases
+            .iter()
+            .map(|lease| (lease.0, lease.1, self.lease_expiry(lease)))
+            .collect()
+    }
+
+    /// When a lease runs out: at its grant, or at its node's last renewal
+    /// when that came later (a renewal covers every lease the node held).
+    fn lease_expiry(&self, &(_, node, granted): &(JobId, NodeId, Cycles)) -> Cycles {
+        granted.max(self.nodes[node.as_usize()].leases_until)
+    }
+
+    /// Hands the core a reservation its node evicted on its own (a dead
+    /// way or core left no room for it): the placement is dropped and
+    /// the reservation re-placed on another node, or revoked when none
+    /// takes it.
+    pub fn readmit(&mut self, r: Reservation, from: NodeId) {
+        self.placements.remove(&r.id);
+        self.drop_lease(r.id);
+        self.tasks.push_back(Task::Readmit {
+            r,
+            from,
+            at: self.now,
+            tried: Vec::new(),
+        });
+    }
+
+    /// Records that `job`'s node gave up `ways_cut` of its ways to a
+    /// fault (an Elastic downgrade), so a later readmit asks for what the
+    /// job still holds.
+    pub fn downgrade(&mut self, job: JobId, ways_cut: Ways) {
+        if let Some((_, r)) = self.placements.get_mut(&job) {
+            r.request = r.request.minus(&ResourceRequest::new(0, ways_cut));
+        }
+    }
+
+    /// Retires `job`'s placement because it finished early, returning the
+    /// node it ran on. Releasing the node's reservation is the caller's
+    /// node-local business.
+    pub fn release(&mut self, job: JobId) -> Option<NodeId> {
+        let (node, _) = self.placements.remove(&job)?;
+        self.drop_lease(job);
+        self.completed.insert(job);
+        Some(node)
+    }
+
+    /// Forgets the decisions, completions and revocations recorded so
+    /// far. A driver that reports each outcome as it happens calls this
+    /// after every step, so the core's tables stay bounded by its live
+    /// placements.
+    pub fn clear_finished(&mut self) {
+        self.decisions.clear();
+        self.completed.clear();
+        self.revoked.clear();
+    }
+
+    /// One heartbeat round answered at once by every member whose link
+    /// is up (`reachable(index)`), with no conversation: each counts as
+    /// proof of life for the failure detector, and each that is not
+    /// lease-frozen has its leases renewed. One pass over the nodes and
+    /// one over the lease table. A no-op while leasing is disabled.
+    pub fn heartbeat_sweep(
+        &mut self,
+        at: Cycles,
+        reachable: impl Fn(usize) -> bool,
+        recorder: &mut dyn Recorder,
+    ) {
+        if self.config.lease_ttl == Cycles::ZERO {
+            return;
+        }
+        self.now = self.now.max(at);
+        let answers = |n: &NetNode, i: usize| {
+            matches!(n.member, MemberState::Live | MemberState::Draining)
+                && n.health != NodeHealth::Dead
+                && reachable(i)
+        };
+        let mut recovered = false;
+        for (i, (n, renew)) in self.nodes.iter_mut().zip(&mut self.renewing).enumerate() {
+            let answered = answers(n, i);
+            if answered {
+                n.consecutive_losses = 0;
+                n.last_heard = self.now;
+                recovered |= n.health == NodeHealth::Suspect;
+            }
+            renew.0 = answered && !n.lease_frozen;
+        }
+        if recovered {
+            for i in 0..self.nodes.len() {
+                if self.nodes[i].health == NodeHealth::Suspect && answers(&self.nodes[i], i) {
+                    self.set_health(i, NodeHealth::Healthy, recorder);
+                }
+            }
+        }
+        self.renew_leases(0..self.nodes.len(), recorder);
+    }
+
+    /// Renews to `now + lease_ttl` every lease on each node in `nodes`
+    /// that the caller marked in `renewing`, and reports one
+    /// `LeaseRenewed` per node that held any. A heartbeat ack runs it for
+    /// one node, the in-process sweep for all of them; only reporting
+    /// looks at the lease table.
+    fn renew_leases(&mut self, nodes: Range<usize>, recorder: &mut dyn Recorder) {
+        let until = self.now + self.config.lease_ttl;
+        let renewing = &self.renewing[nodes.clone()];
+        for (n, &(renew, _)) in self.nodes[nodes.clone()].iter_mut().zip(renewing) {
+            if renew {
+                n.leases_until = until;
+            }
+        }
+        if !recorder.enabled() {
+            return;
+        }
+        for &(_, node, _) in &self.leases {
+            let i = node.as_usize();
+            if nodes.contains(&i) && self.renewing[i].0 {
+                self.renewing[i].1 += 1;
+            }
+        }
+        for i in nodes {
+            let leases = std::mem::take(&mut self.renewing[i].1);
+            if leases > 0 {
+                let node = NodeId::new(u32::try_from(i).expect("node count fits u32"));
+                recorder.record(self.now, Event::LeaseRenewed { node, leases });
+            }
+        }
+    }
+
+    /// Whether a conversation is open or a task is queued (parked retries
+    /// wait for their timer and do not count).
+    pub(crate) fn busy(&self) -> bool {
+        self.current.is_some() || !self.tasks.is_empty()
     }
 
     /// Stops renewing `node`'s leases (the `LeaseFreeze` fault) until the
@@ -681,6 +848,7 @@ impl NetGac {
         n.member = MemberState::Joining;
         n.last_heard = self.now;
         self.nodes.push(n);
+        self.renewing.push((false, 0));
         self.tasks.push_back(Task::Join { node });
         node
     }
@@ -739,12 +907,6 @@ impl NetGac {
             self.nodes[i].reconcile_queued = true;
             self.tasks.push_back(Task::Reconcile { node });
         }
-    }
-
-    /// Number of nodes under this controller.
-    #[must_use]
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Current placements (job → node and the GAC's copy of the
@@ -806,8 +968,8 @@ impl NetGac {
             .then(|| {
                 let grace = self.config.gac.dead_timeout;
                 self.leases
-                    .values()
-                    .map(|&until| until + grace + Cycles::new(1))
+                    .iter()
+                    .map(|lease| self.lease_expiry(lease) + grace + Cycles::new(1))
                     .min()
             })
             .flatten();
@@ -830,7 +992,7 @@ impl NetGac {
             .collect();
         for job in done {
             let (_, r) = self.placements.remove(&job).expect("collected above");
-            self.leases.remove(&job);
+            self.drop_lease(job);
             self.completed.insert(job);
             if recorder.enabled() {
                 recorder.record(
@@ -859,11 +1021,11 @@ impl NetGac {
         let expired: Vec<JobId> = self
             .leases
             .iter()
-            .filter(|&(_, &until)| self.now > until + grace)
-            .map(|(&job, _)| job)
+            .filter(|lease| self.now > self.lease_expiry(lease) + grace)
+            .map(|&(job, _, _)| job)
             .collect();
         for job in expired {
-            self.leases.remove(&job);
+            self.drop_lease(job);
             let Some((node, r)) = self.placements.remove(&job) else {
                 continue;
             };
@@ -926,7 +1088,7 @@ impl NetGac {
         if self.nodes[i].health == NodeHealth::Suspect {
             self.set_health(i, NodeHealth::Healthy, recorder);
         }
-        self.complete(conv, reply, recorder);
+        self.answer(conv, reply, recorder);
     }
 
     /// Opens, retransmits, and abandons conversations. Returns whether
@@ -938,7 +1100,6 @@ impl NetGac {
         recorder: &mut dyn Recorder,
     ) -> bool {
         self.now = self.now.max(now);
-        let mut sent = false;
         self.expire_leases(recorder);
         if self.config.heartbeat_every > Cycles::ZERO {
             while self.now >= self.next_heartbeat {
@@ -947,6 +1108,22 @@ impl NetGac {
             }
         }
         self.unpark();
+        self.converse(now, net, recorder)
+    }
+
+    /// The conversation half of [`NetGac::drive`]: retransmits or abandons
+    /// the open conversation when its timeout has passed, then opens
+    /// queued tasks until one is in flight. Timers other than the
+    /// retransmission timeout (parked retries, heartbeats, lease expiry)
+    /// are not looked at.
+    fn converse(
+        &mut self,
+        now: Cycles,
+        net: &mut dyn Transport<Wire>,
+        recorder: &mut dyn Recorder,
+    ) -> bool {
+        self.now = self.now.max(now);
+        let mut sent = false;
         if let Some(conv) = self.current.take() {
             if self.now >= conv.timeout_at {
                 sent |= self.on_timeout(conv, net, recorder);
@@ -1085,7 +1262,7 @@ impl NetGac {
                     )),
                     None => {
                         self.revoked.insert(r.id);
-                        self.leases.remove(&r.id);
+                        self.drop_lease(r.id);
                         if recorder.enabled() {
                             recorder.record(
                                 self.now,
@@ -1330,10 +1507,21 @@ impl NetGac {
         let _ = recorder;
     }
 
-    /// Grants (or renews) a freshly-placed job's lease.
-    fn grant_lease(&mut self, job: JobId) {
-        if self.config.lease_ttl > Cycles::ZERO {
-            self.leases.insert(job, self.now + self.config.lease_ttl);
+    /// Grants (or renews) a freshly-placed job's lease on `node`.
+    fn grant_lease(&mut self, job: JobId, node: NodeId) {
+        if self.config.lease_ttl == Cycles::ZERO {
+            return;
+        }
+        let lease = (job, node, self.now + self.config.lease_ttl);
+        match self.leases.binary_search_by_key(&job, |&(j, _, _)| j) {
+            Ok(i) => self.leases[i] = lease,
+            Err(i) => self.leases.insert(i, lease),
+        }
+    }
+
+    fn drop_lease(&mut self, job: JobId) {
+        if let Ok(i) = self.leases.binary_search_by_key(&job, |&(j, _, _)| j) {
+            self.leases.remove(i);
         }
     }
 
@@ -1467,7 +1655,7 @@ impl NetGac {
             .collect();
         for job in stranded {
             let (_, r) = self.placements.remove(&job).expect("collected above");
-            self.leases.remove(&job);
+            self.drop_lease(job);
             self.tasks.push_back(Task::Readmit {
                 r,
                 from: node,
@@ -1477,7 +1665,8 @@ impl NetGac {
         }
     }
 
-    fn complete(&mut self, conv: Conversation, reply: &NetReply, recorder: &mut dyn Recorder) {
+    /// Finishes the open conversation with the reply it got.
+    fn answer(&mut self, conv: Conversation, reply: &NetReply, recorder: &mut dyn Recorder) {
         match (conv.task, &reply.body) {
             (
                 Task::Place {
@@ -1495,7 +1684,7 @@ impl NetGac {
                         deadline: req.deadline,
                     };
                     self.placements.insert(req.id, (conv.node, r));
-                    self.grant_lease(req.id);
+                    self.grant_lease(req.id, conv.node);
                     self.decisions.insert(req.id, (Some(conv.node), *d));
                     if recorder.enabled() {
                         recorder.record(
@@ -1533,7 +1722,7 @@ impl NetGac {
                         ..r
                     };
                     self.placements.insert(r.id, (conv.node, moved));
-                    self.grant_lease(r.id);
+                    self.grant_lease(r.id, conv.node);
                     if recorder.enabled() {
                         recorder.record(
                             self.now,
@@ -1557,7 +1746,7 @@ impl NetGac {
                 // revoked, never both.
                 if !self.completed.contains(&job) {
                     self.placements.remove(&job);
-                    self.leases.remove(&job);
+                    self.drop_lease(job);
                     self.revoked.insert(job);
                     if recorder.enabled() {
                         recorder.record(
@@ -1593,7 +1782,7 @@ impl NetGac {
                         continue;
                     }
                     let (_, r) = self.placements.remove(&job).expect("iterated above");
-                    self.leases.remove(&job);
+                    self.drop_lease(job);
                     if r.end <= *lac_now {
                         // The node ran it to completion while we were out
                         // of touch.
@@ -1640,13 +1829,9 @@ impl NetGac {
                         recorder.record(self.now, Event::NodeJoined { node });
                     }
                 }
-                if self.config.lease_ttl > Cycles::ZERO && !self.nodes[i].lease_frozen {
-                    let until = self.now + self.config.lease_ttl;
-                    for (&job, lease) in &mut self.leases {
-                        if self.placements.get(&job).is_some_and(|(n, _)| *n == node) {
-                            *lease = until;
-                        }
-                    }
+                if self.config.lease_ttl > Cycles::ZERO {
+                    self.renewing[i].0 = !self.nodes[i].lease_frozen;
+                    self.renew_leases(i..i + 1, &mut NullRecorder);
                 }
             }
             (Task::Ping { node }, ReplyBody::Summary { .. }) => {
@@ -1655,24 +1840,9 @@ impl NetGac {
             (Task::Heartbeat { node }, ReplyBody::HeartbeatAck { .. }) => {
                 let i = node.as_usize();
                 self.nodes[i].heartbeat_queued = false;
-                if self.config.lease_ttl > Cycles::ZERO && !self.nodes[i].lease_frozen {
-                    let until = self.now + self.config.lease_ttl;
-                    let mut renewed = 0u64;
-                    for (&job, lease) in &mut self.leases {
-                        if self.placements.get(&job).is_some_and(|(n, _)| *n == node) {
-                            *lease = until;
-                            renewed += 1;
-                        }
-                    }
-                    if renewed > 0 && recorder.enabled() {
-                        recorder.record(
-                            self.now,
-                            Event::LeaseRenewed {
-                                node,
-                                leases: renewed,
-                            },
-                        );
-                    }
+                if self.config.lease_ttl > Cycles::ZERO {
+                    self.renewing[i].0 = !self.nodes[i].lease_frozen;
+                    self.renew_leases(i..i + 1, recorder);
                 }
             }
             (Task::Join { node }, ReplyBody::JoinAck { .. }) => {
@@ -1705,7 +1875,7 @@ impl NetGac {
                 let mut pending = 0u32;
                 for job in mine {
                     let (_, r) = self.placements.remove(&job).expect("iterated above");
-                    self.leases.remove(&job);
+                    self.drop_lease(job);
                     if r.end <= *lac_now {
                         self.completed.insert(job);
                         if recorder.enabled() {
@@ -1743,16 +1913,17 @@ impl NetGac {
     }
 }
 
-/// GAC + LAC endpoints + network: the full message-layer control plane.
+/// GAC + LAC endpoints + network: the full control plane.
 ///
 /// [`Cluster::run_until`] advances event-to-event (frame deliveries,
 /// retransmission timeouts, parked-task wakes), so the outcome is
-/// independent of how coarsely the caller steps time.
+/// independent of how coarsely the caller steps time. The transport is a
+/// seeded [`SimNet`] unless built with [`Cluster::from_parts`].
 #[derive(Debug)]
-pub struct Cluster<B> {
+pub struct Cluster<B, T = SimNet<Wire>> {
     gac: NetGac,
-    endpoints: Vec<LacEndpoint<B>>,
-    net: SimNet<Wire>,
+    pub(crate) endpoints: Vec<LacEndpoint<B>>,
+    net: T,
     now: Cycles,
 }
 
@@ -1769,11 +1940,21 @@ impl<B: LacBackend> Cluster<B> {
         policy: ProbePolicy,
     ) -> Self {
         let gac = NetGac::new(backends.len(), config, policy);
+        let endpoints = backends.into_iter().map(LacEndpoint::new).collect();
+        Self::from_parts(gac, endpoints, SimNet::new(seed, link), Cycles::ZERO)
+    }
+}
+
+impl<B: LacBackend, T: Transport<Wire>> Cluster<B, T> {
+    /// Assembles a cluster from its parts: a state machine, one endpoint
+    /// per node it knows, a transport, and the clock.
+    #[must_use]
+    pub fn from_parts(gac: NetGac, endpoints: Vec<LacEndpoint<B>>, net: T, now: Cycles) -> Self {
         Self {
             gac,
-            endpoints: backends.into_iter().map(LacEndpoint::new).collect(),
-            net: SimNet::new(seed, link),
-            now: Cycles::ZERO,
+            endpoints,
+            net,
+            now,
         }
     }
 
@@ -1802,7 +1983,7 @@ impl<B: LacBackend> Cluster<B> {
 
     /// The network.
     #[must_use]
-    pub fn net(&self) -> &SimNet<Wire> {
+    pub fn net(&self) -> &T {
         &self.net
     }
 
@@ -1920,34 +2101,62 @@ impl<B: LacBackend> Cluster<B> {
     /// `(cycle, event)` order.
     pub fn run_until(&mut self, until: Cycles, recorder: &mut dyn Recorder) {
         loop {
-            self.settle(recorder);
-            let next_delivery = self.net.next_deliver_at();
-            let next_wake = self.gac.next_wake();
-            let next = match (next_delivery, next_wake) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            match next {
+            self.settle(true, recorder);
+            match self.next_event(true) {
                 Some(t) if t <= until => self.now = self.now.max(t),
                 _ => break,
             }
         }
         self.now = self.now.max(until);
-        self.settle(recorder);
+        self.settle(true, recorder);
         self.gac.advance(self.now, recorder);
+    }
+
+    /// Runs until no conversation is open and no task is queued,
+    /// following retransmission timeouts past the current instant. The
+    /// GAC's other timers — parked retries, heartbeat rounds, lease
+    /// expiry — wait for a later [`Cluster::run_until`], so a lost frame
+    /// costs its conversation time without moving the rest of the
+    /// control plane ahead.
+    pub fn run_to_quiet(&mut self, recorder: &mut dyn Recorder) {
+        loop {
+            self.settle(false, recorder);
+            if !self.gac.busy() {
+                break;
+            }
+            match self.next_event(false) {
+                Some(t) => self.now = self.now.max(t),
+                None => break,
+            }
+        }
+    }
+
+    /// The next frame delivery or GAC timer, whichever is first; with
+    /// `timers` off, the open conversation's timeout is the only timer.
+    fn next_event(&self, timers: bool) -> Option<Cycles> {
+        let wake = if timers {
+            self.gac.next_wake()
+        } else {
+            self.gac.current.as_ref().map(|c| c.timeout_at)
+        };
+        match (self.net.next_deliver_at(), wake) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 
     /// Runs everything runnable at the current instant: delivers due
     /// frames, routes them, and lets the GAC open/retry conversations,
-    /// until the instant produces no further work.
-    fn settle(&mut self, recorder: &mut dyn Recorder) {
+    /// until the instant produces no further work. With `timers` off the
+    /// GAC only converses ([`Cluster::run_to_quiet`]).
+    fn settle(&mut self, timers: bool, recorder: &mut dyn Recorder) {
         loop {
             let frames = self.net.deliver_due(self.now);
             let mut progressed = !frames.is_empty();
             for env in frames {
                 match (env.to, env.msg) {
                     (Addr::Node(node), Wire::Request(req)) => {
-                        let replies = self.endpoints[node.as_usize()].handle(req);
+                        let replies = self.endpoints[node.as_usize()].handle(req, recorder);
                         for reply in replies {
                             // The reply leaves the node the moment the
                             // request arrived, regardless of how coarsely
@@ -1969,7 +2178,11 @@ impl<B: LacBackend> Cluster<B> {
                     _ => {}
                 }
             }
-            progressed |= self.gac.drive(self.now, &mut self.net, recorder);
+            progressed |= if timers {
+                self.gac.drive(self.now, &mut self.net, recorder)
+            } else {
+                self.gac.converse(self.now, &mut self.net, recorder)
+            };
             if !progressed {
                 break;
             }
@@ -2056,14 +2269,14 @@ mod tests {
     fn endpoint_processes_in_order_and_reacks_duplicates() {
         let mut ep = LacEndpoint::new(Lac::new(LacConfig::default()));
         // Out-of-order: seq 1 first, buffered; seq 0 releases both.
-        assert!(ep.handle(probe_req(1, 0, 1)).is_empty());
-        let replies = ep.handle(probe_req(0, 0, 0));
+        assert!(ep.handle(probe_req(1, 0, 1), &mut NullRecorder).is_empty());
+        let replies = ep.handle(probe_req(0, 0, 0), &mut NullRecorder);
         assert_eq!(replies.len(), 2);
         assert_eq!(replies[0].seq, 0);
         assert_eq!(replies[1].seq, 1);
         assert_eq!(ep.processed(), 2);
         // A duplicate re-acks from the cache without re-admitting.
-        let again = ep.handle(probe_req(0, 0, 0));
+        let again = ep.handle(probe_req(0, 0, 0), &mut NullRecorder);
         assert_eq!(again, vec![replies[0].clone()]);
         assert_eq!(ep.processed(), 2);
         assert_eq!(ep.duplicates(), 1);
@@ -2073,15 +2286,15 @@ mod tests {
     #[test]
     fn endpoint_epoch_bump_resynchronizes_over_a_lost_seq() {
         let mut ep = LacEndpoint::new(Lac::new(LacConfig::default()));
-        assert_eq!(ep.handle(probe_req(0, 0, 0)).len(), 1);
+        assert_eq!(ep.handle(probe_req(0, 0, 0), &mut NullRecorder).len(), 1);
         // seq 1 (epoch 0) was lost forever; the GAC gave up, bumped the
         // epoch, and moved on to seq 2. Without resync this would buffer
         // forever.
-        let replies = ep.handle(probe_req(2, 1, 2));
+        let replies = ep.handle(probe_req(2, 1, 2), &mut NullRecorder);
         assert_eq!(replies.len(), 1);
         assert_eq!(replies[0].seq, 2);
         // A straggler from the abandoned epoch is stale, not executed.
-        assert!(ep.handle(probe_req(1, 0, 1)).is_empty());
+        assert!(ep.handle(probe_req(1, 0, 1), &mut NullRecorder).is_empty());
         assert_eq!(ep.stale(), 1);
         assert_eq!(ep.processed(), 2);
     }
@@ -2431,9 +2644,10 @@ mod tests {
     #[test]
     fn heartbeats_renew_leases_and_a_freeze_expires_them() {
         let config = NetGacConfig {
-            gac: GacConfig::builder()
-                .dead_timeout(Cycles::new(2_000))
-                .build(),
+            gac: GacConfig {
+                dead_timeout: Cycles::new(2_000),
+                ..GacConfig::default()
+            },
             heartbeat_every: Cycles::new(500),
             lease_ttl: Cycles::new(2_000),
             ..NetGacConfig::default()
@@ -2454,7 +2668,7 @@ mod tests {
         // Heartbeat acks kept renewing the lease well past its TTL.
         assert!(rec.counters().leases_renewed > 0);
         assert_eq!(rec.counters().leases_expired, 0);
-        assert!(cluster.gac().leases().contains_key(&JobId::new(0)));
+        assert_eq!(cluster.gac().leases()[0].0, JobId::new(0));
         // Freeze renewals on the placed node: acks still arrive (the node
         // stays Healthy — this is not a liveness failure), but the lease
         // runs out TTL + grace later and the job is revoked and re-placed.

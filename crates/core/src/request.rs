@@ -20,6 +20,7 @@ use cmpqos_types::{Cycles, JobId, SourceId};
 
 /// Where in the timeline the LAC should place the reservation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Placement {
     /// The earliest feasible slot at or after `now` (Section 5 FCFS).
     #[default]
@@ -57,6 +58,7 @@ pub enum Placement {
 /// assert!(lac.admit(&req).is_accepted());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 #[non_exhaustive]
 pub struct AdmissionRequest {
     /// The job asking for admission.

@@ -391,8 +391,14 @@ fn append_events(path: &std::path::Path, records: &[Record]) {
     }
 }
 
-/// Prints the survival table and the fault ledger.
-pub fn print(outcome: &ChaosOutcome, params: &ChaosParams) {
+/// Prints the survival table and the fault ledger, then checks that no
+/// admitted job was stranded.
+///
+/// # Errors
+///
+/// Names the stranded jobs when any admitted job ended neither completed
+/// nor revoked.
+pub fn print(outcome: &ChaosOutcome, params: &ChaosParams) -> Result<(), String> {
     use crate::output::Table;
     println!(
         "== Chaos: {} jobs on {} nodes, seed {} ==",
@@ -443,11 +449,20 @@ pub fn print(outcome: &ChaosOutcome, params: &ChaosParams) {
         outcome.live_nodes,
         params.nodes,
     );
-    assert!(
-        outcome.stranded().is_empty(),
-        "stranded reservations: {:?}",
-        outcome.stranded()
-    );
+    let stranded = outcome.stranded();
+    if !stranded.is_empty() {
+        return Err(format!("stranded reservations: {stranded:?}"));
+    }
+    Ok(())
+}
+
+/// `Err(message)` unless `holds`: one survival invariant of a chaos cell.
+fn require(holds: bool, message: impl FnOnce() -> String) -> Result<(), String> {
+    if holds {
+        Ok(())
+    } else {
+        Err(message())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -762,12 +777,16 @@ pub fn run_net(params: &NetChaosParams) -> NetChaosOutcome {
     }
 }
 
-/// Prints the net-cell verdict and asserts the partition-tolerance
+/// Prints the net-cell verdict and checks the partition-tolerance
 /// invariants: every job accounted for, nobody merely-partitioned was
 /// evacuated or declared dead, and every flagged reconciliation
-/// completed. The asserts make `--inject drop-reconcile` exit nonzero —
-/// CI's proof that the reconciliation check is live.
-pub fn print_net(o: &NetChaosOutcome, p: &NetChaosParams) {
+/// completed. The checks make `--inject drop-reconcile` fail — CI's proof
+/// that the reconciliation check is live.
+///
+/// # Errors
+///
+/// Names the first broken invariant and the numbers that broke it.
+pub fn print_net(o: &NetChaosOutcome, p: &NetChaosParams) -> Result<(), String> {
     println!(
         "== Net chaos: {} jobs on {} nodes over a lossy control plane, seed {} ==",
         p.jobs, p.nodes, p.seed
@@ -799,22 +818,33 @@ pub fn print_net(o: &NetChaosOutcome, p: &NetChaosParams) {
         "frames: {} sent | {} delivered | {} dropped | {} eaten by partitions | {} duplicated",
         o.net.sent, o.net.delivered, o.net.dropped, o.net.partitioned, o.net.duplicated
     );
-    assert!(
-        o.undecided.is_empty(),
-        "submissions without a decision: {:?}",
-        o.undecided
-    );
-    assert!(
-        o.unaccounted.is_empty(),
-        "admitted jobs not completed XOR revoked: {:?}",
-        o.unaccounted
-    );
-    assert_eq!(o.deaths, 0, "a merely-partitioned node was declared dead");
-    assert_eq!(o.migrated, 0, "a merely-partitioned node was evacuated");
-    assert_eq!(
-        o.pending_reconciles, 0,
-        "nodes still awaiting rejoin reconciliation after the heal"
-    );
+    require(o.undecided.is_empty(), || {
+        format!("submissions without a decision: {:?}", o.undecided)
+    })?;
+    require(o.unaccounted.is_empty(), || {
+        format!(
+            "admitted jobs not completed XOR revoked: {:?}",
+            o.unaccounted
+        )
+    })?;
+    require(o.deaths == 0, || {
+        format!(
+            "a merely-partitioned node was declared dead ({} death(s))",
+            o.deaths
+        )
+    })?;
+    require(o.migrated == 0, || {
+        format!(
+            "a merely-partitioned node was evacuated ({} migration(s))",
+            o.migrated
+        )
+    })?;
+    require(o.pending_reconciles == 0, || {
+        format!(
+            "{} node(s) still awaiting rejoin reconciliation after the heal",
+            o.pending_reconciles
+        )
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1142,13 +1172,17 @@ pub fn run_churn_many(params: &ChurnParams, seeds: &[u64], jobs: usize) -> Vec<C
     cmpqos_engine::Engine::new(jobs).run(cells, |_, p| run_churn(&p))
 }
 
-/// Prints the churn-cell survival table and asserts the elastic-membership
+/// Prints the churn-cell survival table and checks the elastic-membership
 /// invariants: every admitted job completed XOR revoked (migration being
 /// the mechanism, never the terminal state), every join and drain
 /// resolved, no loss-driven death, no pending reconciliation, and — the
-/// lease tripwire — zero expiries. The asserts make `--inject
-/// lease-freeze` exit nonzero: CI's proof that the lease check is live.
-pub fn print_churn(o: &ChurnOutcome, p: &ChurnParams) {
+/// lease tripwire — zero expiries. The checks make `--inject
+/// lease-freeze` fail: CI's proof that the lease check is live.
+///
+/// # Errors
+///
+/// Names the first broken invariant and the numbers that broke it.
+pub fn print_churn(o: &ChurnOutcome, p: &ChurnParams) -> Result<(), String> {
     println!(
         "== Churn: {} jobs, {} nodes + seeded churn x{} + {} kill(s), seed {} ==",
         p.jobs, p.nodes, p.churn_events, p.kills, p.seed
@@ -1178,32 +1212,42 @@ pub fn print_churn(o: &ChurnOutcome, p: &ChurnParams) {
         "frames: {} sent | {} delivered | {} dropped | {} eaten by partitions | {} duplicated",
         o.net.sent, o.net.delivered, o.net.dropped, o.net.partitioned, o.net.duplicated
     );
-    assert!(
-        o.undecided.is_empty(),
-        "submissions without a decision: {:?}",
-        o.undecided
-    );
-    assert!(
-        o.unaccounted.is_empty(),
-        "admitted jobs not completed XOR revoked: {:?}",
-        o.unaccounted
-    );
-    assert_eq!(o.joining, 0, "a join handshake never completed");
-    assert_eq!(o.draining, 0, "a graceful drain never finished");
-    assert_eq!(
-        o.deaths,
-        u64::from(p.kills),
-        "death transitions must be exactly the injected kills"
-    );
-    assert_eq!(
-        o.pending_reconciles, 0,
-        "nodes still awaiting reconciliation after the drain"
-    );
-    assert!(o.leases_renewed > 0, "heartbeats renewed no leases");
-    assert_eq!(
-        o.leases_expired, 0,
-        "a lease expired: some placement went unrenewed past TTL + grace"
-    );
+    require(o.undecided.is_empty(), || {
+        format!("submissions without a decision: {:?}", o.undecided)
+    })?;
+    require(o.unaccounted.is_empty(), || {
+        format!(
+            "admitted jobs not completed XOR revoked: {:?}",
+            o.unaccounted
+        )
+    })?;
+    require(o.joining == 0, || {
+        format!("{} join handshake(s) never completed", o.joining)
+    })?;
+    require(o.draining == 0, || {
+        format!("{} graceful drain(s) never finished", o.draining)
+    })?;
+    require(o.deaths == u64::from(p.kills), || {
+        format!(
+            "{} death transition(s) for {} injected kill(s)",
+            o.deaths, p.kills
+        )
+    })?;
+    require(o.pending_reconciles == 0, || {
+        format!(
+            "{} node(s) still awaiting reconciliation after the drain",
+            o.pending_reconciles
+        )
+    })?;
+    require(o.leases_renewed > 0, || {
+        "heartbeats renewed no leases".to_string()
+    })?;
+    require(o.leases_expired == 0, || {
+        format!(
+            "{} lease(s) expired: some placement went unrenewed past TTL + grace",
+            o.leases_expired
+        )
+    })
 }
 
 #[cfg(test)]

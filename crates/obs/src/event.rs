@@ -248,16 +248,6 @@ pub enum Event {
         /// The unresponsive node.
         node: NodeId,
     },
-    /// The GAC backed off before retrying a lost probe. Stamped at the
-    /// cycle the retry fires.
-    ProbeBackoff {
-        /// The job being retried.
-        job: JobId,
-        /// The node being re-probed.
-        node: NodeId,
-        /// The backoff delay that was waited.
-        delay: Cycles,
-    },
     /// The GAC's health tracking moved a node between states.
     NodeHealthChanged {
         /// The node.
@@ -429,7 +419,6 @@ impl Event {
             | Event::Completed { job, .. }
             | Event::DeadlineMissed { job, .. }
             | Event::ProbeLost { job, .. }
-            | Event::ProbeBackoff { job, .. }
             | Event::Placed { job, .. }
             | Event::Migrated { job, .. }
             | Event::ReservationRevoked { job, .. }
@@ -473,7 +462,6 @@ impl Event {
             Event::DeadlineMissed { .. } => EventKind::DeadlineMissed,
             Event::FaultInjected { .. } => EventKind::FaultInjected,
             Event::ProbeLost { .. } => EventKind::ProbeLost,
-            Event::ProbeBackoff { .. } => EventKind::ProbeBackoff,
             Event::NodeHealthChanged { .. } => EventKind::NodeHealthChanged,
             Event::Placed { .. } => EventKind::Placed,
             Event::Migrated { .. } => EventKind::Migrated,
@@ -531,8 +519,6 @@ pub enum EventKind {
     FaultInjected,
     /// See [`Event::ProbeLost`].
     ProbeLost,
-    /// See [`Event::ProbeBackoff`].
-    ProbeBackoff,
     /// See [`Event::NodeHealthChanged`].
     NodeHealthChanged,
     /// See [`Event::Placed`].
@@ -573,7 +559,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in declaration order.
-    pub const ALL: [EventKind; 34] = [
+    pub const ALL: [EventKind; 33] = [
         EventKind::RunStarted,
         EventKind::Submitted,
         EventKind::Admitted,
@@ -589,7 +575,6 @@ impl EventKind {
         EventKind::DeadlineMissed,
         EventKind::FaultInjected,
         EventKind::ProbeLost,
-        EventKind::ProbeBackoff,
         EventKind::NodeHealthChanged,
         EventKind::Placed,
         EventKind::Migrated,
@@ -683,7 +668,7 @@ mod tests {
         assert_eq!(e.kind(), EventKind::Started);
         let p = Event::PartitionChanged { targets: vec![] };
         assert_eq!(p.job(), None);
-        assert_eq!(EventKind::ALL.len(), 34);
+        assert_eq!(EventKind::ALL.len(), 33);
     }
 
     #[test]
@@ -753,14 +738,6 @@ mod tests {
                 },
             },
             Record {
-                at: Cycles::new(13),
-                event: Event::ProbeBackoff {
-                    job: JobId::new(4),
-                    node: NodeId::new(1),
-                    delay: Cycles::new(1000),
-                },
-            },
-            Record {
                 at: Cycles::new(14),
                 event: Event::Placed {
                     job: JobId::new(4),
@@ -800,8 +777,8 @@ mod tests {
         assert_eq!(records[0].event.job(), None);
         assert_eq!(records[1].event.job(), None);
         assert_eq!(records[2].event.job(), Some(JobId::new(4)));
-        assert_eq!(records[6].event.job(), Some(JobId::new(5)));
-        assert_eq!(records[7].event.kind(), EventKind::DowngradedUnderFault);
+        assert_eq!(records[5].event.job(), Some(JobId::new(5)));
+        assert_eq!(records[6].event.kind(), EventKind::DowngradedUnderFault);
     }
 
     #[test]

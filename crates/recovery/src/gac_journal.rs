@@ -4,35 +4,24 @@ use crate::journal::Journal;
 use crate::RecoveryReport;
 use cmpqos_core::gac::FaultReport;
 use cmpqos_core::{
-    Decision, ExecutionMode, GacState, GlobalAdmissionController, LacConfig, ProbePolicy,
-    ResourceRequest,
+    AdmissionRequest, Decision, ExecutionMode, GacState, GlobalAdmissionController, LacConfig,
+    ProbePolicy, ResourceRequest,
 };
-use cmpqos_faults::{FaultSchedule, Injection};
+use cmpqos_faults::Injection;
 use cmpqos_obs::{NullRecorder, Recorder};
 use cmpqos_types::{Cycles, JobId, NodeId};
 use serde::{Deserialize, Serialize};
 
-/// One journaled GAC operation. Exhaustive over everything that mutates a
-/// [`GlobalAdmissionController`], so *snapshot + replay* reconstructs the
-/// per-node reservation tables, FCFS order, placement table, and health
-/// map exactly.
+/// One journaled GAC operation: one input of the in-process driver.
+/// Exhaustive over everything that mutates a [`GlobalAdmissionController`],
+/// so *snapshot + replay* reconstructs the core state machine and every
+/// node's reservation table exactly.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum GacOp {
     /// A compaction snapshot: the complete controller state at this point.
-    Snapshot(GacState),
-    /// [`GlobalAdmissionController::submit`].
-    Submit {
-        /// The submitted job.
-        id: JobId,
-        /// Its execution mode.
-        mode: ExecutionMode,
-        /// Its resource-request vector.
-        request: ResourceRequest,
-        /// Its time window.
-        tw: Cycles,
-        /// Its deadline, when given.
-        deadline: Option<Cycles>,
-    },
+    Snapshot(Box<GacState>),
+    /// [`JournaledGac::submit`]: the request it stands for.
+    Submit(AdmissionRequest),
     /// [`GlobalAdmissionController::advance`].
     Advance {
         /// The new clock value.
@@ -65,7 +54,7 @@ pub enum GacOp {
 /// depends on the recorder, so a recovered controller's subsequent
 /// decisions are byte-identical to the uncrashed original's without
 /// re-emitting the pre-crash event stream.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct JournaledGac {
     gac: GlobalAdmissionController,
     journal: Journal<GacOp>,
@@ -80,7 +69,7 @@ impl JournaledGac {
     #[must_use]
     pub fn new(gac: GlobalAdmissionController, compact_every: u64) -> Self {
         let mut journal = Journal::new();
-        let _ = journal.append(GacOp::Snapshot(gac.snapshot()));
+        let _ = journal.append(GacOp::Snapshot(Box::new(gac.snapshot())));
         Self {
             gac,
             journal,
@@ -123,7 +112,7 @@ impl JournaledGac {
             .rposition(|r| matches!(r.op, GacOp::Snapshot(_)));
         let mut gac = match snapshot_at {
             Some(i) => match &journal.records()[i].op {
-                GacOp::Snapshot(state) => GlobalAdmissionController::restore(state.clone()),
+                GacOp::Snapshot(state) => GlobalAdmissionController::restore((**state).clone()),
                 _ => unreachable!("rposition matched a snapshot"),
             },
             None => GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit),
@@ -154,15 +143,9 @@ impl JournaledGac {
     /// the identical state.
     fn apply(gac: &mut GlobalAdmissionController, op: &GacOp) {
         match op {
-            GacOp::Snapshot(state) => *gac = GlobalAdmissionController::restore(state.clone()),
-            GacOp::Submit {
-                id,
-                mode,
-                request,
-                tw,
-                deadline,
-            } => {
-                let _ = gac.submit(*id, *mode, *request, *tw, *deadline);
+            GacOp::Snapshot(state) => *gac = GlobalAdmissionController::restore((**state).clone()),
+            GacOp::Submit(req) => {
+                let _ = gac.submit_request(req, &mut NullRecorder);
             }
             GacOp::Advance { now } => {
                 let _ = gac.advance(*now);
@@ -185,12 +168,14 @@ impl JournaledGac {
     /// the snapshot reflects the post-op state.
     fn maybe_compact(&mut self) {
         if self.ops_since_snapshot >= self.compact_every {
-            self.journal.compact(GacOp::Snapshot(self.gac.snapshot()));
+            self.journal
+                .compact(GacOp::Snapshot(Box::new(self.gac.snapshot())));
             self.ops_since_snapshot = 0;
         }
     }
 
-    /// Journaled [`GlobalAdmissionController::submit`].
+    /// Journaled [`GlobalAdmissionController::submit_request`] of the
+    /// request `(id, mode, request, tw, deadline)` describes.
     #[must_use = "dropping the decision loses whether (and where) the job was placed"]
     pub fn submit(
         &mut self,
@@ -203,10 +188,10 @@ impl JournaledGac {
         self.submit_recorded(id, mode, request, tw, deadline, &mut NullRecorder)
     }
 
-    /// Journaled [`GlobalAdmissionController::submit_recorded`]. The
-    /// recorder only emits events — it never influences the decision — so
-    /// the journaled op is the same as for the unrecorded call and replay
-    /// uses the silent path.
+    /// [`JournaledGac::submit`], emitting the probe history to `recorder`.
+    /// The recorder only emits events — it never influences the decision —
+    /// so the journaled op is the same as for the unrecorded call and
+    /// replay uses the silent path.
     #[must_use = "dropping the decision loses whether (and where) the job was placed"]
     pub fn submit_recorded(
         &mut self,
@@ -217,16 +202,13 @@ impl JournaledGac {
         deadline: Option<Cycles>,
         recorder: &mut dyn Recorder,
     ) -> (Option<NodeId>, Decision) {
-        self.log(GacOp::Submit {
-            id,
-            mode,
-            request,
-            tw,
-            deadline,
-        });
-        let outcome = self
-            .gac
-            .submit_recorded(id, mode, request, tw, deadline, recorder);
+        let mut req = AdmissionRequest::builder(id, request, tw).mode(mode);
+        if let Some(td) = deadline {
+            req = req.deadline(td);
+        }
+        let req = req.build();
+        self.log(GacOp::Submit(req));
+        let outcome = self.gac.submit_request(&req, recorder);
         self.maybe_compact();
         outcome
     }
@@ -260,23 +242,6 @@ impl JournaledGac {
         self.maybe_compact();
         report
     }
-
-    /// Journaled [`GlobalAdmissionController::inject_due`]: each due
-    /// injection is journaled individually before it is applied, so a
-    /// crash between two injections of the same cycle loses at most the
-    /// not-yet-journaled ones.
-    pub fn inject_due(
-        &mut self,
-        schedule: &mut FaultSchedule,
-        now: Cycles,
-        recorder: &mut dyn Recorder,
-    ) -> FaultReport {
-        let mut report = FaultReport::default();
-        for injection in schedule.due(now) {
-            report.merge(self.inject(injection, recorder));
-        }
-        report
-    }
 }
 
 #[cfg(test)]
@@ -301,7 +266,9 @@ mod tests {
             .node_fault(Cycles::new(20), NodeId::new(1))
             .probe_loss(Cycles::new(30), NodeId::new(2), 1)
             .build();
-        let _ = j.inject_due(&mut schedule, Cycles::new(40), &mut NullRecorder);
+        for injection in schedule.due(Cycles::new(40)) {
+            let _ = j.inject(injection, &mut NullRecorder);
+        }
         j.complete(JobId::new(0), Cycles::new(50));
         let _ = j.advance(Cycles::new(60));
         j
@@ -351,19 +318,21 @@ mod tests {
         let corrupt = String::from_utf8_lossy(&bytes).into_owned();
         let (recovered, report) = JournaledGac::recover(&corrupt, 64);
         assert!(report.lost >= 1);
-        assert!(recovered.gac().submissions() <= original.gac().submissions());
+        assert!(recovered.journal().len() < original.journal().len());
     }
 
     #[test]
     fn recovery_carries_membership_and_leases_through_churn() {
-        use cmpqos_core::{GacConfig, MemberState};
+        use cmpqos_core::{GacConfig, MemberState, NetGacConfig};
         let gac = GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit)
-            .with_gac_config(
-                GacConfig::builder()
-                    .lease_ttl(Cycles::new(5_000))
-                    .dead_timeout(Cycles::new(10_000))
-                    .build(),
-            );
+            .with_config(NetGacConfig {
+                gac: GacConfig {
+                    dead_timeout: Cycles::new(10_000),
+                    ..GacConfig::default()
+                },
+                lease_ttl: Cycles::new(5_000),
+                ..NetGacConfig::default()
+            });
         let mut j = JournaledGac::new(gac, 64);
         for i in 0..4u32 {
             let _ = j.submit(
@@ -382,7 +351,9 @@ mod tests {
             .node_restart(Cycles::new(300), NodeId::new(1))
             .lease_freeze(Cycles::new(400), NodeId::new(2))
             .build();
-        let _ = j.inject_due(&mut schedule, Cycles::new(500), &mut NullRecorder);
+        for injection in schedule.due(Cycles::new(500)) {
+            let _ = j.inject(injection, &mut NullRecorder);
+        }
         j.heartbeat_all(Cycles::new(600), &mut NullRecorder);
         let _ = j.advance(Cycles::new(700));
         assert_eq!(j.gac().member_state(NodeId::new(0)), MemberState::Left);

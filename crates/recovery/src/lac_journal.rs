@@ -352,13 +352,14 @@ impl cmpqos_core::LacBackend for JournaledLac {
 mod tests {
     use super::*;
     use cmpqos_core::protocol::{LacEndpoint, NetRequest, ReplyBody, RequestBody};
+    use cmpqos_obs::NullRecorder;
 
     #[test]
     fn endpoint_over_a_journaled_lac_reconciles_against_the_recovered_table() {
         // A message-layer endpoint drives the journaled LAC: an orphan is
         // admitted (its accept reply never reached the GAC)...
         let mut ep = LacEndpoint::new(JournaledLac::new(Lac::new(LacConfig::default()), 64));
-        let replies = ep.handle(NetRequest {
+        let probe = NetRequest {
             seq: 0,
             epoch: 0,
             at: Cycles::new(10),
@@ -370,7 +371,8 @@ mod tests {
                 )
                 .build(),
             ),
-        });
+        };
+        let replies = ep.handle(probe, &mut NullRecorder);
         assert_eq!(replies.len(), 1);
         // ... then the node crashes; only the journal survives.
         let jsonl = ep.backend().to_jsonl();
@@ -379,12 +381,13 @@ mod tests {
         // A reconciliation against the *recovered* table still sees the
         // orphan and revokes it.
         let mut ep = LacEndpoint::new(recovered);
-        let replies = ep.handle(NetRequest {
+        let reconcile = NetRequest {
             seq: 0,
             epoch: 0,
             at: Cycles::new(20),
             body: RequestBody::Reconcile { placed: Vec::new() },
-        });
+        };
+        let replies = ep.handle(reconcile, &mut NullRecorder);
         assert_eq!(replies.len(), 1);
         let ReplyBody::Reconcile {
             ref orphans_revoked,

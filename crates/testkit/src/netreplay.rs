@@ -61,7 +61,7 @@ pub fn replay_with_restarts(
         }
         if let (Addr::Node(node), Wire::Request(req)) = (env.to, &env.msg) {
             if let Some(endpoint) = endpoints.get_mut(node.as_usize()) {
-                let _ = endpoint.handle(req.clone());
+                let _ = endpoint.handle(req.clone(), &mut cmpqos_obs::NullRecorder);
             }
         }
     }

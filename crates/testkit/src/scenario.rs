@@ -1429,9 +1429,9 @@ pub fn run_scheduler(seed: u64) -> Result<(), Divergence> {
 /// # Errors
 ///
 /// Returns a [`Divergence`] when an accept is not reproducible from the
-/// accepting node's pre-probe state, a reject is not confirmed by every
-/// live node's oracle, or any node's timeline is overbooked after a
-/// submission or fault.
+/// accepting node's pre-probe state, a reject is not confirmed by the
+/// oracle of every node it could probe (Live and healthy), or any node's
+/// timeline is overbooked after a submission or fault.
 pub fn run_gac(seed: u64) -> Result<(), Divergence> {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x6AC0);
     let nodes = rng.gen_range(2..4usize);
@@ -1470,17 +1470,14 @@ pub fn run_gac(seed: u64) -> Result<(), Divergence> {
         // is never drained, so the cluster keeps at least one member.
         if rng.gen_bool(0.25) {
             let node = NodeId::new(rng.gen_range(0..gac.nodes() as u32));
-            match rng.gen_range(0..3u32) {
-                0 => {
-                    let _ = gac.join_node(now, &mut rec);
-                }
-                1 if node.as_usize() != 0 => {
-                    let _ = gac.drain_node(node, now, &mut rec);
-                }
-                _ => {
-                    let _ = gac.restart_node(node, now, &mut rec);
-                }
-            }
+            let fault = match rng.gen_range(0..3u32) {
+                0 => Fault::NodeJoin {
+                    node: NodeId::new(gac.nodes() as u32),
+                },
+                1 if node.as_usize() != 0 => Fault::NodeDrain { node },
+                _ => Fault::NodeRestart { node },
+            };
+            let _ = gac.inject(Injection { at: now, fault }, &mut rec);
         }
 
         let pre = gac.snapshot();
@@ -1494,7 +1491,11 @@ pub fn run_gac(seed: u64) -> Result<(), Divergence> {
             None
         };
 
-        let (placed, decision) = gac.submit(id, mode, request, tw, deadline);
+        let mut b = AdmissionRequest::builder(id, request, tw).mode(mode);
+        if let Some(td) = deadline {
+            b = b.deadline(td);
+        }
+        let (placed, decision) = gac.submit_request(&b.build(), &mut rec);
         match (placed, decision) {
             (Some(node), Decision::Accepted { start }) => {
                 let snap = &pre.nodes[node.as_usize()];
@@ -1519,11 +1520,12 @@ pub fn run_gac(seed: u64) -> Result<(), Divergence> {
             }
             (None, Decision::Rejected(_)) => {
                 for (i, snap) in pre.nodes.iter().enumerate() {
-                    // Only Live, non-dead members are probed; a
-                    // joining/draining/departed node's spare capacity does
-                    // not make a reject wrong.
-                    if snap.health == cmpqos_core::NodeHealth::Dead
-                        || snap.member != cmpqos_core::MemberState::Live
+                    // Only Live, healthy members are probed; a joining,
+                    // draining, departed or unhealthy node's spare
+                    // capacity does not make a reject wrong.
+                    let node = NodeId::new(i as u32);
+                    if pre.core.member_state(node) != cmpqos_core::MemberState::Live
+                        || pre.core.node_health(node) != cmpqos_core::NodeHealth::Healthy
                     {
                         continue;
                     }

@@ -7,9 +7,10 @@
 //! cargo run --release --example consolidation
 //! ```
 
+use cmpqos::obs::NullRecorder;
 use cmpqos::qos::gac::{GlobalAdmissionController, ProbePolicy};
 use cmpqos::qos::target::Preset;
-use cmpqos::qos::{ExecutionMode, LacConfig};
+use cmpqos::qos::{AdmissionRequest, ExecutionMode, LacConfig};
 use cmpqos::types::{Cycles, JobId, Percent};
 
 #[derive(Debug, Clone, Copy)]
@@ -60,11 +61,11 @@ fn main() {
     println!("{}", "-".repeat(64));
     for (i, (name, sla)) in submissions.iter().enumerate() {
         let request = sla.preset().request();
-        let deadline = match sla.mode() {
-            ExecutionMode::Opportunistic => None,
-            _ => Some(Cycles::new(5_000_000)),
-        };
-        let (node, decision) = gac.submit(JobId::new(i as u32), sla.mode(), request, tw, deadline);
+        let mut req = AdmissionRequest::builder(JobId::new(i as u32), request, tw).mode(sla.mode());
+        if sla.mode() != ExecutionMode::Opportunistic {
+            req = req.deadline(Cycles::new(5_000_000));
+        }
+        let (node, decision) = gac.submit_request(&req.build(), &mut NullRecorder);
         let placement = match (node, decision.is_accepted()) {
             (Some(n), true) => format!("{n} @ start {:?}", decision.start().map(|c| c.get())),
             _ => format!("REJECTED ({decision:?})"),

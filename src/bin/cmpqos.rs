@@ -427,7 +427,7 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
         let outcomes = chaos::run_churn_many(&p, &seeds, params.jobs);
         for (outcome, &seed) in outcomes.iter().zip(&seeds) {
             p.seed = seed;
-            chaos::print_churn(outcome, &p);
+            chaos::print_churn(outcome, &p)?;
         }
         return Ok(());
     }
@@ -457,7 +457,7 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
             p.heal_at = Some(Cycles::new(at));
         }
         p.drop_reconcile = chaos_inject(flags, "drop-reconcile")?;
-        chaos::print_net(&chaos::run_net(&p), &p);
+        chaos::print_net(&chaos::run_net(&p), &p)?;
         return Ok(());
     }
     let mut p = chaos::ChaosParams::standard();
@@ -468,7 +468,7 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
     let outcomes = chaos::run_many(&p, &seeds, params.jobs);
     for (outcome, &seed) in outcomes.iter().zip(&seeds) {
         p.seed = seed;
-        chaos::print(outcome, &p);
+        chaos::print(outcome, &p)?;
         chaos::verify_roundtrip(outcome)?;
         // stderr, not stdout: a crashed run's stdout must diff clean
         // against an uncrashed same-seed run's, and the two event logs

@@ -1,7 +1,7 @@
 //! Elastic-membership properties: lease-backed reservations under node
 //! churn (joins, graceful drains, restarts, kills).
 //!
-//! Three properties:
+//! Four properties:
 //!
 //! 1. **No job is ever lost to churn.** Under any seeded schedule of
 //!    joins, drains, restarts, and hard kills over a lossy network, every
@@ -15,13 +15,20 @@
 //!    empty node and admitting a same-shaped replacement leaves the
 //!    admission behavior byte-identical to never having churned: the
 //!    decision stream for any subsequent job mix matches exactly.
+//! 4. **Both drivers run one core.** A seeded stream of submissions,
+//!    clock advances, kills, joins, drains and restarts gives the same
+//!    per-job decisions and the same final placements through the
+//!    in-process `GlobalAdmissionController` and through a `Cluster` over
+//!    a lossless, zero-latency `SimNet`. (Message faults, whose timing
+//!    depends on the transport, and way/core faults and early
+//!    completions, which only the in-process driver takes, are left out.)
 
 use cmpqos::experiments::chaos::{run_churn, ChurnParams};
-use cmpqos::faults::{Fault, FaultPlan};
+use cmpqos::faults::{Fault, FaultPlan, Injection};
 use cmpqos::net::LinkConfig;
 use cmpqos::obs::{NullRecorder, RingBufferRecorder};
 use cmpqos::qos::{
-    AdmissionRequest, Cluster, ExecutionMode, GlobalAdmissionController, Lac, LacConfig,
+    AdmissionRequest, Cluster, Decision, ExecutionMode, GlobalAdmissionController, Lac, LacConfig,
     NetGacConfig, ProbePolicy, ResourceRequest,
 };
 use cmpqos::types::{Cycles, JobId, NodeId, Percent};
@@ -113,23 +120,174 @@ fn decision_stream(churned: Option<NodeId>, jobs: u32, stagger: u64, tw: u64) ->
     if let Some(node) = churned {
         // Quiet cluster: nothing placed yet, so the drain migrates
         // nothing and the join restores the original capacity.
-        let _ = gac.drain_node(node, Cycles::new(5), &mut rec);
-        let _ = gac.join_node(Cycles::new(10), &mut rec);
+        let drain = Injection {
+            at: Cycles::new(5),
+            fault: Fault::NodeDrain { node },
+        };
+        let join = Injection {
+            at: Cycles::new(10),
+            fault: Fault::NodeJoin {
+                node: NodeId::new(4),
+            },
+        };
+        let _ = gac.inject(drain, &mut rec);
+        let _ = gac.inject(join, &mut rec);
     }
     let mut out = String::new();
     for i in 0..jobs {
         let now = Cycles::new(100 + u64::from(i) * stagger);
         let _ = gac.advance(now);
-        let (_, decision) = gac.submit(
-            JobId::new(i),
-            ExecutionMode::Strict,
-            ResourceRequest::paper_job(),
-            Cycles::new(tw),
-            Some(now + Cycles::new(tw * 2)),
-        );
+        let req =
+            AdmissionRequest::builder(JobId::new(i), ResourceRequest::paper_job(), Cycles::new(tw))
+                .mode(ExecutionMode::Strict)
+                .deadline(now + Cycles::new(tw * 2))
+                .build();
+        let (_, decision) = gac.submit_request(&req, &mut rec);
         out.push_str(&format!("{i}:{decision:?}\n"));
     }
     out
+}
+
+/// What both drivers are asked to do, one step of a seeded stream.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Submit(AdmissionRequest),
+    Advance(Cycles),
+    Kill(NodeId),
+    Join,
+    Drain(NodeId),
+    Restart(NodeId),
+}
+
+/// Decodes `(kind, arg)` pairs into steps over a cluster that starts at
+/// `nodes` and grows with each join.
+fn steps(nodes: usize, raw: &[(u8, u64)]) -> Vec<Step> {
+    let mut now = 0u64;
+    let mut size = nodes as u64;
+    raw.iter()
+        .enumerate()
+        .map(|(i, &(kind, arg))| {
+            let node = NodeId::new((arg % size) as u32);
+            match kind {
+                0..=4 => {
+                    let tw = Cycles::new(200 + arg % 1_800);
+                    let mode = match arg % 3 {
+                        0 => ExecutionMode::Strict,
+                        1 => ExecutionMode::Elastic(Percent::new(50.0)),
+                        _ => ExecutionMode::Opportunistic,
+                    };
+                    let mut b = AdmissionRequest::builder(
+                        JobId::new(i as u32),
+                        ResourceRequest::paper_job(),
+                        tw,
+                    )
+                    .mode(mode);
+                    if arg % 5 != 0 {
+                        b = b.deadline(Cycles::new(now) + tw + tw);
+                    }
+                    Step::Submit(b.build())
+                }
+                5 | 6 => {
+                    now += arg % 1_500;
+                    Step::Advance(Cycles::new(now))
+                }
+                7 => Step::Kill(node),
+                8 => {
+                    size += 1;
+                    Step::Join
+                }
+                _ if arg % 2 == 0 => Step::Drain(node),
+                _ => Step::Restart(node),
+            }
+        })
+        .collect()
+}
+
+type Outcome = (Vec<(JobId, Option<NodeId>, Decision)>, Vec<(JobId, NodeId)>);
+
+/// The stream through the in-process driver.
+fn through_the_in_process_driver(nodes: usize, policy: ProbePolicy, steps: &[Step]) -> Outcome {
+    let mut gac = GlobalAdmissionController::new(nodes, LacConfig::default(), policy);
+    let mut rec = NullRecorder;
+    let mut now = Cycles::ZERO;
+    let mut decisions = Vec::new();
+    for &step in steps {
+        let fault = match step {
+            Step::Submit(req) => {
+                let (node, decision) = gac.submit_request(&req, &mut rec);
+                decisions.push((req.id, node, decision));
+                continue;
+            }
+            Step::Advance(at) => {
+                now = at;
+                let _ = gac.advance(now);
+                continue;
+            }
+            Step::Kill(node) => Fault::NodeFault { node },
+            Step::Join => Fault::NodeJoin {
+                node: NodeId::new(gac.nodes() as u32),
+            },
+            Step::Drain(node) => Fault::NodeDrain { node },
+            Step::Restart(node) => Fault::NodeRestart { node },
+        };
+        let _ = gac.inject(Injection { at: now, fault }, &mut rec);
+    }
+    (decisions, gac.placements().to_vec())
+}
+
+/// The same stream through a cluster over a lossless, zero-latency net.
+fn through_a_lossless_cluster(nodes: usize, policy: ProbePolicy, steps: &[Step]) -> Outcome {
+    let link = LinkConfig::default().base_latency(Cycles::ZERO);
+    let mut cluster = Cluster::new(
+        nodes,
+        LacConfig::default(),
+        1,
+        link,
+        NetGacConfig::default(),
+        policy,
+    );
+    let mut rec = NullRecorder;
+    let mut now = Cycles::ZERO;
+    let mut submitted = Vec::new();
+    for &step in steps {
+        cluster.run_until(now, &mut rec);
+        let fault = match step {
+            Step::Submit(req) => {
+                cluster.gac_mut().submit(req, now, &mut rec);
+                submitted.push(req.id);
+                None
+            }
+            Step::Advance(at) => {
+                now = at;
+                None
+            }
+            Step::Join => {
+                let _ = cluster.join_node(Lac::new(LacConfig::default()), now);
+                None
+            }
+            Step::Kill(node) => Some(Fault::NodeFault { node }),
+            Step::Drain(node) => Some(Fault::NodeDrain { node }),
+            Step::Restart(node) => Some(Fault::NodeRestart { node }),
+        };
+        if let Some(fault) = fault {
+            cluster.apply(Injection { at: now, fault }, &mut rec);
+        }
+        cluster.run_until(now, &mut rec);
+    }
+    let gac = cluster.gac();
+    let decisions = submitted
+        .into_iter()
+        .map(|job| {
+            let (node, decision) = gac.decisions()[&job];
+            (job, node, decision)
+        })
+        .collect();
+    let placements = gac
+        .placements()
+        .iter()
+        .map(|(&job, &(node, _))| (job, node))
+        .collect();
+    (decisions, placements)
 }
 
 proptest! {
@@ -180,6 +338,22 @@ proptest! {
         let (expired, renewed) = lossless_churn(seed, nodes, churn_events, base, jitter, dup_pct);
         prop_assert_eq!(expired, 0, "a lease expired on a lossless link");
         prop_assert!(renewed > 0, "heartbeats renewed nothing");
+    }
+
+    /// Property 4: the in-process driver and a lossless zero-latency
+    /// cluster drive one core, so they agree on every decision and on
+    /// where every surviving job is placed.
+    #[test]
+    fn both_drivers_run_one_core(
+        nodes in 2usize..6,
+        least_loaded in any::<bool>(),
+        raw in proptest::collection::vec((0u8..10, 0u64..1_000_000), 1..60),
+    ) {
+        let policy = if least_loaded { ProbePolicy::LeastLoaded } else { ProbePolicy::FirstFit };
+        let steps = steps(nodes, &raw);
+        let in_process = through_the_in_process_driver(nodes, policy, &steps);
+        let clustered = through_a_lossless_cluster(nodes, policy, &steps);
+        prop_assert_eq!(in_process, clustered);
     }
 
     /// Property 3: draining an idle node and joining a replacement is

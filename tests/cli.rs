@@ -281,3 +281,28 @@ fn valid_runs_print_the_expected_first_line() {
         );
     }
 }
+
+/// The chaos cells' sabotage switches break a survival invariant on
+/// purpose. The run prints its table, then exits 1 with an `error:` line
+/// naming the invariant: a failed check, not a panic (exit 101).
+#[test]
+fn chaos_injections_exit_1_naming_the_broken_invariant() {
+    for (args, error) in [
+        (
+            "chaos --net --nodes 12 --job-count 48 --horizon 120000 \
+             --partition 2:6@40000 --heal @70000 --inject drop-reconcile",
+            "error: 4 node(s) still awaiting rejoin reconciliation after the heal",
+        ),
+        (
+            "chaos --churn --nodes 16 --job-count 80 --horizon 480000 \
+             --churn-events 8 --kills 1 --inject lease-freeze",
+            "error: 7 lease(s) expired: some placement went unrenewed past TTL + grace",
+        ),
+    ] {
+        let out = cmpqos(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "cmpqos {args}: {stderr}");
+        assert!(stderr.starts_with(error), "cmpqos {args}: {stderr}");
+        assert!(!out.stdout.is_empty(), "cmpqos {args} printed its table");
+    }
+}

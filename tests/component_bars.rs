@@ -14,8 +14,8 @@
 use cmpqos::adapt::{Pid, PidConfig, Policy};
 use cmpqos::obs::NullRecorder;
 use cmpqos::qos::{
-    EpochSample, EpochView, ExecutionMode, GacConfig, GlobalAdmissionController, LacConfig,
-    ProbePolicy, ResourceRequest, SloSpec,
+    AdmissionRequest, EpochSample, EpochView, ExecutionMode, GlobalAdmissionController, LacConfig,
+    NetGacConfig, ProbePolicy, ResourceRequest, SloSpec,
 };
 use cmpqos::types::{CoreId, Cycles, Instructions, JobId, Percent};
 use std::time::Instant;
@@ -69,29 +69,30 @@ fn pid_tick() {
 }
 
 /// One full lease-renewal sweep per iteration over a 128-node cluster
-/// holding 256 leased placements. The sweep is O(nodes + leases), since
-/// each lease carries its placement node.
+/// holding 256 leased placements. The sweep is O(nodes + leases): it reads
+/// the per-node flags from a dense array, each lease carries its
+/// placement node, and it allocates nothing.
 #[test]
 #[ignore = "wall-clock bar; run in release with --ignored"]
 fn heartbeat_tick_128_nodes() {
     let mut gac =
         GlobalAdmissionController::new(128, LacConfig::default(), ProbePolicy::LeastLoaded)
-            .with_gac_config(
-                GacConfig::builder()
-                    .lease_ttl(Cycles::new(1_000_000))
-                    .build(),
-            );
+            .with_config(NetGacConfig {
+                lease_ttl: Cycles::new(1_000_000),
+                ..NetGacConfig::default()
+            });
+    let mut rec = NullRecorder;
     for i in 0..256u32 {
-        let (node, _) = gac.submit(
+        let req = AdmissionRequest::builder(
             JobId::new(i),
-            ExecutionMode::Strict,
             ResourceRequest::paper_job(),
             Cycles::new(1_000_000_000),
-            None,
-        );
+        )
+        .mode(ExecutionMode::Strict)
+        .build();
+        let (node, _) = gac.submit_request(&req, &mut rec);
         assert!(node.is_some(), "job {i} places on the 128-node cluster");
     }
-    let mut rec = NullRecorder;
     let mut hb = Cycles::ZERO;
     let ns = ns_per_iter(100_000, || {
         hb += Cycles::new(10);

@@ -205,13 +205,15 @@ fn gac_places_across_nodes_until_the_server_is_full() {
     let mut gac = GlobalAdmissionController::new(3, LacConfig::default(), ProbePolicy::FirstFit);
     let mut placements = Vec::new();
     for i in 0..7u32 {
-        let (node, d) = gac.submit(
+        let req = AdmissionRequest::builder(
             JobId::new(i),
-            ExecutionMode::Strict,
             ResourceRequest::paper_job(),
             Cycles::new(100),
-            Some(Cycles::new(104)), // tight: must start immediately
-        );
+        )
+        .mode(ExecutionMode::Strict)
+        .deadline(Cycles::new(104)) // tight: must start immediately
+        .build();
+        let (node, d) = gac.submit_request(&req, &mut cmpqos::obs::NullRecorder);
         if d.is_accepted() {
             placements.push(node.unwrap());
         }
