@@ -20,7 +20,7 @@
 //! typed [`cmpqos_obs::Event`], so a recorded run fully reconstructs the
 //! chaos.
 
-use crate::lac::{Decision, Lac, LacConfig, LacState, RejectReason, Reservation, RevocationAction};
+use crate::lac::{Decision, Lac, LacConfig, LacState, Reservation, RevocationAction};
 use crate::protocol::{Cluster, LacBackend, LacEndpoint, NetGac, NetGacConfig, Wire};
 use crate::request::AdmissionRequest;
 use crate::target::ResourceRequest;
@@ -539,7 +539,8 @@ impl GlobalAdmissionController {
     /// Submits a typed [`AdmissionRequest`] and returns the accepting node
     /// (if any) with the final decision: the last genuine LAC rejection
     /// when every probed LAC rejected, or
-    /// [`RejectReason::NoHealthyNodes`] when no healthy member answered.
+    /// [`RejectReason::NoHealthyNodes`](crate::lac::RejectReason::NoHealthyNodes)
+    /// when no healthy member answered.
     /// Only `Live`, healthy members are probed, in the policy's order. The
     /// full history — `Submitted`, each LAC's `Admitted`/`Rejected`,
     /// `ProbeLost`, health transitions, and the final `Placed` or
@@ -553,9 +554,14 @@ impl GlobalAdmissionController {
         let mut tap = Tap::new(recorder);
         self.cluster.gac_mut().submit(*req, self.now, &mut tap);
         self.cluster.run_to_quiet(&mut tap);
-        let decision = self.cluster.gac().decisions().get(&req.id).copied();
+        let decision = *self
+            .cluster
+            .gac()
+            .decisions()
+            .get(&req.id)
+            .expect("a quiet core has decided every placement task");
         self.absorb(tap);
-        decision.unwrap_or((None, Decision::Rejected(RejectReason::NoHealthyNodes)))
+        decision
     }
 
     /// Applies one fault injection, emitting every consequence to
@@ -700,6 +706,7 @@ impl GlobalAdmissionController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lac::RejectReason;
     use crate::modes::ExecutionMode;
     use cmpqos_faults::FaultPlan;
     use cmpqos_obs::RingBufferRecorder;

@@ -620,9 +620,8 @@ pub struct NetGac {
     /// moves its node's `leases_until`, not each lease, so a heartbeat
     /// round costs one pass over the nodes ([`NetGac::lease_expiry`]).
     leases: Vec<(JobId, NodeId, Cycles)>,
-    /// Scratch of [`NetGac::renew_leases`], one entry per node: whether
-    /// its caller is renewing the node's leases, and how many it renewed.
-    /// Holds nothing between calls.
+    /// Scratch of [`NetGac::renew_leases`], per node: whether its caller
+    /// renews the node's leases, and how many (zero between calls).
     renewing: Vec<(bool, u64)>,
     next_heartbeat: Cycles,
     stats: NetGacStats,
@@ -754,8 +753,9 @@ impl NetGac {
     /// One heartbeat round answered at once by every member whose link
     /// is up (`reachable(index)`), with no conversation: each counts as
     /// proof of life for the failure detector, and each that is not
-    /// lease-frozen has its leases renewed. One pass over the nodes and
-    /// one over the lease table. A no-op while leasing is disabled.
+    /// lease-frozen has its leases renewed. One pass over the nodes; the
+    /// lease table is read only to report the renewals. A no-op while
+    /// leasing is disabled.
     pub fn heartbeat_sweep(
         &mut self,
         at: Cycles,
@@ -766,26 +766,18 @@ impl NetGac {
             return;
         }
         self.now = self.now.max(at);
-        let answers = |n: &NetNode, i: usize| {
-            matches!(n.member, MemberState::Live | MemberState::Draining)
+        for i in 0..self.nodes.len() {
+            let n = &mut self.nodes[i];
+            let answered = matches!(n.member, MemberState::Live | MemberState::Draining)
                 && n.health != NodeHealth::Dead
-                && reachable(i)
-        };
-        let mut recovered = false;
-        for (i, (n, renew)) in self.nodes.iter_mut().zip(&mut self.renewing).enumerate() {
-            let answered = answers(n, i);
+                && reachable(i);
             if answered {
                 n.consecutive_losses = 0;
                 n.last_heard = self.now;
-                recovered |= n.health == NodeHealth::Suspect;
             }
-            renew.0 = answered && !n.lease_frozen;
-        }
-        if recovered {
-            for i in 0..self.nodes.len() {
-                if self.nodes[i].health == NodeHealth::Suspect && answers(&self.nodes[i], i) {
-                    self.set_health(i, NodeHealth::Healthy, recorder);
-                }
+            self.renewing[i].0 = answered && !n.lease_frozen;
+            if answered && n.health == NodeHealth::Suspect {
+                self.set_health(i, NodeHealth::Healthy, recorder);
             }
         }
         self.renew_leases(0..self.nodes.len(), recorder);

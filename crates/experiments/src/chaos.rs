@@ -6,7 +6,7 @@
 //! The experiment answers the robustness question the paper leaves open:
 //! when hardware degrades after admission, which QoS promises survive?
 //! Every consequence — revalidation, downgrade-within-slack, migration,
-//! revocation, probe retry/backoff, health transitions — streams through
+//! revocation, probe retransmission, health transitions — streams through
 //! `cmpqos-obs`, so the run is fully reconstructible from its event log.
 //!
 //! The harness simulates at the reservation level (the GAC's own model of

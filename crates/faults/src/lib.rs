@@ -61,8 +61,8 @@ pub enum Fault {
         /// The dead node.
         node: NodeId,
     },
-    /// The next `count` admission probes to a node are lost (the LAC does
-    /// not answer); the GAC must retry with backoff and track the node's
+    /// The next `count` control-plane frames to a node are lost (the LAC
+    /// does not answer); the GAC must retransmit and track the node's
     /// health.
     ProbeLoss {
         /// The node whose probes go unanswered.
