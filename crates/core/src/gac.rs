@@ -501,6 +501,9 @@ impl GlobalAdmissionController {
     /// heartbeat ack runs). Dead, partitioned, and departed nodes miss the
     /// round. A no-op while leasing is disabled.
     pub fn heartbeat_all(&mut self, at: Cycles, recorder: &mut dyn Recorder) {
+        if self.cluster.gac().config.lease_ttl == Cycles::ZERO {
+            return;
+        }
         self.now = self.now.max(at);
         let cut = &self.cut;
         let reachable = |i: usize| !cut[i];

@@ -620,7 +620,7 @@ pub struct NetGac {
     /// moves its node's `leases_until`, not each lease, so a heartbeat
     /// round costs one pass over the nodes ([`NetGac::lease_expiry`]).
     leases: Vec<(JobId, NodeId, Cycles)>,
-    /// Scratch of [`NetGac::renew_leases`], per node: whether its caller
+    /// Working space of [`NetGac::renew_leases`], per node: whether its caller
     /// renews the node's leases, and how many (zero between calls).
     renewing: Vec<(bool, u64)>,
     next_heartbeat: Cycles,
