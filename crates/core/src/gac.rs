@@ -15,10 +15,9 @@
 //! zero-latency, lossless [`SimNet`], and runs the core until it is quiet
 //! before each call returns. A lost probe is a frame a `ProbeLoss` fault
 //! makes that network drop; the core retries it on its own retransmission
-//! timer. Every loss,
-//! retry, health transition, migration, and revocation is emitted as a
-//! typed [`cmpqos_obs::Event`], so a recorded run fully reconstructs the
-//! chaos.
+//! timer. Every loss, retry, health transition, migration, and revocation
+//! is emitted as a typed [`cmpqos_obs::Event`], so a recorded run fully
+//! reconstructs the chaos.
 
 use crate::lac::{Decision, Lac, LacConfig, LacState, Reservation, RevocationAction};
 use crate::protocol::{Cluster, LacBackend, LacEndpoint, NetGac, NetGacConfig, Wire};
