@@ -25,7 +25,7 @@ use crate::request::AdmissionRequest;
 use crate::target::ResourceRequest;
 use cmpqos_faults::{Fault, Injection};
 use cmpqos_net::{Addr, LinkConfig, SimNet, Transport};
-use cmpqos_obs::{Event, NullRecorder, Recorder};
+use cmpqos_obs::{Event, Recorder};
 use cmpqos_types::{Cycles, JobId, NodeId, Ways};
 
 /// Order in which nodes are probed.
@@ -194,11 +194,14 @@ fn network() -> SimNet<Wire> {
 /// The caller's recorder as the driver sees it: every event is forwarded
 /// except `Completed` (the driver reports completions through
 /// [`GlobalAdmissionController::advance`], and its caller decides what a
-/// completion means), and the events the driver reports on are kept.
+/// completion means), and the events the driver acts on are kept.
 struct Tap<'a> {
     inner: &'a mut dyn Recorder,
     report: FaultReport,
     completed: Vec<JobId>,
+    /// Nodes the core declared dead, whose evacuated reservations the
+    /// driver cancels.
+    died: Vec<NodeId>,
 }
 
 impl<'a> Tap<'a> {
@@ -207,6 +210,7 @@ impl<'a> Tap<'a> {
             inner,
             report: FaultReport::default(),
             completed: Vec::new(),
+            died: Vec::new(),
         }
     }
 }
@@ -216,15 +220,18 @@ impl Recorder for Tap<'_> {
         match event {
             Event::Migrated { job, from, to } => self.report.migrated.push((job, from, to)),
             Event::ReservationRevoked { job, .. } => self.report.revoked.push(job),
+            Event::NodeHealthChanged {
+                node,
+                to: cmpqos_obs::Health::Dead,
+                ..
+            } => self.died.push(node),
             Event::Completed { job, .. } => {
                 self.completed.push(job);
                 return;
             }
             _ => {}
         }
-        if self.inner.enabled() {
-            self.inner.record(at, event);
-        }
+        self.inner.record(at, event);
     }
 }
 
@@ -473,8 +480,15 @@ impl GlobalAdmissionController {
     /// of every placement whose reservation window closed. Returns each
     /// job that completed since the previous call — whatever retired it —
     /// and the node it ran on, so the placement table cannot grow without
-    /// bound. Emits nothing.
-    pub fn advance(&mut self, now: Cycles) -> Vec<(JobId, NodeId)> {
+    /// bound, together with the [`FaultReport`] of what the core's timers
+    /// did: a node the failure detector declares dead is evacuated, and
+    /// an unrenewed lease re-places its job, here. Every consequence but
+    /// the completions is emitted to `recorder`.
+    pub fn advance(
+        &mut self,
+        now: Cycles,
+        recorder: &mut dyn Recorder,
+    ) -> (Vec<(JobId, NodeId)>, FaultReport) {
         self.now = self.now.max(now);
         for i in 0..self.nodes() {
             let node = NodeId::new(i as u32);
@@ -485,12 +499,11 @@ impl GlobalAdmissionController {
                     .advance(now);
             }
         }
-        let mut silent = NullRecorder;
-        let mut tap = Tap::new(&mut silent);
+        let mut tap = Tap::new(recorder);
         self.cluster.run_until(self.now, &mut tap);
         self.cluster.run_to_quiet(&mut tap);
-        self.absorb(tap);
-        std::mem::take(&mut self.retired)
+        let report = self.absorb(tap);
+        (std::mem::take(&mut self.retired), report)
     }
 
     /// Drains one heartbeat round over every reachable member with no
@@ -498,17 +511,19 @@ impl GlobalAdmissionController {
     /// machine and, unless lease-frozen, renews its placement leases to
     /// `at + lease_ttl` ([`NetGac::heartbeat_sweep`], the renewal a
     /// heartbeat ack runs). Dead, partitioned, and departed nodes miss the
-    /// round. A no-op while leasing is disabled.
+    /// round. A no-op, the driver's clock included, while leasing is
+    /// disabled.
     pub fn heartbeat_all(&mut self, at: Cycles, recorder: &mut dyn Recorder) {
-        if self.cluster.gac().config.lease_ttl == Cycles::ZERO {
+        let cut = &self.cut;
+        let reachable = |i: usize| !cut[i];
+        if !self
+            .cluster
+            .gac_mut()
+            .heartbeat_sweep(at, reachable, recorder)
+        {
             return;
         }
         self.now = self.now.max(at);
-        let cut = &self.cut;
-        let reachable = |i: usize| !cut[i];
-        self.cluster
-            .gac_mut()
-            .heartbeat_sweep(self.now, reachable, recorder);
         if self.cluster.gac().busy() {
             let mut tap = Tap::new(recorder);
             self.cluster.run_to_quiet(&mut tap);
@@ -562,6 +577,19 @@ impl GlobalAdmissionController {
             .decisions()
             .get(&req.id)
             .expect("a quiet core has decided every placement task");
+        if let (Some(node), Decision::Accepted { .. }) = decision {
+            // The node's table says what the acceptance reserved: an
+            // Elastic window outlasts `tw`, and an Opportunistic job holds
+            // nothing, so the core has nothing to track and its placement
+            // retires at once.
+            match self.lac(node).reservation(req.id) {
+                Some(r) => self.cluster.gac_mut().amend(r),
+                None => {
+                    let _ = self.cluster.gac_mut().release(req.id);
+                    self.retired.push((req.id, node));
+                }
+            }
+        }
         self.absorb(tap);
         decision
     }
@@ -651,11 +679,18 @@ impl GlobalAdmissionController {
     /// Shrinks `node`'s capacity by `lost` and handles every revocation in
     /// FCFS order: keeps are silent, downgrades are reported, evictions
     /// are handed to the core to re-place elsewhere (or revoke with a
-    /// reason when no survivor fits them).
+    /// reason when no survivor fits them). A reservation the core does
+    /// not place on `node` is an orphan the node still holds (a lease
+    /// expired, awaiting reconciliation) and is none of the core's
+    /// business: an evicted orphan is simply gone.
     fn shrink(&mut self, node: NodeId, lost: ResourceRequest, at: Cycles, tap: &mut Tap<'_>) {
         let lac = &mut self.cluster.endpoints[node.as_usize()].backend.0;
         let capacity = lac.capacity().minus(&lost);
         for rev in lac.revoke_capacity(capacity, at) {
+            let placed = self.cluster.gac().placements().get(&rev.id);
+            if placed.is_none_or(|&(on, _)| on != node) {
+                continue;
+            }
             match rev.action {
                 RevocationAction::Kept => {}
                 RevocationAction::Downgraded { ways_cut } => {
@@ -679,10 +714,18 @@ impl GlobalAdmissionController {
         }
     }
 
-    /// Folds one call's tap into the driver: completions wait for the
-    /// next [`GlobalAdmissionController::advance`], the placement view is
+    /// Folds one call's tap into the driver: a node declared dead loses
+    /// every reservation (the core evacuated its placements, so each is
+    /// held elsewhere now or was revoked), completions wait for the next
+    /// [`GlobalAdmissionController::advance`], the placement view is
     /// refreshed, and the core forgets outcomes already reported.
     fn absorb(&mut self, tap: Tap<'_>) -> FaultReport {
+        for node in tap.died {
+            let lac = &mut self.cluster.endpoints[node.as_usize()].backend.0;
+            for r in lac.reservations() {
+                lac.cancel(r.id);
+            }
+        }
         for job in tap.completed {
             if let Ok(i) = self.placed.binary_search_by_key(&job, |&(j, _)| j) {
                 self.retired.push(self.placed[i]);
@@ -711,8 +754,8 @@ mod tests {
     use crate::lac::RejectReason;
     use crate::modes::ExecutionMode;
     use cmpqos_faults::FaultPlan;
-    use cmpqos_obs::RingBufferRecorder;
-    use cmpqos_types::Percent;
+    use cmpqos_obs::{NullRecorder, RingBufferRecorder};
+    use cmpqos_types::{CoreId, Percent};
 
     fn request(id: u32, tw: u64, deadline: Option<u64>) -> AdmissionRequest {
         let mut b = AdmissionRequest::builder(
@@ -797,7 +840,7 @@ mod tests {
     fn advance_propagates_to_all_lacs() {
         let mut gac =
             GlobalAdmissionController::new(3, LacConfig::default(), ProbePolicy::FirstFit);
-        let _ = gac.advance(Cycles::new(42));
+        let _ = gac.advance(Cycles::new(42), &mut NullRecorder);
         for i in 0..3 {
             assert_eq!(gac.lac(NodeId::new(i)).now(), Cycles::new(42));
         }
@@ -809,7 +852,7 @@ mod tests {
             GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit);
         let _ = submit_strict(&mut gac, 0);
         assert_eq!(gac.placements().len(), 1);
-        let done = gac.advance(Cycles::new(200));
+        let (done, _) = gac.advance(Cycles::new(200), &mut NullRecorder);
         assert_eq!(done, vec![(JobId::new(0), NodeId::new(0))]);
         assert!(gac.placements().is_empty());
     }
@@ -878,25 +921,62 @@ mod tests {
         assert_eq!(rec.counters().probes_lost, lost);
     }
 
-    #[test]
-    fn a_partition_outlasting_the_timeout_is_declared_dead() {
+    /// A job on `nodes` nodes placed on node 0, whose link is then cut;
+    /// a second job's lost probes make node 0 suspect. Returns the second
+    /// job's outcome too.
+    fn partitioned_with_a_job(
+        nodes: usize,
+        rec: &mut RingBufferRecorder,
+    ) -> (GlobalAdmissionController, (Option<NodeId>, Decision)) {
         let mut gac =
-            GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit);
-        let mut rec = RingBufferRecorder::new(64);
+            GlobalAdmissionController::new(nodes, LacConfig::default(), ProbePolicy::FirstFit);
+        let (node, _) = gac.submit_request(&request(0, 100_000, None), rec);
+        assert_eq!(node, Some(NodeId::new(0)));
         let _ = gac.inject(
             one(FaultPlan::new().link_partition(Cycles::ZERO, NodeId::new(0))),
-            &mut rec,
+            rec,
         );
-        let (_, d) = gac.submit_request(&request(0, 100, None), &mut rec);
-        assert_eq!(d, Decision::Rejected(RejectReason::NoHealthyNodes));
+        let second = gac.submit_request(&request(1, 100, None), rec);
         assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Suspect);
+        (gac, second)
+    }
+
+    #[test]
+    fn a_partition_outlasting_the_timeout_is_declared_dead() {
+        let mut rec = RingBufferRecorder::new(256);
+        let (mut gac, (_, d)) = partitioned_with_a_job(1, &mut rec);
+        assert_eq!(d, Decision::Rejected(RejectReason::NoHealthyNodes));
         // The core keeps pinging the suspect node; past the 30k
         // dead_timeout of silence the next lost ping declares it dead.
-        let _ = gac.advance(Cycles::new(40_000));
+        // With no survivor, job 0 is revoked with a reason, and advance
+        // reports it.
+        let (_, report) = gac.advance(Cycles::new(40_000), &mut rec);
         assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Dead);
         assert_eq!(gac.live_nodes(), 0);
-        let (_, d) = gac.submit_request(&request(1, 100, None), &mut rec);
+        assert_eq!(report.revoked, vec![JobId::new(0)]);
+        assert_eq!(rec.counters().reservations_revoked, 1);
+        assert!(gac.placements().is_empty());
+        let (_, d) = gac.submit_request(&request(2, 100, None), &mut rec);
         assert_eq!(d, Decision::Rejected(RejectReason::NoHealthyNodes));
+    }
+
+    #[test]
+    fn a_death_found_while_advancing_is_recorded_and_reported() {
+        let mut rec = RingBufferRecorder::new(256);
+        let (mut gac, (node, _)) = partitioned_with_a_job(2, &mut rec);
+        assert_eq!(node, Some(NodeId::new(1)), "job 1 spills to node 1");
+        let (done, report) = gac.advance(Cycles::new(40_000), &mut rec);
+        assert_eq!(done, vec![(JobId::new(1), NodeId::new(1))]);
+        assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Dead);
+        assert_eq!(
+            report.migrated,
+            vec![(JobId::new(0), NodeId::new(0), NodeId::new(1))]
+        );
+        assert_eq!(rec.counters().migrated, 1);
+        assert_eq!(placement(&gac, 0), Some(NodeId::new(1)));
+        // The dead node no longer holds what moved off it.
+        assert!(gac.lac(NodeId::new(0)).reservations().is_empty());
+        assert_eq!(gac.lac(NodeId::new(1)).reservation_count(), 1);
     }
 
     #[test]
@@ -920,7 +1000,7 @@ mod tests {
             let (node, _) = gac.submit_request(&request(i, 100, None), &mut rec);
             assert_eq!(node, Some(NodeId::new(1)));
         }
-        let _ = gac.advance(Cycles::new(10_000));
+        let _ = gac.advance(Cycles::new(10_000), &mut NullRecorder);
         assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Suspect);
         assert_eq!(
             placement(&gac, 0),
@@ -937,7 +1017,7 @@ mod tests {
             one(FaultPlan::new().link_heal(Cycles::new(10_000), NodeId::new(0))),
             &mut rec,
         );
-        let _ = gac.advance(Cycles::new(12_000));
+        let _ = gac.advance(Cycles::new(12_000), &mut NullRecorder);
         assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Healthy);
         assert_eq!(placement(&gac, 0), Some(NodeId::new(0)));
         let (node, d) = gac.submit_request(&request(4, 100, None), &mut rec);
@@ -977,12 +1057,138 @@ mod tests {
         );
         assert!(report.revoked.is_empty());
         assert_eq!(placement(&gac, 0), Some(NodeId::new(1)));
+        assert!(gac.lac(NodeId::new(0)).reservations().is_empty());
         assert_eq!(gac.lac(NodeId::new(1)).reservations().len(), 1);
         // Migration honors the original deadline.
         assert_eq!(
             gac.lac(NodeId::new(1)).reservations()[0].deadline,
             Some(Cycles::new(105))
         );
+    }
+
+    #[test]
+    fn capacity_faults_on_a_dead_node_move_nothing() {
+        let mut gac =
+            GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit);
+        let mut rec = RingBufferRecorder::new(64);
+        let _ = submit_strict(&mut gac, 0);
+        let _ = gac.inject(
+            one(FaultPlan::new().node_fault(Cycles::ZERO, NodeId::new(0))),
+            &mut rec,
+        );
+        let moved = rec.counters().migrated;
+        for _ in 0..4 {
+            let way = gac.inject(
+                one(FaultPlan::new().way_fault(Cycles::ZERO, NodeId::new(0), 3)),
+                &mut rec,
+            );
+            let core = gac.inject(
+                one(FaultPlan::new().core_fault(Cycles::ZERO, NodeId::new(0), CoreId::new(1))),
+                &mut rec,
+            );
+            assert!(way.is_quiet() && core.is_quiet());
+        }
+        assert_eq!(placement(&gac, 0), Some(NodeId::new(1)));
+        let held = gac.lac(NodeId::new(1)).reservations();
+        assert_eq!(held.iter().filter(|r| r.id == JobId::new(0)).count(), 1);
+        let c = rec.counters();
+        assert_eq!(c.migrated, moved);
+        assert_eq!(c.reservations_revoked, 0);
+    }
+
+    #[test]
+    fn a_capacity_fault_leaves_an_orphan_to_reconciliation() {
+        let mut gac = leased(2);
+        let mut rec = RingBufferRecorder::new(64);
+        // One Strict job takes all 16 ways of node 0.
+        let req = AdmissionRequest::builder(
+            JobId::new(0),
+            ResourceRequest::new(1, Ways::new(16)),
+            Cycles::new(100_000),
+        )
+        .mode(ExecutionMode::Strict)
+        .build();
+        assert_eq!(gac.submit_request(&req, &mut rec).0, Some(NodeId::new(0)));
+        // Unrenewed, its lease runs out ttl + grace later and the job
+        // re-places on node 1; node 0 still holds the reservation until
+        // its reconciliation, which is not due yet.
+        let _ = gac.advance(Cycles::new(3_001), &mut rec);
+        assert_eq!(placement(&gac, 0), Some(NodeId::new(1)));
+        assert_eq!(gac.lac(NodeId::new(0)).reservation_count(), 1);
+        let moved = rec.counters().migrated;
+        // A dead way evicts the orphan; the job stays where it is.
+        let report = gac.inject(
+            one(FaultPlan::new().way_fault(Cycles::new(3_001), NodeId::new(0), 3)),
+            &mut rec,
+        );
+        assert!(report.is_quiet());
+        assert_eq!(rec.counters().migrated, moved);
+        assert_eq!(placement(&gac, 0), Some(NodeId::new(1)));
+        assert_eq!(gac.lac(NodeId::new(1)).reservation_count(), 1);
+        assert_eq!(gac.lac(NodeId::new(0)).reservation_count(), 0);
+    }
+
+    #[test]
+    fn an_elastic_placement_keeps_its_whole_window_through_migration() {
+        let mut gac =
+            GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit);
+        let mut rec = RingBufferRecorder::new(64);
+        let req = AdmissionRequest::builder(
+            JobId::new(0),
+            ResourceRequest::paper_job(),
+            Cycles::new(1_000),
+        )
+        .mode(ExecutionMode::Elastic(Percent::new(50.0)))
+        .build();
+        assert_eq!(gac.submit_request(&req, &mut rec).0, Some(NodeId::new(0)));
+        // Elastic(50%) reserves 1.5 · tw: past tw the job still runs.
+        let (done, _) = gac.advance(Cycles::new(1_200), &mut rec);
+        assert!(done.is_empty());
+        assert_eq!(placement(&gac, 0), Some(NodeId::new(0)));
+        // A death inside the slack moves the whole window.
+        let report = gac.inject(
+            one(FaultPlan::new().node_fault(Cycles::new(1_200), NodeId::new(0))),
+            &mut rec,
+        );
+        assert_eq!(
+            report.migrated,
+            vec![(JobId::new(0), NodeId::new(0), NodeId::new(1))]
+        );
+        let moved = gac.lac(NodeId::new(1)).reservation(JobId::new(0));
+        assert_eq!(
+            moved.map(|r| (r.start, r.end)),
+            Some((Cycles::new(1_200), Cycles::new(2_700)))
+        );
+        let (done, _) = gac.advance(Cycles::new(2_699), &mut rec);
+        assert!(done.is_empty());
+        let (done, _) = gac.advance(Cycles::new(2_700), &mut rec);
+        assert_eq!(done, vec![(JobId::new(0), NodeId::new(1))]);
+    }
+
+    #[test]
+    fn an_opportunistic_job_holds_no_placement() {
+        let mut gac =
+            GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit);
+        let mut rec = RingBufferRecorder::new(64);
+        let req = AdmissionRequest::builder(
+            JobId::new(0),
+            ResourceRequest::paper_job(),
+            Cycles::new(1_000),
+        )
+        .mode(ExecutionMode::Opportunistic)
+        .build();
+        let (node, d) = gac.submit_request(&req, &mut rec);
+        assert_eq!(node, Some(NodeId::new(0)));
+        assert!(d.is_accepted());
+        // Nothing is reserved, so there is nothing to track or move.
+        assert!(gac.placements().is_empty());
+        let report = gac.inject(
+            one(FaultPlan::new().node_fault(Cycles::ZERO, NodeId::new(0))),
+            &mut rec,
+        );
+        assert!(report.is_quiet());
+        let (done, _) = gac.advance(Cycles::new(1), &mut rec);
+        assert_eq!(done, vec![(JobId::new(0), NodeId::new(0))]);
     }
 
     #[test]
@@ -1153,11 +1359,11 @@ mod tests {
         gac.heartbeat_all(Cycles::new(1_000), &mut rec);
         assert_eq!(rec.counters().leases_renewed, 1, "partitioned: no renewal");
         // Within ttl + grace the placement survives (unreachable ≠ dead) …
-        let _ = gac.advance(Cycles::new(3_000));
+        let _ = gac.advance(Cycles::new(3_000), &mut NullRecorder);
         assert_eq!(placement(&gac, 0), Some(NodeId::new(0)));
         // … but past it the lease expires and the job re-places, exactly
         // like an evacuation, with a fresh lease.
-        let _ = gac.advance(Cycles::new(4_000));
+        let _ = gac.advance(Cycles::new(4_000), &mut NullRecorder);
         assert_eq!(placement(&gac, 0), Some(NodeId::new(1)));
         assert_eq!(
             gac.leases().len(),
@@ -1177,7 +1383,7 @@ mod tests {
         // past its original ttl.
         for t in (500..=10_000).step_by(500) {
             gac.heartbeat_all(Cycles::new(t), &mut rec);
-            let _ = gac.advance(Cycles::new(t));
+            let _ = gac.advance(Cycles::new(t), &mut NullRecorder);
         }
         assert_eq!(placement(&gac, 0), Some(NodeId::new(0)));
         // Freeze renewals: heartbeats still arrive (health stays Healthy)
@@ -1190,7 +1396,7 @@ mod tests {
         let renewed = rec.counters().leases_renewed;
         for t in (10_500..=14_000).step_by(500) {
             gac.heartbeat_all(Cycles::new(t), &mut rec);
-            let _ = gac.advance(Cycles::new(t));
+            let _ = gac.advance(Cycles::new(t), &mut NullRecorder);
         }
         assert_eq!(rec.counters().leases_renewed, renewed, "frozen: no renewal");
         assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Healthy);

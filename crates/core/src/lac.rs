@@ -387,6 +387,13 @@ impl Lac {
         self.table.to_vec()
     }
 
+    /// Job `id`'s live reservation, if this node holds one.
+    #[must_use]
+    pub fn reservation(&self, id: JobId) -> Option<Reservation> {
+        let slot = *self.table.slots_of(id).first()?;
+        Some(self.table.reservation(slot))
+    }
+
     /// Number of live reservations (O(1); prefer over
     /// `reservations().len()`, which materializes the list).
     #[must_use]

@@ -620,9 +620,6 @@ pub struct NetGac {
     /// moves its node's `leases_until`, not each lease, so a heartbeat
     /// round costs one pass over the nodes ([`NetGac::lease_expiry`]).
     leases: Vec<(JobId, NodeId, Cycles)>,
-    /// Working space of [`NetGac::renew_leases`], per node: whether its caller
-    /// renews the node's leases, and how many (zero between calls).
-    renewing: Vec<(bool, u64)>,
     next_heartbeat: Cycles,
     stats: NetGacStats,
     now: Cycles,
@@ -645,7 +642,6 @@ impl NetGac {
             park_counter: 0,
             current: None,
             leases: Vec::new(),
-            renewing: vec![(false, 0); nodes],
             next_heartbeat: config.heartbeat_every,
             stats: NetGacStats::default(),
             now: Cycles::ZERO,
@@ -656,15 +652,13 @@ impl NetGac {
     /// [`NetGac::decisions`] once the conversation completes.
     pub fn submit(&mut self, req: AdmissionRequest, at: Cycles, recorder: &mut dyn Recorder) {
         self.now = self.now.max(at);
-        if recorder.enabled() {
-            recorder.record(
-                at,
-                Event::Submitted {
-                    job: req.id,
-                    mode: req.mode.into(),
-                },
-            );
-        }
+        recorder.record(
+            at,
+            Event::Submitted {
+                job: req.id,
+                mode: req.mode.into(),
+            },
+        );
         self.tasks.push_back(Task::Place {
             req,
             at,
@@ -713,12 +707,7 @@ impl NetGac {
     pub fn readmit(&mut self, r: Reservation, from: NodeId) {
         self.placements.remove(&r.id);
         self.drop_lease(r.id);
-        self.tasks.push_back(Task::Readmit {
-            r,
-            from,
-            at: self.now,
-            tried: Vec::new(),
-        });
+        self.queue_readmit(r, from);
     }
 
     /// Records that `job`'s node gave up `ways_cut` of its ways to a
@@ -727,6 +716,18 @@ impl NetGac {
     pub fn downgrade(&mut self, job: JobId, ways_cut: Ways) {
         if let Some((_, r)) = self.placements.get_mut(&job) {
             r.request = r.request.minus(&ResourceRequest::new(0, ways_cut));
+        }
+    }
+
+    /// Replaces the core's copy of placed job `r.id`'s reservation with
+    /// the one its node holds. A probe reply carries only the start, so
+    /// the core assumes the window `[start, start + tw)`; an Elastic(X)
+    /// reservation holds its node for `tw·(1+X)`. A driver that can read
+    /// the node's table corrects the copy after each placement, so
+    /// retirement, evacuation and lease expiry follow the node.
+    pub fn amend(&mut self, r: Reservation) {
+        if let Some((_, mine)) = self.placements.get_mut(&r.id) {
+            *mine = r;
         }
     }
 
@@ -754,59 +755,69 @@ impl NetGac {
     /// is up (`reachable(index)`), with no conversation: each counts as
     /// proof of life for the failure detector, and each that is not
     /// lease-frozen has its leases renewed. One pass over the nodes; the
-    /// lease table is read only to report the renewals. A no-op while
-    /// leasing is disabled.
+    /// lease table is read only to report the renewals. Returns `false`,
+    /// having done nothing, while leasing is disabled.
     pub fn heartbeat_sweep(
         &mut self,
         at: Cycles,
         reachable: impl Fn(usize) -> bool,
         recorder: &mut dyn Recorder,
-    ) {
+    ) -> bool {
         if self.config.lease_ttl == Cycles::ZERO {
-            return;
+            return false;
         }
         self.now = self.now.max(at);
-        for i in 0..self.nodes.len() {
-            let n = &mut self.nodes[i];
-            let answered = matches!(n.member, MemberState::Live | MemberState::Draining)
+        let answers = |i: usize, n: &NetNode| {
+            matches!(n.member, MemberState::Live | MemberState::Draining)
                 && n.health != NodeHealth::Dead
-                && reachable(i);
-            if answered {
-                n.consecutive_losses = 0;
-                n.last_heard = self.now;
+                && reachable(i)
+        };
+        for i in 0..self.nodes.len() {
+            if !answers(i, &self.nodes[i]) {
+                continue;
             }
-            self.renewing[i].0 = answered && !n.lease_frozen;
-            if answered && n.health == NodeHealth::Suspect {
+            self.nodes[i].consecutive_losses = 0;
+            self.nodes[i].last_heard = self.now;
+            if self.nodes[i].health == NodeHealth::Suspect {
                 self.set_health(i, NodeHealth::Healthy, recorder);
             }
         }
-        self.renew_leases(0..self.nodes.len(), recorder);
+        self.renew_leases(
+            0..self.nodes.len(),
+            |i, n| answers(i, n) && !n.lease_frozen,
+            recorder,
+        );
+        true
     }
 
-    /// Renews to `now + lease_ttl` every lease on each node in `nodes`
-    /// that the caller marked in `renewing`, and reports one
-    /// `LeaseRenewed` per node that held any. A heartbeat ack runs it for
-    /// one node, the in-process sweep for all of them; only reporting
-    /// looks at the lease table.
-    fn renew_leases(&mut self, nodes: Range<usize>, recorder: &mut dyn Recorder) {
+    /// Renews to `now + lease_ttl` the leases of each node in `nodes` that
+    /// `renews(index, node)` picks, and reports one `LeaseRenewed` per
+    /// picked node that held any. A heartbeat ack runs it for one node,
+    /// the in-process sweep for all of them; the lease table is read (and
+    /// the per-node counts allocated) only when `recorder` is enabled.
+    fn renew_leases(
+        &mut self,
+        nodes: Range<usize>,
+        renews: impl Fn(usize, &NetNode) -> bool,
+        recorder: &mut dyn Recorder,
+    ) {
         let until = self.now + self.config.lease_ttl;
-        let renewing = &self.renewing[nodes.clone()];
-        for (n, &(renew, _)) in self.nodes[nodes.clone()].iter_mut().zip(renewing) {
-            if renew {
-                n.leases_until = until;
+        for i in nodes.clone() {
+            if renews(i, &self.nodes[i]) {
+                self.nodes[i].leases_until = until;
             }
         }
         if !recorder.enabled() {
             return;
         }
+        let mut renewed = vec![0u64; nodes.len()];
         for &(_, node, _) in &self.leases {
             let i = node.as_usize();
-            if nodes.contains(&i) && self.renewing[i].0 {
-                self.renewing[i].1 += 1;
+            if nodes.contains(&i) && renews(i, &self.nodes[i]) {
+                renewed[i - nodes.start] += 1;
             }
         }
-        for i in nodes {
-            let leases = std::mem::take(&mut self.renewing[i].1);
+        for (i, leases) in nodes.zip(renewed) {
             if leases > 0 {
                 let node = NodeId::new(u32::try_from(i).expect("node count fits u32"));
                 recorder.record(self.now, Event::LeaseRenewed { node, leases });
@@ -840,7 +851,6 @@ impl NetGac {
         n.member = MemberState::Joining;
         n.last_heard = self.now;
         self.nodes.push(n);
-        self.renewing.push((false, 0));
         self.tasks.push_back(Task::Join { node });
         node
     }
@@ -985,16 +995,7 @@ impl NetGac {
         for job in done {
             let (_, r) = self.placements.remove(&job).expect("collected above");
             self.drop_lease(job);
-            self.completed.insert(job);
-            if recorder.enabled() {
-                recorder.record(
-                    r.end,
-                    Event::Completed {
-                        job,
-                        met_deadline: r.deadline.is_none_or(|d| r.end <= d),
-                    },
-                );
-            }
+            self.retire(&r, recorder);
         }
         self.expire_leases(recorder);
     }
@@ -1025,31 +1026,15 @@ impl NetGac {
                 // The reservation ran out before the grace did; the job
                 // completed (retirement just hadn't swept yet). Completed
                 // XOR revoked: completion wins.
-                self.completed.insert(job);
-                if recorder.enabled() {
-                    recorder.record(
-                        r.end,
-                        Event::Completed {
-                            job,
-                            met_deadline: r.deadline.is_none_or(|d| r.end <= d),
-                        },
-                    );
-                }
+                self.retire(&r, recorder);
                 continue;
             }
-            if recorder.enabled() {
-                recorder.record(self.now, Event::LeaseExpired { job, node });
-            }
+            recorder.record(self.now, Event::LeaseExpired { job, node });
             // The node may still hold the reservation (we only know its
             // renewals stopped); the next successful contact revokes the
             // orphan, exactly like any abandoned conversation.
             self.flag_reconcile(node);
-            self.tasks.push_back(Task::Readmit {
-                r,
-                from: node,
-                at: self.now,
-                tried: Vec::new(),
-            });
+            self.queue_readmit(r, node);
         }
     }
 
@@ -1226,15 +1211,13 @@ impl NetGac {
                         let cause = last.unwrap_or(RejectReason::NoHealthyNodes);
                         self.decisions
                             .insert(req.id, (None, Decision::Rejected(cause)));
-                        if recorder.enabled() {
-                            recorder.record(
-                                self.now,
-                                Event::Rejected {
-                                    job: req.id,
-                                    cause: cause.into(),
-                                },
-                            );
-                        }
+                        recorder.record(
+                            self.now,
+                            Event::Rejected {
+                                job: req.id,
+                                cause: cause.into(),
+                            },
+                        );
                         None
                     }
                 }
@@ -1255,16 +1238,14 @@ impl NetGac {
                     None => {
                         self.revoked.insert(r.id);
                         self.drop_lease(r.id);
-                        if recorder.enabled() {
-                            recorder.record(
-                                self.now,
-                                Event::ReservationRevoked {
-                                    job: r.id,
-                                    node: from,
-                                    cause: cmpqos_obs::RejectCause::CapacityRevoked,
-                                },
-                            );
-                        }
+                        recorder.record(
+                            self.now,
+                            Event::ReservationRevoked {
+                                job: r.id,
+                                node: from,
+                                cause: cmpqos_obs::RejectCause::CapacityRevoked,
+                            },
+                        );
                         self.drain_readmit_resolved(from, recorder);
                         None
                     }
@@ -1291,12 +1272,7 @@ impl NetGac {
                     self.nodes[i].reconcile_queued = false;
                     return None;
                 }
-                let placed: Vec<JobId> = self
-                    .placements
-                    .iter()
-                    .filter(|(_, (n, _))| *n == node)
-                    .map(|(&job, _)| job)
-                    .collect();
+                let placed = self.placed_on(node);
                 let at = self.now;
                 Some(self.send_new(
                     node,
@@ -1405,16 +1381,14 @@ impl NetGac {
     ) -> bool {
         let i = conv.node.as_usize();
         self.nodes[i].consecutive_losses += 1;
-        if recorder.enabled() {
-            if let RequestBody::Probe(req) = &conv.body {
-                recorder.record(
-                    self.now,
-                    Event::ProbeLost {
-                        job: req.id,
-                        node: conv.node,
-                    },
-                );
-            }
+        if let RequestBody::Probe(req) = &conv.body {
+            recorder.record(
+                self.now,
+                Event::ProbeLost {
+                    job: req.id,
+                    node: conv.node,
+                },
+            );
         }
         self.update_health(i, recorder);
         if self.nodes[i].health == NodeHealth::Dead {
@@ -1499,6 +1473,36 @@ impl NetGac {
         let _ = recorder;
     }
 
+    /// Queues the re-placement of a reservation that left `from`.
+    fn queue_readmit(&mut self, r: Reservation, from: NodeId) {
+        let at = self.now;
+        let tried = Vec::new();
+        self.tasks.push_back(Task::Readmit { r, from, at, tried });
+    }
+
+    /// The jobs placed on `node`, in job order.
+    fn placed_on(&self, node: NodeId) -> Vec<JobId> {
+        self.placements
+            .iter()
+            .filter(|(_, (n, _))| *n == node)
+            .map(|(&job, _)| job)
+            .collect()
+    }
+
+    /// Counts `r`'s job completed: the node ran the reservation to its
+    /// end.
+    fn retire(&mut self, r: &Reservation, recorder: &mut dyn Recorder) {
+        self.completed.insert(r.id);
+        let met_deadline = r.deadline.is_none_or(|d| r.end <= d);
+        recorder.record(
+            r.end,
+            Event::Completed {
+                job: r.id,
+                met_deadline,
+            },
+        );
+    }
+
     /// Grants (or renews) a freshly-placed job's lease on `node`.
     fn grant_lease(&mut self, job: JobId, node: NodeId) {
         if self.config.lease_ttl == Cycles::ZERO {
@@ -1527,9 +1531,7 @@ impl NetGac {
         self.nodes[i].member = MemberState::Left;
         self.nodes[i].drain_pending = 0;
         self.nodes[i].heartbeat_queued = false;
-        if recorder.enabled() {
-            recorder.record(self.now, Event::NodeDrained { node });
-        }
+        recorder.record(self.now, Event::NodeDrained { node });
     }
 
     /// One of a draining node's readmits reached its terminal state
@@ -1584,16 +1586,14 @@ impl NetGac {
         }
         self.nodes[i].health = to;
         let node = NodeId::new(u32::try_from(i).expect("node count fits u32"));
-        if recorder.enabled() {
-            recorder.record(
-                self.now,
-                Event::NodeHealthChanged {
-                    node,
-                    from: from.into(),
-                    to: to.into(),
-                },
-            );
-        }
+        recorder.record(
+            self.now,
+            Event::NodeHealthChanged {
+                node,
+                from: from.into(),
+                to: to.into(),
+            },
+        );
         match to {
             NodeHealth::Suspect => self.flag_ping(node),
             NodeHealth::Dead => self.evacuate(node, recorder),
@@ -1627,9 +1627,7 @@ impl NetGac {
         if self.nodes[i].member == MemberState::Draining {
             self.nodes[i].member = MemberState::Left;
             self.nodes[i].drain_pending = 0;
-            if recorder.enabled() {
-                recorder.record(self.now, Event::NodeDrained { node });
-            }
+            recorder.record(self.now, Event::NodeDrained { node });
         }
         // A conversation with the dead node can never complete.
         if let Some(conv) = self.current.take() {
@@ -1639,21 +1637,11 @@ impl NetGac {
                 self.current = Some(conv);
             }
         }
-        let stranded: Vec<JobId> = self
-            .placements
-            .iter()
-            .filter(|(_, (n, _))| *n == node)
-            .map(|(&job, _)| job)
-            .collect();
+        let stranded = self.placed_on(node);
         for job in stranded {
             let (_, r) = self.placements.remove(&job).expect("collected above");
             self.drop_lease(job);
-            self.tasks.push_back(Task::Readmit {
-                r,
-                from: node,
-                at: self.now,
-                tried: Vec::new(),
-            });
+            self.queue_readmit(r, node);
         }
     }
 
@@ -1678,15 +1666,13 @@ impl NetGac {
                     self.placements.insert(req.id, (conv.node, r));
                     self.grant_lease(req.id, conv.node);
                     self.decisions.insert(req.id, (Some(conv.node), *d));
-                    if recorder.enabled() {
-                        recorder.record(
-                            self.now,
-                            Event::Placed {
-                                job: req.id,
-                                node: conv.node,
-                            },
-                        );
-                    }
+                    recorder.record(
+                        self.now,
+                        Event::Placed {
+                            job: req.id,
+                            node: conv.node,
+                        },
+                    );
                 }
                 Decision::Rejected(reason) => {
                     tried.push(conv.node);
@@ -1715,16 +1701,14 @@ impl NetGac {
                     };
                     self.placements.insert(r.id, (conv.node, moved));
                     self.grant_lease(r.id, conv.node);
-                    if recorder.enabled() {
-                        recorder.record(
-                            self.now,
-                            Event::Migrated {
-                                job: r.id,
-                                from,
-                                to: conv.node,
-                            },
-                        );
-                    }
+                    recorder.record(
+                        self.now,
+                        Event::Migrated {
+                            job: r.id,
+                            from,
+                            to: conv.node,
+                        },
+                    );
                     self.drain_readmit_resolved(from, recorder);
                 }
                 Decision::Rejected(_) => {
@@ -1740,16 +1724,14 @@ impl NetGac {
                     self.placements.remove(&job);
                     self.drop_lease(job);
                     self.revoked.insert(job);
-                    if recorder.enabled() {
-                        recorder.record(
-                            self.now,
-                            Event::ReservationRevoked {
-                                job,
-                                node: conv.node,
-                                cause: cmpqos_obs::RejectCause::CapacityRevoked,
-                            },
-                        );
-                    }
+                    recorder.record(
+                        self.now,
+                        Event::ReservationRevoked {
+                            job,
+                            node: conv.node,
+                            cause: cmpqos_obs::RejectCause::CapacityRevoked,
+                        },
+                    );
                 }
             }
             (
@@ -1762,12 +1744,7 @@ impl NetGac {
             ) => {
                 let i = node.as_usize();
                 let held: BTreeSet<JobId> = held.iter().copied().collect();
-                let mine: Vec<JobId> = self
-                    .placements
-                    .iter()
-                    .filter(|(_, (n, _))| *n == node)
-                    .map(|(&job, _)| job)
-                    .collect();
+                let mine = self.placed_on(node);
                 let mut repaired = 0u64;
                 for job in mine {
                     if held.contains(&job) {
@@ -1778,52 +1755,33 @@ impl NetGac {
                     if r.end <= *lac_now {
                         // The node ran it to completion while we were out
                         // of touch.
-                        self.completed.insert(job);
-                        if recorder.enabled() {
-                            recorder.record(
-                                r.end,
-                                Event::Completed {
-                                    job,
-                                    met_deadline: r.deadline.is_none_or(|d| r.end <= d),
-                                },
-                            );
-                        }
+                        self.retire(&r, recorder);
                     } else {
                         repaired += 1;
-                        self.tasks.push_back(Task::Readmit {
-                            r,
-                            from: node,
-                            at: self.now,
-                            tried: Vec::new(),
-                        });
+                        self.queue_readmit(r, node);
                     }
                 }
                 self.nodes[i].needs_reconcile = false;
                 self.nodes[i].reconcile_queued = false;
                 self.stats.reconciles += 1;
-                if recorder.enabled() {
-                    recorder.record(
-                        self.now,
-                        Event::Reconciled {
-                            node,
-                            orphans_revoked: orphans_revoked.len() as u64,
-                            placements_repaired: repaired,
-                        },
-                    );
-                }
+                recorder.record(
+                    self.now,
+                    Event::Reconciled {
+                        node,
+                        orphans_revoked: orphans_revoked.len() as u64,
+                        placements_repaired: repaired,
+                    },
+                );
                 // A restarted node re-enters Live only now, its
                 // journal-recovered table verified against ours; its
                 // surviving leases restart their clock — it just proved
                 // it holds the reservations.
                 if self.nodes[i].member == MemberState::Joining {
                     self.nodes[i].member = MemberState::Live;
-                    if recorder.enabled() {
-                        recorder.record(self.now, Event::NodeJoined { node });
-                    }
+                    recorder.record(self.now, Event::NodeJoined { node });
                 }
                 if self.config.lease_ttl > Cycles::ZERO {
-                    self.renewing[i].0 = !self.nodes[i].lease_frozen;
-                    self.renew_leases(i..i + 1, &mut NullRecorder);
+                    self.renew_leases(i..i + 1, |_, n| !n.lease_frozen, &mut NullRecorder);
                 }
             }
             (Task::Ping { node }, ReplyBody::Summary { .. }) => {
@@ -1833,17 +1791,14 @@ impl NetGac {
                 let i = node.as_usize();
                 self.nodes[i].heartbeat_queued = false;
                 if self.config.lease_ttl > Cycles::ZERO {
-                    self.renewing[i].0 = !self.nodes[i].lease_frozen;
-                    self.renew_leases(i..i + 1, recorder);
+                    self.renew_leases(i..i + 1, |_, n| !n.lease_frozen, recorder);
                 }
             }
             (Task::Join { node }, ReplyBody::JoinAck { .. }) => {
                 let i = node.as_usize();
                 if self.nodes[i].member == MemberState::Joining {
                     self.nodes[i].member = MemberState::Live;
-                    if recorder.enabled() {
-                        recorder.record(self.now, Event::NodeJoined { node });
-                    }
+                    recorder.record(self.now, Event::NodeJoined { node });
                 }
             }
             (
@@ -1858,35 +1813,16 @@ impl NetGac {
                 // and the set the node *thinks* it released can predate a
                 // migration the GAC already performed.
                 let i = node.as_usize();
-                let mine: Vec<JobId> = self
-                    .placements
-                    .iter()
-                    .filter(|(_, (n, _))| *n == node)
-                    .map(|(&job, _)| job)
-                    .collect();
+                let mine = self.placed_on(node);
                 let mut pending = 0u32;
                 for job in mine {
                     let (_, r) = self.placements.remove(&job).expect("iterated above");
                     self.drop_lease(job);
                     if r.end <= *lac_now {
-                        self.completed.insert(job);
-                        if recorder.enabled() {
-                            recorder.record(
-                                r.end,
-                                Event::Completed {
-                                    job,
-                                    met_deadline: r.deadline.is_none_or(|d| r.end <= d),
-                                },
-                            );
-                        }
+                        self.retire(&r, recorder);
                     } else {
                         pending += 1;
-                        self.tasks.push_back(Task::Readmit {
-                            r,
-                            from: node,
-                            at: self.now,
-                            tried: Vec::new(),
-                        });
+                        self.queue_readmit(r, node);
                     }
                 }
                 if pending == 0 {
@@ -1909,13 +1845,12 @@ impl NetGac {
 ///
 /// [`Cluster::run_until`] advances event-to-event (frame deliveries,
 /// retransmission timeouts, parked-task wakes), so the outcome is
-/// independent of how coarsely the caller steps time. The transport is a
-/// seeded [`SimNet`] unless built with [`Cluster::from_parts`].
+/// independent of how coarsely the caller steps time.
 #[derive(Debug)]
-pub struct Cluster<B, T = SimNet<Wire>> {
+pub struct Cluster<B> {
     gac: NetGac,
     pub(crate) endpoints: Vec<LacEndpoint<B>>,
-    net: T,
+    net: SimNet<Wire>,
     now: Cycles,
 }
 
@@ -1935,13 +1870,16 @@ impl<B: LacBackend> Cluster<B> {
         let endpoints = backends.into_iter().map(LacEndpoint::new).collect();
         Self::from_parts(gac, endpoints, SimNet::new(seed, link), Cycles::ZERO)
     }
-}
 
-impl<B: LacBackend, T: Transport<Wire>> Cluster<B, T> {
     /// Assembles a cluster from its parts: a state machine, one endpoint
-    /// per node it knows, a transport, and the clock.
+    /// per node it knows, a network, and the clock.
     #[must_use]
-    pub fn from_parts(gac: NetGac, endpoints: Vec<LacEndpoint<B>>, net: T, now: Cycles) -> Self {
+    pub fn from_parts(
+        gac: NetGac,
+        endpoints: Vec<LacEndpoint<B>>,
+        net: SimNet<Wire>,
+        now: Cycles,
+    ) -> Self {
         Self {
             gac,
             endpoints,
@@ -1975,7 +1913,7 @@ impl<B: LacBackend, T: Transport<Wire>> Cluster<B, T> {
 
     /// The network.
     #[must_use]
-    pub fn net(&self) -> &T {
+    pub fn net(&self) -> &SimNet<Wire> {
         &self.net
     }
 
@@ -2032,33 +1970,25 @@ impl<B: LacBackend, T: Transport<Wire>> Cluster<B, T> {
         if node.as_usize() >= self.endpoints.len() {
             return;
         }
-        if recorder.enabled() {
-            recorder.record(
-                at,
-                Event::FaultInjected {
-                    node,
-                    fault: injection.fault.obs_kind(),
-                },
-            );
-        }
+        recorder.record(
+            at,
+            Event::FaultInjected {
+                node,
+                fault: injection.fault.obs_kind(),
+            },
+        );
         match injection.fault {
             Fault::LinkPartition { .. } => {
                 self.net.partition(Addr::Gac, Addr::Node(node));
-                if recorder.enabled() {
-                    recorder.record(at, Event::LinkPartitioned { node });
-                }
+                recorder.record(at, Event::LinkPartitioned { node });
             }
             Fault::LinkHeal { .. } => {
                 self.net.heal(Addr::Gac, Addr::Node(node));
-                if recorder.enabled() {
-                    recorder.record(at, Event::LinkHealed { node });
-                }
+                recorder.record(at, Event::LinkHealed { node });
             }
             Fault::MessageDrop { count, .. } => {
                 self.net.force_drops(Addr::Gac, Addr::Node(node), count);
-                if recorder.enabled() {
-                    recorder.record(at, Event::MessageDropped { node });
-                }
+                recorder.record(at, Event::MessageDropped { node });
             }
             Fault::ProbeLoss { count, .. } => {
                 self.net.force_drops(Addr::Gac, Addr::Node(node), count);

@@ -264,7 +264,9 @@ pub fn run(params: &ChaosParams, mut schedule: FaultSchedule) -> ChaosOutcome {
                 ends.insert(id, r.end);
             }
         }
-        for (id, _) in gac.advance(t) {
+        let (completed, report) = gac.advance_recorded(t, &mut rec);
+        faults.merge(report);
+        for (id, _) in completed {
             let at = ends.get(&id).copied().unwrap_or(t);
             if let Some(f) = fates.get_mut(&id) {
                 f.completed = Some(at);

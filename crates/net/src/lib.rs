@@ -179,9 +179,8 @@ pub struct NetStats {
 
 /// A message fabric between [`Addr`]s.
 ///
-/// Implemented by [`SimNet`]; the protocol layer is generic over it, so a
-/// driver can substitute another fabric (the in-process GAC runs over a
-/// zero-latency one).
+/// Implemented by [`SimNet`]; the protocol layer is generic over it so a
+/// test can substitute a perfect (or adversarial) transport.
 pub trait Transport<M> {
     /// Hands a frame to the network at cycle `at`. The frame may be
     /// dropped, duplicated, delayed, or eaten by a partition; the report
@@ -202,13 +201,6 @@ pub trait Transport<M> {
 
     /// Whether `a ↔ b` is currently severed.
     fn is_partitioned(&self, a: Addr, b: Addr) -> bool;
-
-    /// Forces the next `count` frames on the directed `from → to` link to
-    /// be dropped, regardless of probabilities (the `MessageDrop` fault).
-    fn force_drops(&mut self, from: Addr, to: Addr, count: u32);
-
-    /// The earliest pending delivery time, if anything is in flight.
-    fn next_deliver_at(&self) -> Option<Cycles>;
 }
 
 /// An in-flight frame in the event heap, ordered so the heap pops the
@@ -331,6 +323,12 @@ impl<M: Clone> SimNet<M> {
             .unwrap_or(self.default_link)
     }
 
+    /// Forces the next `count` frames on the directed `from → to` link to
+    /// be dropped, regardless of probabilities (the `MessageDrop` fault).
+    pub fn force_drops(&mut self, from: Addr, to: Addr, count: u32) {
+        *self.forced_drops.entry((from, to)).or_insert(0) += count;
+    }
+
     /// Frames the directed `from → to` link still owes a forced drop.
     #[must_use]
     pub fn owed_drops(&self, from: Addr, to: Addr) -> u32 {
@@ -347,6 +345,12 @@ impl<M: Clone> SimNet<M> {
     #[must_use]
     pub fn in_flight(&self) -> usize {
         self.queue.len()
+    }
+
+    /// The earliest pending delivery time, if anything is in flight.
+    #[must_use]
+    pub fn next_deliver_at(&self) -> Option<Cycles> {
+        self.queue.peek().map(|f| f.key.0)
     }
 
     /// Every delivered frame, in delivery order (empty after
@@ -481,14 +485,6 @@ impl<M: Clone> Transport<M> for SimNet<M> {
 
     fn is_partitioned(&self, a: Addr, b: Addr) -> bool {
         self.partitions.contains(&ordered(a, b))
-    }
-
-    fn force_drops(&mut self, from: Addr, to: Addr, count: u32) {
-        *self.forced_drops.entry((from, to)).or_insert(0) += count;
-    }
-
-    fn next_deliver_at(&self) -> Option<Cycles> {
-        self.queue.peek().map(|f| f.key.0)
     }
 }
 

@@ -148,7 +148,7 @@ impl JournaledGac {
                 let _ = gac.submit_request(req, &mut NullRecorder);
             }
             GacOp::Advance { now } => {
-                let _ = gac.advance(*now);
+                let _ = gac.advance(*now, &mut NullRecorder);
             }
             GacOp::Complete { id, at } => gac.complete(*id, *at),
             GacOp::Inject(injection) => {
@@ -213,12 +213,25 @@ impl JournaledGac {
         outcome
     }
 
-    /// Journaled [`GlobalAdmissionController::advance`].
+    /// Journaled [`GlobalAdmissionController::advance`], silent: what
+    /// the core's timers did to the placements is neither emitted nor
+    /// returned. [`JournaledGac::advance_recorded`] accounts for it.
     pub fn advance(&mut self, now: Cycles) -> Vec<(JobId, NodeId)> {
+        self.advance_recorded(now, &mut NullRecorder).0
+    }
+
+    /// Journaled [`GlobalAdmissionController::advance`]: the completions,
+    /// and the migrations and revocations the core's timers caused, which
+    /// also go to `recorder`.
+    pub fn advance_recorded(
+        &mut self,
+        now: Cycles,
+        recorder: &mut dyn Recorder,
+    ) -> (Vec<(JobId, NodeId)>, FaultReport) {
         self.log(GacOp::Advance { now });
-        let completed = self.gac.advance(now);
+        let outcome = self.gac.advance(now, recorder);
         self.maybe_compact();
-        completed
+        outcome
     }
 
     /// Journaled [`GlobalAdmissionController::complete`].

@@ -1447,7 +1447,7 @@ pub fn run_gac(seed: u64) -> Result<(), Divergence> {
 
     for n in 0..submissions {
         now += Cycles::new(rng.gen_range(0..301));
-        let _ = gac.advance(now);
+        let _ = gac.advance(now, &mut rec);
 
         if rng.gen_bool(0.2) {
             let node = NodeId::new(rng.gen_range(0..nodes as u32));

@@ -19,7 +19,9 @@
 //!    clock advances, kills, joins, drains and restarts gives the same
 //!    per-job decisions and the same final placements through the
 //!    in-process `GlobalAdmissionController` and through a `Cluster` over
-//!    a lossless, zero-latency `SimNet`. (Message faults, whose timing
+//!    a lossless, zero-latency `SimNet`, given the node-local correction
+//!    the in-process driver makes after each placement (the reservation
+//!    window the node's table holds). (Message faults, whose timing
 //!    depends on the transport, and way/core faults and early
 //!    completions, which only the in-process driver takes, are left out.)
 
@@ -136,7 +138,7 @@ fn decision_stream(churned: Option<NodeId>, jobs: u32, stagger: u64, tw: u64) ->
     let mut out = String::new();
     for i in 0..jobs {
         let now = Cycles::new(100 + u64::from(i) * stagger);
-        let _ = gac.advance(now);
+        let _ = gac.advance(now, &mut rec);
         let req =
             AdmissionRequest::builder(JobId::new(i), ResourceRequest::paper_job(), Cycles::new(tw))
                 .mode(ExecutionMode::Strict)
@@ -220,7 +222,7 @@ fn through_the_in_process_driver(nodes: usize, policy: ProbePolicy, steps: &[Ste
             }
             Step::Advance(at) => {
                 now = at;
-                let _ = gac.advance(now);
+                let _ = gac.advance(now, &mut rec);
                 continue;
             }
             Step::Kill(node) => Fault::NodeFault { node },
@@ -236,6 +238,10 @@ fn through_the_in_process_driver(nodes: usize, policy: ProbePolicy, steps: &[Ste
 }
 
 /// The same stream through a cluster over a lossless, zero-latency net.
+/// After each placement it makes the correction the in-process driver
+/// makes from the node's table: the core's copy of the reservation takes
+/// the window the LAC reserved, or, when the LAC reserved nothing
+/// (Opportunistic), the placement retires at once.
 fn through_a_lossless_cluster(nodes: usize, policy: ProbePolicy, steps: &[Step]) -> Outcome {
     let link = LinkConfig::default().base_latency(Cycles::ZERO);
     let mut cluster = Cluster::new(
@@ -273,6 +279,16 @@ fn through_a_lossless_cluster(nodes: usize, policy: ProbePolicy, steps: &[Step])
             cluster.apply(Injection { at: now, fault }, &mut rec);
         }
         cluster.run_until(now, &mut rec);
+        if let Step::Submit(req) = step {
+            if let (Some(node), Decision::Accepted { .. }) = cluster.gac().decisions()[&req.id] {
+                match cluster.endpoint(node).backend().reservation(req.id) {
+                    Some(r) => cluster.gac_mut().amend(r),
+                    None => {
+                        let _ = cluster.gac_mut().release(req.id);
+                    }
+                }
+            }
+        }
     }
     let gac = cluster.gac();
     let decisions = submitted
