@@ -7,7 +7,8 @@
 //! * the `Debug` form of a reduced `chaos::run_churn` outcome (leases,
 //!   heartbeats, joins, drains, restarts and a kill over a lossy link);
 //! * the `Debug` form of a reduced `chaos::run_net` outcome (a partition
-//!   and its heal);
+//!   and its heal), and of the same cell with the partition left for the
+//!   drain to heal and with the `drop-reconcile` injection;
 //! * every event of one `Cluster` run recorded into a
 //!   `RingBufferRecorder`: the churn schedule above plus a partition, a
 //!   heal, a message drop and a probe loss.
@@ -220,5 +221,29 @@ fn cluster_event_streams_match_their_captured_digests() {
     ] {
         let got = cluster_events(seed);
         assert_eq!(got, want, "seed {seed}: ({:#x}, {})", got.0, got.1);
+    }
+}
+
+#[test]
+fn unhealed_net_outcomes_match_their_captured_digests() {
+    for (seed, want) in [(1, 0xd733_8a68_c9cb_77bc), (7919, 0x5f45_181e_9f5c_5e57)] {
+        let mut params = net_params(seed);
+        params.heal_at = None;
+        let outcome = run_net(&params);
+        assert!(outcome.net.partitioned > 0 && outcome.reconciles > 0);
+        let got = digest(&format!("{outcome:?}"));
+        assert_eq!(got, want, "seed {seed}: {got:#x}\n{outcome:?}");
+    }
+}
+
+#[test]
+fn drop_reconcile_net_outcomes_match_their_captured_digests() {
+    for (seed, want) in [(1, 0x28be_da79_8c33_3733), (7919, 0xd2eb_cd40_b872_3189)] {
+        let mut params = net_params(seed);
+        params.drop_reconcile = true;
+        let outcome = run_net(&params);
+        assert!(outcome.pending_reconciles > 0);
+        let got = digest(&format!("{outcome:?}"));
+        assert_eq!(got, want, "seed {seed}: {got:#x}\n{outcome:?}");
     }
 }

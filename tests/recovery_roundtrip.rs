@@ -280,3 +280,175 @@ fn a_committed_version_1_journal_recovers_fully() {
     assert_eq!(again.lac(), recovered.lac());
     assert_eq!(again.journal().next_seq(), 5);
 }
+
+/// A GAC journal written by the controller before its five fixed
+/// retry and failure-detector values became constants: two nodes, three
+/// submissions and an advance, uncompacted. Its snapshot still carries the
+/// five values as config fields.
+const PARENT_GAC_JOURNAL: &str = concat!(
+    r#"{"seq":0,"version":2,"checksum":7470383033109271364,"op":{"Snapshot":{"core":{"config":{"gac":{"max_retries":3,"suspect_after":2,"dead_after":4,"dead_timeout":30000},"rto":100,"retry_interval":500,"heartbeat_every":0,"lease_ttl":0},"policy":"LeastLoaded","nodes":[{"health":"Healthy","member":"Live","consecutive_losses":0,"last_heard":0,"epoch":0,"next_seq":0,"needs_reconcile":false,"reconcile_queued":false,"ping_queued":false,"heartbeat_queued":false,"lease_frozen":false,"drain_pending":0,"leases_until":0},{"health":"Healthy","member":"Live","consecutive_losses":0,"last_heard":0,"epoch":0,"next_seq":0,"needs_reconcile":false,"reconcile_queued":false,"ping_queued":false,"heartbeat_queued":false,"lease_frozen":false,"drain_pending":0,"leases_until":0}],"placements":{},"decisions":{},"completed":[],"revoked":[],"tasks":[],"parked":[],"park_counter":0,"current":null,"leases":[],"next_heartbeat":0,"stats":{"conversations":0,"retransmits":0,"gave_up":0,"stale_replies":0,"reconciles":0},"now":0},"nodes":[{"lac":{"config":{"capacity":{"cores":4,"cache_ways":16,"bandwidth_pct":100}},"now":0,"reservations":[],"admission_tests":0,"accepted":0,"rejected":0,"modeled_cost":0},"epoch":0,"next_seq":0,"cut":false,"drops_to_node":0},{"lac":{"config":{"capacity":{"cores":4,"cache_ways":16,"bandwidth_pct":100}},"now":0,"reservations":[],"admission_tests":0,"accepted":0,"rejected":0,"modeled_cost":0},"epoch":0,"next_seq":0,"cut":false,"drops_to_node":0}],"lac_config":{"capacity":{"cores":4,"cache_ways":16,"bandwidth_pct":100}},"retired":[],"now":0,"cluster_now":0}}}"#,
+    "\n",
+    r#"{"seq":1,"version":2,"checksum":18400348424953765320,"op":{"Submit":{"id":0,"source":0,"mode":"Strict","request":{"cores":1,"cache_ways":7,"bandwidth_pct":0},"tw":900,"deadline":6000,"placement":"Earliest","slo":null}}}"#,
+    "\n",
+    r#"{"seq":2,"version":2,"checksum":9003524324682728951,"op":{"Submit":{"id":1,"source":0,"mode":{"Elastic":50.0},"request":{"cores":1,"cache_ways":7,"bandwidth_pct":0},"tw":1200,"deadline":8000,"placement":"Earliest","slo":null}}}"#,
+    "\n",
+    r#"{"seq":3,"version":2,"checksum":16077062412760821291,"op":{"Submit":{"id":2,"source":0,"mode":"Opportunistic","request":{"cores":1,"cache_ways":7,"bandwidth_pct":0},"tw":700,"deadline":null,"placement":"Earliest","slo":null}}}"#,
+    "\n",
+    r#"{"seq":4,"version":2,"checksum":15412584582399089259,"op":{"Advance":{"now":400}}}"#,
+    "\n",
+);
+
+/// A fixed continuation of a recovered GAC: submissions in every mode,
+/// advances, a completion and a way fault. Returns the FNV-1a digest of
+/// every outcome's `Debug` form.
+fn gac_continuation(gac: &mut JournaledGac) -> u64 {
+    use cmpqos::faults::FaultPlan;
+    use cmpqos::obs::NullRecorder;
+    use cmpqos::types::NodeId;
+    let mut log = String::new();
+    for i in 3..11u32 {
+        let at = 400 + u64::from(i) * 150;
+        log += &format!("{:?}\n", gac.advance(Cycles::new(at)));
+        let decision = gac.submit(
+            JobId::new(i),
+            mode_of(u64::from(i)),
+            ResourceRequest::paper_job(),
+            Cycles::new(600 + u64::from(i) * 100),
+            (i % 4 != 0).then(|| Cycles::new(at + 4_000)),
+        );
+        log += &format!("{decision:?}\n");
+    }
+    gac.complete(JobId::new(0), Cycles::new(2_000));
+    let way_fault = FaultPlan::new()
+        .way_fault(Cycles::new(2_100), NodeId::new(0), 2)
+        .build()
+        .injections()[0];
+    log += &format!("{:?}\n", gac.inject(way_fault, &mut NullRecorder));
+    log += &format!("{:?}\n", gac.advance(Cycles::new(10_000)));
+    fnv1a64(log.as_bytes())
+}
+
+/// The committed GAC journal recovers without loss into the controller
+/// the same calls build today, and the recovered controller decides a
+/// fixed continuation exactly as it did when the journal was written.
+#[test]
+fn a_committed_gac_journal_recovers_and_decides_as_before() {
+    use cmpqos::qos::GlobalAdmissionController;
+    assert_eq!(PARENT_GAC_JOURNAL.len(), 2_330);
+    let (mut recovered, report) = JournaledGac::recover(PARENT_GAC_JOURNAL, COMPACT_EVERY);
+    assert_eq!(report.lost, 0, "{report:?}");
+    assert_eq!(report.replayed, 4);
+    assert_eq!(recovered.journal().next_seq(), 5);
+
+    let mut live = JournaledGac::new(
+        GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::LeastLoaded),
+        COMPACT_EVERY,
+    );
+    let _ = live.submit(
+        JobId::new(0),
+        ExecutionMode::Strict,
+        ResourceRequest::paper_job(),
+        Cycles::new(900),
+        Some(Cycles::new(6_000)),
+    );
+    let _ = live.submit(
+        JobId::new(1),
+        ExecutionMode::Elastic(Percent::new(50.0)),
+        ResourceRequest::paper_job(),
+        Cycles::new(1_200),
+        Some(Cycles::new(8_000)),
+    );
+    let _ = live.submit(
+        JobId::new(2),
+        ExecutionMode::Opportunistic,
+        ResourceRequest::paper_job(),
+        Cycles::new(700),
+        None,
+    );
+    let _ = live.advance(Cycles::new(400));
+    assert_eq!(recovered.gac(), live.gac());
+
+    let digest = gac_continuation(&mut recovered);
+    assert_eq!(digest, 0x4564_c1a3_4910_00d8, "{digest:#x}");
+    assert_eq!(gac_continuation(&mut live), digest);
+}
+
+/// The JSONL bytes of a scripted [`JournaledLac`] run, folded into one
+/// FNV-1a digest after every call: each `LacOp` kind, a batch admission
+/// and compactions.
+#[test]
+fn a_scripted_lac_journal_writes_the_captured_bytes() {
+    let request = |id: u32, tw: u64, deadline: Option<u64>| {
+        let mut b = AdmissionRequest::builder(
+            JobId::new(id),
+            ResourceRequest::paper_job(),
+            Cycles::new(tw),
+        )
+        .mode(mode_of(u64::from(id)));
+        if let Some(td) = deadline {
+            b = b.deadline(Cycles::new(td));
+        }
+        b.build()
+    };
+    let mut donor = Lac::new(LacConfig::default());
+    assert!(donor.admit(&request(40, 800, Some(9_000))).is_accepted());
+    let migrated = donor.reservations()[0];
+
+    // Ten ops, then a compaction: the batch comes first and the last op
+    // before the compaction is an advance, so every other kind shows up
+    // in some serialized journal.
+    let mut lac = JournaledLac::new(Lac::new(LacConfig::default()), 10);
+    let mut bytes = lac.to_jsonl();
+    let batch = [
+        request(3, 700, Some(8_000)),
+        request(4, 600, None),
+        request(5, 900, Some(9_500)),
+    ];
+    let _ = lac.admit_batch(&batch, &mut cmpqos::obs::NullRecorder);
+    bytes += &lac.to_jsonl();
+    let _ = lac.admit(&request(0, 900, Some(6_000)));
+    bytes += &lac.to_jsonl();
+    let _ = lac.admit(&request(1, 1_100, None));
+    bytes += &lac.to_jsonl();
+    let late = AdmissionRequest::builder(
+        JobId::new(2),
+        ResourceRequest::paper_job(),
+        Cycles::new(500),
+    )
+    .deadline(Cycles::new(7_000))
+    .latest_feasible()
+    .build();
+    let _ = lac.admit(&late);
+    bytes += &lac.to_jsonl();
+    let _ = lac.readmit(&migrated);
+    bytes += &lac.to_jsonl();
+    lac.advance(Cycles::new(300));
+    bytes += &lac.to_jsonl();
+    lac.release(JobId::new(0), Cycles::new(300));
+    bytes += &lac.to_jsonl();
+    lac.advance(Cycles::new(320));
+    bytes += &lac.to_jsonl();
+    assert_eq!(lac.journal().len(), 1, "the tenth op compacts");
+    lac.cancel(JobId::new(1));
+    bytes += &lac.to_jsonl();
+    let _ = lac.revoke_capacity(ResourceRequest::new(4, Ways::new(12)), Cycles::new(350));
+    bytes += &lac.to_jsonl();
+    lac.advance(Cycles::new(1_000));
+    bytes += &lac.to_jsonl();
+
+    for kind in [
+        "\"Snapshot\"",
+        "\"Admit\"",
+        "\"AdmitLatest\"",
+        "\"Readmit\"",
+        "\"Advance\"",
+        "\"Release\"",
+        "\"Cancel\"",
+        "\"RevokeCapacity\"",
+    ] {
+        assert!(bytes.contains(kind), "no {kind} record");
+    }
+    assert_eq!(lac.journal().records()[0].seq, 11);
+    let digest = fnv1a64(bytes.as_bytes());
+    assert_eq!(digest, 0x3c28_a156_e5b6_7574, "{digest:#x}");
+}
