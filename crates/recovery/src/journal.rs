@@ -11,6 +11,14 @@ use serde::{Deserialize, Serialize, Value};
 /// checksum.
 pub const JOURNAL_VERSION: u32 = 2;
 
+/// The highest sequence number a loaded record may carry: 2^62. Loading
+/// ends the valid prefix at a record past it, so a journal loaded at the
+/// cap still has 3 × 2^62 appends before its next sequence number would
+/// overflow `u64` — no load followed by appends can panic or reuse a
+/// number. A live journal appending a billion records a second takes
+/// over 140 years to reach the cap.
+pub const MAX_SEQ: u64 = 1 << 62;
+
 /// FNV-1a 64-bit over `bytes` — the record checksum. Chosen because it is
 /// dependency-free, deterministic across platforms, and plenty to detect
 /// the torn/bit-flipped tails crash recovery must survive (it is *not* a
@@ -46,8 +54,9 @@ pub struct JournalRecord<O> {
 }
 
 // The vendored serde's derive does not handle generic types, so the record
-// envelope is implemented by hand. Field names are part of the on-disk
-// format; changing them is a JOURNAL_VERSION bump.
+// envelope is written by hand, and read field by field in
+// `Journal::from_jsonl`. Field names are part of the on-disk format;
+// changing them is a JOURNAL_VERSION bump.
 impl<O: Serialize> Serialize for JournalRecord<O> {
     fn to_value(&self) -> Value {
         Value::Object(vec![
@@ -59,21 +68,6 @@ impl<O: Serialize> Serialize for JournalRecord<O> {
     }
 }
 
-impl<O: Deserialize> Deserialize for JournalRecord<O> {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::Error::msg(format!("journal record missing `{name}`")))
-        };
-        Ok(Self {
-            seq: u64::from_value(field("seq")?)?,
-            version: u32::from_value(field("version")?)?,
-            checksum: u64::from_value(field("checksum")?)?,
-            op: O::from_value(field("op")?)?,
-        })
-    }
-}
-
 /// How loading a journal's tail went.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TailReport {
@@ -81,7 +75,7 @@ pub struct TailReport {
     pub valid: u64,
     /// Trailing lines dropped at the first invalid record (torn write,
     /// flipped bits, bad version, out-of-order sequence, or a sequence
-    /// number with no successor).
+    /// number past [`MAX_SEQ`]).
     pub lost: u64,
 }
 
@@ -172,25 +166,39 @@ impl<O: Serialize> Journal<O> {
         out
     }
 
-    /// The checksum of a record; a version-1 record's covers only its op.
+    /// The checksum of a record holding `op`.
     fn checksum_of(seq: u64, version: u32, op: &O) -> u64 {
-        let op = serde_json::to_string(op).expect("journal ops serialize");
-        if version == 1 {
-            return fnv1a64(op.as_bytes());
-        }
-        let header = fnv1a64_extend(fnv1a64(&seq.to_le_bytes()), &version.to_le_bytes());
-        fnv1a64_extend(header, op.as_bytes())
+        checksum_over(
+            seq,
+            version,
+            &serde_json::to_string(op).expect("journal ops serialize"),
+        )
     }
+}
+
+/// The checksum of a record whose op serializes to `op`; a version-1
+/// record's covers only its op.
+fn checksum_over(seq: u64, version: u32, op: &str) -> u64 {
+    if version == 1 {
+        return fnv1a64(op.as_bytes());
+    }
+    let header = fnv1a64_extend(fnv1a64(&seq.to_le_bytes()), &version.to_le_bytes());
+    fnv1a64_extend(header, op.as_bytes())
 }
 
 impl<O: Serialize + Deserialize> Journal<O> {
     /// Loads a journal from JSONL, tolerating a torn or corrupted tail:
     /// parsing stops at the first line that fails to parse, carries a
     /// schema version other than 1 or [`JOURNAL_VERSION`], breaks sequence
-    /// monotonicity, has no successor sequence number (`seq = u64::MAX`),
-    /// or whose checksum does not match. Everything from that line on is
-    /// dropped and counted in the [`TailReport`] — never a panic, never an
-    /// error.
+    /// monotonicity, carries a sequence number past [`MAX_SEQ`], or whose
+    /// checksum does not match. Everything from that line on is dropped
+    /// and counted in the [`TailReport`] — never a panic, never an error.
+    ///
+    /// The checksum is taken over the op as written, before it is read
+    /// into `O`, so a field `O` would ignore still fails it. A valid op
+    /// that this build serializes differently (a field it no longer has)
+    /// is re-stamped with the checksum of what [`Journal::to_jsonl`] will
+    /// write, so a loaded journal saved again still loads.
     #[must_use]
     pub fn from_jsonl(text: &str) -> (Self, TailReport) {
         let mut journal = Self::new();
@@ -200,27 +208,46 @@ impl<O: Serialize + Deserialize> Journal<O> {
             .map(str::trim)
             .filter(|l| !l.is_empty())
             .collect();
-        let mut last_seq: Option<u64> = None;
         for (i, line) in lines.iter().enumerate() {
-            let Ok(record) = serde_json::from_str::<JournalRecord<O>>(line) else {
+            let after = journal.records.last().map(|r| r.seq);
+            let Some(record) = Self::parse_record(line, after) else {
                 report.lost = (lines.len() - i) as u64;
                 break;
             };
-            let valid = matches!(record.version, 1 | JOURNAL_VERSION)
-                && last_seq.is_none_or(|prev| record.seq > prev)
-                && Self::checksum_of(record.seq, record.version, &record.op) == record.checksum;
-            // `seq = u64::MAX` leaves the next append no number, so it ends
-            // the valid prefix like any other bad record.
-            let Some(next_seq) = record.seq.checked_add(1).filter(|_| valid) else {
-                report.lost = (lines.len() - i) as u64;
-                break;
-            };
-            last_seq = Some(record.seq);
-            journal.next_seq = next_seq;
+            journal.next_seq = record.seq + 1;
             journal.records.push(record);
             report.valid += 1;
         }
         (journal, report)
+    }
+
+    /// One valid record from `line`, whose sequence number must follow
+    /// `after`; `None` when anything about it is invalid.
+    fn parse_record(line: &str, after: Option<u64>) -> Option<JournalRecord<O>> {
+        let record = serde_json::parse(line).ok()?;
+        let seq = u64::from_value(record.get("seq")?).ok()?;
+        let version = u32::from_value(record.get("version")?).ok()?;
+        let checksum = u64::from_value(record.get("checksum")?).ok()?;
+        let written = record.get("op")?;
+        let valid = matches!(version, 1 | JOURNAL_VERSION)
+            && after.is_none_or(|prev| seq > prev)
+            && seq <= MAX_SEQ
+            && checksum_over(seq, version, &serde_json::to_string(written).ok()?) == checksum;
+        if !valid {
+            return None;
+        }
+        let op = O::from_value(written).ok()?;
+        let checksum = if op.to_value() == *written {
+            checksum
+        } else {
+            Self::checksum_of(seq, version, &op)
+        };
+        Some(JournalRecord {
+            seq,
+            version,
+            checksum,
+            op,
+        })
     }
 }
 
@@ -289,5 +316,23 @@ mod tests {
         let (back, report) = Journal::<u64>::from_jsonl(&text);
         assert!(back.is_empty());
         assert_eq!(report.lost, 1);
+    }
+
+    #[test]
+    fn an_op_written_with_a_retired_field_is_saved_with_a_matching_checksum() {
+        // An older build wrote a field this build's op type no longer
+        // has: the record is valid as written, and saved as this build
+        // writes it.
+        let written = r#"{"Advance":{"now":400,"retired":1}}"#;
+        let checksum = checksum_over(0, JOURNAL_VERSION, written);
+        let line = format!(
+            "{{\"seq\":0,\"version\":{JOURNAL_VERSION},\"checksum\":{checksum},\"op\":{written}}}"
+        );
+        let (loaded, report) = Journal::<crate::LacOp>::from_jsonl(&line);
+        assert_eq!(report, TailReport { valid: 1, lost: 0 });
+        assert_ne!(loaded.records()[0].checksum, checksum);
+        let (again, report) = Journal::<crate::LacOp>::from_jsonl(&loaded.to_jsonl());
+        assert_eq!(report, TailReport { valid: 1, lost: 0 });
+        assert_eq!(again, loaded);
     }
 }

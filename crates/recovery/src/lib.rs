@@ -52,7 +52,7 @@ pub mod journal;
 pub mod lac_journal;
 
 pub use gac_journal::{GacOp, JournaledGac};
-pub use journal::{fnv1a64, Journal, JournalRecord, TailReport, JOURNAL_VERSION};
+pub use journal::{fnv1a64, Journal, JournalRecord, TailReport, JOURNAL_VERSION, MAX_SEQ};
 pub use lac_journal::{JournaledLac, LacOp};
 
 /// What a [`JournaledLac::recover`] / [`JournaledGac::recover`] did.

@@ -6,7 +6,9 @@
 //! instead of panicking or replaying garbage.
 
 use cmpqos::qos::{AdmissionRequest, ExecutionMode, Lac, LacConfig, ProbePolicy, ResourceRequest};
-use cmpqos::recovery::{fnv1a64, Journal, JournaledGac, JournaledLac, TailReport, JOURNAL_VERSION};
+use cmpqos::recovery::{
+    fnv1a64, Journal, JournaledGac, JournaledLac, LacOp, TailReport, JOURNAL_VERSION, MAX_SEQ,
+};
 use cmpqos::types::{Cycles, JobId, Percent, Ways};
 use proptest::prelude::*;
 
@@ -83,7 +85,7 @@ fn op_strategy() -> impl Strategy<Value = Vec<FuzzOp>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(cmpqos::testkit::cases(32) as u32))]
 
     /// Any op sequence → serialize → recover: the recovered LAC holds the
     /// same reservation table and makes byte-identical subsequent
@@ -199,6 +201,71 @@ fn a_record_at_the_last_sequence_number_ends_the_valid_prefix() {
     assert_eq!(recovered.append("gamma".into()), 1);
 }
 
+/// A record edited to the number below `u64::MAX` also passes its
+/// checksum, and is past [`MAX_SEQ`]: it ends the valid prefix too, so
+/// the appends after the load neither overflow nor reuse a number. A
+/// record at the cap itself still loads.
+#[test]
+fn a_record_past_the_sequence_cap_ends_the_valid_prefix() {
+    let edited = v1_record(0, "alpha") + &v1_record(u64::MAX - 1, "beta");
+    let (mut recovered, report) = Journal::<String>::from_jsonl(&edited);
+    assert_eq!(report, TailReport { valid: 1, lost: 1 });
+    assert_eq!(recovered.append("gamma".into()), 1);
+
+    let past = v1_record(0, "alpha") + &v1_record(MAX_SEQ + 1, "beta");
+    let (_, report) = Journal::<String>::from_jsonl(&past);
+    assert_eq!(report, TailReport { valid: 1, lost: 1 });
+
+    let at_cap = v1_record(0, "alpha") + &v1_record(MAX_SEQ, "beta");
+    let (mut recovered, report) = Journal::<String>::from_jsonl(&at_cap);
+    assert_eq!(report, TailReport { valid: 2, lost: 0 });
+    assert_eq!(recovered.append("gamma".into()), MAX_SEQ + 1);
+}
+
+/// The same edit in a LAC journal: its last record's `seq` set to
+/// `u64::MAX - 1`. The record is dropped, the journaled LAC keeps
+/// appending from seq 3, and what it appends recovers without loss.
+#[test]
+fn a_lac_journal_edited_near_the_last_sequence_number_keeps_appending() {
+    let edited = V1_JOURNAL.replacen("\"seq\":3,", "\"seq\":18446744073709551614,", 1);
+    assert_ne!(edited, V1_JOURNAL);
+    let (mut recovered, report) = JournaledLac::recover(&edited, COMPACT_EVERY);
+    assert_eq!((report.replayed, report.lost), (2, 1));
+    assert_eq!(recovered.journal().next_seq(), 3);
+    recovered.advance(Cycles::new(500));
+    recovered.release(JobId::new(0), Cycles::new(500));
+    let (again, report) = JournaledLac::recover(&recovered.to_jsonl(), COMPACT_EVERY);
+    assert!(report.is_lossless(), "{report:?}");
+    assert_eq!(again.lac(), recovered.lac());
+    assert_eq!(again.journal().next_seq(), 5);
+}
+
+/// The checksum covers the op as written, not as this build reads it
+/// back: a field added to an op, which reading would silently drop,
+/// fails it, in a version-1 record and in a current one.
+#[test]
+fn a_field_added_to_a_journaled_op_fails_the_checksum() {
+    let edited = V1_JOURNAL.replacen(
+        r#"{"Advance":{"now":400}}"#,
+        r#"{"Advance":{"now":400,"bogus":7}}"#,
+        1,
+    );
+    assert_ne!(edited, V1_JOURNAL);
+    let (_, report) = JournaledLac::recover(&edited, COMPACT_EVERY);
+    assert_eq!((report.replayed, report.lost), (1, 2));
+
+    let mut journal: Journal<LacOp> = Journal::new();
+    let _ = journal.append(LacOp::Advance {
+        now: Cycles::new(400),
+    });
+    let jsonl = journal.to_jsonl();
+    let (_, report) = Journal::<LacOp>::from_jsonl(&jsonl);
+    assert_eq!(report, TailReport { valid: 1, lost: 0 });
+    let edited = jsonl.replacen(r#""now":400"#, r#""now":400,"bogus":7"#, 1);
+    let (_, report) = Journal::<LacOp>::from_jsonl(&edited);
+    assert_eq!(report, TailReport { valid: 0, lost: 1 });
+}
+
 /// The checksum covers `seq`: a record whose sequence number was edited
 /// from 2 to 7 ends the valid prefix, and the next append reuses seq 2.
 #[test]
@@ -235,21 +302,24 @@ fn a_record_edited_to_version_1_is_rejected() {
     assert_eq!(recovered.len(), 1);
 }
 
+/// A LAC journal written with version-1 records: the initial snapshot, an
+/// admit, an advance and a release.
+const V1_JOURNAL: &str = concat!(
+    r#"{"seq":0,"version":1,"checksum":15323056167796886714,"op":{"Snapshot":{"config":{"capacity":{"cores":4,"cache_ways":16,"bandwidth_pct":100}},"now":0,"reservations":[],"admission_tests":0,"accepted":0,"rejected":0,"modeled_cost":0}}}"#,
+    "\n",
+    r#"{"seq":1,"version":1,"checksum":11819289718604910100,"op":{"Admit":{"id":0,"mode":"Strict","request":{"cores":1,"cache_ways":7,"bandwidth_pct":0},"tw":900,"deadline":6000}}}"#,
+    "\n",
+    r#"{"seq":2,"version":1,"checksum":4910272054766201001,"op":{"Advance":{"now":400}}}"#,
+    "\n",
+    r#"{"seq":3,"version":1,"checksum":3509757971170225530,"op":{"Release":{"id":0,"at":400}}}"#,
+    "\n",
+);
+
 /// A LAC journal written with version-1 records (admit, advance, release
 /// after the initial snapshot) recovers every record unchanged, and keeps
 /// recovering after current-version records are appended to it.
 #[test]
 fn a_committed_version_1_journal_recovers_fully() {
-    const V1_JOURNAL: &str = concat!(
-        r#"{"seq":0,"version":1,"checksum":15323056167796886714,"op":{"Snapshot":{"config":{"capacity":{"cores":4,"cache_ways":16,"bandwidth_pct":100}},"now":0,"reservations":[],"admission_tests":0,"accepted":0,"rejected":0,"modeled_cost":0}}}"#,
-        "\n",
-        r#"{"seq":1,"version":1,"checksum":11819289718604910100,"op":{"Admit":{"id":0,"mode":"Strict","request":{"cores":1,"cache_ways":7,"bandwidth_pct":0},"tw":900,"deadline":6000}}}"#,
-        "\n",
-        r#"{"seq":2,"version":1,"checksum":4910272054766201001,"op":{"Advance":{"now":400}}}"#,
-        "\n",
-        r#"{"seq":3,"version":1,"checksum":3509757971170225530,"op":{"Release":{"id":0,"at":400}}}"#,
-        "\n",
-    );
     let mut live = JournaledLac::new(Lac::new(LacConfig::default()), COMPACT_EVERY);
     let job = AdmissionRequest::builder(
         JobId::new(0),
@@ -451,4 +521,18 @@ fn a_scripted_lac_journal_writes_the_captured_bytes() {
     assert_eq!(lac.journal().records()[0].seq, 11);
     let digest = fnv1a64(bytes.as_bytes());
     assert_eq!(digest, 0x3c28_a156_e5b6_7574, "{digest:#x}");
+}
+
+/// The committed GAC journal, recovered and saved again, recovers again
+/// without loss: a record read from an older build is saved with a
+/// checksum that matches what this build writes for it.
+#[test]
+fn a_recovered_gac_journal_saves_and_recovers_again() {
+    let (recovered, report) = JournaledGac::recover(PARENT_GAC_JOURNAL, COMPACT_EVERY);
+    assert_eq!(report.lost, 0, "{report:?}");
+    let (again, report) = JournaledGac::recover(&recovered.to_jsonl(), COMPACT_EVERY);
+    assert!(report.is_lossless(), "{report:?}");
+    assert_eq!(report.replayed, 4);
+    assert_eq!(again.gac(), recovered.gac());
+    assert_eq!(again.to_jsonl(), recovered.to_jsonl());
 }
