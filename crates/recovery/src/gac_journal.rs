@@ -1,7 +1,6 @@
 //! Write-ahead journaling for the Global Admission Controller.
 
-use crate::journal::Journal;
-use crate::RecoveryReport;
+use crate::journal::{Journaled, Replay};
 use cmpqos_core::gac::FaultReport;
 use cmpqos_core::{
     AdmissionRequest, Decision, ExecutionMode, GacState, GlobalAdmissionController, LacConfig,
@@ -46,132 +45,53 @@ pub enum GacOp {
 }
 
 /// A [`GlobalAdmissionController`] whose every state-changing operation is
-/// appended to a write-ahead [`Journal`] *before* the in-core tables
-/// mutate — the crash-consistent controller the chaos harness rebuilds
-/// under `--crash-at`.
-///
-/// Replay is silent (a [`NullRecorder`]): the controllers' behavior never
-/// depends on the recorder, so a recovered controller's subsequent
-/// decisions are byte-identical to the uncrashed original's without
-/// re-emitting the pre-crash event stream.
-#[derive(Debug, PartialEq)]
-pub struct JournaledGac {
-    gac: GlobalAdmissionController,
-    journal: Journal<GacOp>,
-    compact_every: u64,
-    ops_since_snapshot: u64,
-}
+/// appended to a write-ahead journal *before* the in-core tables mutate —
+/// the crash-consistent controller the chaos harness rebuilds under
+/// `--crash-at`.
+pub type JournaledGac = Journaled<GlobalAdmissionController>;
 
-impl JournaledGac {
-    /// Wraps `gac`, seeding the journal with a snapshot of its current
-    /// state. `compact_every` (clamped to ≥ 1) is the number of operations
-    /// between compactions.
-    #[must_use]
-    pub fn new(gac: GlobalAdmissionController, compact_every: u64) -> Self {
-        let mut journal = Journal::new();
-        let _ = journal.append(GacOp::Snapshot(Box::new(gac.snapshot())));
-        Self {
-            gac,
-            journal,
-            compact_every: compact_every.max(1),
-            ops_since_snapshot: 0,
+impl Replay for GlobalAdmissionController {
+    type Op = GacOp;
+
+    fn snapshot_op(&self) -> GacOp {
+        GacOp::Snapshot(Box::new(self.snapshot()))
+    }
+
+    fn from_snapshot(op: &GacOp) -> Option<Self> {
+        match op {
+            GacOp::Snapshot(state) => Some(Self::restore((**state).clone())),
+            _ => None,
         }
     }
 
+    /// A one-node default-configured server.
+    fn empty() -> Self {
+        Self::new(1, LacConfig::default(), ProbePolicy::FirstFit)
+    }
+
+    fn replay(&mut self, op: &GacOp) {
+        match op {
+            GacOp::Snapshot(state) => *self = Self::restore((**state).clone()),
+            GacOp::Submit(req) => {
+                let _ = self.submit_request(req, &mut NullRecorder);
+            }
+            GacOp::Advance { now } => {
+                let _ = self.advance(*now, &mut NullRecorder);
+            }
+            GacOp::Complete { id, at } => self.complete(*id, *at),
+            GacOp::Inject(injection) => {
+                let _ = self.inject(*injection, &mut NullRecorder);
+            }
+            GacOp::Heartbeat { at } => self.heartbeat_all(*at, &mut NullRecorder),
+        }
+    }
+}
+
+impl Journaled<GlobalAdmissionController> {
     /// The wrapped controller.
     #[must_use]
     pub fn gac(&self) -> &GlobalAdmissionController {
-        &self.gac
-    }
-
-    /// The write-ahead journal.
-    #[must_use]
-    pub fn journal(&self) -> &Journal<GacOp> {
-        &self.journal
-    }
-
-    /// Serializes the journal as JSONL — the only thing that needs to
-    /// survive a crash.
-    #[must_use]
-    pub fn to_jsonl(&self) -> String {
-        self.journal.to_jsonl()
-    }
-
-    /// Rebuilds a controller from a serialized journal: restore the latest
-    /// valid snapshot, then deterministically replay every operation after
-    /// it with a silent recorder. A torn or corrupted tail is truncated
-    /// (never a panic); the dropped-line count is reported. When no valid
-    /// snapshot survives at all, recovery falls back to a one-node
-    /// default-configured server.
-    #[must_use = "dropping the report hides how much journaled state was lost"]
-    pub fn recover(jsonl: &str, compact_every: u64) -> (Self, RecoveryReport) {
-        let (journal, tail) = Journal::<GacOp>::from_jsonl(jsonl);
-        let snapshot_at = journal
-            .records()
-            .iter()
-            .rposition(|r| matches!(r.op, GacOp::Snapshot(_)));
-        let mut gac = match snapshot_at {
-            Some(i) => match &journal.records()[i].op {
-                GacOp::Snapshot(state) => GlobalAdmissionController::restore((**state).clone()),
-                _ => unreachable!("rposition matched a snapshot"),
-            },
-            None => GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit),
-        };
-        let replay_from = snapshot_at.map_or(0, |i| i + 1);
-        let mut replayed = 0u64;
-        for record in &journal.records()[replay_from..] {
-            Self::apply(&mut gac, &record.op);
-            replayed += 1;
-        }
-        (
-            Self {
-                gac,
-                journal,
-                compact_every: compact_every.max(1),
-                ops_since_snapshot: replayed,
-            },
-            RecoveryReport {
-                replayed,
-                lost: tail.lost,
-            },
-        )
-    }
-
-    /// Replays one operation silently. Decisions, completion lists, and
-    /// fault reports are discarded: they were already acted on before the
-    /// crash, and the replay's only job is to drive the controller into
-    /// the identical state.
-    fn apply(gac: &mut GlobalAdmissionController, op: &GacOp) {
-        match op {
-            GacOp::Snapshot(state) => *gac = GlobalAdmissionController::restore((**state).clone()),
-            GacOp::Submit(req) => {
-                let _ = gac.submit_request(req, &mut NullRecorder);
-            }
-            GacOp::Advance { now } => {
-                let _ = gac.advance(*now, &mut NullRecorder);
-            }
-            GacOp::Complete { id, at } => gac.complete(*id, *at),
-            GacOp::Inject(injection) => {
-                let _ = gac.inject(*injection, &mut NullRecorder);
-            }
-            GacOp::Heartbeat { at } => gac.heartbeat_all(*at, &mut NullRecorder),
-        }
-    }
-
-    /// Appends `op` (write-ahead: the journal sees it before the tables).
-    fn log(&mut self, op: GacOp) {
-        let _ = self.journal.append(op);
-        self.ops_since_snapshot += 1;
-    }
-
-    /// Compacts after a mutation once enough operations accumulated, so
-    /// the snapshot reflects the post-op state.
-    fn maybe_compact(&mut self) {
-        if self.ops_since_snapshot >= self.compact_every {
-            self.journal
-                .compact(GacOp::Snapshot(Box::new(self.gac.snapshot())));
-            self.ops_since_snapshot = 0;
-        }
+        self.inner()
     }
 
     /// Journaled [`GlobalAdmissionController::submit_request`] of the
@@ -190,8 +110,7 @@ impl JournaledGac {
 
     /// [`JournaledGac::submit`], emitting the probe history to `recorder`.
     /// The recorder only emits events — it never influences the decision —
-    /// so the journaled op is the same as for the unrecorded call and
-    /// replay uses the silent path.
+    /// so the journaled op is the same as for the unrecorded call.
     #[must_use = "dropping the decision loses whether (and where) the job was placed"]
     pub fn submit_recorded(
         &mut self,
@@ -207,10 +126,9 @@ impl JournaledGac {
             req = req.deadline(td);
         }
         let req = req.build();
-        self.log(GacOp::Submit(req));
-        let outcome = self.gac.submit_request(&req, recorder);
-        self.maybe_compact();
-        outcome
+        self.write_ahead([GacOp::Submit(req)], |gac| {
+            gac.submit_request(&req, recorder)
+        })
     }
 
     /// Journaled [`GlobalAdmissionController::advance`], silent: what
@@ -228,32 +146,26 @@ impl JournaledGac {
         now: Cycles,
         recorder: &mut dyn Recorder,
     ) -> (Vec<(JobId, NodeId)>, FaultReport) {
-        self.log(GacOp::Advance { now });
-        let outcome = self.gac.advance(now, recorder);
-        self.maybe_compact();
-        outcome
+        self.write_ahead([GacOp::Advance { now }], |gac| gac.advance(now, recorder))
     }
 
     /// Journaled [`GlobalAdmissionController::complete`].
     pub fn complete(&mut self, id: JobId, at: Cycles) {
-        self.log(GacOp::Complete { id, at });
-        self.gac.complete(id, at);
-        self.maybe_compact();
+        self.write_ahead([GacOp::Complete { id, at }], |gac| gac.complete(id, at));
     }
 
     /// Journaled [`GlobalAdmissionController::heartbeat_all`].
     pub fn heartbeat_all(&mut self, at: Cycles, recorder: &mut dyn Recorder) {
-        self.log(GacOp::Heartbeat { at });
-        self.gac.heartbeat_all(at, recorder);
-        self.maybe_compact();
+        self.write_ahead([GacOp::Heartbeat { at }], |gac| {
+            gac.heartbeat_all(at, recorder);
+        });
     }
 
     /// Journaled [`GlobalAdmissionController::inject`].
     pub fn inject(&mut self, injection: Injection, recorder: &mut dyn Recorder) -> FaultReport {
-        self.log(GacOp::Inject(injection));
-        let report = self.gac.inject(injection, recorder);
-        self.maybe_compact();
-        report
+        self.write_ahead([GacOp::Inject(injection)], |gac| {
+            gac.inject(injection, recorder)
+        })
     }
 }
 

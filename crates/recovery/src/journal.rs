@@ -1,6 +1,8 @@
 //! The generic write-ahead journal: schema-versioned, checksummed records
-//! with JSONL persistence, torn-tail truncation, and snapshot compaction.
+//! with JSONL persistence, torn-tail truncation, and snapshot compaction;
+//! and [`Journaled`], the one wrapper that journals a controller.
 
+use crate::RecoveryReport;
 use serde::{Deserialize, Serialize, Value};
 
 /// The journal record schema version. Bumped when the record layout
@@ -248,6 +250,137 @@ impl<O: Serialize + Deserialize> Journal<O> {
             checksum,
             op,
         })
+    }
+}
+
+/// A controller [`Journaled`] can wrap: the op type its journal holds,
+/// the snapshot op, the way back from it, and silent replay.
+pub trait Replay: Sized {
+    /// One journaled operation: exhaustive over everything that mutates
+    /// the controller, so *snapshot + replay* reconstructs its exact state.
+    type Op: Serialize + Deserialize + std::fmt::Debug + Clone + PartialEq;
+
+    /// The compaction record: the controller's complete state.
+    fn snapshot_op(&self) -> Self::Op;
+
+    /// The controller a snapshot op holds; `None` for any other op.
+    fn from_snapshot(op: &Self::Op) -> Option<Self>;
+
+    /// What recovery starts from when no valid snapshot survives.
+    fn empty() -> Self;
+
+    /// Applies `op` to drive the controller into its post-op state.
+    /// Whatever the op returned (decisions, completions, fault reports)
+    /// is discarded, and nothing is recorded: it was acted on before the
+    /// crash.
+    fn replay(&mut self, op: &Self::Op);
+}
+
+/// A controller whose every state-changing operation is appended to a
+/// write-ahead [`Journal`] *before* the in-core state mutates.
+///
+/// The journal starts with a snapshot record and is compacted back down to
+/// one snapshot every `compact_every` operations, so its length is bounded
+/// by `compact_every + 1` records regardless of run length.
+/// [`Journaled::recover`] rebuilds the controller from the serialized
+/// journal as *snapshot + replay*. Replay is silent: a controller's
+/// behaviour never depends on its recorder, so a recovered controller's
+/// subsequent decisions are byte-identical to the uncrashed original's
+/// without re-emitting the pre-crash event stream.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Journaled<C: Replay> {
+    inner: C,
+    journal: Journal<C::Op>,
+    compact_every: u64,
+    ops_since_snapshot: u64,
+}
+
+impl<C: Replay> Journaled<C> {
+    /// Wraps `inner`, seeding the journal with a snapshot of its current
+    /// state. `compact_every` (clamped to ≥ 1) is the number of operations
+    /// between compactions.
+    #[must_use]
+    pub fn new(inner: C, compact_every: u64) -> Self {
+        let mut journal = Journal::new();
+        let _ = journal.append(inner.snapshot_op());
+        Self {
+            inner,
+            journal,
+            compact_every: compact_every.max(1),
+            ops_since_snapshot: 0,
+        }
+    }
+
+    /// The write-ahead journal.
+    #[must_use]
+    pub fn journal(&self) -> &Journal<C::Op> {
+        &self.journal
+    }
+
+    /// Serializes the journal as JSONL — the only thing that needs to
+    /// survive a crash.
+    #[must_use]
+    pub fn to_jsonl(&self) -> String {
+        self.journal.to_jsonl()
+    }
+
+    /// Rebuilds a controller from a serialized journal: restore the latest
+    /// valid snapshot, then replay every operation after it. A torn or
+    /// corrupted tail is truncated (never a panic); the dropped-line count
+    /// is reported. When no valid snapshot survives at all, recovery
+    /// starts from [`Replay::empty`].
+    #[must_use = "dropping the report hides how much journaled state was lost"]
+    pub fn recover(jsonl: &str, compact_every: u64) -> (Self, RecoveryReport) {
+        let (journal, tail) = Journal::<C::Op>::from_jsonl(jsonl);
+        let records = journal.records();
+        let (mut inner, replay_from) = records
+            .iter()
+            .enumerate()
+            .rev()
+            .find_map(|(i, r)| C::from_snapshot(&r.op).map(|c| (c, i + 1)))
+            .unwrap_or_else(|| (C::empty(), 0));
+        for record in &records[replay_from..] {
+            inner.replay(&record.op);
+        }
+        let replayed = (records.len() - replay_from) as u64;
+        (
+            Self {
+                inner,
+                journal,
+                compact_every: compact_every.max(1),
+                ops_since_snapshot: replayed,
+            },
+            RecoveryReport {
+                replayed,
+                lost: tail.lost,
+            },
+        )
+    }
+
+    /// The wrapped controller.
+    pub(crate) fn inner(&self) -> &C {
+        &self.inner
+    }
+
+    /// Appends `ops` (write-ahead: the journal sees them before the
+    /// controller does), runs `apply` on the controller, then compacts
+    /// once enough operations accumulated, so the snapshot reflects the
+    /// post-op state.
+    pub(crate) fn write_ahead<R>(
+        &mut self,
+        ops: impl IntoIterator<Item = C::Op>,
+        apply: impl FnOnce(&mut C) -> R,
+    ) -> R {
+        for op in ops {
+            let _ = self.journal.append(op);
+            self.ops_since_snapshot += 1;
+        }
+        let outcome = apply(&mut self.inner);
+        if self.ops_since_snapshot >= self.compact_every {
+            self.journal.compact(self.inner.snapshot_op());
+            self.ops_since_snapshot = 0;
+        }
+        outcome
     }
 }
 

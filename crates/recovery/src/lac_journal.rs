@@ -1,7 +1,6 @@
 //! Write-ahead journaling for the Local Admission Controller.
 
-use crate::journal::Journal;
-use crate::RecoveryReport;
+use crate::journal::{Journaled, Replay};
 use cmpqos_core::{
     AdmissionRequest, Decision, ExecutionMode, Lac, LacConfig, LacState, Placement, Reservation,
     ResourceRequest, Revocation,
@@ -68,99 +67,31 @@ pub enum LacOp {
 }
 
 /// A [`Lac`] whose every state-changing operation is appended to a
-/// write-ahead [`Journal`] *before* the in-core tables mutate.
-///
-/// The journal starts with a snapshot record and is compacted back down to
-/// one snapshot every `compact_every` operations, so its length is bounded
-/// by `compact_every + 1` records regardless of run length.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JournaledLac {
-    lac: Lac,
-    journal: Journal<LacOp>,
-    compact_every: u64,
-    ops_since_snapshot: u64,
-}
+/// write-ahead journal *before* the in-core tables mutate.
+pub type JournaledLac = Journaled<Lac>;
 
-impl JournaledLac {
-    /// Wraps `lac`, seeding the journal with a snapshot of its current
-    /// state. `compact_every` (clamped to ≥ 1) is the number of operations
-    /// between compactions.
-    #[must_use]
-    pub fn new(lac: Lac, compact_every: u64) -> Self {
-        let mut journal = Journal::new();
-        let _ = journal.append(LacOp::Snapshot(lac.snapshot()));
-        Self {
-            lac,
-            journal,
-            compact_every: compact_every.max(1),
-            ops_since_snapshot: 0,
-        }
+impl Replay for Lac {
+    type Op = LacOp;
+
+    fn snapshot_op(&self) -> LacOp {
+        LacOp::Snapshot(self.snapshot())
     }
 
-    /// The wrapped controller.
-    #[must_use]
-    pub fn lac(&self) -> &Lac {
-        &self.lac
-    }
-
-    /// The write-ahead journal.
-    #[must_use]
-    pub fn journal(&self) -> &Journal<LacOp> {
-        &self.journal
-    }
-
-    /// Serializes the journal as JSONL — the only thing that needs to
-    /// survive a crash.
-    #[must_use]
-    pub fn to_jsonl(&self) -> String {
-        self.journal.to_jsonl()
-    }
-
-    /// Rebuilds a controller from a serialized journal: restore the latest
-    /// valid snapshot, then deterministically replay every operation after
-    /// it. A torn or corrupted tail is truncated (never a panic); the
-    /// dropped-line count is reported. When no valid snapshot survives at
-    /// all, recovery falls back to an empty default-configured controller.
-    #[must_use = "dropping the report hides how much journaled state was lost"]
-    pub fn recover(jsonl: &str, compact_every: u64) -> (Self, RecoveryReport) {
-        let (journal, tail) = Journal::<LacOp>::from_jsonl(jsonl);
-        let snapshot_at = journal
-            .records()
-            .iter()
-            .rposition(|r| matches!(r.op, LacOp::Snapshot(_)));
-        let mut lac = match snapshot_at {
-            Some(i) => match &journal.records()[i].op {
-                LacOp::Snapshot(state) => Lac::restore(state.clone()),
-                _ => unreachable!("rposition matched a snapshot"),
-            },
-            None => Lac::new(LacConfig::default()),
-        };
-        let replay_from = snapshot_at.map_or(0, |i| i + 1);
-        let mut replayed = 0u64;
-        for record in &journal.records()[replay_from..] {
-            Self::apply(&mut lac, &record.op);
-            replayed += 1;
-        }
-        (
-            Self {
-                lac,
-                journal,
-                compact_every: compact_every.max(1),
-                ops_since_snapshot: replayed,
-            },
-            RecoveryReport {
-                replayed,
-                lost: tail.lost,
-            },
-        )
-    }
-
-    /// Replays one operation. Decisions and revocation lists are discarded:
-    /// they were already acted on before the crash, and the replay's only
-    /// job is to drive the controller into the identical state.
-    fn apply(lac: &mut Lac, op: &LacOp) {
+    fn from_snapshot(op: &LacOp) -> Option<Self> {
         match op {
-            LacOp::Snapshot(state) => *lac = Lac::restore(state.clone()),
+            LacOp::Snapshot(state) => Some(Lac::restore(state.clone())),
+            _ => None,
+        }
+    }
+
+    /// An empty default-configured controller.
+    fn empty() -> Self {
+        Lac::new(LacConfig::default())
+    }
+
+    fn replay(&mut self, op: &LacOp) {
+        match op {
+            LacOp::Snapshot(state) => *self = Lac::restore(state.clone()),
             LacOp::Admit {
                 id,
                 mode,
@@ -172,7 +103,7 @@ impl JournaledLac {
                 if let Some(td) = deadline {
                     b = b.deadline(*td);
                 }
-                let _ = lac.admit(&b.build());
+                let _ = self.admit(&b.build());
             }
             LacOp::AdmitLatest {
                 id,
@@ -184,77 +115,53 @@ impl JournaledLac {
                     .deadline(*deadline)
                     .latest_feasible()
                     .build();
-                let _ = lac.admit(&req);
+                let _ = self.admit(&req);
             }
             LacOp::Readmit(r) => {
-                let _ = lac.readmit(r);
+                let _ = self.readmit(r);
             }
-            LacOp::Advance { now } => lac.advance(*now),
-            LacOp::Release { id, at } => lac.release(*id, *at),
-            LacOp::Cancel { id } => lac.cancel(*id),
+            LacOp::Advance { now } => self.advance(*now),
+            LacOp::Release { id, at } => self.release(*id, *at),
+            LacOp::Cancel { id } => self.cancel(*id),
             LacOp::RevokeCapacity { new_capacity, now } => {
-                let _ = lac.revoke_capacity(*new_capacity, *now);
+                let _ = self.revoke_capacity(*new_capacity, *now);
             }
         }
     }
+}
 
-    /// Appends `op` (write-ahead: the journal sees it before the tables).
-    fn log(&mut self, op: LacOp) {
-        let _ = self.journal.append(op);
-        self.ops_since_snapshot += 1;
+/// The journal record for one typed request: latest-feasible requests
+/// with a deadline map to [`LacOp::AdmitLatest`], everything else to
+/// [`LacOp::Admit`] — the wire format predates the typed API and is
+/// frozen.
+fn op_for(req: &AdmissionRequest) -> LacOp {
+    match (req.placement, req.deadline) {
+        (Placement::LatestFeasible, Some(td)) => LacOp::AdmitLatest {
+            id: req.id,
+            request: req.request,
+            tw: req.tw,
+            deadline: td,
+        },
+        _ => LacOp::Admit {
+            id: req.id,
+            mode: req.mode,
+            request: req.request,
+            tw: req.tw,
+            deadline: req.deadline,
+        },
     }
+}
 
-    /// Compacts after a mutation once enough operations accumulated, so
-    /// the snapshot reflects the post-op state.
-    fn maybe_compact(&mut self) {
-        if self.ops_since_snapshot >= self.compact_every {
-            self.journal.compact(LacOp::Snapshot(self.lac.snapshot()));
-            self.ops_since_snapshot = 0;
-        }
-    }
-
-    /// The journal record for one typed request: latest-feasible requests
-    /// with a deadline map to [`LacOp::AdmitLatest`], everything else to
-    /// [`LacOp::Admit`] — the wire format predates the typed API and is
-    /// frozen.
-    fn op_for(req: &AdmissionRequest) -> LacOp {
-        match (req.placement, req.deadline) {
-            (Placement::LatestFeasible, Some(td)) => LacOp::AdmitLatest {
-                id: req.id,
-                request: req.request,
-                tw: req.tw,
-                deadline: td,
-            },
-            _ => LacOp::Admit {
-                id: req.id,
-                mode: req.mode,
-                request: req.request,
-                tw: req.tw,
-                deadline: req.deadline,
-            },
-        }
+impl Journaled<Lac> {
+    /// The wrapped controller.
+    #[must_use]
+    pub fn lac(&self) -> &Lac {
+        self.inner()
     }
 
     /// Journaled [`Lac::admit`].
     pub fn admit(&mut self, req: &AdmissionRequest) -> Decision {
-        self.log(Self::op_for(req));
-        let decision = self.lac.admit(req);
-        self.maybe_compact();
-        decision
-    }
-
-    /// Journaled [`Lac::admit_with`]. The recorder only emits events — it
-    /// never influences state — so the journaled op is the same as for the
-    /// unrecorded call and replay uses the silent path.
-    pub fn admit_with(
-        &mut self,
-        req: &AdmissionRequest,
-        recorder: &mut dyn cmpqos_obs::Recorder,
-    ) -> Decision {
-        self.log(Self::op_for(req));
-        let decision = self.lac.admit_with(req, recorder);
-        self.maybe_compact();
-        decision
+        self.write_ahead([op_for(req)], |lac| lac.admit(req))
     }
 
     /// Journaled [`Lac::admit_batch`]: every op of the run is appended
@@ -268,41 +175,29 @@ impl JournaledLac {
         reqs: &[AdmissionRequest],
         recorder: &mut dyn cmpqos_obs::Recorder,
     ) -> Vec<Decision> {
-        for req in reqs {
-            self.log(Self::op_for(req));
-        }
-        let decisions = self.lac.admit_batch(reqs, recorder);
-        self.maybe_compact();
-        decisions
+        self.write_ahead(reqs.iter().map(op_for), |lac| {
+            lac.admit_batch(reqs, recorder)
+        })
     }
 
     /// Journaled [`Lac::readmit`].
     pub fn readmit(&mut self, r: &Reservation) -> Decision {
-        self.log(LacOp::Readmit(*r));
-        let decision = self.lac.readmit(r);
-        self.maybe_compact();
-        decision
+        self.write_ahead([LacOp::Readmit(*r)], |lac| lac.readmit(r))
     }
 
     /// Journaled [`Lac::advance`].
     pub fn advance(&mut self, now: Cycles) {
-        self.log(LacOp::Advance { now });
-        self.lac.advance(now);
-        self.maybe_compact();
+        self.write_ahead([LacOp::Advance { now }], |lac| lac.advance(now));
     }
 
     /// Journaled [`Lac::release`].
     pub fn release(&mut self, id: JobId, at: Cycles) {
-        self.log(LacOp::Release { id, at });
-        self.lac.release(id, at);
-        self.maybe_compact();
+        self.write_ahead([LacOp::Release { id, at }], |lac| lac.release(id, at));
     }
 
     /// Journaled [`Lac::cancel`].
     pub fn cancel(&mut self, id: JobId) {
-        self.log(LacOp::Cancel { id });
-        self.lac.cancel(id);
-        self.maybe_compact();
+        self.write_ahead([LacOp::Cancel { id }], |lac| lac.cancel(id));
     }
 
     /// Journaled [`Lac::revoke_capacity`].
@@ -311,10 +206,9 @@ impl JournaledLac {
         new_capacity: ResourceRequest,
         now: Cycles,
     ) -> Vec<Revocation> {
-        self.log(LacOp::RevokeCapacity { new_capacity, now });
-        let revocations = self.lac.revoke_capacity(new_capacity, now);
-        self.maybe_compact();
-        revocations
+        self.write_ahead([LacOp::RevokeCapacity { new_capacity, now }], |lac| {
+            lac.revoke_capacity(new_capacity, now)
+        })
     }
 }
 
@@ -324,7 +218,7 @@ impl JournaledLac {
 /// reservation table that survives crash-restarts via the journal.
 impl cmpqos_core::LacBackend for JournaledLac {
     fn now(&self) -> Cycles {
-        self.lac.now()
+        self.lac().now()
     }
 
     fn advance(&mut self, now: Cycles) {
@@ -344,13 +238,14 @@ impl cmpqos_core::LacBackend for JournaledLac {
     }
 
     fn reservations(&self) -> Vec<Reservation> {
-        self.lac.reservations()
+        self.lac().reservations()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RecoveryReport;
     use cmpqos_core::protocol::{LacEndpoint, NetRequest, ReplyBody, RequestBody};
     use cmpqos_obs::NullRecorder;
 

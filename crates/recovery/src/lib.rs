@@ -10,17 +10,18 @@
 //!   records ([`JournalRecord`]), serialized as JSONL. Loading tolerates a
 //!   torn or bit-flipped tail by truncating at the last valid checksum
 //!   ([`TailReport`]) instead of failing.
-//! * [`JournaledLac`] / [`JournaledGac`] — drop-in wrappers that append
-//!   every state-changing operation to the journal *before* mutating the
-//!   in-core controller, and periodically compact the journal down to a
-//!   single snapshot record ([`cmpqos_core::LacState`] /
-//!   [`cmpqos_core::GacState`]).
-//! * Deterministic recovery — [`JournaledLac::recover`] /
-//!   [`JournaledGac::recover`] rebuild a controller as *snapshot + op
-//!   replay*. Because every admission decision is a pure function of
-//!   controller state, the recovered controller's subsequent decisions are
-//!   byte-identical to the uncrashed original's (the chaos harness asserts
-//!   exactly this under `--crash-at`).
+//! * [`Journaled`] — the one wrapper: it appends every state-changing
+//!   operation to the journal *before* mutating the in-core controller,
+//!   and periodically compacts the journal down to a single snapshot
+//!   record. A controller opts in through [`Replay`]; [`JournaledLac`]
+//!   and [`JournaledGac`] are its two instances, snapshotting
+//!   [`cmpqos_core::LacState`] and [`cmpqos_core::GacState`].
+//! * Deterministic recovery — [`Journaled::recover`] rebuilds a
+//!   controller as *snapshot + op replay*. Because every admission
+//!   decision is a pure function of controller state, the recovered
+//!   controller's subsequent decisions are byte-identical to the
+//!   uncrashed original's (the chaos harness asserts exactly this under
+//!   `--crash-at`).
 //!
 //! ```
 //! use cmpqos_core::{AdmissionRequest, Lac, LacConfig, ResourceRequest};
@@ -52,10 +53,12 @@ pub mod journal;
 pub mod lac_journal;
 
 pub use gac_journal::{GacOp, JournaledGac};
-pub use journal::{fnv1a64, Journal, JournalRecord, TailReport, JOURNAL_VERSION, MAX_SEQ};
+pub use journal::{
+    fnv1a64, Journal, JournalRecord, Journaled, Replay, TailReport, JOURNAL_VERSION, MAX_SEQ,
+};
 pub use lac_journal::{JournaledLac, LacOp};
 
-/// What a [`JournaledLac::recover`] / [`JournaledGac::recover`] did.
+/// What a [`Journaled::recover`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[must_use = "a recovery report says how much journaled state was lost; dropping it hides data loss"]
 pub struct RecoveryReport {
