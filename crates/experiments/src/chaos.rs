@@ -171,14 +171,14 @@ impl ChaosOutcome {
     }
 }
 
-/// The Fig. 7-flavoured arrival stream: `jobs` single-core 7-way requests
-/// arriving every `horizon/(2*jobs)` cycles, alternating Strict and
-/// Elastic(50%), each lasting `horizon/6` with three durations of
-/// deadline slack.
-fn arrivals(params: &ChaosParams) -> Vec<(Cycles, JobId, ExecutionMode, Cycles, Cycles)> {
-    let tw = Cycles::new((params.horizon.get() / 6).max(1));
-    let stagger = (params.horizon.get() / (2 * u64::from(params.jobs).max(1))).max(1);
-    (0..params.jobs)
+/// The Fig. 7-flavoured arrival stream every chaos cell submits: `jobs`
+/// single-core 7-way requests arriving every `horizon/(2*jobs)` cycles,
+/// alternating Strict and Elastic(50%), each lasting `horizon/6` with
+/// three durations of deadline slack.
+fn arrivals(jobs: u32, horizon: Cycles) -> Vec<(Cycles, JobId, ExecutionMode, Cycles, Cycles)> {
+    let tw = Cycles::new((horizon.get() / 6).max(1));
+    let stagger = (horizon.get() / (2 * u64::from(jobs).max(1))).max(1);
+    (0..jobs)
         .map(|i| {
             let at = Cycles::new(u64::from(i) * stagger);
             let mode = if i % 2 == 0 {
@@ -220,7 +220,7 @@ pub fn run(params: &ChaosParams, mut schedule: FaultSchedule) -> ChaosOutcome {
         COMPACT_EVERY,
     );
     let mut faults = FaultReport::default();
-    let mut pending = arrivals(params);
+    let mut pending = arrivals(params.jobs, params.horizon);
     pending.reverse(); // pop() yields earliest-first
     let mut fates: BTreeMap<JobId, JobFate> = BTreeMap::new();
     let mut ends: BTreeMap<JobId, Cycles> = BTreeMap::new();
@@ -467,6 +467,31 @@ fn require(holds: bool, message: impl FnOnce() -> String) -> Result<(), String> 
     }
 }
 
+/// The lines and checks both message-layer cells end with: the
+/// conversation and frame counters, then every submission decided and
+/// every admitted job completed XOR revoked.
+fn print_traffic(
+    gac: &NetGacStats,
+    net: &NetStats,
+    undecided: &[JobId],
+    unaccounted: &[JobId],
+) -> Result<(), String> {
+    println!(
+        "conversations: {} opened | {} retransmits | {} abandoned | {} stale replies",
+        gac.conversations, gac.retransmits, gac.gave_up, gac.stale_replies
+    );
+    println!(
+        "frames: {} sent | {} delivered | {} dropped | {} eaten by partitions | {} duplicated",
+        net.sent, net.delivered, net.dropped, net.partitioned, net.duplicated
+    );
+    require(undecided.is_empty(), || {
+        format!("submissions without a decision: {undecided:?}")
+    })?;
+    require(unaccounted.is_empty(), || {
+        format!("admitted jobs not completed XOR revoked: {unaccounted:?}")
+    })
+}
+
 // ---------------------------------------------------------------------------
 // The message-layer chaos cell (`chaos --net`): partition and heal.
 // ---------------------------------------------------------------------------
@@ -602,14 +627,6 @@ pub struct NetChaosOutcome {
     pub net: NetStats,
 }
 
-/// One scheduled instant of the net cell, in deterministic order.
-#[derive(Debug, Clone, Copy)]
-enum NetStep {
-    Partition,
-    Heal,
-    Submit(u32),
-}
-
 /// Runs the message-layer chaos cell.
 #[must_use]
 pub fn run_net(params: &NetChaosParams) -> NetChaosOutcome {
@@ -636,117 +653,48 @@ pub fn run_net(params: &NetChaosParams) -> NetChaosOutcome {
     );
     let mut rec = NetRecorder::default();
 
-    let tw = Cycles::new((params.horizon.get() / 6).max(1));
-    let stagger = (params.horizon.get() / (2 * u64::from(params.jobs).max(1))).max(1);
-    let cut = |range_end: u32| range_end.min(params.nodes as u32);
-
-    let mut steps: Vec<(Cycles, u8, NetStep)> = (0..params.jobs)
-        .map(|i| (Cycles::new(u64::from(i) * stagger), 2, NetStep::Submit(i)))
-        .collect();
-    if let Some((_, _, at)) = params.partition {
-        steps.push((at, 0, NetStep::Partition));
-        if let Some(heal) = params.heal_at {
-            steps.push((heal, 1, NetStep::Heal));
-        }
-    }
-    steps.sort_by_key(|&(at, rank, step)| {
-        (at, rank, if let NetStep::Submit(i) = step { i } else { 0 })
-    });
-
-    for (at, _, step) in steps {
-        cluster.run_until(at, &mut rec);
-        match step {
-            NetStep::Submit(i) => {
-                let mode = if i % 2 == 0 {
-                    ExecutionMode::Strict
-                } else {
-                    ExecutionMode::Elastic(Percent::new(50.0))
-                };
-                let req =
-                    AdmissionRequest::builder(JobId::new(i), ResourceRequest::paper_job(), tw)
-                        .mode(mode)
-                        .deadline(at + tw + tw + tw)
-                        .build();
-                cluster.gac_mut().submit(req, at, &mut rec);
-            }
-            NetStep::Partition => {
-                let (a, b, _) = params.partition.expect("scheduled only when set");
-                for n in a..cut(b) {
-                    let fault = Fault::LinkPartition {
-                        node: NodeId::new(n),
-                    };
-                    cluster.apply(Injection { at, fault }, &mut rec);
-                }
-            }
-            NetStep::Heal => {
-                let (a, b, _) = params.partition.expect("scheduled only when set");
-                for n in a..cut(b) {
-                    let fault = Fault::LinkHeal {
-                        node: NodeId::new(n),
-                    };
-                    cluster.apply(Injection { at, fault }, &mut rec);
+    let mut injections = Vec::new();
+    let mut at_drain = Vec::new();
+    if let Some((a, b, at)) = params.partition {
+        let severed = || (a..b.min(params.nodes as u32)).map(NodeId::new);
+        let partition = severed().map(|node| Injection {
+            at,
+            fault: Fault::LinkPartition { node },
+        });
+        injections.push((at, partition.collect()));
+        match params.heal_at {
+            Some(at) => {
+                let mut heal = Vec::new();
+                for node in severed() {
+                    heal.push(Injection {
+                        at,
+                        fault: Fault::LinkHeal { node },
+                    });
                     if params.drop_reconcile {
                         let fault = Fault::MessageDrop {
-                            node: NodeId::new(n),
+                            node,
                             count: u32::MAX,
                         };
-                        cluster.apply(Injection { at, fault }, &mut rec);
+                        heal.push(Injection { at, fault });
                     }
                 }
+                injections.push((at, heal));
             }
+            // A schedule that never healed heals at the drain, so the
+            // drain can reconcile instead of reporting every partitioned
+            // node stuck.
+            None => at_drain.extend(severed().map(|node| Fault::LinkHeal { node })),
         }
     }
-    // A schedule that never healed heals now, so the drain below can
-    // reconcile instead of reporting every partitioned node stuck.
-    if let Some((a, b, _)) = params.partition {
-        if params.heal_at.is_none() {
-            let at = cluster.now();
-            for n in a..cut(b) {
-                let fault = Fault::LinkHeal {
-                    node: NodeId::new(n),
-                };
-                cluster.apply(Injection { at, fault }, &mut rec);
-            }
-        }
-    }
-    // Drain: a fully-connected cluster must settle every conversation,
-    // retire every placement, and complete every flagged reconciliation.
-    // Bounded so the drop-reconcile injection terminates instead of
-    // retrying forever.
-    let chunk = Cycles::new((params.horizon.get() / 4).max(1));
-    for _ in 0..16 {
-        let gac = cluster.gac();
-        if gac.idle() && gac.placements().is_empty() && gac.pending_reconciles() == 0 {
-            break;
-        }
-        let until = cluster.now() + chunk;
-        cluster.run_until(until, &mut rec);
-    }
+    let ledger = drive_cell(
+        &mut cluster,
+        &mut rec,
+        (params.jobs, params.horizon),
+        injections,
+        &at_drain,
+    );
 
     let gac = cluster.gac();
-    let mut admitted = 0u32;
-    let mut rejected = 0u32;
-    let mut completed = 0u32;
-    let mut revoked = 0u32;
-    let mut unaccounted = Vec::new();
-    let mut undecided = Vec::new();
-    for i in 0..params.jobs {
-        let job = JobId::new(i);
-        match gac.decisions().get(&job) {
-            None => undecided.push(job),
-            Some((_, Decision::Accepted { .. })) => {
-                admitted += 1;
-                let done = gac.completed().contains(&job);
-                let gone = gac.revoked().contains(&job);
-                completed += u32::from(done);
-                revoked += u32::from(gone);
-                if done == gone {
-                    unaccounted.push(job);
-                }
-            }
-            Some((_, Decision::Rejected(_))) => rejected += 1,
-        }
-    }
     let mut healthy = 0;
     let mut suspect = 0;
     let mut dead = 0;
@@ -759,12 +707,12 @@ pub fn run_net(params: &NetChaosParams) -> NetChaosOutcome {
     }
     NetChaosOutcome {
         submitted: params.jobs,
-        admitted,
-        rejected,
-        completed,
-        revoked,
-        unaccounted,
-        undecided,
+        admitted: ledger.admitted,
+        rejected: ledger.rejected,
+        completed: ledger.completed,
+        revoked: ledger.revoked,
+        unaccounted: ledger.unaccounted,
+        undecided: ledger.undecided,
         pending_reconciles: gac.pending_reconciles(),
         healthy,
         suspect,
@@ -777,6 +725,126 @@ pub fn run_net(params: &NetChaosParams) -> NetChaosOutcome {
         gac: gac.stats(),
         net: cluster.net().stats(),
     }
+}
+
+/// How the submitted jobs of a message-layer cell ended, read off the
+/// GAC's decision ledger.
+#[derive(Debug, Default)]
+struct Ledger {
+    admitted: u32,
+    rejected: u32,
+    completed: u32,
+    revoked: u32,
+    /// Admitted jobs that ended neither completed XOR revoked.
+    unaccounted: Vec<JobId>,
+    /// Submitted jobs that never got a decision.
+    undecided: Vec<JobId>,
+}
+
+/// One scheduled instant of a message-layer cell.
+enum Step {
+    /// Apply these injections, in order.
+    Inject(Vec<Injection>),
+    /// Submit this arrival of the stream.
+    Submit(usize),
+}
+
+/// The run both message-layer cells share: the [`arrivals`] stream of
+/// `(jobs, horizon)` and the `injections`, the drain, and the decision
+/// ledger.
+///
+/// Each `(at, group)` of `injections` is applied in order once the
+/// cluster has run up to `at`, ahead of that instant's arrivals; a
+/// `NodeJoin` brings up a fresh LAC, which a plain injection cannot
+/// carry. When the schedule is done, the `at_drain` faults apply at the
+/// cluster's clock. The drain then runs quarter-horizon chunks until
+/// every conversation is settled, every placement retired, and every
+/// reconciliation, join and drain finished — at most 16, so a sabotaged
+/// run terminates instead of retrying forever.
+fn drive_cell(
+    cluster: &mut Cluster<Lac>,
+    rec: &mut NetRecorder,
+    (jobs, horizon): (u32, Cycles),
+    injections: Vec<(Cycles, Vec<Injection>)>,
+    at_drain: &[Fault],
+) -> Ledger {
+    let stream = arrivals(jobs, horizon);
+    let mut steps: Vec<(Cycles, u8, usize, Step)> = injections
+        .into_iter()
+        .enumerate()
+        .map(|(i, (at, group))| (at, 0, i, Step::Inject(group)))
+        .collect();
+    steps.extend(
+        stream
+            .iter()
+            .enumerate()
+            .map(|(i, &(at, ..))| (at, 1, i, Step::Submit(i))),
+    );
+    steps.sort_by_key(|&(at, rank, i, _)| (at, rank, i));
+
+    for (at, _, _, step) in steps {
+        cluster.run_until(at, rec);
+        match step {
+            Step::Submit(i) => {
+                let (_, id, mode, tw, deadline) = stream[i];
+                let req = AdmissionRequest::builder(id, ResourceRequest::paper_job(), tw)
+                    .mode(mode)
+                    .deadline(deadline)
+                    .build();
+                cluster.gac_mut().submit(req, at, rec);
+            }
+            Step::Inject(group) => {
+                for injection in group {
+                    if let Fault::NodeJoin { node } = injection.fault {
+                        let id = cluster.join_node(Lac::new(LacConfig::default()), at);
+                        debug_assert_eq!(id, node, "joins take the next unused id");
+                    } else {
+                        cluster.apply(injection, rec);
+                    }
+                }
+            }
+        }
+    }
+    let at = cluster.now();
+    for &fault in at_drain {
+        cluster.apply(Injection { at, fault }, rec);
+    }
+
+    let chunk = Cycles::new((horizon.get() / 4).max(1));
+    for _ in 0..16 {
+        let gac = cluster.gac();
+        let churning = (0..cluster.nodes()).any(|i| {
+            matches!(
+                gac.member_state(NodeId::new(i as u32)),
+                MemberState::Joining | MemberState::Draining
+            )
+        });
+        if gac.idle() && gac.placements().is_empty() && gac.pending_reconciles() == 0 && !churning {
+            break;
+        }
+        let until = cluster.now() + chunk;
+        cluster.run_until(until, rec);
+    }
+
+    let gac = cluster.gac();
+    let mut ledger = Ledger::default();
+    for &(_, job, ..) in &stream {
+        match gac.decisions().get(&job) {
+            None => ledger.undecided.push(job),
+            Some((_, Decision::Accepted { .. })) => {
+                ledger.admitted += 1;
+                let done = gac.completed().contains(&job);
+                let gone = gac.revoked().contains(&job);
+                ledger.completed += u32::from(done);
+                ledger.revoked += u32::from(gone);
+                if done == gone {
+                    ledger.unaccounted.push(job);
+                }
+            }
+            Some((_, Decision::Rejected(_))) => ledger.rejected += 1,
+        }
+    }
+    ledger
 }
 
 /// Prints the net-cell verdict and checks the partition-tolerance
@@ -812,23 +880,7 @@ pub fn print_net(o: &NetChaosOutcome, p: &NetChaosParams) -> Result<(), String> 
          {} pending",
         o.reconciles, o.orphans_revoked, o.placements_repaired, o.pending_reconciles
     );
-    println!(
-        "conversations: {} opened | {} retransmits | {} abandoned | {} stale replies",
-        o.gac.conversations, o.gac.retransmits, o.gac.gave_up, o.gac.stale_replies
-    );
-    println!(
-        "frames: {} sent | {} delivered | {} dropped | {} eaten by partitions | {} duplicated",
-        o.net.sent, o.net.delivered, o.net.dropped, o.net.partitioned, o.net.duplicated
-    );
-    require(o.undecided.is_empty(), || {
-        format!("submissions without a decision: {:?}", o.undecided)
-    })?;
-    require(o.unaccounted.is_empty(), || {
-        format!(
-            "admitted jobs not completed XOR revoked: {:?}",
-            o.unaccounted
-        )
-    })?;
+    print_traffic(&o.gac, &o.net, &o.undecided, &o.unaccounted)?;
     require(o.deaths == 0, || {
         format!(
             "a merely-partitioned node was declared dead ({} death(s))",
@@ -986,13 +1038,6 @@ pub struct ChurnOutcome {
     pub net: NetStats,
 }
 
-/// One scheduled instant of the churn cell, in deterministic order.
-#[derive(Debug, Clone, Copy)]
-enum ChurnStep {
-    Inject(Injection),
-    Submit(u32),
-}
-
 /// Runs the churn cell.
 #[must_use]
 pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
@@ -1024,96 +1069,22 @@ pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
         ProbePolicy::LeastLoaded,
     );
     let mut rec = NetRecorder::default();
-
-    let tw = Cycles::new((params.horizon.get() / 6).max(1));
-    let stagger = (params.horizon.get() / (2 * u64::from(params.jobs).max(1))).max(1);
-    let mut steps: Vec<(Cycles, u8, u32, ChurnStep)> = (0..params.jobs)
-        .map(|i| {
-            (
-                Cycles::new(u64::from(i) * stagger),
-                1,
-                i,
-                ChurnStep::Submit(i),
-            )
-        })
+    let injections = params
+        .schedule()
+        .injections()
+        .iter()
+        .map(|&injection| (injection.at, vec![injection]))
         .collect();
-    for (i, &injection) in params.schedule().injections().iter().enumerate() {
-        steps.push((injection.at, 0, i as u32, ChurnStep::Inject(injection)));
-    }
-    steps.sort_by_key(|&(at, rank, idx, _)| (at, rank, idx));
-
-    for (at, _, _, step) in steps {
-        cluster.run_until(at, &mut rec);
-        match step {
-            ChurnStep::Submit(i) => {
-                let mode = if i % 2 == 0 {
-                    ExecutionMode::Strict
-                } else {
-                    ExecutionMode::Elastic(Percent::new(50.0))
-                };
-                let req =
-                    AdmissionRequest::builder(JobId::new(i), ResourceRequest::paper_job(), tw)
-                        .mode(mode)
-                        .deadline(at + tw + tw + tw)
-                        .build();
-                cluster.gac_mut().submit(req, at, &mut rec);
-            }
-            ChurnStep::Inject(injection) => match injection.fault {
-                // A join needs a backend for the new endpoint, which a
-                // plain injection cannot carry.
-                Fault::NodeJoin { node } => {
-                    let id = cluster.join_node(Lac::new(LacConfig::default()), at);
-                    debug_assert_eq!(id, node, "joins take the next unused id");
-                }
-                _ => cluster.apply(injection, &mut rec),
-            },
-        }
-    }
-
-    // Drain: every conversation settled, every placement retired or
-    // revoked, every drain and reconcile finished. Bounded so a
-    // sabotaged run terminates instead of retrying forever.
-    let chunk = Cycles::new((params.horizon.get() / 4).max(1));
-    for _ in 0..16 {
-        let gac = cluster.gac();
-        let churning = (0..cluster.nodes()).any(|i| {
-            matches!(
-                gac.member_state(NodeId::new(i as u32)),
-                MemberState::Joining | MemberState::Draining
-            )
-        });
-        if gac.idle() && gac.placements().is_empty() && gac.pending_reconciles() == 0 && !churning {
-            break;
-        }
-        let until = cluster.now() + chunk;
-        cluster.run_until(until, &mut rec);
-    }
+    let ledger = drive_cell(
+        &mut cluster,
+        &mut rec,
+        (params.jobs, params.horizon),
+        injections,
+        &[],
+    );
 
     let total_nodes = cluster.nodes();
     let gac = cluster.gac();
-    let mut admitted = 0u32;
-    let mut rejected = 0u32;
-    let mut completed = 0u32;
-    let mut revoked = 0u32;
-    let mut unaccounted = Vec::new();
-    let mut undecided = Vec::new();
-    for i in 0..params.jobs {
-        let job = JobId::new(i);
-        match gac.decisions().get(&job) {
-            None => undecided.push(job),
-            Some((_, Decision::Accepted { .. })) => {
-                admitted += 1;
-                let done = gac.completed().contains(&job);
-                let gone = gac.revoked().contains(&job);
-                completed += u32::from(done);
-                revoked += u32::from(gone);
-                if done == gone {
-                    unaccounted.push(job);
-                }
-            }
-            Some((_, Decision::Rejected(_))) => rejected += 1,
-        }
-    }
     let mut live = 0;
     let mut joining = 0;
     let mut draining = 0;
@@ -1133,12 +1104,12 @@ pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
     }
     ChurnOutcome {
         submitted: params.jobs,
-        admitted,
-        rejected,
-        completed,
-        revoked,
-        unaccounted,
-        undecided,
+        admitted: ledger.admitted,
+        rejected: ledger.rejected,
+        completed: ledger.completed,
+        revoked: ledger.revoked,
+        unaccounted: ledger.unaccounted,
+        undecided: ledger.undecided,
         migrations: rec.counters.migrated,
         joined: rec.counters.nodes_joined,
         drained: rec.counters.nodes_drained,
@@ -1206,23 +1177,7 @@ pub fn print_churn(o: &ChurnOutcome, p: &ChurnParams) -> Result<(), String> {
         "leases: {} renewed | {} expired | {} outstanding",
         o.leases_renewed, o.leases_expired, o.leases_outstanding
     );
-    println!(
-        "conversations: {} opened | {} retransmits | {} abandoned | {} stale replies",
-        o.gac.conversations, o.gac.retransmits, o.gac.gave_up, o.gac.stale_replies
-    );
-    println!(
-        "frames: {} sent | {} delivered | {} dropped | {} eaten by partitions | {} duplicated",
-        o.net.sent, o.net.delivered, o.net.dropped, o.net.partitioned, o.net.duplicated
-    );
-    require(o.undecided.is_empty(), || {
-        format!("submissions without a decision: {:?}", o.undecided)
-    })?;
-    require(o.unaccounted.is_empty(), || {
-        format!(
-            "admitted jobs not completed XOR revoked: {:?}",
-            o.unaccounted
-        )
-    })?;
+    print_traffic(&o.gac, &o.net, &o.undecided, &o.unaccounted)?;
     require(o.joining == 0, || {
         format!("{} join handshake(s) never completed", o.joining)
     })?;
