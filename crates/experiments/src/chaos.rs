@@ -630,52 +630,31 @@ pub struct NetChaosOutcome {
 /// Runs the message-layer chaos cell.
 #[must_use]
 pub fn run_net(params: &NetChaosParams) -> NetChaosOutcome {
-    // Lossy enough that accept replies genuinely vanish (creating the
-    // orphans reconciliation exists for), tame enough that conversations
-    // usually complete within the retry budget.
-    let link = LinkConfig::default()
-        .base_latency(Cycles::new(10))
-        .jitter(5)
-        .reorder(10)
-        .drop(0.05)
-        .duplicate(0.10);
     let mut config = NetGacConfig::default();
     // A partition heals. Merely-unreachable nodes must never cross the
     // death timeout mid-run, drain included.
     config.gac.dead_timeout = Cycles::new(params.horizon.get().saturating_mul(16));
-    let mut cluster = Cluster::new(
-        params.nodes,
-        LacConfig::default(),
-        params.seed,
-        link,
-        config,
-        ProbePolicy::LeastLoaded,
-    );
-    let mut rec = NetRecorder::default();
+    // Lossy enough that accept replies genuinely vanish (creating the
+    // orphans reconciliation exists for), tame enough that conversations
+    // usually complete within the retry budget.
+    let cluster = lossy_cluster(params.nodes, params.seed, (0.05, 0.10), config);
 
     let mut injections = Vec::new();
     let mut at_drain = Vec::new();
     if let Some((a, b, at)) = params.partition {
         let severed = || (a..b.min(params.nodes as u32)).map(NodeId::new);
-        let partition = severed().map(|node| Injection {
-            at,
-            fault: Fault::LinkPartition { node },
-        });
+        let partition = severed().map(|node| Fault::LinkPartition { node });
         injections.push((at, partition.collect()));
         match params.heal_at {
             Some(at) => {
                 let mut heal = Vec::new();
                 for node in severed() {
-                    heal.push(Injection {
-                        at,
-                        fault: Fault::LinkHeal { node },
-                    });
+                    heal.push(Fault::LinkHeal { node });
                     if params.drop_reconcile {
-                        let fault = Fault::MessageDrop {
+                        heal.push(Fault::MessageDrop {
                             node,
                             count: u32::MAX,
-                        };
-                        heal.push(Injection { at, fault });
+                        });
                     }
                 }
                 injections.push((at, heal));
@@ -686,25 +665,19 @@ pub fn run_net(params: &NetChaosParams) -> NetChaosOutcome {
             None => at_drain.extend(severed().map(|node| Fault::LinkHeal { node })),
         }
     }
-    let ledger = drive_cell(
-        &mut cluster,
-        &mut rec,
+    let (cluster, rec, ledger) = drive_cell(
+        cluster,
         (params.jobs, params.horizon),
         injections,
         &at_drain,
     );
 
     let gac = cluster.gac();
-    let mut healthy = 0;
-    let mut suspect = 0;
-    let mut dead = 0;
-    for n in 0..params.nodes {
-        match gac.node_health(NodeId::new(n as u32)) {
-            NodeHealth::Healthy => healthy += 1,
-            NodeHealth::Suspect => suspect += 1,
-            NodeHealth::Dead => dead += 1,
-        }
-    }
+    let census = |health| {
+        (0..params.nodes)
+            .filter(|&n| gac.node_health(NodeId::new(n as u32)) == health)
+            .count()
+    };
     NetChaosOutcome {
         submitted: params.jobs,
         admitted: ledger.admitted,
@@ -714,9 +687,9 @@ pub fn run_net(params: &NetChaosParams) -> NetChaosOutcome {
         unaccounted: ledger.unaccounted,
         undecided: ledger.undecided,
         pending_reconciles: gac.pending_reconciles(),
-        healthy,
-        suspect,
-        dead,
+        healthy: census(NodeHealth::Healthy),
+        suspect: census(NodeHealth::Suspect),
+        dead: census(NodeHealth::Dead),
         migrated: rec.counters.migrated,
         deaths: rec.deaths,
         reconciles: rec.counters.reconciled,
@@ -741,19 +714,38 @@ struct Ledger {
     undecided: Vec<JobId>,
 }
 
+/// A cluster of `nodes` default LACs that places least-loaded first, over
+/// links with a 10-cycle base latency, jitter 5 and reorder 10 that drop
+/// and duplicate the given fractions of their frames.
+fn lossy_cluster(
+    nodes: usize,
+    seed: u64,
+    (drop, duplicate): (f64, f64),
+    config: NetGacConfig,
+) -> Cluster<Lac> {
+    let link = LinkConfig::default()
+        .base_latency(Cycles::new(10))
+        .jitter(5)
+        .reorder(10)
+        .drop(drop)
+        .duplicate(duplicate);
+    let policy = ProbePolicy::LeastLoaded;
+    Cluster::new(nodes, LacConfig::default(), seed, link, config, policy)
+}
+
 /// One scheduled instant of a message-layer cell.
 enum Step {
-    /// Apply these injections, in order.
-    Inject(Vec<Injection>),
+    /// Inject these faults, in order.
+    Inject(Vec<Fault>),
     /// Submit this arrival of the stream.
     Submit(usize),
 }
 
 /// The run both message-layer cells share: the [`arrivals`] stream of
-/// `(jobs, horizon)` and the `injections`, the drain, and the decision
-/// ledger.
+/// `(jobs, horizon)` and the injected faults, the drain, and the
+/// decision ledger. Returns the drained cluster and its recorder too.
 ///
-/// Each `(at, group)` of `injections` is applied in order once the
+/// Each `(at, faults)` of `injections` is injected in order once the
 /// cluster has run up to `at`, ahead of that instant's arrivals; a
 /// `NodeJoin` brings up a fresh LAC, which a plain injection cannot
 /// carry. When the schedule is done, the `at_drain` faults apply at the
@@ -762,12 +754,12 @@ enum Step {
 /// reconciliation, join and drain finished — at most 16, so a sabotaged
 /// run terminates instead of retrying forever.
 fn drive_cell(
-    cluster: &mut Cluster<Lac>,
-    rec: &mut NetRecorder,
+    mut cluster: Cluster<Lac>,
     (jobs, horizon): (u32, Cycles),
-    injections: Vec<(Cycles, Vec<Injection>)>,
+    injections: Vec<(Cycles, Vec<Fault>)>,
     at_drain: &[Fault],
-) -> Ledger {
+) -> (Cluster<Lac>, NetRecorder, Ledger) {
+    let mut rec = NetRecorder::default();
     let stream = arrivals(jobs, horizon);
     let mut steps: Vec<(Cycles, u8, usize, Step)> = injections
         .into_iter()
@@ -783,7 +775,7 @@ fn drive_cell(
     steps.sort_by_key(|&(at, rank, i, _)| (at, rank, i));
 
     for (at, _, _, step) in steps {
-        cluster.run_until(at, rec);
+        cluster.run_until(at, &mut rec);
         match step {
             Step::Submit(i) => {
                 let (_, id, mode, tw, deadline) = stream[i];
@@ -791,15 +783,15 @@ fn drive_cell(
                     .mode(mode)
                     .deadline(deadline)
                     .build();
-                cluster.gac_mut().submit(req, at, rec);
+                cluster.gac_mut().submit(req, at, &mut rec);
             }
-            Step::Inject(group) => {
-                for injection in group {
-                    if let Fault::NodeJoin { node } = injection.fault {
+            Step::Inject(faults) => {
+                for fault in faults {
+                    if let Fault::NodeJoin { node } = fault {
                         let id = cluster.join_node(Lac::new(LacConfig::default()), at);
                         debug_assert_eq!(id, node, "joins take the next unused id");
                     } else {
-                        cluster.apply(injection, rec);
+                        cluster.apply(Injection { at, fault }, &mut rec);
                     }
                 }
             }
@@ -807,7 +799,7 @@ fn drive_cell(
     }
     let at = cluster.now();
     for &fault in at_drain {
-        cluster.apply(Injection { at, fault }, rec);
+        cluster.apply(Injection { at, fault }, &mut rec);
     }
 
     let chunk = Cycles::new((horizon.get() / 4).max(1));
@@ -823,7 +815,7 @@ fn drive_cell(
             break;
         }
         let until = cluster.now() + chunk;
-        cluster.run_until(until, rec);
+        cluster.run_until(until, &mut rec);
     }
 
     let gac = cluster.gac();
@@ -844,7 +836,7 @@ fn drive_cell(
             Some((_, Decision::Rejected(_))) => ledger.rejected += 1,
         }
     }
-    ledger
+    (cluster, rec, ledger)
 }
 
 /// Prints the net-cell verdict and checks the partition-tolerance
@@ -1041,12 +1033,6 @@ pub struct ChurnOutcome {
 /// Runs the churn cell.
 #[must_use]
 pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
-    let link = LinkConfig::default()
-        .base_latency(Cycles::new(10))
-        .jitter(5)
-        .reorder(10)
-        .drop(0.03)
-        .duplicate(0.05);
     // Heartbeats every 10k cycles renew 30k-cycle leases, with the 40k
     // dead-timeout as grace. A killed node's placements are evacuated by
     // the health machine (~40-50k of silence) before its leases would
@@ -1060,48 +1046,20 @@ pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
         ..NetGacConfig::default()
     };
     config.gac.dead_timeout = Cycles::new(40_000);
-    let mut cluster = Cluster::new(
-        params.nodes,
-        LacConfig::default(),
-        params.seed,
-        link,
-        config,
-        ProbePolicy::LeastLoaded,
-    );
-    let mut rec = NetRecorder::default();
+    let cluster = lossy_cluster(params.nodes, params.seed, (0.03, 0.05), config);
     let injections = params
         .schedule()
         .injections()
         .iter()
-        .map(|&injection| (injection.at, vec![injection]))
+        .map(|injection| (injection.at, vec![injection.fault]))
         .collect();
-    let ledger = drive_cell(
-        &mut cluster,
-        &mut rec,
-        (params.jobs, params.horizon),
-        injections,
-        &[],
-    );
+    let (cluster, rec, ledger) =
+        drive_cell(cluster, (params.jobs, params.horizon), injections, &[]);
 
     let total_nodes = cluster.nodes();
     let gac = cluster.gac();
-    let mut live = 0;
-    let mut joining = 0;
-    let mut draining = 0;
-    let mut left = 0;
-    let mut dead = 0;
-    for i in 0..total_nodes {
-        let node = NodeId::new(i as u32);
-        match gac.member_state(node) {
-            MemberState::Live => live += 1,
-            MemberState::Joining => joining += 1,
-            MemberState::Draining => draining += 1,
-            MemberState::Left => left += 1,
-        }
-        if gac.node_health(node) == NodeHealth::Dead {
-            dead += 1;
-        }
-    }
+    let nodes = || (0..total_nodes).map(|i| NodeId::new(i as u32));
+    let census = |member| nodes().filter(|&n| gac.member_state(n) == member).count();
     ChurnOutcome {
         submitted: params.jobs,
         admitted: ledger.admitted,
@@ -1115,12 +1073,14 @@ pub fn run_churn(params: &ChurnParams) -> ChurnOutcome {
         drained: rec.counters.nodes_drained,
         leases_renewed: rec.counters.leases_renewed,
         leases_expired: rec.counters.leases_expired,
-        live,
-        joining,
-        draining,
-        left,
+        live: census(MemberState::Live),
+        joining: census(MemberState::Joining),
+        draining: census(MemberState::Draining),
+        left: census(MemberState::Left),
         final_nodes: total_nodes,
-        dead,
+        dead: nodes()
+            .filter(|&n| gac.node_health(n) == NodeHealth::Dead)
+            .count(),
         deaths: rec.deaths,
         pending_reconciles: gac.pending_reconciles(),
         leases_outstanding: gac.leases().len(),
