@@ -46,11 +46,13 @@ pub enum ProbePolicy {
 pub enum NodeHealth {
     /// Probes are answered; the node takes placements.
     Healthy,
-    /// Probes were lost recently ([`GacConfig::suspect_after`] consecutive
+    /// Probes were lost recently
+    /// ([`SUSPECT_AFTER`](crate::protocol::SUSPECT_AFTER) consecutive
     /// losses); the node takes no new placements until it answers again.
     Suspect,
-    /// The node failed ([`GacConfig::dead_after`] consecutive losses *and*
-    /// [`GacConfig::dead_timeout`] of silence, or an explicit node fault);
+    /// The node failed ([`DEAD_AFTER`](crate::protocol::DEAD_AFTER)
+    /// consecutive losses *and* [`GacConfig::dead_timeout`] of silence, or
+    /// an explicit node fault);
     /// it is never probed and its reservations were evacuated.
     Dead,
 }
@@ -86,19 +88,13 @@ pub enum MemberState {
     Left,
 }
 
-/// Retry budget and failure-detector thresholds. Retransmission pacing
-/// and leases are part of the enclosing [`NetGacConfig`].
+/// The failure detector's death timeout. Its loss thresholds are the
+/// constants [`SUSPECT_AFTER`](crate::protocol::SUSPECT_AFTER) and
+/// [`DEAD_AFTER`](crate::protocol::DEAD_AFTER); heartbeats and leases are
+/// part of the enclosing [`NetGacConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct GacConfig {
-    /// Retransmissions of one conversation before the GAC gives up on it.
-    pub max_retries: u32,
-    /// Consecutive losses that demote a node to [`NodeHealth::Suspect`].
-    pub suspect_after: u32,
-    /// Consecutive losses required (together with
-    /// [`GacConfig::dead_timeout`]) to demote a node to
-    /// [`NodeHealth::Dead`].
-    pub dead_after: u32,
     /// How long a node must have gone without answering before
     /// loss-driven death is allowed. Losses alone — however many — only
     /// demote to Suspect until this timeout expires: a partitioned node
@@ -111,9 +107,6 @@ pub struct GacConfig {
 impl Default for GacConfig {
     fn default() -> Self {
         Self {
-            max_retries: 3,
-            suspect_after: 2,
-            dead_after: 4,
             dead_timeout: Cycles::new(30_000),
         }
     }
@@ -860,15 +853,7 @@ mod tests {
     #[test]
     fn lost_probes_are_retried_on_the_core_timer_then_place() {
         let mut gac =
-            GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit)
-                .with_config(NetGacConfig {
-                    gac: GacConfig {
-                        suspect_after: 10,
-                        dead_after: 20,
-                        ..GacConfig::default()
-                    },
-                    ..NetGacConfig::default()
-                });
+            GlobalAdmissionController::new(1, LacConfig::default(), ProbePolicy::FirstFit);
         let mut rec = RingBufferRecorder::new(64);
         // Two probes vanish; the third is answered.
         let _ = gac.inject(
@@ -881,6 +866,10 @@ mod tests {
         let c = rec.counters();
         assert_eq!(c.probes_lost, 2);
         assert_eq!(c.placed, 1);
+        // The second loss made the node Suspect; the answered retry made
+        // it Healthy again.
+        assert_eq!(c.node_health_changes, 2);
+        assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Healthy);
         // The LAC decided at the submission instant; the retries ran on
         // the core's timer (rto 100, then 200), not the node's clock.
         assert_eq!(
@@ -1329,7 +1318,6 @@ mod tests {
             .with_config(NetGacConfig {
                 gac: GacConfig {
                     dead_timeout: Cycles::new(2_000),
-                    ..GacConfig::default()
                 },
                 lease_ttl: Cycles::new(1_000),
                 ..NetGacConfig::default()

@@ -82,7 +82,7 @@ pub use lac::{
 pub use modes::ExecutionMode;
 pub use protocol::{
     Cluster, LacBackend, LacEndpoint, NetGac, NetGacConfig, NetGacStats, NetReply, NetRequest,
-    ReplyBody, RequestBody, Wire,
+    ReplyBody, RequestBody, Wire, DEAD_AFTER, MAX_RETRIES, RETRY_INTERVAL, RTO, SUSPECT_AFTER,
 };
 pub use request::{AdmissionRequest, AdmissionRequestBuilder, Feasibility, Placement};
 pub use scheduler::{

@@ -441,17 +441,33 @@ impl<B: LacBackend> LacEndpoint<B> {
     }
 }
 
-/// The GAC's knobs, shared by both drivers.
+/// Initial retransmission timeout of a conversation: 100 cycles,
+/// doubling per attempt.
+pub const RTO: Cycles = Cycles::new(100);
+
+/// How long a parked task (failed revoke/reconcile/ping) waits before its
+/// next try: 500 cycles.
+pub const RETRY_INTERVAL: Cycles = Cycles::new(500);
+
+/// Retransmissions of one conversation before the GAC gives up on it: 3.
+pub const MAX_RETRIES: u32 = 3;
+
+/// Consecutive losses that demote a node to [`NodeHealth::Suspect`]: 2.
+pub const SUSPECT_AFTER: u32 = 2;
+
+/// Consecutive losses required, together with
+/// [`GacConfig::dead_timeout`] of silence, to declare a node
+/// [`NodeHealth::Dead`]: 4.
+pub const DEAD_AFTER: u32 = 4;
+
+/// The GAC's knobs, shared by both drivers. The retry pacing and loss
+/// thresholds are fixed: [`RTO`], [`RETRY_INTERVAL`], [`MAX_RETRIES`],
+/// [`SUSPECT_AFTER`] and [`DEAD_AFTER`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetGacConfig {
-    /// Retry budget and failure-detector thresholds.
+    /// The failure detector's death timeout.
     pub gac: GacConfig,
-    /// Initial retransmission timeout; doubles per attempt.
-    pub rto: Cycles,
-    /// How long a parked task (failed revoke/reconcile/ping) waits
-    /// before its next try.
-    pub retry_interval: Cycles,
     /// Heartbeat period: every `heartbeat_every` cycles the GAC opens a
     /// heartbeat conversation with each reachable member. `Cycles::ZERO`
     /// (the default) disables heartbeats — existing cycle-precise runs
@@ -469,8 +485,6 @@ impl Default for NetGacConfig {
     fn default() -> Self {
         Self {
             gac: GacConfig::default(),
-            rto: Cycles::new(100),
-            retry_interval: Cycles::new(500),
             heartbeat_every: Cycles::ZERO,
             lease_ttl: Cycles::ZERO,
         }
@@ -1134,7 +1148,7 @@ impl NetGac {
     }
 
     fn park(&mut self, task: Task) {
-        let due = self.now + self.config.retry_interval;
+        let due = self.now + RETRY_INTERVAL;
         self.parked.push((due, self.park_counter, task));
         self.park_counter += 1;
     }
@@ -1354,7 +1368,7 @@ impl NetGac {
             body,
             task,
             attempts: 0,
-            timeout_at: self.now + self.config.rto,
+            timeout_at: self.now + RTO,
         };
         self.stats.conversations += 1;
         // The send report is deliberately ignored: a real controller
@@ -1396,7 +1410,7 @@ impl NetGac {
             return false;
         }
         conv.attempts += 1;
-        if conv.attempts > self.config.gac.max_retries {
+        if conv.attempts > MAX_RETRIES {
             // Abandon: everything sent under this epoch is now stale.
             self.stats.gave_up += 1;
             self.nodes[i].epoch += 1;
@@ -1418,7 +1432,7 @@ impl NetGac {
                 body: conv.body.clone(),
             }),
         );
-        conv.timeout_at = self.now + self.config.rto * 2u64.saturating_pow(conv.attempts);
+        conv.timeout_at = self.now + RTO * 2u64.saturating_pow(conv.attempts);
         self.current = Some(conv);
         true
     }
@@ -1566,10 +1580,9 @@ impl NetGac {
     fn update_health(&mut self, i: usize, recorder: &mut dyn Recorder) {
         let losses = self.nodes[i].consecutive_losses;
         let silent_for = self.now.saturating_sub(self.nodes[i].last_heard);
-        let cfg = &self.config.gac;
-        let target = if losses >= cfg.dead_after && silent_for >= cfg.dead_timeout {
+        let target = if losses >= DEAD_AFTER && silent_for >= self.config.gac.dead_timeout {
             NodeHealth::Dead
-        } else if losses >= cfg.suspect_after {
+        } else if losses >= SUSPECT_AFTER {
             NodeHealth::Suspect
         } else {
             return;
@@ -2568,11 +2581,9 @@ mod tests {
         let config = NetGacConfig {
             gac: GacConfig {
                 dead_timeout: Cycles::new(2_000),
-                ..GacConfig::default()
             },
             heartbeat_every: Cycles::new(500),
             lease_ttl: Cycles::new(2_000),
-            ..NetGacConfig::default()
         };
         let mut cluster = Cluster::new(
             2,

@@ -121,11 +121,10 @@ impl Journaled<GlobalAdmissionController> {
         deadline: Option<Cycles>,
         recorder: &mut dyn Recorder,
     ) -> (Option<NodeId>, Decision) {
-        let mut req = AdmissionRequest::builder(id, request, tw).mode(mode);
-        if let Some(td) = deadline {
-            req = req.deadline(td);
-        }
-        let req = req.build();
+        let mut req = AdmissionRequest::builder(id, request, tw)
+            .mode(mode)
+            .build();
+        req.deadline = deadline;
         self.write_ahead([GacOp::Submit(req)], |gac| {
             gac.submit_request(&req, recorder)
         })
@@ -253,7 +252,6 @@ mod tests {
             .with_config(NetGacConfig {
                 gac: GacConfig {
                     dead_timeout: Cycles::new(10_000),
-                    ..GacConfig::default()
                 },
                 lease_ttl: Cycles::new(5_000),
                 ..NetGacConfig::default()

@@ -99,11 +99,11 @@ impl Replay for Lac {
                 tw,
                 deadline,
             } => {
-                let mut b = AdmissionRequest::builder(*id, *request, *tw).mode(*mode);
-                if let Some(td) = deadline {
-                    b = b.deadline(*td);
-                }
-                let _ = self.admit(&b.build());
+                let mut req = AdmissionRequest::builder(*id, *request, *tw)
+                    .mode(*mode)
+                    .build();
+                req.deadline = *deadline;
+                let _ = self.admit(&req);
             }
             LacOp::AdmitLatest {
                 id,
