@@ -702,7 +702,7 @@ pub fn run_net(params: &NetChaosParams) -> NetChaosOutcome {
 
 /// How the submitted jobs of a message-layer cell ended, read off the
 /// GAC's decision ledger.
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct Ledger {
     admitted: u32,
     rejected: u32,
@@ -764,7 +764,7 @@ fn drive_cell(
     let mut steps: Vec<(Cycles, u8, usize, Step)> = injections
         .into_iter()
         .enumerate()
-        .map(|(i, (at, group))| (at, 0, i, Step::Inject(group)))
+        .map(|(i, (at, faults))| (at, 0, i, Step::Inject(faults)))
         .collect();
     steps.extend(
         stream
