@@ -871,7 +871,7 @@ mod tests {
         assert_eq!(c.node_health_changes, 2);
         assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Healthy);
         // The LAC decided at the submission instant; the retries ran on
-        // the core's timer (rto 100, then 200), not the node's clock.
+        // the core's timer (`RTO` 100, then 200), not the node's clock.
         assert_eq!(
             d,
             Decision::Accepted {
@@ -891,8 +891,8 @@ mod tests {
             one(FaultPlan::new().probe_loss(Cycles::ZERO, NodeId::new(0), 10)),
             &mut rec,
         );
-        // Default config: suspect after 2 losses; the 4 losses of one
-        // conversation satisfy dead_after, but only 1,500 cycles of
+        // `SUSPECT_AFTER` is 2 losses; the 4 losses of one
+        // conversation satisfy `DEAD_AFTER`, but only 1,500 cycles of
         // retransmission have elapsed — far short of the 30k dead_timeout.
         // The node must stay Suspect (losses prove the link is down, not
         // the node), and the job spills to the healthy node.
