@@ -248,15 +248,6 @@ impl SharedL2 {
         &self.targets
     }
 
-    /// Sets one core's target allocation counter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn set_target(&mut self, core: CoreId, ways: Ways) {
-        self.targets[core.as_usize()] = ways;
-    }
-
     /// Sets all cores' targets at once, validating against the cache's
     /// associativity.
     ///
@@ -502,34 +493,6 @@ impl SharedL2 {
             set,
             eviction,
         }
-    }
-
-    /// Invalidates every block owned by `core`, returning the dirty ones.
-    /// Used when a job departs and its partition is reclaimed.
-    pub fn invalidate_core(&mut self, core: CoreId) -> Vec<Eviction> {
-        let c = core.as_usize();
-        let geom = self.config.geometry();
-        let assoc = geom.associativity() as usize;
-        let mut evictions = Vec::new();
-        for set in 0..geom.sets() {
-            let base = set as usize * assoc;
-            for line in &mut self.lines[base..base + assoc] {
-                if line.valid && line.owner as usize == c {
-                    if line.dirty {
-                        evictions.push(Eviction {
-                            block_addr: geom.unslice(line.tag, set),
-                            dirty: true,
-                            owner: core,
-                        });
-                        self.stats[c].record_writeback();
-                    }
-                    *line = CacheLine::INVALID;
-                    self.set_counts[set as usize * self.num_cores + c] -= 1;
-                    self.global_counts[c] -= 1;
-                }
-            }
-        }
-        evictions
     }
 
     /// Victim way within the set, per the active policy. The set is full
@@ -827,20 +790,6 @@ mod tests {
             })
         ));
         assert!(l2.set_targets(&[Ways::new(2), Ways::new(2)]).is_ok());
-    }
-
-    #[test]
-    fn invalidate_core_reclaims_blocks() {
-        let mut l2 = tiny(PartitionPolicy::PerSet);
-        l2.set_targets(&[Ways::new(2), Ways::new(2)]).unwrap();
-        l2.access(C0, addr(0, 0), true);
-        l2.access(C0, addr(1, 1), false);
-        l2.access(C1, addr(0, 2), false);
-        let evs = l2.invalidate_core(C0);
-        assert_eq!(evs.len(), 1); // only the dirty block reported
-        assert_eq!(l2.occupancy(C0), 0);
-        assert_eq!(l2.occupancy(C1), 1);
-        assert!(l2.access(C1, addr(0, 2), false).hit);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! The pieces:
 //!
 //! * [`NetRequest`]/[`NetReply`] — the wire protocol: probe, readmit,
-//!   revoke, occupancy summary, and reconciliation, each carrying a
-//!   monotonic per-node sequence number, the GAC's per-node *epoch*, and
-//!   the logical cycle the conversation was opened at.
+//!   revoke, ping, reconciliation, heartbeat, join and drain, each
+//!   carrying a monotonic per-node sequence number, the GAC's per-node
+//!   *epoch*, and the logical cycle the conversation was opened at.
 //! * [`LacEndpoint`] — the node side: delivers requests to a
 //!   [`LacBackend`] exactly once and in sequence order, buffering
 //!   reordered frames and re-acknowledging duplicates from a bounded
@@ -118,7 +118,7 @@ pub enum RequestBody {
         /// The job to cancel.
         job: JobId,
     },
-    /// Occupancy summary (also the failure detector's ping).
+    /// The failure detector's ping to a suspect node.
     Summary,
     /// Reconciliation: `placed` is every job the GAC believes is placed
     /// on this node. The endpoint revokes *orphans* (held but not in
@@ -159,19 +159,9 @@ pub enum ReplyBody {
     /// The admission decision for a probe or readmit.
     Decision(Decision),
     /// The revoke was applied.
-    Revoked {
-        /// The cancelled job.
-        job: JobId,
-        /// Whether the node still held the reservation.
-        held: bool,
-    },
-    /// The occupancy summary.
-    Summary {
-        /// Reservations currently held.
-        held: u32,
-        /// The node's clock.
-        now: Cycles,
-    },
+    Revoked,
+    /// The ping was answered.
+    Summary,
     /// The reconciliation outcome.
     Reconcile {
         /// Orphan reservations the endpoint revoked (held locally but
@@ -184,23 +174,13 @@ pub enum ReplyBody {
         now: Cycles,
     },
     /// The heartbeat answer.
-    HeartbeatAck {
-        /// Reservations currently held.
-        held: u32,
-        /// The node's clock.
-        now: Cycles,
-    },
+    HeartbeatAck,
     /// The join handshake completed on the node side.
-    JoinAck {
-        /// The node's clock.
-        now: Cycles,
-    },
+    JoinAck,
     /// The drain was applied.
     DrainAck {
-        /// Reservations the node released (empty on a retransmission).
-        released: Vec<JobId>,
-        /// The node's clock, so the GAC can tell which released
-        /// reservations had already run to completion.
+        /// The node's clock, so the GAC can tell which of its placements
+        /// on the node had already run to completion.
         now: Cycles,
     },
 }
@@ -386,14 +366,10 @@ impl<B: LacBackend> LacEndpoint<B> {
             }
             RequestBody::Readmit(r) => ReplyBody::Decision(self.backend.readmit(&r)),
             RequestBody::Revoke { job } => {
-                let held = self.backend.reservations().iter().any(|r| r.id == job);
                 self.backend.cancel(job);
-                ReplyBody::Revoked { job, held }
+                ReplyBody::Revoked
             }
-            RequestBody::Summary => ReplyBody::Summary {
-                held: u32::try_from(self.backend.reservations().len()).unwrap_or(u32::MAX),
-                now: self.backend.now(),
-            },
+            RequestBody::Summary => ReplyBody::Summary,
             RequestBody::Reconcile { placed } => {
                 let placed: BTreeSet<JobId> = placed.into_iter().collect();
                 let mut orphans_revoked = Vec::new();
@@ -414,21 +390,13 @@ impl<B: LacBackend> LacEndpoint<B> {
                     now: self.backend.now(),
                 }
             }
-            RequestBody::Heartbeat => ReplyBody::HeartbeatAck {
-                held: u32::try_from(self.backend.reservations().len()).unwrap_or(u32::MAX),
-                now: self.backend.now(),
-            },
-            RequestBody::Join => ReplyBody::JoinAck {
-                now: self.backend.now(),
-            },
+            RequestBody::Heartbeat => ReplyBody::HeartbeatAck,
+            RequestBody::Join => ReplyBody::JoinAck,
             RequestBody::Drain => {
-                let released: Vec<JobId> =
-                    self.backend.reservations().iter().map(|r| r.id).collect();
-                for &job in &released {
-                    self.backend.cancel(job);
+                for r in self.backend.reservations() {
+                    self.backend.cancel(r.id);
                 }
                 ReplyBody::DrainAck {
-                    released,
                     now: self.backend.now(),
                 }
             }
@@ -1729,7 +1697,7 @@ impl NetGac {
                     self.tasks.push_front(Task::Readmit { r, from, at, tried });
                 }
             },
-            (Task::Revoke { job }, ReplyBody::Revoked { .. }) => {
+            (Task::Revoke { job }, ReplyBody::Revoked) => {
                 // If the reservation ran out while the revoke was in
                 // flight, the completion wins: a job is completed XOR
                 // revoked, never both.
@@ -1797,33 +1765,26 @@ impl NetGac {
                     self.renew_leases(i..i + 1, |_, n| !n.lease_frozen, &mut NullRecorder);
                 }
             }
-            (Task::Ping { node }, ReplyBody::Summary { .. }) => {
+            (Task::Ping { node }, ReplyBody::Summary) => {
                 self.nodes[node.as_usize()].ping_queued = false;
             }
-            (Task::Heartbeat { node }, ReplyBody::HeartbeatAck { .. }) => {
+            (Task::Heartbeat { node }, ReplyBody::HeartbeatAck) => {
                 let i = node.as_usize();
                 self.nodes[i].heartbeat_queued = false;
                 if self.config.lease_ttl > Cycles::ZERO {
                     self.renew_leases(i..i + 1, |_, n| !n.lease_frozen, recorder);
                 }
             }
-            (Task::Join { node }, ReplyBody::JoinAck { .. }) => {
+            (Task::Join { node }, ReplyBody::JoinAck) => {
                 let i = node.as_usize();
                 if self.nodes[i].member == MemberState::Joining {
                     self.nodes[i].member = MemberState::Live;
                     recorder.record(self.now, Event::NodeJoined { node });
                 }
             }
-            (
-                Task::Drain { node },
-                ReplyBody::DrainAck {
-                    now: lac_now,
-                    released: _,
-                },
-            ) => {
-                // The GAC trusts its own placement view, not the released
-                // list: a retransmitted drain re-acks with an empty list,
-                // and the set the node *thinks* it released can predate a
+            (Task::Drain { node }, ReplyBody::DrainAck { now: lac_now }) => {
+                // The GAC re-places every placement its own view holds on
+                // the node: the set the node released can predate a
                 // migration the GAC already performed.
                 let i = node.as_usize();
                 let mine = self.placed_on(node);

@@ -25,6 +25,10 @@ use cmpqos_types::{CoreId, Cycles, Instructions, JobId, NodeId, Percent, Ways};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+/// Event-polling granularity of [`QosScheduler::run_until`] (stealing
+/// checks, starts, switch-backs): 50,000 cycles.
+const SLICE: Cycles = Cycles::new(50_000);
+
 /// A job submission: QoS target plus workload size.
 ///
 /// Construct with the mode builders — [`QosJob::strict`],
@@ -157,8 +161,6 @@ pub struct SchedulerConfig {
     pub lac: LacConfig,
     /// Resource-stealing parameters.
     pub stealing: StealingConfig,
-    /// Event-polling granularity (stealing checks, starts, switch-backs).
-    pub slice: Cycles,
     /// Enable automatic mode downgrade for Strict jobs with slack
     /// (the `All-Strict+AutoDown` configuration).
     pub auto_downgrade: bool,
@@ -177,7 +179,6 @@ impl Default for SchedulerConfig {
         Self {
             lac: LacConfig::default(),
             stealing: StealingConfig::default(),
-            slice: Cycles::new(50_000),
             auto_downgrade: false,
             stealing_enabled: true,
             auto_downgrade_min_slack: 0.5,
@@ -213,13 +214,6 @@ impl SchedulerConfigBuilder {
     #[must_use]
     pub fn stealing(mut self, stealing: StealingConfig) -> Self {
         self.config.stealing = stealing;
-        self
-    }
-
-    /// Sets the event-polling granularity.
-    #[must_use]
-    pub fn slice(mut self, slice: Cycles) -> Self {
-        self.config.slice = slice;
         self
     }
 
@@ -652,7 +646,7 @@ impl QosScheduler {
             let next = self
                 .next_event_after(self.node.now())
                 .map_or(t, |e| e.min(t))
-                .min(self.node.now() + self.config.slice)
+                .min(self.node.now() + SLICE)
                 .max(self.node.now() + Cycles::new(1));
             self.node.run_until(next);
             self.pump();
@@ -663,7 +657,7 @@ impl QosScheduler {
     /// Returns the completion time of the last job.
     pub fn run_to_idle(&mut self, hard_cap: Cycles) -> Cycles {
         while !self.is_idle() && self.node.now() < hard_cap {
-            let next = (self.node.now() + self.config.slice).min(hard_cap);
+            let next = (self.node.now() + SLICE).min(hard_cap);
             self.run_until(next);
         }
         self.jobs

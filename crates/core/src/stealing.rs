@@ -13,6 +13,12 @@
 use cmpqos_cache::DuplicateTagMonitor;
 use cmpqos_types::{Cycles, Instructions, JobId, Percent, Ways};
 
+/// The allocation stealing always leaves the job: one way.
+const MIN_WAYS: Ways = Ways::new(1);
+
+/// Bus utilization at or above which stealing pauses: 0.9.
+const BUS_SATURATION: f64 = 0.9;
+
 /// Stealing parameters.
 ///
 /// Construct with [`StealingConfig::default`] or the
@@ -23,18 +29,12 @@ pub struct StealingConfig {
     /// Repartitioning interval, in retired instructions of the Elastic job
     /// (paper: 2,000,000).
     pub interval: Instructions,
-    /// Minimum allocation stealing may leave the job (at least one way).
-    pub min_ways: Ways,
-    /// Bus-utilization threshold above which stealing pauses.
-    pub bus_saturation_threshold: f64,
 }
 
 impl Default for StealingConfig {
     fn default() -> Self {
         Self {
             interval: Instructions::new(2_000_000),
-            min_ways: Ways::new(1),
-            bus_saturation_threshold: 0.9,
         }
     }
 }
@@ -60,20 +60,6 @@ impl StealingConfigBuilder {
     #[must_use]
     pub fn interval(mut self, interval: Instructions) -> Self {
         self.config.interval = interval;
-        self
-    }
-
-    /// Sets the minimum allocation stealing may leave the job.
-    #[must_use]
-    pub fn min_ways(mut self, min_ways: Ways) -> Self {
-        self.config.min_ways = min_ways;
-        self
-    }
-
-    /// Sets the bus-utilization threshold above which stealing pauses.
-    #[must_use]
-    pub fn bus_saturation_threshold(mut self, threshold: f64) -> Self {
-        self.config.bus_saturation_threshold = threshold;
         self
     }
 
@@ -262,10 +248,10 @@ impl StealingController {
             self.stolen = Ways::ZERO;
             return StealingAction::Cancel { returned };
         }
-        if bus_utilization >= self.config.bus_saturation_threshold {
+        if bus_utilization >= BUS_SATURATION {
             return StealingAction::Hold;
         }
-        if self.current_ways() > self.config.min_ways {
+        if self.current_ways() > MIN_WAYS {
             self.stolen += Ways::new(1);
             self.max_stolen = self.max_stolen.max(self.stolen);
             StealingAction::StealOne
@@ -409,8 +395,10 @@ mod tests {
             StealingController::new(Percent::new(5.0), Ways::new(7), StealingConfig::default());
         let m = quiet_monitor();
         assert_eq!(ctl.decide(&m, 0.95), StealingAction::Hold);
+        assert_eq!(ctl.decide(&m, 0.9), StealingAction::Hold);
         assert_eq!(ctl.stolen(), Ways::ZERO);
         // Bus cleared: stealing resumes.
+        assert_eq!(ctl.decide(&m, 0.89), StealingAction::StealOne);
         assert_eq!(ctl.decide(&m, 0.2), StealingAction::StealOne);
     }
 
@@ -463,12 +451,8 @@ mod tests {
     fn builder_overrides_fields() {
         let cfg = StealingConfig::builder()
             .interval(Instructions::new(1000))
-            .min_ways(Ways::new(2))
-            .bus_saturation_threshold(0.5)
             .build();
         assert_eq!(cfg.interval, Instructions::new(1000));
-        assert_eq!(cfg.min_ways, Ways::new(2));
-        assert_eq!(cfg.bus_saturation_threshold, 0.5);
         assert_eq!(StealingConfig::builder().build(), StealingConfig::default());
     }
 

@@ -12,10 +12,7 @@
 //! * cells receive no shared mutable state — each cell owns its input and
 //!   produces an owned output;
 //! * a panicking cell is isolated ([`std::panic::catch_unwind`]) and
-//!   reported as a failed cell instead of tearing down the whole run;
-//! * an optional per-cell watchdog ([`PoolConfig::cell_timeout`]) reports
-//!   a cell that overran its budget as [`CellFailure::TimedOut`] and
-//!   discards its late result.
+//!   reported as a failed cell instead of tearing down the whole run.
 //!
 //! The pool is plain `std` (threads + channels + mutex-guarded deques):
 //! the workspace builds offline with no registry dependencies. Cells are
@@ -42,7 +39,7 @@
 
 mod pool;
 
-pub use pool::{CellFailure, Engine, PoolConfig};
+pub use pool::{CellFailure, Engine};
 
 /// The machine's available parallelism (1 when it cannot be queried).
 #[must_use]

@@ -5,46 +5,6 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-/// Pool tuning for an [`Engine`].
-///
-/// Construct with [`PoolConfig::new`] and chain setters; the struct is
-/// `#[non_exhaustive]` so new knobs can land without breaking callers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub struct PoolConfig {
-    /// Concurrency bound (clamped to at least 1; `1` is exactly serial).
-    pub jobs: usize,
-    /// Per-cell time budget. A cell whose execution exceeds the budget is
-    /// reported as [`CellFailure::TimedOut`] and its result discarded.
-    ///
-    /// Honest limitation: safe Rust cannot preempt a running closure, so
-    /// the watchdog fires when the cell *returns* (or panics) — a cell
-    /// that never yields keeps its worker busy until the process exits.
-    /// What the budget guarantees is that a stalled cell's late result
-    /// never silently enters the output set.
-    pub cell_timeout: Option<Duration>,
-}
-
-impl PoolConfig {
-    /// A config running up to `jobs` cells concurrently, with no cell
-    /// budget.
-    #[must_use]
-    pub fn new(jobs: usize) -> Self {
-        Self {
-            jobs: jobs.max(1),
-            cell_timeout: None,
-        }
-    }
-
-    /// Sets the per-cell time budget (see [`PoolConfig::cell_timeout`]).
-    #[must_use]
-    pub fn cell_timeout(mut self, budget: Duration) -> Self {
-        self.cell_timeout = Some(budget);
-        self
-    }
-}
 
 /// A cell that failed to produce a usable result.
 ///
@@ -61,25 +21,14 @@ pub enum CellFailure {
         /// payload was neither `&str` nor `String`).
         message: String,
     },
-    /// The cell ran longer than [`PoolConfig::cell_timeout`]; its result
-    /// was discarded.
-    TimedOut {
-        /// The failed cell's index in the input order.
-        index: usize,
-        /// The configured budget the cell exceeded.
-        budget: Duration,
-        /// How long the cell actually ran.
-        elapsed: Duration,
-    },
 }
 
 impl CellFailure {
-    /// The failed cell's index in the input order, whatever the failure
-    /// mode.
+    /// The failed cell's index in the input order.
     #[must_use]
     pub fn index(&self) -> usize {
         match self {
-            Self::Panicked { index, .. } | Self::TimedOut { index, .. } => *index,
+            Self::Panicked { index, .. } => *index,
         }
     }
 }
@@ -90,14 +39,6 @@ impl fmt::Display for CellFailure {
             Self::Panicked { index, message } => {
                 write!(f, "cell {index} panicked: {message}")
             }
-            Self::TimedOut {
-                index,
-                budget,
-                elapsed,
-            } => write!(
-                f,
-                "cell {index} timed out: ran {elapsed:?}, budget {budget:?}"
-            ),
         }
     }
 }
@@ -116,14 +57,14 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// A deterministic parallel executor over independent cells.
 ///
-/// `Engine` owns nothing but a [`PoolConfig`]; every [`Engine::run`] /
+/// `Engine` owns nothing but its width; every [`Engine::run`] /
 /// [`Engine::try_run`] call spins up a fresh scoped pool, distributes the
 /// cells round-robin over per-worker deques, and lets idle workers steal
 /// from the back of their peers' queues. Results always come back in cell
 /// order, so callers cannot observe scheduling at all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Engine {
-    config: PoolConfig,
+    jobs: usize,
 }
 
 impl Engine {
@@ -131,15 +72,7 @@ impl Engine {
     /// clamped to at least 1; `1` is exactly serial execution).
     #[must_use]
     pub fn new(jobs: usize) -> Self {
-        Self::with_config(PoolConfig::new(jobs))
-    }
-
-    /// An engine with explicit pool tuning (width, cell watchdog).
-    #[must_use]
-    pub fn with_config(config: PoolConfig) -> Self {
-        let mut config = config;
-        config.jobs = config.jobs.max(1);
-        Self { config }
+        Self { jobs: jobs.max(1) }
     }
 
     /// The serial engine: cells run one after another on the caller's
@@ -152,67 +85,28 @@ impl Engine {
     /// The configured concurrency bound.
     #[must_use]
     pub fn jobs(&self) -> usize {
-        self.config.jobs
-    }
-
-    /// The full pool tuning.
-    #[must_use]
-    pub fn config(&self) -> PoolConfig {
-        self.config
+        self.jobs
     }
 
     /// Runs `f` over every cell and returns the outcomes **in cell
-    /// order**: `result[i]` is `f(i, inputs[i])`, or the captured failure
-    /// (panic, or blown [`PoolConfig::cell_timeout`] budget) if that cell
-    /// went wrong. All cells run to completion regardless of failures
-    /// elsewhere.
+    /// order**: `result[i]` is `f(i, inputs[i])`, or the captured panic
+    /// if that cell panicked. All cells run to completion regardless of
+    /// failures elsewhere.
     pub fn try_run<I, T, F>(&self, inputs: Vec<I>, f: F) -> Vec<Result<T, CellFailure>>
     where
         I: Send,
         T: Send,
         F: Fn(usize, I) -> T + Sync,
     {
-        // The watchdog clock for real runs is wall time; tests inject a
-        // deterministic clock through `try_run_clocked`.
-        let start = Instant::now();
-        self.try_run_clocked(inputs, f, &move || start.elapsed())
-    }
-
-    /// [`Engine::try_run`] with an injected monotonic clock (the cell
-    /// watchdog measures each cell between two `clock()` samples).
-    pub(crate) fn try_run_clocked<I, T, F, C>(
-        &self,
-        inputs: Vec<I>,
-        f: F,
-        clock: &C,
-    ) -> Vec<Result<T, CellFailure>>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(usize, I) -> T + Sync,
-        C: Fn() -> Duration + Sync,
-    {
         let n = inputs.len();
-        let workers = self.config.jobs.min(n);
-        let budget = self.config.cell_timeout;
+        let workers = self.jobs.min(n);
         let call = |index: usize, input: I| -> Result<T, CellFailure> {
-            let began = clock();
-            let outcome = catch_unwind(AssertUnwindSafe(|| f(index, input)));
-            let elapsed = clock().saturating_sub(began);
-            let value = outcome.map_err(|payload| CellFailure::Panicked {
-                index,
-                message: panic_message(payload),
-            })?;
-            if let Some(budget) = budget {
-                if elapsed > budget {
-                    return Err(CellFailure::TimedOut {
-                        index,
-                        budget,
-                        elapsed,
-                    });
+            catch_unwind(AssertUnwindSafe(|| f(index, input))).map_err(|payload| {
+                CellFailure::Panicked {
+                    index,
+                    message: panic_message(payload),
                 }
-            }
-            Ok(value)
+            })
         };
 
         if workers <= 1 {
@@ -319,7 +213,6 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn results_come_back_in_cell_order() {
@@ -374,98 +267,12 @@ mod tests {
     }
 
     #[test]
-    fn the_watchdog_times_out_a_stalled_cell_deterministically() {
-        // Simulated time: each cell advances the fake clock by its own
-        // "runtime"; cell 2 stalls for 100 ms against a 10 ms budget. The
-        // serial path makes the clock sequence exactly reproducible.
-        let fake_ms = AtomicU64::new(0);
-        let clock = || Duration::from_millis(fake_ms.load(Ordering::SeqCst));
-        let engine =
-            Engine::with_config(PoolConfig::new(1).cell_timeout(Duration::from_millis(10)));
-        let out = engine.try_run_clocked(
-            (0..4u32).collect(),
-            |i, n| {
-                fake_ms.fetch_add(if i == 2 { 100 } else { 1 }, Ordering::SeqCst);
-                n + 1
-            },
-            &clock,
-        );
-        for (i, o) in out.iter().enumerate() {
-            if i == 2 {
-                assert_eq!(
-                    o.as_ref().expect_err("cell 2 blew its budget"),
-                    &CellFailure::TimedOut {
-                        index: 2,
-                        budget: Duration::from_millis(10),
-                        elapsed: Duration::from_millis(100),
-                    }
-                );
-            } else {
-                assert_eq!(o.as_ref().expect("within budget"), &(i as u32 + 1));
-            }
-        }
-    }
-
-    #[test]
-    fn the_watchdog_times_out_on_wall_clock_in_try_run() {
-        let engine = Engine::with_config(PoolConfig::new(2).cell_timeout(Duration::from_millis(5)));
-        let out = engine.try_run(vec![0u8, 1], |i, x| {
-            if i == 1 {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            x
-        });
-        assert_eq!(out[0].as_ref().expect("fast cell passes"), &0);
-        let failure = out[1].as_ref().expect_err("slow cell times out");
-        assert_eq!(failure.index(), 1);
-        assert!(
-            matches!(
-                failure,
-                CellFailure::TimedOut { budget, elapsed, .. }
-                    if *budget == Duration::from_millis(5) && *elapsed >= Duration::from_millis(50)
-            ),
-            "{failure}"
-        );
-    }
-
-    #[test]
-    fn a_panic_in_a_stalled_cell_stays_a_panic() {
-        // The panic carries more diagnostic value than the blown budget.
-        let engine = Engine::with_config(PoolConfig::new(1).cell_timeout(Duration::from_millis(1)));
-        let fake_ms = AtomicU64::new(0);
-        let clock = || Duration::from_millis(fake_ms.load(Ordering::SeqCst));
-        let out = engine.try_run_clocked(
-            vec![0u8],
-            |_, _| -> u8 {
-                fake_ms.fetch_add(1_000, Ordering::SeqCst);
-                panic!("stalled and then died");
-            },
-            &clock,
-        );
-        assert!(
-            matches!(
-                out[0].as_ref().expect_err("cell panicked"),
-                CellFailure::Panicked { message, .. } if message.contains("stalled and then died")
-            ),
-            "{:?}",
-            out[0]
-        );
-    }
-
-    #[test]
     fn failure_displays_name_the_cell_and_mode() {
         let p = CellFailure::Panicked {
             index: 3,
             message: "boom".into(),
         };
         assert_eq!(p.to_string(), "cell 3 panicked: boom");
-        let t = CellFailure::TimedOut {
-            index: 7,
-            budget: Duration::from_millis(10),
-            elapsed: Duration::from_millis(25),
-        };
-        assert_eq!(t.to_string(), "cell 7 timed out: ran 25ms, budget 10ms");
-        assert_eq!(t.index(), 7);
     }
 
     #[test]
@@ -480,7 +287,6 @@ mod tests {
     #[test]
     fn zero_and_empty_edges() {
         assert_eq!(Engine::new(0).jobs(), 1);
-        assert_eq!(Engine::with_config(PoolConfig::new(0)).jobs(), 1);
         let out: Vec<u8> = Engine::new(8).run(Vec::<u8>::new(), |_, x| x);
         assert!(out.is_empty());
     }

@@ -33,6 +33,9 @@ use std::path::PathBuf;
 /// tail after the snapshot.
 const COMPACT_EVERY: u64 = 64;
 
+/// Injections in the failover cell's seeded fault schedule.
+const FAULTS: usize = 6;
+
 /// Knobs for one chaos run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -46,8 +49,6 @@ pub struct ChaosParams {
     pub horizon: Cycles,
     /// Seed for the generated fault schedule.
     pub seed: u64,
-    /// Injections in the generated schedule.
-    pub faults: usize,
     /// When set, the run's event stream is appended to this JSONL file.
     pub events: Option<PathBuf>,
     /// When set, the admission controller crashes at this cycle: its
@@ -66,7 +67,6 @@ impl ChaosParams {
             jobs: 12,
             horizon: Cycles::new(600_000),
             seed: 1,
-            faults: 6,
             events: None,
             crash_at: None,
         }
@@ -77,7 +77,7 @@ impl ChaosParams {
     /// server always has survivors: node 0 is never killed).
     #[must_use]
     pub fn schedule(&self) -> FaultSchedule {
-        let mut plan = FaultPlan::seeded(self.seed, self.nodes as u32, self.horizon, self.faults);
+        let mut plan = FaultPlan::seeded(self.seed, self.nodes as u32, self.horizon, FAULTS);
         if self.nodes > 1 {
             plan = plan.node_fault(
                 Cycles::new(self.horizon.get() / 2),

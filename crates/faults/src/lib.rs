@@ -427,37 +427,6 @@ impl FaultPlan {
         self.inject(at, Fault::LeaseFreeze { node })
     }
 
-    /// A reproducible random *message-layer* plan: `faults` injections
-    /// spread over `[horizon/4, 3·horizon/4)` across `nodes` nodes, mixing
-    /// transient message drops with partition windows. Every
-    /// [`Fault::LinkPartition`] is paired with a [`Fault::LinkHeal`] no
-    /// later than `7·horizon/8`, so a run always ends with all links
-    /// restored (at most one partition window per node). The same
-    /// `(seed, nodes, horizon, faults)` always yields the same plan.
-    #[must_use]
-    pub fn seeded_net(seed: u64, nodes: u32, horizon: Cycles, faults: usize) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut plan = Self::new();
-        let lo = horizon.get() / 4;
-        let hi = (3 * horizon.get() / 4).max(lo + 1);
-        let heal_by = 7 * horizon.get() / 8;
-        let mut partitioned = vec![false; nodes.max(1) as usize];
-        for _ in 0..faults {
-            let at = Cycles::new(rng.gen_range(lo..hi));
-            let node = NodeId::new(rng.gen_range(0..nodes.max(1)));
-            if rng.gen_range(0u32..10) < 3 && !partitioned[node.as_usize()] {
-                partitioned[node.as_usize()] = true;
-                let heal_at = rng.gen_range(at.get() + 1..heal_by.max(at.get() + 2));
-                plan = plan
-                    .link_partition(at, node)
-                    .link_heal(Cycles::new(heal_at), node);
-            } else {
-                plan = plan.message_drop(at, node, rng.gen_range(1u32..4));
-            }
-        }
-        plan
-    }
-
     /// A reproducible random *churn* plan: `events` membership operations
     /// spread over `[horizon/4, 3·horizon/4)`, mixing joins, graceful
     /// drains, and restarts. Joins always take the next unused id (starting
@@ -595,32 +564,6 @@ mod tests {
             cmpqos_obs::FaultKind::MessageDrop { count: 3 }
         );
         assert!(d.to_string().contains("3 message(s)"));
-    }
-
-    #[test]
-    fn seeded_net_pairs_every_partition_with_a_heal() {
-        let a = FaultPlan::seeded_net(21, 8, Cycles::new(100_000), 12).build();
-        let b = FaultPlan::seeded_net(21, 8, Cycles::new(100_000), 12).build();
-        assert_eq!(a, b, "same seed, same plan");
-        let mut severed: Vec<NodeId> = Vec::new();
-        let mut healed: Vec<NodeId> = Vec::new();
-        for i in a.injections() {
-            match i.fault {
-                Fault::LinkPartition { node } => {
-                    assert!(!severed.contains(&node), "one window per node");
-                    severed.push(node);
-                }
-                Fault::LinkHeal { node } => {
-                    assert!(i.at <= Cycles::new(87_500), "heals leave settle time");
-                    healed.push(node);
-                }
-                Fault::MessageDrop { count, .. } => assert!((1..4).contains(&count)),
-                _ => panic!("non-net fault in a net plan: {:?}", i.fault),
-            }
-        }
-        severed.sort_unstable();
-        healed.sort_unstable();
-        assert_eq!(severed, healed, "every partition heals");
     }
 
     #[test]

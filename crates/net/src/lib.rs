@@ -3,10 +3,10 @@
 //! The paper's controller hierarchy (one GAC over many per-node LACs)
 //! coordinates over an interconnect; this crate is the interconnect's
 //! fault model. A [`SimNet`] carries typed [`Envelope`]s between [`Addr`]s
-//! over links with configurable latency distributions, drop/duplicate
-//! probabilities, and reorder windows ([`LinkConfig`]), plus explicit
-//! [`Transport::partition`] / [`Transport::heal`] controls that sever a
-//! link in both directions.
+//! over links that share one configurable latency distribution,
+//! drop/duplicate probability, and reorder window ([`LinkConfig`]), plus
+//! explicit [`Transport::partition`] / [`Transport::heal`] controls that
+//! sever a link in both directions.
 //!
 //! Everything is deterministic: one [`StdRng`] seeded at construction
 //! drives every probabilistic decision, and in-flight messages sit in a
@@ -66,7 +66,7 @@ pub struct Envelope<M> {
     pub msg: M,
 }
 
-/// One directed link's behavior.
+/// Every link's behavior.
 ///
 /// Latency is `base + U(0..=jitter) + U(0..=reorder)`: `jitter` models
 /// service-time noise, `reorder` an extra displacement window large enough
@@ -134,12 +134,6 @@ impl LinkConfig {
     pub fn duplicate(mut self, p: f64) -> Self {
         self.duplicate = p.clamp(0.0, 1.0);
         self
-    }
-
-    /// The worst-case one-way latency of this link.
-    #[must_use]
-    pub fn max_latency(&self) -> Cycles {
-        self.base_latency + Cycles::new(self.jitter) + Cycles::new(self.reorder)
     }
 }
 
@@ -264,8 +258,7 @@ fn ordered(a: Addr, b: Addr) -> (Addr, Addr) {
 #[derive(Debug)]
 pub struct SimNet<M> {
     rng: StdRng,
-    default_link: LinkConfig,
-    links: BTreeMap<(Addr, Addr), LinkConfig>,
+    link: LinkConfig,
     partitions: BTreeSet<(Addr, Addr)>,
     forced_drops: BTreeMap<(Addr, Addr), u32>,
     queue: BinaryHeap<InFlight<M>>,
@@ -277,14 +270,13 @@ pub struct SimNet<M> {
 }
 
 impl<M: Clone> SimNet<M> {
-    /// A simulator where every link behaves per `default_link`, with all
+    /// A simulator where every link behaves per `link`, with all
     /// randomness drawn from a [`StdRng`] seeded with `seed`.
     #[must_use]
-    pub fn new(seed: u64, default_link: LinkConfig) -> Self {
+    pub fn new(seed: u64, link: LinkConfig) -> Self {
         Self {
             rng: StdRng::seed_from_u64(seed),
-            default_link,
-            links: BTreeMap::new(),
+            link,
             partitions: BTreeSet::new(),
             forced_drops: BTreeMap::new(),
             queue: BinaryHeap::new(),
@@ -301,26 +293,6 @@ impl<M: Clone> SimNet<M> {
     pub fn without_logs(mut self) -> Self {
         self.keep_logs = false;
         self
-    }
-
-    /// Overrides the directed `from → to` link's behavior.
-    pub fn set_link(&mut self, from: Addr, to: Addr, config: LinkConfig) {
-        self.links.insert((from, to), config);
-    }
-
-    /// Overrides the `a ↔ b` link's behavior in both directions.
-    pub fn set_link_bidir(&mut self, a: Addr, b: Addr, config: LinkConfig) {
-        self.set_link(a, b, config);
-        self.set_link(b, a, config);
-    }
-
-    /// The directed `from → to` link's behavior.
-    #[must_use]
-    pub fn link(&self, from: Addr, to: Addr) -> LinkConfig {
-        self.links
-            .get(&(from, to))
-            .copied()
-            .unwrap_or(self.default_link)
     }
 
     /// Forces the next `count` frames on the directed `from → to` link to
@@ -427,7 +399,7 @@ impl<M: Clone> Transport<M> for SimNet<M> {
                 };
             }
         }
-        let link = self.link(from, to);
+        let link = self.link;
         if link.drop > 0.0 && self.rng.gen_bool(link.drop) {
             self.stats.dropped += 1;
             if self.keep_logs {
@@ -607,23 +579,6 @@ mod tests {
         assert_eq!(got[0].msg, 42);
         assert_eq!(got[1].msg, 42);
         assert_eq!(net.stats().duplicated, 1);
-    }
-
-    #[test]
-    fn per_link_overrides_beat_the_default() {
-        let mut net = SimNet::new(13, LinkConfig::default());
-        net.set_link_bidir(
-            Addr::Gac,
-            node(0),
-            LinkConfig::default().base_latency(Cycles::new(50)),
-        );
-        let _ = net.send(Addr::Gac, node(0), Cycles::ZERO, 0u8);
-        let _ = net.send(Addr::Gac, node(1), Cycles::ZERO, 1u8);
-        let slow = net.link(node(0), Addr::Gac);
-        assert_eq!(slow.base_latency, Cycles::new(50));
-        let got = drain(&mut net, Cycles::new(100));
-        assert_eq!(got[0].msg, 1, "default 10-cycle link wins the race");
-        assert_eq!(got[1].msg, 0);
     }
 
     #[test]

@@ -12,8 +12,6 @@ pub enum SystemConfigError {
     /// The core count must be within 1..=255 (the shared L2 tracks owners
     /// in a byte).
     BadCoreCount,
-    /// The clock frequency must be positive and finite.
-    BadClock,
     /// The duplicate-tag sampling period must be non-zero.
     BadShadowSampling,
     /// A cache geometry is invalid (e.g. a scale factor that does not
@@ -25,9 +23,6 @@ impl fmt::Display for SystemConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SystemConfigError::BadCoreCount => f.write_str("core count must be within 1..=255"),
-            SystemConfigError::BadClock => {
-                f.write_str("clock frequency must be positive and finite")
-            }
             SystemConfigError::BadShadowSampling => {
                 f.write_str("shadow sampling period must be non-zero")
             }
@@ -69,9 +64,6 @@ impl From<CacheConfigError> for SystemConfigError {
 pub struct SystemConfig {
     /// Number of cores (paper: 4).
     pub num_cores: usize,
-    /// Clock frequency in GHz, used only for cycle/second conversions in
-    /// reports (paper: 2.0).
-    pub clock_ghz: f64,
     /// Private L1 configuration.
     pub l1: CacheConfig,
     /// Shared L2 configuration.
@@ -101,7 +93,6 @@ impl SystemConfig {
     pub fn paper() -> Self {
         Self {
             num_cores: 4,
-            clock_ghz: 2.0,
             l1: CacheConfig::paper_l1(),
             l2: CacheConfig::paper_l2(),
             memory: MemoryConfig::paper(),
@@ -169,19 +160,10 @@ impl SystemConfig {
         if !(1..=255).contains(&self.num_cores) {
             return Err(SystemConfigError::BadCoreCount);
         }
-        if !(self.clock_ghz.is_finite() && self.clock_ghz > 0.0) {
-            return Err(SystemConfigError::BadClock);
-        }
         if self.shadow_sample_every == 0 {
             return Err(SystemConfigError::BadShadowSampling);
         }
         Ok(())
-    }
-
-    /// Converts cycles to milliseconds at this node's clock.
-    #[must_use]
-    pub fn cycles_to_ms(&self, cycles: Cycles) -> f64 {
-        cycles.as_f64() / (self.clock_ghz * 1e6)
     }
 }
 
@@ -206,22 +188,12 @@ mod tests {
     }
 
     #[test]
-    fn cycle_conversion() {
-        let c = SystemConfig::paper();
-        assert!((c.cycles_to_ms(Cycles::new(2_000_000)) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn validate_catches_bad_fields() {
         assert_eq!(SystemConfig::paper().validate(), Ok(()));
 
         let mut c = SystemConfig::paper();
         c.num_cores = 0;
         assert_eq!(c.validate(), Err(SystemConfigError::BadCoreCount));
-
-        let mut c = SystemConfig::paper();
-        c.clock_ghz = f64::NAN;
-        assert_eq!(c.validate(), Err(SystemConfigError::BadClock));
 
         let mut c = SystemConfig::paper();
         c.shadow_sample_every = 0;
