@@ -961,8 +961,11 @@ impl ChurnParams {
         }
         if self.lease_freeze {
             let at = Cycles::new(self.horizon.get() * 3 / 10);
+            let last = u32::try_from(self.nodes)
+                .unwrap_or(u32::MAX)
+                .saturating_sub(1);
             for n in 3..5u32 {
-                plan = plan.lease_freeze(at, NodeId::new(n.min(self.nodes as u32 - 1)));
+                plan = plan.lease_freeze(at, NodeId::new(n.min(last)));
             }
         }
         plan.build()
@@ -1401,6 +1404,23 @@ mod tests {
             o.final_nodes >= p.nodes,
             "the membership table is append-only"
         );
+    }
+
+    #[test]
+    fn an_empty_churn_cell_picks_its_frozen_nodes_without_overflow() {
+        let mut p = ChurnParams::standard();
+        p.nodes = 0;
+        p.lease_freeze = true;
+        let frozen: Vec<NodeId> = p
+            .schedule()
+            .injections()
+            .iter()
+            .filter_map(|i| match i.fault {
+                Fault::LeaseFreeze { node } => Some(node),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(frozen, [NodeId::new(0); 2]);
     }
 
     #[test]

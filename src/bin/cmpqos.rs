@@ -423,6 +423,16 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
         p.horizon = Cycles::new(get_num(flags, "horizon", p.horizon.get())?);
         p.churn_events = get_num(flags, "churn-events", p.churn_events)?;
         p.kills = get_num(flags, "kills", p.kills)?;
+        if p.nodes == 0 {
+            return Err("--nodes 0: the churn cell needs at least one node".into());
+        }
+        // The kills strike nodes 1..=kills; node 0 is never killed.
+        if p.kills as usize >= p.nodes {
+            return Err(format!(
+                "--kills {} must be below --nodes {}",
+                p.kills, p.nodes
+            ));
+        }
         p.lease_freeze = chaos_inject(flags, "lease-freeze")?;
         let outcomes = chaos::run_churn_many(&p, &seeds, params.jobs);
         for (outcome, &seed) in outcomes.iter().zip(&seeds) {

@@ -307,7 +307,7 @@ fn through_a_lossless_cluster(nodes: usize, policy: ProbePolicy, steps: &[Step])
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(cmpqos::testkit::cases(8) as u32))]
 
     /// Property 1: any churn schedule — joins, drains, restarts, kills —
     /// over a lossy network loses no admitted job and resolves every

@@ -106,6 +106,14 @@ fn bad_flags_exit_1_with_an_error_line() {
             "chaos --churn --kills 4294967296",
             "error: --kills 4294967296 is out of range",
         ),
+        (
+            "chaos --churn --nodes 0 --inject lease-freeze",
+            "error: --nodes 0: the churn cell needs at least one node",
+        ),
+        (
+            "chaos --churn --kills 104",
+            "error: --kills 104 must be below --nodes 104",
+        ),
     ] {
         assert_refused(&cmpqos(args), &format!("cmpqos {args}"), error);
     }

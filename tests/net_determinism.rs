@@ -77,7 +77,7 @@ fn fingerprint(cluster: &Cluster<Lac>) -> String {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(cmpqos::testkit::cases(12) as u32))]
 
     /// Property 1: at any fault mix, a seed pins the whole run — frame
     /// logs, drop decisions, duplication, delivery order, and every
