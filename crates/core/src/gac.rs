@@ -84,7 +84,7 @@ pub enum MemberState {
     /// Graceful shutdown underway: no new placements while existing
     /// reservations migrate off.
     Draining,
-    /// Departed for good; skipped by every probe, heartbeat, and sweep.
+    /// Departed for good; skipped by every probe and heartbeat.
     Left,
 }
 
@@ -297,9 +297,6 @@ pub struct GacState {
 #[derive(Debug)]
 pub struct GlobalAdmissionController {
     cluster: Cluster<NodeLac>,
-    /// Per node, whether its link is cut: the heartbeat sweep's dense
-    /// copy of the network's partitions.
-    cut: Vec<bool>,
     lac_config: LacConfig,
     /// `(job, node)` of every live placement, sorted by job: the core's
     /// placement table as of the end of the last call.
@@ -316,39 +313,21 @@ impl PartialEq for GlobalAdmissionController {
 
 impl GlobalAdmissionController {
     /// Creates a GAC over `nodes` identical CMP nodes, with the default
-    /// [`NetGacConfig`]. With no nodes every job is rejected.
+    /// [`NetGacConfig`]: no heartbeats and no leases. With no nodes every
+    /// job is rejected.
     #[must_use]
-    pub fn new(nodes: usize, config: LacConfig, policy: ProbePolicy) -> Self {
-        Self::build(nodes, config, NetGacConfig::default(), policy)
-    }
-
-    fn build(
-        nodes: usize,
-        lac_config: LacConfig,
-        config: NetGacConfig,
-        policy: ProbePolicy,
-    ) -> Self {
+    pub fn new(nodes: usize, lac_config: LacConfig, policy: ProbePolicy) -> Self {
         let endpoints = (0..nodes)
             .map(|_| LacEndpoint::new(NodeLac(Lac::new(lac_config))))
             .collect();
-        let core = NetGac::new(nodes, config, policy);
+        let core = NetGac::new(nodes, NetGacConfig::default(), policy);
         Self {
             cluster: Cluster::from_parts(core, endpoints, network(), Cycles::ZERO),
-            cut: vec![false; nodes],
             lac_config,
             placed: Vec::new(),
             retired: Vec::new(),
             now: Cycles::ZERO,
         }
-    }
-
-    /// Rebuilds the server with `config`: the same nodes, LAC
-    /// configuration and probe policy, and nothing admitted yet. Call it
-    /// right after [`GlobalAdmissionController::new`].
-    #[must_use]
-    pub fn with_config(self, config: NetGacConfig) -> Self {
-        let policy = self.cluster.gac().policy;
-        Self::build(self.nodes(), self.lac_config, config, policy)
     }
 
     /// Captures the controller's complete state for journaling.
@@ -363,7 +342,7 @@ impl GlobalAdmissionController {
                     lac: endpoint.backend.0.snapshot(),
                     epoch: endpoint.epoch,
                     next_seq: endpoint.next_seq,
-                    cut: self.cut[i],
+                    cut: net.is_partitioned(Addr::Gac, Addr::Node(node)),
                     drops_to_node: net.owed_drops(Addr::Gac, Addr::Node(node)),
                 }
             })
@@ -384,7 +363,6 @@ impl GlobalAdmissionController {
     #[must_use]
     pub fn restore(state: GacState) -> Self {
         let mut net = network();
-        let mut cut = Vec::with_capacity(state.nodes.len());
         let mut endpoints = Vec::with_capacity(state.nodes.len());
         for (i, n) in state.nodes.into_iter().enumerate() {
             let node = Addr::Node(NodeId::new(i as u32));
@@ -392,7 +370,6 @@ impl GlobalAdmissionController {
                 net.partition(Addr::Gac, node);
             }
             net.force_drops(Addr::Gac, node, n.drops_to_node);
-            cut.push(n.cut);
             let mut endpoint = LacEndpoint::new(NodeLac(Lac::restore(n.lac)));
             endpoint.epoch = n.epoch;
             endpoint.next_seq = n.next_seq;
@@ -400,7 +377,6 @@ impl GlobalAdmissionController {
         }
         let mut gac = Self {
             cluster: Cluster::from_parts(state.core, endpoints, net, state.cluster_now),
-            cut,
             lac_config: state.lac_config,
             placed: Vec::new(),
             retired: state.retired,
@@ -440,14 +416,6 @@ impl GlobalAdmissionController {
         self.cluster.gac().member_state(node)
     }
 
-    /// The lease table: each placed job's node and current expiry cycle,
-    /// in job order. Empty when leasing is disabled
-    /// ([`NetGacConfig::lease_ttl`] of zero).
-    #[must_use]
-    pub fn leases(&self) -> Vec<(JobId, NodeId, Cycles)> {
-        self.cluster.gac().leases()
-    }
-
     /// Access to one node's LAC.
     ///
     /// # Panics
@@ -469,14 +437,13 @@ impl GlobalAdmissionController {
     }
 
     /// Advances every node's clock and runs the core up to `now`: retries
-    /// and pings whose timer fell due, lease expiries, and the retirement
-    /// of every placement whose reservation window closed. Returns each
-    /// job that completed since the previous call — whatever retired it —
-    /// and the node it ran on, so the placement table cannot grow without
-    /// bound, together with the [`FaultReport`] of what the core's timers
-    /// did: a node the failure detector declares dead is evacuated, and
-    /// an unrenewed lease re-places its job, here. Every consequence but
-    /// the completions is emitted to `recorder`.
+    /// and pings whose timer fell due, and the retirement of every
+    /// placement whose reservation window closed. Returns each job that
+    /// completed since the previous call — whatever retired it — and the
+    /// node it ran on, so the placement table cannot grow without bound,
+    /// together with the [`FaultReport`] of what the core's timers did: a
+    /// node the failure detector declares dead is evacuated here. Every
+    /// consequence but the completions is emitted to `recorder`.
     pub fn advance(
         &mut self,
         now: Cycles,
@@ -499,37 +466,11 @@ impl GlobalAdmissionController {
         (std::mem::take(&mut self.retired), report)
     }
 
-    /// Drains one heartbeat round over every reachable member with no
-    /// per-node conversation: each counts as proof of life for the health
-    /// machine and, unless lease-frozen, renews its placement leases to
-    /// `at + lease_ttl` ([`NetGac::heartbeat_sweep`], the renewal a
-    /// heartbeat ack runs). Dead, partitioned, and departed nodes miss the
-    /// round. A no-op, the driver's clock included, while leasing is
-    /// disabled.
-    pub fn heartbeat_all(&mut self, at: Cycles, recorder: &mut dyn Recorder) {
-        let cut = &self.cut;
-        let reachable = |i: usize| !cut[i];
-        if !self
-            .cluster
-            .gac_mut()
-            .heartbeat_sweep(at, reachable, recorder)
-        {
-            return;
-        }
-        self.now = self.now.max(at);
-        if self.cluster.gac().busy() {
-            let mut tap = Tap::new(recorder);
-            self.cluster.run_to_quiet(&mut tap);
-            self.absorb(tap);
-        }
-    }
-
     /// A new node with the founding nodes' LAC configuration, its clock
     /// at the driver's.
     fn join(&mut self) -> NodeId {
         let mut lac = Lac::new(self.lac_config);
         lac.advance(self.now);
-        self.cut.push(false);
         self.cluster.join_node(NodeLac(lac), self.now)
     }
 
@@ -604,7 +545,8 @@ impl GlobalAdmissionController {
     ///   `Left`. `NodeRestart` resets the node's endpoint and reconciles
     ///   its recovered table against the placements before it re-enters
     ///   `Live`: orphans are cancelled, lost placements re-placed.
-    ///   `LeaseFreeze` stops renewing the node's leases until it restarts.
+    ///   `LeaseFreeze` is recorded, but this driver grants no leases, so
+    ///   it has nothing to freeze.
     ///
     /// Injections naming a node outside the server are ignored — except
     /// `NodeJoin`, which is valid *only* for the next unused index.
@@ -650,13 +592,7 @@ impl GlobalAdmissionController {
             // fault — it drops the controller and rebuilds it from the
             // write-ahead journal (`cmpqos-recovery`).
             Fault::ControllerCrash { .. } => tap.record(at, injected),
-            _ => {
-                self.cluster.apply(injection, &mut tap);
-                self.cut[node.as_usize()] = self
-                    .cluster
-                    .net()
-                    .is_partitioned(Addr::Gac, Addr::Node(node));
-            }
+            _ => self.cluster.apply(injection, &mut tap),
         }
         self.cluster.run_to_quiet(&mut tap);
         self.absorb(tap)
@@ -673,9 +609,10 @@ impl GlobalAdmissionController {
     /// FCFS order: keeps are silent, downgrades are reported, evictions
     /// are handed to the core to re-place elsewhere (or revoke with a
     /// reason when no survivor fits them). A reservation the core does
-    /// not place on `node` is an orphan the node still holds (a lease
-    /// expired, awaiting reconciliation) and is none of the core's
-    /// business: an evicted orphan is simply gone.
+    /// not place on `node` is an orphan the node still holds (a job
+    /// [`GlobalAdmissionController::complete`]d as of a later cycle, or
+    /// one awaiting reconciliation) and is none of the core's business:
+    /// an evicted orphan is simply gone.
     fn shrink(&mut self, node: NodeId, lost: ResourceRequest, at: Cycles, tap: &mut Tap<'_>) {
         let lac = &mut self.cluster.endpoints[node.as_usize()].backend.0;
         let capacity = lac.capacity().minus(&lost);
@@ -1087,7 +1024,8 @@ mod tests {
 
     #[test]
     fn a_capacity_fault_leaves_an_orphan_to_reconciliation() {
-        let mut gac = leased(2);
+        let mut gac =
+            GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit);
         let mut rec = RingBufferRecorder::new(64);
         // One Strict job takes all 16 ways of node 0.
         let req = AdmissionRequest::builder(
@@ -1098,22 +1036,21 @@ mod tests {
         .mode(ExecutionMode::Strict)
         .build();
         assert_eq!(gac.submit_request(&req, &mut rec).0, Some(NodeId::new(0)));
-        // Unrenewed, its lease runs out ttl + grace later and the job
-        // re-places on node 1; node 0 still holds the reservation until
-        // its reconciliation, which is not due yet.
-        let _ = gac.advance(Cycles::new(3_001), &mut rec);
-        assert_eq!(placement(&gac, 0), Some(NodeId::new(1)));
+        // Completed as of a later cycle, the job leaves the core's
+        // placements at once, but node 0 holds its reservation until then:
+        // an orphan the core does not place.
+        gac.complete(JobId::new(0), Cycles::new(50_000));
+        assert!(gac.placements().is_empty());
         assert_eq!(gac.lac(NodeId::new(0)).reservation_count(), 1);
-        let moved = rec.counters().migrated;
-        // A dead way evicts the orphan; the job stays where it is.
+        // A dead way evicts the orphan; nothing is re-placed.
         let report = gac.inject(
-            one(FaultPlan::new().way_fault(Cycles::new(3_001), NodeId::new(0), 3)),
+            one(FaultPlan::new().way_fault(Cycles::new(1_000), NodeId::new(0), 3)),
             &mut rec,
         );
         assert!(report.is_quiet());
-        assert_eq!(rec.counters().migrated, moved);
-        assert_eq!(placement(&gac, 0), Some(NodeId::new(1)));
-        assert_eq!(gac.lac(NodeId::new(1)).reservation_count(), 1);
+        assert_eq!(rec.counters().migrated, 0);
+        assert!(gac.placements().is_empty());
+        assert_eq!(gac.lac(NodeId::new(1)).reservation_count(), 0);
         assert_eq!(gac.lac(NodeId::new(0)).reservation_count(), 0);
     }
 
@@ -1313,88 +1250,10 @@ mod tests {
         assert_eq!(gac.member_state(NodeId::new(0)), MemberState::Left);
     }
 
-    fn leased(nodes: usize) -> GlobalAdmissionController {
-        GlobalAdmissionController::new(nodes, LacConfig::default(), ProbePolicy::FirstFit)
-            .with_config(NetGacConfig {
-                gac: GacConfig {
-                    dead_timeout: Cycles::new(2_000),
-                },
-                lease_ttl: Cycles::new(1_000),
-                ..NetGacConfig::default()
-            })
-    }
-
     #[test]
-    fn unrenewed_lease_expires_after_grace_and_the_job_migrates() {
-        let mut gac = leased(2);
-        let mut rec = RingBufferRecorder::new(64);
-        let (node, d) = gac.submit_request(&request(0, 100_000, None), &mut rec);
-        assert!(d.is_accepted());
-        assert_eq!(node, Some(NodeId::new(0)));
-        assert_eq!(
-            gac.leases(),
-            vec![(JobId::new(0), NodeId::new(0), Cycles::new(1_000))]
-        );
-        // Heartbeats reach node 0 until its link is severed; renewals then
-        // stop and the lease runs out ttl + grace later.
-        gac.heartbeat_all(Cycles::new(500), &mut rec);
-        assert_eq!(rec.counters().leases_renewed, 1);
-        assert_eq!(gac.leases()[0].2, Cycles::new(1_500));
-        let _ = gac.inject(
-            one(FaultPlan::new().link_partition(Cycles::new(600), NodeId::new(0))),
-            &mut rec,
-        );
-        gac.heartbeat_all(Cycles::new(1_000), &mut rec);
-        assert_eq!(rec.counters().leases_renewed, 1, "partitioned: no renewal");
-        // Within ttl + grace the placement survives (unreachable ≠ dead) …
-        let _ = gac.advance(Cycles::new(3_000), &mut NullRecorder);
-        assert_eq!(placement(&gac, 0), Some(NodeId::new(0)));
-        // … but past it the lease expires and the job re-places, exactly
-        // like an evacuation, with a fresh lease.
-        let _ = gac.advance(Cycles::new(4_000), &mut NullRecorder);
-        assert_eq!(placement(&gac, 0), Some(NodeId::new(1)));
-        assert_eq!(
-            gac.leases().len(),
-            1,
-            "the migrated job holds a fresh lease"
-        );
-        assert_eq!(gac.leases()[0].1, NodeId::new(1));
-    }
-
-    #[test]
-    fn heartbeats_keep_leases_alive_and_freeze_forces_expiry() {
-        let mut gac = leased(1);
-        let mut rec = RingBufferRecorder::new(128);
-        let (_, d) = gac.submit_request(&request(0, 100_000, None), &mut rec);
-        assert!(d.is_accepted());
-        // Renewed every 500 cycles, the lease never nears expiry even far
-        // past its original ttl.
-        for t in (500..=10_000).step_by(500) {
-            gac.heartbeat_all(Cycles::new(t), &mut rec);
-            let _ = gac.advance(Cycles::new(t), &mut NullRecorder);
-        }
-        assert_eq!(placement(&gac, 0), Some(NodeId::new(0)));
-        // Freeze renewals: heartbeats still arrive (health stays Healthy)
-        // but the lease dies ttl + grace later — on a one-node server the
-        // job is revoked, never silently lost.
-        let _ = gac.inject(
-            one(FaultPlan::new().lease_freeze(Cycles::new(10_000), NodeId::new(0))),
-            &mut rec,
-        );
-        let renewed = rec.counters().leases_renewed;
-        for t in (10_500..=14_000).step_by(500) {
-            gac.heartbeat_all(Cycles::new(t), &mut rec);
-            let _ = gac.advance(Cycles::new(t), &mut NullRecorder);
-        }
-        assert_eq!(rec.counters().leases_renewed, renewed, "frozen: no renewal");
-        assert_eq!(gac.node_health(NodeId::new(0)), NodeHealth::Healthy);
-        assert!(gac.placements().is_empty());
-        assert!(gac.leases().is_empty());
-    }
-
-    #[test]
-    fn snapshot_round_trips_membership_leases_and_links() {
-        let mut gac = leased(2);
+    fn snapshot_round_trips_membership_and_links() {
+        let mut gac =
+            GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit);
         let mut rec = RingBufferRecorder::new(64);
         let _ = gac.submit_request(&request(0, 100_000, None), &mut rec);
         let joined = NodeId::new(2);
@@ -1415,8 +1274,6 @@ mod tests {
         assert_eq!(restored, gac);
         assert_eq!(restored.member_state(NodeId::new(0)), MemberState::Left);
         assert_eq!(restored.member_state(joined), MemberState::Live);
-        assert_eq!(restored.leases(), gac.leases());
-        assert!(!restored.leases().is_empty());
         assert_eq!(restored.placements(), gac.placements());
         let snapshot = restored.snapshot();
         assert_eq!(snapshot.nodes[2].drops_to_node, 3);

@@ -87,7 +87,7 @@ pub use protocol::{
 pub use request::{AdmissionRequest, AdmissionRequestBuilder, Feasibility, Placement};
 pub use scheduler::{
     JobEvent, JobReport, QosJob, QosJobBuilder, QosScheduler, SchedulerConfig,
-    SchedulerConfigBuilder, StealReport, WayFaultOutcome,
+    SchedulerConfigBuilder, StealReport,
 };
 pub use stealing::{StealingAction, StealingConfig, StealingConfigBuilder, StealingController};
 pub use target::{Convertible, QosTarget, ResourceRequest, Timeslot};

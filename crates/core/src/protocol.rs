@@ -49,7 +49,6 @@ use cmpqos_net::{Addr, LinkConfig, SimNet, Transport};
 use cmpqos_obs::{Event, NullRecorder, Recorder};
 use cmpqos_types::{Cycles, JobId, NodeId, Ways};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::ops::Range;
 
 /// The node-side admission state machine a [`LacEndpoint`] drives.
 ///
@@ -442,8 +441,7 @@ pub struct NetGacConfig {
     /// are unperturbed.
     pub heartbeat_every: Cycles,
     /// Lease lifetime granted on each placement and renewed by every
-    /// heartbeat ack (or in-process heartbeat sweep); expiry (after a
-    /// further
+    /// heartbeat ack and reconcile; expiry (after a further
     /// [`GacConfig::dead_timeout`] grace) revokes and re-places the job
     /// like an evacuation. `Cycles::ZERO` (the default) disables leasing.
     pub lease_ttl: Cycles,
@@ -459,8 +457,7 @@ impl Default for NetGacConfig {
     }
 }
 
-/// Per-node failure-detector and conversation state: the dense array a
-/// heartbeat sweep reads.
+/// Per-node failure-detector, conversation and lease-renewal state.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 struct NetNode {
@@ -587,8 +584,8 @@ pub struct NetGacStats {
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetGac {
-    pub(crate) config: NetGacConfig,
-    pub(crate) policy: ProbePolicy,
+    config: NetGacConfig,
+    policy: ProbePolicy,
     nodes: Vec<NetNode>,
     placements: BTreeMap<JobId, (NodeId, Reservation)>,
     decisions: BTreeMap<JobId, (Option<NodeId>, Decision)>,
@@ -599,8 +596,8 @@ pub struct NetGac {
     park_counter: u64,
     current: Option<Conversation>,
     /// `(job, placement node, granted expiry)`, sorted by job. A renewal
-    /// moves its node's `leases_until`, not each lease, so a heartbeat
-    /// round costs one pass over the nodes ([`NetGac::lease_expiry`]).
+    /// moves its node's `leases_until`, not each lease
+    /// ([`NetGac::lease_expiry`]).
     leases: Vec<(JobId, NodeId, Cycles)>,
     next_heartbeat: Cycles,
     stats: NetGacStats,
@@ -733,83 +730,28 @@ impl NetGac {
         self.revoked.clear();
     }
 
-    /// One heartbeat round answered at once by every member whose link
-    /// is up (`reachable(index)`), with no conversation: each counts as
-    /// proof of life for the failure detector, and each that is not
-    /// lease-frozen has its leases renewed. One pass over the nodes; the
-    /// lease table is read only to report the renewals. Returns `false`,
-    /// having done nothing, while leasing is disabled.
-    pub fn heartbeat_sweep(
-        &mut self,
-        at: Cycles,
-        reachable: impl Fn(usize) -> bool,
-        recorder: &mut dyn Recorder,
-    ) -> bool {
-        if self.config.lease_ttl == Cycles::ZERO {
-            return false;
+    /// Renews `node`'s leases to `now + lease_ttl`, unless leasing is
+    /// disabled or the node is lease-frozen, and reports one
+    /// `LeaseRenewed` when it held any. The lease table is read only
+    /// when `recorder` is enabled.
+    fn renew_leases(&mut self, node: NodeId, recorder: &mut dyn Recorder) {
+        let i = node.as_usize();
+        if self.config.lease_ttl == Cycles::ZERO || self.nodes[i].lease_frozen {
+            return;
         }
-        self.now = self.now.max(at);
-        let answers = |i: usize, n: &NetNode| {
-            matches!(n.member, MemberState::Live | MemberState::Draining)
-                && n.health != NodeHealth::Dead
-                && reachable(i)
-        };
-        for i in 0..self.nodes.len() {
-            if !answers(i, &self.nodes[i]) {
-                continue;
-            }
-            self.nodes[i].consecutive_losses = 0;
-            self.nodes[i].last_heard = self.now;
-            if self.nodes[i].health == NodeHealth::Suspect {
-                self.set_health(i, NodeHealth::Healthy, recorder);
-            }
-        }
-        self.renew_leases(
-            0..self.nodes.len(),
-            |i, n| answers(i, n) && !n.lease_frozen,
-            recorder,
-        );
-        true
-    }
-
-    /// Renews to `now + lease_ttl` the leases of each node in `nodes` that
-    /// `renews(index, node)` picks, and reports one `LeaseRenewed` per
-    /// picked node that held any. A heartbeat ack runs it for one node,
-    /// the in-process sweep for all of them; the lease table is read (and
-    /// the per-node counts allocated) only when `recorder` is enabled.
-    fn renew_leases(
-        &mut self,
-        nodes: Range<usize>,
-        renews: impl Fn(usize, &NetNode) -> bool,
-        recorder: &mut dyn Recorder,
-    ) {
-        let until = self.now + self.config.lease_ttl;
-        for i in nodes.clone() {
-            if renews(i, &self.nodes[i]) {
-                self.nodes[i].leases_until = until;
-            }
-        }
+        self.nodes[i].leases_until = self.now + self.config.lease_ttl;
         if !recorder.enabled() {
             return;
         }
-        let mut renewed = vec![0u64; nodes.len()];
-        for &(_, node, _) in &self.leases {
-            let i = node.as_usize();
-            if nodes.contains(&i) && renews(i, &self.nodes[i]) {
-                renewed[i - nodes.start] += 1;
-            }
-        }
-        for (i, leases) in nodes.zip(renewed) {
-            if leases > 0 {
-                let node = NodeId::new(u32::try_from(i).expect("node count fits u32"));
-                recorder.record(self.now, Event::LeaseRenewed { node, leases });
-            }
+        let leases = self.leases.iter().filter(|&&(_, n, _)| n == node).count() as u64;
+        if leases > 0 {
+            recorder.record(self.now, Event::LeaseRenewed { node, leases });
         }
     }
 
     /// Whether a conversation is open or a task is queued (parked retries
     /// wait for their timer and do not count).
-    pub(crate) fn busy(&self) -> bool {
+    fn busy(&self) -> bool {
         self.current.is_some() || !self.tasks.is_empty()
     }
 
@@ -1761,19 +1703,14 @@ impl NetGac {
                     self.nodes[i].member = MemberState::Live;
                     recorder.record(self.now, Event::NodeJoined { node });
                 }
-                if self.config.lease_ttl > Cycles::ZERO {
-                    self.renew_leases(i..i + 1, |_, n| !n.lease_frozen, &mut NullRecorder);
-                }
+                self.renew_leases(node, &mut NullRecorder);
             }
             (Task::Ping { node }, ReplyBody::Summary) => {
                 self.nodes[node.as_usize()].ping_queued = false;
             }
             (Task::Heartbeat { node }, ReplyBody::HeartbeatAck) => {
-                let i = node.as_usize();
-                self.nodes[i].heartbeat_queued = false;
-                if self.config.lease_ttl > Cycles::ZERO {
-                    self.renew_leases(i..i + 1, |_, n| !n.lease_frozen, recorder);
-                }
+                self.nodes[node.as_usize()].heartbeat_queued = false;
+                self.renew_leases(node, recorder);
             }
             (Task::Join { node }, ReplyBody::JoinAck) => {
                 let i = node.as_usize();
@@ -2567,17 +2504,42 @@ mod tests {
         // stays Healthy — this is not a liveness failure), but the lease
         // runs out TTL + grace later and the job is revoked and re-placed.
         cluster.gac_mut().freeze_leases(NodeId::new(0));
-        cluster.run_until(Cycles::new(40_000), &mut rec);
-        assert!(rec.counters().leases_expired >= 1);
+        let placed_on =
+            |cluster: &Cluster<Lac>| cluster.gac().placements().get(&JobId::new(0)).map(|p| p.0);
+        let [(job, node, expiry)] = cluster.gac().leases()[..] else {
+            panic!("one lease: {:?}", cluster.gac().leases());
+        };
+        assert_eq!((job, node), (JobId::new(0), NodeId::new(0)));
+        // Within the grace the placement holds, unrenewed …
+        let renewed = rec.counters().leases_renewed;
+        let deadline = expiry + config.gac.dead_timeout;
+        cluster.run_until(deadline, &mut rec);
+        assert_eq!(rec.counters().leases_renewed, renewed, "frozen: no renewal");
+        assert_eq!(rec.counters().leases_expired, 0);
+        assert_eq!(placed_on(&cluster), Some(NodeId::new(0)));
+        // … and one cycle past it the lease expires.
+        let expired_at = deadline + Cycles::new(1);
+        cluster.run_until(expired_at, &mut rec);
+        assert_eq!(rec.counters().leases_expired, 1);
+        cluster.run_until(expired_at + Cycles::new(1_000), &mut rec);
         assert_eq!(
             cluster.gac().node_health(NodeId::new(0)),
             NodeHealth::Healthy
         );
         assert_eq!(
-            cluster.gac().placements().get(&JobId::new(0)).map(|p| p.0),
+            placed_on(&cluster),
             Some(NodeId::new(1)),
             "the expired lease's job migrated"
         );
+        let [(job, node, fresh)] = cluster.gac().leases()[..] else {
+            panic!("one lease: {:?}", cluster.gac().leases());
+        };
+        assert_eq!((job, node), (JobId::new(0), NodeId::new(1)));
+        assert!(
+            fresh >= expired_at + config.lease_ttl,
+            "a fresh lease: {fresh}"
+        );
+        assert_eq!(rec.counters().leases_expired, 1);
     }
 
     #[test]

@@ -11,17 +11,16 @@
 //! run opportunistically against a late fallback reservation (Section 3.4).
 
 use crate::epoch::{EpochController, EpochSample, EpochView, KnobUpdate, SloSpec};
-use crate::lac::{Decision, Lac, LacConfig, Revocation, RevocationAction};
+use crate::lac::{Decision, Lac, LacConfig};
 use crate::modes::{auto_downgrade_plan, ExecutionMode};
 use crate::request::AdmissionRequest;
 use crate::stealing::{StealingAction, StealingConfig, StealingController};
 use crate::target::ResourceRequest;
-use cmpqos_cache::WayMaskError;
 use cmpqos_cpu::PerfCounters;
-use cmpqos_obs::{Event, FaultKind, Knob, NullRecorder, Recorder};
+use cmpqos_obs::{Event, Knob, NullRecorder, Recorder};
 use cmpqos_system::{CmpNode, Placement, SystemConfig, TaskSpec};
 use cmpqos_trace::TraceSource;
-use cmpqos_types::{CoreId, Cycles, Instructions, JobId, NodeId, Percent, Ways};
+use cmpqos_types::{CoreId, Cycles, Instructions, JobId, Percent, Ways};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -262,10 +261,6 @@ pub enum JobEvent {
     WayStolen,
     /// The stealing guard tripped; stolen ways returned.
     StealingCancelled,
-    /// A way fault shrank this job's reservation by the given ways.
-    FaultDowngraded(Ways),
-    /// A way fault revoked this job's reservation outright.
-    ReservationRevoked,
     /// Finished all work.
     Completed,
 }
@@ -330,18 +325,6 @@ impl JobReport {
             _ => None,
         }
     }
-}
-
-/// What injecting a faulty L2 way did to the node and its reservations.
-#[derive(Debug)]
-#[non_exhaustive]
-pub struct WayFaultOutcome {
-    /// The way that was masked out of the shared L2.
-    pub way: u16,
-    /// Dirty lines the mask flushed out of the dead way column.
-    pub dirty_writebacks: usize,
-    /// What happened to each live reservation, in FCFS order.
-    pub revocations: Vec<Revocation>,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1092,85 +1075,6 @@ impl QosScheduler {
         }
     }
 
-    // ----- fault injection ------------------------------------------------
-
-    /// Injects a permanently faulty L2 way (e.g. flagged by in-field BIST):
-    /// the way is masked out of the shared cache, the LAC's capacity
-    /// shrinks by one way, and every live reservation is re-validated FCFS
-    /// against the smaller cache — kept, downgraded within its Elastic
-    /// slack, or revoked with [`crate::lac::RejectReason::CapacityRevoked`].
-    ///
-    /// Jobs still waiting on a revoked reservation become rejected; jobs
-    /// already running keep their core and continue best-effort (the
-    /// partition clamp absorbs any transient overcommit). Every
-    /// consequence is emitted to the attached recorder.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`WayMaskError`] when `way` is out of range, already
-    /// masked, or the last usable way; nothing changes in that case.
-    pub fn inject_way_fault(&mut self, way: u16) -> Result<WayFaultOutcome, WayMaskError> {
-        let now = self.node.now();
-        self.lac.advance(now);
-        let evictions = self.node.mask_l2_way(way)?;
-        let node = NodeId::new(0);
-        self.recorder.record(
-            now,
-            Event::FaultInjected {
-                node,
-                fault: FaultKind::WayFault { way },
-            },
-        );
-        let new_capacity = self
-            .lac
-            .capacity()
-            .minus(&ResourceRequest::new(0, Ways::new(1)));
-        let revocations = self.lac.revoke_capacity(new_capacity, now);
-        for r in &revocations {
-            match r.action {
-                RevocationAction::Kept => {}
-                RevocationAction::Downgraded { ways_cut } => {
-                    if let Some(m) = self.jobs.get_mut(&r.id) {
-                        m.job.request = m.job.request.minus(&ResourceRequest::new(0, ways_cut));
-                        m.events.push((now, JobEvent::FaultDowngraded(ways_cut)));
-                    }
-                    self.recorder.record(
-                        now,
-                        Event::DowngradedUnderFault {
-                            job: r.id,
-                            node,
-                            ways_cut,
-                        },
-                    );
-                }
-                RevocationAction::Evicted { reason, .. } => {
-                    if let Some(m) = self.jobs.get_mut(&r.id) {
-                        m.events.push((now, JobEvent::ReservationRevoked));
-                        if matches!(m.state, JobState::WaitingStart(_)) {
-                            m.state = JobState::Rejected;
-                            m.decision = Decision::Rejected(reason);
-                            m.source = None;
-                        }
-                    }
-                    self.recorder.record(
-                        now,
-                        Event::ReservationRevoked {
-                            job: r.id,
-                            node,
-                            cause: reason.into(),
-                        },
-                    );
-                }
-            }
-        }
-        self.recompute_partition();
-        Ok(WayFaultOutcome {
-            way,
-            dirty_writebacks: evictions.len(),
-            revocations,
-        })
-    }
-
     // ----- partition management -------------------------------------------
 
     /// A core with no pinned occupant.
@@ -1539,104 +1443,6 @@ mod tests {
         let targets = s.node().l2_targets().to_vec();
         assert_eq!(targets[0], Ways::new(7));
         assert_eq!(targets[1..].iter().map(|w| w.get()).sum::<u16>(), 9);
-    }
-
-    #[test]
-    fn way_fault_masks_the_cache_and_shrinks_lac_capacity() {
-        let mut s = sched(false);
-        assert_eq!(s.node().l2_usable_ways(), Ways::new(16));
-        let out = s.inject_way_fault(3).expect("way 3 is maskable");
-        assert_eq!(out.way, 3);
-        assert!(out.revocations.is_empty());
-        assert_eq!(s.node().l2_usable_ways(), Ways::new(15));
-        assert_eq!(s.lac().capacity().cache_ways(), Ways::new(15));
-        // The same way cannot die twice.
-        assert!(matches!(
-            s.inject_way_fault(3),
-            Err(WayMaskError::AlreadyMasked(3))
-        ));
-        // The floating pool now splits the 15 surviving ways.
-        let total: u16 = s.node().l2_targets().iter().map(|w| w.get()).sum();
-        assert_eq!(total, 15);
-    }
-
-    #[test]
-    fn way_fault_downgrades_a_running_elastic_job_within_slack() {
-        let mut s = QosScheduler::with_recorder(
-            SystemConfig::paper_scaled(K),
-            SchedulerConfig::default(),
-            Box::new(cmpqos_obs::RingBufferRecorder::new(128)),
-        );
-        let mut j = job(
-            0,
-            ExecutionMode::Elastic(Percent::new(50.0)),
-            WORK,
-            TW,
-            None,
-        );
-        j.request = ResourceRequest::new(1, Ways::new(16));
-        assert!(s.submit(j, source(0, "gobmk")).is_accepted());
-        s.run_until(Cycles::new(10_000));
-        let out = s.inject_way_fault(0).expect("first fault is maskable");
-        assert_eq!(out.revocations.len(), 1);
-        assert!(matches!(
-            out.revocations[0].action,
-            RevocationAction::Downgraded { ways_cut } if ways_cut == Ways::new(1)
-        ));
-        s.run_to_idle(Cycles::new(1_000_000_000));
-        let r = s.report(JobId::new(0)).unwrap();
-        assert!(r
-            .events
-            .iter()
-            .any(|(_, e)| *e == JobEvent::FaultDowngraded(Ways::new(1))));
-        assert!(r.finished.is_some());
-        let rec = s.take_recorder();
-        let rec = rec
-            .as_any()
-            .and_then(|a| a.downcast_ref::<cmpqos_obs::RingBufferRecorder>())
-            .expect("ring buffer recorder");
-        assert_eq!(rec.counters().faults_injected, 1);
-        assert_eq!(rec.counters().downgraded_under_fault, 1);
-        assert_eq!(rec.counters().reservations_revoked, 0);
-    }
-
-    #[test]
-    fn way_fault_revokes_what_cannot_fit_but_running_jobs_finish() {
-        let mut s = QosScheduler::with_recorder(
-            SystemConfig::paper_scaled(K),
-            SchedulerConfig::default(),
-            Box::new(cmpqos_obs::RingBufferRecorder::new(128)),
-        );
-        // A Strict job occupying the whole cache, then a second queued
-        // behind it: after one way dies neither 16-way reservation fits.
-        for i in 0..2 {
-            let mut j = job(i, ExecutionMode::Strict, WORK, TW, None);
-            j.request = ResourceRequest::new(1, Ways::new(16));
-            assert!(s.submit(j, source(i, "gobmk")).is_accepted(), "job {i}");
-        }
-        s.run_until(Cycles::new(10_000));
-        let out = s.inject_way_fault(7).expect("way 7 is maskable");
-        assert_eq!(out.revocations.len(), 2);
-        assert!(out
-            .revocations
-            .iter()
-            .all(|r| matches!(r.action, RevocationAction::Evicted { .. })));
-        // The runner keeps its core and finishes best-effort; the waiter
-        // is terminally rejected with the genuine cause.
-        s.run_to_idle(Cycles::new(1_000_000_000));
-        let r0 = s.report(JobId::new(0)).unwrap();
-        assert!(r0.finished.is_some(), "runner finishes: {r0:?}");
-        let r1 = s.report(JobId::new(1)).unwrap();
-        assert!(r1.finished.is_none());
-        assert_eq!(
-            r1.decision,
-            Decision::Rejected(crate::lac::RejectReason::CapacityRevoked)
-        );
-        assert!(r1
-            .events
-            .iter()
-            .any(|(_, e)| *e == JobEvent::ReservationRevoked));
-        assert!(s.is_idle(), "no job may linger after revocation");
     }
 
     // ----- the epoch hook -------------------------------------------------

@@ -35,13 +35,6 @@ pub enum GacOp {
     },
     /// [`GlobalAdmissionController::inject`].
     Inject(Injection),
-    /// [`GlobalAdmissionController::heartbeat_all`]. Journaled so replay
-    /// renews leases on exactly the cycles the original did — otherwise a
-    /// recovered controller would spuriously expire every lease.
-    Heartbeat {
-        /// The heartbeat timestamp.
-        at: Cycles,
-    },
 }
 
 /// A [`GlobalAdmissionController`] whose every state-changing operation is
@@ -82,7 +75,6 @@ impl Replay for GlobalAdmissionController {
             GacOp::Inject(injection) => {
                 let _ = self.inject(*injection, &mut NullRecorder);
             }
-            GacOp::Heartbeat { at } => self.heartbeat_all(*at, &mut NullRecorder),
         }
     }
 }
@@ -151,13 +143,6 @@ impl Journaled<GlobalAdmissionController> {
     /// Journaled [`GlobalAdmissionController::complete`].
     pub fn complete(&mut self, id: JobId, at: Cycles) {
         self.write_ahead([GacOp::Complete { id, at }], |gac| gac.complete(id, at));
-    }
-
-    /// Journaled [`GlobalAdmissionController::heartbeat_all`].
-    pub fn heartbeat_all(&mut self, at: Cycles, recorder: &mut dyn Recorder) {
-        self.write_ahead([GacOp::Heartbeat { at }], |gac| {
-            gac.heartbeat_all(at, recorder);
-        });
     }
 
     /// Journaled [`GlobalAdmissionController::inject`].
@@ -246,16 +231,9 @@ mod tests {
     }
 
     #[test]
-    fn recovery_carries_membership_and_leases_through_churn() {
-        use cmpqos_core::{GacConfig, MemberState, NetGacConfig};
-        let gac = GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit)
-            .with_config(NetGacConfig {
-                gac: GacConfig {
-                    dead_timeout: Cycles::new(10_000),
-                },
-                lease_ttl: Cycles::new(5_000),
-                ..NetGacConfig::default()
-            });
+    fn recovery_carries_membership_through_churn() {
+        use cmpqos_core::MemberState;
+        let gac = GlobalAdmissionController::new(2, LacConfig::default(), ProbePolicy::FirstFit);
         let mut j = JournaledGac::new(gac, 64);
         for i in 0..4u32 {
             let _ = j.submit(
@@ -266,8 +244,8 @@ mod tests {
                 None,
             );
         }
-        // A full churn cycle, every op journaled: join, heartbeat, drain,
-        // restart, freeze.
+        // A full churn cycle, every op journaled: join, drain, restart,
+        // freeze.
         let mut schedule = FaultPlan::new()
             .node_join(Cycles::new(100), NodeId::new(2))
             .node_drain(Cycles::new(200), NodeId::new(0))
@@ -277,10 +255,8 @@ mod tests {
         for injection in schedule.due(Cycles::new(500)) {
             let _ = j.inject(injection, &mut NullRecorder);
         }
-        j.heartbeat_all(Cycles::new(600), &mut NullRecorder);
         let _ = j.advance(Cycles::new(700));
         assert_eq!(j.gac().member_state(NodeId::new(0)), MemberState::Left);
-        assert!(!j.gac().leases().is_empty());
         let (recovered, report) = JournaledGac::recover(&j.to_jsonl(), 64);
         assert_eq!(report.lost, 0);
         assert_eq!(recovered.gac(), j.gac());
@@ -288,7 +264,6 @@ mod tests {
             recovered.gac().member_state(NodeId::new(0)),
             MemberState::Left
         );
-        assert_eq!(recovered.gac().leases(), j.gac().leases());
     }
 
     #[test]

@@ -443,6 +443,23 @@ fn a_committed_gac_journal_recovers_and_decides_as_before() {
     assert_eq!(gac_continuation(&mut live), digest);
 }
 
+/// The record an older build wrote for a GAC heartbeat sweep, an op this
+/// build no longer has, appended to the committed journal with the
+/// checksum that build gave it. It is one lost tail record; the prefix
+/// replays as before.
+#[test]
+fn a_retired_heartbeat_record_is_one_lost_tail_record() {
+    let heartbeat =
+        r#"{"seq":5,"version":2,"checksum":2968145425786824095,"op":{"Heartbeat":{"at":600}}}"#;
+    let journal = format!("{PARENT_GAC_JOURNAL}{heartbeat}\n");
+    let (recovered, report) = JournaledGac::recover(&journal, COMPACT_EVERY);
+    assert_eq!(report.lost, 1, "{report:?}");
+    assert_eq!(report.replayed, 4);
+    assert_eq!(recovered.journal().next_seq(), 5);
+    let (prefix, _) = JournaledGac::recover(PARENT_GAC_JOURNAL, COMPACT_EVERY);
+    assert_eq!(recovered.gac(), prefix.gac());
+}
+
 /// The JSONL bytes of a scripted [`JournaledLac`] run, folded into one
 /// FNV-1a digest after every call: each `LacOp` kind, a batch admission
 /// and compactions.
