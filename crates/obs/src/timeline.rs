@@ -510,6 +510,11 @@ mod tests {
         assert_eq!(runs[1].label(), Some("b"));
         assert_eq!(runs[1].job_count(), 1);
         assert!(runs[1].job(JobId::new(1)).unwrap().completed.is_some());
+        // A line nested 50,000 levels deep is an error, not a stack
+        // overflow.
+        for deep in ["[".repeat(50_000), "{\"a\":".repeat(50_000)] {
+            assert!(Timeline::from_jsonl(&format!("{text}{deep}\n")).is_err());
+        }
     }
 
     #[test]

@@ -16,6 +16,23 @@ use crate::streams::ArrivalShape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+/// The most bytes of a raw key or value an error message quotes.
+const QUOTE_MAX: usize = 64;
+
+/// `raw` as an error message quotes it: whole when short, else its first
+/// [`QUOTE_MAX`] bytes (cut at a character boundary) and an ellipsis, so
+/// a huge value cannot make a huge message.
+fn quote(raw: &str) -> String {
+    if raw.len() <= QUOTE_MAX {
+        return raw.to_string();
+    }
+    let end = (0..=QUOTE_MAX)
+        .rev()
+        .find(|&i| raw.is_char_boundary(i))
+        .unwrap_or(0);
+    format!("{}…", &raw[..end])
+}
+
 /// One parsed `key = value` payload.
 enum Value {
     Int(u64),
@@ -38,7 +55,7 @@ impl Value {
     }
 }
 
-fn parse_value(raw: &str, line: usize) -> Result<Value, String> {
+fn parse_value(key: &str, raw: &str, line: usize) -> Result<Value, String> {
     let raw = raw.trim();
     if let Some(rest) = raw.strip_prefix('"') {
         let Some(end) = rest.find('"') else {
@@ -51,10 +68,13 @@ fn parse_value(raw: &str, line: usize) -> Result<Value, String> {
         return Ok(Value::Str(rest[..end].to_string()));
     }
     let digits = raw.split('#').next().unwrap_or("").trim();
-    digits
-        .parse::<u64>()
-        .map(Value::Int)
-        .map_err(|_| format!("line {line}: expected an unsigned integer, got `{raw}`"))
+    digits.parse::<u64>().map(Value::Int).map_err(|_| {
+        format!(
+            "line {line}: `{}`: expected an unsigned integer, got `{}`",
+            quote(key),
+            quote(raw)
+        )
+    })
 }
 
 /// One section's key/value pairs with source-line numbers.
@@ -140,7 +160,9 @@ fn build_tier(mut section: Section, index: usize) -> Result<TierSpec, String> {
         },
         other => {
             return Err(format!(
-                "tier `{name}`: unknown shape `{other}` (steady|diurnal|bursty)"
+                "tier `{}`: unknown shape `{}` (steady|diurnal|bursty)",
+                quote(&name),
+                quote(other)
             ))
         }
     };
@@ -170,7 +192,7 @@ fn build_tier(mut section: Section, index: usize) -> Result<TierSpec, String> {
     .min(100);
     tier.breaker_cooldown = take_cycles(&mut section, "breaker_cooldown", tier.breaker_cooldown)?;
     if let Some((key, (_, line))) = section.iter().next() {
-        return Err(format!("line {line}: unknown tier key `{key}`"));
+        return Err(format!("line {line}: unknown tier key `{}`", quote(key)));
     }
     Ok(tier)
 }
@@ -201,17 +223,18 @@ pub fn parse_toml(text: &str) -> Result<ScenarioSpec, String> {
         }
         if line.starts_with('[') {
             return Err(format!(
-                "line {line_no}: unknown section `{line}` (only [[tier]] is supported)"
+                "line {line_no}: unknown section `{}` (only [[tier]] is supported)",
+                quote(line)
             ));
         }
         let Some((key, value)) = line.split_once('=') else {
             return Err(format!("line {line_no}: expected `key = value`"));
         };
         let key = key.trim().to_string();
-        let value = parse_value(value, line_no)?;
+        let value = parse_value(&key, value, line_no)?;
         let section = tiers.last_mut().map_or(&mut header, |(tier, _)| tier);
         if section.insert(key.clone(), (value, line_no)).is_some() {
-            return Err(format!("line {line_no}: duplicate key `{key}`"));
+            return Err(format!("line {line_no}: duplicate key `{}`", quote(&key)));
         }
     }
 
@@ -226,7 +249,7 @@ pub fn parse_toml(text: &str) -> Result<ScenarioSpec, String> {
     spec.ways_min = take_narrow(&mut header, "ways_min", spec.ways_min)?.max(1);
     spec.ways_max = take_narrow(&mut header, "ways_max", spec.ways_max)?.max(spec.ways_min);
     if let Some((key, (_, line))) = header.iter().next() {
-        return Err(format!("line {line}: unknown key `{key}`"));
+        return Err(format!("line {line}: unknown key `{}`", quote(key)));
     }
     let horizon = u128::from(spec.horizon);
     let mut arrivals = 0u128;
@@ -259,7 +282,8 @@ pub fn parse_toml(text: &str) -> Result<ScenarioSpec, String> {
                 return Err(format!(
                     "line {line}: `horizon` = {} gives {count} {what} by tier `{}`, above \
                      the cap of {cap}",
-                    spec.horizon, tier.name
+                    spec.horizon,
+                    quote(&tier.name)
                 ));
             }
         }
@@ -542,6 +566,21 @@ shape = \"steady\"  # Poisson arrivals
         .expect_err("200,002 sources × 100 arrivals");
         assert!(err.starts_with("line 4: `horizon` = 200000 gives"), "{err}");
         assert!(err.contains("tier `b`"), "{err}");
+    }
+
+    #[test]
+    fn errors_quote_a_short_prefix_of_a_long_key_or_value() {
+        let long = "é".repeat(100_000);
+        for text in [
+            format!("name = \"x\"\n{long} = 1\n"),
+            format!("name = \"x\"\n{long} = 1\n{long} = 2\n"),
+            format!("name = \"x\"\nseed = {long}\n"),
+            format!("name = \"x\"\n[{long}]\n"),
+            format!("name = \"x\"\n[[tier]]\nname = \"{long}\"\nshape = \"{long}\"\n"),
+        ] {
+            let err = parse_toml(&text).expect_err("refused");
+            assert!(err.len() < 256 && err.contains('…'), "{err}");
+        }
     }
 
     #[test]

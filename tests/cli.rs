@@ -263,6 +263,65 @@ fn unbounded_spec_values_exit_1_within_a_second() {
     }
 }
 
+/// A `size_base` of 1.2 MB of digits used to be echoed whole on stderr.
+/// The error line quotes a short prefix of it and still names the file,
+/// the line and the key.
+#[test]
+fn a_huge_spec_value_is_quoted_as_a_short_prefix() {
+    let path = std::env::temp_dir().join(format!("cmpqos-cli-{}-huge.toml", std::process::id()));
+    let digits = "1".repeat(1_200_000);
+    std::fs::write(
+        &path,
+        format!("name = \"x\"\n[[tier]]\nname = \"t\"\nsize_base = {digits}\n"),
+    )
+    .expect("the spec is written");
+    let path = path.display().to_string();
+    let out = cmpqos(&format!("traffic --spec {path}"));
+    let _ = std::fs::remove_file(&path);
+    assert_refused(
+        &out,
+        "cmpqos traffic --spec (1.2 MB size_base)",
+        &format!("error: {path}: line 4: `size_base`: expected an unsigned integer, got `111"),
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let error = stderr.lines().next().unwrap_or("");
+    assert!(error.len() < 512, "a {}-byte error line", error.len());
+}
+
+/// A journal line nested 50,000 levels deep used to overflow the JSON
+/// parser's stack (exit 134). Either controller's recovery counts it as
+/// one lost tail record.
+#[test]
+fn a_deeply_nested_journal_line_is_one_lost_record() {
+    for (shape, line) in [
+        ("arrays", "[".repeat(50_000)),
+        ("objects", "{\"a\":".repeat(50_000)),
+    ] {
+        let path = std::env::temp_dir().join(format!(
+            "cmpqos-cli-{}-deep-{shape}.jsonl",
+            std::process::id()
+        ));
+        std::fs::write(&path, line + "\n").expect("the journal is written");
+        let path = path.display().to_string();
+        for kind in ["gac", "lac"] {
+            let out = cmpqos(&format!("recover --journal {path} --kind {kind}"));
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let what = format!("recover --kind {kind} ({shape})");
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "{what}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(
+                stdout.contains("replayed 0 op(s), lost 1 tail record(s)"),
+                "{what}: {stdout}"
+            );
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
 #[test]
 fn valid_runs_print_the_expected_first_line() {
     for (args, first_line) in [
