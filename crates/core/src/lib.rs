@@ -57,6 +57,7 @@
 
 pub mod epoch;
 pub mod gac;
+mod gac_index;
 pub mod intake;
 pub mod lac;
 pub mod modes;

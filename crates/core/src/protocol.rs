@@ -41,6 +41,7 @@
 //!   a run is a deterministic function of `(seed, submissions, faults)`.
 
 use crate::gac::{GacConfig, MemberState, NodeHealth, ProbePolicy};
+use crate::gac_index::{Leases, Parked, Placements};
 use crate::lac::{Decision, Lac, RejectReason, Reservation};
 use crate::request::AdmissionRequest;
 use crate::target::ResourceRequest;
@@ -475,9 +476,6 @@ struct NetNode {
     /// Readmits still in flight for a graceful drain; the node leaves
     /// only when this reaches zero.
     drain_pending: u32,
-    /// Where the node's last lease renewal ran its leases to: a lease on
-    /// this node expires at the later of its own grant and this.
-    leases_until: Cycles,
 }
 
 impl NetNode {
@@ -495,7 +493,6 @@ impl NetNode {
             heartbeat_queued: false,
             lease_frozen: false,
             drain_pending: 0,
-            leases_until: Cycles::ZERO,
         }
     }
 }
@@ -581,24 +578,25 @@ pub struct NetGacStats {
 /// [`GlobalAdmissionController`](crate::gac::GlobalAdmissionController)
 /// do both. A clone is a snapshot: serialized (with the `serde`
 /// feature), it is how the in-process driver's journal captures the core.
+///
+/// Placements, leases and parked tasks each sit beside an index
+/// (`gac_index`), so no event scans them. The indexes are never
+/// serialized: a core read back rebuilds them from its tables.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NetGac {
     config: NetGacConfig,
     policy: ProbePolicy,
     nodes: Vec<NetNode>,
-    placements: BTreeMap<JobId, (NodeId, Reservation)>,
+    placements: Placements,
     decisions: BTreeMap<JobId, (Option<NodeId>, Decision)>,
     completed: BTreeSet<JobId>,
     revoked: BTreeSet<JobId>,
     tasks: VecDeque<Task>,
-    parked: Vec<(Cycles, u64, Task)>,
-    park_counter: u64,
+    parked: Parked<Task>,
     current: Option<Conversation>,
-    /// `(job, placement node, granted expiry)`, sorted by job. A renewal
-    /// moves its node's `leases_until`, not each lease
-    /// ([`NetGac::lease_expiry`]).
-    leases: Vec<(JobId, NodeId, Cycles)>,
+    /// The lease table. A renewal moves its node's horizon, not each
+    /// lease.
+    leases: Leases,
     next_heartbeat: Cycles,
     stats: NetGacStats,
     now: Cycles,
@@ -612,15 +610,14 @@ impl NetGac {
             config,
             policy,
             nodes: (0..nodes).map(|_| NetNode::new()).collect(),
-            placements: BTreeMap::new(),
+            placements: Placements::default(),
             decisions: BTreeMap::new(),
             completed: BTreeSet::new(),
             revoked: BTreeSet::new(),
             tasks: VecDeque::new(),
-            parked: Vec::new(),
-            park_counter: 0,
+            parked: Parked::from_rows(Vec::new(), 0),
             current: None,
-            leases: Vec::new(),
+            leases: Leases::default(),
             next_heartbeat: config.heartbeat_every,
             stats: NetGacStats::default(),
             now: Cycles::ZERO,
@@ -667,16 +664,7 @@ impl NetGac {
     /// in job order (empty while leasing is disabled).
     #[must_use]
     pub fn leases(&self) -> Vec<(JobId, NodeId, Cycles)> {
-        self.leases
-            .iter()
-            .map(|lease| (lease.0, lease.1, self.lease_expiry(lease)))
-            .collect()
-    }
-
-    /// When a lease runs out: at its grant, or at its node's last renewal
-    /// when that came later (a renewal covers every lease the node held).
-    fn lease_expiry(&self, &(_, node, granted): &(JobId, NodeId, Cycles)) -> Cycles {
-        granted.max(self.nodes[node.as_usize()].leases_until)
+        self.leases.expiries()
     }
 
     /// Hands the core a reservation its node evicted on its own (a dead
@@ -684,8 +672,8 @@ impl NetGac {
     /// the reservation re-placed on another node, or revoked when none
     /// takes it.
     pub fn readmit(&mut self, r: Reservation, from: NodeId) {
-        self.placements.remove(&r.id);
-        self.drop_lease(r.id);
+        self.placements.remove(r.id);
+        self.leases.remove(r.id);
         self.queue_readmit(r, from);
     }
 
@@ -693,9 +681,9 @@ impl NetGac {
     /// fault (an Elastic downgrade), so a later readmit asks for what the
     /// job still holds.
     pub fn downgrade(&mut self, job: JobId, ways_cut: Ways) {
-        if let Some((_, r)) = self.placements.get_mut(&job) {
+        self.placements.update(job, |r| {
             r.request = r.request.minus(&ResourceRequest::new(0, ways_cut));
-        }
+        });
     }
 
     /// Replaces the core's copy of placed job `r.id`'s reservation with
@@ -705,17 +693,15 @@ impl NetGac {
     /// the node's table corrects the copy after each placement, so
     /// retirement, evacuation and lease expiry follow the node.
     pub fn amend(&mut self, r: Reservation) {
-        if let Some((_, mine)) = self.placements.get_mut(&r.id) {
-            *mine = r;
-        }
+        self.placements.update(r.id, |mine| *mine = r);
     }
 
     /// Retires `job`'s placement because it finished early, returning the
     /// node it ran on. Releasing the node's reservation is the caller's
     /// node-local business.
     pub fn release(&mut self, job: JobId) -> Option<NodeId> {
-        let (node, _) = self.placements.remove(&job)?;
-        self.drop_lease(job);
+        let (node, _) = self.placements.remove(job)?;
+        self.leases.remove(job);
         self.completed.insert(job);
         Some(node)
     }
@@ -735,15 +721,14 @@ impl NetGac {
     /// `LeaseRenewed` when it held any. The lease table is read only
     /// when `recorder` is enabled.
     fn renew_leases(&mut self, node: NodeId, recorder: &mut dyn Recorder) {
-        let i = node.as_usize();
-        if self.config.lease_ttl == Cycles::ZERO || self.nodes[i].lease_frozen {
+        if self.config.lease_ttl == Cycles::ZERO || self.nodes[node.as_usize()].lease_frozen {
             return;
         }
-        self.nodes[i].leases_until = self.now + self.config.lease_ttl;
+        self.leases.renew(node, self.now + self.config.lease_ttl);
         if !recorder.enabled() {
             return;
         }
-        let leases = self.leases.iter().filter(|&&(_, n, _)| n == node).count() as u64;
+        let leases = self.leases.count_on(node) as u64;
         if leases > 0 {
             recorder.record(self.now, Event::LeaseRenewed { node, leases });
         }
@@ -839,7 +824,7 @@ impl NetGac {
     /// reservation).
     #[must_use]
     pub fn placements(&self) -> &BTreeMap<JobId, (NodeId, Reservation)> {
-        &self.placements
+        self.placements.rows()
     }
 
     /// Final admission decisions, one per submitted job that completed
@@ -887,18 +872,14 @@ impl NetGac {
     #[must_use]
     pub fn next_wake(&self) -> Option<Cycles> {
         let timeout = self.current.as_ref().map(|c| c.timeout_at);
-        let parked = self.parked.iter().map(|(due, _, _)| *due).min();
+        let parked = self.parked.next_due();
         let heartbeat = (self.config.heartbeat_every > Cycles::ZERO).then_some(self.next_heartbeat);
         // `expire_leases` fires on strict `now > until + grace`, hence +1.
-        let lease = (self.config.lease_ttl > Cycles::ZERO)
-            .then(|| {
-                let grace = self.config.gac.dead_timeout;
-                self.leases
-                    .iter()
-                    .map(|lease| self.lease_expiry(lease) + grace + Cycles::new(1))
-                    .min()
-            })
-            .flatten();
+        let grace = self.config.gac.dead_timeout;
+        let lease = self
+            .leases
+            .next_expiry()
+            .map(|expiry| expiry + grace + Cycles::new(1));
         [timeout, parked, heartbeat, lease]
             .into_iter()
             .flatten()
@@ -910,15 +891,9 @@ impl NetGac {
     /// expiring leases that have gone unrenewed past the grace window.
     pub fn advance(&mut self, now: Cycles, recorder: &mut dyn Recorder) {
         self.now = self.now.max(now);
-        let done: Vec<JobId> = self
-            .placements
-            .iter()
-            .filter(|(_, (_, r))| r.end <= self.now)
-            .map(|(&job, _)| job)
-            .collect();
-        for job in done {
-            let (_, r) = self.placements.remove(&job).expect("collected above");
-            self.drop_lease(job);
+        for job in self.placements.ended(self.now) {
+            let (_, r) = self.placements.remove(job).expect("indexed above");
+            self.leases.remove(job);
             self.retire(&r, recorder);
         }
         self.expire_leases(recorder);
@@ -931,19 +906,9 @@ impl NetGac {
     /// a lease-frozen node answers every heartbeat yet its leases still
     /// die, which is exactly what makes the `LeaseFreeze` fault visible.
     fn expire_leases(&mut self, recorder: &mut dyn Recorder) {
-        if self.config.lease_ttl == Cycles::ZERO {
-            return;
-        }
-        let grace = self.config.gac.dead_timeout;
-        let expired: Vec<JobId> = self
-            .leases
-            .iter()
-            .filter(|lease| self.now > self.lease_expiry(lease) + grace)
-            .map(|&(job, _, _)| job)
-            .collect();
-        for job in expired {
-            self.drop_lease(job);
-            let Some((node, r)) = self.placements.remove(&job) else {
+        for job in self.leases.expired(self.now, self.config.gac.dead_timeout) {
+            self.leases.remove(job);
+            let Some((node, r)) = self.placements.remove(job) else {
                 continue;
             };
             if r.end <= self.now {
@@ -1045,22 +1010,13 @@ impl NetGac {
     }
 
     fn unpark(&mut self) {
-        self.parked.sort_by_key(|(due, order, _)| (*due, *order));
-        let mut still_parked = Vec::new();
-        for (due, order, task) in self.parked.drain(..) {
-            if due <= self.now {
-                self.tasks.push_back(task);
-            } else {
-                still_parked.push((due, order, task));
-            }
+        while let Some(task) = self.parked.pop_due(self.now) {
+            self.tasks.push_back(task);
         }
-        self.parked = still_parked;
     }
 
     fn park(&mut self, task: Task) {
-        let due = self.now + RETRY_INTERVAL;
-        self.parked.push((due, self.park_counter, task));
-        self.park_counter += 1;
+        self.parked.park(self.now + RETRY_INTERVAL, task);
     }
 
     /// Opens one heartbeat round: every reachable member (Live or
@@ -1082,26 +1038,33 @@ impl NetGac {
         }
     }
 
-    /// Healthy Live members in placement-probe order, per the policy
-    /// (Joining, Draining, and Left nodes take no new placements).
-    fn probe_order(&self) -> Vec<NodeId> {
-        let mut order: Vec<usize> = (0..self.nodes.len())
-            .filter(|&i| {
-                self.nodes[i].member == MemberState::Live
-                    && self.nodes[i].health == NodeHealth::Healthy
-            })
-            .collect();
-        if self.policy == ProbePolicy::LeastLoaded {
-            let mut load = vec![0usize; self.nodes.len()];
-            for (node, _) in self.placements.values() {
-                load[node.as_usize()] += 1;
+    /// The node a probe goes to next: a healthy Live member (Joining,
+    /// Draining, and Left nodes take no new placements) outside
+    /// `excluded`, with the fewest placements under `LeastLoaded` or the
+    /// lowest index under `FirstFit`; the lowest index wins a tie. One
+    /// pass, O(nodes + excluded).
+    fn pick_node<'a>(&self, excluded: impl IntoIterator<Item = &'a NodeId>) -> Option<NodeId> {
+        let mut skip = vec![false; self.nodes.len()];
+        for node in excluded {
+            if let Some(s) = skip.get_mut(node.as_usize()) {
+                *s = true;
             }
-            order.sort_by_key(|&i| load[i]);
         }
-        order
-            .into_iter()
-            .map(|i| NodeId::new(u32::try_from(i).expect("node count fits u32")))
-            .collect()
+        let mut best: Option<(usize, NodeId)> = None;
+        for (i, n) in self.nodes.iter().enumerate() {
+            if skip[i] || n.member != MemberState::Live || n.health != NodeHealth::Healthy {
+                continue;
+            }
+            let node = NodeId::new(u32::try_from(i).expect("node count fits u32"));
+            if self.policy == ProbePolicy::FirstFit {
+                return Some(node);
+            }
+            let load = self.placements.load(node);
+            if best.is_none_or(|(least, _)| load < least) {
+                best = Some((load, node));
+            }
+        }
+        best.map(|(_, node)| node)
     }
 
     fn open(
@@ -1116,42 +1079,35 @@ impl NetGac {
                 at,
                 tried,
                 last,
-            } => {
-                let next = self.probe_order().into_iter().find(|n| !tried.contains(n));
-                match next {
-                    Some(node) => Some(self.send_new(
-                        node,
-                        RequestBody::Probe(req),
+            } => match self.pick_node(&tried) {
+                Some(node) => Some(self.send_new(
+                    node,
+                    RequestBody::Probe(req),
+                    at,
+                    Task::Place {
+                        req,
                         at,
-                        Task::Place {
-                            req,
-                            at,
-                            tried,
-                            last,
+                        tried,
+                        last,
+                    },
+                    net,
+                )),
+                None => {
+                    let cause = last.unwrap_or(RejectReason::NoHealthyNodes);
+                    self.decisions
+                        .insert(req.id, (None, Decision::Rejected(cause)));
+                    recorder.record(
+                        self.now,
+                        Event::Rejected {
+                            job: req.id,
+                            cause: cause.into(),
                         },
-                        net,
-                    )),
-                    None => {
-                        let cause = last.unwrap_or(RejectReason::NoHealthyNodes);
-                        self.decisions
-                            .insert(req.id, (None, Decision::Rejected(cause)));
-                        recorder.record(
-                            self.now,
-                            Event::Rejected {
-                                job: req.id,
-                                cause: cause.into(),
-                            },
-                        );
-                        None
-                    }
+                    );
+                    None
                 }
-            }
+            },
             Task::Readmit { r, from, at, tried } => {
-                let next = self
-                    .probe_order()
-                    .into_iter()
-                    .find(|n| *n != from && !tried.contains(n));
-                match next {
+                match self.pick_node(tried.iter().chain([&from])) {
                     Some(node) => Some(self.send_new(
                         node,
                         RequestBody::Readmit(r),
@@ -1161,7 +1117,7 @@ impl NetGac {
                     )),
                     None => {
                         self.revoked.insert(r.id);
-                        self.drop_lease(r.id);
+                        self.leases.remove(r.id);
                         recorder.record(
                             self.now,
                             Event::ReservationRevoked {
@@ -1176,7 +1132,7 @@ impl NetGac {
                 }
             }
             Task::Revoke { job } => {
-                let &(node, _) = self.placements.get(&job)?;
+                let &(node, _) = self.placements.rows().get(&job)?;
                 if self.nodes[node.as_usize()].health == NodeHealth::Dead {
                     // Evacuation already owns this placement's fate.
                     return None;
@@ -1407,6 +1363,7 @@ impl NetGac {
     /// The jobs placed on `node`, in job order.
     fn placed_on(&self, node: NodeId) -> Vec<JobId> {
         self.placements
+            .rows()
             .iter()
             .filter(|(_, (n, _))| *n == node)
             .map(|(&job, _)| job)
@@ -1427,21 +1384,13 @@ impl NetGac {
         );
     }
 
-    /// Grants (or renews) a freshly-placed job's lease on `node`.
-    fn grant_lease(&mut self, job: JobId, node: NodeId) {
-        if self.config.lease_ttl == Cycles::ZERO {
-            return;
-        }
-        let lease = (job, node, self.now + self.config.lease_ttl);
-        match self.leases.binary_search_by_key(&job, |&(j, _, _)| j) {
-            Ok(i) => self.leases[i] = lease,
-            Err(i) => self.leases.insert(i, lease),
-        }
-    }
-
-    fn drop_lease(&mut self, job: JobId) {
-        if let Ok(i) = self.leases.binary_search_by_key(&job, |&(j, _, _)| j) {
-            self.leases.remove(i);
+    /// Places `r` on `node` and grants its lease, unless leasing is
+    /// disabled.
+    fn place(&mut self, node: NodeId, r: Reservation) {
+        self.placements.insert(node, r);
+        if self.config.lease_ttl > Cycles::ZERO {
+            self.leases
+                .grant(r.id, node, self.now + self.config.lease_ttl);
         }
     }
 
@@ -1560,10 +1509,9 @@ impl NetGac {
                 self.current = Some(conv);
             }
         }
-        let stranded = self.placed_on(node);
-        for job in stranded {
-            let (_, r) = self.placements.remove(&job).expect("collected above");
-            self.drop_lease(job);
+        for job in self.placed_on(node) {
+            let (_, r) = self.placements.remove(job).expect("collected above");
+            self.leases.remove(job);
             self.queue_readmit(r, node);
         }
     }
@@ -1586,8 +1534,7 @@ impl NetGac {
                         mode: req.mode,
                         deadline: req.deadline,
                     };
-                    self.placements.insert(req.id, (conv.node, r));
-                    self.grant_lease(req.id, conv.node);
+                    self.place(conv.node, r);
                     self.decisions.insert(req.id, (Some(conv.node), *d));
                     recorder.record(
                         self.now,
@@ -1622,8 +1569,7 @@ impl NetGac {
                         end: start + (r.end.saturating_sub(r.start)),
                         ..r
                     };
-                    self.placements.insert(r.id, (conv.node, moved));
-                    self.grant_lease(r.id, conv.node);
+                    self.place(conv.node, moved);
                     recorder.record(
                         self.now,
                         Event::Migrated {
@@ -1644,8 +1590,8 @@ impl NetGac {
                 // flight, the completion wins: a job is completed XOR
                 // revoked, never both.
                 if !self.completed.contains(&job) {
-                    self.placements.remove(&job);
-                    self.drop_lease(job);
+                    self.placements.remove(job);
+                    self.leases.remove(job);
                     self.revoked.insert(job);
                     recorder.record(
                         self.now,
@@ -1673,8 +1619,8 @@ impl NetGac {
                     if held.contains(&job) {
                         continue;
                     }
-                    let (_, r) = self.placements.remove(&job).expect("iterated above");
-                    self.drop_lease(job);
+                    let (_, r) = self.placements.remove(job).expect("iterated above");
+                    self.leases.remove(job);
                     if r.end <= *lac_now {
                         // The node ran it to completion while we were out
                         // of touch.
@@ -1727,8 +1673,8 @@ impl NetGac {
                 let mine = self.placed_on(node);
                 let mut pending = 0u32;
                 for job in mine {
-                    let (_, r) = self.placements.remove(&job).expect("iterated above");
-                    self.drop_lease(job);
+                    let (_, r) = self.placements.remove(job).expect("iterated above");
+                    self.leases.remove(job);
                     if r.end <= *lac_now {
                         self.retire(&r, recorder);
                     } else {
@@ -1749,6 +1695,80 @@ impl NetGac {
                 self.fail_task(task, conv.node, recorder);
             }
         }
+    }
+}
+
+/// A core serializes as its tables, field by field, in the journal's
+/// snapshot format: placements as the job map, leases as the job-ordered
+/// `(job, node, granted expiry)` list, parked tasks as the wake-ordered
+/// `(due, order, task)` list with the next order stamp as
+/// `park_counter`, and each node's lease horizon as the node's last
+/// field, `leases_until`. The indexes are never written: reading a core
+/// back rebuilds them.
+#[cfg(feature = "serde")]
+impl serde::Serialize for NetGac {
+    fn to_value(&self) -> serde::Value {
+        use serde::Value;
+        let nodes = self.nodes.iter().zip(0..).map(|(node, i)| {
+            let mut v = node.to_value();
+            if let Value::Object(fields) = &mut v {
+                let until = self.leases.until(NodeId::new(i));
+                fields.push(("leases_until".into(), until.to_value()));
+            }
+            v
+        });
+        let parked = self.parked.rows().map(|row| row.to_value());
+        let leases = self.leases.rows().map(|row| row.to_value());
+        Value::Object(vec![
+            ("config".into(), self.config.to_value()),
+            ("policy".into(), self.policy.to_value()),
+            ("nodes".into(), Value::Array(nodes.collect())),
+            ("placements".into(), self.placements.rows().to_value()),
+            ("decisions".into(), self.decisions.to_value()),
+            ("completed".into(), self.completed.to_value()),
+            ("revoked".into(), self.revoked.to_value()),
+            ("tasks".into(), self.tasks.to_value()),
+            ("parked".into(), Value::Array(parked.collect())),
+            ("park_counter".into(), self.parked.next_order().to_value()),
+            ("current".into(), self.current.to_value()),
+            ("leases".into(), Value::Array(leases.collect())),
+            ("next_heartbeat".into(), self.next_heartbeat.to_value()),
+            ("stats".into(), self.stats.to_value()),
+            ("now".into(), self.now.to_value()),
+        ])
+    }
+}
+
+#[cfg(feature = "serde")]
+impl serde::Deserialize for NetGac {
+    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
+        fn field<T: serde::Deserialize>(v: &serde::Value, name: &str) -> Result<T, serde::Error> {
+            T::from_value(v.get(name).unwrap_or(&serde::Value::Null))
+        }
+        let nodes: Vec<NetNode> = field(v, "nodes")?;
+        let until = v
+            .get("nodes")
+            .and_then(serde::Value::as_array)
+            .unwrap_or_default()
+            .iter()
+            .map(|node| field(node, "leases_until"))
+            .collect::<Result<_, _>>()?;
+        Ok(Self {
+            config: field(v, "config")?,
+            policy: field(v, "policy")?,
+            nodes,
+            placements: Placements::from_rows(field(v, "placements")?),
+            decisions: field(v, "decisions")?,
+            completed: field(v, "completed")?,
+            revoked: field(v, "revoked")?,
+            tasks: field(v, "tasks")?,
+            parked: Parked::from_rows(field(v, "parked")?, field(v, "park_counter")?),
+            current: field(v, "current")?,
+            leases: Leases::from_rows(field(v, "leases")?, until),
+            next_heartbeat: field(v, "next_heartbeat")?,
+            stats: field(v, "stats")?,
+            now: field(v, "now")?,
+        })
     }
 }
 

@@ -173,7 +173,9 @@ usage:
   cmpqos chaos --churn [--seed N] [--seeds a,b,c] [--jobs N] [--nodes N] [--job-count N]
                [--horizon CYCLES] [--churn-events N] [--kills N] [--inject lease-freeze]
                (the failover, partition-and-heal and elastic-membership
-                cells; --jobs is the pool width, --job-count the stream)";
+                cells; --jobs is the pool width, --job-count the stream;
+                caps: --nodes 65536, --job-count and --churn-events 2^20,
+                --horizon 2^40)";
 
 /// Parses `--flag [value]` pairs, rejecting any flag not in `known` so a
 /// typo such as `--way` fails instead of silently running the default.
@@ -208,6 +210,27 @@ fn get_num<T: TryFrom<u64>>(flags: &Flags, name: &str, default: T) -> Result<T, 
         },
     }
 }
+
+/// Reads `--name` like [`get_num`], refusing a value above `cap`.
+fn get_capped<T: TryFrom<u64> + PartialOrd + std::fmt::Display>(
+    flags: &Flags,
+    name: &str,
+    default: T,
+    cap: T,
+) -> Result<T, String> {
+    let n = get_num(flags, name, default)?;
+    if n > cap {
+        return Err(format!("--{name} {n} exceeds the cap of {cap}"));
+    }
+    Ok(n)
+}
+
+/// The chaos cells' size caps: nodes, jobs in the stream and churn
+/// operations (the traffic spec's arrival cap, 2^20), and the horizon in
+/// cycles (its cycle cap, 2^40).
+const MAX_CHAOS_NODES: usize = 65_536;
+const MAX_CHAOS_COUNT: u32 = 1 << 20;
+const MAX_CHAOS_HORIZON: u64 = 1 << 40;
 
 fn cmd_list(_: &Flags) -> Result<(), String> {
     println!(
@@ -418,10 +441,20 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
     };
     if flags.contains_key("churn") {
         let mut p = chaos::ChurnParams::standard();
-        p.nodes = get_num(flags, "nodes", p.nodes)?;
-        p.jobs = get_num(flags, "job-count", p.jobs)?;
-        p.horizon = Cycles::new(get_num(flags, "horizon", p.horizon.get())?);
-        p.churn_events = get_num(flags, "churn-events", p.churn_events)?;
+        p.nodes = get_capped(flags, "nodes", p.nodes, MAX_CHAOS_NODES)?;
+        p.jobs = get_capped(flags, "job-count", p.jobs, MAX_CHAOS_COUNT)?;
+        p.horizon = Cycles::new(get_capped(
+            flags,
+            "horizon",
+            p.horizon.get(),
+            MAX_CHAOS_HORIZON,
+        )?);
+        p.churn_events = get_capped(
+            flags,
+            "churn-events",
+            p.churn_events,
+            MAX_CHAOS_COUNT as usize,
+        )?;
         p.kills = get_num(flags, "kills", p.kills)?;
         if p.nodes == 0 {
             return Err("--nodes 0: the churn cell needs at least one node".into());
@@ -444,9 +477,14 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
     if flags.contains_key("net") {
         let mut p = chaos::NetChaosParams::standard();
         p.seed = params.seed;
-        p.nodes = get_num(flags, "nodes", p.nodes)?;
-        p.jobs = get_num(flags, "job-count", p.jobs)?;
-        p.horizon = Cycles::new(get_num(flags, "horizon", p.horizon.get())?);
+        p.nodes = get_capped(flags, "nodes", p.nodes, MAX_CHAOS_NODES)?;
+        p.jobs = get_capped(flags, "job-count", p.jobs, MAX_CHAOS_COUNT)?;
+        p.horizon = Cycles::new(get_capped(
+            flags,
+            "horizon",
+            p.horizon.get(),
+            MAX_CHAOS_HORIZON,
+        )?);
         if let Some(v) = flags.get("partition") {
             // `a:b@cycle`: nodes `[a, b)` cut at `cycle`.
             let cut = || {

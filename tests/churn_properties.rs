@@ -1,7 +1,7 @@
 //! Elastic-membership properties: lease-backed reservations under node
 //! churn (joins, graceful drains, restarts, kills).
 //!
-//! Four properties:
+//! Five properties:
 //!
 //! 1. **No job is ever lost to churn.** Under any seeded schedule of
 //!    joins, drains, restarts, and hard kills over a lossy network, every
@@ -24,6 +24,10 @@
 //!    window the node's table holds). (Message faults, whose timing
 //!    depends on the transport, and way/core faults and early
 //!    completions, which only the in-process driver takes, are left out.)
+//! 5. **A churned core reads back whole.** A `NetGac` serialized mid-churn
+//!    (placements, renewed leases and parked tasks all present) reads
+//!    back equal, re-serializes to the same bytes, rebuilds the indexes it
+//!    never serialized, and keeps the snapshot format it always had.
 
 use cmpqos::experiments::chaos::{run_churn, ChurnParams};
 use cmpqos::faults::{Fault, FaultPlan, Injection};
@@ -31,7 +35,7 @@ use cmpqos::net::LinkConfig;
 use cmpqos::obs::{NullRecorder, RingBufferRecorder};
 use cmpqos::qos::{
     AdmissionRequest, Cluster, Decision, ExecutionMode, GlobalAdmissionController, Lac, LacConfig,
-    NetGacConfig, ProbePolicy, ResourceRequest,
+    NetGac, NetGacConfig, ProbePolicy, ResourceRequest,
 };
 use cmpqos::types::{Cycles, JobId, NodeId, Percent};
 use proptest::prelude::*;
@@ -394,4 +398,108 @@ fn the_quiet_churn_decision_stream_exercises_both_verdicts() {
     let s = decision_stream(None, 23, 60, 1_900);
     assert!(s.contains("Accepted"), "stream has accepts:\n{s}");
     assert!(s.contains("Rejected"), "stream has rejects:\n{s}");
+}
+
+/// Property 5's sample: a lossy churn run on six nodes (a tenth of the
+/// frames dropped, so conversations give up and park their retries),
+/// stepped every 1,500 cycles, stopping at the first step whose core
+/// holds placements, leases — at least one renewed past its grant — and
+/// parked tasks. Returns the core and its serialized form.
+fn a_mid_churn_core() -> (NetGac, String) {
+    let link = LinkConfig::default().drop(0.1).duplicate(0.05).jitter(20);
+    let mut config = NetGacConfig {
+        heartbeat_every: Cycles::new(1_000),
+        lease_ttl: Cycles::new(5_000),
+        ..NetGacConfig::default()
+    };
+    config.gac.dead_timeout = Cycles::new(5_000);
+    let mut cluster = Cluster::new(
+        6,
+        LacConfig::default(),
+        3,
+        link,
+        config,
+        ProbePolicy::LeastLoaded,
+    );
+    let mut rec = NullRecorder;
+    let schedule = FaultPlan::seeded_churn(3, 6, Cycles::new(60_000), 8).build();
+    let mut injections = schedule.injections().iter().peekable();
+    let tw = Cycles::new(30_000);
+    for i in 0..40u32 {
+        let at = Cycles::new(u64::from(i) * 1_500);
+        while let Some(injection) = injections.next_if(|injection| injection.at <= at) {
+            cluster.run_until(injection.at, &mut rec);
+            match injection.fault {
+                Fault::NodeJoin { .. } => {
+                    let _ = cluster.join_node(Lac::new(LacConfig::default()), injection.at);
+                }
+                _ => cluster.apply(*injection, &mut rec),
+            }
+        }
+        cluster.run_until(at, &mut rec);
+        let req = AdmissionRequest::builder(JobId::new(i), ResourceRequest::paper_job(), tw)
+            .mode(ExecutionMode::Strict)
+            .build();
+        cluster.gac_mut().submit(req, at, &mut rec);
+        let core = cluster.gac();
+        let json = serde_json::to_string(core).expect("a core serializes");
+        let tree = serde_json::parse(&json).expect("its own output parses");
+        let list = |key: &str| tree.get(key).and_then(|v| v.as_array()).unwrap_or(&[]);
+        let until = |node: u64| {
+            list("nodes")[node as usize]
+                .get("leases_until")
+                .and_then(|v| v.as_u64())
+        };
+        let renewed = list("leases").iter().any(|lease| {
+            let row = lease.as_array().expect("a lease row");
+            let (node, granted) = (row[1].as_u64().expect("node"), row[2].as_u64());
+            until(node) > granted
+        });
+        if !core.placements().is_empty() && renewed && !list("parked").is_empty() {
+            return (core.clone(), json);
+        }
+    }
+    panic!("no step held placements, renewed leases and parked tasks at once");
+}
+
+/// Property 5: a churned core reads back whole. Its indexes are never
+/// serialized, so the copy must rebuild them as it is read: with no
+/// other call it answers every query as the original and takes the same
+/// next steps. The digest pins the snapshot format (placements as the job
+/// map, leases as the job-ordered `(job, node, grant)` list, parked tasks
+/// as the `(due, order, task)` list) to the bytes the format had before
+/// the indexes existed.
+#[test]
+fn a_churned_core_reads_back_with_working_indexes() {
+    let (core, json) = a_mid_churn_core();
+    let copy: NetGac = serde_json::from_str(&json).expect("the core reads back");
+    assert_eq!(copy, core);
+    assert_eq!(serde_json::to_string(&copy).expect("serializes"), json);
+    assert_eq!(copy.next_wake(), core.next_wake());
+    assert_eq!(copy.leases(), core.leases());
+    assert_eq!(copy.placements(), core.placements());
+    assert_eq!(
+        cmpqos::recovery::fnv1a64(json.as_bytes()),
+        3_596_592_183_355_986_554,
+        "the snapshot format moved:\n{json}"
+    );
+    // Every timer the indexes answer fires alike in both: parked retries
+    // wake, placements retire and leases expire in the same order.
+    let now = core.next_wake().expect("a churned core has a timer");
+    let mut fired = 0;
+    for later in [0, 5_000, 12_000, 60_000] {
+        let at = now + Cycles::new(later);
+        let run = |mut gac: NetGac| {
+            let mut rec = RingBufferRecorder::new(1_024);
+            let mut net = cmpqos::net::SimNet::new(1, LinkConfig::default());
+            gac.advance(at, &mut rec);
+            let _ = gac.drive(at, &mut net, &mut rec);
+            let events: Vec<String> = rec.records().map(|r| format!("{r:?}")).collect();
+            (gac.next_wake(), gac.leases(), events, gac)
+        };
+        let (original, restored) = (run(core.clone()), run(copy.clone()));
+        fired += original.2.len();
+        assert_eq!(original, restored, "the copy diverged by {at}");
+    }
+    assert!(fired > 0, "no timer fired");
 }

@@ -114,6 +114,40 @@ fn bad_flags_exit_1_with_an_error_line() {
             "chaos --churn --kills 104",
             "error: --kills 104 must be below --nodes 104",
         ),
+        // The size caps: past them a cell would abort on allocation or
+        // overflow its cycle arithmetic instead of running.
+        (
+            "chaos --churn --nodes 4000000000 --kills 1",
+            "error: --nodes 4000000000 exceeds the cap of 65536",
+        ),
+        (
+            "chaos --net --nodes 100000000",
+            "error: --nodes 100000000 exceeds the cap of 65536",
+        ),
+        (
+            "chaos --churn --job-count 4000000000",
+            "error: --job-count 4000000000 exceeds the cap of 1048576",
+        ),
+        (
+            "chaos --net --job-count 4000000000",
+            "error: --job-count 4000000000 exceeds the cap of 1048576",
+        ),
+        (
+            "chaos --churn --churn-events 4000000000",
+            "error: --churn-events 4000000000 exceeds the cap of 1048576",
+        ),
+        (
+            "chaos --churn --horizon 18446744073709551615",
+            "error: --horizon 18446744073709551615 exceeds the cap of 1099511627776",
+        ),
+        (
+            "chaos --churn --horizon 4611686018427387904",
+            "error: --horizon 4611686018427387904 exceeds the cap of 1099511627776",
+        ),
+        (
+            "chaos --net --horizon 1099511627777",
+            "error: --horizon 1099511627777 exceeds the cap of 1099511627776",
+        ),
     ] {
         assert_refused(&cmpqos(args), &format!("cmpqos {args}"), error);
     }
