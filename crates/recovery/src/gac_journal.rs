@@ -156,7 +156,9 @@ impl Journaled<GlobalAdmissionController> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmpqos_faults::FaultPlan;
+    use crate::fnv1a64;
+    use cmpqos_faults::{Fault, FaultPlan};
+    use cmpqos_types::Percent;
 
     fn busy_gac() -> JournaledGac {
         let gac = GlobalAdmissionController::new(3, LacConfig::default(), ProbePolicy::FirstFit);
@@ -263,6 +265,92 @@ mod tests {
         assert_eq!(
             recovered.gac().member_state(NodeId::new(0)),
             MemberState::Left
+        );
+    }
+
+    /// A scripted failover run in `chaos::run`'s shape: 16 nodes under
+    /// `LeastLoaded`, Strict and Elastic(50%) arrivals staggered across
+    /// half the horizon, a way fault, a node fault and a controller crash
+    /// recovered from the journal, compacting every 16 ops. The journal
+    /// as written after every op is folded into one digest, so the
+    /// writer's bytes are pinned through compactions, faults and the
+    /// crash. After every op the written journal also recovers the live
+    /// controller.
+    #[test]
+    fn the_written_gac_journal_is_pinned_through_a_failover_run() {
+        const NODES: u32 = 16;
+        const JOBS: u32 = 40;
+        const COMPACT: u64 = 16;
+        let horizon = 600_000u64;
+        let tw = Cycles::new(horizon / 6);
+        let stagger = horizon / (2 * u64::from(JOBS));
+        let step = horizon / 128;
+        let mut j = JournaledGac::new(
+            GlobalAdmissionController::new(
+                NODES as usize,
+                LacConfig::default(),
+                ProbePolicy::LeastLoaded,
+            ),
+            COMPACT,
+        );
+        let mut schedule = FaultPlan::new()
+            .way_fault(Cycles::new(120_000), NodeId::new(3), 2)
+            .node_fault(Cycles::new(240_000), NodeId::new(NODES - 1))
+            .controller_crash(Cycles::new(300_000), NodeId::new(0))
+            .build();
+        let mut samples: Vec<u64> = Vec::new();
+        let mut sample = |j: &JournaledGac| {
+            let text = j.to_jsonl();
+            let (recovered, report) = JournaledGac::recover(&text, COMPACT);
+            assert_eq!(report.lost, 0);
+            assert_eq!(recovered.gac(), j.gac(), "sample {}", samples.len());
+            samples.push(fnv1a64(text.as_bytes()));
+        };
+        let mut next_job = 0u32;
+        let mut t = 0u64;
+        while t <= 2 * horizon {
+            for injection in schedule.due(Cycles::new(t)) {
+                let _ = j.inject(injection, &mut NullRecorder);
+                sample(&j);
+                if matches!(injection.fault, Fault::ControllerCrash { .. }) {
+                    j = JournaledGac::recover(&j.to_jsonl(), COMPACT).0;
+                }
+            }
+            let _ = j.advance(Cycles::new(t));
+            sample(&j);
+            while next_job < JOBS && u64::from(next_job) * stagger <= t {
+                let at = Cycles::new(u64::from(next_job) * stagger);
+                let mode = if next_job.is_multiple_of(2) {
+                    ExecutionMode::Strict
+                } else {
+                    ExecutionMode::Elastic(Percent::new(50.0))
+                };
+                let request = ResourceRequest::paper_job();
+                let _ = j.submit(
+                    JobId::new(next_job),
+                    mode,
+                    request,
+                    tw,
+                    Some(at + tw + tw + tw),
+                );
+                sample(&j);
+                next_job += 1;
+            }
+            t += step;
+        }
+        assert!(
+            j.journal().next_seq() > 3 * COMPACT,
+            "fewer than three compactions"
+        );
+        assert!(j.gac().placements().is_empty());
+        assert_eq!(j.gac().live_nodes(), NODES as usize - 1);
+        let bytes: Vec<u8> = samples.iter().flat_map(|h| h.to_le_bytes()).collect();
+        let digest = fnv1a64(&bytes);
+        assert_eq!(
+            digest,
+            0xaf3d_03a3_08bc_8b51,
+            "{} samples: {digest:#x}",
+            samples.len()
         );
     }
 

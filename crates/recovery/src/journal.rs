@@ -3,7 +3,8 @@
 //! and [`Journaled`], the one wrapper that journals a controller.
 
 use crate::RecoveryReport;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
+use std::fmt::{self, Write};
 
 /// The journal record schema version. Bumped when the record layout
 /// changes; loading rejects records from a newer schema.
@@ -27,19 +28,43 @@ pub const MAX_SEQ: u64 = 1 << 62;
 /// cryptographic integrity guarantee).
 #[must_use]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+    Fnv1a(0xcbf2_9ce4_8422_2325).fold(bytes).0
 }
 
-/// Continues an FNV-1a 64-bit `hash` over `bytes`.
-fn fnv1a64_extend(hash: u64, bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    bytes
-        .iter()
-        .fold(hash, |hash, &b| (hash ^ u64::from(b)).wrapping_mul(PRIME))
+/// An FNV-1a 64-bit hash in progress. As a `fmt::Write` sink it folds in
+/// whatever is written to it, so JSON is checksummed as it streams out.
+#[derive(Clone, Copy)]
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// A record checksum before its op: `seq` and `version`
+    /// (little-endian), then the op's compact JSON. A version-1 record's
+    /// checksum covers only the op.
+    fn record(seq: u64, version: u32) -> Self {
+        let empty = Self(fnv1a64(&[]));
+        if version == 1 {
+            return empty;
+        }
+        empty.fold(&seq.to_le_bytes()).fold(&version.to_le_bytes())
+    }
+
+    fn fold(self, bytes: &[u8]) -> Self {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let step = |hash: u64, &b: &u8| (hash ^ u64::from(b)).wrapping_mul(PRIME);
+        Self(bytes.iter().fold(self.0, step))
+    }
 }
 
-/// One journal record: a sequence-numbered, versioned, checksummed
-/// operation. Serialized as one JSONL line.
+impl Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        *self = self.fold(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// One journal record: a sequence-numbered, versioned operation. Written
+/// as one JSONL line, whose checksum [`Journal::to_jsonl`] computes as it
+/// writes the line; nothing is serialized before then.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JournalRecord<O> {
     /// Monotonically increasing sequence number (never reset, not even by
@@ -47,27 +72,8 @@ pub struct JournalRecord<O> {
     pub seq: u64,
     /// Schema version the record was written with.
     pub version: u32,
-    /// [`fnv1a64`] over `seq` and `version` (little-endian) and the
-    /// serialized `op`, computed at append time. A version-1 record's
-    /// checksum covers only the serialized `op`.
-    pub checksum: u64,
     /// The journaled operation.
     pub op: O,
-}
-
-// The vendored serde's derive does not handle generic types, so the record
-// envelope is written by hand, and read field by field in
-// `Journal::from_jsonl`. Field names are part of the on-disk format;
-// changing them is a JOURNAL_VERSION bump.
-impl<O: Serialize> Serialize for JournalRecord<O> {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("seq".to_owned(), self.seq.to_value()),
-            ("version".to_owned(), self.version.to_value()),
-            ("checksum".to_owned(), self.checksum.to_value()),
-            ("op".to_owned(), self.op.to_value()),
-        ])
-    }
 }
 
 /// How loading a journal's tail went.
@@ -132,19 +138,17 @@ impl<O> Journal<O> {
     pub fn next_seq(&self) -> u64 {
         self.next_seq
     }
-}
 
-impl<O: Serialize> Journal<O> {
-    /// Appends `op` as a checksummed record and returns its sequence
-    /// number. Call this *before* applying the op to in-core state.
+    /// Appends `op` as a record and returns its sequence number. Call this
+    /// *before* applying the op to in-core state. Nothing is serialized:
+    /// [`Journal::to_jsonl`] renders and checksums the op when it writes
+    /// it.
     pub fn append(&mut self, op: O) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let checksum = Self::checksum_of(seq, JOURNAL_VERSION, &op);
         self.records.push(JournalRecord {
             seq,
             version: JOURNAL_VERSION,
-            checksum,
             op,
         });
         seq
@@ -156,39 +160,35 @@ impl<O: Serialize> Journal<O> {
         self.records.clear();
         let _ = self.append(snapshot);
     }
+}
 
-    /// Serializes the journal as JSONL, one record per line.
+impl<O: Serialize> Journal<O> {
+    /// Serializes the journal as JSONL, one record per line:
+    /// `{"seq":…,"version":…,"checksum":…,"op":…}`. Each op is rendered
+    /// once, and its checksum folded over those bytes. The field names and
+    /// their order are the on-disk format; changing them is a
+    /// [`JOURNAL_VERSION`] bump.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
+        let mut op = String::new();
         for r in &self.records {
-            out.push_str(&serde_json::to_string(r).expect("journal records serialize"));
-            out.push('\n');
+            op.clear();
+            serde_json::write_compact(&mut op, &r.op.to_value())
+                .expect("a String sink never fails");
+            let checksum = Fnv1a::record(r.seq, r.version).fold(op.as_bytes()).0;
+            writeln!(
+                out,
+                "{{\"seq\":{},\"version\":{},\"checksum\":{checksum},\"op\":{op}}}",
+                r.seq, r.version
+            )
+            .expect("a String sink never fails");
         }
         out
     }
-
-    /// The checksum of a record holding `op`.
-    fn checksum_of(seq: u64, version: u32, op: &O) -> u64 {
-        checksum_over(
-            seq,
-            version,
-            &serde_json::to_string(op).expect("journal ops serialize"),
-        )
-    }
 }
 
-/// The checksum of a record whose op serializes to `op`; a version-1
-/// record's covers only its op.
-fn checksum_over(seq: u64, version: u32, op: &str) -> u64 {
-    if version == 1 {
-        return fnv1a64(op.as_bytes());
-    }
-    let header = fnv1a64_extend(fnv1a64(&seq.to_le_bytes()), &version.to_le_bytes());
-    fnv1a64_extend(header, op.as_bytes())
-}
-
-impl<O: Serialize + Deserialize> Journal<O> {
+impl<O: Deserialize> Journal<O> {
     /// Loads a journal from JSONL, tolerating a torn or corrupted tail:
     /// parsing stops at the first line that fails to parse, carries a
     /// schema version other than 1 or [`JOURNAL_VERSION`], breaks sequence
@@ -197,10 +197,10 @@ impl<O: Serialize + Deserialize> Journal<O> {
     /// and counted in the [`TailReport`] — never a panic, never an error.
     ///
     /// The checksum is taken over the op as written, before it is read
-    /// into `O`, so a field `O` would ignore still fails it. A valid op
-    /// that this build serializes differently (a field it no longer has)
-    /// is re-stamped with the checksum of what [`Journal::to_jsonl`] will
-    /// write, so a loaded journal saved again still loads.
+    /// into `O`, so a field `O` would ignore still fails it. An op this
+    /// build serializes differently (a field it no longer has) saves
+    /// again with a matching checksum: [`Journal::to_jsonl`] checksums what
+    /// it writes.
     #[must_use]
     pub fn from_jsonl(text: &str) -> (Self, TailReport) {
         let mut journal = Self::new();
@@ -231,24 +231,19 @@ impl<O: Serialize + Deserialize> Journal<O> {
         let version = u32::from_value(record.get("version")?).ok()?;
         let checksum = u64::from_value(record.get("checksum")?).ok()?;
         let written = record.get("op")?;
+        let mut expected = Fnv1a::record(seq, version);
+        serde_json::write_compact(&mut expected, written).ok()?;
         let valid = matches!(version, 1 | JOURNAL_VERSION)
             && after.is_none_or(|prev| seq > prev)
             && seq <= MAX_SEQ
-            && checksum_over(seq, version, &serde_json::to_string(written).ok()?) == checksum;
+            && expected.0 == checksum;
         if !valid {
             return None;
         }
-        let op = O::from_value(written).ok()?;
-        let checksum = if op.to_value() == *written {
-            checksum
-        } else {
-            Self::checksum_of(seq, version, &op)
-        };
         Some(JournalRecord {
             seq,
             version,
-            checksum,
-            op,
+            op: O::from_value(written).ok()?,
         })
     }
 }
@@ -387,6 +382,136 @@ impl<C: Replay> Journaled<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use serde::Value;
+
+    /// The oracle for [`Journal::to_jsonl`]: a record's line as the
+    /// envelope `Value` through `serde_json::to_string`, its checksum
+    /// [`fnv1a64`] over one buffer of `seq` and `version` (little-endian)
+    /// and `serde_json::to_string(op)`, or over the op alone at version 1.
+    fn oracle_line<O: Serialize>(seq: u64, version: u32, op: &O) -> String {
+        let op_text = serde_json::to_string(op).unwrap();
+        let mut covered = Vec::new();
+        if version != 1 {
+            covered.extend(seq.to_le_bytes());
+            covered.extend(version.to_le_bytes());
+        }
+        covered.extend(op_text.as_bytes());
+        let envelope = Value::Object(vec![
+            ("seq".to_owned(), seq.to_value()),
+            ("version".to_owned(), version.to_value()),
+            ("checksum".to_owned(), fnv1a64(&covered).to_value()),
+            ("op".to_owned(), op.to_value()),
+        ]);
+        serde_json::to_string(&envelope).unwrap()
+    }
+
+    /// Ops that reach every branch of the emitter.
+    fn awkward_ops() -> Vec<Value> {
+        let text = |s: &str| Value::String(s.to_owned());
+        vec![
+            text("a \"quoted\" \\ path\\"),
+            text("\u{0}\u{1}\u{8}\t\n\u{c}\r\u{1f} end"),
+            text("café ∑ 日本 😀"),
+            text(""),
+            Value::Int(-7),
+            Value::Int(i64::MIN),
+            Value::UInt(u64::MAX),
+            Value::Float(0.25),
+            Value::Float(-0.0),
+            Value::Float(1e300),
+            Value::Float(-2.5e-8),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Null,
+            Value::Bool(false),
+            Value::Array(vec![]),
+            Value::Object(vec![]),
+            Value::Array(vec![
+                Value::Array(vec![Value::Array(vec![]), Value::UInt(1)]),
+                Value::Object(vec![("k\"ey".into(), Value::Object(vec![]))]),
+            ]),
+            Value::Object(vec![
+                (
+                    "Advance".into(),
+                    Value::Object(vec![("now".into(), Value::UInt(400))]),
+                ),
+                (
+                    "é\n".into(),
+                    Value::Array(vec![Value::Float(f64::NAN), Value::Int(-1)]),
+                ),
+            ]),
+        ]
+    }
+
+    #[test]
+    fn written_lines_match_the_envelope_oracle() {
+        let mut j: Journal<Value> = Journal::new();
+        for op in awkward_ops() {
+            let _ = j.append(op);
+        }
+        j.compact(Value::Array(awkward_ops()));
+        for op in awkward_ops() {
+            let _ = j.append(op);
+        }
+        let text = j.to_jsonl();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), j.len());
+        for (line, r) in lines.iter().zip(j.records()) {
+            assert_eq!(*line, oracle_line(r.seq, r.version, &r.op), "seq {}", r.seq);
+        }
+        assert!(text.ends_with('\n'));
+        let (back, report) = Journal::<Value>::from_jsonl(&text);
+        assert_eq!(
+            report,
+            TailReport {
+                valid: j.len() as u64,
+                lost: 0
+            }
+        );
+        assert_eq!(back.to_jsonl(), text);
+    }
+
+    #[test]
+    fn a_loaded_version_1_record_is_written_back_as_it_was() {
+        let ops = awkward_ops();
+        let v1: String = ops
+            .iter()
+            .enumerate()
+            .map(|(seq, op)| oracle_line(seq as u64, 1, op) + "\n")
+            .collect();
+        let (mut j, report) = Journal::<Value>::from_jsonl(&v1);
+        assert_eq!(
+            report,
+            TailReport {
+                valid: ops.len() as u64,
+                lost: 0
+            }
+        );
+        assert!(j.records().iter().all(|r| r.version == 1));
+        assert_eq!(j.to_jsonl(), v1);
+        // An append after a version-1 prefix is written at this version.
+        let seq = j.append(Value::UInt(9));
+        let text = j.to_jsonl();
+        assert_eq!(
+            text.lines().last().unwrap(),
+            oracle_line(seq, JOURNAL_VERSION, &Value::UInt(9))
+        );
+        assert_eq!(Journal::<Value>::from_jsonl(&text).1.lost, 0);
+    }
+
+    #[test]
+    fn the_checksum_sink_folds_what_the_emitter_writes() {
+        for op in awkward_ops() {
+            let mut sink = Fnv1a(fnv1a64(&[]));
+            serde_json::write_compact(&mut sink, &op).unwrap();
+            assert_eq!(
+                sink.0,
+                fnv1a64(serde_json::to_string(&op).unwrap().as_bytes()),
+                "{op:?}"
+            );
+        }
+    }
 
     #[test]
     fn append_roundtrips_through_jsonl() {
@@ -455,16 +580,16 @@ mod tests {
     fn an_op_written_with_a_retired_field_is_saved_with_a_matching_checksum() {
         // An older build wrote a field this build's op type no longer
         // has: the record is valid as written, and saved as this build
-        // writes it.
-        let written = r#"{"Advance":{"now":400,"retired":1}}"#;
-        let checksum = checksum_over(0, JOURNAL_VERSION, written);
-        let line = format!(
-            "{{\"seq\":0,\"version\":{JOURNAL_VERSION},\"checksum\":{checksum},\"op\":{written}}}"
-        );
+        // writes it, with the checksum of what it saves.
+        let written: Value = serde_json::parse(r#"{"Advance":{"now":400,"retired":1}}"#).unwrap();
+        let line = oracle_line(0, JOURNAL_VERSION, &written);
         let (loaded, report) = Journal::<crate::LacOp>::from_jsonl(&line);
         assert_eq!(report, TailReport { valid: 1, lost: 0 });
-        assert_ne!(loaded.records()[0].checksum, checksum);
-        let (again, report) = Journal::<crate::LacOp>::from_jsonl(&loaded.to_jsonl());
+        let saved = loaded.to_jsonl();
+        let checksum = |line: &str| serde_json::parse(line).unwrap().get("checksum").cloned();
+        assert_ne!(checksum(saved.trim_end()), checksum(&line));
+        assert!(!saved.contains("retired"));
+        let (again, report) = Journal::<crate::LacOp>::from_jsonl(&saved);
         assert_eq!(report, TailReport { valid: 1, lost: 0 });
         assert_eq!(again, loaded);
     }

@@ -6,8 +6,10 @@
 //! server has made. This crate makes that state crash-consistent with a
 //! classic write-ahead journal:
 //!
-//! * [`Journal`] — an append-only log of schema-versioned, checksummed
-//!   records ([`JournalRecord`]), serialized as JSONL. Loading tolerates a
+//! * [`Journal`] — an append-only log of schema-versioned records
+//!   ([`JournalRecord`]), serialized as JSONL with a checksum on every
+//!   line. Appending serializes nothing; each op is rendered and
+//!   checksummed once, when the journal is written. Loading tolerates a
 //!   torn or bit-flipped tail by truncating at the last valid checksum
 //!   ([`TailReport`]) instead of failing.
 //! * [`Journaled`] — the one wrapper: it appends every state-changing

@@ -7,6 +7,7 @@
 
 use cmpqos::experiments::chaos::{self, ChaosParams};
 use cmpqos::faults::FaultPlan;
+use cmpqos::recovery::fnv1a64;
 use cmpqos::types::{CoreId, Cycles, NodeId};
 use proptest::prelude::*;
 
@@ -63,5 +64,27 @@ proptest! {
                 prop_assert_eq!(jt.revoked.is_some(), f.revoked);
             }
         }
+    }
+}
+
+/// perfbench's failover cell: 104 nodes, 600 jobs, the seeded faults plus
+/// a node kill, and a controller crash at 300,000 recovered from the
+/// journal. The crashed cell must end every job as the uncrashed cell
+/// does, and its fates and event stream are pinned by digests.
+#[test]
+fn the_benchmark_failover_cell_recovers_to_the_uncrashed_outcome() {
+    for (seed, expected) in [(1, 0x7466_2c66_10d2_7c8a), (7919, 0x7795_ed64_c64d_40e0)] {
+        let mut p = ChaosParams::standard();
+        p.nodes = 104;
+        p.jobs = 600;
+        p.seed = seed;
+        let uncrashed = chaos::run(&p, p.schedule());
+        p.crash_at = Some(Cycles::new(300_000));
+        let crashed = chaos::run(&p, p.schedule());
+        assert_eq!(crashed.fates, uncrashed.fates, "seed {seed}");
+        assert_eq!(crashed.live_nodes, uncrashed.live_nodes, "seed {seed}");
+        assert!(crashed.stranded().is_empty(), "seed {seed}");
+        let digest = fnv1a64(format!("{:?}{:?}", crashed.fates, crashed.records).as_bytes());
+        assert_eq!(digest, expected, "seed {seed}: {digest:#x}");
     }
 }
