@@ -860,10 +860,19 @@ impl NetGac {
         self.nodes.iter().filter(|n| n.needs_reconcile).count()
     }
 
-    /// Whether every queued task and conversation has completed.
+    /// Whether the control plane has no work left: no placement, readmit,
+    /// revoke, reconcile, ping, join or drain is queued, parked or in
+    /// flight. Heartbeat traffic does not count. A heartbeat round only
+    /// renews the leases of members that already answer, and it recurs
+    /// every `heartbeat_every` cycles for as long as the cluster runs, so
+    /// a loop that waits for it to end would see a different answer at
+    /// each phase of the period. Heartbeats are never parked.
     #[must_use]
     pub fn idle(&self) -> bool {
-        self.current.is_none() && self.tasks.is_empty() && self.parked.is_empty()
+        let heartbeat = |task: &Task| matches!(task, Task::Heartbeat { .. });
+        self.current.as_ref().is_none_or(|c| heartbeat(&c.task))
+            && self.tasks.iter().all(heartbeat)
+            && self.parked.is_empty()
     }
 
     /// The next cycle at which [`NetGac::drive`] has work to do
@@ -2560,6 +2569,81 @@ mod tests {
             "a fresh lease: {fresh}"
         );
         assert_eq!(rec.counters().leases_expired, 1);
+    }
+
+    /// The churn cell's control plane with no jobs: 104 nodes over its
+    /// lossy link, heartbeats every 10k cycles renewing 30k-cycle leases,
+    /// and a 40k-cycle death timeout.
+    fn churn_cell_cluster() -> Cluster<Lac> {
+        let config = NetGacConfig {
+            gac: GacConfig {
+                dead_timeout: Cycles::new(40_000),
+            },
+            heartbeat_every: Cycles::new(10_000),
+            lease_ttl: Cycles::new(30_000),
+        };
+        let link = LinkConfig::default()
+            .base_latency(Cycles::new(10))
+            .jitter(5)
+            .reorder(10)
+            .drop(0.03)
+            .duplicate(0.05);
+        Cluster::new(
+            104,
+            LacConfig::default(),
+            1,
+            link,
+            config,
+            ProbePolicy::LeastLoaded,
+        )
+    }
+
+    #[test]
+    fn idle_ignores_heartbeat_rounds_and_nothing_else() {
+        let mut cluster = churn_cell_cluster();
+        let mut rec = NullRecorder;
+        // Three rounds of 104 beacons each, sampled every 250 cycles: the
+        // rounds hold the conversation slot at some instants, yet no
+        // instant has work.
+        let mut mid_round = 0;
+        for step in 0..=120u64 {
+            let at = Cycles::new(step * 250);
+            cluster.run_until(at, &mut rec);
+            assert!(cluster.gac().idle(), "busy at {at} with no work");
+            mid_round += usize::from(cluster.gac().busy());
+        }
+        assert!(mid_round > 0, "no sample landed inside a round");
+        assert!(cluster.gac().stats().conversations >= 2 * 104);
+
+        // A job submitted mid-round queues behind the round's beacons and
+        // keeps the core busy until it is decided.
+        let at = cluster.now();
+        assert!(cluster.gac().busy(), "the third round is queued at {at}");
+        let job = long_request(0);
+        cluster.gac_mut().submit(job, at, &mut rec);
+        let mut now = at;
+        while !cluster.gac().decisions().contains_key(&job.id) {
+            assert!(!cluster.gac().idle(), "idle at {now} with job 0 undecided");
+            now += Cycles::new(10);
+            assert!(now < at + Cycles::new(10_000), "job 0 never decided");
+            cluster.run_until(now, &mut rec);
+        }
+        assert!(cluster.gac().idle(), "job 0 was decided at {now}");
+
+        // A restart's reconcile keeps the core busy until it completes.
+        let node = NodeId::new(7);
+        let at = Cycles::new(40_000);
+        cluster.run_until(at, &mut rec);
+        cluster.restart_node(node, at, &mut rec);
+        let mut now = at;
+        while cluster.gac().pending_reconciles() > 0 {
+            assert!(!cluster.gac().idle(), "idle at {now} mid-reconcile");
+            now += Cycles::new(10);
+            assert!(now < at + Cycles::new(10_000), "the reconcile never ended");
+            cluster.run_until(now, &mut rec);
+        }
+        assert_eq!(cluster.gac().member_state(node), MemberState::Live);
+        assert!(cluster.gac().stats().reconciles >= 1);
     }
 
     #[test]

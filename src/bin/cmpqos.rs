@@ -34,7 +34,28 @@ type Flags = HashMap<String, String>;
 
 /// A subcommand: the flags it reads and the handler that reads them.
 type Command = (&'static [&'static str], Handler);
-type Handler = Box<dyn Fn(&Flags) -> Result<(), String>>;
+type Handler = Box<dyn Fn(&Flags) -> Result<(), Failure>>;
+
+/// Why a subcommand exited 1. Input it `Refused` (an unknown command, a
+/// bad flag or variable, an unreadable file) is followed by the usage
+/// text; a run that `Failed` a check or an invariant prints its error
+/// line alone.
+enum Failure {
+    Refused(String),
+    Failed(String),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Self {
+        Self::Refused(e)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(e: &str) -> Self {
+        Self::Refused(e.into())
+    }
+}
 
 /// Prints one experiment's tables, adding to the vector the run outcomes
 /// that `CMPQOS_JSON` receives when the experiment runs alone (fig5, fig9).
@@ -78,14 +99,14 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
     let result = command_named(command, &args[1..])
+        .map_err(Failure::from)
         .and_then(|(known, handler)| handler(&parse_flags(&args[1..], known)?));
     match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}\n{USAGE}");
-            ExitCode::FAILURE
-        }
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(Failure::Refused(e)) => eprintln!("error: {e}\n{USAGE}"),
+        Err(Failure::Failed(e)) => eprintln!("error: {e}"),
     }
+    ExitCode::FAILURE
 }
 
 fn command_named(name: &str, args: &[String]) -> Result<Command, String> {
@@ -232,7 +253,7 @@ const MAX_CHAOS_NODES: usize = 65_536;
 const MAX_CHAOS_COUNT: u32 = 1 << 20;
 const MAX_CHAOS_HORIZON: u64 = 1 << 40;
 
-fn cmd_list(_: &Flags) -> Result<(), String> {
+fn cmd_list(_: &Flags) -> Result<(), Failure> {
     println!(
         "{:<12} {:<28} base CPI  mem/instr",
         "benchmark", "sensitivity"
@@ -249,10 +270,10 @@ fn cmd_list(_: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_solo(flags: &Flags) -> Result<(), String> {
+fn cmd_solo(flags: &Flags) -> Result<(), Failure> {
     let bench = flags.get("bench").ok_or("--bench is required")?;
     if spec::benchmark(bench).is_none() {
-        return Err(format!("unknown benchmark `{bench}` (try `cmpqos list`)"));
+        return Err(format!("unknown benchmark `{bench}` (try `cmpqos list`)").into());
     }
     let ExperimentParams {
         scale, work, seed, ..
@@ -277,12 +298,12 @@ fn cmd_solo(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_run(flags: &Flags) -> Result<(), String> {
+fn cmd_run(flags: &Flags) -> Result<(), Failure> {
     let workload = match flags.get("workload").map(String::as_str) {
         Some("mix1") => WorkloadSpec::mix1(),
         Some("mix2") => WorkloadSpec::mix2(),
         Some(bench) if spec::benchmark(bench).is_some() => WorkloadSpec::single(bench, 10),
-        Some(other) => return Err(format!("unknown workload `{other}`")),
+        Some(other) => return Err(format!("unknown workload `{other}`").into()),
         None => return Err("--workload is required".into()),
     };
     let configuration = match flags.get("config").map(String::as_str) {
@@ -293,7 +314,7 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
         },
         Some("autodown") => Configuration::AllStrictAutoDown,
         Some("equalpart") => Configuration::EqualPart,
-        Some(other) => return Err(format!("unknown config `{other}`")),
+        Some(other) => return Err(format!("unknown config `{other}`").into()),
         None => return Err("--config is required".into()),
     };
     let params = with_flags(ExperimentParams::standard(), flags)?;
@@ -363,7 +384,7 @@ fn experiment_params(flags: &Flags) -> Result<ExperimentParams, String> {
 /// on stderr: stdout carries only the experiments' results, so two
 /// same-seed runs diff byte-identically regardless of the pool width or
 /// machine speed.
-fn cmd_all(flags: &Flags) -> Result<(), String> {
+fn cmd_all(flags: &Flags) -> Result<(), Failure> {
     let params = experiment_params(flags)?;
     let times: Vec<(&str, f64)> = EXPERIMENTS
         .iter()
@@ -429,7 +450,7 @@ fn chaos_inject(flags: &Flags, expected: &str) -> Result<bool, String> {
     }
 }
 
-fn cmd_chaos(flags: &Flags) -> Result<(), String> {
+fn cmd_chaos(flags: &Flags) -> Result<(), Failure> {
     let params = experiment_params(flags)?;
     let seeds = match flags.get("seeds") {
         None => vec![params.seed],
@@ -461,16 +482,13 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
         }
         // The kills strike nodes 1..=kills; node 0 is never killed.
         if p.kills as usize >= p.nodes {
-            return Err(format!(
-                "--kills {} must be below --nodes {}",
-                p.kills, p.nodes
-            ));
+            return Err(format!("--kills {} must be below --nodes {}", p.kills, p.nodes).into());
         }
         p.lease_freeze = chaos_inject(flags, "lease-freeze")?;
         let outcomes = chaos::run_churn_many(&p, &seeds, params.jobs);
         for (outcome, &seed) in outcomes.iter().zip(&seeds) {
             p.seed = seed;
-            chaos::print_churn(outcome, &p)?;
+            chaos::print_churn(outcome, &p).map_err(Failure::Failed)?;
         }
         return Ok(());
     }
@@ -505,7 +523,7 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
             p.heal_at = Some(Cycles::new(at));
         }
         p.drop_reconcile = chaos_inject(flags, "drop-reconcile")?;
-        chaos::print_net(&chaos::run_net(&p), &p)?;
+        chaos::print_net(&chaos::run_net(&p), &p).map_err(Failure::Failed)?;
         return Ok(());
     }
     let mut p = chaos::ChaosParams::standard();
@@ -516,8 +534,8 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
     let outcomes = chaos::run_many(&p, &seeds, params.jobs);
     for (outcome, &seed) in outcomes.iter().zip(&seeds) {
         p.seed = seed;
-        chaos::print(outcome, &p)?;
-        chaos::verify_roundtrip(outcome)?;
+        chaos::print(outcome, &p).map_err(Failure::Failed)?;
+        chaos::verify_roundtrip(outcome).map_err(Failure::Failed)?;
         // stderr, not stdout: a crashed run's stdout must diff clean
         // against an uncrashed same-seed run's, and the two event logs
         // legitimately differ by the crash/recovery marker records.
@@ -536,7 +554,7 @@ fn cmd_chaos(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_conform(flags: &Flags) -> Result<(), String> {
+fn cmd_conform(flags: &Flags) -> Result<(), Failure> {
     use cmpqos::testkit::conform::{self, Inject};
 
     let params = experiment_params(flags)?;
@@ -554,7 +572,8 @@ fn cmd_conform(flags: &Flags) -> Result<(), String> {
             return Err(format!(
                 "unknown --inject `{other}` (expected broken-guard, stuck-knob, \
                  frozen-lease or starve-tier)"
-            ))
+            )
+            .into())
         }
     };
     eprintln!(
@@ -569,11 +588,11 @@ fn cmd_conform(flags: &Flags) -> Result<(), String> {
     if report.passed() {
         Ok(())
     } else {
-        Err("conformance checks failed".into())
+        Err(Failure::Failed("conformance checks failed".into()))
     }
 }
 
-fn cmd_explore(flags: &Flags) -> Result<(), String> {
+fn cmd_explore(flags: &Flags) -> Result<(), Failure> {
     use cmpqos::testkit::scenario::{explore, ScenarioKind};
 
     let scenarios = get_num::<usize>(flags, "scenarios", 50)?.max(1);
@@ -602,12 +621,14 @@ fn cmd_explore(flags: &Flags) -> Result<(), String> {
         }
         Some(d) => {
             println!("{}", d.render());
-            Err("divergence from the reference oracle".into())
+            Err(Failure::Failed(
+                "divergence from the reference oracle".into(),
+            ))
         }
     }
 }
 
-fn cmd_traffic(flags: &Flags) -> Result<(), String> {
+fn cmd_traffic(flags: &Flags) -> Result<(), Failure> {
     use cmpqos::scenario::{emit_toml, parse_toml, run as run_scenario};
 
     let params = experiment_params(flags)?;
@@ -636,7 +657,7 @@ fn cmd_traffic(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_recover(flags: &Flags) -> Result<(), String> {
+fn cmd_recover(flags: &Flags) -> Result<(), Failure> {
     use cmpqos::recovery::{JournaledGac, JournaledLac, RecoveryReport};
 
     let path = flags.get("journal").ok_or("--journal is required")?;
@@ -679,7 +700,7 @@ fn cmd_recover(flags: &Flags) -> Result<(), String> {
                 lac.journal().next_seq()
             );
         }
-        other => return Err(format!("unknown --kind `{other}` (expected gac|lac)")),
+        other => return Err(format!("unknown --kind `{other}` (expected gac|lac)").into()),
     }
     Ok(())
 }

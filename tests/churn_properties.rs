@@ -1,7 +1,7 @@
 //! Elastic-membership properties: lease-backed reservations under node
 //! churn (joins, graceful drains, restarts, kills).
 //!
-//! Five properties:
+//! Six properties:
 //!
 //! 1. **No job is ever lost to churn.** Under any seeded schedule of
 //!    joins, drains, restarts, and hard kills over a lossy network, every
@@ -28,6 +28,10 @@
 //!    (placements, renewed leases and parked tasks all present) reads
 //!    back equal, re-serializes to the same bytes, rebuilds the indexes it
 //!    never serialized, and keeps the snapshot format it always had.
+//! 6. **The churn drain ends once its jobs are done.** The standard churn
+//!    cell opens at most 15 conversations per job at seeds 1-10, because
+//!    a heartbeat round does not keep its drain going, and every outcome
+//!    field but the traffic counters is the one pinned by a digest.
 
 use cmpqos::experiments::chaos::{run_churn, ChurnParams};
 use cmpqos::faults::{Fault, FaultPlan, Injection};
@@ -502,4 +506,33 @@ fn a_churned_core_reads_back_with_working_indexes() {
         assert_eq!(original, restored, "the copy diverged by {at}");
     }
     assert!(fired > 0, "no timer fired");
+}
+
+/// Property 6: the churn cell's drain ends once its jobs are done. A
+/// heartbeat round is not work, so the drain stops at its first check
+/// that finds none, whatever the heartbeat phase, instead of beaconing an
+/// empty cluster for its whole 16-chunk budget (about 50 conversations
+/// per job). With the traffic counters set aside, every outcome is the
+/// one the cell gave while the drain still waited out heartbeat rounds.
+#[test]
+fn the_churn_drain_ends_once_the_jobs_are_done() {
+    let mut text = String::new();
+    for seed in 1..=10 {
+        let mut p = ChurnParams::standard();
+        p.seed = seed;
+        let mut o = run_churn(&p);
+        let per_job = o.gac.conversations as f64 / f64::from(o.submitted);
+        assert!(
+            per_job <= 15.0,
+            "seed {seed}: {per_job:.1} conversations per job"
+        );
+        o.gac = Default::default();
+        o.net = Default::default();
+        text.push_str(&format!("{o:?}\n"));
+    }
+    assert_eq!(
+        cmpqos::recovery::fnv1a64(text.as_bytes()),
+        17_526_842_199_863_564_748,
+        "an outcome moved beyond its traffic counters:\n{text}"
+    );
 }

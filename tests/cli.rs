@@ -385,7 +385,8 @@ fn valid_runs_print_the_expected_first_line() {
 
 /// The chaos cells' sabotage switches break a survival invariant on
 /// purpose. The run prints its table, then exits 1 with an `error:` line
-/// naming the invariant: a failed check, not a panic (exit 101).
+/// naming the invariant: a failed check, not a panic (exit 101). The
+/// input was valid, so no usage text follows.
 #[test]
 fn chaos_injections_exit_1_naming_the_broken_invariant() {
     for (args, error) in [
@@ -404,6 +405,7 @@ fn chaos_injections_exit_1_naming_the_broken_invariant() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "cmpqos {args}: {stderr}");
         assert!(stderr.starts_with(error), "cmpqos {args}: {stderr}");
+        assert!(!stderr.contains("usage:"), "cmpqos {args}: {stderr}");
         assert!(!out.stdout.is_empty(), "cmpqos {args} printed its table");
     }
 }
