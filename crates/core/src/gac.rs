@@ -511,17 +511,11 @@ impl GlobalAdmissionController {
             .decisions()
             .get(&req.id)
             .expect("a quiet core has decided every placement task");
-        if let (Some(node), Decision::Accepted { .. }) = decision {
-            // The node's table says what the acceptance reserved: an
-            // Elastic window outlasts `tw`, and an Opportunistic job holds
-            // nothing, so the core has nothing to track and its placement
-            // retires at once.
-            match self.lac(node).reservation(req.id) {
-                Some(r) => self.cluster.gac_mut().amend(r),
-                None => {
-                    let _ = self.cluster.gac_mut().release(req.id);
-                    self.retired.push((req.id, node));
-                }
+        if let (Some(node), Decision::Accepted { start }) = decision {
+            // A job that reserves nothing (Opportunistic) left no placement
+            // in the core: it retires at once.
+            if req.reservation_at(start).is_none() {
+                self.retired.push((req.id, node));
             }
         }
         self.absorb(tap);

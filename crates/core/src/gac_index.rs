@@ -291,8 +291,9 @@ impl<T> Parked<T> {
         self.next_order
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
+    /// The tasks in wake order.
+    pub(crate) fn tasks(&self) -> impl Iterator<Item = &T> + '_ {
+        self.tasks.values()
     }
 
     pub(crate) fn park(&mut self, due: Cycles, task: T) {

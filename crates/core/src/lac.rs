@@ -148,6 +148,21 @@ pub struct Reservation {
     pub deadline: Option<Cycles>,
 }
 
+impl Reservation {
+    /// The same reservation readmitted at `start`: it keeps its length,
+    /// request, mode and deadline. With
+    /// [`AdmissionRequest::reservation_at`], the one answer to what an
+    /// acceptance reserves.
+    #[must_use]
+    pub(crate) fn moved_to(&self, start: Cycles) -> Reservation {
+        Reservation {
+            start,
+            end: start + self.end.saturating_sub(self.start),
+            ..*self
+        }
+    }
+}
+
 /// What [`Lac::revoke_capacity`] did to one reservation.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RevocationAction {
@@ -422,12 +437,28 @@ impl Lac {
     /// job's fallback reservation as far away as possible), falling back
     /// to the earliest feasible slot when the latest is taken.
     pub fn admit(&mut self, req: &AdmissionRequest) -> Decision {
-        match (req.placement, req.deadline) {
-            (Placement::LatestFeasible, Some(td)) => {
-                self.admit_latest_at(req.id, req.request, req.tw, td)
-            }
-            _ => self.admit_earliest(req.id, req.mode, req.request, req.tw, req.deadline),
+        self.charge_test();
+        if !req.request.fits_within(&self.config.capacity) {
+            self.rejected += 1;
+            return Decision::Rejected(RejectReason::ExceedsNodeCapacity);
         }
+        // The window the request reserves, placed at cycle 0 until a start
+        // is found.
+        let Some(window) = req.reservation_at(Cycles::ZERO) else {
+            // Opportunistic: spare core right now?
+            let used = self.usage_at(self.now);
+            if used.cores() < self.config.capacity.cores() {
+                self.accepted += 1;
+                return Decision::Accepted { start: self.now };
+            }
+            self.rejected += 1;
+            return Decision::Rejected(RejectReason::NoSpareResources);
+        };
+        let start = match (req.placement, req.deadline) {
+            (Placement::LatestFeasible, Some(td)) => self.latest_fit(&window, td),
+            _ => self.earliest_fit(&window),
+        };
+        self.reserve(&window, start)
     }
 
     /// [`Lac::admit`], additionally emitting `Admitted`/`Rejected` to
@@ -464,110 +495,43 @@ impl Lac {
         out
     }
 
-    /// Earliest-feasible FCFS admission (the old positional `admit`).
-    fn admit_earliest(
-        &mut self,
-        id: JobId,
-        mode: ExecutionMode,
-        request: ResourceRequest,
-        tw: Cycles,
-        deadline: Option<Cycles>,
-    ) -> Decision {
-        self.charge_test();
-        if !request.fits_within(&self.config.capacity) {
-            self.rejected += 1;
-            return Decision::Rejected(RejectReason::ExceedsNodeCapacity);
-        }
-        match mode.reservation_duration(tw) {
-            None => {
-                // Opportunistic: spare core right now?
-                let used = self.usage_at(self.now);
-                if used.cores() < self.config.capacity.cores() {
-                    self.accepted += 1;
-                    Decision::Accepted { start: self.now }
-                } else {
-                    self.rejected += 1;
-                    Decision::Rejected(RejectReason::NoSpareResources)
-                }
-            }
-            Some(duration) => {
-                let latest_start = match deadline {
-                    Some(td) => {
-                        let Some(ls) = td.get().checked_sub(duration.get()) else {
-                            self.rejected += 1;
-                            return Decision::Rejected(RejectReason::NoCapacityBeforeDeadline);
-                        };
-                        Cycles::new(ls)
-                    }
-                    None => Cycles::HORIZON,
-                };
-                match self.earliest_start(&request, duration, self.now, latest_start) {
-                    Some(start) => {
-                        self.table.insert(Reservation {
-                            id,
-                            start,
-                            end: start + duration,
-                            request,
-                            mode,
-                            deadline,
-                        });
-                        self.accepted += 1;
-                        Decision::Accepted { start }
-                    }
-                    None => {
-                        self.rejected += 1;
-                        Decision::Rejected(RejectReason::NoCapacityBeforeDeadline)
-                    }
-                }
-            }
-        }
+    /// The earliest start at or after `now` from which `r`'s window fits
+    /// and still ends by its deadline.
+    fn earliest_fit(&self, r: &Reservation) -> Option<Cycles> {
+        let duration = r.end.saturating_sub(r.start);
+        let latest_start = match r.deadline {
+            Some(td) => Cycles::new(td.get().checked_sub(duration.get())?),
+            None => Cycles::HORIZON,
+        };
+        self.earliest_start(&r.request, duration, self.now, latest_start)
     }
 
-    /// Latest-slot admission ([`Placement::LatestFeasible`]): reserve
-    /// `[td − tw, td)`, falling back to the earliest feasible slot when
-    /// the latest is taken. Always admits as `Strict`.
-    fn admit_latest_at(
-        &mut self,
-        id: JobId,
-        request: ResourceRequest,
-        tw: Cycles,
-        deadline: Cycles,
-    ) -> Decision {
-        self.charge_test();
-        if !request.fits_within(&self.config.capacity) {
-            self.rejected += 1;
-            return Decision::Rejected(RejectReason::ExceedsNodeCapacity);
-        }
+    /// The latest slot `[td − tw, td)` for `r`'s window when it fits,
+    /// else the earliest feasible one ([`Placement::LatestFeasible`]).
+    fn latest_fit(&self, r: &Reservation, deadline: Cycles) -> Option<Cycles> {
+        let tw = r.end.saturating_sub(r.start);
         // Any tw-long slot ending by `deadline` needs `deadline >= now + tw`
         // (this also keeps `deadline - tw` below from underflowing).
         if deadline < self.now + tw {
-            self.rejected += 1;
-            return Decision::Rejected(RejectReason::NoCapacityBeforeDeadline);
+            return None;
         }
         let latest = deadline - tw;
-        let start = if self.fits_during(&request, latest, deadline) {
+        if self.fits_during(&r.request, latest, deadline) {
             Some(latest)
         } else {
-            self.earliest_start(&request, tw, self.now, latest)
-        };
-        match start {
-            Some(start) => {
-                self.table.insert(Reservation {
-                    id,
-                    start,
-                    end: start + tw,
-                    request,
-                    mode: ExecutionMode::Strict,
-                    deadline: Some(deadline),
-                });
-                self.accepted += 1;
-                Decision::Accepted { start }
-            }
-            None => {
-                self.rejected += 1;
-                Decision::Rejected(RejectReason::NoCapacityBeforeDeadline)
-            }
+            self.earliest_start(&r.request, tw, self.now, latest)
         }
+    }
+
+    /// Inserts `r`'s window at `start`, or rejects when no start fits.
+    fn reserve(&mut self, r: &Reservation, start: Option<Cycles>) -> Decision {
+        let Some(start) = start else {
+            self.rejected += 1;
+            return Decision::Rejected(RejectReason::NoCapacityBeforeDeadline);
+        };
+        self.table.insert(r.moved_to(start));
+        self.accepted += 1;
+        Decision::Accepted { start }
     }
 
     fn emit_decision(
@@ -685,35 +649,8 @@ impl Lac {
             self.rejected += 1;
             return Decision::Rejected(RejectReason::ExceedsNodeCapacity);
         }
-        let duration = r.end.saturating_sub(r.start);
-        let latest_start = match r.deadline {
-            Some(td) => {
-                let Some(ls) = td.get().checked_sub(duration.get()) else {
-                    self.rejected += 1;
-                    return Decision::Rejected(RejectReason::NoCapacityBeforeDeadline);
-                };
-                Cycles::new(ls)
-            }
-            None => Cycles::HORIZON,
-        };
-        match self.earliest_start(&r.request, duration, self.now, latest_start) {
-            Some(start) => {
-                self.table.insert(Reservation {
-                    id: r.id,
-                    start,
-                    end: start + duration,
-                    request: r.request,
-                    mode: r.mode,
-                    deadline: r.deadline,
-                });
-                self.accepted += 1;
-                Decision::Accepted { start }
-            }
-            None => {
-                self.rejected += 1;
-                Decision::Rejected(RejectReason::NoCapacityBeforeDeadline)
-            }
-        }
+        let start = self.earliest_fit(r);
+        self.reserve(r, start)
     }
 
     /// Number of admission tests performed.
@@ -1416,6 +1353,56 @@ mod tests {
         assert_eq!(moved.end - moved.start, Cycles::new(100));
         assert_eq!(moved.deadline, Some(Cycles::new(1_000)));
         assert_eq!(moved.mode, ExecutionMode::Strict);
+    }
+
+    /// Every accepted admit leaves the table entry
+    /// `AdmissionRequest::reservation_at` names (none for an
+    /// Opportunistic job), and every accepted readmit the entry
+    /// `Reservation::moved_to` names: the GAC records the same windows.
+    #[test]
+    fn every_acceptance_reserves_what_the_shared_functions_return() {
+        use cmpqos_types::Percent;
+        let modes = [
+            ExecutionMode::Strict,
+            ExecutionMode::Elastic(Percent::new(50.0)),
+            ExecutionMode::Opportunistic,
+            ExecutionMode::Elastic(Percent::new(25.0)),
+        ];
+        let (mut src, mut dst) = (lac(), lac());
+        let mut seen = [0u32; 5];
+        for id in 0..48u32 {
+            let now = Cycles::new(u64::from(id) * 150);
+            src.advance(now);
+            dst.advance(now);
+            let mode = modes[id as usize % modes.len()];
+            let tw = Cycles::new(400 + 37 * u64::from(id % 11));
+            let mut b = AdmissionRequest::builder(JobId::new(id), ResourceRequest::paper_job(), tw)
+                .mode(mode);
+            if id % 3 != 0 {
+                b = b.deadline(now + tw * 3);
+            }
+            if id % 5 < 2 {
+                b = b.latest_feasible();
+            }
+            let req = b.build();
+            let Decision::Accepted { start } = src.admit(&req) else {
+                continue;
+            };
+            let want = req.reservation_at(start);
+            assert_eq!(src.reservation(req.id), want, "{req:?}");
+            let Some(r) = want else {
+                seen[0] += 1;
+                continue;
+            };
+            let latest = req.placement == Placement::LatestFeasible && req.deadline.is_some();
+            seen[1 + usize::from(latest)] += 1;
+            seen[3] += u32::from(r.mode.is_stealing_donor());
+            if let Decision::Accepted { start } = dst.readmit(&r) {
+                assert_eq!(dst.reservation(r.id), Some(r.moved_to(start)), "{r:?}");
+                seen[4] += 1;
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "every kind accepted: {seen:?}");
     }
 
     #[test]

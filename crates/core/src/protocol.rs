@@ -686,16 +686,6 @@ impl NetGac {
         });
     }
 
-    /// Replaces the core's copy of placed job `r.id`'s reservation with
-    /// the one its node holds. A probe reply carries only the start, so
-    /// the core assumes the window `[start, start + tw)`; an Elastic(X)
-    /// reservation holds its node for `tw·(1+X)`. A driver that can read
-    /// the node's table corrects the copy after each placement, so
-    /// retirement, evacuation and lease expiry follow the node.
-    pub fn amend(&mut self, r: Reservation) {
-        self.placements.update(r.id, |mine| *mine = r);
-    }
-
     /// Retires `job`'s placement because it finished early, returning the
     /// node it ran on. Releasing the node's reservation is the caller's
     /// node-local business.
@@ -861,18 +851,20 @@ impl NetGac {
     }
 
     /// Whether the control plane has no work left: no placement, readmit,
-    /// revoke, reconcile, ping, join or drain is queued, parked or in
-    /// flight. Heartbeat traffic does not count. A heartbeat round only
-    /// renews the leases of members that already answer, and it recurs
-    /// every `heartbeat_every` cycles for as long as the cluster runs, so
-    /// a loop that waits for it to end would see a different answer at
-    /// each phase of the period. Heartbeats are never parked.
+    /// revoke, reconcile, join or drain is queued, parked or in flight.
+    /// Heartbeats and pings do not count. A heartbeat round only renews
+    /// the leases of members that already answer, and it recurs every
+    /// `heartbeat_every` cycles for as long as the cluster runs, so a loop
+    /// that waits for it to end would see a different answer at each
+    /// phase of the period. A ping only probes a Suspect node: a lost
+    /// beacon provokes one, and pings recur for as long as beacons cross
+    /// a lossy link.
     #[must_use]
     pub fn idle(&self) -> bool {
-        let heartbeat = |task: &Task| matches!(task, Task::Heartbeat { .. });
-        self.current.as_ref().is_none_or(|c| heartbeat(&c.task))
-            && self.tasks.iter().all(heartbeat)
-            && self.parked.is_empty()
+        let not_work = |task: &Task| matches!(task, Task::Heartbeat { .. } | Task::Ping { .. });
+        self.current.as_ref().is_none_or(|c| not_work(&c.task))
+            && self.tasks.iter().all(not_work)
+            && self.parked.tasks().all(not_work)
     }
 
     /// The next cycle at which [`NetGac::drive`] has work to do
@@ -1535,15 +1527,15 @@ impl NetGac {
                 ReplyBody::Decision(d),
             ) => match *d {
                 Decision::Accepted { start } => {
-                    let r = Reservation {
-                        id: req.id,
-                        start,
-                        end: start + req.tw,
-                        request: req.request,
-                        mode: req.mode,
-                        deadline: req.deadline,
-                    };
-                    self.place(conv.node, r);
+                    // The core records what the node reserved. A job that
+                    // reserves nothing (Opportunistic) holds no window to
+                    // track, so it counts as completed at once.
+                    match req.reservation_at(start) {
+                        Some(r) => self.place(conv.node, r),
+                        None => {
+                            self.completed.insert(req.id);
+                        }
+                    }
                     self.decisions.insert(req.id, (Some(conv.node), *d));
                     recorder.record(
                         self.now,
@@ -1573,12 +1565,7 @@ impl NetGac {
                 ReplyBody::Decision(d),
             ) => match *d {
                 Decision::Accepted { start } => {
-                    let moved = Reservation {
-                        start,
-                        end: start + (r.end.saturating_sub(r.start)),
-                        ..r
-                    };
-                    self.place(conv.node, moved);
+                    self.place(conv.node, r.moved_to(start));
                     recorder.record(
                         self.now,
                         Event::Migrated {
@@ -2204,6 +2191,54 @@ mod tests {
     }
 
     #[test]
+    fn the_core_records_the_window_its_lac_reserved() {
+        let mut cluster = quiet_cluster(2, 29, LinkConfig::default());
+        let mut rec = NullRecorder;
+        let tw = Cycles::new(1_000);
+        let job = |id: u32, mode: ExecutionMode| {
+            AdmissionRequest::builder(JobId::new(id), ResourceRequest::paper_job(), tw)
+                .mode(mode)
+                .build()
+        };
+        let elastic = job(0, ExecutionMode::Elastic(cmpqos_types::Percent::new(50.0)));
+        cluster.gac_mut().submit(elastic, Cycles::ZERO, &mut rec);
+        cluster.run_until(Cycles::new(100), &mut rec);
+        let &(node, copy) = &cluster.gac().placements()[&elastic.id];
+        let held = cluster.endpoint(node).backend().reservation(elastic.id);
+        assert_eq!(
+            Some(copy),
+            held,
+            "the core's copy is the node's reservation"
+        );
+        assert_eq!(copy.end, copy.start + Cycles::new(1_500));
+        // The placement holds its node for the whole Elastic window: not
+        // retired at `start + tw`, retired at `start + 1.5·tw`.
+        cluster.run_until(copy.start + tw, &mut rec);
+        assert!(cluster.gac().placements().contains_key(&elastic.id));
+        cluster.run_until(copy.end - Cycles::new(1), &mut rec);
+        assert!(cluster.gac().placements().contains_key(&elastic.id));
+        assert!(!cluster.gac().completed().contains(&elastic.id));
+        cluster.run_until(copy.end, &mut rec);
+        assert!(cluster.gac().placements().is_empty());
+        assert!(cluster.gac().completed().contains(&elastic.id));
+
+        // An Opportunistic acceptance reserves nothing: no placement, and
+        // the job counts as completed at once.
+        let at = cluster.now();
+        let opportunistic = job(1, ExecutionMode::Opportunistic);
+        cluster.gac_mut().submit(opportunistic, at, &mut rec);
+        cluster.run_until(at + Cycles::new(100), &mut rec);
+        let (node, decision) = cluster.gac().decisions()[&opportunistic.id];
+        assert!(decision.is_accepted(), "{decision:?}");
+        let node = node.expect("an accepted job has a node");
+        assert!(cluster.gac().placements().is_empty());
+        assert!(cluster.gac().leases().is_empty());
+        assert!(cluster.gac().completed().contains(&opportunistic.id));
+        let lac = cluster.endpoint(node).backend();
+        assert_eq!(lac.reservation(opportunistic.id), None);
+    }
+
+    #[test]
     fn duplicates_and_reorder_leave_placements_identical_to_a_quiet_net() {
         let quiet = {
             let mut c = quiet_cluster(4, 7, LinkConfig::default());
@@ -2599,7 +2634,7 @@ mod tests {
     }
 
     #[test]
-    fn idle_ignores_heartbeat_rounds_and_nothing_else() {
+    fn idle_ignores_heartbeats_and_pings_and_nothing_else() {
         let mut cluster = churn_cell_cluster();
         let mut rec = NullRecorder;
         // Three rounds of 104 beacons each, sampled every 250 cycles: the
@@ -2644,6 +2679,35 @@ mod tests {
         }
         assert_eq!(cluster.gac().member_state(node), MemberState::Live);
         assert!(cluster.gac().stats().reconciles >= 1);
+
+        // A Suspect node's pings are not work either. Cut off a node that
+        // holds nothing: its lost beacons demote it to Suspect, and a ping
+        // waits for it, queued, parked or in flight, until the death
+        // timeout. Sample well before that.
+        let cut = (0..104u32)
+            .map(NodeId::new)
+            .find(|n| cluster.gac().placements().values().all(|(on, _)| on != n))
+            .expect("a node without placements");
+        let at = Cycles::new(50_000);
+        cluster.run_until(at, &mut rec);
+        let partition = FaultPlan::new().link_partition(at, cut).build();
+        cluster.apply(partition.injections()[0], &mut rec);
+        let ping = |task: &Task| matches!(task, Task::Ping { node } if *node == cut);
+        let mut pinging = 0;
+        for step in 1..=100u64 {
+            let now = at + Cycles::new(step * 250);
+            cluster.run_until(now, &mut rec);
+            let gac = cluster.gac();
+            if gac.current.as_ref().is_some_and(|c| ping(&c.task))
+                || gac.tasks.iter().any(ping)
+                || gac.parked.tasks().any(ping)
+            {
+                pinging += 1;
+                assert!(gac.idle(), "busy at {now} with only a ping to {cut}");
+            }
+        }
+        assert_eq!(cluster.gac().node_health(cut), NodeHealth::Suspect);
+        assert!(pinging > 0, "no sample found a ping to {cut}");
     }
 
     #[test]

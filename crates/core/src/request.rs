@@ -14,6 +14,7 @@
 //! differentially testable.
 
 use crate::epoch::SloSpec;
+use crate::lac::Reservation;
 use crate::modes::ExecutionMode;
 use crate::target::ResourceRequest;
 use cmpqos_types::{Cycles, JobId, SourceId};
@@ -100,6 +101,27 @@ impl AdmissionRequest {
                 slo: None,
             },
         }
+    }
+
+    /// What an acceptance at `start` reserves: `tw` for Strict,
+    /// `tw·(1+X)` for Elastic(X), and nothing for Opportunistic. A
+    /// [`Placement::LatestFeasible`] request with a deadline reserves
+    /// `tw` as Strict whatever its mode. The LAC inserts this window and
+    /// the GAC records it, so both hold the node for the same cycles.
+    #[must_use]
+    pub(crate) fn reservation_at(&self, start: Cycles) -> Option<Reservation> {
+        let (mode, duration) = match (self.placement, self.deadline) {
+            (Placement::LatestFeasible, Some(_)) => (ExecutionMode::Strict, self.tw),
+            _ => (self.mode, self.mode.reservation_duration(self.tw)?),
+        };
+        Some(Reservation {
+            id: self.id,
+            start,
+            end: start + duration,
+            request: self.request,
+            mode,
+            deadline: self.deadline,
+        })
     }
 }
 

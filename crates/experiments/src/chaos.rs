@@ -18,10 +18,11 @@
 use cmpqos_core::gac::FaultReport;
 use cmpqos_core::{
     AdmissionRequest, Cluster, Decision, ExecutionMode, GlobalAdmissionController, Lac, LacConfig,
-    MemberState, NetGacConfig, NetGacStats, NodeHealth, ProbePolicy, ResourceRequest,
+    LacEndpoint, MemberState, NetGac, NetGacConfig, NetGacStats, NodeHealth, ProbePolicy,
+    ResourceRequest,
 };
 use cmpqos_faults::{Fault, FaultPlan, FaultSchedule, Injection};
-use cmpqos_net::{LinkConfig, NetStats};
+use cmpqos_net::{LinkConfig, NetStats, SimNet};
 use cmpqos_obs::{Counters, Event, Health, Record, Recorder, RingBufferRecorder, Timeline};
 use cmpqos_recovery::JournaledGac;
 use cmpqos_types::{Cycles, JobId, NodeId, Percent};
@@ -716,7 +717,8 @@ struct Ledger {
 
 /// A cluster of `nodes` default LACs that places least-loaded first, over
 /// links with a 10-cycle base latency, jitter 5 and reorder 10 that drop
-/// and duplicate the given fractions of their frames.
+/// and duplicate the given fractions of their frames. The cells read only
+/// the network's counters, so it keeps no frame log.
 fn lossy_cluster(
     nodes: usize,
     seed: u64,
@@ -729,8 +731,12 @@ fn lossy_cluster(
         .reorder(10)
         .drop(drop)
         .duplicate(duplicate);
-    let policy = ProbePolicy::LeastLoaded;
-    Cluster::new(nodes, LacConfig::default(), seed, link, config, policy)
+    let gac = NetGac::new(nodes, config, ProbePolicy::LeastLoaded);
+    let endpoints = (0..nodes)
+        .map(|_| LacEndpoint::new(Lac::new(LacConfig::default())))
+        .collect();
+    let net = SimNet::new(seed, link).without_logs();
+    Cluster::from_parts(gac, endpoints, net, Cycles::ZERO)
 }
 
 /// One scheduled instant of a message-layer cell.

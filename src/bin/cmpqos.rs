@@ -354,7 +354,8 @@ fn cmd_run(flags: &Flags) -> Result<(), Failure> {
         );
     }
     if let Some(path) = flags.get("json") {
-        write_json(Path::new(path), &outcome).map_err(|e| e.to_string())?;
+        write_json(Path::new(path), &outcome)
+            .map_err(|e| Failure::Failed(format!("--json {path}: {e}")))?;
         println!("  raw results written to {path}");
     }
     Ok(())

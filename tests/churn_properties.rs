@@ -19,9 +19,8 @@
 //!    clock advances, kills, joins, drains and restarts gives the same
 //!    per-job decisions and the same final placements through the
 //!    in-process `GlobalAdmissionController` and through a `Cluster` over
-//!    a lossless, zero-latency `SimNet`, given the node-local correction
-//!    the in-process driver makes after each placement (the reservation
-//!    window the node's table holds). (Message faults, whose timing
+//!    a lossless, zero-latency `SimNet`, with nothing in between: the core
+//!    records the window each node reserved. (Message faults, whose timing
 //!    depends on the transport, and way/core faults and early
 //!    completions, which only the in-process driver takes, are left out.)
 //! 5. **A churned core reads back whole.** A `NetGac` serialized mid-churn
@@ -30,8 +29,8 @@
 //!    never serialized, and keeps the snapshot format it always had.
 //! 6. **The churn drain ends once its jobs are done.** The standard churn
 //!    cell opens at most 15 conversations per job at seeds 1-10, because
-//!    a heartbeat round does not keep its drain going, and every outcome
-//!    field but the traffic counters is the one pinned by a digest.
+//!    neither a heartbeat round nor a ping keeps its drain going, and every
+//!    outcome field but the traffic counters is the one pinned by a digest.
 
 use cmpqos::experiments::chaos::{run_churn, ChurnParams};
 use cmpqos::faults::{Fault, FaultPlan, Injection};
@@ -246,10 +245,6 @@ fn through_the_in_process_driver(nodes: usize, policy: ProbePolicy, steps: &[Ste
 }
 
 /// The same stream through a cluster over a lossless, zero-latency net.
-/// After each placement it makes the correction the in-process driver
-/// makes from the node's table: the core's copy of the reservation takes
-/// the window the LAC reserved, or, when the LAC reserved nothing
-/// (Opportunistic), the placement retires at once.
 fn through_a_lossless_cluster(nodes: usize, policy: ProbePolicy, steps: &[Step]) -> Outcome {
     let link = LinkConfig::default().base_latency(Cycles::ZERO);
     let mut cluster = Cluster::new(
@@ -287,16 +282,6 @@ fn through_a_lossless_cluster(nodes: usize, policy: ProbePolicy, steps: &[Step])
             cluster.apply(Injection { at: now, fault }, &mut rec);
         }
         cluster.run_until(now, &mut rec);
-        if let Step::Submit(req) = step {
-            if let (Some(node), Decision::Accepted { .. }) = cluster.gac().decisions()[&req.id] {
-                match cluster.endpoint(node).backend().reservation(req.id) {
-                    Some(r) => cluster.gac_mut().amend(r),
-                    None => {
-                        let _ = cluster.gac_mut().release(req.id);
-                    }
-                }
-            }
-        }
     }
     let gac = cluster.gac();
     let decisions = submitted
@@ -509,11 +494,12 @@ fn a_churned_core_reads_back_with_working_indexes() {
 }
 
 /// Property 6: the churn cell's drain ends once its jobs are done. A
-/// heartbeat round is not work, so the drain stops at its first check
-/// that finds none, whatever the heartbeat phase, instead of beaconing an
-/// empty cluster for its whole 16-chunk budget (about 50 conversations
-/// per job). With the traffic counters set aside, every outcome is the
-/// one the cell gave while the drain still waited out heartbeat rounds.
+/// heartbeat round or a ping to a Suspect node is not work, so the drain
+/// stops at its first check that finds none, whatever the heartbeat
+/// phase, instead of beaconing an empty cluster for its whole 16-chunk
+/// budget (about 50 conversations per job). With the traffic counters set
+/// aside, every outcome is the one captured when the core began holding
+/// each Elastic placement for its whole `tw·(1+X)` window.
 #[test]
 fn the_churn_drain_ends_once_the_jobs_are_done() {
     let mut text = String::new();
@@ -532,7 +518,7 @@ fn the_churn_drain_ends_once_the_jobs_are_done() {
     }
     assert_eq!(
         cmpqos::recovery::fnv1a64(text.as_bytes()),
-        17_526_842_199_863_564_748,
+        9_868_838_472_614_572_080,
         "an outcome moved beyond its traffic counters:\n{text}"
     );
 }

@@ -398,7 +398,7 @@ fn chaos_injections_exit_1_naming_the_broken_invariant() {
         (
             "chaos --churn --nodes 16 --job-count 80 --horizon 480000 \
              --churn-events 8 --kills 1 --inject lease-freeze",
-            "error: 7 lease(s) expired: some placement went unrenewed past TTL + grace",
+            "error: 10 lease(s) expired: some placement went unrenewed past TTL + grace",
         ),
     ] {
         let out = cmpqos(args);
@@ -408,4 +408,22 @@ fn chaos_injections_exit_1_naming_the_broken_invariant() {
         assert!(!stderr.contains("usage:"), "cmpqos {args}: {stderr}");
         assert!(!out.stdout.is_empty(), "cmpqos {args} printed its table");
     }
+}
+
+/// A `--json` path the run cannot write fails the run after its results
+/// print: exit 1 and an `error:` line naming the flag and the path. The
+/// input was valid, so no usage text follows.
+#[test]
+fn an_unwritable_json_path_fails_the_run_naming_it() {
+    let missing = std::env::temp_dir().join(format!("cmpqos-cli-{}-missing", std::process::id()));
+    let path = missing.join("x.json").display().to_string();
+    let args =
+        format!("run --workload bzip2 --config hybrid2 --scale 16 --work 80000 --json {path}");
+    let out = cmpqos(&args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "cmpqos {args}: {stderr}");
+    let error = format!("error: --json {path}: ");
+    assert!(stderr.starts_with(&error), "cmpqos {args}: {stderr}");
+    assert!(!stderr.contains("usage:"), "cmpqos {args}: {stderr}");
+    assert!(!out.stdout.is_empty(), "cmpqos {args} printed its results");
 }
