@@ -1,4 +1,4 @@
-//! The deterministic integer PID policy.
+//! The deterministic integer PID controller.
 //!
 //! Everything is integer-denominated: errors in milli-CPI, gains in
 //! milli-units, the output quantized to a small intervention *level*.
@@ -7,12 +7,11 @@
 //! lets the testkit brute-force the same law in `i128` and diff the two
 //! implementations over millions of seed-derived error streams.
 
-use crate::policy::Policy;
-use cmpqos_core::{EpochView, ExecutionMode, KnobUpdate, StealingConfig};
+use cmpqos_core::{EpochController, EpochView, ExecutionMode, KnobUpdate, StealingConfig};
 use cmpqos_types::{Instructions, JobId};
 use std::collections::BTreeMap;
 
-/// Gains and clamps for the [`Pid`] policy. All integer milli-units.
+/// Gains and clamps for the [`Pid`] controller. All integer milli-units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PidConfig {
     /// Proportional gain, milli-units (`1000` = 1.0).
@@ -96,7 +95,7 @@ pub fn pid_step(config: &PidConfig, state: &mut PidState, error_milli: i64) -> u
     state.level
 }
 
-/// The per-job PID policy.
+/// The per-job PID controller.
 ///
 /// Each sampled job with an SLO gets its own [`PidState`]; its level maps
 /// to knob positions monotonically:
@@ -118,7 +117,7 @@ pub struct Pid {
 }
 
 impl Pid {
-    /// A PID policy with the given gains.
+    /// A PID controller with the given gains.
     #[must_use]
     pub fn new(config: PidConfig) -> Self {
         Self {
@@ -140,12 +139,12 @@ impl Pid {
     }
 }
 
-impl Policy for Pid {
+impl EpochController for Pid {
     fn name(&self) -> &'static str {
         "pid"
     }
 
-    fn decide(&mut self, view: &EpochView<'_>) -> Vec<KnobUpdate> {
+    fn epoch(&mut self, view: &EpochView<'_>) -> Vec<KnobUpdate> {
         // Forget jobs that left the sample set (completed or revoked).
         self.jobs
             .retain(|&id, _| view.samples.iter().any(|s| s.job == id));
@@ -260,7 +259,6 @@ mod tests {
             slo,
             instructions: Instructions::new(1000),
             cycles: Cycles::new(cpi_milli), // 1000 instr → cycles = milli-CPI
-            l2_misses: 0,
         }
     }
 
@@ -279,7 +277,7 @@ mod tests {
             samples: &samples,
             floating_cores: &floating,
         };
-        let updates = pid.decide(&view);
+        let updates = pid.epoch(&view);
         // Level stays 0: every knob is asked to hold its baseline value.
         assert!(updates.contains(&KnobUpdate::StealSlack {
             job: JobId::new(0),
@@ -312,7 +310,7 @@ mod tests {
         let mut slack = u64::MAX;
         let mut speed = u8::MAX;
         for _ in 0..20 {
-            for u in pid.decide(&view) {
+            for u in pid.epoch(&view) {
                 match u {
                     KnobUpdate::StealSlack { milli_pct, .. } => slack = milli_pct,
                     KnobUpdate::CoreSpeed { percent, .. } => speed = percent,
@@ -344,14 +342,14 @@ mod tests {
             samples: &samples,
             floating_cores: &[],
         };
-        pid.decide(&view);
+        pid.epoch(&view);
         assert!(pid.state(JobId::new(7)).is_some());
         let empty = EpochView {
             now: Cycles::new(2),
             samples: &[],
             floating_cores: &[],
         };
-        pid.decide(&empty);
+        pid.epoch(&empty);
         assert!(pid.state(JobId::new(7)).is_none());
     }
 }

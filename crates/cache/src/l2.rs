@@ -416,7 +416,7 @@ impl SharedL2 {
     /// every way is masked.
     ///
     /// This is the occupancy currency of the adaptive control plane: the
-    /// same milli-unit integer vocabulary as CPI/MPKI samples, exact and
+    /// same milli-unit integer vocabulary as its CPI samples, exact and
     /// platform-independent.
     ///
     /// # Panics

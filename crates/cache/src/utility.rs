@@ -1,5 +1,5 @@
 //! Utility-based cache partitioning (UCP) — the throughput-optimizing
-//! baseline of the paper's related work (Qureshi & Patt, reference [18]).
+//! baseline of the paper's related work (Qureshi & Patt, reference \[18\]).
 //!
 //! UCP does *not* provide QoS: it allocates ways to whoever benefits most,
 //! with no per-job guarantee. It is implemented here as a baseline the
@@ -13,7 +13,6 @@
 //! **lookahead algorithm** greedily grants ways to the core with the
 //! highest marginal utility per way.
 
-use crate::shadow::DuplicateTagMonitor;
 use cmpqos_types::Ways;
 
 /// A per-core utility monitor: sampled sets with an LRU stack of
@@ -100,13 +99,6 @@ impl UtilityMonitor {
     pub fn accesses(&self) -> u64 {
         self.accesses
     }
-
-    /// Resets the hit counters for a new measurement interval (tag stacks
-    /// stay warm).
-    pub fn reset_counters(&mut self) {
-        self.hits.iter_mut().for_each(|h| *h = 0);
-        self.accesses = 0;
-    }
 }
 
 /// The UCP lookahead algorithm: distributes `total` ways across cores by
@@ -165,27 +157,6 @@ pub fn lookahead_partition(
     alloc
 }
 
-/// Convenience: builds UMONs alongside a [`DuplicateTagMonitor`]-style
-/// sampling configuration for all cores of a cache.
-#[must_use]
-pub fn monitors_for(
-    cores: usize,
-    max_ways: Ways,
-    sets: u32,
-    sample_every: u32,
-) -> Vec<UtilityMonitor> {
-    (0..cores)
-        .map(|_| UtilityMonitor::new(max_ways, sets, sample_every))
-        .collect()
-}
-
-// Re-exported here so callers comparing the two monitoring structures find
-// both in one place.
-#[allow(unused_imports)]
-pub use crate::shadow::DuplicateTagMonitor as _ShadowForComparison;
-
-const _: fn(&DuplicateTagMonitor) -> u64 = DuplicateTagMonitor::shadow_misses;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,9 +214,15 @@ mod tests {
         );
     }
 
+    fn idle_monitors(cores: usize) -> Vec<UtilityMonitor> {
+        (0..cores)
+            .map(|_| UtilityMonitor::new(Ways::new(16), 16, 8))
+            .collect()
+    }
+
     #[test]
     fn lookahead_respects_minimum_and_total() {
-        let ms = monitors_for(4, Ways::new(16), 16, 8);
+        let ms = idle_monitors(4);
         let alloc = lookahead_partition(&ms, Ways::new(16), Ways::new(2));
         assert_eq!(alloc.iter().copied().sum::<Ways>(), Ways::new(16));
         assert!(alloc.iter().all(|w| *w >= Ways::new(2)));
@@ -254,20 +231,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "minimum allocation exceeds capacity")]
     fn impossible_minimum_panics() {
-        let ms = monitors_for(4, Ways::new(16), 16, 8);
+        let ms = idle_monitors(4);
         let _ = lookahead_partition(&ms, Ways::new(4), Ways::new(2));
-    }
-
-    #[test]
-    fn reset_clears_counters_but_keeps_tags() {
-        let mut m = fed_monitor(2, 3);
-        assert!(m.hits_with(Ways::new(8)) > 0);
-        m.reset_counters();
-        assert_eq!(m.hits_with(Ways::new(8)), 0);
-        assert_eq!(m.accesses(), 0);
-        // Tags are still warm: next access hits immediately.
-        m.observe(0, blk(0, 0));
-        assert_eq!(m.hits_with(Ways::new(8)), 1);
     }
 
     #[test]

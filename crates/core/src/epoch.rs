@@ -4,7 +4,7 @@
 //! The paper's framework *admits* jobs against declared resource targets
 //! but never looks back at what performance was actually delivered. The
 //! adaptive layer closes that loop: each control epoch the scheduler
-//! samples every live job's delivered CPI and miss rate ([`EpochSample`]),
+//! samples every live job's delivered CPI ([`EpochSample`]),
 //! hands the batch to an installed [`EpochController`], and applies the
 //! knob movements it returns ([`KnobUpdate`]). This module defines only
 //! the vocabulary of that exchange — the controllers themselves live in
@@ -29,9 +29,6 @@ use cmpqos_types::{CoreId, Cycles, Instructions, JobId};
 pub struct SloSpec {
     /// Delivered-CPI ceiling, in milli-CPI (1000 × CPI).
     pub max_cpi_milli: u64,
-    /// Optional L2 misses-per-kilo-instruction ceiling, in milli-MPKI
-    /// (1000 × MPKI). `None` disables the miss-rate term.
-    pub max_mpki_milli: Option<u64>,
 }
 
 impl SloSpec {
@@ -48,15 +45,7 @@ impl SloSpec {
     pub fn cpi(max_cpi: f64) -> Self {
         Self {
             max_cpi_milli: (max_cpi * 1000.0).round().max(0.0) as u64,
-            max_mpki_milli: None,
         }
-    }
-
-    /// Adds an L2 MPKI ceiling to the objective.
-    #[must_use]
-    pub fn with_max_mpki(mut self, max_mpki: f64) -> Self {
-        self.max_mpki_milli = Some((max_mpki * 1000.0).round().max(0.0) as u64);
-        self
     }
 
     /// An SLO no run can violate, for baselines and metamorphic tests.
@@ -64,7 +53,6 @@ impl SloSpec {
     pub fn unbounded() -> Self {
         Self {
             max_cpi_milli: u64::MAX,
-            max_mpki_milli: None,
         }
     }
 }
@@ -88,8 +76,6 @@ pub struct EpochSample {
     pub instructions: Instructions,
     /// Cycles charged this epoch.
     pub cycles: Cycles,
-    /// L2 misses this epoch.
-    pub l2_misses: u64,
 }
 
 impl EpochSample {
@@ -103,25 +89,12 @@ impl EpochSample {
             .checked_div(self.instructions.get())
     }
 
-    /// Delivered L2 MPKI over the window, in milli-MPKI; `None` on an idle
-    /// window.
-    #[must_use]
-    pub fn mpki_milli(&self) -> Option<u64> {
-        self.l2_misses
-            .saturating_mul(1_000_000)
-            .checked_div(self.instructions.get())
-    }
-
     /// Whether this window violates the job's SLO (false without an SLO or
     /// on an idle window).
     #[must_use]
     pub fn violates_slo(&self) -> bool {
         let Some(slo) = self.slo else { return false };
-        let cpi_over = self.cpi_milli().is_some_and(|c| c > slo.max_cpi_milli);
-        let mpki_over = slo
-            .max_mpki_milli
-            .is_some_and(|t| self.mpki_milli().is_some_and(|m| m > t));
-        cpi_over || mpki_over
+        self.cpi_milli().is_some_and(|c| c > slo.max_cpi_milli)
     }
 }
 
@@ -188,7 +161,7 @@ pub trait EpochController: Send {
 mod tests {
     use super::*;
 
-    fn sample(instr: u64, cycles: u64, misses: u64, slo: Option<SloSpec>) -> EpochSample {
+    fn sample(instr: u64, cycles: u64, slo: Option<SloSpec>) -> EpochSample {
         EpochSample {
             job: JobId::new(1),
             core: Some(CoreId::new(0)),
@@ -196,37 +169,24 @@ mod tests {
             slo,
             instructions: Instructions::new(instr),
             cycles: Cycles::new(cycles),
-            l2_misses: misses,
         }
     }
 
     #[test]
     fn milli_ratios_are_exact_integer_arithmetic() {
-        let s = sample(4000, 10_400, 12, None);
+        let s = sample(4000, 10_400, None);
         assert_eq!(s.cpi_milli(), Some(2600));
-        assert_eq!(s.mpki_milli(), Some(3000)); // 12/4000 instr = 3 MPKI
-        let idle = sample(0, 0, 0, None);
+        let idle = sample(0, 0, None);
         assert_eq!(idle.cpi_milli(), None);
-        assert_eq!(idle.mpki_milli(), None);
     }
 
     #[test]
     fn violation_requires_an_slo_and_a_busy_window() {
         let slo = SloSpec::cpi(2.5);
-        assert!(sample(1000, 2600, 0, Some(slo)).violates_slo());
-        assert!(!sample(1000, 2400, 0, Some(slo)).violates_slo());
-        assert!(!sample(1000, 9999, 0, None).violates_slo());
-        assert!(!sample(0, 0, 0, Some(slo)).violates_slo());
-        assert!(!sample(1000, 9999, 99, Some(SloSpec::unbounded())).violates_slo());
-    }
-
-    #[test]
-    fn mpki_term_is_independent_of_the_cpi_term() {
-        let slo = SloSpec::cpi(10.0).with_max_mpki(2.0);
-        assert_eq!(slo.max_mpki_milli, Some(2000));
-        // CPI fine, MPKI over: 3 MPKI > 2 MPKI.
-        assert!(sample(4000, 8000, 12, Some(slo)).violates_slo());
-        // Both fine.
-        assert!(!sample(4000, 8000, 4, Some(slo)).violates_slo());
+        assert!(sample(1000, 2600, Some(slo)).violates_slo());
+        assert!(!sample(1000, 2400, Some(slo)).violates_slo());
+        assert!(!sample(1000, 9999, None).violates_slo());
+        assert!(!sample(0, 0, Some(slo)).violates_slo());
+        assert!(!sample(1000, 9999, Some(SloSpec::unbounded())).violates_slo());
     }
 }

@@ -24,7 +24,7 @@ use crate::protocol::{Cluster, LacBackend, LacEndpoint, NetGac, NetGacConfig, Wi
 use crate::request::AdmissionRequest;
 use crate::target::ResourceRequest;
 use cmpqos_faults::{Fault, Injection};
-use cmpqos_net::{Addr, LinkConfig, SimNet, Transport};
+use cmpqos_net::{Addr, LinkConfig, SimNet};
 use cmpqos_obs::{Event, Recorder};
 use cmpqos_types::{Cycles, JobId, NodeId, Ways};
 

@@ -599,11 +599,9 @@ mod tests {
             .build();
         // A 1-core LAC: the first request owns it, everything after is
         // rejected, so the window fills with rejects.
-        let mut lac = Lac::new(
-            LacConfig::builder()
-                .capacity(ResourceRequest::new(1, cmpqos_types::Ways::new(16)))
-                .build(),
-        );
+        let mut lac = Lac::new(LacConfig {
+            capacity: ResourceRequest::new(1, cmpqos_types::Ways::new(16)),
+        });
         let mut i = AdmissionIntake::new(NodeId::new(1), cfg);
         let mut rec = RingBufferRecorder::new(256);
         for n in 0..6 {

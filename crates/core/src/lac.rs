@@ -196,7 +196,7 @@ pub struct Revocation {
 
 /// LAC configuration.
 ///
-/// Construct with [`LacConfig::default`] or the [`LacConfig::builder`];
+/// Construct with [`LacConfig::default`] and set the fields that differ;
 /// the struct is `#[non_exhaustive]`, so fields may be added without
 /// breaking downstream crates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,37 +212,6 @@ impl Default for LacConfig {
         Self {
             capacity: ResourceRequest::new(4, cmpqos_types::Ways::new(16)).with_bandwidth(100),
         }
-    }
-}
-
-impl LacConfig {
-    /// A fluent builder starting from the paper defaults.
-    #[must_use]
-    pub fn builder() -> LacConfigBuilder {
-        LacConfigBuilder {
-            config: LacConfig::default(),
-        }
-    }
-}
-
-/// Fluent builder for [`LacConfig`].
-#[derive(Debug, Clone)]
-pub struct LacConfigBuilder {
-    config: LacConfig,
-}
-
-impl LacConfigBuilder {
-    /// Sets the total node capacity.
-    #[must_use]
-    pub fn capacity(mut self, capacity: ResourceRequest) -> Self {
-        self.config.capacity = capacity;
-        self
-    }
-
-    /// Finishes the configuration.
-    #[must_use]
-    pub fn build(self) -> LacConfig {
-        self.config
     }
 }
 
@@ -862,11 +831,9 @@ mod tests {
 
     #[test]
     fn opportunistic_rejected_when_all_cores_reserved() {
-        let mut l = Lac::new(
-            LacConfig::builder()
-                .capacity(ResourceRequest::new(2, Ways::new(16)))
-                .build(),
-        );
+        let mut l = Lac::new(LacConfig {
+            capacity: ResourceRequest::new(2, Ways::new(16)),
+        });
         let _ = strict(&mut l, 0, 100, 1000);
         let _ = strict(&mut l, 1, 100, 1000);
         let d = l.admit(
@@ -923,9 +890,9 @@ mod tests {
         // Seed the table with a reservation occupying [400, 500) directly
         // through a snapshot restore.
         let mut l = Lac::restore(LacState {
-            config: LacConfig::builder()
-                .capacity(ResourceRequest::new(1, Ways::new(16)))
-                .build(),
+            config: LacConfig {
+                capacity: ResourceRequest::new(1, Ways::new(16)),
+            },
             now: Cycles::ZERO,
             reservations: vec![Reservation {
                 id: JobId::new(0),
@@ -1018,15 +985,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_overrides_capacity() {
-        let cfg = LacConfig::builder()
-            .capacity(ResourceRequest::new(2, Ways::new(8)))
-            .build();
-        assert_eq!(cfg.capacity, ResourceRequest::new(2, Ways::new(8)));
-        assert_eq!(LacConfig::builder().build(), LacConfig::default());
-    }
-
-    #[test]
     fn admit_batch_matches_one_at_a_time() {
         let reqs: Vec<AdmissionRequest> = (0..20u32)
             .map(|i| {
@@ -1108,11 +1066,9 @@ mod tests {
 
     #[test]
     fn admit_rejects_opportunistic_without_spare_cores_and_records_it() {
-        let mut l = Lac::new(
-            LacConfig::builder()
-                .capacity(ResourceRequest::new(1, Ways::new(16)))
-                .build(),
-        );
+        let mut l = Lac::new(LacConfig {
+            capacity: ResourceRequest::new(1, Ways::new(16)),
+        });
         let _ = strict(&mut l, 0, 100, 1000);
         let mut rec = cmpqos_obs::RingBufferRecorder::new(8);
         let d = l.admit_with(
@@ -1210,11 +1166,9 @@ mod tests {
 
     #[test]
     fn admit_latest_rejects_when_every_slot_is_taken() {
-        let mut l = Lac::new(
-            LacConfig::builder()
-                .capacity(ResourceRequest::new(1, Ways::new(16)))
-                .build(),
-        );
+        let mut l = Lac::new(LacConfig {
+            capacity: ResourceRequest::new(1, Ways::new(16)),
+        });
         // One job owns the whole window [0, 500).
         let _ = l.admit(
             &AdmissionRequest::builder(

@@ -4,11 +4,13 @@
 //! of Service in Chip Multi-Processors"* (Guo, Solihin, Zhao, Iyer — MICRO
 //! 2007) on top of the `cmpqos-system` CMP simulator:
 //!
-//! * **QoS target specification** ([`target`]) — targets are *Resource Usage
-//!   Metrics* (cores + L2 ways + optional timeslot), which are *convertible*
-//!   into computation capacity (Definition 1) and therefore admission-
-//!   testable; IPC/miss-rate targets (OPM/RPM) are represented as
-//!   deliberately non-convertible types.
+//! * **QoS target specification** ([`target`], [`request`]) — a target is
+//!   a *Resource Usage Metric* request (cores + L2 ways + bandwidth, in
+//!   [`ResourceRequest`]) plus an optional timeslot (`tw` and a deadline,
+//!   in [`AdmissionRequest`]). Such a target is *convertible* into
+//!   computation capacity (Definition 1), so the LAC tests it against
+//!   free capacity. IPC and miss-rate targets (OPM/RPM) have no type:
+//!   nothing could admit one.
 //! * **Execution modes** ([`modes`]) — `Strict`, `Elastic(X)`,
 //!   `Opportunistic`, plus the manual and automatic mode-downgrade rules of
 //!   Sections 3.3–3.4.
@@ -24,7 +26,7 @@
 //! * **The epoch hook** ([`epoch`]) — per-job SLO declarations
 //!   ([`SloSpec`]) and the controller seam ([`EpochController`]) that lets
 //!   the `cmpqos-adapt` crate retune stealing slack, steal cadence and
-//!   per-core DVFS speed from delivered CPI/miss-rate samples.
+//!   per-core DVFS speed from delivered CPI samples.
 //! * **The orchestrator** ([`scheduler`]) — glues the above to a
 //!   [`cmpqos_system::CmpNode`]: spawns accepted jobs at their reserved
 //!   start times, maintains partition targets, drives stealing and
@@ -77,8 +79,7 @@ pub use intake::{
     AdmissionIntake, DrainedDecision, IntakeConfig, IntakeConfigBuilder, IntakeOutcome, IntakeStats,
 };
 pub use lac::{
-    Decision, Lac, LacConfig, LacConfigBuilder, LacState, RejectReason, Reservation, Revocation,
-    RevocationAction,
+    Decision, Lac, LacConfig, LacState, RejectReason, Reservation, Revocation, RevocationAction,
 };
 pub use modes::ExecutionMode;
 pub use protocol::{
@@ -87,8 +88,7 @@ pub use protocol::{
 };
 pub use request::{AdmissionRequest, AdmissionRequestBuilder, Feasibility, Placement};
 pub use scheduler::{
-    JobEvent, JobReport, QosJob, QosJobBuilder, QosScheduler, SchedulerConfig,
-    SchedulerConfigBuilder, StealReport,
+    JobEvent, JobReport, QosJob, QosJobBuilder, QosScheduler, SchedulerConfig, StealReport,
 };
-pub use stealing::{StealingAction, StealingConfig, StealingConfigBuilder, StealingController};
-pub use target::{Convertible, QosTarget, ResourceRequest, Timeslot};
+pub use stealing::{StealingAction, StealingConfig, StealingController};
+pub use target::ResourceRequest;

@@ -1,8 +1,7 @@
 //! The GAC↔LAC control plane: the one global-admission state machine,
 //! [`NetGac`], and the request/reply protocol it speaks. `NetGac` never
-//! calls a LAC: it sends typed messages through a [`Transport`] and acts
-//! on the replies. [`Cluster`] drives it over a seeded
-//! [`cmpqos_net::SimNet`];
+//! calls a LAC: it sends typed messages through a [`SimNet`] and acts on
+//! the replies. [`Cluster`] drives it over a seeded, lossy `SimNet`;
 //! [`GlobalAdmissionController`](crate::gac::GlobalAdmissionController)
 //! drives it in-process over a zero-latency one.
 //!
@@ -46,16 +45,16 @@ use crate::lac::{Decision, Lac, RejectReason, Reservation};
 use crate::request::AdmissionRequest;
 use crate::target::ResourceRequest;
 use cmpqos_faults::{Fault, Injection};
-use cmpqos_net::{Addr, LinkConfig, SimNet, Transport};
+use cmpqos_net::{Addr, LinkConfig, SimNet};
 use cmpqos_obs::{Event, NullRecorder, Recorder};
 use cmpqos_types::{Cycles, JobId, NodeId, Ways};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The node-side admission state machine a [`LacEndpoint`] drives.
 ///
-/// [`Lac`] implements it directly; `cmpqos-recovery`'s journaled LAC
-/// implements it with write-ahead logging, so a reconciliation after a
-/// crash-restart diffs against the journal-recovered table.
+/// [`Lac`] implements it; the in-process driver's nodes implement it over
+/// a `Lac` that shares the controller's event log, and perfbench wraps a
+/// `Lac` to time each call.
 pub trait LacBackend {
     /// The backend's clock.
     fn now(&self) -> Cycles;
@@ -158,10 +157,9 @@ impl RequestBody {
 pub enum ReplyBody {
     /// The admission decision for a probe or readmit.
     Decision(Decision),
-    /// The revoke was applied.
-    Revoked,
-    /// The ping was answered.
-    Summary,
+    /// A revoke, ping, heartbeat or join was applied. It carries nothing:
+    /// the GAC knows which request it answers from the open conversation.
+    Ack,
     /// The reconciliation outcome.
     Reconcile {
         /// Orphan reservations the endpoint revoked (held locally but
@@ -173,10 +171,6 @@ pub enum ReplyBody {
         /// from "lost" for placements the node no longer holds.
         now: Cycles,
     },
-    /// The heartbeat answer.
-    HeartbeatAck,
-    /// The join handshake completed on the node side.
-    JoinAck,
     /// The drain was applied.
     DrainAck {
         /// The node's clock, so the GAC can tell which of its placements
@@ -367,9 +361,9 @@ impl<B: LacBackend> LacEndpoint<B> {
             RequestBody::Readmit(r) => ReplyBody::Decision(self.backend.readmit(&r)),
             RequestBody::Revoke { job } => {
                 self.backend.cancel(job);
-                ReplyBody::Revoked
+                ReplyBody::Ack
             }
-            RequestBody::Summary => ReplyBody::Summary,
+            RequestBody::Summary | RequestBody::Heartbeat | RequestBody::Join => ReplyBody::Ack,
             RequestBody::Reconcile { placed } => {
                 let placed: BTreeSet<JobId> = placed.into_iter().collect();
                 let mut orphans_revoked = Vec::new();
@@ -390,8 +384,6 @@ impl<B: LacBackend> LacEndpoint<B> {
                     now: self.backend.now(),
                 }
             }
-            RequestBody::Heartbeat => ReplyBody::HeartbeatAck,
-            RequestBody::Join => ReplyBody::JoinAck,
             RequestBody::Drain => {
                 for r in self.backend.reservations() {
                     self.backend.cancel(r.id);
@@ -963,7 +955,7 @@ impl NetGac {
     pub fn drive(
         &mut self,
         now: Cycles,
-        net: &mut dyn Transport<Wire>,
+        net: &mut SimNet<Wire>,
         recorder: &mut dyn Recorder,
     ) -> bool {
         self.now = self.now.max(now);
@@ -986,7 +978,7 @@ impl NetGac {
     fn converse(
         &mut self,
         now: Cycles,
-        net: &mut dyn Transport<Wire>,
+        net: &mut SimNet<Wire>,
         recorder: &mut dyn Recorder,
     ) -> bool {
         self.now = self.now.max(now);
@@ -1071,7 +1063,7 @@ impl NetGac {
     fn open(
         &mut self,
         task: Task,
-        net: &mut dyn Transport<Wire>,
+        net: &mut SimNet<Wire>,
         recorder: &mut dyn Recorder,
     ) -> Option<Conversation> {
         match task {
@@ -1222,7 +1214,7 @@ impl NetGac {
         body: RequestBody,
         at: Cycles,
         task: Task,
-        net: &mut dyn Transport<Wire>,
+        net: &mut SimNet<Wire>,
     ) -> Conversation {
         let i = node.as_usize();
         let seq = self.nodes[i].next_seq;
@@ -1257,7 +1249,7 @@ impl NetGac {
     fn on_timeout(
         &mut self,
         mut conv: Conversation,
-        net: &mut dyn Transport<Wire>,
+        net: &mut SimNet<Wire>,
         recorder: &mut dyn Recorder,
     ) -> bool {
         let i = conv.node.as_usize();
@@ -1581,7 +1573,7 @@ impl NetGac {
                     self.tasks.push_front(Task::Readmit { r, from, at, tried });
                 }
             },
-            (Task::Revoke { job }, ReplyBody::Revoked) => {
+            (Task::Revoke { job }, ReplyBody::Ack) => {
                 // If the reservation ran out while the revoke was in
                 // flight, the completion wins: a job is completed XOR
                 // revoked, never both.
@@ -1647,14 +1639,14 @@ impl NetGac {
                 }
                 self.renew_leases(node, &mut NullRecorder);
             }
-            (Task::Ping { node }, ReplyBody::Summary) => {
+            (Task::Ping { node }, ReplyBody::Ack) => {
                 self.nodes[node.as_usize()].ping_queued = false;
             }
-            (Task::Heartbeat { node }, ReplyBody::HeartbeatAck) => {
+            (Task::Heartbeat { node }, ReplyBody::Ack) => {
                 self.nodes[node.as_usize()].heartbeat_queued = false;
                 self.renew_leases(node, recorder);
             }
-            (Task::Join { node }, ReplyBody::JoinAck) => {
+            (Task::Join { node }, ReplyBody::Ack) => {
                 let i = node.as_usize();
                 if self.nodes[i].member == MemberState::Joining {
                     self.nodes[i].member = MemberState::Live;

@@ -151,13 +151,11 @@ impl QosJobBuilder {
 
 /// Orchestrator configuration.
 ///
-/// Construct with [`SchedulerConfig::default`] or the
-/// [`SchedulerConfig::builder`]; the struct is `#[non_exhaustive]`.
+/// Construct with [`SchedulerConfig::default`] and set the fields that
+/// differ; the struct is `#[non_exhaustive]`.
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub struct SchedulerConfig {
-    /// LAC capacity configuration.
-    pub lac: LacConfig,
     /// Resource-stealing parameters.
     pub stealing: StealingConfig,
     /// Enable automatic mode downgrade for Strict jobs with slack
@@ -176,71 +174,11 @@ pub struct SchedulerConfig {
 impl Default for SchedulerConfig {
     fn default() -> Self {
         Self {
-            lac: LacConfig::default(),
             stealing: StealingConfig::default(),
             auto_downgrade: false,
             stealing_enabled: true,
             auto_downgrade_min_slack: 0.5,
         }
-    }
-}
-
-impl SchedulerConfig {
-    /// A fluent builder starting from the defaults.
-    #[must_use]
-    pub fn builder() -> SchedulerConfigBuilder {
-        SchedulerConfigBuilder {
-            config: SchedulerConfig::default(),
-        }
-    }
-}
-
-/// Fluent builder for [`SchedulerConfig`].
-#[derive(Debug, Clone)]
-pub struct SchedulerConfigBuilder {
-    config: SchedulerConfig,
-}
-
-impl SchedulerConfigBuilder {
-    /// Sets the LAC capacity configuration.
-    #[must_use]
-    pub fn lac(mut self, lac: LacConfig) -> Self {
-        self.config.lac = lac;
-        self
-    }
-
-    /// Sets the resource-stealing parameters.
-    #[must_use]
-    pub fn stealing(mut self, stealing: StealingConfig) -> Self {
-        self.config.stealing = stealing;
-        self
-    }
-
-    /// Enables/disables automatic mode downgrade.
-    #[must_use]
-    pub fn auto_downgrade(mut self, enabled: bool) -> Self {
-        self.config.auto_downgrade = enabled;
-        self
-    }
-
-    /// Enables/disables resource stealing.
-    #[must_use]
-    pub fn stealing_enabled(mut self, enabled: bool) -> Self {
-        self.config.stealing_enabled = enabled;
-        self
-    }
-
-    /// Sets the minimum slack fraction for automatic downgrade.
-    #[must_use]
-    pub fn auto_downgrade_min_slack(mut self, fraction: f64) -> Self {
-        self.config.auto_downgrade_min_slack = fraction;
-        self
-    }
-
-    /// Finishes the configuration.
-    #[must_use]
-    pub fn build(self) -> SchedulerConfig {
-        self.config
     }
 }
 
@@ -423,8 +361,8 @@ impl QosScheduler {
     /// Creates a scheduler over a fresh node, with events discarded
     /// (a [`NullRecorder`]).
     ///
-    /// The LAC capacity is aligned to the node: its core count and L2
-    /// associativity override whatever `config.lac` said.
+    /// The LAC's capacity is the node's: its cores, its L2 ways and all
+    /// of its bandwidth.
     #[must_use]
     pub fn new(system: SystemConfig, config: SchedulerConfig) -> Self {
         Self::with_recorder(system, config, Box::new(NullRecorder))
@@ -434,17 +372,17 @@ impl QosScheduler {
     #[must_use]
     pub fn with_recorder(
         system: SystemConfig,
-        mut config: SchedulerConfig,
+        config: SchedulerConfig,
         recorder: Box<dyn Recorder>,
     ) -> Self {
-        config.lac.capacity = ResourceRequest::new(
+        let capacity = ResourceRequest::new(
             system.num_cores as u32,
             Ways::new(system.l2.associativity()),
         )
         .with_bandwidth(100);
         Self {
             node: CmpNode::new(system),
-            lac: Lac::new(config.lac),
+            lac: Lac::new(LacConfig { capacity }),
             config,
             jobs: BTreeMap::new(),
             active: BTreeSet::new(),
@@ -991,7 +929,6 @@ impl QosScheduler {
                 slo: m.job.slo,
                 instructions: delta.instructions(),
                 cycles: delta.cycles(),
-                l2_misses: delta.l2_misses(),
             });
         }
         for s in &samples {

@@ -21,8 +21,8 @@ const BUS_SATURATION: f64 = 0.9;
 
 /// Stealing parameters.
 ///
-/// Construct with [`StealingConfig::default`] or the
-/// [`StealingConfig::builder`]; the struct is `#[non_exhaustive]`.
+/// Construct with [`StealingConfig::default`] and set the fields that
+/// differ; the struct is `#[non_exhaustive]`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub struct StealingConfig {
@@ -36,37 +36,6 @@ impl Default for StealingConfig {
         Self {
             interval: Instructions::new(2_000_000),
         }
-    }
-}
-
-impl StealingConfig {
-    /// A fluent builder starting from the paper defaults.
-    #[must_use]
-    pub fn builder() -> StealingConfigBuilder {
-        StealingConfigBuilder {
-            config: StealingConfig::default(),
-        }
-    }
-}
-
-/// Fluent builder for [`StealingConfig`].
-#[derive(Debug, Clone)]
-pub struct StealingConfigBuilder {
-    config: StealingConfig,
-}
-
-impl StealingConfigBuilder {
-    /// Sets the repartitioning interval (retired instructions).
-    #[must_use]
-    pub fn interval(mut self, interval: Instructions) -> Self {
-        self.config.interval = interval;
-        self
-    }
-
-    /// Finishes the configuration.
-    #[must_use]
-    pub fn build(self) -> StealingConfig {
-        self.config
     }
 }
 
@@ -445,15 +414,6 @@ mod tests {
         // Shrinking re-grids the same way.
         ctl.set_interval(Instructions::new(100));
         assert!(ctl.interval_due(Instructions::new(35_150)));
-    }
-
-    #[test]
-    fn builder_overrides_fields() {
-        let cfg = StealingConfig::builder()
-            .interval(Instructions::new(1000))
-            .build();
-        assert_eq!(cfg.interval, Instructions::new(1000));
-        assert_eq!(StealingConfig::builder().build(), StealingConfig::default());
     }
 
     #[test]

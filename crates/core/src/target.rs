@@ -7,12 +7,12 @@
 //! convertible: demand can be compared against unallocated supply. Overall
 //! Performance Metrics (IPC) and Resource Performance Metrics (miss rate)
 //! are not — the system cannot tell how much IPC it can offer, nor whether a
-//! requested miss rate is even achievable. This module encodes that
-//! distinction in the type system: only [`ResourceRequest`]-based targets
-//! implement [`Convertible`], so the admission controller cannot even be
-//! *asked* to admit an [`IpcTarget`].
+//! requested miss rate is even achievable. So admission takes one input,
+//! [`AdmissionRequest`](crate::AdmissionRequest): its [`ResourceRequest`]
+//! is the RUM vector, and its `tw` and deadline are the timeslot. OPM and
+//! RPM targets have no type here, because nothing could admit one.
 
-use cmpqos_types::{Cycles, Ways};
+use cmpqos_types::Ways;
 use std::fmt;
 
 /// A RUM resource-request vector: the computation capacity a job demands.
@@ -134,113 +134,6 @@ impl fmt::Display for ResourceRequest {
     }
 }
 
-/// An optional timeslot resource: how long the requested resources are
-/// needed (`max_wall_clock`, the batch-system `tw`) and by when the slot
-/// must complete (`deadline`, absolute).
-///
-/// `max_wall_clock` is *not* a safe WCET bound: the user accepts that a job
-/// running longer may be terminated (Section 3.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Timeslot {
-    /// Maximum wall-clock time the job needs with its full request (tw).
-    pub max_wall_clock: Cycles,
-    /// Absolute completion deadline (td).
-    pub deadline: Cycles,
-}
-
-impl Timeslot {
-    /// Slack beyond the wall-clock need, given the submission time `ta`:
-    /// `(td − ta) − tw`. `None` when the deadline is already infeasible.
-    #[must_use]
-    pub fn slack(&self, arrival: Cycles) -> Option<Cycles> {
-        let window = self.deadline.saturating_sub(arrival);
-        if window < self.max_wall_clock {
-            None
-        } else {
-            Some(window - self.max_wall_clock)
-        }
-    }
-}
-
-/// A complete QoS target: a RUM request plus an optional timeslot.
-///
-/// Jobs without a timeslot (daemons, long-running services) hold their
-/// resources for their entire lifetime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QosTarget {
-    /// The resource demand.
-    pub request: ResourceRequest,
-    /// The optional timeslot.
-    pub timeslot: Option<Timeslot>,
-}
-
-/// Preset RUM targets (Section 3.2): systems may offer small/medium/large
-/// configurations so users need not craft requests by hand — at the price
-/// of *overspecification*, the fragmentation source the execution modes and
-/// resource stealing then recover.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Preset {
-    /// 1 core + 3 ways.
-    Small,
-    /// 1 core + 7 ways (the paper's per-job request).
-    Medium,
-    /// 2 cores + 10 ways.
-    Large,
-}
-
-impl Preset {
-    /// The preset's resource request.
-    #[must_use]
-    pub const fn request(self) -> ResourceRequest {
-        match self {
-            Preset::Small => ResourceRequest::new(1, Ways::new(3)),
-            Preset::Medium => ResourceRequest::new(1, Ways::new(7)),
-            Preset::Large => ResourceRequest::new(2, Ways::new(10)),
-        }
-    }
-}
-
-/// Marker for QoS targets that can be converted into units of computation
-/// capacity (Definition 1) and therefore admission-tested.
-///
-/// Only RUM targets implement this. The trait is *sealed*: OPM/RPM target
-/// types below intentionally cannot be made convertible downstream, which
-/// is the paper's Section 3.2 argument expressed as an API.
-pub trait Convertible: sealed::Sealed {
-    /// The capacity this target demands.
-    fn demanded_capacity(&self) -> ResourceRequest;
-}
-
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for super::QosTarget {}
-    impl Sealed for super::ResourceRequest {}
-}
-
-impl Convertible for ResourceRequest {
-    fn demanded_capacity(&self) -> ResourceRequest {
-        *self
-    }
-}
-
-impl Convertible for QosTarget {
-    fn demanded_capacity(&self) -> ResourceRequest {
-        self.request
-    }
-}
-
-/// An Overall Performance Metric target (IPC). **Not convertible**: the
-/// system cannot compare it against available capacity, so it cannot back
-/// an admission decision — keep it for monitoring/SLA reporting only.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IpcTarget(pub f64);
-
-/// A Resource Performance Metric target (cache miss rate). **Not
-/// convertible** — may even be ill-defined (unsatisfiable at any
-/// allocation).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MissRateTarget(pub f64);
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,27 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn timeslot_slack() {
-        let ts = Timeslot {
-            max_wall_clock: Cycles::new(100),
-            deadline: Cycles::new(250),
-        };
-        assert_eq!(ts.slack(Cycles::new(0)), Some(Cycles::new(150)));
-        assert_eq!(ts.slack(Cycles::new(150)), Some(Cycles::ZERO));
-        assert_eq!(ts.slack(Cycles::new(200)), None);
-    }
-
-    #[test]
-    fn convertible_targets_expose_demand() {
-        let t = QosTarget {
-            request: Preset::Medium.request(),
-            timeslot: None,
-        };
-        assert_eq!(t.demanded_capacity(), ResourceRequest::paper_job());
-        assert_eq!(Preset::Large.request().demanded_capacity().cores(), 2);
-    }
-
-    #[test]
     fn bandwidth_extends_the_vector() {
         let supply = ResourceRequest::new(4, Ways::new(16)).with_bandwidth(100);
         let a = ResourceRequest::paper_job().with_bandwidth(40);
@@ -307,15 +179,5 @@ mod tests {
         assert!(!a.plus(&b).plus(&c).fits_within(&supply), "110% > 100%");
         assert_eq!(supply.minus(&a).bandwidth_pct(), 60);
         assert_eq!(a.to_string(), "1 core(s) + 7 ways + 40% bw");
-    }
-
-    #[test]
-    fn presets_are_ordered_by_capacity() {
-        assert!(Preset::Small
-            .request()
-            .fits_within(&Preset::Medium.request()));
-        assert!(Preset::Medium
-            .request()
-            .fits_within(&Preset::Large.request()));
     }
 }

@@ -2,7 +2,7 @@
 //! evaluation:
 //!
 //! * **UCP baseline** — utility-based cache partitioning (related work
-//!   [18]) as a throughput-optimizing, non-QoS comparison point against
+//!   \[18\]) as a throughput-optimizing, non-QoS comparison point against
 //!   `EqualPart`: UCP shifts ways toward cache-sensitive co-runners.
 //! * **Bandwidth QoS** — the future-work RUM dimension: reserving an
 //!   off-chip bandwidth share isolates a latency-sensitive job from a

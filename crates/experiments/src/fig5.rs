@@ -59,7 +59,6 @@ pub fn run_for(params: &ExperimentParams, benches: &[&str]) -> Vec<Fig5Workload>
                 work: params.work,
                 seed: params.seed,
                 stealing_enabled: true,
-                steal_interval: None,
                 events: params.events.clone(),
             })
         })

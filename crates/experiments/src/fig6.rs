@@ -40,7 +40,6 @@ pub fn run_bench(params: &ExperimentParams, bench: &str) -> Fig6Result {
             work: params.work,
             seed: params.seed,
             stealing_enabled: true,
-            steal_interval: None,
             events: params.events.clone(),
         })
         .collect();

@@ -56,7 +56,6 @@ pub fn run_bench(params: &ExperimentParams, bench: &str, n: usize) -> Fig7Result
             work: params.work,
             seed: params.seed,
             stealing_enabled: true,
-            steal_interval: None,
             events: params.events.clone(),
         })
         .collect();

@@ -75,7 +75,6 @@ pub fn run_bench(params: &ExperimentParams, bench: &str, slacks: &[f64]) -> Fig8
         work: params.work,
         seed: params.seed,
         stealing_enabled: stealing,
-        steal_interval: None,
         events: params.events.clone(),
     };
     let cells: Vec<RunConfig> = std::iter::once(cell(5.0, false))

@@ -44,7 +44,6 @@ pub fn run_mix(params: &ExperimentParams, workload: WorkloadSpec) -> Fig9Mix {
             work: params.work,
             seed: params.seed,
             stealing_enabled: true,
-            steal_interval: None,
             events: params.events.clone(),
         })
         .collect();

@@ -53,7 +53,6 @@ mod tests {
             work: Instructions::new(20_000),
             seed: 1,
             stealing_enabled: true,
-            steal_interval: None,
             events: None,
         });
         let json = serde_json::to_string(&outcome).expect("serializes");

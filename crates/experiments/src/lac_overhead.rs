@@ -38,7 +38,6 @@ pub fn run(params: &ExperimentParams) -> Vec<LacRow> {
             work: params.work,
             seed: params.seed,
             stealing_enabled: true,
-            steal_interval: None,
             events: params.events.clone(),
         })
         .collect();

@@ -85,41 +85,6 @@ impl Table {
     }
 }
 
-impl Table {
-    /// Renders the table as CSV (RFC 4180-style quoting) so experiment
-    /// output can be piped into plotting tools.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use cmpqos_experiments::output::Table;
-    /// let mut t = Table::new(&["a", "b"]);
-    /// t.row(&["1", "x,y"]);
-    /// assert_eq!(t.to_csv(), "a,b\n1,\"x,y\"\n");
-    /// ```
-    #[must_use]
-    pub fn to_csv(&self) -> String {
-        let escape = |cell: &str| -> String {
-            if cell.contains([',', '"', '\n']) {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let mut out = String::new();
-        let emit = |cells: &[String], out: &mut String| {
-            let line: Vec<String> = cells.iter().map(|c| escape(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        };
-        emit(&self.header, &mut out);
-        for row in &self.rows {
-            emit(row, &mut out);
-        }
-        out
-    }
-}
-
 /// Formats a fraction as a percentage string (`0.47` → `"47.0%"`).
 #[must_use]
 pub fn pct(fraction: f64) -> String {
@@ -165,15 +130,6 @@ mod tests {
     fn row_length_checked() {
         let mut t = Table::new(&["a", "b"]);
         t.row(&["only one"]);
-    }
-
-    #[test]
-    fn csv_escapes_delimiters_and_quotes() {
-        let mut t = Table::new(&["name", "value"]);
-        t.row(&["plain", "1"]);
-        t.row(&["com,ma", "qu\"ote"]);
-        let csv = t.to_csv();
-        assert_eq!(csv, "name,value\nplain,1\n\"com,ma\",\"qu\"\"ote\"\n");
     }
 
     #[test]

@@ -116,7 +116,7 @@ fn arrivals(rate: u64) -> Vec<(Cycles, AdmissionRequest)> {
 }
 
 /// Runs one cell: feeds the `rate` stream through an intake guarding a
-/// fresh single-node LAC, draining every [`DRAIN_EVERY`] cycles.
+/// fresh single-node LAC, draining every `DRAIN_EVERY` cycles.
 #[must_use]
 pub fn run_cell(rate: u64) -> OverloadRow {
     let mut lac = Lac::new(LacConfig::default());

@@ -30,9 +30,9 @@
 
 use crate::output::{banner, pct, Table};
 use crate::params::ExperimentParams;
-use cmpqos_adapt::{AdaptiveController, PidConfig};
+use cmpqos_adapt::{Pid, PidConfig, Static};
 use cmpqos_core::{
-    QosJob, QosScheduler, ResourceRequest, SchedulerConfig, SloSpec, StealingConfig,
+    EpochController, QosJob, QosScheduler, ResourceRequest, SchedulerConfig, SloSpec,
 };
 use cmpqos_obs::RingBufferRecorder;
 use cmpqos_system::SystemConfig;
@@ -148,14 +148,8 @@ fn trace_for(
 }
 
 fn scheduler(params: &ExperimentParams) -> QosScheduler {
-    let cfg = SchedulerConfig::builder()
-        .stealing_enabled(true)
-        .stealing(
-            StealingConfig::builder()
-                .interval(steal_interval(params))
-                .build(),
-        )
-        .build();
+    let mut cfg = SchedulerConfig::default();
+    cfg.stealing.interval = steal_interval(params);
     QosScheduler::with_recorder(
         SystemConfig::paper_scaled(params.scale),
         cfg,
@@ -164,7 +158,7 @@ fn scheduler(params: &ExperimentParams) -> QosScheduler {
 }
 
 /// Measures the donor's uncontended CPI (alone, Strict, no stealing) and
-/// derives the mix's SLO: solo CPI × [`SLO_HEADROOM_MILLI`]/1000.
+/// derives the mix's SLO: solo CPI × `SLO_HEADROOM_MILLI`/1000.
 #[must_use]
 pub fn solo_slo_milli(params: &ExperimentParams, donor: &str) -> u64 {
     let mut sched = scheduler(params);
@@ -194,11 +188,11 @@ pub fn run_arm(
 ) -> SloRow {
     let mut sched = scheduler(params);
     let epoch = epoch_len(params);
-    let controller = match arm {
-        "pid" => AdaptiveController::pid(pid_config(params)),
-        _ => AdaptiveController::baseline(),
+    let controller: Box<dyn EpochController> = match arm {
+        "pid" => Box::new(Pid::new(pid_config(params))),
+        _ => Box::new(Static),
     };
-    sched.set_epoch_controller(Box::new(controller), epoch);
+    sched.set_epoch_controller(controller, epoch);
 
     let slack = match arm {
         "static-0" => 0.0,
@@ -211,7 +205,6 @@ pub fn run_arm(
         .max_wall_clock(tw)
         .slo(SloSpec {
             max_cpi_milli: slo_milli,
-            max_mpki_milli: None,
         })
         .build();
     assert!(

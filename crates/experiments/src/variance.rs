@@ -52,7 +52,6 @@ pub fn run_workload(
                 work: params.work,
                 seed,
                 stealing_enabled: true,
-                steal_interval: None,
                 events: params.events.clone(),
             })
         })

@@ -394,13 +394,6 @@ impl FaultPlan {
         self.inject(at, Fault::LinkHeal { node })
     }
 
-    /// Loses the next `count` control-plane messages to `node` from cycle
-    /// `at`.
-    #[must_use]
-    pub fn message_drop(self, at: Cycles, node: NodeId, count: u32) -> Self {
-        self.inject(at, Fault::MessageDrop { node, count })
-    }
-
     /// Joins a fresh node (which must take the next unused id) at cycle
     /// `at`.
     #[must_use]

@@ -5,8 +5,8 @@
 //! fault model. A [`SimNet`] carries typed [`Envelope`]s between [`Addr`]s
 //! over links that share one configurable latency distribution,
 //! drop/duplicate probability, and reorder window ([`LinkConfig`]), plus
-//! explicit [`Transport::partition`] / [`Transport::heal`] controls that
-//! sever a link in both directions.
+//! explicit [`SimNet::partition`] / [`SimNet::heal`] controls that sever
+//! a link in both directions.
 //!
 //! Everything is deterministic: one [`StdRng`] seeded at construction
 //! drives every probabilistic decision, and in-flight messages sit in a
@@ -137,7 +137,7 @@ impl LinkConfig {
     }
 }
 
-/// What happened to one [`Transport::send`].
+/// What happened to one [`SimNet::send`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SendReport {
     /// Copies enqueued for delivery (0 = lost, 2 = duplicated).
@@ -159,7 +159,7 @@ impl SendReport {
 /// Aggregate traffic counters of one [`SimNet`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Frames handed to [`Transport::send`].
+    /// Frames handed to [`SimNet::send`].
     pub sent: u64,
     /// Frames delivered (duplicates count each delivery).
     pub delivered: u64,
@@ -169,32 +169,6 @@ pub struct NetStats {
     pub partitioned: u64,
     /// Extra copies enqueued by the duplicate probability.
     pub duplicated: u64,
-}
-
-/// A message fabric between [`Addr`]s.
-///
-/// Implemented by [`SimNet`]; the protocol layer is generic over it so a
-/// test can substitute a perfect (or adversarial) transport.
-pub trait Transport<M> {
-    /// Hands a frame to the network at cycle `at`. The frame may be
-    /// dropped, duplicated, delayed, or eaten by a partition; the report
-    /// says which.
-    fn send(&mut self, from: Addr, to: Addr, at: Cycles, msg: M) -> SendReport;
-
-    /// Pops every frame with `deliver_at <= now`, in `(deliver_at, seq)`
-    /// order.
-    fn deliver_due(&mut self, now: Cycles) -> Vec<Envelope<M>>;
-
-    /// Severs the `a ↔ b` link in both directions: every frame sent while
-    /// the partition is active is lost (senders get no error — exactly
-    /// like a real interconnect).
-    fn partition(&mut self, a: Addr, b: Addr);
-
-    /// Restores the `a ↔ b` link. Frames already lost stay lost.
-    fn heal(&mut self, a: Addr, b: Addr);
-
-    /// Whether `a ↔ b` is currently severed.
-    fn is_partitioned(&self, a: Addr, b: Addr) -> bool;
 }
 
 /// An in-flight frame in the event heap, ordered so the heap pops the
@@ -239,7 +213,7 @@ fn ordered(a: Addr, b: Addr) -> (Addr, Addr) {
 /// # Examples
 ///
 /// ```
-/// use cmpqos_net::{Addr, LinkConfig, SimNet, Transport};
+/// use cmpqos_net::{Addr, LinkConfig, SimNet};
 /// use cmpqos_types::{Cycles, NodeId};
 ///
 /// let mut net = SimNet::new(42, LinkConfig::default());
@@ -359,10 +333,11 @@ impl<M: Clone> SimNet<M> {
             env,
         });
     }
-}
 
-impl<M: Clone> Transport<M> for SimNet<M> {
-    fn send(&mut self, from: Addr, to: Addr, at: Cycles, msg: M) -> SendReport {
+    /// Hands a frame to the network at cycle `at`. The frame may be
+    /// dropped, duplicated, delayed, or eaten by a partition; the report
+    /// says which.
+    pub fn send(&mut self, from: Addr, to: Addr, at: Cycles, msg: M) -> SendReport {
         self.stats.sent += 1;
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -431,7 +406,9 @@ impl<M: Clone> Transport<M> for SimNet<M> {
         }
     }
 
-    fn deliver_due(&mut self, now: Cycles) -> Vec<Envelope<M>> {
+    /// Pops every frame with `deliver_at <= now`, in `(deliver_at, seq)`
+    /// order.
+    pub fn deliver_due(&mut self, now: Cycles) -> Vec<Envelope<M>> {
         let mut out = Vec::new();
         while let Some(head) = self.queue.peek() {
             if head.key.0 > now {
@@ -447,15 +424,21 @@ impl<M: Clone> Transport<M> for SimNet<M> {
         out
     }
 
-    fn partition(&mut self, a: Addr, b: Addr) {
+    /// Severs the `a ↔ b` link in both directions: every frame sent while
+    /// the partition is active is lost (senders get no error — exactly
+    /// like a real interconnect).
+    pub fn partition(&mut self, a: Addr, b: Addr) {
         self.partitions.insert(ordered(a, b));
     }
 
-    fn heal(&mut self, a: Addr, b: Addr) {
+    /// Restores the `a ↔ b` link. Frames already lost stay lost.
+    pub fn heal(&mut self, a: Addr, b: Addr) {
         self.partitions.remove(&ordered(a, b));
     }
 
-    fn is_partitioned(&self, a: Addr, b: Addr) -> bool {
+    /// Whether `a ↔ b` is currently severed.
+    #[must_use]
+    pub fn is_partitioned(&self, a: Addr, b: Addr) -> bool {
         self.partitions.contains(&ordered(a, b))
     }
 }

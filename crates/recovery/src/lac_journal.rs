@@ -212,90 +212,10 @@ impl Journaled<Lac> {
     }
 }
 
-/// A journaled LAC can sit behind a `cmpqos_core::protocol::LacEndpoint`,
-/// so the message-layer control plane drives a crash-consistent node: a
-/// post-heal reconciliation then diffs the GAC's placement table against a
-/// reservation table that survives crash-restarts via the journal.
-impl cmpqos_core::LacBackend for JournaledLac {
-    fn now(&self) -> Cycles {
-        self.lac().now()
-    }
-
-    fn advance(&mut self, now: Cycles) {
-        JournaledLac::advance(self, now);
-    }
-
-    fn admit(&mut self, req: &AdmissionRequest) -> Decision {
-        JournaledLac::admit(self, req)
-    }
-
-    fn readmit(&mut self, r: &Reservation) -> Decision {
-        JournaledLac::readmit(self, r)
-    }
-
-    fn cancel(&mut self, id: JobId) {
-        JournaledLac::cancel(self, id);
-    }
-
-    fn reservations(&self) -> Vec<Reservation> {
-        self.lac().reservations()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::RecoveryReport;
-    use cmpqos_core::protocol::{LacEndpoint, NetRequest, ReplyBody, RequestBody};
-    use cmpqos_obs::NullRecorder;
-
-    #[test]
-    fn endpoint_over_a_journaled_lac_reconciles_against_the_recovered_table() {
-        // A message-layer endpoint drives the journaled LAC: an orphan is
-        // admitted (its accept reply never reached the GAC)...
-        let mut ep = LacEndpoint::new(JournaledLac::new(Lac::new(LacConfig::default()), 64));
-        let probe = NetRequest {
-            seq: 0,
-            epoch: 0,
-            at: Cycles::new(10),
-            body: RequestBody::Probe(
-                AdmissionRequest::builder(
-                    JobId::new(7),
-                    ResourceRequest::paper_job(),
-                    Cycles::new(100_000),
-                )
-                .build(),
-            ),
-        };
-        let replies = ep.handle(probe, &mut NullRecorder);
-        assert_eq!(replies.len(), 1);
-        // ... then the node crashes; only the journal survives.
-        let jsonl = ep.backend().to_jsonl();
-        let (recovered, report) = JournaledLac::recover(&jsonl, 64);
-        assert!(report.is_lossless());
-        // A reconciliation against the *recovered* table still sees the
-        // orphan and revokes it.
-        let mut ep = LacEndpoint::new(recovered);
-        let reconcile = NetRequest {
-            seq: 0,
-            epoch: 0,
-            at: Cycles::new(20),
-            body: RequestBody::Reconcile { placed: Vec::new() },
-        };
-        let replies = ep.handle(reconcile, &mut NullRecorder);
-        assert_eq!(replies.len(), 1);
-        let ReplyBody::Reconcile {
-            ref orphans_revoked,
-            ref held,
-            ..
-        } = replies[0].body
-        else {
-            panic!("expected a reconcile reply, got {:?}", replies[0].body);
-        };
-        assert_eq!(orphans_revoked, &[JobId::new(7)]);
-        assert!(held.is_empty());
-        assert!(ep.backend().lac().reservations().is_empty());
-    }
 
     fn paper_admit(lac: &mut JournaledLac, id: u32, tw: u64, td: u64) -> Decision {
         lac.admit(

@@ -17,7 +17,9 @@
 //!   and periodically compacts the journal down to a single snapshot
 //!   record. A controller opts in through [`Replay`]; [`JournaledLac`]
 //!   and [`JournaledGac`] are its two instances, snapshotting
-//!   [`cmpqos_core::LacState`] and [`cmpqos_core::GacState`].
+//!   [`cmpqos_core::LacState`] and [`cmpqos_core::GacState`]. Callers
+//!   drive a `JournaledLac` directly (`cmpqos recover`, the explorer's
+//!   `lac` kind); no message-layer endpoint sits in front of one.
 //! * Deterministic recovery — [`Journaled::recover`] rebuilds a
 //!   controller as *snapshot + op replay*. Because every admission
 //!   decision is a pure function of controller state, the recovered

@@ -2,7 +2,7 @@
 //! shaped arrival processes.
 //!
 //! A [`ScenarioSpec`] is a pure value — building one does nothing until
-//! [`crate::run`] materializes its timeline and replays it through the
+//! [`crate::run()`] materializes its timeline and replays it through the
 //! admission stack. Specs come from three places: the fluent builder
 //! here, the TOML loader ([`crate::parse_toml`]), or whole-topology seed
 //! derivation ([`ScenarioSpec::seeded`], the explorer's repro contract).
@@ -21,15 +21,6 @@ pub struct ModeMix {
     pub elastic_pct: u32,
     /// Slack `X` of the Elastic jobs, in percent points.
     pub elastic_slack_pct: u32,
-}
-
-impl ModeMix {
-    /// Everything Strict.
-    pub const ALL_STRICT: Self = Self {
-        strict_pct: 100,
-        elastic_pct: 0,
-        elastic_slack_pct: 0,
-    };
 }
 
 /// One priority tier: a set of tenant sources sharing an arrival shape,

@@ -24,7 +24,7 @@
 //!    never leaves level 0, and its level-0 knob values equal the
 //!    scheduler's own baselines — so a run under the PID controller must
 //!    be *byte-identical* to the same run under the never-intervening
-//!    [`AdaptiveController::baseline`].
+//!    [`Static`] controller.
 //! 5. **Traffic time-scaling is exact** — scaling every stored time in a
 //!    materialized traffic timeline by an integer `k` (arrivals, sizes,
 //!    deadlines) and replaying under the matching
@@ -36,10 +36,10 @@
 //!    Elastic slack to 25% with sizes a multiple of four so the LAC's
 //!    `tw · 1.25` arithmetic stays exact under scaling.
 
-use cmpqos_adapt::{AdaptiveController, PidConfig};
+use cmpqos_adapt::{Pid, PidConfig, Static};
 use cmpqos_core::{
-    AdmissionRequest, Decision, ExecutionMode, JobReport, Lac, LacConfig, QosJob, QosScheduler,
-    ResourceRequest, SchedulerConfig, SloSpec,
+    AdmissionRequest, Decision, EpochController, ExecutionMode, JobReport, Lac, LacConfig, QosJob,
+    QosScheduler, ResourceRequest, SchedulerConfig, SloSpec,
 };
 use cmpqos_obs::ShardRecorder;
 use cmpqos_scenario::{replay as replay_traffic, scale_timeline, timeline, ScenarioSpec};
@@ -209,9 +209,8 @@ fn zero_slack_run(seed: u64, stealing_enabled: bool) -> (Vec<String>, Vec<JobRep
     const K: u64 = 16;
     const WORK: u64 = 20_000;
     let mut cal = Calibrator::new(K, Instructions::new(WORK));
-    let config = SchedulerConfig::builder()
-        .stealing_enabled(stealing_enabled)
-        .build();
+    let mut config = SchedulerConfig::default();
+    config.stealing_enabled = stealing_enabled;
     let mut scheduler = QosScheduler::with_recorder(
         SystemConfig::paper_scaled(K),
         config,
@@ -264,18 +263,18 @@ fn loose_slo_run(seed: u64, adaptive: bool) -> (Vec<String>, Vec<JobReport>) {
     const K: u64 = 16;
     const WORK: u64 = 20_000;
     let mut cal = Calibrator::new(K, Instructions::new(WORK));
-    let config = SchedulerConfig::builder().stealing_enabled(true).build();
+    let config = SchedulerConfig::default();
     let mut scheduler = QosScheduler::with_recorder(
         SystemConfig::paper_scaled(K),
         config,
         Box::new(ShardRecorder::new()),
     );
-    let controller = if adaptive {
-        AdaptiveController::pid(PidConfig::default())
+    let controller: Box<dyn EpochController> = if adaptive {
+        Box::new(Pid::new(PidConfig::default()))
     } else {
-        AdaptiveController::baseline()
+        Box::new(Static)
     };
-    scheduler.set_epoch_controller(Box::new(controller), Cycles::new(10_000));
+    scheduler.set_epoch_controller(controller, Cycles::new(10_000));
     // An Elastic donor whose SLO can never be missed, plus a Strict anchor
     // and Opportunistic ballast — the same shape the PID actually manages,
     // minus any reason to intervene.

@@ -22,9 +22,9 @@
 //!   ever be overbooked.
 //! * [`ScenarioKind::Adapt`] — the adaptive control law: seed-derived
 //!   gains and error streams stepped through the production
-//!   `cmpqos_adapt::pid_step` and the exact-`i128` [`OraclePid`] in
-//!   lockstep, with level, integral, and previous error compared after
-//!   every step.
+//!   `cmpqos_adapt::pid_step` and the exact-`i128`
+//!   [`OraclePid`](crate::oracle::OraclePid) in lockstep, with level,
+//!   integral, and previous error compared after every step.
 //! * [`ScenarioKind::Traffic`] — the traffic DSL: the seed fully derives
 //!   a [`cmpqos_scenario::ScenarioSpec`] (arrival shapes, size mixtures,
 //!   tenant topology, intake knobs), its materialized timeline is
@@ -79,7 +79,8 @@ pub enum ScenarioKind {
     /// completed-XOR-revoked and no-overbooking invariants.
     Net,
     /// Adaptive control law: production `pid_step` vs the exact-`i128`
-    /// [`OraclePid`] over seed-derived gains and error streams.
+    /// [`OraclePid`](crate::oracle::OraclePid) over seed-derived gains and
+    /// error streams.
     Adapt,
     /// Traffic-DSL scenarios: the seed derives a whole
     /// [`cmpqos_scenario::ScenarioSpec`] arrival/tenant topology, the
@@ -941,11 +942,12 @@ pub fn run_batch(scenario: &Scenario) -> Result<(), Divergence> {
 
 /// Message-layer control-plane differential ([`ScenarioKind::Net`]).
 ///
-/// Replays the op list over a [`Cluster`] whose GAC↔LAC traffic crosses a
-/// seeded network with latency jitter, reordering, probabilistic drops
-/// and duplicates — plus the explicit partition/heal/forced-drop ops —
-/// then heals every link and drains. After **every** op the run is
-/// checked against the delivered-message-log replay oracle
+/// Replays the op list over a [`Cluster`](cmpqos_core::Cluster) whose
+/// GAC↔LAC traffic crosses a seeded network with latency jitter,
+/// reordering, probabilistic drops and duplicates — plus the explicit
+/// partition/heal/forced-drop ops — then heals every link and drains.
+/// After **every** op the run is checked against the
+/// delivered-message-log replay oracle
 /// ([`crate::netreplay::check`]: node state must be a pure function of
 /// the frames actually delivered) and the per-node no-overbooking oracle;
 /// after the drain, every admitted job must be completed XOR revoked,
@@ -1324,9 +1326,8 @@ pub fn run_scheduler(seed: u64) -> Result<(), Divergence> {
     let mut cal = Calibrator::new(K, Instructions::new(WORK));
     let benches = ["bzip2", "hmmer", "gobmk", "namd"];
     let auto_downgrade = rng.gen_bool(0.5);
-    let config = SchedulerConfig::builder()
-        .auto_downgrade(auto_downgrade)
-        .build();
+    let mut config = SchedulerConfig::default();
+    config.auto_downgrade = auto_downgrade;
     let min_slack_frac = config.auto_downgrade_min_slack;
     let mut scheduler = QosScheduler::new(SystemConfig::paper_scaled(K), config);
     let jobs = rng.gen_range(2..6u32);
@@ -1585,13 +1586,15 @@ pub fn run_gac(seed: u64) -> Result<(), Divergence> {
 }
 
 /// Whole-run differential for the adaptive control law: a seed-derived
-/// [`PidConfig`] and error stream stepped through the production
-/// [`pid_step`] and the exact-`i128` [`OraclePid`] in lockstep.
+/// [`PidConfig`](cmpqos_adapt::PidConfig) and error stream stepped
+/// through the production [`pid_step`](cmpqos_adapt::pid_step) and the
+/// exact-`i128` [`OraclePid`](crate::oracle::OraclePid) in lockstep.
 ///
 /// Gains, bounds, and errors are drawn from the regime where the
 /// production `i64` saturating arithmetic provably cannot saturate (see
-/// the [`OraclePid`] contract), so any disagreement in level, integral,
-/// or previous error after a step is a real control-law bug.
+/// the [`OraclePid`](crate::oracle::OraclePid) contract), so any
+/// disagreement in level, integral, or previous error after a step is a
+/// real control-law bug.
 ///
 /// # Errors
 ///

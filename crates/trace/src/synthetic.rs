@@ -50,12 +50,6 @@ impl SyntheticTrace {
         self.generated
     }
 
-    /// The job's address-space base offset.
-    #[must_use]
-    pub fn base_addr(&self) -> u64 {
-        self.base
-    }
-
     /// Convenience: draws only the next memory access, skipping non-memory
     /// instructions (useful for cache-only studies and calibration).
     pub fn next_access(&mut self) -> Access {
@@ -124,7 +118,6 @@ mod tests {
         let mut t = profile(0.1).instantiate(4, 1 << 30);
         let a = t.next_access();
         assert!(a.addr() >= 1 << 30);
-        assert_eq!(t.base_addr(), 1 << 30);
     }
 
     #[test]

@@ -89,21 +89,6 @@ id_newtype!(
     "source"
 );
 
-impl CoreId {
-    /// Iterates over the first `n` core identifiers.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use cmpqos_types::CoreId;
-    /// let cores: Vec<CoreId> = CoreId::first_n(2).collect();
-    /// assert_eq!(cores, vec![CoreId::new(0), CoreId::new(1)]);
-    /// ```
-    pub fn first_n(n: u32) -> impl Iterator<Item = CoreId> {
-        (0..n).map(CoreId::new)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,11 +111,5 @@ mod tests {
     fn ids_order_by_index() {
         assert!(CoreId::new(1) < CoreId::new(2));
         assert_eq!(CoreId::default(), CoreId::new(0));
-    }
-
-    #[test]
-    fn first_n_yields_sequential_cores() {
-        let v: Vec<_> = CoreId::first_n(4).map(CoreId::index).collect();
-        assert_eq!(v, vec![0, 1, 2, 3]);
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! This crate defines the unit newtypes ([`Cycles`], [`Instructions`],
 //! [`ByteSize`], [`Ways`], [`Percent`]), identifier newtypes ([`CoreId`],
-//! [`JobId`], [`NodeId`], [`SourceId`]) and small statistics helpers
-//! ([`stats::RunningStats`], [`stats::Histogram`]) used throughout the
-//! simulator and the QoS framework.
+//! [`JobId`], [`NodeId`], [`SourceId`]) and a streaming statistics helper
+//! ([`stats::RunningStats`]) used throughout the simulator and the QoS
+//! framework.
 //!
 //! Everything here is deliberately dependency-free and forbids `unsafe`.
 //!
@@ -30,5 +30,5 @@ pub mod stats;
 pub mod units;
 
 pub use ids::{CoreId, JobId, NodeId, SourceId};
-pub use stats::{Histogram, RunningStats};
+pub use stats::RunningStats;
 pub use units::{ByteSize, Cycles, Instructions, Percent, Ways};

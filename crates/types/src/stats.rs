@@ -1,5 +1,5 @@
-//! Small statistics helpers used by simulator components and experiment
-//! harnesses: running summary statistics and fixed-bucket histograms.
+//! A small statistics helper used by simulator components and experiment
+//! harnesses: running summary statistics.
 
 use std::fmt;
 
@@ -131,99 +131,6 @@ impl fmt::Display for RunningStats {
     }
 }
 
-/// A histogram with uniformly sized buckets over `[low, high)` plus
-/// underflow/overflow buckets.
-///
-/// # Examples
-///
-/// ```
-/// use cmpqos_types::Histogram;
-///
-/// let mut h = Histogram::new(0.0, 10.0, 5);
-/// h.record(0.5);
-/// h.record(3.0);
-/// h.record(100.0);
-/// assert_eq!(h.bucket_count(0), 1);
-/// assert_eq!(h.overflow(), 1);
-/// assert_eq!(h.total(), 3);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    low: f64,
-    high: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram over `[low, high)` with `buckets` uniform buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `high <= low` or `buckets == 0`.
-    #[must_use]
-    pub fn new(low: f64, high: f64, buckets: usize) -> Self {
-        assert!(high > low, "histogram range must be non-empty");
-        assert!(buckets > 0, "histogram needs at least one bucket");
-        Self {
-            low,
-            high,
-            buckets: vec![0; buckets],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: f64) {
-        if value < self.low {
-            self.underflow += 1;
-        } else if value >= self.high {
-            self.overflow += 1;
-        } else {
-            let width = (self.high - self.low) / self.buckets.len() as f64;
-            let idx = ((value - self.low) / width) as usize;
-            let idx = idx.min(self.buckets.len() - 1);
-            self.buckets[idx] += 1;
-        }
-    }
-
-    /// Count in bucket `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    #[must_use]
-    pub fn bucket_count(&self, idx: usize) -> u64 {
-        self.buckets[idx]
-    }
-
-    /// Number of buckets (excluding under/overflow).
-    #[must_use]
-    pub fn buckets(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Observations below the range.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above the upper bound.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total number of observations, including under/overflow.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,26 +186,5 @@ mod tests {
         let empty = RunningStats::new();
         a.merge(&empty);
         assert_eq!(a.count(), 1);
-    }
-
-    #[test]
-    fn histogram_buckets_and_bounds() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.record(-0.1);
-        h.record(0.0);
-        h.record(9.999);
-        h.record(10.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.bucket_count(0), 1);
-        assert_eq!(h.bucket_count(9), 1);
-        assert_eq!(h.total(), 4);
-        assert_eq!(h.buckets(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn histogram_rejects_empty_range() {
-        let _ = Histogram::new(1.0, 1.0, 4);
     }
 }

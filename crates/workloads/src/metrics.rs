@@ -119,7 +119,6 @@ mod tests {
             work: Instructions::new(60_000),
             seed: 11,
             stealing_enabled: true,
-            steal_interval: None,
             events: None,
         })
     }

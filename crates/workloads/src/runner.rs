@@ -18,7 +18,6 @@ use crate::configs::Configuration;
 use crate::deadlines::{assign_classes, DeadlineClass};
 use cmpqos_core::{
     Decision, ExecutionMode, JobReport, QosJob, QosScheduler, ResourceRequest, SchedulerConfig,
-    StealingConfig,
 };
 use cmpqos_engine::Engine;
 use cmpqos_obs::{merge_shards, Event, JsonlRecorder, NullRecorder, Recorder, ShardRecorder};
@@ -45,10 +44,6 @@ pub struct RunConfig {
     pub seed: u64,
     /// Resource stealing on/off (Figure 8's baseline needs it off).
     pub stealing_enabled: bool,
-    /// Stealing repartition interval in Elastic-job instructions. The
-    /// paper's 2M instructions correspond to 1% of a 200M-instruction job;
-    /// the default keeps that proportion (`work / 100`).
-    pub steal_interval: Option<Instructions>,
     /// When set, every QoS event of the run is appended to this JSONL
     /// file (one [`cmpqos_obs::Record`] per line), starting with an
     /// [`Event::RunStarted`] marker carrying the cell label.
@@ -66,14 +61,8 @@ impl RunConfig {
             work: Instructions::new(800_000),
             seed: 1,
             stealing_enabled: true,
-            steal_interval: None,
             events: None,
         }
-    }
-
-    fn effective_steal_interval(&self) -> Instructions {
-        self.steal_interval
-            .unwrap_or(Instructions::new((self.work.get() / 100).max(1_000)))
     }
 }
 
@@ -251,15 +240,12 @@ fn run_qos(cfg: &RunConfig, recorder: Box<dyn Recorder>) -> (RunOutcome, Box<dyn
     scale_timeslice(&mut system, cfg.work);
     let cores = system.num_cores as u64;
 
-    let sched_cfg = SchedulerConfig::builder()
-        .auto_downgrade(cfg.configuration.auto_downgrade())
-        .stealing_enabled(cfg.stealing_enabled)
-        .stealing(
-            StealingConfig::builder()
-                .interval(cfg.effective_steal_interval())
-                .build(),
-        )
-        .build();
+    let mut sched_cfg = SchedulerConfig::default();
+    sched_cfg.auto_downgrade = cfg.configuration.auto_downgrade();
+    sched_cfg.stealing_enabled = cfg.stealing_enabled;
+    // The paper's 2M-instruction stealing interval is 1% of its
+    // 200M-instruction jobs; keep that proportion.
+    sched_cfg.stealing.interval = Instructions::new((cfg.work.get() / 100).max(1_000));
     let label = format!("{} / {}", cfg.workload.name(), cfg.configuration);
     let mut sched = QosScheduler::with_recorder(system, sched_cfg, recorder);
 
@@ -520,7 +506,6 @@ mod tests {
             work: Instructions::new(60_000),
             seed: 7,
             stealing_enabled: true,
-            steal_interval: None,
             events: None,
         }
     }

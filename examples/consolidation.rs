@@ -1,5 +1,5 @@
 //! Server consolidation: gold/silver/bronze SLA tiers mapped to preset RUM
-//! targets, placed across a two-node server by the Global Admission
+//! requests, placed across a two-node server by the Global Admission
 //! Controller — the paper's motivating utility-computing scenario
 //! (Section 1).
 //!
@@ -9,9 +9,8 @@
 
 use cmpqos::obs::NullRecorder;
 use cmpqos::qos::gac::{GlobalAdmissionController, ProbePolicy};
-use cmpqos::qos::target::Preset;
-use cmpqos::qos::{AdmissionRequest, ExecutionMode, LacConfig};
-use cmpqos::types::{Cycles, JobId, Percent};
+use cmpqos::qos::{AdmissionRequest, ExecutionMode, LacConfig, ResourceRequest};
+use cmpqos::types::{Cycles, JobId, Percent, Ways};
 
 #[derive(Debug, Clone, Copy)]
 enum Sla {
@@ -25,10 +24,12 @@ enum Sla {
 }
 
 impl Sla {
-    fn preset(self) -> Preset {
+    /// The tier's preset request (Section 3.2): large is 2 cores + 10
+    /// ways, medium the paper's 1 core + 7 ways.
+    fn request(self) -> ResourceRequest {
         match self {
-            Sla::Gold => Preset::Large,
-            Sla::Silver | Sla::Bronze => Preset::Medium,
+            Sla::Gold => ResourceRequest::new(2, Ways::new(10)),
+            Sla::Silver | Sla::Bronze => ResourceRequest::paper_job(),
         }
     }
 
@@ -60,7 +61,7 @@ fn main() {
     println!("{:<14} {:<7} {:<22} placement", "client", "SLA", "request");
     println!("{}", "-".repeat(64));
     for (i, (name, sla)) in submissions.iter().enumerate() {
-        let request = sla.preset().request();
+        let request = sla.request();
         let mut req = AdmissionRequest::builder(JobId::new(i as u32), request, tw).mode(sla.mode());
         if sla.mode() != ExecutionMode::Opportunistic {
             req = req.deadline(Cycles::new(5_000_000));

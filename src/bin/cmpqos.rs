@@ -325,7 +325,6 @@ fn cmd_run(flags: &Flags) -> Result<(), Failure> {
         work: params.work,
         seed: params.seed,
         stealing_enabled: true,
-        steal_interval: None,
         events: params.events,
     };
     let outcome = run(&cfg);
@@ -522,6 +521,26 @@ fn cmd_chaos(flags: &Flags) -> Result<(), Failure> {
             let at = v.strip_prefix('@').unwrap_or(v).parse();
             let at = at.map_err(|_| format!("--heal expects @cycle, got `{v}`"))?;
             p.heal_at = Some(Cycles::new(at));
+        }
+        // A range that names no node, or a heal before the cut, would run
+        // a cell that never severs what its summary says it severed.
+        if let Some((a, b, at)) = p.partition {
+            if a >= b || b as usize > p.nodes {
+                return Err(format!(
+                    "--partition {a}:{b} is not a node range of --nodes {n}: \
+                     expected a < b <= {n}",
+                    n = p.nodes
+                )
+                .into());
+            }
+            if let Some(heal) = p.heal_at.filter(|&heal| heal < at) {
+                return Err(format!(
+                    "--heal @{} is before the partition at cycle {}",
+                    heal.get(),
+                    at.get()
+                )
+                .into());
+            }
         }
         p.drop_reconcile = chaos_inject(flags, "drop-reconcile")?;
         chaos::print_net(&chaos::run_net(&p), &p).map_err(Failure::Failed)?;

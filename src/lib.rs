@@ -26,3 +26,8 @@ pub use cmpqos_testkit as testkit;
 pub use cmpqos_trace as trace;
 pub use cmpqos_types as types;
 pub use cmpqos_workloads as workloads;
+
+/// The workspace README, so its Rust examples compile and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+struct ReadmeExamples;

@@ -3,9 +3,9 @@
 //! for arbitrary gains and error streams, and same-seed trajectories are
 //! byte-identical at any engine pool width.
 
-use cmpqos::adapt::{pid_step, Pid, PidConfig, PidState, Policy};
+use cmpqos::adapt::{pid_step, Pid, PidConfig, PidState};
 use cmpqos::engine::Engine;
-use cmpqos::qos::{EpochSample, EpochView, ExecutionMode, KnobUpdate, SloSpec};
+use cmpqos::qos::{EpochController, EpochSample, EpochView, ExecutionMode, KnobUpdate, SloSpec};
 use cmpqos::types::{CoreId, Cycles, Instructions, JobId, Percent};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -99,19 +99,17 @@ proptest! {
                 mode: ExecutionMode::Elastic(Percent::new(f64::from(slack_pct))),
                 slo: Some(SloSpec {
                     max_cpi_milli: target_milli,
-                    max_mpki_milli: None,
                 }),
                 instructions: Instructions::new(1000),
                 cycles: Cycles::new(cpi_milli), // 1000 instr: cycles = milli-CPI
-                l2_misses: 0,
             }];
             let view = EpochView {
                 now: Cycles::new((n as u64 + 1) * 10_000),
                 samples: &samples,
                 floating_cores: &floating,
             };
-            let updates = pid.decide(&view);
-            prop_assert_eq!(&updates, &twin.decide(&view), "same stream, same knobs");
+            let updates = pid.epoch(&view);
+            prop_assert_eq!(&updates, &twin.epoch(&view), "same stream, same knobs");
             for u in &updates {
                 match *u {
                     KnobUpdate::StealSlack { milli_pct, .. } => prop_assert!(

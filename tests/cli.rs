@@ -102,6 +102,32 @@ fn bad_flags_exit_1_with_an_error_line() {
             "error: --partition expects a:b@cycle",
         ),
         ("chaos --net --heal soon", "error: --heal expects @cycle"),
+        // A partition must sever nodes that exist, and a heal may not
+        // precede it, the default heal at 350,000 included.
+        (
+            "chaos --net --partition 10:40@200000 --heal @199999",
+            "error: --heal @199999 is before the partition at cycle 200000",
+        ),
+        (
+            "chaos --net --partition 10:40@900000000",
+            "error: --heal @350000 is before the partition at cycle 900000000",
+        ),
+        (
+            "chaos --net --partition 40:10@200000",
+            "error: --partition 40:10 is not a node range of --nodes 100",
+        ),
+        (
+            "chaos --net --partition 10:10@200000",
+            "error: --partition 10:10 is not a node range of --nodes 100",
+        ),
+        (
+            "chaos --net --partition 90:101@200000",
+            "error: --partition 90:101 is not a node range of --nodes 100",
+        ),
+        (
+            "chaos --net --nodes 5",
+            "error: --partition 10:40 is not a node range of --nodes 5",
+        ),
         (
             "chaos --churn --kills 4294967296",
             "error: --kills 4294967296 is out of range",

@@ -10,8 +10,8 @@
 //! cargo test --release -q --test component_bars -- --ignored
 //! ```
 
-use cmpqos::adapt::{Pid, PidConfig, Policy};
-use cmpqos::qos::{EpochSample, EpochView, ExecutionMode, SloSpec};
+use cmpqos::adapt::{Pid, PidConfig};
+use cmpqos::qos::{EpochController, EpochSample, EpochView, ExecutionMode, SloSpec};
 use cmpqos::types::{CoreId, Cycles, Instructions, JobId, Percent};
 use std::time::Instant;
 
@@ -46,7 +46,6 @@ fn pid_tick() {
             slo: (n % 2 == 0).then(|| SloSpec::cpi(2.5)),
             instructions: Instructions::new(1000),
             cycles: Cycles::new(2_600 + u64::from(n) * 700),
-            l2_misses: 12,
         })
         .collect();
     let floating = [CoreId::new(4), CoreId::new(5)];
@@ -57,7 +56,7 @@ fn pid_tick() {
             samples: &samples,
             floating_cores: &floating,
         };
-        assert!(!pid.decide(&view).is_empty());
+        assert!(!pid.epoch(&view).is_empty());
         epoch_no += 1;
     });
     assert!(ns < BAR_NS, "pid_tick {ns:.0} ns/iter breaks the 1 µs bar");

@@ -20,7 +20,6 @@ fn quick(workload: WorkloadSpec, configuration: Configuration) -> RunConfig {
         work: Instructions::new(80_000),
         seed: 3,
         stealing_enabled: true,
-        steal_interval: None,
         events: None,
     }
 }
@@ -257,10 +256,9 @@ fn auto_downgraded_job_emits_the_full_event_sequence() {
     // auto-downgraded, starts opportunistically (floating), switches back
     // to its Strict reservation at td - tw, and completes in time. The
     // recorder must observe exactly that lifecycle, in order.
-    let cfg = SchedulerConfig::builder()
-        .auto_downgrade(true)
-        .auto_downgrade_min_slack(0.05)
-        .build();
+    let mut cfg = SchedulerConfig::default();
+    cfg.auto_downgrade = true;
+    cfg.auto_downgrade_min_slack = 0.05;
     let mut sched = QosScheduler::with_recorder(
         SystemConfig::paper_scaled(K),
         cfg,

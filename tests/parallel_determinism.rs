@@ -28,7 +28,6 @@ fn cell_set(seeds: &[u64], events: Option<&PathBuf>) -> Vec<RunConfig> {
             work: Instructions::new(30_000),
             seed,
             stealing_enabled: true,
-            steal_interval: None,
             events: events.cloned(),
         })
         .collect()
@@ -139,7 +138,6 @@ fn hybrid2_slack_round_trips_through_the_batch() {
             work: Instructions::new(20_000),
             seed: 1,
             stealing_enabled: true,
-            steal_interval: None,
             events: None,
         })
         .collect();
