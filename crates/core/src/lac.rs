@@ -10,7 +10,7 @@
 //! admission test is literally `demand + usage ≤ capacity` over a time
 //! window — impossible to phrase for an IPC target.
 //!
-//! Reservations are held in an occupancy-indexed table
+//! Reservations are held in a table of two sorted ring buffers
 //! (`crate::occupancy`): feasibility checks and earliest-feasible-start
 //! queries run in O(log n + k) over the k reservation change points in the
 //! probed window instead of re-scanning the whole table, while every
@@ -219,12 +219,17 @@ impl Default for LacConfig {
 /// term. The paper implements the LAC as a user-level program and reports
 /// its occupancy at under 1% of wall-clock time (Section 7.5); these
 /// constants model that software cost without perturbing the simulation.
-/// The formula is unchanged by the occupancy index — it models the paper's
-/// software LAC, not our implementation.
+/// The formula is unchanged by the reservation table's layout — it models
+/// the paper's software LAC, not our implementation.
 const ADMIT_BASE_COST: u64 = 2_000;
 const ADMIT_PER_RESERVATION_COST: u64 = 200;
 
 /// The per-node admission controller.
+///
+/// Two LACs are equal when every observable matches: configuration, clock,
+/// counters, and the FCFS reservation list. The table's internal numbering
+/// is excluded — a recovered controller numbers its reservations afresh
+/// yet must compare equal to the original it journals for.
 ///
 /// # Examples
 ///
@@ -242,7 +247,7 @@ const ADMIT_PER_RESERVATION_COST: u64 = 200;
 /// .build();
 /// assert!(lac.admit(&req).is_accepted());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lac {
     config: LacConfig,
     now: Cycles,
@@ -253,31 +258,14 @@ pub struct Lac {
     modeled_cost: Cycles,
 }
 
-/// Two LACs are equal when every observable matches: configuration, clock,
-/// counters, and the FCFS reservation list. The occupancy index's internal
-/// layout (slot numbering, free-list order) is deliberately excluded — a
-/// recovered controller rebuilds a compact arena yet must compare equal to
-/// the fragmented original it journals for.
-impl PartialEq for Lac {
-    fn eq(&self, other: &Self) -> bool {
-        self.config == other.config
-            && self.now == other.now
-            && self.admission_tests == other.admission_tests
-            && self.accepted == other.accepted
-            && self.rejected == other.rejected
-            && self.modeled_cost == other.modeled_cost
-            && self.table.iter_fcfs().eq(other.table.iter_fcfs())
-    }
-}
-
 /// A complete, serializable snapshot of a [`Lac`]'s state.
 ///
 /// Produced by [`Lac::snapshot`] and consumed by [`Lac::restore`];
 /// `cmpqos-recovery` embeds one in each journal compaction record so a
 /// crashed controller can be rebuilt as snapshot + op replay. The field
 /// set is exhaustive: restoring a snapshot yields a controller whose
-/// every subsequent decision matches the original's — the occupancy index
-/// is rebuilt deterministically from the FCFS reservation list.
+/// every subsequent decision matches the original's — the reservation
+/// table is rebuilt deterministically from the FCFS reservation list.
 #[derive(Debug, Clone, PartialEq)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LacState {
@@ -334,8 +322,8 @@ impl Lac {
 
     /// Rebuilds a controller from a [`Lac::snapshot`]. The result is
     /// indistinguishable from the controller the snapshot was taken of:
-    /// the occupancy index is rebuilt by re-inserting the FCFS list, which
-    /// is deterministic.
+    /// the reservation table is rebuilt by re-inserting the FCFS list,
+    /// which is deterministic.
     #[must_use]
     pub fn restore(state: LacState) -> Self {
         let mut table = ReservationTable::default();
@@ -374,8 +362,7 @@ impl Lac {
     /// Job `id`'s live reservation, if this node holds one.
     #[must_use]
     pub fn reservation(&self, id: JobId) -> Option<Reservation> {
-        let slot = *self.table.slots_of(id).first()?;
-        Some(self.table.reservation(slot))
+        self.table.reservation(id)
     }
 
     /// Number of live reservations (O(1); prefer over
@@ -526,13 +513,7 @@ impl Lac {
     /// "when automatically downgraded jobs complete, the LAC reclaims their
     /// resources, allowing other jobs to be accepted earlier").
     pub fn release(&mut self, id: JobId, at: Cycles) {
-        for slot in self.table.slots_of(id) {
-            let r = self.table.reservation(slot);
-            if r.end > at {
-                self.table.update_end(slot, r.end.min(at.max(r.start)));
-            }
-        }
-        self.table.purge_zero_len();
+        self.table.release(id, at);
     }
 
     /// Cancels a job's reservation entirely.
@@ -564,7 +545,7 @@ impl Lac {
         self.advance(now);
         self.config.capacity = new_capacity;
         let old = self.table.to_vec();
-        self.table.clear();
+        self.table = ReservationTable::default();
         let mut outcome = Vec::with_capacity(old.len());
         for mut r in old {
             let original = r;

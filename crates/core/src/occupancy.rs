@@ -1,252 +1,216 @@
-//! Occupancy-indexed reservation storage for the LAC hot path.
+//! The LAC's reservation table, on two sorted ring buffers.
 //!
-//! [`ReservationTable`] replaces the flat `Vec<Reservation>` the LAC used
-//! to scan on every admission test. It keeps the same reservations, but
-//! three ordered indexes make the Section 5 FCFS test cheap:
+//! [`ReservationTable`] holds the live reservations the Section 5 FCFS
+//! test searches, in two `VecDeque`s, each kept sorted:
 //!
-//! * **Slab arena** — reservations live in stable slots (`Vec<Option<Slot>>`
-//!   plus a free list), so every index refers to a reservation by a small
-//!   integer id that never moves.
-//! * **Step index** (`steps`) — the reserved-usage step function, keyed on
-//!   reservation change points. `usage_at` is one `BTreeMap` lookup
-//!   (O(log n)) instead of a table scan, and a feasibility check over a
-//!   window walks only the change points inside that window.
-//! * **End index** (`by_end`) — reservation end points in ascending order:
-//!   exactly the candidate set of `earliest_start` (capacity only frees
-//!   when something ends), streamed lazily instead of collected and sorted
-//!   per query.
+//! * **Live reservations** (`live`), keyed by `(end, seq)`, where `seq`
+//!   numbers admissions in FCFS order. End order is both the candidate
+//!   order of `earliest_start` (capacity only frees when something ends)
+//!   and the purge order of `advance`, which pops expired reservations off
+//!   the front. FCFS order is rebuilt from `seq` only where a caller asks
+//!   for it: [`ReservationTable::to_vec`] and equality.
+//! * **The usage step function** (`steps`), keyed by change point: each
+//!   entry holds the summed usage over `[at, next change point)` and the
+//!   number of live reservations that start or end at `at`, so a change
+//!   point leaves with the last reservation that made it.
+//!
+//! Every lookup is a binary search. New reservations land near the front
+//! (near-term windows) or the back (far-future deadlines), and a ring
+//! buffer inserts or removes at index `i` by shifting `min(i, n − i)`
+//! entries, so neither end pays for the other. Nothing is allocated per
+//! reservation: each buffer grows by doubling and keeps its capacity.
+//!
+//! Summed usage is a `u64` per component, wider than the request's fields
+//! (`u32` cores, `u16` ways and bandwidth), so no table a journal can
+//! carry wraps a sum. A request fits where `usage + request ≤ capacity`
+//! at that width, and `usage_at` reports a sum past its field's range as
+//! the field's maximum.
 //!
 //! The table is an *index*, not a new algorithm: every query is defined to
-//! return bit-identical answers to the brute-force scan (the testkit's
-//! `OracleLac` is the referee). Two equivalences carry that proof:
+//! return the brute-force scan's answer (the testkit's `OracleLac` is the
+//! referee). Two equivalences carry that proof:
 //!
-//! * `fits_over` checks the step boundaries inside the window, a superset
+//! * `fits_over` checks the change points inside the window, a superset
 //!   of the brute-force candidate points (which are reservation *starts*
-//!   only). The extra end-only boundaries can never flip the answer:
-//!   between two consecutive starts the usage only steps *down* (ends
-//!   subtract componentwise), so a window that fits at every start also
-//!   fits at every end-only boundary.
-//! * `earliest_start` streams `{not_before} ∪ {end points > not_before}` in
-//!   ascending order — the same candidates the brute force collects,
-//!   sorts, and dedups (`BTreeMap` keys are already sorted and unique).
+//!   only). The extra end-only points can never flip the answer: between
+//!   two consecutive starts the usage only steps *down* (ends subtract
+//!   componentwise), so a window that fits at every start also fits at
+//!   every end-only point.
+//! * `earliest_start` walks `{not_before} ∪ {end points > not_before}` in
+//!   ascending order, skipping repeats — the same candidates the brute
+//!   force collects, sorts, and dedups.
 //!
 //! Zero-length reservations (`end == start`, e.g. a `tw = 0` admission)
-//! are kept in the arena and in `by_end` — their end points are still
-//! `earliest_start` candidates, matching the brute force — but contribute
-//! no steps, since they never cover an instant.
+//! stay in `live` — their end points are still `earliest_start`
+//! candidates, matching the brute force — but make no change points,
+//! since they never cover an instant.
 
 use crate::lac::Reservation;
 use crate::target::ResourceRequest;
 use cmpqos_types::{Cycles, JobId, Ways};
-use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound::{Excluded, Unbounded};
+use std::collections::VecDeque;
 
-/// Stable handle to one live reservation in the slab arena.
-pub(crate) type SlotId = u32;
-
-fn zero_usage() -> ResourceRequest {
-    ResourceRequest::new(0, Ways::ZERO)
+/// Summed usage, one `u64` per component.
+#[derive(Debug, Clone, Copy, Default)]
+struct Usage {
+    cores: u64,
+    ways: u64,
+    bandwidth: u64,
 }
 
-#[derive(Debug, Clone)]
-struct Slot {
-    /// FCFS sequence number: ascending admission order, never reused, so
-    /// iterating `by_seq` reproduces the exact order the old `Vec` kept.
+impl Usage {
+    fn of(r: &ResourceRequest) -> Self {
+        Self {
+            cores: u64::from(r.cores()),
+            ways: u64::from(r.cache_ways().get()),
+            bandwidth: u64::from(r.bandwidth_pct()),
+        }
+    }
+
+    /// Whether `request` on top of this usage fits `capacity`.
+    fn fits(&self, request: &Self, capacity: &Self) -> bool {
+        self.cores + request.cores <= capacity.cores
+            && self.ways + request.ways <= capacity.ways
+            && self.bandwidth + request.bandwidth <= capacity.bandwidth
+    }
+
+    fn add(&mut self, r: &ResourceRequest) {
+        let r = Self::of(r);
+        self.cores += r.cores;
+        self.ways += r.ways;
+        self.bandwidth += r.bandwidth;
+    }
+
+    /// Exact: `r` was added to this sum before and nothing removed it since.
+    fn sub(&mut self, r: &ResourceRequest) {
+        let r = Self::of(r);
+        self.cores -= r.cores;
+        self.ways -= r.ways;
+        self.bandwidth -= r.bandwidth;
+    }
+
+    /// The sum as a request vector, each component capped at its field's
+    /// maximum.
+    fn saturated(&self) -> ResourceRequest {
+        ResourceRequest::new(
+            u32::try_from(self.cores).unwrap_or(u32::MAX),
+            Ways::new(u16::try_from(self.ways).unwrap_or(u16::MAX)),
+        )
+        .with_bandwidth(u16::try_from(self.bandwidth).unwrap_or(u16::MAX))
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+struct Entry {
+    /// FCFS sequence number: ascending admission order, never reused.
     seq: u64,
     reservation: Reservation,
 }
 
-/// One point where the usage step function may change value. The entry's
-/// `usage` holds the total reserved usage over `[key, next key)`.
-#[derive(Debug, Clone)]
-struct Boundary {
-    usage: ResourceRequest,
-    /// Live reservations whose start or end sits exactly at this key; the
-    /// boundary is dropped when the count reaches zero (no reservation
-    /// changes the step function here any more).
+/// One point where the usage step function may change value.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    at: u64,
+    /// Total reserved usage over `[at, next step's at)`.
+    usage: Usage,
+    /// Live reservations whose start or end sits exactly at `at`.
     refs: u32,
 }
 
-/// Slab arena + occupancy step index over the LAC's live reservations.
+/// The LAC's live reservations and their usage step function.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ReservationTable {
-    slots: Vec<Option<Slot>>,
-    free: Vec<SlotId>,
+    /// Sorted by `(end, seq)`.
+    live: VecDeque<Entry>,
+    /// Sorted by `at`.
+    steps: VecDeque<Step>,
     next_seq: u64,
-    /// FCFS iteration order: seq → slot.
-    by_seq: BTreeMap<u64, SlotId>,
-    /// End point → slots ending there (earliest-start candidates; also the
-    /// purge set for `advance`). Includes zero-length reservations.
-    by_end: BTreeMap<u64, Vec<SlotId>>,
-    /// Owning job → slots (O(log n) release/cancel).
-    by_id: BTreeMap<JobId, Vec<SlotId>>,
-    /// Slots with `end == start`, purged wholesale by `release`.
-    zero_len: BTreeSet<SlotId>,
-    /// The usage step function, keyed on reservation change points.
-    steps: BTreeMap<u64, Boundary>,
+}
+
+/// Two tables are equal when their FCFS reservation lists are: `seq`
+/// numbering is layout, and a restored table numbers from zero again.
+impl PartialEq for ReservationTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.to_vec() == other.to_vec()
+    }
 }
 
 impl ReservationTable {
     /// Number of live reservations.
     pub(crate) fn len(&self) -> usize {
-        self.by_seq.len()
+        self.live.len()
     }
 
-    /// Live reservations in FCFS (admission) order.
-    pub(crate) fn iter_fcfs(&self) -> impl Iterator<Item = &Reservation> + '_ {
-        self.by_seq.values().map(|&id| &self.slot(id).reservation)
-    }
-
-    /// Materializes the FCFS reservation list (what the old `Vec` held).
+    /// The live reservations in FCFS (admission) order.
     pub(crate) fn to_vec(&self) -> Vec<Reservation> {
-        self.iter_fcfs().copied().collect()
+        // A table whose reservations end in admission order needs no sort.
+        if self.live.iter().is_sorted_by_key(|e| e.seq) {
+            return self.live.iter().map(|e| e.reservation).collect();
+        }
+        let mut entries: Vec<Entry> = self.live.iter().copied().collect();
+        entries.sort_unstable_by_key(|e| e.seq);
+        entries.iter().map(|e| e.reservation).collect()
     }
 
-    fn slot(&self, id: SlotId) -> &Slot {
-        self.slots[id as usize].as_ref().expect("live slot")
-    }
-
-    /// The reservation held in `id`.
-    pub(crate) fn reservation(&self, id: SlotId) -> Reservation {
-        self.slot(id).reservation
-    }
-
-    /// Slots currently owned by `job`, in insertion order.
-    pub(crate) fn slots_of(&self, job: JobId) -> Vec<SlotId> {
-        self.by_id.get(&job).cloned().unwrap_or_default()
+    /// `job`'s earliest-admitted live reservation: a scan, O(n).
+    pub(crate) fn reservation(&self, job: JobId) -> Option<Reservation> {
+        self.live
+            .iter()
+            .filter(|e| e.reservation.id == job)
+            .min_by_key(|e| e.seq)
+            .map(|e| e.reservation)
     }
 
     /// Inserts a reservation at the back of the FCFS order.
-    pub(crate) fn insert(&mut self, r: Reservation) -> SlotId {
+    pub(crate) fn insert(&mut self, reservation: Reservation) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = Slot {
-            seq,
-            reservation: r,
-        };
-        let id = match self.free.pop() {
-            Some(id) => {
-                self.slots[id as usize] = Some(slot);
-                id
-            }
-            None => {
-                self.slots.push(Some(slot));
-                SlotId::try_from(self.slots.len() - 1).expect("slab within u32 range")
-            }
-        };
-        self.by_seq.insert(seq, id);
-        self.by_end.entry(r.end.get()).or_default().push(id);
-        self.by_id.entry(r.id).or_default().push(id);
-        if r.end > r.start {
-            self.add_steps(r.start.get(), r.end.get(), &r.request);
-        } else {
-            self.zero_len.insert(id);
-        }
-        id
-    }
-
-    fn detach_end(&mut self, key: u64, id: SlotId) {
-        if let Some(ids) = self.by_end.get_mut(&key) {
-            ids.retain(|&s| s != id);
-            if ids.is_empty() {
-                self.by_end.remove(&key);
-            }
-        }
-    }
-
-    fn remove_slot(&mut self, id: SlotId) {
-        let slot = self.slots[id as usize].take().expect("live slot");
-        let r = slot.reservation;
-        self.by_seq.remove(&slot.seq);
-        self.detach_end(r.end.get(), id);
-        if let Some(ids) = self.by_id.get_mut(&r.id) {
-            ids.retain(|&s| s != id);
-            if ids.is_empty() {
-                self.by_id.remove(&r.id);
-            }
-        }
-        if r.end > r.start {
-            self.remove_steps(r.start.get(), r.end.get(), &r.request);
-        } else {
-            self.zero_len.remove(&id);
-        }
-        self.free.push(id);
+        self.place(Entry { seq, reservation });
     }
 
     /// Removes every reservation owned by `job`.
     pub(crate) fn remove_job(&mut self, job: JobId) {
-        for id in self.slots_of(job) {
-            self.remove_slot(id);
+        while let Some(i) = self.live.iter().position(|e| e.reservation.id == job) {
+            self.take(i);
         }
     }
 
-    /// Truncates a reservation to `new_end`, keeping its FCFS position.
-    pub(crate) fn update_end(&mut self, id: SlotId, new_end: Cycles) {
-        let r = self.reservation(id);
-        if new_end == r.end {
-            return;
+    /// Truncates `job`'s reservations to end by `at` (never extending
+    /// one), keeping their FCFS positions, then drops every zero-length
+    /// reservation in the table.
+    pub(crate) fn release(&mut self, job: JobId, at: Cycles) {
+        let mut i = 0;
+        while i < self.live.len() {
+            let (seq, r) = (self.live[i].seq, self.live[i].reservation);
+            if r.id == job && r.end > at {
+                // The shorter entry sorts at or before `i`, so the entry
+                // after it stays at `i + 1`.
+                self.take(i);
+                let end = r.end.min(at.max(r.start));
+                let reservation = Reservation { end, ..r };
+                self.place(Entry { seq, reservation });
+            }
+            i += 1;
         }
-        self.detach_end(r.end.get(), id);
-        self.by_end.entry(new_end.get()).or_default().push(id);
-        if r.end > r.start {
-            self.remove_steps(r.start.get(), r.end.get(), &r.request);
-        } else {
-            self.zero_len.remove(&id);
-        }
-        if new_end > r.start {
-            self.add_steps(r.start.get(), new_end.get(), &r.request);
-        } else {
-            self.zero_len.insert(id);
-        }
-        self.slots[id as usize]
-            .as_mut()
-            .expect("live slot")
-            .reservation
-            .end = new_end;
+        self.live
+            .retain(|e| e.reservation.end > e.reservation.start);
     }
 
-    /// Drops every zero-length reservation (the old `retain(end > start)`).
-    pub(crate) fn purge_zero_len(&mut self) {
-        let ids: Vec<SlotId> = self.zero_len.iter().copied().collect();
-        for id in ids {
-            self.remove_slot(id);
-        }
-    }
-
-    /// Drops every reservation with `end ≤ t` (the old `retain(end > t)`).
+    /// Drops every reservation with `end ≤ t`.
     pub(crate) fn purge_through(&mut self, t: Cycles) {
-        let expired: Vec<SlotId> = self
-            .by_end
-            .range(..=t.get())
-            .flat_map(|(_, ids)| ids.iter().copied())
-            .collect();
-        for id in expired {
-            self.remove_slot(id);
+        while self.live.front().is_some_and(|e| e.reservation.end <= t) {
+            self.take(0);
         }
     }
 
-    /// Empties the table (capacity revocation rebuilds from scratch).
-    pub(crate) fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-        self.next_seq = 0;
-        self.by_seq.clear();
-        self.by_end.clear();
-        self.by_id.clear();
-        self.zero_len.clear();
-        self.steps.clear();
-    }
-
-    /// Reserved usage at instant `t`: one ordered lookup in the step index.
+    /// Reserved usage at instant `t`: one binary search.
     pub(crate) fn usage_at(&self, t: Cycles) -> ResourceRequest {
-        self.steps
-            .range(..=t.get())
-            .next_back()
-            .map_or_else(zero_usage, |(_, b)| b.usage)
+        let i = self.steps.partition_point(|s| s.at <= t.get());
+        self.usage_before(i).saturated()
     }
 
     /// Whether `request` fits on top of existing reservations at every
-    /// instant of `[start, end)`: the segment covering `start` plus every
+    /// instant of `[start, end)`: the segment holding `start` plus every
     /// change point strictly inside the window.
     pub(crate) fn fits_over(
         &self,
@@ -258,17 +222,19 @@ impl ReservationTable {
         if end <= start {
             return true;
         }
-        if !self.usage_at(start).plus(request).fits_within(capacity) {
-            return false;
-        }
-        self.steps
-            .range((Excluded(start.get()), Excluded(end.get())))
-            .all(|(_, b)| b.usage.plus(request).fits_within(capacity))
+        let (request, capacity) = (Usage::of(request), Usage::of(capacity));
+        let i = self.steps.partition_point(|s| s.at <= start.get());
+        self.usage_before(i).fits(&request, &capacity)
+            && self
+                .steps
+                .range(i..)
+                .take_while(|s| s.at < end.get())
+                .all(|s| s.usage.fits(&request, &capacity))
     }
 
     /// Earliest `s ∈ [not_before, latest_start]` such that `request` fits
-    /// over `[s, s+duration)`. Candidates are `not_before` and reservation
-    /// end points after it, streamed in ascending order.
+    /// over `[s, s+duration)`. Candidates are `not_before` and the
+    /// distinct reservation end points after it, in ascending order.
     pub(crate) fn earliest_start(
         &self,
         request: &ResourceRequest,
@@ -277,67 +243,90 @@ impl ReservationTable {
         latest_start: Cycles,
         capacity: &ResourceRequest,
     ) -> Option<Cycles> {
-        if not_before <= latest_start
-            && self.fits_over(request, not_before, not_before + duration, capacity)
-        {
+        let fits = |s: Cycles| self.fits_over(request, s, s + duration, capacity);
+        if not_before <= latest_start && fits(not_before) {
             return Some(not_before);
         }
-        for &end in self
-            .by_end
-            .range((Excluded(not_before.get()), Unbounded))
-            .map(|(k, _)| k)
-        {
-            let s = Cycles::new(end);
+        let first = self
+            .live
+            .partition_point(|e| e.reservation.end <= not_before);
+        let mut last = not_before;
+        for e in self.live.range(first..) {
+            let s = e.reservation.end;
+            if s == last {
+                continue;
+            }
             if s > latest_start {
                 break;
             }
-            if self.fits_over(request, s, s + duration, capacity) {
+            if fits(s) {
                 return Some(s);
             }
+            last = s;
         }
         None
     }
 
-    fn ensure_boundary(&mut self, at: u64) {
-        if self.steps.contains_key(&at) {
-            return;
-        }
-        // A fresh boundary splits an existing segment: it inherits the
-        // usage of the segment it lands in.
-        let usage = self
-            .steps
-            .range(..at)
-            .next_back()
-            .map_or_else(zero_usage, |(_, b)| b.usage);
-        self.steps.insert(at, Boundary { usage, refs: 0 });
+    /// Usage over the segment that ends at step `i` (zero before the
+    /// first step).
+    fn usage_before(&self, i: usize) -> Usage {
+        i.checked_sub(1)
+            .map_or_else(Usage::default, |j| self.steps[j].usage)
     }
 
-    fn add_steps(&mut self, start: u64, end: u64, request: &ResourceRequest) {
-        debug_assert!(start < end);
-        self.ensure_boundary(start);
-        self.ensure_boundary(end);
-        for (_, b) in self.steps.range_mut(start..end) {
-            b.usage = b.usage.plus(request);
+    /// Puts `e` at its `(end, seq)` position and adds its window to the
+    /// step function.
+    fn place(&mut self, e: Entry) {
+        let key = (e.reservation.end, e.seq);
+        let i = self
+            .live
+            .partition_point(|x| (x.reservation.end, x.seq) < key);
+        self.live.insert(i, e);
+        let r = e.reservation;
+        if r.end > r.start {
+            let first = self.boundary(r.start.get());
+            let last = self.boundary(r.end.get());
+            for step in self.steps.range_mut(first..last) {
+                step.usage.add(&r.request);
+            }
+            self.steps[first].refs += 1;
+            self.steps[last].refs += 1;
         }
-        self.steps.get_mut(&start).expect("boundary").refs += 1;
-        self.steps.get_mut(&end).expect("boundary").refs += 1;
     }
 
-    fn remove_steps(&mut self, start: u64, end: u64, request: &ResourceRequest) {
-        debug_assert!(start < end);
-        for (_, b) in self.steps.range_mut(start..end) {
-            // Exact, not merely saturating: this reservation's request was
-            // added to every segment in the range and nothing else touched
-            // its contribution since.
-            b.usage = b.usage.minus(request);
-        }
-        for key in [start, end] {
-            let b = self.steps.get_mut(&key).expect("boundary");
-            b.refs -= 1;
-            if b.refs == 0 {
-                self.steps.remove(&key);
+    /// Takes the entry at `i` out of `live` and its window out of the step
+    /// function.
+    fn take(&mut self, i: usize) {
+        let r = self
+            .live
+            .remove(i)
+            .expect("index inside the table")
+            .reservation;
+        if r.end > r.start {
+            let first = self.steps.partition_point(|s| s.at < r.start.get());
+            let last = self.steps.partition_point(|s| s.at < r.end.get());
+            for step in self.steps.range_mut(first..last) {
+                step.usage.sub(&r.request);
+            }
+            // `last` first: removing it leaves `first`'s index in place.
+            for j in [last, first] {
+                self.steps[j].refs -= 1;
+                if self.steps[j].refs == 0 {
+                    self.steps.remove(j);
+                }
             }
         }
+    }
+
+    /// Index of the step at `at`, inserting one when there is none: a new
+    /// step splits the segment it lands in and inherits its usage.
+    fn boundary(&mut self, at: u64) -> usize {
+        let i = self.steps.partition_point(|s| s.at < at);
+        if self.steps.get(i).is_none_or(|s| s.at != at) {
+            let usage = self.usage_before(i);
+            self.steps.insert(i, Step { at, usage, refs: 0 });
+        }
+        i
     }
 }
 
@@ -357,15 +346,48 @@ mod tests {
         }
     }
 
+    fn zero_usage() -> ResourceRequest {
+        ResourceRequest::new(0, Ways::ZERO)
+    }
+
     /// Brute-force mirror of the original `Vec<Reservation>` queries.
     struct BruteForce(Vec<Reservation>);
 
     impl BruteForce {
-        fn usage_at(&self, t: Cycles) -> ResourceRequest {
+        /// Summed cores, ways and bandwidth at `t`, at `u64` width.
+        fn sums_at(&self, t: Cycles) -> [u64; 3] {
             self.0
                 .iter()
                 .filter(|r| r.start <= t && t < r.end)
-                .fold(zero_usage(), |acc, r| acc.plus(&r.request))
+                .fold([0; 3], |[c, w, b], r| {
+                    [
+                        c + u64::from(r.request.cores()),
+                        w + u64::from(r.request.cache_ways().get()),
+                        b + u64::from(r.request.bandwidth_pct()),
+                    ]
+                })
+        }
+
+        fn usage_at(&self, t: Cycles) -> ResourceRequest {
+            let [c, w, b] = self.sums_at(t);
+            ResourceRequest::new(
+                u32::try_from(c).unwrap_or(u32::MAX),
+                Ways::new(u16::try_from(w).unwrap_or(u16::MAX)),
+            )
+            .with_bandwidth(u16::try_from(b).unwrap_or(u16::MAX))
+        }
+
+        fn fits_at(
+            &self,
+            t: Cycles,
+            request: &ResourceRequest,
+            capacity: &ResourceRequest,
+        ) -> bool {
+            let [c, w, b] = self.sums_at(t);
+            c + u64::from(request.cores()) <= u64::from(capacity.cores())
+                && w + u64::from(request.cache_ways().get())
+                    <= u64::from(capacity.cache_ways().get())
+                && b + u64::from(request.bandwidth_pct()) <= u64::from(capacity.bandwidth_pct())
         }
 
         fn fits_during(
@@ -384,9 +406,7 @@ mod tests {
                     points.push(r.start);
                 }
             }
-            points
-                .iter()
-                .all(|&p| self.usage_at(p).plus(request).fits_within(capacity))
+            points.iter().all(|&p| self.fits_at(p, request, capacity))
         }
 
         fn earliest_start(
@@ -463,24 +483,22 @@ mod tests {
                         // purge zero-length, exactly like `Lac::release`.
                         let job = JobId::new(rng.next(u64::from(step.max(1))) as u32);
                         let at = Cycles::new(rng.next(600));
-                        for id in table.slots_of(job) {
-                            let r = table.reservation(id);
-                            if r.end > at {
-                                table.update_end(id, r.end.min(at.max(r.start)));
-                            }
-                        }
+                        table.release(job, at);
                         for r in &mut model {
                             if r.id == job && r.end > at {
                                 r.end = r.end.min(at.max(r.start));
                             }
                         }
-                        table.purge_zero_len();
                         model.retain(|r| r.end > r.start);
                     }
                     _ => {}
                 }
                 let brute = BruteForce(model.clone());
                 assert_eq!(table.to_vec(), model, "seed {seed} step {step}: order");
+                for r in &model {
+                    let first = model.iter().find(|m| m.id == r.id).copied();
+                    assert_eq!(table.reservation(r.id), first, "seed {seed} step {step}");
+                }
                 for t in [0, 1, 99, 100, 250, 499, 700] {
                     assert_eq!(
                         table.usage_at(Cycles::new(t)),
@@ -533,19 +551,6 @@ mod tests {
     }
 
     #[test]
-    fn slab_reuses_freed_slots_and_keeps_fcfs_order() {
-        let mut table = ReservationTable::default();
-        table.insert(res(0, 0, 10, 1, 1));
-        table.insert(res(1, 0, 20, 1, 1));
-        table.remove_job(JobId::new(0));
-        // The freed slot is reused, but FCFS order is by seq, not slot id.
-        table.insert(res(2, 0, 30, 1, 1));
-        assert_eq!(table.slots.len(), 2);
-        let ids: Vec<u32> = table.iter_fcfs().map(|r| r.id.index()).collect();
-        assert_eq!(ids, vec![1, 2]);
-    }
-
-    #[test]
     fn zero_length_reservations_index_but_do_not_occupy() {
         let capacity = ResourceRequest::new(4, Ways::new(16));
         let mut table = ReservationTable::default();
@@ -564,7 +569,7 @@ mod tests {
             ),
             Some(Cycles::new(0))
         );
-        table.purge_zero_len();
+        table.release(JobId::new(9), Cycles::ZERO);
         assert_eq!(table.len(), 0);
     }
 }

@@ -36,7 +36,6 @@ pub struct ResourceRequest {
     cores: u32,
     cache_ways: Ways,
     /// Off-chip bandwidth share in percent of peak (0 = best-effort).
-    /// Stored wide so summed *usage* vectors cannot overflow.
     bandwidth_pct: u16,
 }
 
@@ -103,16 +102,6 @@ impl ResourceRequest {
             && self.bandwidth_pct <= supply.bandwidth_pct
     }
 
-    /// Component-wise sum (total demand of several jobs).
-    #[must_use]
-    pub fn plus(&self, other: &ResourceRequest) -> ResourceRequest {
-        ResourceRequest {
-            cores: self.cores + other.cores,
-            cache_ways: self.cache_ways + other.cache_ways,
-            bandwidth_pct: self.bandwidth_pct + other.bandwidth_pct,
-        }
-    }
-
     /// Component-wise saturating remainder (`supply - demand`).
     #[must_use]
     pub fn minus(&self, other: &ResourceRequest) -> ResourceRequest {
@@ -141,11 +130,10 @@ mod tests {
     #[test]
     fn request_arithmetic() {
         let a = ResourceRequest::new(1, Ways::new(7));
-        let b = ResourceRequest::new(2, Ways::new(4));
-        assert_eq!(a.plus(&b), ResourceRequest::new(3, Ways::new(11)));
         let supply = ResourceRequest::new(4, Ways::new(16));
-        assert!(a.plus(&b).fits_within(&supply));
-        assert!(!a.plus(&b).plus(&b).plus(&b).fits_within(&supply));
+        assert!(a.fits_within(&supply));
+        assert!(!ResourceRequest::new(5, Ways::new(7)).fits_within(&supply));
+        assert!(!ResourceRequest::new(1, Ways::new(17)).fits_within(&supply));
         assert_eq!(supply.minus(&a), ResourceRequest::new(3, Ways::new(9)));
         // Saturating under-subtraction.
         assert_eq!(a.minus(&supply), ResourceRequest::new(0, Ways::ZERO));
@@ -160,23 +148,12 @@ mod tests {
     }
 
     #[test]
-    fn two_paper_jobs_fit_but_three_do_not() {
-        // The All-Strict fragmentation of Figure 7: 2 x 7 = 14 <= 16 but
-        // 3 x 7 = 21 > 16.
-        let supply = ResourceRequest::new(4, Ways::new(16));
-        let one = ResourceRequest::paper_job();
-        assert!(one.plus(&one).fits_within(&supply));
-        assert!(!one.plus(&one).plus(&one).fits_within(&supply));
-    }
-
-    #[test]
     fn bandwidth_extends_the_vector() {
         let supply = ResourceRequest::new(4, Ways::new(16)).with_bandwidth(100);
         let a = ResourceRequest::paper_job().with_bandwidth(40);
-        let b = ResourceRequest::paper_job().with_bandwidth(40);
-        assert!(a.plus(&b).fits_within(&supply));
-        let c = ResourceRequest::paper_job().with_bandwidth(30);
-        assert!(!a.plus(&b).plus(&c).fits_within(&supply), "110% > 100%");
+        assert!(a.fits_within(&supply));
+        let over = ResourceRequest::paper_job().with_bandwidth(110);
+        assert!(!over.fits_within(&supply), "110% > 100%");
         assert_eq!(supply.minus(&a).bandwidth_pct(), 60);
         assert_eq!(a.to_string(), "1 core(s) + 7 ways + 40% bw");
     }

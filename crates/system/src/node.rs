@@ -44,10 +44,10 @@ impl CoreState {
     }
 }
 
-/// Live tasks in a dense slot vector with a free list, the slab idiom of
-/// the LAC's `ReservationTable`. Cores and the floating queue refer to
-/// tasks by slot, so the per-instruction path never searches a map; the
-/// `JobId → slot` index serves the public API only.
+/// Live tasks in a dense slot vector with a free list (a slab). Cores and
+/// the floating queue refer to tasks by slot, so the per-instruction path
+/// never searches a map; the `JobId → slot` index serves the public API
+/// only.
 #[derive(Debug, Default)]
 struct TaskTable {
     slots: Vec<Option<Task>>,

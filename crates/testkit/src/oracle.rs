@@ -121,15 +121,42 @@ impl OracleLac {
         self.capacity
     }
 
-    /// Summed demand of reservations active at instant `t`.
+    /// Summed demand of reservations active at instant `t`, each
+    /// component capped at its field's maximum.
     #[must_use]
     pub fn usage_at(&self, t: Cycles) -> ResourceRequest {
+        let [cores, ways, bandwidth] = self.sums_at(t);
+        ResourceRequest::new(
+            u32::try_from(cores).unwrap_or(u32::MAX),
+            Ways::new(u16::try_from(ways).unwrap_or(u16::MAX)),
+        )
+        .with_bandwidth(u16::try_from(bandwidth).unwrap_or(u16::MAX))
+    }
+
+    /// Summed cores, ways and bandwidth of the reservations active at
+    /// `t`, at `u64` width: no table a journal can carry wraps a sum.
+    fn sums_at(&self, t: Cycles) -> [u64; 3] {
         self.reservations
             .iter()
             .filter(|r| r.start <= t && t < r.end)
-            .fold(ResourceRequest::new(0, Ways::ZERO), |acc, r| {
-                acc.plus(&r.request)
+            .fold([0; 3], |[cores, ways, bandwidth], r| {
+                [
+                    cores + u64::from(r.request.cores()),
+                    ways + u64::from(r.request.cache_ways().get()),
+                    bandwidth + u64::from(r.request.bandwidth_pct()),
+                ]
             })
+    }
+
+    /// Whether `request` stacked on the usage at instant `t` fits the
+    /// capacity, every sum taken at `u64` width: a sum past its field's
+    /// range does not fit.
+    fn fits_at(&self, t: Cycles, request: &ResourceRequest) -> bool {
+        let [cores, ways, bandwidth] = self.sums_at(t);
+        let cap = &self.capacity;
+        cores + u64::from(request.cores()) <= u64::from(cap.cores())
+            && ways + u64::from(request.cache_ways().get()) <= u64::from(cap.cache_ways().get())
+            && bandwidth + u64::from(request.bandwidth_pct()) <= u64::from(cap.bandwidth_pct())
     }
 
     /// Advances the clock and drops expired reservations.
@@ -186,11 +213,7 @@ impl OracleLac {
     }
 
     fn fits_over_exhaustive(&self, request: &ResourceRequest, start: Cycles, end: Cycles) -> bool {
-        (start.get()..end.get()).all(|t| {
-            self.usage_at(Cycles::new(t))
-                .plus(request)
-                .fits_within(&self.capacity)
-        })
+        (start.get()..end.get()).all(|t| self.fits_at(Cycles::new(t), request))
     }
 
     fn fits_over_compressed(&self, request: &ResourceRequest, start: Cycles, end: Cycles) -> bool {
@@ -205,9 +228,7 @@ impl OracleLac {
                 }
             }
         }
-        points
-            .iter()
-            .all(|&p| self.usage_at(p).plus(request).fits_within(&self.capacity))
+        points.iter().all(|&p| self.fits_at(p, request))
     }
 
     /// Smallest feasible start in `[not_before, latest_start]`, walking the
@@ -460,9 +481,8 @@ impl OracleLac {
             .collect();
         points.sort_unstable();
         points.dedup();
-        points
-            .into_iter()
-            .find(|&p| !self.usage_at(p).fits_within(&self.capacity))
+        let nothing = ResourceRequest::new(0, Ways::ZERO);
+        points.into_iter().find(|&p| !self.fits_at(p, &nothing))
     }
 
     /// Diffs the oracle's reservation table against a controller's. The

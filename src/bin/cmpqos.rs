@@ -522,8 +522,9 @@ fn cmd_chaos(flags: &Flags) -> Result<(), Failure> {
             let at = at.map_err(|_| format!("--heal expects @cycle, got `{v}`"))?;
             p.heal_at = Some(Cycles::new(at));
         }
-        // A range that names no node, or a heal before the cut, would run
-        // a cell that never severs what its summary says it severed.
+        // A range that names no node, a heal before the cut, or a cut at or
+        // past the horizon would run a cell that never severs what its
+        // summary says it severed.
         if let Some((a, b, at)) = p.partition {
             if a >= b || b as usize > p.nodes {
                 return Err(format!(
@@ -538,6 +539,14 @@ fn cmd_chaos(flags: &Flags) -> Result<(), Failure> {
                     "--heal @{} is before the partition at cycle {}",
                     heal.get(),
                     at.get()
+                )
+                .into());
+            }
+            if at >= p.horizon {
+                return Err(format!(
+                    "--partition at cycle {} is not before --horizon {}",
+                    at.get(),
+                    p.horizon.get()
                 )
                 .into());
             }

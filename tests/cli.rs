@@ -112,6 +112,15 @@ fn bad_flags_exit_1_with_an_error_line() {
             "chaos --net --partition 10:40@900000000",
             "error: --heal @350000 is before the partition at cycle 900000000",
         ),
+        // A cut at or past the horizon lands after every job is decided.
+        (
+            "chaos --net --partition 10:40@900000000 --heal @900000001",
+            "error: --partition at cycle 900000000 is not before --horizon 600000",
+        ),
+        (
+            "chaos --net --horizon 200000",
+            "error: --partition at cycle 200000 is not before --horizon 200000",
+        ),
         (
             "chaos --net --partition 40:10@200000",
             "error: --partition 40:10 is not a node range of --nodes 100",

@@ -1,14 +1,19 @@
-//! Differential property test pinning the occupancy-indexed admission
-//! path against the brute-force oracle: for *any* op stream — earliest and
+//! Differential property test pinning the indexed admission path against
+//! the brute-force oracle: for *any* op stream — earliest and
 //! latest-feasible admissions, batches, advances, releases, cancels,
 //! capacity revocations with FCFS readmission — the indexed
 //! [`JournaledLac`] must make byte-identical decisions to [`OracleLac`]
 //! and end every op with an identical reservation table and a
-//! never-overbooked timeline.
+//! never-overbooked timeline. `CMPQOS_TESTKIT_CASES` sets the number of
+//! fuzzed streams (48 by default).
+//!
+//! A second test pins both to one arithmetic rule: a usage sum past a
+//! request field's range never fits and never wraps.
 
 use cmpqos::obs::NullRecorder;
 use cmpqos::qos::{
-    AdmissionRequest, ExecutionMode, Lac, LacConfig, ResourceRequest, RevocationAction,
+    AdmissionRequest, Decision, ExecutionMode, Feasibility, Lac, LacConfig, LacState, RejectReason,
+    Reservation, ResourceRequest, RevocationAction,
 };
 use cmpqos::recovery::JournaledLac;
 use cmpqos::testkit::oracle::{OracleLac, OracleRevocation};
@@ -163,7 +168,7 @@ fn op_strategy() -> impl Strategy<Value = Vec<FuzzOp>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(cmpqos::testkit::cases(48) as u32))]
 
     /// The indexed hot path never disagrees with brute force, op by op.
     #[test]
@@ -178,4 +183,61 @@ proptest! {
             }
         }
     }
+}
+
+/// On a node of 65,535 ways, a 40,000-way request over a 40,000-way
+/// reservation sums to 80,000 ways, past the `u16` field: it must be
+/// refused, not wrap to 14,464 and fit. A snapshot holding both anyway
+/// (overbooked) must restore, read, journal and recover without an
+/// overflow.
+#[test]
+fn a_sum_past_a_request_field_never_fits_or_wraps() {
+    let mut config = LacConfig::default();
+    config.capacity = ResourceRequest::new(4, Ways::new(u16::MAX));
+    let wide = ResourceRequest::new(1, Ways::new(40_000));
+    let window = Cycles::new(1_000);
+    let held = |id| Reservation {
+        id: JobId::new(id),
+        start: Cycles::ZERO,
+        end: window,
+        request: wide,
+        mode: ExecutionMode::Strict,
+        deadline: Some(window),
+    };
+    let state = |reservations| LacState {
+        config,
+        now: Cycles::ZERO,
+        reservations,
+        admission_tests: 0,
+        accepted: 0,
+        rejected: 0,
+        modeled_cost: Cycles::ZERO,
+    };
+
+    let mut lac = JournaledLac::new(Lac::restore(state(vec![held(0)])), COMPACT_EVERY);
+    let mut oracle = OracleLac::from_parts(config.capacity, vec![held(0)], Cycles::ZERO);
+    let req = AdmissionRequest::builder(JobId::new(1), wide, window)
+        .deadline(window)
+        .build();
+    let refused = Decision::Rejected(RejectReason::NoCapacityBeforeDeadline);
+    assert_eq!(lac.admit(&req), refused);
+    assert_eq!(oracle.admit_request(&req), refused);
+    assert_eq!(lac.lac().usage_at(Cycles::ZERO), wide);
+    let (recovered, report) = JournaledLac::recover(&lac.to_jsonl(), COMPACT_EVERY);
+    assert_eq!((report.replayed, report.lost), (1, 0));
+    assert_eq!(recovered.lac(), lac.lac());
+
+    let both = Lac::restore(state(vec![held(0), held(1)]));
+    let oracle = OracleLac::from_parts(config.capacity, vec![held(0), held(1)], Cycles::ZERO);
+    let saturated = ResourceRequest::new(2, Ways::new(u16::MAX));
+    assert_eq!(both.usage_at(Cycles::ZERO), saturated);
+    assert_eq!(oracle.usage_at(Cycles::ZERO), saturated);
+    assert_eq!(oracle.first_overbooked_instant(), Some(Cycles::ZERO));
+    let nothing = ResourceRequest::new(0, Ways::ZERO);
+    assert!(!both.fits_over(&nothing, Cycles::ZERO, window));
+    assert!(!oracle.fits_over(&nothing, Cycles::ZERO, window));
+    let journal = JournaledLac::new(both.clone(), COMPACT_EVERY).to_jsonl();
+    let (recovered, report) = JournaledLac::recover(&journal, COMPACT_EVERY);
+    assert_eq!(report.lost, 0);
+    assert_eq!(recovered.lac(), &both);
 }
