@@ -25,6 +25,11 @@
 //! clock, no randomness — so runs replay deterministically. Shedding never
 //! touches the LAC: accepted jobs' reservations are bit-identical to a run
 //! where the shed requests were never offered (see the crate tests).
+//!
+//! A drain allocates only the `Vec` it returns. Each feasible run at the
+//! front of the queue goes to the LAC straight from the queue, through the
+//! decision loop [`Lac::admit_batch`] also runs, and the breaker keeps a
+//! running reject count beside its window instead of recounting it.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -233,6 +238,8 @@ pub struct AdmissionIntake {
     queue: VecDeque<(AdmissionRequest, Cycles)>,
     buckets: BTreeMap<SourceId, TokenBucket>,
     window: VecDeque<bool>,
+    /// Rejects in `window`.
+    window_rejects: usize,
     open_until: Option<Cycles>,
     stats: IntakeStats,
 }
@@ -247,6 +254,7 @@ impl AdmissionIntake {
             queue: VecDeque::with_capacity(config.queue_capacity.min(1_024)),
             buckets: BTreeMap::new(),
             window: VecDeque::with_capacity(config.breaker_window.min(1_024)),
+            window_rejects: 0,
             open_until: None,
             stats: IntakeStats::default(),
         }
@@ -289,11 +297,9 @@ impl AdmissionIntake {
         self.stats.offered += 1;
         self.maybe_restore(now, recorder);
 
-        if let (Some(td), Some(duration)) = (req.deadline, req.mode.reservation_duration(req.tw)) {
-            if now + duration > td {
-                self.stats.shed_infeasible += 1;
-                return self.shed(req.id, RejectReason::ShedInfeasible, now, recorder);
-            }
+        if infeasible(&req, now) {
+            self.stats.shed_infeasible += 1;
+            return self.shed(req.id, RejectReason::ShedInfeasible, now, recorder);
         }
         if self.breaker_open(now) {
             self.stats.shed_breaker += 1;
@@ -314,11 +320,15 @@ impl AdmissionIntake {
 
     /// Drains the whole queue FCFS through `lac` at cycle `now`, feeding
     /// the breaker window with each decision. Consecutive feasible
-    /// requests are admitted as one [`Lac::admit_batch`] run, amortizing
-    /// the per-decision bookkeeping; decisions and statistics are
+    /// requests are admitted as one run, straight from the queue, through
+    /// the loop behind [`Lac::admit_batch`]; decisions and statistics are
     /// bit-identical to draining one request at a time. Requests whose
     /// deadline became infeasible while waiting are shed here (still
-    /// O(1), still without an FCFS scan).
+    /// O(1), still without an FCFS scan). The returned `Vec` is the
+    /// drain's only allocation.
+    ///
+    /// Events follow the runs: each run's LAC decisions first, then the
+    /// breaker events its decisions caused.
     pub fn drain(
         &mut self,
         lac: &mut Lac,
@@ -327,19 +337,18 @@ impl AdmissionIntake {
     ) -> Vec<DrainedDecision> {
         self.maybe_restore(now, recorder);
         let mut out = Vec::with_capacity(self.queue.len());
-        let mut run: Vec<(AdmissionRequest, Cycles)> = Vec::new();
-        while let Some((req, offered_at)) = self.queue.pop_front() {
-            let infeasible = match (req.deadline, req.mode.reservation_duration(req.tw)) {
-                (Some(td), Some(duration)) => now + duration > td,
-                _ => false,
+        loop {
+            // A drain-time shed ends the run before it: its decision must
+            // land between its neighbours' in FCFS order.
+            let run = self
+                .queue
+                .iter()
+                .position(|(req, _)| infeasible(req, now))
+                .unwrap_or(self.queue.len());
+            self.flush_run(lac, run, &mut out, now, recorder);
+            let Some((req, offered_at)) = self.queue.pop_front() else {
+                return out;
             };
-            if !infeasible {
-                run.push((req, offered_at));
-                continue;
-            }
-            // A drain-time shed ends the current batch run: its decision
-            // must land between its neighbours' in FCFS order.
-            self.flush_run(lac, &mut run, &mut out, now, recorder);
             self.stats.shed_infeasible += 1;
             if recorder.enabled() {
                 recorder.record(
@@ -359,39 +368,41 @@ impl AdmissionIntake {
                 waited: now.saturating_sub(offered_at),
             });
         }
-        self.flush_run(lac, &mut run, &mut out, now, recorder);
-        out
     }
 
-    /// Admits one buffered FCFS run through [`Lac::admit_batch`], then
-    /// applies the per-decision bookkeeping (stats, breaker window,
-    /// output) in the original queue order.
+    /// Admits the first `len` queued requests as one FCFS run, appending
+    /// their decisions to `out`, then applies the per-decision bookkeeping
+    /// (stats, breaker window) in queue order.
     fn flush_run(
         &mut self,
         lac: &mut Lac,
-        run: &mut Vec<(AdmissionRequest, Cycles)>,
+        len: usize,
         out: &mut Vec<DrainedDecision>,
         now: Cycles,
         recorder: &mut dyn Recorder,
     ) {
-        if run.is_empty() {
+        if len == 0 {
             return;
         }
         lac.advance(now);
-        let reqs: Vec<AdmissionRequest> = run.iter().map(|&(req, _)| req).collect();
-        let decisions = lac.admit_batch(&reqs, recorder);
-        for ((req, offered_at), decision) in run.drain(..).zip(decisions) {
-            if decision.is_accepted() {
-                self.stats.admitted += 1;
-            } else {
-                self.stats.rejected += 1;
-            }
-            self.observe(!decision.is_accepted(), now, recorder);
+        let first = out.len();
+        let run = self.queue.range(..len).map(|(req, at)| (req, *at));
+        lac.admit_run(run, recorder, |req, offered_at, decision| {
             out.push(DrainedDecision {
                 id: req.id,
                 decision,
                 waited: now.saturating_sub(offered_at),
             });
+        });
+        self.queue.drain(..len);
+        for d in &out[first..] {
+            let rejected = !d.decision.is_accepted();
+            if rejected {
+                self.stats.rejected += 1;
+            } else {
+                self.stats.admitted += 1;
+            }
+            self.observe(rejected, now, recorder);
         }
     }
 
@@ -447,18 +458,22 @@ impl AdmissionIntake {
             return;
         }
         self.window.push_back(rejected);
+        self.window_rejects += usize::from(rejected);
         while self.window.len() > self.config.breaker_window {
-            let _ = self.window.pop_front();
+            if self.window.pop_front() == Some(true) {
+                self.window_rejects -= 1;
+            }
         }
         if self.window.len() < self.config.breaker_window {
             return;
         }
-        let rejects = self.window.iter().filter(|&&r| r).count() as u64;
+        let rejects = self.window_rejects as u64;
         let len = self.window.len() as u64;
         if rejects * 100 >= u64::from(self.config.breaker_threshold_pct) * len {
             self.open_until = Some(now + self.config.breaker_cooldown);
             self.stats.breaker_trips += 1;
             self.window.clear();
+            self.window_rejects = 0;
             if recorder.enabled() {
                 recorder.record(
                     now,
@@ -485,12 +500,20 @@ impl AdmissionIntake {
     }
 }
 
+/// Whether `req`'s deadline leaves no room for its window from `now` on.
+fn infeasible(req: &AdmissionRequest, now: Cycles) -> bool {
+    match (req.deadline, req.mode.reservation_duration(req.tw)) {
+        (Some(td), Some(duration)) => now + duration > td,
+        _ => false,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lac::LacConfig;
     use crate::target::ResourceRequest;
-    use cmpqos_obs::{NullRecorder, RingBufferRecorder};
+    use cmpqos_obs::{EventKind, NullRecorder, RingBufferRecorder};
 
     fn req(id: u32, source: u32, tw: u64, td: u64) -> AdmissionRequest {
         AdmissionRequest::builder(
@@ -620,6 +643,44 @@ mod tests {
         assert!(out.is_enqueued());
         assert_eq!(rec.counters().circuits_tripped, 1);
         assert_eq!(rec.counters().circuits_restored, 1);
+    }
+
+    #[test]
+    fn a_run_records_every_decision_before_the_trip_it_causes() {
+        // The breaker test's setup: one admission, then rejects, so the
+        // fourth decision fills the window of 4 at 75% and trips it. A
+        // drain that decided one request at a time would record the trip
+        // between the fourth and fifth decisions.
+        let cfg = IntakeConfig::builder()
+            .breaker_window(4)
+            .breaker_threshold_pct(75)
+            .breaker_cooldown(Cycles::new(1_000))
+            .bucket_capacity(64)
+            .queue_capacity(64)
+            .build();
+        let mut lac = Lac::new(LacConfig {
+            capacity: ResourceRequest::new(1, cmpqos_types::Ways::new(16)),
+        });
+        let mut i = AdmissionIntake::new(NodeId::new(1), cfg);
+        let mut rec = RingBufferRecorder::new(256);
+        for n in 0..6 {
+            let _ = i.offer(req(n, n, 1_000_000, 1_000_000), Cycles::new(0), &mut rec);
+        }
+        let _ = i.drain(&mut lac, Cycles::new(0), &mut rec);
+        let kinds: Vec<EventKind> = rec.records().map(|r| r.event.kind()).collect();
+        assert_eq!(
+            kinds,
+            [
+                EventKind::Admitted,
+                EventKind::Rejected,
+                EventKind::Rejected,
+                EventKind::Rejected,
+                EventKind::Rejected,
+                EventKind::Rejected,
+                EventKind::CircuitTripped,
+            ]
+        );
+        assert_eq!(i.stats().breaker_trips, 1);
     }
 
     #[test]

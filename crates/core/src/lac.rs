@@ -432,23 +432,40 @@ impl Lac {
     /// Admits a FCFS run of requests in order, returning one decision per
     /// request. Decisions are bit-identical to calling [`Lac::admit_with`]
     /// once per request; the batch amortizes the recorder-enabled check
-    /// and the output allocation over the run.
+    /// over the run. It runs the same loop as
+    /// [`AdmissionIntake::drain`](crate::AdmissionIntake::drain), which
+    /// feeds it straight from its queue and allocates nothing for it.
     #[must_use = "each decision carries a job's fate; dropping them loses the batch"]
     pub fn admit_batch(
         &mut self,
         reqs: &[AdmissionRequest],
         recorder: &mut dyn cmpqos_obs::Recorder,
     ) -> Vec<Decision> {
-        let enabled = recorder.enabled();
         let mut out = Vec::with_capacity(reqs.len());
-        for req in reqs {
+        self.admit_run(reqs.iter().map(|req| (req, ())), recorder, |_, (), d| {
+            out.push(d);
+        });
+        out
+    }
+
+    /// The decision loop behind [`Lac::admit_batch`] and the intake's
+    /// drain: admits each request of `run` in order, records its decision
+    /// when `recorder` is enabled, and hands it to `decided` with the
+    /// request and the caller's tag for it.
+    pub(crate) fn admit_run<'r, T>(
+        &mut self,
+        run: impl IntoIterator<Item = (&'r AdmissionRequest, T)>,
+        recorder: &mut dyn cmpqos_obs::Recorder,
+        mut decided: impl FnMut(&'r AdmissionRequest, T, Decision),
+    ) {
+        let enabled = recorder.enabled();
+        for (req, tag) in run {
             let decision = self.admit(req);
             if enabled {
                 self.emit_decision(req.id, decision, recorder);
             }
-            out.push(decision);
+            decided(req, tag, decision);
         }
-        out
     }
 
     /// The earliest start at or after `now` from which `r`'s window fits

@@ -14,7 +14,9 @@
 //!   number of live reservations that start or end at `at`, so a change
 //!   point leaves with the last reservation that made it.
 //!
-//! Every lookup is a binary search. New reservations land near the front
+//! Every point lookup is a binary search; `earliest_start` searches once,
+//! then walks one forward cursor through the step function as its
+//! candidates ascend. New reservations land near the front
 //! (near-term windows) or the back (far-future deadlines), and a ring
 //! buffer inserts or removes at index `i` by shifting `min(i, n − i)`
 //! entries, so neither end pays for the other. Nothing is allocated per
@@ -219,22 +221,35 @@ impl ReservationTable {
         end: Cycles,
         capacity: &ResourceRequest,
     ) -> bool {
-        if end <= start {
-            return true;
-        }
-        let (request, capacity) = (Usage::of(request), Usage::of(capacity));
         let i = self.steps.partition_point(|s| s.at <= start.get());
-        self.usage_before(i).fits(&request, &capacity)
-            && self
-                .steps
-                .range(i..)
-                .take_while(|s| s.at < end.get())
-                .all(|s| s.usage.fits(&request, &capacity))
+        self.fits_from(i, &Usage::of(request), start, end, &Usage::of(capacity))
+    }
+
+    /// [`Self::fits_over`] with `i`, the number of steps at or before
+    /// `start`, already known.
+    fn fits_from(
+        &self,
+        i: usize,
+        request: &Usage,
+        start: Cycles,
+        end: Cycles,
+        capacity: &Usage,
+    ) -> bool {
+        end <= start
+            || self.usage_before(i).fits(request, capacity)
+                && self
+                    .steps
+                    .range(i..)
+                    .take_while(|s| s.at < end.get())
+                    .all(|s| s.usage.fits(request, capacity))
     }
 
     /// Earliest `s ∈ [not_before, latest_start]` such that `request` fits
     /// over `[s, s+duration)`. Candidates are `not_before` and the
-    /// distinct reservation end points after it, in ascending order.
+    /// distinct reservation end points after it, in ascending order, so
+    /// one forward cursor into the step function finds each candidate's
+    /// segment: the walk is linear in the steps it passes, not a binary
+    /// search per candidate.
     pub(crate) fn earliest_start(
         &self,
         request: &ResourceRequest,
@@ -243,7 +258,15 @@ impl ReservationTable {
         latest_start: Cycles,
         capacity: &ResourceRequest,
     ) -> Option<Cycles> {
-        let fits = |s: Cycles| self.fits_over(request, s, s + duration, capacity);
+        let (request, capacity) = (Usage::of(request), Usage::of(capacity));
+        // Steps before `i` sit at or before the current candidate.
+        let mut i = self.steps.partition_point(|s| s.at <= not_before.get());
+        let mut fits = |s: Cycles| {
+            while self.steps.get(i).is_some_and(|step| step.at <= s.get()) {
+                i += 1;
+            }
+            self.fits_from(i, &request, s, s + duration, &capacity)
+        };
         if not_before <= latest_start && fits(not_before) {
             return Some(not_before);
         }

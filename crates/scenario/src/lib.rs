@@ -22,8 +22,8 @@
 //! ## Determinism rules
 //!
 //! Every quantity is integer: arrival gaps come from a Q32 fixed-point
-//! exponential sampler ([`streams::neg_ln_q32`] — `u64`/`u128` shifts
-//! only, no floating point), so the same seed yields the byte-identical
+//! exponential sampler ([`streams::neg_ln_q32`] — integer shifts and
+//! multiplies only, no floating point), so the same seed yields the byte-identical
 //! timeline on every platform and at any engine `--jobs` width. The
 //! legacy `cmpqos_workloads::arrivals::ArrivalStream` keeps its `f64`
 //! accumulator for the paper figures (its sequence is pinned by a golden
@@ -32,9 +32,10 @@
 //! ## Percentile methodology
 //!
 //! Exact nearest-rank over the full latency multiset — no sketches, no
-//! interpolation: [`PercentileReporter`] keeps a `BTreeMap` of counts
-//! and answers per-mille quantiles (`p50` = 500‰, `p999` = 999‰) as
-//! `value at rank ⌈q·n/1000⌉`. A sort-based oracle
+//! interpolation: [`PercentileReporter`] keeps every sample in one flat
+//! buffer and answers per-mille quantiles (`p50` = 500‰, `p999` = 999‰)
+//! as `value at rank ⌈q·n/1000⌉`, selected from a scratch copy with
+//! `select_nth_unstable`. A sort-based oracle
 //! ([`percentile::quantile_sorted`]) must match bit-for-bit
 //! (`tests/traffic_properties.rs`).
 

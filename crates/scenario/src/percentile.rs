@@ -1,15 +1,17 @@
 //! Exact nearest-rank percentile reporting.
 //!
-//! No sketches and no interpolation: the reporter keeps the full latency
-//! multiset as ordered counts and answers per-mille quantiles exactly, so
-//! the reported p999 *is* a latency that some drained request actually
-//! waited. A sort-based oracle ([`quantile_sorted`]) must agree
-//! bit-for-bit on every multiset — including ties, empty, and
+//! No sketches and no interpolation: the reporter keeps every latency
+//! sample in one flat buffer and answers per-mille quantiles exactly by
+//! rank selection, so the reported p999 *is* a latency that some drained
+//! request actually waited. A sort-based oracle ([`quantile_sorted`])
+//! must agree bit-for-bit on every multiset — including ties, empty, and
 //! single-element inputs (`tests/traffic_properties.rs`).
 
-use std::collections::BTreeMap;
-
 /// An exact percentile reporter over a `u64` latency multiset.
+///
+/// Recording appends to a `Vec`; a query selects its ranks from one
+/// scratch copy with `select_nth_unstable`. Two reporters are equal
+/// when they hold the same multiset, in any recording order.
 ///
 /// # Examples
 ///
@@ -22,29 +24,42 @@ use std::collections::BTreeMap;
 /// assert_eq!(r.quantile_permille(500), Some(2)); // median
 /// assert_eq!(r.quantile_permille(999), Some(9)); // tail
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default)]
 pub struct PercentileReporter {
-    counts: BTreeMap<u64, u64>,
-    n: u64,
+    samples: Vec<u64>,
 }
+
+/// Multiset equality: the recording order is not part of the value.
+impl PartialEq for PercentileReporter {
+    fn eq(&self, other: &Self) -> bool {
+        if self.samples.len() != other.samples.len() {
+            return false;
+        }
+        let (mut a, mut b) = (self.samples.clone(), other.samples.clone());
+        a.sort_unstable();
+        b.sort_unstable();
+        a == b
+    }
+}
+
+impl Eq for PercentileReporter {}
 
 impl PercentileReporter {
     /// Records one sample.
     pub fn record(&mut self, value: u64) {
-        *self.counts.entry(value).or_insert(0) += 1;
-        self.n += 1;
+        self.samples.push(value);
     }
 
     /// Number of recorded samples.
     #[must_use]
     pub fn len(&self) -> u64 {
-        self.n
+        self.samples.len() as u64
     }
 
     /// Whether no samples have been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.samples.is_empty()
     }
 
     /// The nearest-rank per-mille quantile: the value at (1-based)
@@ -52,30 +67,41 @@ impl PercentileReporter {
     /// `None` when empty.
     #[must_use]
     pub fn quantile_permille(&self, q: u32) -> Option<u64> {
-        if self.n == 0 {
-            return None;
-        }
-        let rank = ((u128::from(q) * u128::from(self.n)).div_ceil(1000) as u64).clamp(1, self.n);
-        let mut seen = 0u64;
-        for (&value, &count) in &self.counts {
-            seen += count;
-            if seen >= rank {
-                return Some(value);
-            }
-        }
-        unreachable!("rank {rank} beyond {} recorded samples", self.n)
+        self.quantiles([q])[0]
     }
 
     /// The standard latency summary: p50/p95/p99/p999.
     #[must_use]
     pub fn summary(&self) -> LatencySummary {
+        let [p50, p95, p99, p999] = self.quantiles([500, 950, 990, 999]);
         LatencySummary {
-            samples: self.n,
-            p50: self.quantile_permille(500),
-            p95: self.quantile_permille(950),
-            p99: self.quantile_permille(990),
-            p999: self.quantile_permille(999),
+            samples: self.len(),
+            p50,
+            p95,
+            p99,
+            p999,
         }
+    }
+
+    /// The nearest-rank quantiles for `qs`, which ascend, selected from
+    /// one scratch copy: once rank `i` is in place, every later rank lies
+    /// in the suffix after it, so each selection partitions only that
+    /// suffix.
+    fn quantiles<const N: usize>(&self, qs: [u32; N]) -> [Option<u64>; N] {
+        debug_assert!(qs.is_sorted(), "ranks must ascend: {qs:?}");
+        let n = self.samples.len() as u64;
+        if n == 0 {
+            return [None; N];
+        }
+        let mut scratch = self.samples.clone();
+        let mut placed = 0;
+        qs.map(|q| {
+            let rank = ((u128::from(q) * u128::from(n)).div_ceil(1000) as u64).clamp(1, n);
+            let i = (rank - 1) as usize;
+            let (_, &mut value, _) = scratch[placed..].select_nth_unstable(i - placed);
+            placed = i;
+            Some(value)
+        })
     }
 }
 
@@ -168,6 +194,30 @@ mod tests {
         let r = reporter(&values);
         for q in [1, 100, 250, 500, 750, 900, 950, 990, 999] {
             assert_eq!(r.quantile_permille(q), quantile_sorted(&values, q), "q={q}");
+        }
+    }
+
+    #[test]
+    fn equality_ignores_the_recording_order() {
+        assert_eq!(reporter(&[3, 1, 2]), reporter(&[2, 3, 1]));
+        assert_ne!(reporter(&[1, 2]), reporter(&[1, 2, 2]));
+        assert_ne!(reporter(&[1, 1, 2]), reporter(&[1, 2, 2]));
+        assert_eq!(PercentileReporter::default(), reporter(&[]));
+    }
+
+    #[test]
+    fn the_summary_selects_each_rank_of_one_multiset() {
+        // Ranks 1, 1, 1, 1 (n = 1) up to ranks 500, 950, 990, 999
+        // (n = 1,000): repeated and distinct ranks from one scratch copy.
+        for n in [1u64, 2, 3, 10, 999, 1_000, 1_001] {
+            let values: Vec<u64> = (0..n).map(|i| (i * 7_919) % 1_013).collect();
+            let s = reporter(&values).summary();
+            let want = |q| quantile_sorted(&values, q);
+            assert_eq!(
+                [s.p50, s.p95, s.p99, s.p999],
+                [want(500), want(950), want(990), want(999)],
+                "n={n}"
+            );
         }
     }
 

@@ -54,17 +54,17 @@ fn source_seed(seed: u64, tier: usize, source: u32) -> u64 {
 
 /// Materializes the spec's full arrival timeline: one seeded integer
 /// stream per `(tier, source)` pair, merged and sorted by
-/// `(time, tier, source, sequence)` — total order, so the replay is
+/// `(time, tier, source)`. The key is unique, since a stream's gaps are
+/// at least one cycle, so the order is total and the replay is
 /// deterministic at any engine width.
 #[must_use]
 pub fn timeline(spec: &ScenarioSpec) -> Vec<Arrival> {
-    let mut arrivals: Vec<(u64, usize, u32, u64, Arrival)> = Vec::new();
+    let mut arrivals: Vec<Arrival> = Vec::new();
     for (t, tier) in spec.tiers.iter().enumerate() {
         for s in 0..tier.sources {
             let seed = source_seed(spec.seed, t, s);
             let mut stream = TrafficStream::new(tier.mean_inter_arrival, tier.shape, seed);
             let mut rng = StdRng::seed_from_u64(seed ^ 0x51DE_CA57);
-            let mut seq = 0u64;
             loop {
                 let at = stream.next_arrival().get();
                 if at > spec.horizon {
@@ -91,27 +91,20 @@ pub fn timeline(spec: &ScenarioSpec) -> Vec<Arrival> {
                             + u128::from(tw % 100 * pct / 100);
                         (u128::from(at) + slack).min(u128::from(Cycles::HORIZON.get())) as u64
                     });
-                arrivals.push((
+                arrivals.push(Arrival {
                     at,
-                    t,
-                    s,
-                    seq,
-                    Arrival {
-                        at,
-                        tier: t,
-                        source: s,
-                        mode,
-                        ways,
-                        tw,
-                        deadline,
-                    },
-                ));
-                seq += 1;
+                    tier: t,
+                    source: s,
+                    mode,
+                    ways,
+                    tw,
+                    deadline,
+                });
             }
         }
     }
-    arrivals.sort_by_key(|&(at, t, s, seq, _)| (at, t, s, seq));
-    arrivals.into_iter().map(|(_, _, _, _, a)| a).collect()
+    arrivals.sort_unstable_by_key(|a| (a.at, a.tier, a.source));
+    arrivals
 }
 
 /// Multiplies every stored time in the timeline by `k` (arrival, `tw`,
@@ -420,7 +413,7 @@ mod tests {
         assert!(!tl.is_empty());
         assert!(tl
             .windows(2)
-            .all(|w| { (w[0].at, w[0].tier, w[0].source) <= (w[1].at, w[1].tier, w[1].source) }));
+            .all(|w| { (w[0].at, w[0].tier, w[0].source) < (w[1].at, w[1].tier, w[1].source) }));
         assert_eq!(tl, timeline(&spec));
     }
 

@@ -17,12 +17,15 @@ const LN2_Q32: u64 = 2_977_044_472;
 
 /// `-ln(u / 2^32)` in Q32 fixed point, for `u ∈ [1, 2^32)`.
 ///
-/// Normalizes `u` to a mantissa `m ∈ [0.5, 1)` (each left shift adds
-/// one `ln 2`), then extracts the 32 fractional bits of `-log2(m)` by
-/// repeated squaring (Clay Turner's binary-logarithm scheme): squaring
-/// the mantissa doubles its log; whenever the square drops below 0.5
-/// the next bit is 1 and the mantissa renormalizes. Only `u64`/`u128`
-/// shifts and multiplies — no floating point, no libm.
+/// Normalizes `u` to a mantissa `m ∈ [0.5, 1)` with one `leading_zeros`
+/// (each left shift adds one `ln 2`), then extracts the 32 fractional
+/// bits of `-log2(m)` by repeated squaring (Clay Turner's
+/// binary-logarithm scheme): squaring the mantissa doubles its log;
+/// whenever the square drops below 0.5 the next bit is 1 and the
+/// mantissa renormalizes. The loop has no branch: the bit is computed
+/// from the square's bit 31 and the mantissa shifts left by it. Only
+/// `u64` squarings and one final `u128` multiply — no floating point,
+/// no libm.
 ///
 /// Zero is clamped to 1 (the largest representable gap) so callers can
 /// feed raw 32-bit draws directly.
@@ -37,20 +40,21 @@ const LN2_Q32: u64 = 2_977_044_472;
 /// ```
 #[must_use]
 pub fn neg_ln_q32(u: u64) -> u64 {
-    let mut m = u.clamp(1, (1u64 << 32) - 1);
-    let mut k = 0u64;
-    while m < (1u64 << 31) {
-        m <<= 1;
-        k += 1;
-    }
+    let u = u.clamp(1, (1u64 << 32) - 1);
+    // `u < 2^32` has at least 32 leading zeros; `k` more put its top bit
+    // at bit 31.
+    let k = u64::from(u.leading_zeros() - 32);
+    let mut m = u << k;
     let mut t = 0u64;
     for _ in 0..32 {
-        m = ((u128::from(m) * u128::from(m)) >> 32) as u64;
-        t <<= 1;
-        if m < (1u64 << 31) {
-            m <<= 1;
-            t |= 1;
-        }
+        // `m ∈ [2^31, 2^32)`, so the square fits a `u64` and its top 32
+        // bits lie in `[2^30, 2^32)`: bit 31 clear means it fell below
+        // 0.5. The shift comes after the truncation, so the new low bit
+        // is 0, not the product's bit 31.
+        m = (m * m) >> 32;
+        let bit = (m >> 31) ^ 1;
+        m <<= bit;
+        t = (t << 1) | bit;
     }
     k * LN2_Q32 + ((u128::from(t) * u128::from(LN2_Q32)) >> 32) as u64
 }
@@ -206,6 +210,44 @@ mod tests {
             let v = neg_ln_q32(u);
             assert!(v < last, "neg_ln_q32({u}) = {v} not below {last}");
             last = v;
+        }
+    }
+
+    /// The loop `neg_ln_q32` ran before it became branch-free, kept
+    /// verbatim as the oracle for the new one.
+    fn neg_ln_q32_branching(u: u64) -> u64 {
+        let mut m = u.clamp(1, (1u64 << 32) - 1);
+        let mut k = 0u64;
+        while m < (1u64 << 31) {
+            m <<= 1;
+            k += 1;
+        }
+        let mut t = 0u64;
+        for _ in 0..32 {
+            m = ((u128::from(m) * u128::from(m)) >> 32) as u64;
+            t <<= 1;
+            if m < (1u64 << 31) {
+                m <<= 1;
+                t |= 1;
+            }
+        }
+        k * LN2_Q32 + ((u128::from(t) * u128::from(LN2_Q32)) >> 32) as u64
+    }
+
+    #[test]
+    fn neg_ln_is_bit_identical_to_the_branching_loop() {
+        let edges = [
+            0,
+            1,
+            (1u64 << 31) - 1,
+            1 << 31,
+            (1u64 << 32) - 1,
+            1 << 32,
+            u64::MAX,
+        ];
+        let sweep = (0..=1u64 << 32).step_by(4_099);
+        for u in edges.into_iter().chain(sweep) {
+            assert_eq!(neg_ln_q32(u), neg_ln_q32_branching(u), "u = {u}");
         }
     }
 

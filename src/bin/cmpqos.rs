@@ -522,9 +522,9 @@ fn cmd_chaos(flags: &Flags) -> Result<(), Failure> {
             let at = at.map_err(|_| format!("--heal expects @cycle, got `{v}`"))?;
             p.heal_at = Some(Cycles::new(at));
         }
-        // A range that names no node, a heal before the cut, or a cut at or
-        // past the horizon would run a cell that never severs what its
-        // summary says it severed.
+        // A range that names no node, a heal before the cut, or a cut or
+        // heal at or past the horizon would run a cell that never severs
+        // or heals what its summary says it did.
         if let Some((a, b, at)) = p.partition {
             if a >= b || b as usize > p.nodes {
                 return Err(format!(
@@ -546,6 +546,14 @@ fn cmd_chaos(flags: &Flags) -> Result<(), Failure> {
                 return Err(format!(
                     "--partition at cycle {} is not before --horizon {}",
                     at.get(),
+                    p.horizon.get()
+                )
+                .into());
+            }
+            if let Some(heal) = p.heal_at.filter(|&heal| heal >= p.horizon) {
+                return Err(format!(
+                    "--heal @{} is not before --horizon {}",
+                    heal.get(),
                     p.horizon.get()
                 )
                 .into());

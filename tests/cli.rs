@@ -121,6 +121,16 @@ fn bad_flags_exit_1_with_an_error_line() {
             "chaos --net --horizon 200000",
             "error: --partition at cycle 200000 is not before --horizon 200000",
         ),
+        // So does a heal at or past the horizon, the default heal at
+        // 350,000 included: the cell ends with the range still cut.
+        (
+            "chaos --net --partition 10:40@200000 --heal @900000000",
+            "error: --heal @900000000 is not before --horizon 600000",
+        ),
+        (
+            "chaos --net --horizon 300000",
+            "error: --heal @350000 is not before --horizon 300000",
+        ),
         (
             "chaos --net --partition 40:10@200000",
             "error: --partition 40:10 is not a node range of --nodes 100",
