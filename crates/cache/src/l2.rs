@@ -111,36 +111,6 @@ impl fmt::Display for PartitionError {
 
 impl std::error::Error for PartitionError {}
 
-/// Error masking a faulty way.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WayMaskError {
-    /// The way index is not within `0..associativity`.
-    OutOfRange {
-        /// The offending way index.
-        way: u16,
-        /// The cache's associativity.
-        associativity: u16,
-    },
-    /// The way is already masked.
-    AlreadyMasked(u16),
-    /// Masking this way would leave the cache with zero usable ways.
-    LastUsableWay,
-}
-
-impl fmt::Display for WayMaskError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WayMaskError::OutOfRange { way, associativity } => {
-                write!(f, "way {way} out of range (associativity {associativity})")
-            }
-            WayMaskError::AlreadyMasked(way) => write!(f, "way {way} is already masked"),
-            WayMaskError::LastUsableWay => f.write_str("cannot mask the last usable way"),
-        }
-    }
-}
-
-impl std::error::Error for WayMaskError {}
-
 /// The shared last-level cache.
 ///
 /// # Examples
@@ -169,9 +139,6 @@ pub struct SharedL2 {
     global_counts: Vec<u64>,
     targets: Vec<Ways>,
     classes: Vec<VictimClass>,
-    /// Per-way fault mask (a masked way is dead in **every** set): masked
-    /// ways hold no valid lines and are never selected as fill victims.
-    masked: Vec<bool>,
     tick: u64,
     stats: Vec<CoreCacheStats>,
 }
@@ -218,7 +185,6 @@ impl SharedL2 {
             global_counts: vec![0; num_cores],
             targets: vec![Ways::ZERO; num_cores],
             classes: vec![VictimClass::Opportunistic; num_cores],
-            masked: vec![false; config.associativity() as usize],
             tick: 0,
             stats: vec![CoreCacheStats::default(); num_cores],
         })
@@ -263,10 +229,11 @@ impl SharedL2 {
             });
         }
         let requested: u16 = targets.iter().map(|w| w.get()).sum();
-        if requested > self.effective_associativity() {
+        let available = self.config.associativity();
+        if requested > available {
             return Err(PartitionError::Overcommitted {
                 requested,
-                available: self.effective_associativity(),
+                available,
             });
         }
         self.targets.copy_from_slice(targets);
@@ -307,82 +274,6 @@ impl SharedL2 {
         self.classes[core.as_usize()] = class;
     }
 
-    /// Ways still usable: associativity minus masked (faulty) ways.
-    #[must_use]
-    pub fn effective_associativity(&self) -> u16 {
-        self.config.associativity() - self.masked_ways()
-    }
-
-    /// Number of masked (faulty) ways.
-    #[must_use]
-    pub fn masked_ways(&self) -> u16 {
-        self.masked.iter().filter(|&&m| m).count() as u16
-    }
-
-    /// Whether `way` is masked.
-    #[must_use]
-    pub fn is_way_masked(&self, way: u16) -> bool {
-        self.masked.get(way as usize).copied().unwrap_or(false)
-    }
-
-    /// Masks a faulty way: invalidates its line in **every** set (returning
-    /// the dirty ones as write-backs), excludes it from all future fills,
-    /// and re-normalizes the per-core target allocation counters so they
-    /// sum to at most the shrunken associativity — shaving one way at a
-    /// time off the largest target (ties: the highest core index), which
-    /// keeps the adjustment deterministic.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WayMaskError`] when `way` is out of range, already masked,
-    /// or the last usable way.
-    pub fn mask_way(&mut self, way: u16) -> Result<Vec<Eviction>, WayMaskError> {
-        let assoc = self.config.associativity();
-        if way >= assoc {
-            return Err(WayMaskError::OutOfRange {
-                way,
-                associativity: assoc,
-            });
-        }
-        if self.masked[way as usize] {
-            return Err(WayMaskError::AlreadyMasked(way));
-        }
-        if self.effective_associativity() == 1 {
-            return Err(WayMaskError::LastUsableWay);
-        }
-        self.masked[way as usize] = true;
-        let geom = self.config.geometry();
-        let mut evictions = Vec::new();
-        for set in 0..geom.sets() {
-            let idx = set as usize * assoc as usize + way as usize;
-            let line = self.lines[idx];
-            if line.valid {
-                let owner = line.owner as usize;
-                self.set_counts[set as usize * self.num_cores + owner] -= 1;
-                self.global_counts[owner] -= 1;
-                if line.dirty {
-                    evictions.push(Eviction {
-                        block_addr: geom.unslice(line.tag, set),
-                        dirty: true,
-                        owner: CoreId::new(line.owner as u32),
-                    });
-                    self.stats[owner].record_writeback();
-                }
-                self.lines[idx] = CacheLine::INVALID;
-            }
-        }
-        let effective = self.effective_associativity();
-        let mut total: u16 = self.targets.iter().map(|w| w.get()).sum();
-        while total > effective {
-            let victim = (0..self.num_cores)
-                .max_by_key(|&i| self.targets[i].get())
-                .expect("at least one core");
-            self.targets[victim] -= Ways::new(1);
-            total -= 1;
-        }
-        Ok(evictions)
-    }
-
     /// Statistics for one core.
     ///
     /// # Panics
@@ -409,11 +300,8 @@ impl SharedL2 {
         self.set_counts[set as usize * self.num_cores + core.as_usize()]
     }
 
-    /// Fraction of the cache's *usable* lines owned by `core`, in integer
-    /// milli-percent (`100_000` = the whole unmasked cache). Masked
-    /// (faulty) ways are excluded from the denominator, so the metric
-    /// stays comparable across fault injections. Zero on a cache whose
-    /// every way is masked.
+    /// Fraction of the cache's lines owned by `core`, in integer
+    /// milli-percent (`100_000` = the whole cache).
     ///
     /// This is the occupancy currency of the adaptive control plane: the
     /// same milli-unit integer vocabulary as its CPI samples, exact and
@@ -424,12 +312,9 @@ impl SharedL2 {
     /// Panics if `core` is out of range.
     #[must_use]
     pub fn occupancy_milli_pct(&self, core: CoreId) -> u64 {
-        let usable =
-            u64::from(self.effective_associativity()) * u64::from(self.config.geometry().sets());
-        if usable == 0 {
-            return 0;
-        }
-        self.occupancy(core).saturating_mul(100_000) / usable
+        let lines =
+            u64::from(self.config.associativity()) * u64::from(self.config.geometry().sets());
+        self.occupancy(core).saturating_mul(100_000) / lines
     }
 
     /// Performs one access by `core` at byte address `addr`.
@@ -495,22 +380,12 @@ impl SharedL2 {
         }
     }
 
-    /// Victim way within the set, per the active policy. The set is full
-    /// when this is called (no invalid line).
+    /// Victim way within the set, per the active policy. The set may
+    /// still hold free (invalid) ways: `invalid` finds the first.
     fn choose_victim(&self, c: usize, set: u32, base: usize, assoc: usize) -> usize {
         let set_lines = &self.lines[base..base + assoc];
 
-        // Masked (faulty) ways hold invalid lines forever: they must be
-        // skipped when hunting for a free way, or every miss would try to
-        // fill the dead column. `lru_among` needs no mask check because it
-        // only considers valid lines.
-        let invalid = || {
-            set_lines
-                .iter()
-                .enumerate()
-                .find(|&(w, l)| !self.masked[w] && !l.valid)
-                .map(|(w, _)| w)
-        };
+        let invalid = || set_lines.iter().position(|l| !l.valid);
         let lru_among = |pred: &dyn Fn(&CacheLine) -> bool| -> Option<usize> {
             set_lines
                 .iter()
@@ -645,17 +520,14 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_milli_pct_is_exact_and_fault_aware() {
+    fn occupancy_milli_pct_is_exact() {
         let mut l2 = tiny(PartitionPolicy::PerSet);
         l2.set_targets(&[Ways::new(2), Ways::new(2)]).unwrap();
         assert_eq!(l2.occupancy_milli_pct(C0), 0);
-        // 2 blocks of 16 usable lines = 12.5% = 12_500 milli-pct.
+        // 2 blocks of 16 lines = 12.5% = 12_500 milli-pct.
         l2.access(C0, addr(0, 0), false);
         l2.access(C0, addr(0, 1), false);
         assert_eq!(l2.occupancy_milli_pct(C0), 12_500);
-        // Masking a way shrinks the denominator to 12 lines: 2/12 ≈ 16.666%.
-        l2.mask_way(3).unwrap();
-        assert_eq!(l2.occupancy_milli_pct(C0), 2 * 100_000 / 12);
     }
 
     #[test]
@@ -807,65 +679,6 @@ mod tests {
     fn outcome_reports_set_index() {
         let mut l2 = tiny(PartitionPolicy::Unpartitioned);
         assert_eq!(l2.access(C0, addr(3, 0), false).set, 3);
-    }
-
-    #[test]
-    fn mask_way_invalidates_the_column_and_reports_dirty_writebacks() {
-        let mut l2 = tiny(PartitionPolicy::Unpartitioned);
-        // Fill set 0 fully; block 0 dirty. Ways fill in order 0..4.
-        l2.access(C0, addr(0, 0), true);
-        for b in 1..4 {
-            l2.access(C0, addr(0, b), false);
-        }
-        assert_eq!(l2.effective_associativity(), 4);
-        let evs = l2.mask_way(0).unwrap();
-        assert_eq!(evs.len(), 1, "only the dirty block is written back");
-        assert_eq!(evs[0].block_addr, addr(0, 0));
-        assert!(l2.is_way_masked(0));
-        assert_eq!(l2.effective_associativity(), 3);
-        assert_eq!(l2.occupancy(C0), 3);
-        // The dead way's block is gone and never refills: a miss must pick
-        // a victim among the three live ways, not the masked invalid slot.
-        assert!(!l2.access(C0, addr(0, 0), false).hit);
-        let out = l2.access(C0, addr(0, 9), false);
-        assert!(out.eviction.is_some(), "live way evicted, not the dead one");
-        assert_eq!(l2.set_occupancy(C0, 0), 3);
-    }
-
-    #[test]
-    fn mask_way_renormalizes_targets_deterministically() {
-        let mut l2 = tiny(PartitionPolicy::PerSet);
-        l2.set_targets(&[Ways::new(2), Ways::new(2)]).unwrap();
-        l2.mask_way(3).unwrap();
-        // 4 ways -> 3: one way shaved off the largest target; tie between
-        // the two 2-way targets goes to the highest core index.
-        assert_eq!(l2.targets(), &[Ways::new(2), Ways::new(1)]);
-        // And the shrunken associativity now gates set_targets.
-        assert!(matches!(
-            l2.set_targets(&[Ways::new(2), Ways::new(2)]),
-            Err(PartitionError::Overcommitted {
-                requested: 4,
-                available: 3
-            })
-        ));
-    }
-
-    #[test]
-    fn mask_way_rejects_bad_and_final_ways() {
-        let mut l2 = tiny(PartitionPolicy::PerSet);
-        assert_eq!(
-            l2.mask_way(4),
-            Err(WayMaskError::OutOfRange {
-                way: 4,
-                associativity: 4
-            })
-        );
-        l2.mask_way(1).unwrap();
-        assert_eq!(l2.mask_way(1), Err(WayMaskError::AlreadyMasked(1)));
-        l2.mask_way(0).unwrap();
-        l2.mask_way(2).unwrap();
-        assert_eq!(l2.mask_way(3), Err(WayMaskError::LastUsableWay));
-        assert_eq!(l2.effective_associativity(), 1);
     }
 
     #[test]

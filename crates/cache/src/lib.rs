@@ -33,7 +33,7 @@ pub mod utility;
 
 pub use config::{CacheConfig, CacheConfigError, CacheGeometry};
 pub use l1::{L1Cache, L1Outcome};
-pub use l2::{Eviction, L2Outcome, PartitionPolicy, SharedL2, VictimClass, WayMaskError};
+pub use l2::{Eviction, L2Outcome, PartitionPolicy, SharedL2, VictimClass};
 pub use shadow::{DuplicateTagMonitor, ShadowCounts};
 pub use stats::CoreCacheStats;
 pub use utility::UtilityMonitor;

@@ -755,7 +755,7 @@ impl QosScheduler {
             };
             // A predecessor overrunning its reservation may still hold its
             // ways; starting now would overcommit the partition. Delay.
-            let total = self.node.l2_usable_ways().get();
+            let total = self.node.config().l2.associativity();
             let in_use: u16 = (0..self.node.config().num_cores as u32)
                 .filter_map(|i| self.node.pinned_on(CoreId::new(i)))
                 .filter_map(|jid| self.jobs.get(&jid))
@@ -1026,7 +1026,7 @@ impl QosScheduler {
     /// across cores available to floating work.
     fn recompute_partition(&mut self) {
         let cores = self.node.config().num_cores;
-        let total = self.node.l2_usable_ways().get();
+        let total = self.node.config().l2.associativity();
         let mut targets = vec![Ways::ZERO; cores];
         let mut reserved_sum: u16 = 0;
         let mut floating_cores = Vec::new();

@@ -1,67 +1,26 @@
-//! The bounded work-stealing worker pool.
+//! The bounded worker pool.
 
-use std::collections::VecDeque;
-use std::fmt;
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
 use std::sync::Mutex;
 
-/// A cell that failed to produce a usable result.
-///
-/// Failures are isolated per cell: one bad cell never tears down the rest
-/// of the run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CellFailure {
-    /// The cell panicked; the payload's message is preserved
-    /// ([`std::panic::catch_unwind`] inside the worker).
-    Panicked {
-        /// The failed cell's index in the input order.
-        index: usize,
-        /// The panic message (`"<non-string panic payload>"` when the
-        /// payload was neither `&str` nor `String`).
-        message: String,
-    },
-}
-
-impl CellFailure {
-    /// The failed cell's index in the input order.
-    #[must_use]
-    pub fn index(&self) -> usize {
-        match self {
-            Self::Panicked { index, .. } => *index,
-        }
-    }
-}
-
-impl fmt::Display for CellFailure {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::Panicked { index, message } => {
-                write!(f, "cell {index} panicked: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for CellFailure {}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
+        s
     } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
+        s
     } else {
-        "<non-string panic payload>".to_string()
+        "<non-string panic payload>"
     }
 }
 
 /// A deterministic parallel executor over independent cells.
 ///
-/// `Engine` owns nothing but its width; every [`Engine::run`] /
-/// [`Engine::try_run`] call spins up a fresh scoped pool, distributes the
-/// cells round-robin over per-worker deques, and lets idle workers steal
-/// from the back of their peers' queues. Results always come back in cell
-/// order, so callers cannot observe scheduling at all.
+/// `Engine` owns nothing but its width. Every [`Engine::run`] call hands
+/// the cells out one at a time, in cell order, to `min(jobs, cells)`
+/// scoped workers (the caller's thread alone when that is 1) and orders
+/// the outcomes by cell index, so callers cannot observe scheduling at
+/// all.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Engine {
     jobs: usize,
@@ -75,144 +34,77 @@ impl Engine {
         Self { jobs: jobs.max(1) }
     }
 
-    /// The serial engine: cells run one after another on the caller's
-    /// thread (still with panic isolation).
-    #[must_use]
-    pub fn serial() -> Self {
-        Self::new(1)
-    }
-
-    /// The configured concurrency bound.
-    #[must_use]
-    pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Runs `f` over every cell and returns the outcomes **in cell
-    /// order**: `result[i]` is `f(i, inputs[i])`, or the captured panic
-    /// if that cell panicked. All cells run to completion regardless of
-    /// failures elsewhere.
-    pub fn try_run<I, T, F>(&self, inputs: Vec<I>, f: F) -> Vec<Result<T, CellFailure>>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(usize, I) -> T + Sync,
-    {
-        let n = inputs.len();
-        let workers = self.jobs.min(n);
-        let call = |index: usize, input: I| -> Result<T, CellFailure> {
-            catch_unwind(AssertUnwindSafe(|| f(index, input))).map_err(|payload| {
-                CellFailure::Panicked {
-                    index,
-                    message: panic_message(payload),
-                }
-            })
-        };
-
-        if workers <= 1 {
-            return inputs
-                .into_iter()
-                .enumerate()
-                .map(|(i, input)| call(i, input))
-                .collect();
-        }
-
-        // Round-robin the cells over per-worker deques. Workers pop from
-        // the front of their own deque and steal from the back of their
-        // peers', so the common case is contention-free and the tail of a
-        // skewed distribution still spreads out.
-        let mut queues: Vec<Mutex<VecDeque<(usize, I)>>> = (0..workers)
-            .map(|_| Mutex::new(VecDeque::with_capacity(n.div_ceil(workers))))
-            .collect();
-        for (i, input) in inputs.into_iter().enumerate() {
-            queues[i % workers]
-                .get_mut()
-                .expect("fresh")
-                .push_back((i, input));
-        }
-        let queues = &queues;
-
-        let mut results: Vec<Option<Result<T, CellFailure>>> = Vec::with_capacity(n);
-        results.resize_with(n, || None);
-        let (tx, rx) = mpsc::channel::<(usize, Result<T, CellFailure>)>();
-
-        std::thread::scope(|scope| {
-            for me in 0..workers {
-                let tx = tx.clone();
-                let call = &call;
-                scope.spawn(move || {
-                    loop {
-                        // Own queue first, then sweep the peers once; when
-                        // every queue is empty the remaining cells are all
-                        // in flight on other workers and we are done.
-                        let mut task = queues[me].lock().expect("queue").pop_front();
-                        if task.is_none() {
-                            for other in (0..workers).filter(|&o| o != me) {
-                                task = queues[other].lock().expect("queue").pop_back();
-                                if task.is_some() {
-                                    break;
-                                }
-                            }
-                        }
-                        let Some((index, input)) = task else { break };
-                        // A receiver that hung up means the caller is
-                        // gone; nothing useful left to do.
-                        if tx.send((index, call(index, input))).is_err() {
-                            break;
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            for (index, outcome) in rx {
-                results[index] = Some(outcome);
-            }
-        });
-
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| r.unwrap_or_else(|| panic!("cell {i} produced no outcome")))
-            .collect()
-    }
-
-    /// [`Engine::try_run`] for grids where a cell failure is fatal: every
-    /// cell still runs to completion, then the first failure is re-raised
-    /// with a summary of all of them.
+    /// Runs `f` over every cell and returns the outputs **in cell
+    /// order**: `result[i]` is `f(i, inputs[i])`. A panicking cell is
+    /// caught ([`std::panic::catch_unwind`]) and every other cell still
+    /// runs to completion.
     ///
     /// # Panics
     ///
-    /// Panics if any cell failed.
+    /// Once every cell has run, if any panicked:
+    /// `"N of M cells failed: cell i panicked: <message>; …"`, the cells
+    /// in index order.
     pub fn run<I, T, F>(&self, inputs: Vec<I>, f: F) -> Vec<T>
     where
         I: Send,
         T: Send,
         F: Fn(usize, I) -> T + Sync,
     {
-        let outcomes = self.try_run(inputs, f);
-        let failures: Vec<&CellFailure> =
-            outcomes.iter().filter_map(|o| o.as_ref().err()).collect();
+        let n = inputs.len();
+        let cells = Mutex::new(inputs.into_iter().enumerate());
+        let work = || {
+            let mut done = Vec::new();
+            loop {
+                // The guard drops with this statement: a cell runs, and
+                // may panic, without holding the lock.
+                let next = cells.lock().expect("no cell runs under the lock").next();
+                let Some((index, input)) = next else {
+                    return done;
+                };
+                done.push((index, catch_unwind(AssertUnwindSafe(|| f(index, input)))));
+            }
+        };
+        let workers = self.jobs.min(n);
+        let mut done = if workers <= 1 {
+            work()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+                handles
+                    .into_iter()
+                    .flat_map(|h| h.join().expect("a worker catches its cells' panics"))
+                    .collect()
+            })
+        };
+
+        done.sort_unstable_by_key(|&(index, _)| index);
+        let mut outputs = Vec::with_capacity(n);
+        let mut failures = Vec::new();
+        for (index, outcome) in done {
+            match outcome {
+                Ok(output) => outputs.push(output),
+                Err(payload) => {
+                    failures.push(format!(
+                        "cell {index} panicked: {}",
+                        panic_message(&*payload)
+                    ));
+                }
+            }
+        }
         assert!(
             failures.is_empty(),
-            "{} of {} cells failed: {}",
+            "{} of {n} cells failed: {}",
             failures.len(),
-            outcomes.len(),
-            failures
-                .iter()
-                .map(|f| f.to_string())
-                .collect::<Vec<_>>()
-                .join("; ")
+            failures.join("; ")
         );
-        outcomes
-            .into_iter()
-            .map(|o| o.expect("failures checked above"))
-            .collect()
+        outputs
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_come_back_in_cell_order() {
@@ -231,7 +123,7 @@ mod tests {
     fn serial_and_parallel_agree() {
         let f = |i: usize, n: u64| n.wrapping_mul(0x9E37_79B9).wrapping_add(i as u64);
         let inputs: Vec<u64> = (0..57).map(|i| i * 31 % 13).collect();
-        let serial = Engine::serial().run(inputs.clone(), f);
+        let serial = Engine::new(1).run(inputs.clone(), f);
         for jobs in [2, 3, 8, 64] {
             assert_eq!(
                 Engine::new(jobs).run(inputs.clone(), f),
@@ -241,42 +133,29 @@ mod tests {
         }
     }
 
+    /// More cells panic than there are workers: a worker that stopped
+    /// taking cells after its first panic would leave cells unrun.
     #[test]
-    fn a_panicking_cell_is_isolated() {
-        let engine = Engine::new(3);
-        let out = engine.try_run((0..10u32).collect(), |_, n| {
-            assert!(n != 4, "cell four exploded");
-            n + 1
-        });
-        for (i, o) in out.iter().enumerate() {
-            if i == 4 {
-                let failure = o.as_ref().expect_err("cell 4 panicked");
-                assert_eq!(failure.index(), 4);
-                assert!(
-                    matches!(
-                        failure,
-                        CellFailure::Panicked { message, .. }
-                            if message.contains("cell four exploded")
-                    ),
-                    "{failure}"
-                );
-            } else {
-                assert_eq!(o.as_ref().expect("healthy cell"), &(i as u32 + 1));
-            }
-        }
+    fn workers_keep_taking_cells_after_a_panic() {
+        let ran = AtomicUsize::new(0);
+        let payload = catch_unwind(AssertUnwindSafe(|| {
+            Engine::new(2).run((0..10u32).collect(), |_, n| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                assert!(n % 4 != 1, "cell {n} exploded");
+                n
+            })
+        }))
+        .expect_err("three cells panicked");
+        assert_eq!(
+            panic_message(&*payload),
+            "3 of 10 cells failed: cell 1 panicked: cell 1 exploded; \
+             cell 5 panicked: cell 5 exploded; cell 9 panicked: cell 9 exploded"
+        );
+        assert_eq!(ran.into_inner(), 10);
     }
 
     #[test]
-    fn failure_displays_name_the_cell_and_mode() {
-        let p = CellFailure::Panicked {
-            index: 3,
-            message: "boom".into(),
-        };
-        assert_eq!(p.to_string(), "cell 3 panicked: boom");
-    }
-
-    #[test]
-    #[should_panic(expected = "1 of 3 cells failed")]
+    #[should_panic(expected = "1 of 3 cells failed: cell 1 panicked: boom")]
     fn run_reraises_failures_after_completion() {
         Engine::new(2).run(vec![1u32, 2, 3], |_, n| {
             assert!(n != 2, "boom");
@@ -286,7 +165,7 @@ mod tests {
 
     #[test]
     fn zero_and_empty_edges() {
-        assert_eq!(Engine::new(0).jobs(), 1);
+        assert_eq!(Engine::new(0).run(vec![7u8], |i, x| (i, x)), [(0, 7)]);
         let out: Vec<u8> = Engine::new(8).run(Vec::<u8>::new(), |_, x| x);
         assert!(out.is_empty());
     }

@@ -75,11 +75,9 @@ pub struct SystemConfig {
     /// Round-robin timeslice for floating (timeshared) tasks.
     /// The default models a 0.5 ms Linux-like quantum at 2 GHz.
     pub timeslice: Cycles,
-    /// Direct cost of a context switch.
+    /// Direct cost of a context switch. A switch also flushes the core's
+    /// L1 (cold-cache effect for the incoming task).
     pub context_switch_cost: Cycles,
-    /// Whether a context switch flushes the L1 (cold-cache effect for the
-    /// incoming task).
-    pub flush_l1_on_switch: bool,
     /// Duplicate-tag set-sampling period: every `N`-th set carries shadow
     /// tags (paper: 8, i.e. 1/8 coverage).
     pub shadow_sample_every: u32,
@@ -99,7 +97,6 @@ impl SystemConfig {
             partition_policy: PartitionPolicy::PerSet,
             timeslice: Cycles::new(1_000_000),
             context_switch_cost: Cycles::new(10_000),
-            flush_l1_on_switch: true,
             shadow_sample_every: 8,
         }
     }

@@ -2,7 +2,7 @@
 
 use crate::config::{SystemConfig, SystemConfigError};
 use crate::task::{Placement, SpawnError, Task, TaskCompletion, TaskSpec};
-use cmpqos_cache::l2::{Eviction, PartitionError, WayMaskError};
+use cmpqos_cache::l2::PartitionError;
 use cmpqos_cache::{DuplicateTagMonitor, L1Cache, SharedL2, VictimClass};
 use cmpqos_cpu::{MemOutcome, PerfCounters, Throttle};
 use cmpqos_mem::{BandwidthRegulator, BusMonitor, MemoryChannel, Priority};
@@ -467,23 +467,6 @@ impl CmpNode {
         &self.memory.l2
     }
 
-    /// L2 ways still usable (associativity minus masked faulty ways).
-    #[must_use]
-    pub fn l2_usable_ways(&self) -> Ways {
-        Ways::new(self.memory.l2.effective_associativity())
-    }
-
-    /// Masks a faulty L2 way (see [`SharedL2::mask_way`]): the way is
-    /// flushed and excluded from future fills, and partition targets are
-    /// re-normalized to the shrunken associativity.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`WayMaskError`] from the cache.
-    pub fn mask_l2_way(&mut self, way: u16) -> Result<Vec<Eviction>, WayMaskError> {
-        self.memory.l2.mask_way(way)
-    }
-
     /// Attaches a duplicate-tag monitor to a task, modelling
     /// `original_ways` (its allocation before stealing). The task need not
     /// be live yet: a monitor attached before `spawn` observes the task
@@ -682,12 +665,10 @@ impl CmpNode {
         let mut begin = start;
         if let Some(outgoing) = self.cores[core].last_task.filter(|&last| last != id) {
             begin += self.cfg.context_switch_cost;
-            if self.cfg.flush_l1_on_switch {
-                // Flush traffic feeds the outgoing task's monitor, which
-                // outlives the task if it has completed.
-                let monitor = self.tasks.monitor_mut(outgoing);
-                self.memory.flush_l1(core, monitor, begin);
-            }
+            // Flush traffic feeds the outgoing task's monitor, which
+            // outlives the task if it has completed.
+            let monitor = self.tasks.monitor_mut(outgoing);
+            self.memory.flush_l1(core, monitor, begin);
         }
         let quantum = self.cfg.timeslice.max(Cycles::new(1));
         let c = &mut self.cores[core];

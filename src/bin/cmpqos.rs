@@ -17,6 +17,7 @@ use cmpqos::experiments::{
     ablation, chaos, extensions, fig1, fig3, fig4, fig5, fig6, fig7, fig8, fig9, lac_overhead,
     overload, slo, table1, traffic, variance, ExperimentParams,
 };
+use cmpqos::obs::JsonlRecorder;
 use cmpqos::system::SystemConfig;
 use cmpqos::trace::spec;
 use cmpqos::types::{Cycles, Percent, Ways};
@@ -148,8 +149,10 @@ fn alone(runner: Runner) -> Command {
     (
         &ExperimentParams::FLAGS,
         Box::new(move |flags: &Flags| {
+            let params = experiment_params(flags)?;
+            check_events(&params, flags)?;
             let mut raw = Vec::new();
-            runner(&experiment_params(flags)?, &mut raw);
+            runner(&params, &mut raw);
             if !raw.is_empty() {
                 maybe_dump(&raw);
             }
@@ -318,6 +321,7 @@ fn cmd_run(flags: &Flags) -> Result<(), Failure> {
         None => return Err("--config is required".into()),
     };
     let params = with_flags(ExperimentParams::standard(), flags)?;
+    check_events(&params, flags)?;
     let cfg = RunConfig {
         workload,
         configuration,
@@ -380,12 +384,30 @@ fn experiment_params(flags: &Flags) -> Result<ExperimentParams, String> {
     with_flags(env, flags)
 }
 
+/// Opens `params.events` for append, as the runs will, before anything
+/// runs: an event log that cannot be written refuses the input, naming
+/// `--events` or, when the flag is absent, `CMPQOS_EVENTS`.
+fn check_events(params: &ExperimentParams, flags: &Flags) -> Result<(), String> {
+    let Some(path) = &params.events else {
+        return Ok(());
+    };
+    JsonlRecorder::append(path).map(drop).map_err(|e| {
+        let path = path.display();
+        if flags.contains_key("events") {
+            format!("--events {path}: {e}")
+        } else {
+            format!("CMPQOS_EVENTS={path}: {e}")
+        }
+    })
+}
+
 /// Every experiment of [`EXPERIMENTS`] in order, then a wall-time summary
 /// on stderr: stdout carries only the experiments' results, so two
 /// same-seed runs diff byte-identically regardless of the pool width or
 /// machine speed.
 fn cmd_all(flags: &Flags) -> Result<(), Failure> {
     let params = experiment_params(flags)?;
+    check_events(&params, flags)?;
     let times: Vec<(&str, f64)> = EXPERIMENTS
         .iter()
         .map(|&(name, runner)| {
@@ -563,6 +585,7 @@ fn cmd_chaos(flags: &Flags) -> Result<(), Failure> {
         chaos::print_net(&chaos::run_net(&p), &p).map_err(Failure::Failed)?;
         return Ok(());
     }
+    check_events(&params, flags)?;
     let mut p = chaos::ChaosParams::standard();
     p.events = params.events;
     if flags.contains_key("crash-at") {
@@ -595,6 +618,7 @@ fn cmd_conform(flags: &Flags) -> Result<(), Failure> {
     use cmpqos::testkit::conform::{self, Inject};
 
     let params = experiment_params(flags)?;
+    check_events(&params, flags)?;
     let only: Vec<String> = flags
         .get("only")
         .map(|v| v.split(',').map(|s| s.trim().to_string()).collect())

@@ -1,6 +1,7 @@
-//! The `cmpqos` binary's input handling: a malformed or unknown flag, or a
-//! malformed `CMPQOS_*` variable, exits 1 with an `error:` line and the
-//! usage text, never a panic (exit 101) or a silent default.
+//! The `cmpqos` binary's input handling: a malformed or unknown flag, a
+//! malformed `CMPQOS_*` variable, or an event log that cannot be written,
+//! exits 1 with an `error:` line and the usage text, never a panic (exit
+//! 101) or a silent default.
 
 use std::process::{Command, Output};
 
@@ -471,4 +472,52 @@ fn an_unwritable_json_path_fails_the_run_naming_it() {
     assert!(stderr.starts_with(&error), "cmpqos {args}: {stderr}");
     assert!(!stderr.contains("usage:"), "cmpqos {args}: {stderr}");
     assert!(!out.stdout.is_empty(), "cmpqos {args} printed its results");
+}
+
+/// An event log that cannot be opened for append is refused before any
+/// run: exit 1, an `error:` line naming the flag or the variable, the
+/// path and the OS error, the usage text, and nothing on stdout.
+#[test]
+fn an_unwritable_event_log_is_refused_before_running() {
+    let missing = std::env::temp_dir().join(format!("cmpqos-cli-{}-no-dir", std::process::id()));
+    let path = missing.join("x.jsonl").display().to_string();
+    let flag = format!("error: --events {path}: ");
+    let var = format!("error: CMPQOS_EVENTS={path}: ");
+    for (env, args, error) in [
+        (
+            None,
+            format!("fig7 --scale 16 --work 80000 --events {path}"),
+            &flag,
+        ),
+        (
+            None,
+            format!(
+                "run --workload bzip2 --config hybrid2 --scale 16 --work 80000 --events {path}"
+            ),
+            &flag,
+        ),
+        (None, format!("chaos --seed 1 --events {path}"), &flag),
+        (
+            Some(("CMPQOS_EVENTS", path.as_str())),
+            "fig7 --scale 16 --work 80000".to_string(),
+            &var,
+        ),
+        (
+            Some(("CMPQOS_EVENTS", path.as_str())),
+            "chaos --seed 1".to_string(),
+            &var,
+        ),
+    ] {
+        let out = cmpqos_with(env.as_slice(), &args);
+        let what = format!("{env:?} cmpqos {args}");
+        assert_refused(&out, &what, error);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr
+                .lines()
+                .next()
+                .is_some_and(|l| l.contains("(os error")),
+            "{what}: {stderr}"
+        );
+    }
 }

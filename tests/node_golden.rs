@@ -4,13 +4,13 @@
 //! every path of the node's scheduler and memory hierarchy: pinned and
 //! floating tasks with quantum rotation and L1 flushes on each switch,
 //! `repin` and `set_reserved`, a core throttled below full speed, a
-//! duplicate-tag monitor attached before `spawn` and one after, a masked
-//! L2 way, a pinned core re-used after its first task completes, and a
-//! `detach_monitor` after completion. The test asserts every task's
-//! `PerfCounters` and `TaskCompletion`, the order of the completion
-//! records, each monitor's counters, and per-core L2 occupancy and
-//! statistics against constants. Any change to the node's storage or
-//! batching that moves one simulated number fails here.
+//! duplicate-tag monitor attached before `spawn` and one after, a pinned
+//! core re-used after its first task completes, and a `detach_monitor`
+//! after completion. The test asserts every task's `PerfCounters` and
+//! `TaskCompletion`, the order of the completion records, each monitor's
+//! counters, and per-core L2 occupancy and statistics against constants.
+//! Any change to the node's storage or batching that moves one simulated
+//! number fails here.
 
 use cmpqos::cache::ShadowCounts;
 use cmpqos::cpu::PerfCounters;
@@ -90,8 +90,6 @@ struct Observed {
     monitor_after_spawn: [u64; 3],
     /// Per core: `[occupancy, accesses, misses, write-backs]`.
     l2: Vec<[u64; 4]>,
-    /// Dirty lines flushed by the way mask.
-    masked_dirty: usize,
     /// Node time when the script ends.
     end: u64,
 }
@@ -102,7 +100,6 @@ fn run_script() -> Observed {
     let mut cfg = SystemConfig::paper_scaled(K);
     cfg.timeslice = Cycles::new(40_000);
     cfg.context_switch_cost = Cycles::new(1_500);
-    cfg.flush_l1_on_switch = true;
     let mut node = CmpNode::new(cfg);
     node.set_l2_targets(&[Ways::new(6), Ways::new(4), Ways::new(3), Ways::new(3)])
         .expect("16 ways split four ways");
@@ -137,7 +134,6 @@ fn run_script() -> Observed {
     node.set_reserved(JobId::new(5), true);
 
     node.run_until(Cycles::new(450_000));
-    let masked = node.mask_l2_way(5).expect("way 5 is maskable");
     node.set_reserved(JobId::new(5), false);
 
     // Late arrivals: one floating, and one pinned to whichever of cores 0
@@ -206,47 +202,46 @@ fn run_script() -> Observed {
         monitor_before_spawn,
         monitor_after_spawn,
         l2,
-        masked_dirty: masked.len(),
         end: end.get(),
     }
 }
 
-/// Captured from the node before its task storage became slot-indexed.
+/// Captured from the node before the L2 way mask was deleted, running
+/// this script.
 fn golden() -> Observed {
     Observed {
         perf: vec![
             (1, [90000, 214212, 99000, 1340, 113872, 36214, 501, 367]),
             (2, [45000, 147010, 58500, 6850, 81660, 15949, 948, 263]),
-            (3, [70000, 537984, 135559, 8704, 393721, 21085, 1921, 1254]),
+            (3, [70000, 538172, 135499, 8692, 393981, 21085, 1921, 1255]),
             (
                 4,
-                [50000, 1618803, 75412, 19969, 1523422, 18899, 6757, 4897],
+                [50000, 1617932, 75412, 19999, 1522521, 18899, 6757, 4894],
             ),
-            (5, [40000, 715397, 62636, 10080, 642681, 12845, 2825, 2037]),
-            (6, [30000, 476067, 42504, 8855, 424708, 10298, 2179, 1344]),
-            (7, [35000, 114705, 41999, 160, 72546, 10347, 245, 229]),
-            (8, [20000, 82367, 26000, 3360, 53007, 6974, 504, 168]),
+            (5, [40000, 715472, 62638, 10070, 642764, 12845, 2825, 2038]),
+            (6, [30000, 475966, 42504, 8855, 424607, 10298, 2179, 1344]),
+            (7, [35000, 114515, 41999, 160, 72356, 10347, 245, 229]),
+            (8, [20000, 82077, 26000, 3390, 52687, 6974, 506, 167]),
         ],
         completions: vec![
             (2, 0, 147010),
             (1, 0, 214212),
-            (7, 450000, 566205),
-            (8, 469459, 611497),
-            (3, 0, 654749),
-            (5, 40006, 862290),
-            (6, 462184, 991899),
-            (4, 0, 1664987),
+            (7, 450000, 566015),
+            (8, 469441, 610948),
+            (3, 0, 654742),
+            (5, 40006, 862072),
+            (6, 461882, 991806),
+            (4, 0, 1664116),
         ],
         monitor_before_spawn: [358, 34, 34],
-        monitor_after_spawn: [317, 124, 129],
+        monitor_after_spawn: [315, 124, 129],
         l2: vec![
-            [580, 1451, 803, 54],
-            [512, 6784, 2639, 654],
-            [384, 9200, 4961, 1255],
-            [384, 4291, 2271, 523],
+            [670, 1455, 804, 24],
+            [512, 6786, 2639, 652],
+            [384, 9200, 4953, 1252],
+            [384, 4289, 2270, 524],
         ],
-        masked_dirty: 32,
-        end: 1664987,
+        end: 1664116,
     }
 }
 

@@ -5,12 +5,14 @@
 //! configurations, seeds) and the pool width, then compare the serial
 //! (`jobs = 1`) run against the parallel one.
 
-use cmpqos::engine::{CellFailure, Engine};
+use cmpqos::engine::Engine;
 use cmpqos::types::{Instructions, Percent};
 use cmpqos::workloads::runner::{run_batch, RunConfig};
 use cmpqos::workloads::{Configuration, WorkloadSpec};
 use proptest::prelude::*;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const BENCHES: [&str; 3] = ["gobmk", "hmmer", "bzip2"];
 
@@ -100,27 +102,28 @@ proptest! {
     }
 }
 
-/// A panicking cell is reported as that cell's failure — with its index
-/// and message — while every other cell still completes.
+/// A panicking cell fails the batch only once every healthy cell has
+/// run, and the failure names the cell and its message.
 #[test]
 fn a_poisoned_cell_fails_alone_without_tearing_down_the_batch() {
-    let results = Engine::new(4).try_run((0..16u32).collect(), |_, x| {
-        assert!(x != 11, "cell 11 is poisoned");
-        x * 2
-    });
-    assert_eq!(results.len(), 16);
-    for (i, r) in results.iter().enumerate() {
-        if i == 11 {
-            let err = r.as_ref().expect_err("cell 11 must fail");
-            assert_eq!(err.index(), 11);
-            assert!(
-                matches!(err, CellFailure::Panicked { message, .. } if message.contains("poisoned")),
-                "got: {err}"
-            );
-        } else {
-            assert_eq!(*r.as_ref().expect("healthy cells complete"), i as u32 * 2);
-        }
-    }
+    let healthy = AtomicUsize::new(0);
+    let payload = catch_unwind(AssertUnwindSafe(|| {
+        Engine::new(4).run((0..16u32).collect(), |_, x| {
+            assert!(x != 11, "cell 11 is poisoned");
+            healthy.fetch_add(1, Ordering::Relaxed);
+            x * 2
+        })
+    }))
+    .expect_err("the poisoned cell fails the batch");
+    let message = payload
+        .downcast_ref::<String>()
+        .expect("a formatted message");
+    assert!(message.contains("1 of 16 cells failed"), "got: {message}");
+    assert!(
+        message.contains("cell 11 panicked: cell 11 is poisoned"),
+        "got: {message}"
+    );
+    assert_eq!(healthy.into_inner(), 15, "every healthy cell ran");
 }
 
 /// The paper's Hybrid-2 slack parameter survives the batch path: the
