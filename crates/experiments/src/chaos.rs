@@ -93,6 +93,21 @@ impl ChaosParams {
         }
         plan.build()
     }
+
+    /// Cycles between two polls of [`run`]'s loop.
+    fn step(&self) -> Cycles {
+        Cycles::new((self.horizon.get() / 512).max(1))
+    }
+
+    /// [`run`]'s last poll: the first step at or past its drain bound, four
+    /// horizons in. The loop ends there at the latest, so a fault
+    /// scheduled after it is never injected.
+    #[must_use]
+    pub fn last_step(&self) -> Cycles {
+        let step = self.step().get();
+        let drain_until = self.horizon.get().saturating_mul(4);
+        Cycles::new(drain_until.div_ceil(step).saturating_mul(step))
+    }
 }
 
 impl Default for ChaosParams {
@@ -226,8 +241,8 @@ pub fn run(params: &ChaosParams, mut schedule: FaultSchedule) -> ChaosOutcome {
     let mut fates: BTreeMap<JobId, JobFate> = BTreeMap::new();
     let mut ends: BTreeMap<JobId, Cycles> = BTreeMap::new();
 
-    let step = Cycles::new((params.horizon.get() / 512).max(1));
-    let drain_until = Cycles::new(params.horizon.get().saturating_mul(4));
+    let step = params.step();
+    let last_step = params.last_step();
     let mut t = Cycles::ZERO;
     loop {
         for injection in schedule.due(t) {
@@ -301,7 +316,7 @@ pub fn run(params: &ChaosParams, mut schedule: FaultSchedule) -> ChaosOutcome {
         if pending.is_empty() && schedule.is_exhausted() && gac.gac().placements().is_empty() {
             break;
         }
-        if t >= drain_until {
+        if t >= last_step {
             break; // safety valve; stranded jobs will show in the fates
         }
         t += step;
@@ -1279,6 +1294,24 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(strip(&crashed.records), strip(&base.records));
+    }
+
+    #[test]
+    fn a_crash_lands_up_to_the_last_step_and_not_past_it() {
+        let mut p = quick();
+        // Steps of 117 cycles; the first one at or past 4 x 60,000.
+        let last = p.last_step().get();
+        assert_eq!(last, 240_084);
+        for (at, recoveries) in [(last, 1), (last + 1, 0)] {
+            p.crash_at = Some(Cycles::new(at));
+            let o = run(&p, p.schedule());
+            let got = o
+                .records
+                .iter()
+                .filter(|r| matches!(r.event, Event::ControllerRecovered { .. }))
+                .count();
+            assert_eq!(got, recoveries, "crash at {at}");
+        }
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //!
 //! * [`oracle`] — a brute-force admission oracle ([`oracle::OracleLac`])
 //!   that re-computes every `Lac` decision by exhaustive per-cycle timeslot
-//!   search, plus a mirror of the `AdmissionIntake` overload layer and the
-//!   array-of-lines reference L1 ([`oracle::OracleL1`]).
+//!   search, plus a mirror of the `AdmissionIntake` overload layer, the
+//!   array-of-lines reference L1 ([`oracle::OracleL1`]) and the `f64`
+//!   reference trace sampler ([`oracle::OracleTrace`]).
 //! * [`shadow`] — a full-coverage (unsampled, independently implemented)
 //!   shadow-tag model and a guard harness that replays donor access
 //!   streams against the production [`cmpqos_core::StealingController`].

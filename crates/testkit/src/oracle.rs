@@ -27,6 +27,13 @@
 //! [`L1Cache`](cmpqos_cache::L1Cache) must agree with it access by
 //! access, and its way positions fix the order in which `flush()` reports
 //! dirty blocks.
+//!
+//! [`OracleTrace`] keeps the synthetic trace generator's original `f64`
+//! sampler: each decision scales a draw into `[0, 1)` and compares it with
+//! the profile's memory ratio, a cumulative weight or a write fraction, and
+//! a stream's cursor wraps by division. The integer thresholds of
+//! [`SyntheticTrace`](cmpqos_trace::SyntheticTrace) must reproduce its
+//! events draw for draw.
 
 use cmpqos_adapt::PidConfig;
 use cmpqos_cache::line::CacheLine;
@@ -36,7 +43,11 @@ use cmpqos_core::{
     Decision, ExecutionMode, Feasibility, Lac, Placement, RejectReason, Reservation,
     ResourceRequest, RevocationAction,
 };
+use cmpqos_trace::mixture::BLOCK_BYTES;
+use cmpqos_trace::{Access, AccessKind, BenchmarkProfile, Component, InstrEvent};
 use cmpqos_types::{Cycles, JobId, SourceId, Ways};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Timeline spans up to this many cycles are checked exhaustively, cycle by
@@ -845,6 +856,130 @@ impl OracleL1 {
     #[must_use]
     pub fn valid_lines(&self) -> usize {
         self.lines.iter().filter(|l| l.valid).count()
+    }
+}
+
+/// The reference trace generator: a [`BenchmarkProfile`] instantiated with
+/// the `f64` sampler [`SyntheticTrace`](cmpqos_trace::SyntheticTrace) had
+/// before its draws became integer compares. Same seed, same base, same
+/// events.
+#[derive(Debug, Clone)]
+pub struct OracleTrace {
+    mem_ratio: f64,
+    components: Vec<Component>,
+    /// Cumulative normalized weights, same length as `components`.
+    cumulative: Vec<f64>,
+    /// Per-component region base offsets (bytes, relative to the mixture).
+    bases: Vec<u64>,
+    /// Per-stream cursors (block index within the region), indexed like
+    /// `components`; unused entries stay zero.
+    cursors: Vec<u64>,
+    rng: StdRng,
+    base: u64,
+    generated: u64,
+}
+
+impl OracleTrace {
+    /// The trace `profile.instantiate(seed, base)` generates.
+    #[must_use]
+    pub fn new(profile: &BenchmarkProfile, seed: u64, base: u64) -> Self {
+        let components = profile.components().to_vec();
+        let weight = |c: &Component| match c {
+            Component::WorkingSet { weight, .. } | Component::Stream { weight, .. } => *weight,
+        };
+        let mut total_weight = 0.0;
+        for c in &components {
+            total_weight += weight(c);
+        }
+        let mut cumulative = Vec::with_capacity(components.len());
+        let mut acc = 0.0;
+        for c in &components {
+            acc += weight(c) / total_weight;
+            cumulative.push(acc);
+        }
+        // Guard against floating-point shortfall on the last bucket.
+        if let Some(last) = cumulative.last_mut() {
+            *last = 1.0;
+        }
+
+        let mut bases = Vec::with_capacity(components.len());
+        let mut offset = 0u64;
+        for c in &components {
+            bases.push(offset);
+            let footprint = match c {
+                Component::WorkingSet { size, .. } => *size,
+                Component::Stream { region, .. } => *region,
+            };
+            // Round footprints up to whole blocks and pad with one spacer
+            // block so regions never share a block.
+            let blocks = footprint.bytes().div_ceil(BLOCK_BYTES) + 1;
+            offset += blocks * BLOCK_BYTES;
+        }
+
+        let cursors = vec![0u64; components.len()];
+        Self {
+            mem_ratio: profile.mem_ratio(),
+            components,
+            cumulative,
+            bases,
+            cursors,
+            rng: StdRng::seed_from_u64(seed),
+            base,
+            generated: 0,
+        }
+    }
+
+    /// Number of instruction events generated so far.
+    #[must_use]
+    pub fn generated(&self) -> u64 {
+        self.generated
+    }
+
+    /// The next instruction's event.
+    pub fn next_instruction(&mut self) -> InstrEvent {
+        self.generated += 1;
+        if self.rng.gen::<f64>() < self.mem_ratio {
+            InstrEvent::memory(self.sample())
+        } else {
+            InstrEvent::compute()
+        }
+    }
+
+    fn sample(&mut self) -> Access {
+        let u: f64 = self.rng.gen();
+        let idx = match self.cumulative.iter().position(|&c| u <= c) {
+            Some(i) => i,
+            None => self.components.len() - 1,
+        };
+        let region_base = self.base + self.bases[idx];
+        let (addr, write_fraction) = match &self.components[idx] {
+            Component::WorkingSet {
+                size,
+                write_fraction,
+                ..
+            } => {
+                let blocks = size.bytes() / BLOCK_BYTES;
+                let blk = self.rng.gen_range(0..blocks.max(1));
+                (region_base + blk * BLOCK_BYTES, *write_fraction)
+            }
+            Component::Stream {
+                region,
+                write_fraction,
+                ..
+            } => {
+                let blocks = region.bytes() / BLOCK_BYTES;
+                let cursor = &mut self.cursors[idx];
+                let blk = *cursor;
+                *cursor = (*cursor + 1) % blocks.max(1);
+                (region_base + blk * BLOCK_BYTES, *write_fraction)
+            }
+        };
+        let kind = if write_fraction > 0.0 && self.rng.gen::<f64>() < write_fraction {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        Access::new(addr, kind)
     }
 }
 

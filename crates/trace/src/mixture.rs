@@ -95,14 +95,49 @@ impl Component {
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccessMixture {
     components: Vec<Component>,
-    /// Cumulative normalized weights, same length as `components`.
-    cumulative: Vec<f64>,
-    /// Per-component region base offsets (bytes, relative to the mixture).
-    bases: Vec<u64>,
-    /// Per-stream cursors (block index within the region), indexed like
-    /// `components`; unused entries stay zero.
-    cursors: Vec<u64>,
+    /// One sampling slot per component, same order.
+    slots: Vec<Slot>,
     total_footprint: ByteSize,
+}
+
+/// A component as [`AccessMixture::sample`] reads it: every `f64` compare
+/// of a draw is precomputed into a 53-bit integer threshold.
+#[derive(Debug, Clone, PartialEq)]
+struct Slot {
+    /// The draw picks the first slot whose `pick` it does not exceed (the
+    /// last slot if none): the cumulative normalized weight through this
+    /// component, [`at_most`].
+    pick: u64,
+    /// Region base offset (bytes, relative to the mixture).
+    base: u64,
+    /// Whole blocks in the footprint, at least one.
+    blocks: u64,
+    /// A stream's next block, below `blocks`; `None` for a working set.
+    cursor: Option<u64>,
+    /// The write fraction, [`below`]. Zero (a fraction of zero) takes no
+    /// draw at all.
+    write_below: u64,
+}
+
+/// `2⁵³`: `gen::<f64>()` is a 53-bit draw `x` times `2⁻⁵³`.
+const UNIT: f64 = (1u64 << 53) as f64;
+
+/// One 53-bit draw: the word that `gen::<f64>()` would scale into `[0, 1)`.
+pub(crate) fn draw<R: Rng + ?Sized>(rng: &mut R) -> u64 {
+    rng.next_u64() >> 11
+}
+
+/// The threshold of `gen::<f64>() < p`: `x·2⁻⁵³ < p` iff `x < below(p)`,
+/// since `p·2⁵³` is exact and `x` is an integer.
+pub(crate) fn below(p: f64) -> u64 {
+    // Saturating: NaN and negatives give 0 (never), past 2^64 gives MAX.
+    (p * UNIT).ceil() as u64
+}
+
+/// The threshold of `gen::<f64>() <= c` for `c >= 0`: `x·2⁻⁵³ <= c` iff
+/// `x <= at_most(c)`.
+pub(crate) fn at_most(c: f64) -> u64 {
+    (c * UNIT).floor() as u64
 }
 
 /// Error building an [`AccessMixture`].
@@ -165,33 +200,26 @@ impl AccessMixture {
             return Err(MixtureError::InvalidParameter("all weights zero"));
         }
 
-        let mut cumulative = Vec::with_capacity(components.len());
+        let mut slots = Vec::with_capacity(components.len());
         let mut acc = 0.0;
-        for c in &components {
-            acc += c.weight() / total_weight;
-            cumulative.push(acc);
-        }
-        // Guard against floating-point shortfall on the last bucket.
-        if let Some(last) = cumulative.last_mut() {
-            *last = 1.0;
-        }
-
-        let mut bases = Vec::with_capacity(components.len());
         let mut offset = 0u64;
         for c in &components {
-            bases.push(offset);
+            acc += c.weight() / total_weight;
+            let footprint = c.footprint().bytes();
+            slots.push(Slot {
+                pick: at_most(acc),
+                base: offset,
+                blocks: (footprint / BLOCK_BYTES).max(1),
+                cursor: matches!(c, Component::Stream { .. }).then_some(0),
+                write_below: below(c.write_fraction()),
+            });
             // Round footprints up to whole blocks and pad with one spacer
             // block so regions never share a block.
-            let blocks = c.footprint().bytes().div_ceil(BLOCK_BYTES) + 1;
-            offset += blocks * BLOCK_BYTES;
+            offset += (footprint.div_ceil(BLOCK_BYTES) + 1) * BLOCK_BYTES;
         }
-
-        let cursors = vec![0u64; components.len()];
         Ok(Self {
             components,
-            cumulative,
-            bases,
-            cursors,
+            slots,
             total_footprint: ByteSize::from_bytes(offset),
         })
     }
@@ -210,42 +238,30 @@ impl AccessMixture {
 
     /// Samples one access. `base` is the job's address-space base, added to
     /// the mixture-relative address so concurrently running jobs never alias.
+    ///
+    /// Draws one word for the component, one more for a working set's
+    /// block, and one more for the access kind unless the component's write
+    /// fraction is zero.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R, base: u64) -> Access {
-        let u: f64 = rng.gen();
-        let idx = match self.cumulative.iter().position(|&c| u <= c) {
-            Some(i) => i,
-            None => self.components.len() - 1,
-        };
-        let region_base = base + self.bases[idx];
-        let (addr, write_fraction) = match &self.components[idx] {
-            Component::WorkingSet {
-                size,
-                write_fraction,
-                ..
-            } => {
-                let blocks = size.bytes() / BLOCK_BYTES;
-                let blk = rng.gen_range(0..blocks.max(1));
-                (region_base + blk * BLOCK_BYTES, *write_fraction)
-            }
-            Component::Stream {
-                region,
-                write_fraction,
-                ..
-            } => {
-                let blocks = region.bytes() / BLOCK_BYTES;
-                let cursor = &mut self.cursors[idx];
+        let x = draw(rng);
+        let last = self.slots.len() - 1;
+        let idx = self.slots.iter().position(|s| x <= s.pick).unwrap_or(last);
+        let slot = &mut self.slots[idx];
+        let blk = match &mut slot.cursor {
+            None => rng.gen_range(0..slot.blocks),
+            Some(cursor) => {
                 let blk = *cursor;
-                *cursor = (*cursor + 1) % blocks.max(1);
-                (region_base + blk * BLOCK_BYTES, *write_fraction)
+                *cursor = if blk + 1 == slot.blocks { 0 } else { blk + 1 };
+                blk
             }
         };
-        let kind = if write_fraction > 0.0 && rng.gen::<f64>() < write_fraction {
+        let kind = if slot.write_below != 0 && draw(rng) < slot.write_below {
             AccessKind::Write
         } else {
             AccessKind::Read
         };
-        Access::new(addr, kind)
+        Access::new(base + slot.base + blk * BLOCK_BYTES, kind)
     }
 }
 
@@ -355,6 +371,46 @@ mod tests {
             .count();
         let frac = writes as f64 / n as f64;
         assert!((frac - 0.25).abs() < 0.02, "got {frac}");
+    }
+
+    /// What `gen::<f64>()` returns for the 53-bit draw `x`.
+    fn unit(x: u64) -> f64 {
+        x as f64 * (1.0 / (1u64 << 53) as f64)
+    }
+
+    #[test]
+    fn thresholds_split_the_draws_where_the_f64_compares_do() {
+        let top = 1u64 << 53;
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut values = vec![
+            0.0,
+            unit(1),
+            unit(2),
+            0.1,
+            0.25,
+            0.3,
+            1.0 / 3.0,
+            0.5,
+            0.985,
+            unit(top - 1),
+            1.0,
+        ];
+        values.extend((0..10_000).map(|_| rng.gen::<f64>()));
+        values.extend((0..10_000).map(|_| unit(rng.gen_range(0..top))));
+        for v in values {
+            // `x < below(v)` iff `unit(x) < v`: true at T - 1, false at T.
+            let t = below(v);
+            assert!(t == 0 || unit(t - 1) < v, "below({v}) = {t}");
+            assert!(unit(t) >= v, "below({v}) = {t}");
+            // `x <= at_most(v)` iff `unit(x) <= v`: true at T - 1 and T,
+            // false at T + 1 (draws stop below 2^53).
+            let t = at_most(v);
+            assert!(t == 0 || unit(t - 1) <= v, "at_most({v}) = {t}");
+            assert!(unit(t) <= v, "at_most({v}) = {t}");
+            assert!(t + 1 >= top || unit(t + 1) > v, "at_most({v}) = {t}");
+        }
+        assert_eq!((below(0.0), below(unit(1)), below(1.0)), (0, 1, top));
+        assert_eq!((at_most(0.0), at_most(1.0)), (0, top));
     }
 
     #[test]

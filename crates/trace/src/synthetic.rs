@@ -1,10 +1,10 @@
 //! The seeded synthetic trace generator.
 
 use crate::access::Access;
-use crate::mixture::AccessMixture;
+use crate::mixture::{below, draw, AccessMixture};
 use crate::source::{InstrEvent, TraceSource};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// A deterministic, seeded instruction/access stream generated from an
 /// [`AccessMixture`]. Produced by
@@ -16,7 +16,8 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 pub struct SyntheticTrace {
     name: String,
-    mem_ratio: f64,
+    /// `mem_ratio` as a threshold on one 53-bit draw.
+    mem_below: u64,
     base_cpi: f64,
     mixture: AccessMixture,
     rng: StdRng,
@@ -35,7 +36,7 @@ impl SyntheticTrace {
     ) -> Self {
         Self {
             name,
-            mem_ratio,
+            mem_below: below(mem_ratio),
             base_cpi,
             mixture,
             rng: StdRng::seed_from_u64(seed),
@@ -65,7 +66,7 @@ impl TraceSource for SyntheticTrace {
     #[inline]
     fn next_instruction(&mut self) -> InstrEvent {
         self.generated += 1;
-        if self.rng.gen::<f64>() < self.mem_ratio {
+        if draw(&mut self.rng) < self.mem_below {
             InstrEvent::memory(self.mixture.sample(&mut self.rng, self.base))
         } else {
             InstrEvent::compute()

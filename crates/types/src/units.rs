@@ -41,12 +41,14 @@ macro_rules! impl_count_newtype {
 
             /// Returns the smaller of two values.
             #[must_use]
+            #[inline]
             pub fn min(self, rhs: Self) -> Self {
                 Self(self.0.min(rhs.0))
             }
 
             /// Returns the larger of two values.
             #[must_use]
+            #[inline]
             pub fn max(self, rhs: Self) -> Self {
                 Self(self.0.max(rhs.0))
             }

@@ -585,12 +585,22 @@ fn cmd_chaos(flags: &Flags) -> Result<(), Failure> {
         chaos::print_net(&chaos::run_net(&p), &p).map_err(Failure::Failed)?;
         return Ok(());
     }
-    check_events(&params, flags)?;
     let mut p = chaos::ChaosParams::standard();
-    p.events = params.events;
     if flags.contains_key("crash-at") {
-        p.crash_at = Some(Cycles::new(get_num(flags, "crash-at", 0)?));
+        let at = Cycles::new(get_num(flags, "crash-at", 0)?);
+        let last = p.last_step();
+        if at > last {
+            return Err(format!(
+                "--crash-at {} is past the failover cell's last step at cycle {}",
+                at.get(),
+                last.get()
+            )
+            .into());
+        }
+        p.crash_at = Some(at);
     }
+    check_events(&params, flags)?;
+    p.events = params.events;
     let outcomes = chaos::run_many(&p, &seeds, params.jobs);
     for (outcome, &seed) in outcomes.iter().zip(&seeds) {
         p.seed = seed;
@@ -604,8 +614,9 @@ fn cmd_chaos(flags: &Flags) -> Result<(), Failure> {
             outcome.records.len()
         );
     }
+    // stderr: the pool width must not change stdout.
     if flags.contains_key("seeds") {
-        println!(
+        eprintln!(
             "replayed {} seeds on {} worker(s); all runs accounted for every reservation",
             seeds.len(),
             params.jobs

@@ -148,6 +148,17 @@ fn bad_flags_exit_1_with_an_error_line() {
             "chaos --net --nodes 5",
             "error: --partition 10:40 is not a node range of --nodes 5",
         ),
+        // The failover cell's loop ends at its last step, 2,400,550: a
+        // crash after it would never be injected.
+        (
+            "chaos --seed 1 --crash-at 2402000",
+            "error: --crash-at 2402000 is past the failover cell's last step at cycle 2400550",
+        ),
+        (
+            "chaos --seeds 1,2 --crash-at 18446744073709551615",
+            "error: --crash-at 18446744073709551615 is past the failover cell's last step \
+             at cycle 2400550",
+        ),
         (
             "chaos --churn --kills 4294967296",
             "error: --kills 4294967296 is out of range",
@@ -427,6 +438,24 @@ fn valid_runs_print_the_expected_first_line() {
             "cmpqos {args}: {stdout}"
         );
     }
+}
+
+/// The failover cell's `--seeds` stdout is byte-identical at every pool
+/// width; the closing line that names the width goes to stderr.
+#[test]
+fn failover_seeds_stdout_is_identical_at_every_pool_width() {
+    let serial = cmpqos("chaos --seeds 1,2 --jobs 1");
+    let pooled = cmpqos("chaos --seeds 1,2 --jobs 2");
+    for out in [&serial, &pooled] {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        assert!(stderr.contains("replayed 2 seeds on "), "{stderr}");
+    }
+    assert!(!serial.stdout.is_empty());
+    assert_eq!(
+        String::from_utf8_lossy(&serial.stdout),
+        String::from_utf8_lossy(&pooled.stdout)
+    );
 }
 
 /// The chaos cells' sabotage switches break a survival invariant on

@@ -1,5 +1,6 @@
 //! Differential tests: the production admission stack against the
-//! testkit's brute-force reference oracles.
+//! testkit's brute-force reference oracles, and the synthetic trace
+//! generator against the `f64` sampler it replaced.
 //!
 //! Scale the explorer with `CMPQOS_TESTKIT_CASES` (see `tests/README.md`);
 //! any divergence prints a shrunken counterexample and a one-line repro
@@ -8,10 +9,13 @@
 use cmpqos::qos::{
     AdmissionRequest, Decision, ExecutionMode, Lac, LacConfig, ResourceRequest, RevocationAction,
 };
-use cmpqos::testkit::oracle::{OracleLac, OracleRevocation};
+use cmpqos::testkit::oracle::{OracleLac, OracleRevocation, OracleTrace};
 use cmpqos::testkit::scenario::{self, ScenarioKind};
 use cmpqos::testkit::shadow::{self, GuardHarness, GuardHarnessConfig};
-use cmpqos::types::{Cycles, JobId, Percent, Ways};
+use cmpqos::trace::{spec, BenchmarkProfile, Component, TraceSource};
+use cmpqos::types::{ByteSize, Cycles, JobId, Percent, Ways};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Seeded random scenarios of every kind, diffed against the oracles.
 /// `run_lac`/`run_intake` additionally re-check the full reservation table
@@ -159,4 +163,124 @@ fn off_by_one_guard_is_caught_and_honest_guard_is_clean() {
         honest.cancelled,
         "honest guard never cancelled under pressure"
     );
+}
+
+/// Seeds 1 and 7919, then `cases(4)` more drawn from a fixed seed.
+fn trace_seeds() -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(0x7ACE);
+    let extra = cmpqos::testkit::cases(4);
+    [1, 7919]
+        .into_iter()
+        .chain((0..extra).map(|_| rng.gen::<u64>()))
+        .collect()
+}
+
+/// `profile`'s production trace and its `f64` oracle emit the same
+/// `events` instructions from the same seed and base, and count them alike.
+fn assert_trace_matches_oracle(profile: &BenchmarkProfile, seed: u64, events: u64, what: &str) {
+    let base = 3 << 36;
+    let mut trace = profile.instantiate(seed, base);
+    let mut oracle = OracleTrace::new(profile, seed, base);
+    for i in 0..events {
+        let (got, want) = (trace.next_instruction(), oracle.next_instruction());
+        assert_eq!(got, want, "{what}, seed {seed}: event {i}");
+    }
+    assert_eq!(trace.generated(), oracle.generated(), "{what}, seed {seed}");
+}
+
+/// Every built-in profile at three cache scales: the integer draws pick
+/// the memory events, components, blocks and writes the `f64` sampler
+/// picks, with the same number of words drawn per instruction.
+#[test]
+fn synthetic_traces_match_the_f64_oracle_on_every_spec_profile() {
+    let seeds = trace_seeds();
+    for name in spec::names() {
+        for scale in [1, 8, 16] {
+            let profile = spec::scaled(name, scale).expect("built-in benchmark");
+            for &seed in &seeds {
+                let what = format!("{name} at scale {scale}");
+                assert_trace_matches_oracle(&profile, seed, 20_000, &what);
+            }
+        }
+    }
+}
+
+/// Profiles at the edges of each threshold: ratios of 0 and 1, a write
+/// fraction of 0 (which draws no word) and of 2^-53, cumulative weights
+/// that land exactly on dyadic values, a leading zero-weight component,
+/// footprints of one and two blocks (streams that wrap at once) and of
+/// a block and a half, and eight components.
+#[test]
+fn synthetic_traces_match_the_f64_oracle_on_edge_profiles() {
+    let ws = |bytes: u64, weight: f64, write_fraction: f64| Component::WorkingSet {
+        size: ByteSize::from_bytes(bytes),
+        weight,
+        write_fraction,
+    };
+    let stream = |bytes: u64, weight: f64, write_fraction: f64| Component::Stream {
+        region: ByteSize::from_bytes(bytes),
+        weight,
+        write_fraction,
+    };
+    let tiny = 1.0 / (1u64 << 53) as f64;
+    let eight: Vec<Component> = (0..8u32)
+        .map(|i| {
+            let (bytes, weight, wf) = (64 << i, f64::from(i + 1), f64::from(i) / 7.0);
+            if i % 3 == 2 {
+                stream(bytes, weight, wf)
+            } else {
+                ws(bytes, weight, wf)
+            }
+        })
+        .collect();
+    let cases: Vec<(&str, f64, Vec<Component>)> = vec![
+        ("mem_ratio 0", 0.0, vec![ws(4096, 1.0, 0.5)]),
+        ("mem_ratio 0.5", 0.5, vec![ws(4096, 1.0, 0.5)]),
+        ("mem_ratio 1", 1.0, vec![ws(4096, 1.0, 0.5)]),
+        ("write fraction 0", 1.0, vec![ws(4096, 1.0, 0.0)]),
+        ("write fraction 2^-53", 1.0, vec![ws(4096, 1.0, tiny)]),
+        ("write fraction 1", 1.0, vec![ws(4096, 1.0, 1.0)]),
+        (
+            "cumulative weights 1/4, 1/2, 1",
+            0.75,
+            vec![
+                ws(512, 1.0, 0.25),
+                stream(8192, 1.0, 0.0),
+                ws(512, 2.0, 1.0),
+            ],
+        ),
+        (
+            "cumulative weights 1/8, 1/2, 1",
+            1.0,
+            vec![ws(512, 0.125, 0.5), ws(512, 0.375, tiny), ws(512, 0.5, 0.0)],
+        ),
+        (
+            "a leading zero-weight component",
+            1.0,
+            vec![ws(1024, 0.0, 0.5), ws(1024, 1.0, 0.5)],
+        ),
+        ("a 1-block working set", 1.0, vec![ws(64, 1.0, 0.5)]),
+        ("a 1.5-block working set", 1.0, vec![ws(96, 1.0, 0.5)]),
+        ("a 1-block stream", 1.0, vec![stream(64, 1.0, 0.5)]),
+        (
+            "a 2-block stream",
+            1.0,
+            vec![stream(128, 1.0, 0.5), ws(256, 1.0, 0.5)],
+        ),
+        ("8 components", 0.6, eight),
+    ];
+    let seeds = trace_seeds();
+    for (what, mem_ratio, components) in cases {
+        let profile = components
+            .into_iter()
+            .fold(
+                BenchmarkProfile::builder(what).mem_ratio(mem_ratio),
+                |b, c| b.component(c),
+            )
+            .build()
+            .expect("a valid edge profile");
+        for &seed in &seeds {
+            assert_trace_matches_oracle(&profile, seed, 50_000, what);
+        }
+    }
 }
