@@ -34,6 +34,11 @@ impl ExperimentParams {
     /// `name` is read from the environment as `CMPQOS_<NAME>`.
     pub const FLAGS: [&'static str; 5] = ["scale", "work", "seed", "jobs", "events"];
 
+    /// The most instructions per job [`ExperimentParams::set`] takes: 2^32,
+    /// 21 times the paper's 200M-instruction jobs. Past it a cell would
+    /// run for days, and the runner's cycle arithmetic would overflow.
+    pub const MAX_WORK: Instructions = Instructions::new(1 << 32);
+
     /// Default experiment fidelity: scale 8, 800k instructions/job, one
     /// engine worker per available core.
     #[must_use]
@@ -91,8 +96,9 @@ impl ExperimentParams {
     /// # Errors
     ///
     /// Why the value is refused: not an unsigned integer, a scale that
-    /// leaves the paper node no valid cache geometry, an empty path, or a
-    /// name outside [`ExperimentParams::FLAGS`].
+    /// leaves the paper node no valid cache geometry, a `work` above
+    /// [`ExperimentParams::MAX_WORK`], an empty path, or a name outside
+    /// [`ExperimentParams::FLAGS`].
     pub fn set(&mut self, flag: &str, value: &str) -> Result<(), String> {
         let number = || {
             value
@@ -105,7 +111,16 @@ impl ExperimentParams {
                 SystemConfig::try_paper_scaled(scale).map_err(|e| e.to_string())?;
                 self.scale = scale;
             }
-            "work" => self.work = Instructions::new(number()?.max(1_000)),
+            "work" => {
+                let work = Instructions::new(number()?.max(1_000));
+                if work > Self::MAX_WORK {
+                    return Err(format!(
+                        "at most {} instructions per job",
+                        Self::MAX_WORK.get()
+                    ));
+                }
+                self.work = work;
+            }
             "seed" => self.seed = number()?,
             "jobs" => match usize::try_from(number()?) {
                 Ok(0) => self.jobs = cmpqos_engine::default_jobs(),
@@ -180,11 +195,15 @@ mod tests {
             ("jobs", "x"),
             ("seed", "-1"),
             ("scale", "3"),
+            ("work", "4294967297"),
+            ("work", "18446744073709551615"),
             ("events", ""),
             ("frobnicate", "1"),
         ] {
             assert!(p.set(flag, value).is_err(), "{flag} {value}");
         }
         assert_eq!(p, before, "a refused value changes nothing");
+        p.set("work", "4294967296").expect("the cap itself");
+        assert_eq!(p.work, ExperimentParams::MAX_WORK);
     }
 }

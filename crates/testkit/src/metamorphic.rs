@@ -208,7 +208,7 @@ fn report_key(r: &JobReport) -> (Decision, Option<Cycles>, Option<Cycles>, u64, 
 fn zero_slack_run(seed: u64, stealing_enabled: bool) -> (Vec<String>, Vec<JobReport>) {
     const K: u64 = 16;
     const WORK: u64 = 20_000;
-    let mut cal = Calibrator::new(K, Instructions::new(WORK));
+    let cal = Calibrator::new(K, Instructions::new(WORK));
     let mut config = SchedulerConfig::default();
     config.stealing_enabled = stealing_enabled;
     let mut scheduler = QosScheduler::with_recorder(
@@ -262,7 +262,7 @@ fn zero_slack_run(seed: u64, stealing_enabled: bool) -> (Vec<String>, Vec<JobRep
 fn loose_slo_run(seed: u64, adaptive: bool) -> (Vec<String>, Vec<JobReport>) {
     const K: u64 = 16;
     const WORK: u64 = 20_000;
-    let mut cal = Calibrator::new(K, Instructions::new(WORK));
+    let cal = Calibrator::new(K, Instructions::new(WORK));
     let config = SchedulerConfig::default();
     let mut scheduler = QosScheduler::with_recorder(
         SystemConfig::paper_scaled(K),

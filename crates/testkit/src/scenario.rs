@@ -1323,7 +1323,7 @@ pub fn run_scheduler(seed: u64) -> Result<(), Divergence> {
     const K: u64 = 16;
     const WORK: u64 = 20_000;
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5C_4ED0);
-    let mut cal = Calibrator::new(K, Instructions::new(WORK));
+    let cal = Calibrator::new(K, Instructions::new(WORK));
     let benches = ["bzip2", "hmmer", "gobmk", "namd"];
     let auto_downgrade = rng.gen_bool(0.5);
     let mut config = SchedulerConfig::default();

@@ -71,13 +71,18 @@ impl Component {
 
 /// A validated, region-laid-out mixture of components ready for sampling.
 ///
+/// It keeps only what [`AccessMixture::sample`] reads, so two mixtures are
+/// equal when they sample alike: the same thresholds, regions and stream
+/// positions, whatever weights (normalized) produced them.
+///
 /// # Examples
 ///
 /// ```
 /// use cmpqos_trace::{AccessMixture, Component};
 /// use cmpqos_types::ByteSize;
+/// use rand::SeedableRng;
 ///
-/// let mix = AccessMixture::new(vec![
+/// let mut mix = AccessMixture::new(&[
 ///     Component::WorkingSet {
 ///         size: ByteSize::from_kib(16),
 ///         weight: 0.9,
@@ -90,14 +95,14 @@ impl Component {
 ///     },
 /// ])
 /// .unwrap();
-/// assert_eq!(mix.components().len(), 2);
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// let access = mix.sample(&mut rng, 1 << 40);
+/// assert!(access.addr() >= 1 << 40);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct AccessMixture {
-    components: Vec<Component>,
     /// One sampling slot per component, same order.
     slots: Vec<Slot>,
-    total_footprint: ByteSize,
 }
 
 /// A component as [`AccessMixture::sample`] reads it: every `f64` compare
@@ -177,12 +182,12 @@ impl AccessMixture {
     ///
     /// Returns [`MixtureError`] if the list is empty, weights are invalid, or
     /// a footprint is smaller than a cache block.
-    pub fn new(components: Vec<Component>) -> Result<Self, MixtureError> {
+    pub fn new(components: &[Component]) -> Result<Self, MixtureError> {
         if components.is_empty() {
             return Err(MixtureError::Empty);
         }
         let mut total_weight = 0.0;
-        for c in &components {
+        for c in components {
             let w = c.weight();
             if !w.is_finite() || w < 0.0 {
                 return Err(MixtureError::InvalidParameter("weight"));
@@ -203,7 +208,7 @@ impl AccessMixture {
         let mut slots = Vec::with_capacity(components.len());
         let mut acc = 0.0;
         let mut offset = 0u64;
-        for c in &components {
+        for c in components {
             acc += c.weight() / total_weight;
             let footprint = c.footprint().bytes();
             slots.push(Slot {
@@ -217,23 +222,7 @@ impl AccessMixture {
             // block so regions never share a block.
             offset += (footprint.div_ceil(BLOCK_BYTES) + 1) * BLOCK_BYTES;
         }
-        Ok(Self {
-            components,
-            slots,
-            total_footprint: ByteSize::from_bytes(offset),
-        })
-    }
-
-    /// The validated components.
-    #[must_use]
-    pub fn components(&self) -> &[Component] {
-        &self.components
-    }
-
-    /// Total laid-out footprint (sum of component regions plus padding).
-    #[must_use]
-    pub fn total_footprint(&self) -> ByteSize {
-        self.total_footprint
+        Ok(Self { slots })
     }
 
     /// Samples one access. `base` is the job's address-space base, added to
@@ -281,13 +270,13 @@ mod tests {
 
     #[test]
     fn rejects_empty_and_bad_params() {
-        assert_eq!(AccessMixture::new(vec![]), Err(MixtureError::Empty));
+        assert_eq!(AccessMixture::new(&[]), Err(MixtureError::Empty));
         assert!(matches!(
-            AccessMixture::new(vec![ws(16, -1.0)]),
+            AccessMixture::new(&[ws(16, -1.0)]),
             Err(MixtureError::InvalidParameter("weight"))
         ));
         assert!(matches!(
-            AccessMixture::new(vec![Component::WorkingSet {
+            AccessMixture::new(&[Component::WorkingSet {
                 size: ByteSize::from_kib(16),
                 weight: 1.0,
                 write_fraction: 2.0,
@@ -295,11 +284,11 @@ mod tests {
             Err(MixtureError::InvalidParameter("write_fraction"))
         ));
         assert!(matches!(
-            AccessMixture::new(vec![ws(16, 0.0)]),
+            AccessMixture::new(&[ws(16, 0.0)]),
             Err(MixtureError::InvalidParameter("all weights zero"))
         ));
         assert!(matches!(
-            AccessMixture::new(vec![Component::WorkingSet {
+            AccessMixture::new(&[Component::WorkingSet {
                 size: ByteSize::from_bytes(8),
                 weight: 1.0,
                 write_fraction: 0.0,
@@ -310,7 +299,7 @@ mod tests {
 
     #[test]
     fn regions_are_disjoint() {
-        let mut mix = AccessMixture::new(vec![ws(1, 0.5), ws(1, 0.5)]).unwrap();
+        let mut mix = AccessMixture::new(&[ws(1, 0.5), ws(1, 0.5)]).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let first_region = 0..1024u64;
         let mut seen_second = false;
@@ -327,7 +316,7 @@ mod tests {
 
     #[test]
     fn weights_control_sampling_ratio() {
-        let mut mix = AccessMixture::new(vec![ws(1, 0.9), ws(1, 0.1)]).unwrap();
+        let mut mix = AccessMixture::new(&[ws(1, 0.9), ws(1, 0.1)]).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let mut first = 0usize;
         let n = 20_000;
@@ -342,7 +331,7 @@ mod tests {
 
     #[test]
     fn stream_is_sequential_and_wraps() {
-        let mut mix = AccessMixture::new(vec![Component::Stream {
+        let mut mix = AccessMixture::new(&[Component::Stream {
             region: ByteSize::from_bytes(3 * BLOCK_BYTES),
             weight: 1.0,
             write_fraction: 0.0,
@@ -355,7 +344,7 @@ mod tests {
 
     #[test]
     fn base_offsets_all_addresses() {
-        let mut mix = AccessMixture::new(vec![ws(1, 1.0)]).unwrap();
+        let mut mix = AccessMixture::new(&[ws(1, 1.0)]).unwrap();
         let mut rng = StdRng::seed_from_u64(9);
         let a = mix.sample(&mut rng, 1 << 40);
         assert!(a.addr() >= 1 << 40);
@@ -363,7 +352,7 @@ mod tests {
 
     #[test]
     fn write_fraction_statistics() {
-        let mut mix = AccessMixture::new(vec![ws(4, 1.0)]).unwrap();
+        let mut mix = AccessMixture::new(&[ws(4, 1.0)]).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let n = 20_000;
         let writes = (0..n)
@@ -415,8 +404,15 @@ mod tests {
 
     #[test]
     fn footprint_accounts_for_padding() {
-        let mix = AccessMixture::new(vec![ws(1, 1.0), ws(1, 1.0)]).unwrap();
-        // Two 1-KiB regions plus one spacer block each.
-        assert_eq!(mix.total_footprint().bytes(), 2 * (1024 + 64));
+        let mut mix = AccessMixture::new(&[ws(1, 1.0), ws(1, 1.0)]).unwrap();
+        let mut rng = StdRng::seed_from_u64(13);
+        // Two 1-KiB regions, each followed by one spacer block.
+        let mut blocks: Vec<u64> = (0..4_000)
+            .map(|_| mix.sample(&mut rng, 0).addr() / BLOCK_BYTES)
+            .collect();
+        blocks.sort_unstable();
+        blocks.dedup();
+        let expected: Vec<u64> = (0..16).chain(17..33).collect();
+        assert_eq!(blocks, expected);
     }
 }

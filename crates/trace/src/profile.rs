@@ -164,7 +164,7 @@ impl BenchmarkProfile {
     /// Never panics: the components were validated at build time.
     #[must_use]
     pub fn instantiate(&self, seed: u64, base: u64) -> SyntheticTrace {
-        let mixture = AccessMixture::new(self.components.clone())
+        let mixture = AccessMixture::new(&self.components)
             .expect("profile components were validated at build time");
         SyntheticTrace::new(
             self.name.clone(),
@@ -222,7 +222,7 @@ impl BenchmarkProfileBuilder {
             return Err(ProfileError::InvalidBaseCpi(self.base_cpi));
         }
         // Validate the mixture once now so `instantiate` cannot fail later.
-        AccessMixture::new(self.components.clone())?;
+        AccessMixture::new(&self.components)?;
         Ok(BenchmarkProfile {
             name: self.name,
             mem_ratio: self.mem_ratio,

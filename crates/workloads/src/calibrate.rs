@@ -3,15 +3,17 @@
 //! A job's `max_wall_clock` (tw) is the time it needs with its requested
 //! resources. Users of batch systems know this from experience; we obtain it
 //! the same way — by running each benchmark alone with its requested 7-way
-//! allocation once per (benchmark, scale, work) and caching the result. The
-//! same machinery produces the solo sweeps behind Figure 1, Figure 4 and
-//! Table 1.
+//! allocation. [`solo_run`] simulates each (benchmark, ways, work, scale,
+//! seed) once per process and shares the result with every later caller:
+//! every cell, experiment and engine worker. The same machinery produces the
+//! solo sweeps behind Figure 1, Figure 4 and Table 1.
 
 use cmpqos_cpu::PerfCounters;
 use cmpqos_system::{CmpNode, Placement, SystemConfig, TaskSpec};
 use cmpqos_trace::spec;
 use cmpqos_types::{CoreId, Cycles, Instructions, JobId, Ways};
 use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Safety margin applied to the measured solo runtime when deriving tw:
 /// users overstate their wall-clock needs slightly (and the paper's jobs
@@ -19,7 +21,7 @@ use std::collections::HashMap;
 pub const TW_MARGIN: f64 = 1.10;
 
 /// Outcome of one solo run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SoloStats {
     /// Wall-clock cycles from start to completion.
     pub cycles: Cycles,
@@ -44,6 +46,11 @@ impl SoloStats {
 /// Runs `bench` alone on a paper node scaled by `k`, pinned to core 0 with
 /// `ways` of L2, for `work` instructions.
 ///
+/// A solo run is a pure function of its five arguments, so each tuple is
+/// simulated once per process: later calls, from any thread, return the
+/// first run's result. Engine workers that ask for one tuple at once run it
+/// once; other tuples run in parallel. A run that panics caches nothing.
+///
 /// # Panics
 ///
 /// Panics if `bench` is not a built-in benchmark, if `k` leaves no valid
@@ -51,6 +58,39 @@ impl SoloStats {
 /// exceeds the scaled L2's associativity.
 #[must_use]
 pub fn solo_run(bench: &str, ways: Ways, work: Instructions, k: u64, seed: u64) -> SoloStats {
+    // Only a built-in benchmark has a run to share; any other name panics
+    // in `simulate`, as it always has.
+    let Some(profile) = spec::benchmark(bench) else {
+        return simulate(bench, ways, work, k, seed);
+    };
+    let cell = {
+        // Held only to find the tuple's cell: the run itself happens under
+        // the cell's own lock, below. Nothing panics while it is held, but
+        // a poisoned table would still be consistent.
+        let mut runs = solo_runs().lock().unwrap_or_else(PoisonError::into_inner);
+        let cell = runs
+            .entry((profile.name(), ways, work, k, seed))
+            .or_default();
+        if let Some(stats) = cell.get() {
+            return *stats;
+        }
+        Arc::clone(cell)
+    };
+    *cell.get_or_init(|| simulate(bench, ways, work, k, seed))
+}
+
+/// One solo run's arguments, the benchmark named by its built-in profile.
+type SoloKey = (&'static str, Ways, Instructions, u64, u64);
+
+/// Every solo run this process has asked for. A cell stays empty until its
+/// run completes; an initializer that panics leaves it empty.
+fn solo_runs() -> &'static Mutex<HashMap<SoloKey, Arc<OnceLock<SoloStats>>>> {
+    static RUNS: OnceLock<Mutex<HashMap<SoloKey, Arc<OnceLock<SoloStats>>>>> = OnceLock::new();
+    RUNS.get_or_init(Mutex::default)
+}
+
+/// The solo run itself, uncached.
+fn simulate(bench: &str, ways: Ways, work: Instructions, k: u64, seed: u64) -> SoloStats {
     let mut node = CmpNode::new(SystemConfig::paper_scaled(k));
     let cores = node.config().num_cores;
     let mut targets = vec![Ways::ZERO; cores];
@@ -73,7 +113,9 @@ pub fn solo_run(bench: &str, ways: Ways, work: Instructions, k: u64, seed: u64) 
     }
 }
 
-/// Memoizing calibrator for job wall-clock times.
+/// Job wall-clock times at the paper's 7-way request, read from
+/// [`solo_run`]'s per-process table: every calibrator of one scale and work
+/// shares one run per benchmark.
 ///
 /// # Examples
 ///
@@ -81,17 +123,16 @@ pub fn solo_run(bench: &str, ways: Ways, work: Instructions, k: u64, seed: u64) 
 /// use cmpqos_workloads::calibrate::Calibrator;
 /// use cmpqos_types::Instructions;
 ///
-/// let mut cal = Calibrator::new(16, Instructions::new(50_000));
+/// let cal = Calibrator::new(16, Instructions::new(50_000));
 /// let tw = cal.tw("gobmk");
 /// assert!(tw.get() > 50_000); // CPI > 1
-/// assert_eq!(cal.tw("gobmk"), tw); // cached
+/// assert_eq!(cal.tw("gobmk"), tw); // one run, shared
 /// ```
 #[derive(Debug)]
 pub struct Calibrator {
     k: u64,
     work: Instructions,
     request_ways: Ways,
-    cache: HashMap<String, SoloStats>,
 }
 
 impl Calibrator {
@@ -103,7 +144,6 @@ impl Calibrator {
             k,
             work,
             request_ways: Ways::new(7),
-            cache: HashMap::new(),
         }
     }
 
@@ -119,19 +159,17 @@ impl Calibrator {
         self.work
     }
 
-    /// Solo statistics at the requested allocation (memoized).
-    pub fn solo(&mut self, bench: &str) -> SoloStats {
-        if let Some(s) = self.cache.get(bench) {
-            return *s;
-        }
-        let s = solo_run(bench, self.request_ways, self.work, self.k, 0xCA11);
-        self.cache.insert(bench.to_string(), s);
-        s
+    /// Solo statistics at the requested allocation, at the fixed
+    /// calibration seed.
+    #[must_use]
+    pub fn solo(&self, bench: &str) -> SoloStats {
+        solo_run(bench, self.request_ways, self.work, self.k, 0xCA11)
     }
 
     /// The job's maximum wall-clock time: measured solo runtime times
     /// [`TW_MARGIN`].
-    pub fn tw(&mut self, bench: &str) -> Cycles {
+    #[must_use]
+    pub fn tw(&self, bench: &str) -> Cycles {
         self.solo(bench).cycles.scale(TW_MARGIN)
     }
 }
@@ -164,7 +202,7 @@ mod tests {
 
     #[test]
     fn calibrator_memoizes() {
-        let mut cal = Calibrator::new(K, Instructions::new(WORK));
+        let cal = Calibrator::new(K, Instructions::new(WORK));
         let a = cal.tw("gobmk");
         let b = cal.tw("gobmk");
         assert_eq!(a, b);
@@ -173,9 +211,74 @@ mod tests {
 
     #[test]
     fn tw_exceeds_solo_runtime_by_margin() {
-        let mut cal = Calibrator::new(K, Instructions::new(WORK));
+        let cal = Calibrator::new(K, Instructions::new(WORK));
         let solo = cal.solo("povray").cycles;
         let tw = cal.tw("povray");
         assert_eq!(tw, solo.scale(TW_MARGIN));
+    }
+
+    #[test]
+    fn the_table_returns_what_the_uncached_run_does() {
+        let work = Instructions::new(20_000);
+        for bench in ["hmmer", "gobmk", "bzip2"] {
+            for seed in [1, 0xCA11] {
+                for ways in [1, 7, 16] {
+                    let ways = Ways::new(ways);
+                    let uncached = simulate(bench, ways, work, K, seed);
+                    let what = format!("{bench} at {ways:?}, seed {seed}");
+                    assert_eq!(solo_run(bench, ways, work, K, seed), uncached, "{what}");
+                    assert_eq!(solo_run(bench, ways, work, K, seed), uncached, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn concurrent_askers_share_one_run() {
+        // A tuple no other test asks for, so all four threads, released
+        // together, meet an empty table entry.
+        let (ways, work, seed) = (Ways::new(5), Instructions::new(23_456), 0x5EED);
+        let start = std::sync::Barrier::new(4);
+        let runs: Vec<SoloStats> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        solo_run("bzip2", ways, work, K, seed)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("the run returns"))
+                .collect()
+        });
+        let uncached = simulate("bzip2", ways, work, K, seed);
+        assert!(runs.iter().all(|r| *r == uncached), "{runs:?}");
+    }
+
+    /// The message of the panic `f` raises.
+    fn panic_message(f: impl FnOnce() -> SoloStats + std::panic::UnwindSafe) -> String {
+        let payload = std::panic::catch_unwind(f).expect_err("the run panics");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+            .expect("a text payload")
+    }
+
+    #[test]
+    fn a_run_that_panics_caches_nothing_and_poisons_nothing() {
+        let work = Instructions::new(WORK);
+        for _ in 0..2 {
+            let message = panic_message(|| solo_run("nonesuch", Ways::new(7), work, K, 3));
+            assert_eq!(message, "unknown benchmark nonesuch");
+            // More ways than the L2 has: this one panics inside the table
+            // entry's initializer.
+            let message = panic_message(|| solo_run("namd", Ways::new(17), work, K, 3));
+            assert!(message.starts_with("single target fits"), "{message}");
+        }
+        let valid = solo_run("namd", Ways::new(7), work, K, 3);
+        assert_eq!(valid.perf.instructions(), work);
     }
 }

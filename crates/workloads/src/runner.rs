@@ -234,7 +234,7 @@ fn trace_for(cfg: &RunConfig, bench: &str, submission: u32) -> Box<dyn cmpqos_tr
 
 fn run_qos(cfg: &RunConfig, recorder: Box<dyn Recorder>) -> (RunOutcome, Box<dyn Recorder>) {
     let n = cfg.workload.len();
-    let mut cal = Calibrator::new(cfg.scale, cfg.work);
+    let cal = Calibrator::new(cfg.scale, cfg.work);
     let classes = assign_classes(n, cfg.seed);
     let mut system = SystemConfig::paper_scaled(cfg.scale);
     scale_timeslice(&mut system, cfg.work);
@@ -260,7 +260,8 @@ fn run_qos(cfg: &RunConfig, recorder: Box<dyn Recorder>) -> (RunOutcome, Box<dyn
     while accepted.len() < n {
         assert!(
             rejections_for_slot < 50_000,
-            "admission livelock on slot {} after {} submissions              (mode/deadline combination can never be admitted?)",
+            "admission livelock on slot {} after {} submissions \
+             (mode/deadline combination can never be admitted?)",
             accepted.len(),
             submission
         );
@@ -350,7 +351,7 @@ fn run_equal_part(
     mut recorder: Box<dyn Recorder>,
 ) -> (RunOutcome, Box<dyn Recorder>) {
     let n = cfg.workload.len();
-    let mut cal = Calibrator::new(cfg.scale, cfg.work);
+    let cal = Calibrator::new(cfg.scale, cfg.work);
     let classes = assign_classes(n, cfg.seed);
     let mut system = SystemConfig::paper_scaled(cfg.scale);
     scale_timeslice(&mut system, cfg.work);

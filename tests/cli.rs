@@ -3,7 +3,8 @@
 //! exits 1 with an `error:` line and the usage text, never a panic (exit
 //! 101) or a silent default.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
+use std::time::{Duration, Instant};
 
 /// Every `CMPQOS_*` knob the binary reads, cleared so the caller's
 /// environment cannot leak into a case.
@@ -16,16 +17,39 @@ const KNOBS: [&str; 6] = [
     "CMPQOS_JSON",
 ];
 
-fn cmpqos_with(env: &[(&str, &str)], args: &str) -> Output {
+fn command(env: &[(&str, &str)], args: &str) -> Command {
     let mut command = Command::new(env!("CARGO_BIN_EXE_cmpqos"));
     for var in KNOBS {
         command.env_remove(var);
     }
     command
         .envs(env.iter().copied())
-        .args(args.split_whitespace())
-        .output()
-        .expect("the cmpqos binary runs")
+        .args(args.split_whitespace());
+    command
+}
+
+fn cmpqos_with(env: &[(&str, &str)], args: &str) -> Output {
+    command(env, args).output().expect("the cmpqos binary runs")
+}
+
+/// [`cmpqos_with`], killing the run and failing the test if it has not
+/// exited within `limit`.
+fn cmpqos_within(env: &[(&str, &str)], args: &str, limit: Duration) -> Output {
+    let mut child = command(env, args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the cmpqos binary runs");
+    let start = Instant::now();
+    while child.try_wait().expect("the run can be polled").is_none() {
+        if start.elapsed() > limit {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("cmpqos {args} still ran after {limit:?}");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    child.wait_with_output().expect("the run's output is read")
 }
 
 fn cmpqos(args: &str) -> Output {
@@ -293,6 +317,37 @@ fn bad_env_values_exit_1_naming_the_variable() {
     }
 }
 
+/// Past 2^32 instructions per job, `--work` and `CMPQOS_WORK` are refused
+/// before anything runs. Each of these used to simulate without end.
+#[test]
+fn work_past_the_cap_exits_1_within_a_second() {
+    const CAP: &str = "at most 4294967296 instructions per job";
+    let second = Duration::from_secs(1);
+    for (command, work) in [
+        ("run --workload mix1 --config hybrid2", "4294967297"),
+        (
+            "run --workload mix1 --config hybrid2",
+            "18446744073709551615",
+        ),
+        ("fig4", "18446744073709551615"),
+        ("solo --bench bzip2", "18446744073709551615"),
+    ] {
+        let args = format!("{command} --work {work}");
+        assert_refused(
+            &cmpqos_within(&[], &args, second),
+            &format!("cmpqos {args}"),
+            &format!("error: --work {work}: {CAP}"),
+        );
+    }
+    for (command, work) in [("fig4", "18446744073709551615"), ("table1", "4294967297")] {
+        assert_refused(
+            &cmpqos_within(&[("CMPQOS_WORK", work)], command, second),
+            &format!("CMPQOS_WORK={work} cmpqos {command}"),
+            &format!("error: CMPQOS_WORK={work}: {CAP}"),
+        );
+    }
+}
+
 #[test]
 fn an_out_of_range_spec_value_exits_1_not_101() {
     // `ways_max` is a u16: 65536 used to wrap to 0 and panic the run.
@@ -338,18 +393,16 @@ fn unbounded_spec_values_exit_1_within_a_second() {
             std::env::temp_dir().join(format!("cmpqos-cli-{}-{name}.toml", std::process::id()));
         std::fs::write(&path, spec).expect("the spec is written");
         let path = path.display().to_string();
-        let start = std::time::Instant::now();
-        let out = cmpqos(&format!("traffic --spec {path}"));
-        let elapsed = start.elapsed();
+        let out = cmpqos_within(
+            &[],
+            &format!("traffic --spec {path}"),
+            Duration::from_secs(1),
+        );
         let _ = std::fs::remove_file(&path);
         assert_refused(
             &out,
             &format!("cmpqos traffic --spec ({name})"),
             &format!("error: {path}: {error}"),
-        );
-        assert!(
-            elapsed < std::time::Duration::from_secs(1),
-            "{name}: {elapsed:?}"
         );
     }
 }

@@ -7,7 +7,7 @@
 
 use cmpqos::engine::Engine;
 use cmpqos::types::{Instructions, Percent};
-use cmpqos::workloads::runner::{run_batch, RunConfig};
+use cmpqos::workloads::runner::{run, run_batch, RunConfig};
 use cmpqos::workloads::{Configuration, WorkloadSpec};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -124,6 +124,44 @@ fn a_poisoned_cell_fails_alone_without_tearing_down_the_batch() {
         "got: {message}"
     );
     assert_eq!(healthy.into_inner(), 15, "every healthy cell ran");
+}
+
+/// Mix-1 cells on a pool of four fill the process's solo-run table
+/// themselves: their `work` is one no other test here uses, so every
+/// worker meets the same three calibration runs uncached, at once. The
+/// same cells then run serially, reading what the pool left, and must
+/// produce the same outcomes.
+#[test]
+fn a_pool_that_fills_the_calibration_table_matches_serial_cells() {
+    let cells = || -> Vec<RunConfig> {
+        [
+            Configuration::AllStrict,
+            Configuration::Hybrid2 {
+                slack: Percent::new(5.0),
+            },
+            Configuration::AllStrictAutoDown,
+            Configuration::EqualPart,
+        ]
+        .into_iter()
+        .map(|configuration| RunConfig {
+            workload: WorkloadSpec::mix1(),
+            configuration,
+            scale: 16,
+            work: Instructions::new(31_337),
+            seed: 3,
+            stealing_enabled: true,
+            events: None,
+        })
+        .collect()
+    };
+    let pooled = run_batch(cells(), 4);
+    let serial: Vec<_> = cells().iter().map(run).collect();
+    assert_eq!(pooled.len(), serial.len());
+    for (i, (p, s)) in pooled.iter().zip(&serial).enumerate() {
+        let p = serde_json::to_string(p).expect("outcome serializes");
+        let s = serde_json::to_string(s).expect("outcome serializes");
+        assert_eq!(p, s, "cell {i}");
+    }
 }
 
 /// The paper's Hybrid-2 slack parameter survives the batch path: the
