@@ -1,6 +1,6 @@
 //! The shared, way-partitioned L2 cache (Section 4.1 of the paper).
 //!
-//! Three replacement policies are provided:
+//! Two replacement policies are provided:
 //!
 //! * [`PartitionPolicy::PerSet`] — the paper's QoS-aware scheme. Each core
 //!   has a *target allocation counter* (in ways) and each set tracks how many
@@ -14,7 +14,6 @@
 //! * [`PartitionPolicy::Global`] — the Suh-style modified-LRU scheme the
 //!   paper argues against: one global owner counter per core; per-set
 //!   allocations drift run to run (kept for the ablation experiment).
-//! * [`PartitionPolicy::Unpartitioned`] — plain LRU (no QoS).
 
 use crate::config::{CacheConfig, CacheConfigError};
 use crate::line::CacheLine;
@@ -25,8 +24,6 @@ use std::fmt;
 /// How the L2 selects victims.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PartitionPolicy {
-    /// Plain LRU, no partitioning.
-    Unpartitioned,
     /// Per-set owner counters + target allocation counters (the paper's
     /// QoS-aware scheme).
     PerSet,
@@ -413,12 +410,6 @@ impl SharedL2 {
         };
 
         match self.policy {
-            PartitionPolicy::Unpartitioned => {
-                if let Some(idx) = invalid() {
-                    return idx;
-                }
-                lru_among(&|_| true).expect("full set has lines")
-            }
             PartitionPolicy::PerSet => {
                 let count = |j: usize| self.set_counts[set as usize * self.num_cores + j];
                 let over = |j: usize| u32::from(count(j)) > u32::from(self.targets[j].get());
@@ -606,16 +597,6 @@ mod tests {
     }
 
     #[test]
-    fn unpartitioned_is_plain_lru() {
-        let mut l2 = tiny(PartitionPolicy::Unpartitioned);
-        for b in 0..4 {
-            l2.access(C0, addr(1, b), false);
-        }
-        l2.access(C1, addr(1, 4), false); // evicts block 0 (LRU)
-        assert!(!l2.access(C0, addr(1, 0), false).hit);
-    }
-
-    #[test]
     fn global_policy_enforces_totals_not_per_set() {
         let mut l2 = tiny(PartitionPolicy::Global);
         // Targets: 2 ways each => 8 blocks each over 4 sets.
@@ -633,7 +614,8 @@ mod tests {
 
     #[test]
     fn dirty_evictions_are_flagged() {
-        let mut l2 = tiny(PartitionPolicy::Unpartitioned);
+        let mut l2 = tiny(PartitionPolicy::PerSet);
+        l2.set_targets(&[Ways::new(4), Ways::new(0)]).unwrap();
         l2.access(C0, addr(2, 0), true);
         for b in 1..4 {
             l2.access(C0, addr(2, b), false);
@@ -677,7 +659,8 @@ mod tests {
 
     #[test]
     fn outcome_reports_set_index() {
-        let mut l2 = tiny(PartitionPolicy::Unpartitioned);
+        let mut l2 = tiny(PartitionPolicy::PerSet);
+        l2.set_targets(&[Ways::new(4), Ways::new(0)]).unwrap();
         assert_eq!(l2.access(C0, addr(3, 0), false).set, 3);
     }
 

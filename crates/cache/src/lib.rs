@@ -6,11 +6,10 @@
 //! * [`L1Cache`] — a private, set-associative, write-back, LRU cache
 //!   (the evaluated configuration uses 32 KiB, 4-way, 64-byte blocks).
 //! * [`SharedL2`] — the shared last-level cache with **way partitioning**.
-//!   Three partitioning policies are provided: the paper's QoS-aware
+//!   Two partitioning policies are provided: the paper's QoS-aware
 //!   *per-set* scheme (per-set owner counters + per-core target-allocation
-//!   counters + execution-mode-aware victim priority, Section 4.1), the
-//!   Suh-style *global*-counter scheme it argues against, and plain
-//!   unpartitioned LRU.
+//!   counters + execution-mode-aware victim priority, Section 4.1) and the
+//!   Suh-style *global*-counter scheme it argues against.
 //! * [`shadow::DuplicateTagMonitor`] — the sampled duplicate (shadow) tag
 //!   array used by resource stealing to bound an `Elastic(X)` job's L2 miss
 //!   increase (Section 4.3): every `N`-th set keeps duplicate tags modelling

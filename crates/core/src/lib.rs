@@ -47,7 +47,7 @@
 //!     .max_wall_clock(Cycles::new(10_000_000))
 //!     .deadline(Cycles::new(20_000_000))
 //!     .build();
-//! let decision = sched.submit(job, Box::new(profile.instantiate(1, 0)));
+//! let decision = sched.submit(job, profile.instantiate(1, 0));
 //! assert!(decision.is_accepted());
 //! sched.run_until(Cycles::new(20_000_000));
 //! let report = sched.report(JobId::new(0)).unwrap();

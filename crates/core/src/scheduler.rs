@@ -19,7 +19,7 @@ use crate::target::ResourceRequest;
 use cmpqos_cpu::PerfCounters;
 use cmpqos_obs::{Event, Knob, NullRecorder, Recorder};
 use cmpqos_system::{CmpNode, Placement, SystemConfig, TaskSpec};
-use cmpqos_trace::TraceSource;
+use cmpqos_trace::SyntheticTrace;
 use cmpqos_types::{CoreId, Cycles, Instructions, JobId, Percent, Ways};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -293,7 +293,9 @@ struct Managed {
     arrival: Cycles,
     decision: Decision,
     state: JobState,
-    source: Option<Box<dyn TraceSource>>,
+    /// The trace an accepted job runs, boxed so a record waiting or
+    /// finished costs one pointer; taken when the job is spawned.
+    source: Option<Box<SyntheticTrace>>,
     stealing: Option<StealingController>,
     /// Automatic-downgrade fallback: revert to Strict at this time.
     switch_back_at: Option<Cycles>,
@@ -462,10 +464,25 @@ impl QosScheduler {
 
     /// Submits a job at the current simulation time with its workload
     /// `source`. Returns the admission decision.
-    pub fn submit(&mut self, job: QosJob, source: Box<dyn TraceSource>) -> Decision {
+    ///
+    /// # Panics
+    ///
+    /// If the job has no work (a [`QosJob`] built without
+    /// [`work`](QosJobBuilder::work)), or its id was already submitted to
+    /// this scheduler. Both are refused before the LAC sees the job or an
+    /// event is recorded.
+    pub fn submit(&mut self, job: QosJob, source: SyntheticTrace) -> Decision {
+        let id = job.id;
+        assert!(
+            job.work.get() > 0,
+            "QosScheduler::submit: {id} has no work (set it with QosJobBuilder::work)"
+        );
+        assert!(
+            !self.jobs.contains_key(&id),
+            "QosScheduler::submit: {id} was already submitted"
+        );
         let now = self.node.now();
         self.lac.advance(now);
-        let id = job.id;
         self.recorder.record(
             now,
             Event::Submitted {
@@ -513,7 +530,7 @@ impl QosScheduler {
             decision,
             state: JobState::Rejected,
             // A rejected job never runs: its trace source is dropped here.
-            source: decision.is_accepted().then_some(source),
+            source: decision.is_accepted().then(|| Box::new(source)),
             stealing: None,
             switch_back_at: None,
             started: None,
@@ -776,7 +793,7 @@ impl QosScheduler {
             let source = m.source.take().expect("unstarted job retains its source");
             let spec = TaskSpec {
                 id,
-                source,
+                source: *source,
                 budget: m.job.work,
                 placement: Placement::Pinned(core),
                 reserved: true,
@@ -816,7 +833,7 @@ impl QosScheduler {
         let source = m.source.take().expect("unstarted job retains its source");
         let spec = TaskSpec {
             id,
-            source,
+            source: *source,
             budget: m.job.work,
             placement: Placement::Floating,
             reserved: false,
@@ -1122,9 +1139,9 @@ mod tests {
         }
     }
 
-    fn source(id: u32, bench: &str) -> Box<dyn TraceSource> {
+    fn source(id: u32, bench: &str) -> SyntheticTrace {
         let p = spec::scaled(bench, K).unwrap();
-        Box::new(p.instantiate(1000 + u64::from(id), u64::from(id) << 40))
+        p.instantiate(1000 + u64::from(id), u64::from(id) << 40)
     }
 
     /// gobmk at 7 ways runs at roughly CPI 2.6 → 100k instructions in
@@ -1205,6 +1222,52 @@ mod tests {
         s.run_to_idle(Cycles::new(1_000_000_000));
         assert!(s.is_idle());
         assert!(s.active.is_empty(), "completed jobs leave the pump's index");
+    }
+
+    /// The message of the panic that `f` raises.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err("the call panics");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .expect("a formatted panic message")
+    }
+
+    #[test]
+    fn a_job_without_work_is_refused_before_admission() {
+        let mut s = sched(false);
+        let j = QosJob::strict(JobId::new(0), ResourceRequest::paper_job())
+            .max_wall_clock(Cycles::new(TW))
+            .build();
+        let message = panic_message(|| {
+            let _ = s.submit(j, source(0, "gobmk"));
+        });
+        assert!(message.contains("job0 has no work"), "{message}");
+        assert_eq!(s.lac().admission_tests(), 0);
+        assert!(s.report(JobId::new(0)).is_none());
+    }
+
+    #[test]
+    fn a_reused_id_is_refused_before_admission() {
+        let mut s = sched(false);
+        let first = s.submit(
+            job(7, ExecutionMode::Strict, WORK, TW, Some(10 * TW)),
+            source(7, "gobmk"),
+        );
+        assert!(first.is_accepted());
+        let message = panic_message(|| {
+            let _ = s.submit(
+                job(7, ExecutionMode::Opportunistic, WORK, TW, None),
+                source(8, "bzip2"),
+            );
+        });
+        assert!(message.contains("job7 was already submitted"), "{message}");
+        assert_eq!(s.lac().admission_tests(), 1);
+        assert_eq!(
+            s.report(JobId::new(7)).unwrap().job.mode,
+            ExecutionMode::Strict
+        );
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! Per-job execution contexts.
 
 use crate::perf::PerfCounters;
-use cmpqos_trace::{Access, InstrEvent, SyntheticTrace, TraceSource};
+use cmpqos_trace::{Access, SyntheticTrace, TraceSource};
 use cmpqos_types::Cycles;
-use std::any::Any;
 
 /// Memory-hierarchy outcome of one access, reported back to the context by
 /// the system model.
@@ -53,7 +52,7 @@ impl MemOutcome {
 /// use cmpqos_trace::spec;
 ///
 /// let profile = spec::benchmark("gobmk").unwrap();
-/// let mut ctx = ExecutionContext::new(Box::new(profile.instantiate(7, 0)));
+/// let mut ctx = ExecutionContext::new(profile.instantiate(7, 0));
 /// let (base, access) = ctx.issue();
 /// match access {
 ///     Some(_) => ctx.complete(base, MemOutcome::L1Hit),
@@ -62,39 +61,11 @@ impl MemOutcome {
 /// assert_eq!(ctx.perf().instructions().get(), 1);
 /// ```
 pub struct ExecutionContext {
-    source: Source,
+    source: SyntheticTrace,
     perf: PerfCounters,
     /// Fractional base-CPI accumulator (base CPIs like 1.5 are paid as an
     /// extra cycle every other instruction).
     frac: f64,
-}
-
-/// A context's instruction stream. The built-in generator is held inline
-/// and called statically, since the simulator calls it once per
-/// instruction; any other source stays boxed.
-enum Source {
-    Synthetic(SyntheticTrace),
-    Boxed(Box<dyn TraceSource>),
-}
-
-impl Source {
-    fn new(source: Box<dyn TraceSource>) -> Self {
-        if !(&*source as &dyn Any).is::<SyntheticTrace>() {
-            return Source::Boxed(source);
-        }
-        let source: Box<dyn Any> = source;
-        Source::Synthetic(*source.downcast().expect("the source is a SyntheticTrace"))
-    }
-
-    /// The next event, then the base CPI read after it: a phased source
-    /// switches phase inside `next_instruction`.
-    #[inline]
-    fn next(&mut self) -> (InstrEvent, f64) {
-        match self {
-            Source::Synthetic(s) => (s.next_instruction(), s.base_cpi()),
-            Source::Boxed(s) => (s.next_instruction(), s.base_cpi()),
-        }
-    }
 }
 
 impl std::fmt::Debug for ExecutionContext {
@@ -110,9 +81,9 @@ impl std::fmt::Debug for ExecutionContext {
 impl ExecutionContext {
     /// Creates a context over `source`.
     #[must_use]
-    pub fn new(source: Box<dyn TraceSource>) -> Self {
+    pub fn new(source: SyntheticTrace) -> Self {
         Self {
-            source: Source::new(source),
+            source,
             perf: PerfCounters::default(),
             frac: 0.0,
         }
@@ -121,10 +92,7 @@ impl ExecutionContext {
     /// The job's benchmark name.
     #[must_use]
     pub fn name(&self) -> &str {
-        match &self.source {
-            Source::Synthetic(s) => s.name(),
-            Source::Boxed(s) => s.name(),
-        }
+        self.source.name()
     }
 
     /// Performance counters.
@@ -137,8 +105,8 @@ impl ExecutionContext {
     /// `(base_cycles, access)`.
     #[inline]
     pub fn issue(&mut self) -> (Cycles, Option<Access>) {
-        let (event, base_cpi) = self.source.next();
-        self.frac += base_cpi;
+        let event = self.source.next_instruction();
+        self.frac += self.source.base_cpi();
         let (whole, cycles) = if (0.0..u64::MAX as f64).contains(&self.frac) {
             // On this range truncation is floor and both casts are exact,
             // without a libm call.
@@ -176,26 +144,27 @@ impl ExecutionContext {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmpqos_trace::{InstrEvent, TraceSource};
+    use cmpqos_trace::{BenchmarkProfile, Component};
+    use cmpqos_types::ByteSize;
 
     /// A source with base CPI 1.5 and no memory accesses.
-    struct Compute;
-
-    impl TraceSource for Compute {
-        fn next_instruction(&mut self) -> InstrEvent {
-            InstrEvent::compute()
-        }
-        fn base_cpi(&self) -> f64 {
-            1.5
-        }
-        fn name(&self) -> &str {
-            "compute"
-        }
+    fn compute() -> SyntheticTrace {
+        BenchmarkProfile::builder("compute")
+            .mem_ratio(0.0)
+            .base_cpi(1.5)
+            .component(Component::WorkingSet {
+                size: ByteSize::from_kib(8),
+                weight: 1.0,
+                write_fraction: 0.0,
+            })
+            .build()
+            .expect("a valid profile")
+            .instantiate(1, 0)
     }
 
     #[test]
     fn fractional_base_cpi_averages_out() {
-        let mut ctx = ExecutionContext::new(Box::new(Compute));
+        let mut ctx = ExecutionContext::new(compute());
         let mut total = Cycles::ZERO;
         for _ in 0..1000 {
             let (base, access) = ctx.issue();
@@ -209,7 +178,7 @@ mod tests {
 
     #[test]
     fn memory_outcomes_accumulate_in_perf() {
-        let mut ctx = ExecutionContext::new(Box::new(Compute));
+        let mut ctx = ExecutionContext::new(compute());
         let (base, _) = ctx.issue();
         ctx.complete(
             base,
@@ -248,22 +217,19 @@ mod tests {
     }
 
     #[test]
-    fn a_boxed_synthetic_trace_is_held_inline_and_replays_its_stream() {
+    fn a_context_replays_its_trace_stream() {
         let mut direct = cmpqos_trace::spec::benchmark("gobmk")
             .expect("built-in benchmark")
             .instantiate(7, 0);
-        let mut ctx = ExecutionContext::new(Box::new(direct.clone()));
-        assert!(matches!(ctx.source, Source::Synthetic(_)));
+        let mut ctx = ExecutionContext::new(direct.clone());
         for _ in 0..1_000 {
             assert_eq!(ctx.issue().1, direct.next_instruction().access);
         }
-        let boxed = ExecutionContext::new(Box::new(Compute));
-        assert!(matches!(boxed.source, Source::Boxed(_)));
     }
 
     #[test]
     fn name_comes_from_source() {
-        let ctx = ExecutionContext::new(Box::new(Compute));
+        let ctx = ExecutionContext::new(compute());
         assert_eq!(ctx.name(), "compute");
     }
 }

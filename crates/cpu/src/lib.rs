@@ -8,10 +8,12 @@
 //! CPI = CPI_L1∞ + h2 · t2 + hm · tm
 //! ```
 //!
-//! * [`ExecutionContext`] — the per-*job* execution state: its trace source,
-//!   fractional base-CPI accumulator and performance counters. Jobs carry
-//!   their contexts across cores (Opportunistic jobs may migrate / be
-//!   timeshared), so the counters live here rather than on a core.
+//! * [`ExecutionContext`] — the per-*job* execution state: its
+//!   [`SyntheticTrace`](cmpqos_trace::SyntheticTrace), held by value and
+//!   called statically, its fractional base-CPI accumulator and its
+//!   performance counters. Jobs carry their contexts across cores
+//!   (Opportunistic jobs may migrate / be timeshared), so the counters
+//!   live here rather than on a core.
 //! * [`PerfCounters`] — retired instructions, cycles, per-level access/miss
 //!   counts and the additive stall breakdown.
 //! * [`CpiModel`] — the closed-form model itself, used by analysis code and

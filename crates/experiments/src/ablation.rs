@@ -50,7 +50,7 @@ pub fn partition_variance(
         node.spawn(TaskSpec {
             id: JobId::new(0),
             // The observed job is seed-fixed; only the co-runner varies.
-            source: Box::new(bzip2.instantiate(7, 1 << 36)),
+            source: bzip2.instantiate(7, 1 << 36),
             budget: params.work,
             placement: Placement::Pinned(CoreId::new(0)),
             reserved: true,
@@ -58,7 +58,7 @@ pub fn partition_variance(
         .expect("spawn");
         node.spawn(TaskSpec {
             id: JobId::new(1),
-            source: Box::new(mcf.instantiate(1000 + s, 2 << 36)),
+            source: mcf.instantiate(1000 + s, 2 << 36),
             budget: params.work * 4,
             placement: Placement::Pinned(CoreId::new(1)),
             reserved: true,
@@ -148,14 +148,14 @@ fn stealing_run(
         .max_wall_clock(tw)
         .deadline(tw * 3)
         .build(),
-        Box::new(gobmk.instantiate(params.seed, 1 << 36)),
+        gobmk.instantiate(params.seed, 1 << 36),
     );
     let _ = sched.submit(
         QosJob::opportunistic(JobId::new(1), ResourceRequest::paper_job())
             .work(work)
             .max_wall_clock(tw)
             .build(),
-        Box::new(bzip2.instantiate(params.seed + 1, 2 << 36)),
+        bzip2.instantiate(params.seed + 1, 2 << 36),
     );
     sched.run_to_idle(tw * 40);
     let report = sched.report(JobId::new(0)).expect("submitted");

@@ -38,7 +38,7 @@ fn run_pair(params: &ExperimentParams, targets: &[Ways]) -> (f64, f64) {
     for (i, profile) in [sensitive, insensitive].iter().enumerate() {
         node.spawn(TaskSpec {
             id: JobId::new(i as u32),
-            source: Box::new(profile.instantiate(params.seed + i as u64, (i as u64 + 1) << 40)),
+            source: profile.instantiate(params.seed + i as u64, (i as u64 + 1) << 40),
             budget: params.work,
             placement: Placement::Pinned(CoreId::new(i as u32)),
             reserved: true,
@@ -130,7 +130,7 @@ pub fn bandwidth_isolation(params: &ExperimentParams, hog_cap: u8) -> ((f64, f64
         let hog = spec::scaled("milc", params.scale).expect("built-in");
         node.spawn(TaskSpec {
             id: JobId::new(0),
-            source: Box::new(victim.instantiate(params.seed, 1 << 40)),
+            source: victim.instantiate(params.seed, 1 << 40),
             budget: params.work,
             placement: Placement::Pinned(CoreId::new(0)),
             reserved: true,
@@ -138,7 +138,7 @@ pub fn bandwidth_isolation(params: &ExperimentParams, hog_cap: u8) -> ((f64, f64
         .expect("spawn");
         node.spawn(TaskSpec {
             id: JobId::new(1),
-            source: Box::new(hog.instantiate(params.seed + 1, 2 << 40)),
+            source: hog.instantiate(params.seed + 1, 2 << 40),
             budget: params.work * 4,
             placement: Placement::Pinned(CoreId::new(1)),
             reserved: true,

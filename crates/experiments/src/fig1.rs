@@ -65,7 +65,7 @@ pub fn run(params: &ExperimentParams) -> Fig1Result {
         for i in 0..k {
             node.spawn(TaskSpec {
                 id: JobId::new(i as u32),
-                source: Box::new(profile.instantiate(params.seed + i as u64, (i as u64 + 1) << 36)),
+                source: profile.instantiate(params.seed + i as u64, (i as u64 + 1) << 36),
                 budget: params.work,
                 placement: Placement::Pinned(CoreId::new(i as u32)),
                 reserved: true,

@@ -36,8 +36,8 @@ use cmpqos_core::{
 };
 use cmpqos_obs::RingBufferRecorder;
 use cmpqos_system::SystemConfig;
-use cmpqos_trace::spec;
 use cmpqos_types::{CoreId, Cycles, Instructions, JobId, Percent};
+use cmpqos_workloads::runner::trace_for;
 
 /// One interference mix: a protected donor against a uniform pack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,20 +133,6 @@ pub fn pid_config(params: &ExperimentParams) -> PidConfig {
     }
 }
 
-fn trace_for(
-    params: &ExperimentParams,
-    bench: &str,
-    salt: u32,
-) -> Box<dyn cmpqos_trace::TraceSource> {
-    let profile =
-        spec::scaled(bench, params.scale).unwrap_or_else(|| panic!("unknown benchmark {bench}"));
-    let seed = params
-        .seed
-        .wrapping_mul(0x9E37_79B9)
-        .wrapping_add(u64::from(salt));
-    Box::new(profile.instantiate(seed, u64::from(salt + 1) << 36))
-}
-
 fn scheduler(params: &ExperimentParams) -> QosScheduler {
     let mut cfg = SchedulerConfig::default();
     cfg.stealing.interval = steal_interval(params);
@@ -168,7 +154,9 @@ pub fn solo_slo_milli(params: &ExperimentParams, donor: &str) -> u64 {
         .max_wall_clock(tw)
         .build();
     assert!(
-        sched.submit(job, trace_for(params, donor, 0)).is_accepted(),
+        sched
+            .submit(job, trace_for(donor, params.scale, params.seed, 0))
+            .is_accepted(),
         "solo donor must admit on an empty node"
     );
     sched.run_to_idle(tw * 4);
@@ -209,7 +197,7 @@ pub fn run_arm(
         .build();
     assert!(
         sched
-            .submit(donor, trace_for(params, mix.donor, 0))
+            .submit(donor, trace_for(mix.donor, params.scale, params.seed, 0))
             .is_accepted(),
         "donor must admit on an empty node"
     );
@@ -220,7 +208,7 @@ pub fn run_arm(
             .build();
         assert!(
             sched
-                .submit(job, trace_for(params, mix.interferer, i))
+                .submit(job, trace_for(mix.interferer, params.scale, params.seed, i))
                 .is_accepted(),
             "opportunistic jobs always admit"
         );

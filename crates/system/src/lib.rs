@@ -29,7 +29,7 @@
 //! let profile = spec::benchmark("gobmk").unwrap();
 //! node.spawn(TaskSpec {
 //!     id: JobId::new(0),
-//!     source: Box::new(profile.instantiate(1, 0)),
+//!     source: profile.instantiate(1, 0),
 //!     budget: Instructions::new(10_000),
 //!     placement: Placement::Floating,
 //!     reserved: false,

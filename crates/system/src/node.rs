@@ -805,7 +805,7 @@ mod tests {
         let profile = spec::benchmark(bench).expect("known benchmark");
         TaskSpec {
             id: JobId::new(id),
-            source: Box::new(profile.instantiate(100 + u64::from(id), u64::from(id) << 40)),
+            source: profile.instantiate(100 + u64::from(id), u64::from(id) << 40),
             budget: Instructions::new(budget),
             placement,
             reserved: matches!(placement, Placement::Pinned(_)),
@@ -1055,7 +1055,7 @@ mod tests {
         let profile = spec::scaled("bzip2", K).unwrap();
         node.spawn(TaskSpec {
             id: JobId::new(0),
-            source: Box::new(profile.instantiate(42, 0)),
+            source: profile.instantiate(42, 0),
             budget: Instructions::new(budget),
             placement: Placement::Pinned(CoreId::new(0)),
             reserved: true,
@@ -1085,7 +1085,7 @@ mod tests {
         let profile = spec::scaled("gobmk", K).unwrap();
         node.spawn(TaskSpec {
             id: JobId::new(0),
-            source: Box::new(profile.instantiate(42, 0)),
+            source: profile.instantiate(42, 0),
             budget: Instructions::new(100_000),
             placement: Placement::Pinned(CoreId::new(0)),
             reserved: true,

@@ -3,7 +3,7 @@
 use cmpqos_cache::DuplicateTagMonitor;
 use cmpqos_cpu::ExecutionContext;
 use cmpqos_mem::Priority;
-use cmpqos_trace::TraceSource;
+use cmpqos_trace::SyntheticTrace;
 use cmpqos_types::{CoreId, Cycles, Instructions, JobId};
 use std::fmt;
 
@@ -19,11 +19,12 @@ pub enum Placement {
 }
 
 /// Specification for spawning a task onto a [`crate::CmpNode`].
+#[derive(Debug)]
 pub struct TaskSpec {
     /// The task's identifier (must be unique among live tasks).
     pub id: JobId,
     /// Its instruction stream.
-    pub source: Box<dyn TraceSource>,
+    pub source: SyntheticTrace,
     /// Instructions to retire before the task completes.
     pub budget: Instructions,
     /// Pinned or floating.
@@ -31,18 +32,6 @@ pub struct TaskSpec {
     /// Whether the task's resources are reserved (Strict/Elastic): reserved
     /// tasks get `Reserved` victim class and prioritized memory requests.
     pub reserved: bool,
-}
-
-impl fmt::Debug for TaskSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TaskSpec")
-            .field("id", &self.id)
-            .field("source", &self.source.name())
-            .field("budget", &self.budget)
-            .field("placement", &self.placement)
-            .field("reserved", &self.reserved)
-            .finish()
-    }
 }
 
 /// A completed task's record.

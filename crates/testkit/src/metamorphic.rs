@@ -239,7 +239,7 @@ fn zero_slack_run(seed: u64, stealing_enabled: bool) -> (Vec<String>, Vec<JobRep
         let source = spec::scaled(bench, K)
             .expect("built-in benchmark")
             .instantiate(seed ^ (n as u64), 0);
-        let _ = scheduler.submit(builder.build(), Box::new(source));
+        let _ = scheduler.submit(builder.build(), source);
         ids.push(id);
         let skip = scheduler.now() + tw.scale(0.2);
         scheduler.run_until(skip);
@@ -300,7 +300,7 @@ fn loose_slo_run(seed: u64, adaptive: bool) -> (Vec<String>, Vec<JobReport>) {
         let source = spec::scaled(bench, K)
             .expect("built-in benchmark")
             .instantiate(seed ^ (n as u64), 0);
-        let _ = scheduler.submit(builder.build(), Box::new(source));
+        let _ = scheduler.submit(builder.build(), source);
         ids.push(id);
         let skip = scheduler.now() + tw.scale(0.2);
         scheduler.run_until(skip);

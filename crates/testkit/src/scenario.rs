@@ -1377,7 +1377,7 @@ pub fn run_scheduler(seed: u64) -> Result<(), Divergence> {
         let source = spec::scaled(bench, K)
             .expect("built-in benchmark")
             .instantiate(seed ^ u64::from(n), 0);
-        let got = scheduler.submit(job, Box::new(source));
+        let got = scheduler.submit(job, source);
         if got != want {
             return Err(Divergence {
                 seed,

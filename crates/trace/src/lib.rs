@@ -31,7 +31,6 @@
 pub mod access;
 pub mod estimate;
 pub mod mixture;
-pub mod phased;
 pub mod profile;
 pub mod source;
 pub mod spec;
@@ -39,7 +38,6 @@ pub mod synthetic;
 
 pub use access::{Access, AccessKind};
 pub use mixture::{AccessMixture, Component};
-pub use phased::PhasedTrace;
 pub use profile::BenchmarkProfile;
 pub use source::{InstrEvent, TraceSource};
 pub use spec::SensitivityClass;

@@ -1,11 +1,12 @@
-//! The [`TraceSource`] abstraction consumed by the core model.
+//! The [`TraceSource`] interface of a per-job instruction stream.
 //!
 //! A trace source produces, per retired instruction, an optional memory
 //! access. Sources are infinite streams; a job's finite length is imposed by
 //! the scheduler (which stops a job after its instruction budget retires).
+//! [`SyntheticTrace`](crate::SyntheticTrace) implements it, and is the one
+//! source type the simulated node runs: a job's context holds it by value.
 
 use crate::access::Access;
-use std::any::Any;
 
 /// What one instruction does, as far as the memory hierarchy is concerned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,10 +37,8 @@ impl InstrEvent {
 ///
 /// Implementors must be deterministic given their construction inputs (the
 /// simulator relies on seeded reproducibility for run-to-run variance
-/// studies, Section 4.1 of the paper). The [`Any`] supertrait (so sources
-/// are `'static`) lets a consumer recover a boxed built-in source's
-/// concrete type and call it without dynamic dispatch.
-pub trait TraceSource: Any {
+/// studies, Section 4.1 of the paper).
+pub trait TraceSource {
     /// Produces the next instruction's event. Infinite: never exhausts.
     fn next_instruction(&mut self) -> InstrEvent;
 
@@ -52,46 +51,10 @@ pub trait TraceSource: Any {
     fn name(&self) -> &str;
 }
 
-impl<T: TraceSource + ?Sized> TraceSource for Box<T> {
-    fn next_instruction(&mut self) -> InstrEvent {
-        (**self).next_instruction()
-    }
-
-    fn base_cpi(&self) -> f64 {
-        (**self).base_cpi()
-    }
-
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::access::{Access, AccessKind};
-
-    struct Fixed;
-
-    impl TraceSource for Fixed {
-        fn next_instruction(&mut self) -> InstrEvent {
-            InstrEvent::memory(Access::new(64, AccessKind::Read))
-        }
-        fn base_cpi(&self) -> f64 {
-            1.0
-        }
-        fn name(&self) -> &str {
-            "fixed"
-        }
-    }
-
-    #[test]
-    fn boxed_source_delegates() {
-        let mut b: Box<dyn TraceSource> = Box::new(Fixed);
-        assert_eq!(b.base_cpi(), 1.0);
-        assert_eq!(b.name(), "fixed");
-        assert!(b.next_instruction().access.is_some());
-    }
 
     #[test]
     fn constructors() {

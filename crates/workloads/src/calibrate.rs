@@ -99,7 +99,7 @@ fn simulate(bench: &str, ways: Ways, work: Instructions, k: u64, seed: u64) -> S
     let profile = spec::scaled(bench, k).unwrap_or_else(|| panic!("unknown benchmark {bench}"));
     node.spawn(TaskSpec {
         id: JobId::new(0),
-        source: Box::new(profile.instantiate(seed, 0)),
+        source: profile.instantiate(seed, 0),
         budget: work,
         placement: Placement::Pinned(CoreId::new(0)),
         reserved: true,

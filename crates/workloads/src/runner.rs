@@ -22,7 +22,7 @@ use cmpqos_core::{
 use cmpqos_engine::Engine;
 use cmpqos_obs::{merge_shards, Event, JsonlRecorder, NullRecorder, Recorder, ShardRecorder};
 use cmpqos_system::{CmpNode, Placement, SystemConfig, TaskSpec};
-use cmpqos_trace::spec;
+use cmpqos_trace::{spec, SyntheticTrace};
 use cmpqos_types::{Cycles, Instructions, JobId, Ways};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -222,14 +222,20 @@ fn open_recorder(cfg: &RunConfig) -> Box<dyn Recorder> {
     }
 }
 
-fn trace_for(cfg: &RunConfig, bench: &str, submission: u32) -> Box<dyn cmpqos_trace::TraceSource> {
-    let profile =
-        spec::scaled(bench, cfg.scale).unwrap_or_else(|| panic!("unknown benchmark {bench}"));
-    let seed = cfg
-        .seed
-        .wrapping_mul(0x9E37_79B9)
-        .wrapping_add(u64::from(submission));
-    Box::new(profile.instantiate(seed, u64::from(submission + 1) << 36))
+/// The trace of one job: built-in `bench` at `scale`, seeded with
+/// `seed · 0x9E37_79B9 + salt` (wrapping) at address base
+/// `(salt + 1) << 36`, so each salt (a run's submission number) draws its
+/// own stream over its own addresses. perfbench's traced `mix_qos` replay
+/// re-derives this formula.
+///
+/// # Panics
+///
+/// If `bench` is not a built-in benchmark.
+#[must_use]
+pub fn trace_for(bench: &str, scale: u64, seed: u64, salt: u32) -> SyntheticTrace {
+    let profile = spec::scaled(bench, scale).unwrap_or_else(|| panic!("unknown benchmark {bench}"));
+    let seed = seed.wrapping_mul(0x9E37_79B9).wrapping_add(u64::from(salt));
+    profile.instantiate(seed, u64::from(salt + 1) << 36)
 }
 
 fn run_qos(cfg: &RunConfig, recorder: Box<dyn Recorder>) -> (RunOutcome, Box<dyn Recorder>) {
@@ -298,7 +304,8 @@ fn run_qos(cfg: &RunConfig, recorder: Box<dyn Recorder>) -> (RunOutcome, Box<dyn
         if let Some(td) = deadline {
             builder = builder.deadline(td);
         }
-        let d = sched.submit(builder.build(), trace_for(cfg, &template.bench, submission));
+        let trace = trace_for(&template.bench, cfg.scale, cfg.seed, submission);
+        let d = sched.submit(builder.build(), trace);
         if d.is_accepted() {
             accepted.push((slot, id, template.bench.clone(), class));
             rejections_for_slot = 0;
@@ -387,7 +394,7 @@ fn run_equal_part(
         let id = JobId::new(slot as u32);
         node.spawn(TaskSpec {
             id,
-            source: trace_for(cfg, &template.bench, slot as u32),
+            source: trace_for(&template.bench, cfg.scale, cfg.seed, slot as u32),
             budget: cfg.work,
             placement: Placement::Floating,
             reserved: false,

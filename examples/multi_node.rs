@@ -34,7 +34,7 @@ fn main() {
         let profile = spec::scaled(bench, K).expect("built-in");
         let mut placed = None;
         for (n, node) in nodes.iter_mut().enumerate() {
-            let source = Box::new(profile.instantiate(i as u64, (i as u64 + 1) << 40));
+            let source = profile.instantiate(i as u64, (i as u64 + 1) << 40);
             if node.submit(job, source).is_accepted() {
                 placed = Some(n);
                 break;

@@ -50,10 +50,10 @@ fn main() {
         (opportunistic, "bzip2"),
     ] {
         let profile = spec::benchmark(bench).expect("built-in benchmark");
-        let source = Box::new(profile.instantiate(
+        let source = profile.instantiate(
             42 + job.id.index() as u64,
             u64::from(job.id.index() + 1) << 40,
-        ));
+        );
         let decision = sched.submit(job, source);
         println!(
             "submit {bench:>6} as {:<14} -> {decision:?}",

@@ -37,10 +37,10 @@ fn main() {
     let gobmk = spec::scaled("gobmk", K).expect("built-in");
     let bzip2 = spec::scaled("bzip2", K).expect("built-in");
     assert!(sched
-        .submit(donor, Box::new(gobmk.instantiate(1, 1 << 40)))
+        .submit(donor, gobmk.instantiate(1, 1 << 40))
         .is_accepted());
     assert!(sched
-        .submit(recipient, Box::new(bzip2.instantiate(2, 2 << 40)))
+        .submit(recipient, bzip2.instantiate(2, 2 << 40))
         .is_accepted());
 
     println!("time(Mcyc)  donor ways  stolen  guard miss-increase  cancelled");

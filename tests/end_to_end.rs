@@ -88,7 +88,7 @@ fn stealing_never_violates_the_elastic_bound_end_to_end() {
             .max_wall_clock(tw)
             .deadline(tw * 2)
             .build(),
-            Box::new(spec::scaled(bench, K).unwrap().instantiate(5, 1 << 40)),
+            spec::scaled(bench, K).unwrap().instantiate(5, 1 << 40),
         );
         assert!(donor.is_accepted(), "{bench}: donor admitted");
         let recipient = sched.submit(
@@ -96,7 +96,7 @@ fn stealing_never_violates_the_elastic_bound_end_to_end() {
                 .work(work)
                 .max_wall_clock(tw)
                 .build(),
-            Box::new(spec::scaled("mcf", K).unwrap().instantiate(6, 2 << 40)),
+            spec::scaled("mcf", K).unwrap().instantiate(6, 2 << 40),
         );
         assert!(recipient.is_accepted(), "{bench}: recipient admitted");
         sched.run_to_idle(tw * 20);
@@ -146,11 +146,9 @@ fn partition_targets_never_exceed_associativity_during_a_busy_run() {
         };
         let d = sched.submit(
             job,
-            Box::new(
-                spec::scaled(bench, K)
-                    .unwrap()
-                    .instantiate(i as u64, (i as u64 + 1) << 40),
-            ),
+            spec::scaled(bench, K)
+                .unwrap()
+                .instantiate(i as u64, (i as u64 + 1) << 40),
         );
         assert!(d.is_accepted(), "{bench} admitted");
     }
@@ -182,11 +180,9 @@ fn opportunistic_jobs_benefit_from_elastic_donors() {
                     .max_wall_clock(tw)
                     .deadline(tw * 3)
                     .build(),
-                Box::new(
-                    spec::scaled("gobmk", K)
-                        .unwrap()
-                        .instantiate(u64::from(i), (u64::from(i) + 1) << 40),
-                ),
+                spec::scaled("gobmk", K)
+                    .unwrap()
+                    .instantiate(u64::from(i), (u64::from(i) + 1) << 40),
             );
             assert!(d.is_accepted(), "donor {i} admitted");
         }
@@ -195,7 +191,7 @@ fn opportunistic_jobs_benefit_from_elastic_donors() {
                 .work(work)
                 .max_wall_clock(tw)
                 .build(),
-            Box::new(spec::scaled("bzip2", K).unwrap().instantiate(9, 10 << 40)),
+            spec::scaled("bzip2", K).unwrap().instantiate(9, 10 << 40),
         );
         assert!(d.is_accepted(), "recipient admitted");
         sched.run_to_idle(tw * 20);
@@ -226,11 +222,9 @@ fn rejected_jobs_leave_no_trace_in_the_node() {
                 .max_wall_clock(tw)
                 .deadline(tw * 10)
                 .build(),
-            Box::new(
-                spec::scaled("namd", K)
-                    .unwrap()
-                    .instantiate(u64::from(i), 1 << 40),
-            ),
+            spec::scaled("namd", K)
+                .unwrap()
+                .instantiate(u64::from(i), 1 << 40),
         );
         assert!(d.is_accepted());
     }
@@ -241,7 +235,7 @@ fn rejected_jobs_leave_no_trace_in_the_node() {
             .max_wall_clock(tw)
             .deadline(tw)
             .build(),
-        Box::new(spec::scaled("namd", K).unwrap().instantiate(7, 8 << 40)),
+        spec::scaled("namd", K).unwrap().instantiate(7, 8 << 40),
     );
     assert!(!d.is_accepted());
     sched.run_to_idle(tw * 20);
@@ -278,7 +272,7 @@ fn auto_downgraded_job_emits_the_full_event_sequence() {
             .max_wall_clock(tw)
             .deadline(td)
             .build(),
-        Box::new(spec::scaled("gobmk", K).unwrap().instantiate(1, 1 << 40)),
+        spec::scaled("gobmk", K).unwrap().instantiate(1, 1 << 40),
     );
     assert!(d.is_accepted(), "decision: {d:?}");
     sched.run_to_idle(td * 4);

@@ -16,11 +16,9 @@ fn spawn(n: &mut CmpNode, id: u32, bench: &str, budget: u64, pinned: Option<u32>
     };
     n.spawn(TaskSpec {
         id: JobId::new(id),
-        source: Box::new(
-            spec::scaled(bench, K)
-                .unwrap()
-                .instantiate(u64::from(id) + 77, (u64::from(id) + 1) << 40),
-        ),
+        source: spec::scaled(bench, K)
+            .unwrap()
+            .instantiate(u64::from(id) + 77, (u64::from(id) + 1) << 40),
         budget: Instructions::new(budget),
         placement,
         reserved: pinned.is_some(),

@@ -15,36 +15,17 @@
 use cmpqos::cache::ShadowCounts;
 use cmpqos::cpu::PerfCounters;
 use cmpqos::system::{CmpNode, Placement, SystemConfig, TaskSpec};
-use cmpqos::trace::phased::{Phase, PhasedTrace};
-use cmpqos::trace::{spec, TraceSource};
+use cmpqos::trace::{spec, SyntheticTrace};
 use cmpqos::types::{CoreId, Cycles, Instructions, JobId, Ways};
 
 const K: u64 = 16;
 
-fn trace(bench: &str, seed: u64, id: u32) -> Box<dyn TraceSource> {
+fn trace(bench: &str, seed: u64, id: u32) -> SyntheticTrace {
     let profile = spec::scaled(bench, K).expect("known benchmark");
-    Box::new(profile.instantiate(seed, u64::from(id + 1) << 36))
+    profile.instantiate(seed, u64::from(id + 1) << 36)
 }
 
-/// A quiet phase, then a cache-hungry one: the base CPI changes inside
-/// `next_instruction`, at the phase boundary.
-fn phased(seed: u64, id: u32) -> Box<dyn TraceSource> {
-    Box::new(
-        PhasedTrace::new(vec![
-            Phase {
-                source: trace("namd", seed, id),
-                length: 7_000,
-            },
-            Phase {
-                source: trace("mcf", seed + 1, id + 100),
-                length: 9_000,
-            },
-        ])
-        .expect("two non-empty phases"),
-    )
-}
-
-fn task(id: u32, source: Box<dyn TraceSource>, budget: u64, placement: Placement) -> TaskSpec {
+fn task(id: u32, source: SyntheticTrace, budget: u64, placement: Placement) -> TaskSpec {
     TaskSpec {
         id: JobId::new(id),
         source,
@@ -115,7 +96,7 @@ fn run_script() -> Observed {
         .expect("fresh id");
     node.spawn(task(4, trace("mcf", 14, 4), 50_000, Placement::Floating))
         .expect("fresh id");
-    node.spawn(task(5, phased(15, 5), 40_000, Placement::Floating))
+    node.spawn(task(5, trace("mcf", 15, 5), 40_000, Placement::Floating))
         .expect("fresh id");
     assert_eq!(node.set_core_speed(CoreId::new(3), 60), 100);
 
@@ -206,42 +187,45 @@ fn run_script() -> Observed {
     }
 }
 
-/// Captured from the node before the L2 way mask was deleted, running
-/// this script.
+/// Captured from the node before the phased trace source was deleted,
+/// running this script.
 fn golden() -> Observed {
     Observed {
         perf: vec![
             (1, [90000, 214212, 99000, 1340, 113872, 36214, 501, 367]),
             (2, [45000, 147010, 58500, 6850, 81660, 15949, 948, 263]),
-            (3, [70000, 538172, 135499, 8692, 393981, 21085, 1921, 1255]),
+            (3, [70000, 504439, 136399, 9717, 358323, 21085, 1899, 1141]),
             (
                 4,
-                [50000, 1617932, 75412, 19999, 1522521, 18899, 6757, 4894],
+                [50000, 1603309, 70795, 19006, 1513508, 18899, 6756, 4871],
             ),
-            (5, [40000, 715472, 62638, 10070, 642764, 12845, 2825, 2038]),
-            (6, [30000, 475966, 42504, 8855, 424607, 10298, 2179, 1344]),
-            (7, [35000, 114515, 41999, 160, 72356, 10347, 245, 229]),
-            (8, [20000, 82077, 26000, 3390, 52687, 6974, 506, 167]),
+            (
+                5,
+                [40000, 1255871, 58068, 19947, 1177856, 15098, 5609, 3678],
+            ),
+            (6, [30000, 519886, 65004, 12997, 441885, 10298, 2179, 1399]),
+            (7, [35000, 114682, 41999, 160, 72523, 10347, 245, 229]),
+            (8, [20000, 81930, 26000, 3130, 52800, 6974, 480, 167]),
         ],
         completions: vec![
             (2, 0, 147010),
             (1, 0, 214212),
-            (7, 450000, 566015),
-            (8, 469441, 610948),
-            (3, 0, 654742),
-            (5, 40006, 862072),
-            (6, 461882, 991806),
-            (4, 0, 1664116),
+            (7, 450226, 566408),
+            (3, 0, 599553),
+            (8, 487470, 609654),
+            (6, 450000, 1040552),
+            (5, 40006, 1383958),
+            (4, 0, 1672869),
         ],
         monitor_before_spawn: [358, 34, 34],
-        monitor_after_spawn: [315, 124, 129],
+        monitor_after_spawn: [318, 128, 118],
         l2: vec![
-            [670, 1455, 804, 24],
-            [512, 6786, 2639, 652],
-            [384, 9200, 4953, 1252],
-            [384, 4289, 2270, 524],
+            [743, 2139, 1049, 79],
+            [512, 8953, 3708, 947],
+            [384, 9345, 5103, 1266],
+            [384, 4900, 2355, 576],
         ],
-        end: 1664116,
+        end: 1672869,
     }
 }
 

@@ -14,11 +14,9 @@ fn node() -> CmpNode {
 fn task(id: u32, bench: &str, budget: u64, placement: Placement) -> TaskSpec {
     TaskSpec {
         id: JobId::new(id),
-        source: Box::new(
-            spec::scaled(bench, K)
-                .unwrap()
-                .instantiate(u64::from(id), (u64::from(id) + 1) << 40),
-        ),
+        source: spec::scaled(bench, K)
+            .unwrap()
+            .instantiate(u64::from(id), (u64::from(id) + 1) << 40),
         budget: Instructions::new(budget),
         placement,
         reserved: matches!(placement, Placement::Pinned(_)),

@@ -266,12 +266,14 @@ proptest! {
         }
     }
 
-    /// Unpartitioned LRU never evicts the most recently used block.
+    /// A core targeted at every way replaces in LRU order: it never
+    /// evicts the most recently used block.
     #[test]
     fn lru_never_evicts_mru(
         blocks in proptest::collection::vec(0u64..32, 2..200),
     ) {
-        let mut l2 = tiny_l2(PartitionPolicy::Unpartitioned);
+        let mut l2 = tiny_l2(PartitionPolicy::PerSet);
+        l2.set_targets(&[Ways::new(4), Ways::new(0)]).expect("4 of 4 ways");
         let mut last: Option<u64> = None;
         for b in blocks {
             let out = l2.access(CoreId::new(0), b * 64, false);

@@ -3,14 +3,12 @@
 //! Every simulated number starts as a draw from a seeded `SyntheticTrace`,
 //! so the order of those draws is part of the simulated machine. Each case
 //! folds the first million `next_instruction()` events of one source into
-//! an FNV-1a hash (memory or compute, address, write) and counts the memory
-//! and write events. A synthetic source then also hashes 1,000
-//! `next_access()` calls and reports `generated()`. Every value equals a
-//! constant captured before the trace generator's hot path was reworked:
-//! a change to the order of the draws fails here, not only in the
-//! simulator's outputs.
+//! an FNV-1a hash (memory or compute, address, write), counts the memory
+//! and write events, then hashes 1,000 `next_access()` calls and reports
+//! `generated()`. Every value equals a constant captured before the trace
+//! generator's hot path was reworked: a change to the order of the draws
+//! fails here, not only in the simulator's outputs.
 
-use cmpqos::trace::phased::{Phase, PhasedTrace};
 use cmpqos::trace::{spec, Access, InstrEvent, SyntheticTrace, TraceSource};
 
 const EVENTS: u64 = 1_000_000;
@@ -89,23 +87,4 @@ fn synthetic_streams_match_their_captured_digests() {
     for (bench, seed, expected) in cases {
         assert_eq!(synthetic(bench, seed), expected, "{bench} at seed {seed}");
     }
-}
-
-#[test]
-fn a_phased_stream_matches_its_captured_digest() {
-    let phase = |bench: &str, seed: u64, base: u64, length: u64| Phase {
-        source: Box::new(
-            spec::scaled(bench, SCALE)
-                .expect("built-in benchmark")
-                .instantiate(seed, base),
-        ),
-        length,
-    };
-    let mut source = PhasedTrace::new(vec![
-        phase("namd", 1, 1 << 36, 7_000),
-        phase("mcf", 2, 2 << 36, 9_000),
-    ])
-    .expect("two non-empty phases");
-    let got = fold_events(&mut source);
-    assert_eq!(got, (10795766198725559706, 335370, 96206));
 }
